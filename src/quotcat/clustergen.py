@@ -72,10 +72,6 @@ class Rep:
     def dim_at(self, v: int) -> int:
         return self.dims[v - 1]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def __eq__(self, other):
         return (
             isinstance(other, Rep)
@@ -662,9 +658,6 @@ class TauContext:
 
     def is_injective(self, iv: tuple[int, int]) -> bool:
         return any(inj_interval(self.quiver, v) == iv for v in range(1, self.quiver.n + 1))
-
-    def tau_inv_interval(self, iv: tuple[int, int]) -> tuple[int, int]:
-        return self._tinv_data(iv)["interval"]
 
     def tau_interval(self, iv: tuple[int, int]) -> tuple[int, int]:
         """Translate of a non-projective interval, via the projective side."""

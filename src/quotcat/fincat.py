@@ -45,15 +45,10 @@ class CategoryPresentation:
         self.comp = {k: v for k, v in comp.items()}
         self.identities = [list(v) for v in identities]
         self.sigma = list(sigma) if sigma is not None else None
-        if self.sigma is not None:
-            if sorted(self.sigma) != list(range(self.n)):
-                raise ValueError("sigma is not a permutation")
-            self.sigma_inv = [0] * self.n
-            for i, s in enumerate(self.sigma):
-                self.sigma_inv[s] = i
-        else:
-            self.sigma_inv = None
+        if self.sigma is not None and sorted(self.sigma) != list(range(self.n)):
+            raise ValueError("sigma is not a permutation")
         self.metadata = dict(metadata or {})
+        self._opposite = None
 
     # -- basic queries ------------------------------------------------
 
@@ -66,12 +61,6 @@ class CategoryPresentation:
     def comp_table(self, i: int, j: int, k: int):
         """Nested table t[a][b] -> coefficient vector, or None if all zero."""
         return self.comp.get((i, j, k))
-
-    def compose_basis(self, i: int, j: int, k: int, a: int, b: int):
-        t = self.comp.get((i, j, k))
-        if t is None:
-            return [self.field.zero] * self._dim[i][k]
-        return list(t[a][b])
 
     # -- objects of the additive closure ------------------------------
 
@@ -154,22 +143,6 @@ class CategoryPresentation:
         if self.sigma is None:
             raise MissingSuspension("presentation has no suspension permutation")
 
-    def sigma_obj(self, X: "Obj", power: int = 1) -> "Obj":
-        self.require_sigma()
-        v = list(X.mult)
-        perm = self.sigma if power >= 0 else self.sigma_inv
-        for _ in range(abs(power)):
-            w = [0] * self.n
-            for i, m in enumerate(v):
-                w[perm[i]] = m
-            v = w
-        return Obj(tuple(v))
-
-    def ext1_dim(self, x: int, c: int) -> int:
-        """dim Ext^1(x, c) = dim Hom(x, sigma c)."""
-        self.require_sigma()
-        return self._dim[x][self.sigma[c]]
-
 
 @dataclass(frozen=True)
 class Obj:
@@ -237,11 +210,6 @@ class Morphism:
             for block in row:
                 out.extend(block)
         return out
-
-    def copy(self) -> "Morphism":
-        return Morphism(
-            self.P, self.source, self.target, [[list(b) for b in row] for row in self.blocks]
-        )
 
     # -- linear structure ----------------------------------------------
 
@@ -569,9 +537,13 @@ def approximation(P: CategoryPresentation, S, C: Obj, side: str = "right") -> Mo
 def opposite(P: CategoryPresentation) -> CategoryPresentation:
     """The opposite category; kernels there are cokernels here.
 
-    The suspension permutation is dropped: Ext-style queries must be asked
-    of the original presentation.
+    Memoised in both directions: opposite(opposite(P)) is P itself, so a
+    morphism carried to the opposite and back with op_morphism belongs to P
+    again.  The suspension permutation is dropped: Ext-style queries must be
+    asked of the original presentation.
     """
+    if P._opposite is not None:
+        return P._opposite
     hom = {}
     for i in range(P.n):
         for j in range(P.n):
@@ -594,6 +566,8 @@ def opposite(P: CategoryPresentation) -> CategoryPresentation:
         sigma=None,
         metadata={"opposite_of": P.metadata.get("name", "?")},
     )
+    op._opposite = P
+    P._opposite = op
     return op
 
 
@@ -642,18 +616,6 @@ def sum_obj(parts: list[Obj]) -> Obj:
     return total
 
 
-def sum_inclusion(P: CategoryPresentation, parts: list[Obj], k: int) -> Morphism:
-    """Canonical inclusion parts[k] -> direct sum of parts."""
-    S = sum_obj(parts)
-    m = P.zero_morphism(parts[k], S)
-    cmap = _sum_copy_map(parts)
-    for t, (pi, cpos) in enumerate(cmap):
-        if pi == k:
-            i = parts[k].copies()[cpos]
-            m.blocks[t][cpos] = list(P.identities[i])
-    return m
-
-
 def sum_projection(P: CategoryPresentation, parts: list[Obj], k: int) -> Morphism:
     """Canonical projection: direct sum of parts -> parts[k]."""
     S = sum_obj(parts)
@@ -676,17 +638,4 @@ def stack_cols(P: CategoryPresentation, fs: list[Morphism]) -> Morphism:
     for s, (pi, cpos) in enumerate(cmap):
         for t in range(len(target.copies())):
             m.blocks[t][s] = list(fs[pi].blocks[t][cpos])
-    return m
-
-
-def stack_rows(P: CategoryPresentation, fs: list[Morphism]) -> Morphism:
-    """(f1; f2; ...): the map common source -> (sum of targets)."""
-    source = fs[0].source
-    parts = [f.target for f in fs]
-    S = sum_obj(parts)
-    m = P.zero_morphism(source, S)
-    cmap = _sum_copy_map(parts)
-    for t, (pi, cpos) in enumerate(cmap):
-        for s in range(len(source.copies())):
-            m.blocks[t][s] = list(fs[pi].blocks[cpos][s])
     return m

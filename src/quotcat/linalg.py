@@ -321,23 +321,6 @@ class Matrix:
             [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
         )
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if self.nrows != other.nrows:
-            raise ShapeError("hstack row mismatch")
-        return Matrix(
-            self.field,
-            self.nrows,
-            self.ncols + other.ncols,
-            [self.data[i] + other.data[i] for i in range(self.nrows)],
-        )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self, other)
-        if self.ncols != other.ncols:
-            raise ShapeError("vstack column mismatch")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.data + other.data)
-
     def rref(self):
         """Reduced row echelon form; returns (rref matrix, pivot column tuple).
 

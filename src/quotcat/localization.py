@@ -25,7 +25,10 @@ from .preabelian import (
     is_regular,
     kernel,
     pullback,
+    pullback_legs,
     pushout,
+    pushout_legs,
+    run_leg_clause,
 )
 
 
@@ -201,78 +204,23 @@ def verify_rf_axioms(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -
                 break
     report.clauses["RF1_identities_and_closure"] = ClauseResult(status, count, detail)
 
-    # RF2: any (f, r regular) into a common target completes with regular leg
-    count = 0
-    status, detail = "pass", ""
-    for r in fam.regulars:
-        for f in fam.all:
-            if f.target != r.target:
-                continue
-            if count >= budget.scan_pairs_cap:
-                break
+    # RF2 / LF2: a regular r and any f into (out of) its target (source)
+    # complete to a square whose leg opposite r is regular.
+    # RF3 / LF3: r o f = r o f' forces f = f' (f o r = f' o r forces f = f');
+    # the identity refinement suffices because regulars are mono (epi).
+    for half, legs, side, cancels, kind in (
+        ("RF", pullback_legs(Q, fam.regulars, fam.all, budget), "left", is_mono, "mono"),
+        ("LF", pushout_legs(Q, fam.regulars, fam.all, budget), "right", is_epi, "epi"),
+    ):
+        report.clauses[f"{half}2_square_completion"] = run_leg_clause(legs, is_regular, budget)
+        count = 0
+        status, detail = "pass", ""
+        for r in fam.regulars:
             count += 1
-            try:
-                sq = pullback(Q, f, r, budget)
-            except NoKernel as e:
-                status, detail = "fail", f"pullback completion failed: {e}"
+            if not cancels(Q, r):
+                status, detail = "fail", f"a regular morphism is not {kind}"
                 break
-            if not is_regular(Q, sq.a):
-                status = "fail"
-                detail = (
-                    f"completion leg not regular for f: {Q.obj_name(f.source)}"
-                    f" -> {Q.obj_name(f.target)}"
-                )
-                break
-        if status == "fail":
-            break
-    report.clauses["RF2_square_completion"] = ClauseResult(status, count, detail)
-
-    # RF3: r o f = r o f' forces f = f' (the identity refinement suffices
-    # because regular morphisms are monomorphisms)
-    count = 0
-    status, detail = "pass", ""
-    for r in fam.regulars:
-        count += 1
-        if not is_mono(Q, r):
-            status, detail = "fail", "a regular morphism is not mono"
-            break
-    report.clauses["RF3_left_cancellation"] = ClauseResult(status, count, detail)
-
-    # LF2: dual completion via pushout
-    count = 0
-    status, detail = "pass", ""
-    for r in fam.regulars:
-        for f in fam.all:
-            if f.source != r.source:
-                continue
-            if count >= budget.scan_pairs_cap:
-                break
-            count += 1
-            try:
-                sq = pushout(Q, r, f, budget)
-            except NoCokernel as e:
-                status, detail = "fail", f"pushout completion failed: {e}"
-                break
-            if not is_regular(Q, sq.d):
-                status = "fail"
-                detail = (
-                    f"completion leg not regular for f: {Q.obj_name(f.source)}"
-                    f" -> {Q.obj_name(f.target)}"
-                )
-                break
-        if status == "fail":
-            break
-    report.clauses["LF2_square_completion"] = ClauseResult(status, count, detail)
-
-    # LF3: f o r = f' o r forces f = f' (regulars are epimorphisms)
-    count = 0
-    status, detail = "pass", ""
-    for r in fam.regulars:
-        count += 1
-        if not is_epi(Q, r):
-            status, detail = "fail", "a regular morphism is not epi"
-            break
-    report.clauses["LF3_right_cancellation"] = ClauseResult(status, count, detail)
+        report.clauses[f"{half}3_{side}_cancellation"] = ClauseResult(status, count, detail)
     return report
 
 

@@ -9,6 +9,7 @@ checked here with exact linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotInS
@@ -19,6 +20,7 @@ from .fincat import (
     compose,
     postcompose_matrix,
     precompose_matrix,
+    sum_projection,
 )
 from .linalg import Matrix, RowSpace
 from .preabelian import (
@@ -27,9 +29,8 @@ from .preabelian import (
     DEFAULT_BUDGET,
     RankCondition,
     SearchResult,
-    is_regular,
-    precompose_matrix as _pre,
     search_open_conditions,
+    solve_on_basis,
 )
 from .quotient import QuotientCategory, factors_through
 
@@ -139,10 +140,6 @@ class ModuleMap:
             for am, an in zip(self.source.actions, self.target.actions)
         )
 
-    def is_isomorphism(self) -> bool:
-        m = self.matrix
-        return m.nrows == m.ncols and m.rank() == m.nrows
-
 
 class HFunctor:
     """Hom(T, -) from the parent presentation to Gamma-modules."""
@@ -234,6 +231,29 @@ class EquivalenceReport:
         return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
+def _multiplicities(bounds):
+    """Nonzero m with 0 <= m_i <= bounds[i], by (sum, lexicographic) order."""
+    full = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda m: (sum(m), m))
+    return [m for m in full if any(m)]
+
+
+def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[RankCondition]:
+    """Rank conditions under which leg(m): A -> X is regular (epi and mono).
+
+    leg must be linear in the searched morphism m.
+    """
+    out = []
+    for z in range(Q.n):
+        Z = Q.single(z)
+        need_epi = Q.hom_space_dim(X, Z)
+        if need_epi:
+            out.append(RankCondition(lambda m, Z=Z: precompose_matrix(Q, leg(m), Z), need_epi, f"epi-{z}"))
+        need_mono = Q.hom_space_dim(Z, A)
+        if need_mono:
+            out.append(RankCondition(lambda m, Z=Z: postcompose_matrix(Q, leg(m), Z), need_mono, f"mono-{z}"))
+    return out
+
+
 def _image_rowspace(field, vectors):
     rs = RowSpace(field, len(vectors[0]) if vectors else 0)
     for v in vectors:
@@ -258,26 +278,12 @@ def realize_module_map(
     Q = qc.presentation
     P = qc.parent
     X, Y = Q.single(x), Q.single(y)
-    bounds = [Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]
     field = Q.field
-
-    def candidates():
-        ranges = []
-
-        def rec(prefix):
-            if len(prefix) == Q.n:
-                ranges.append(tuple(prefix))
-                return
-            for c in range(bounds[len(prefix)] + 1):
-                rec(prefix + [c])
-
-        rec([])
-        ranges.sort(key=lambda m: (sum(m), m))
-        return [Obj(m) for m in ranges if sum(m) > 0]
 
     from .localization import Fraction
 
-    for A in candidates():
+    for mult in _multiplicities([Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]):
+        A = Obj(mult)
         A_par = qc.lift_obj(A)
         dAX = Q.hom_space_dim(A, X)
         if dAX == 0:
@@ -315,44 +321,17 @@ def realize_module_map(
         subspace = [Q.morphism_from_vector(A, X, v) for v in proj.rows]
         if not subspace:
             continue
-        conditions = []
-        for z in range(Q.n):
-            Z = Q.single(z)
-            need_epi = Q.hom_space_dim(X, Z)
-            if need_epi:
-                conditions.append(
-                    RankCondition(lambda r, Z=Z: _pre(Q, r, Z), need_epi, f"epi-{z}")
-                )
-            need_mono = Q.hom_space_dim(Z, A)
-            if need_mono:
-                conditions.append(
-                    RankCondition(
-                        lambda r, Z=Z: postcompose_matrix(Q, r, Z), need_mono, f"mono-{z}"
-                    )
-                )
-        res = search_open_conditions(
-            Q, A, X, subspace, conditions, budget, salt=hash(("full", x, y, A.mult)) & 0xFFFF
-        )
+        conditions = _regular_conditions(Q, lambda r: r, A, X)
+        res = search_open_conditions(Q, A, X, subspace, conditions, budget, salt=f"full:{x}:{y}:{mult}")
         if res.status != SearchResult.FOUND:
             continue
         r = res.witness
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
-        hr = H.mor_matrix(qc.lift(r))
-        want_m = phi * hr
+        want_m = phi * H.mor_matrix(qc.lift(r))
         want = [want_m.data[i][j] for i in range(want_m.nrows) for j in range(want_m.ncols)]
-        sol_mat = Matrix(
-            field,
-            len(want),
-            len(g_basis),
-            [[img_vecs[l][pos] for l in range(len(g_basis))] for pos in range(len(want))],
-        )
-        sol = sol_mat.solve(want)
-        if sol is None:
+        f_par = solve_on_basis(P, A_par, qc.lift_obj(Y), g_basis, img_vecs, want)
+        if f_par is None:
             continue
-        f_par = P.zero_morphism(A_par, qc.lift_obj(Y))
-        for c, g in zip(sol, g_basis):
-            if c != field.zero:
-                f_par = f_par + g.scale(c)
         F = Fraction(Q, r, qc.project(f_par))
         got = h_fraction(H, qc, F)
         if got == phi:
@@ -440,8 +419,7 @@ def verify_equivalence(
                     status = "fail"
                     detail = f"unrealised module map {Q.objects[x]} -> {Q.objects[y]}"
                     break
-                nontrivial = not is_regular(Q, F.denom) or F.denom.source != F.denom.target
-                witnesses.append((Q.objects[x], Q.objects[y], nontrivial))
+                witnesses.append((Q.objects[x], Q.objects[y], F.denom.source != F.denom.target))
             if status == "fail":
                 break
         if status == "fail":
@@ -484,47 +462,14 @@ def _fraction_split_epi(qc: QuotientCategory, qa: Morphism, budget: Budget) -> b
     """
     Q = qc.presentation
     X = qa.target
-    bounds = [Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]
-
-    cands = []
-
-    def rec(prefix):
-        if len(prefix) == Q.n:
-            cands.append(tuple(prefix))
-            return
-        for c in range(bounds[len(prefix)] + 1):
-            rec(prefix + [c])
-
-    rec([])
-    cands.sort(key=lambda m: (sum(m), m))
-    for mult in cands:
-        if sum(mult) == 0:
-            continue
+    for mult in _multiplicities([Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]):
         B = Obj(mult)
         subspace = Q.hom_basis(B, qa.source)
         if not subspace:
             continue
-        conditions = []
-        for z in range(Q.n):
-            Z = Q.single(z)
-            need_epi = Q.hom_space_dim(X, Z)
-            if need_epi:
-                conditions.append(
-                    RankCondition(
-                        lambda g, Z=Z: _pre(Q, compose(Q, qa, g), Z), need_epi, f"epi-{z}"
-                    )
-                )
-            need_mono = Q.hom_space_dim(Z, B)
-            if need_mono:
-                conditions.append(
-                    RankCondition(
-                        lambda g, Z=Z: postcompose_matrix(Q, compose(Q, qa, g), Z),
-                        need_mono,
-                        f"mono-{z}",
-                    )
-                )
+        conditions = _regular_conditions(Q, lambda g: compose(Q, qa, g), B, X)
         res = search_open_conditions(
-            Q, B, qa.source, subspace, conditions, budget, salt=hash(("split", X.mult, mult)) & 0xFFFF
+            Q, B, qa.source, subspace, conditions, budget, salt=f"split:{X.mult}:{mult}"
         )
         if res.status == SearchResult.FOUND:
             return True
@@ -538,31 +483,9 @@ def _iso_to_add_t(qc: QuotientCategory, x: int, tsupp, budget: Budget) -> bool:
     bounded multiplicity vectors over the T-summands are tried.
     """
     Q = qc.presentation
-    X = Q.single(x)
-    t_q = sorted(qc._q_index[t] for t in tsupp)
-    caps = {t: Q.hom_space_dim(Q.single(t), X) for t in t_q}
-    partners = []
-
-    def rec(idx, current):
-        if idx == len(t_q):
-            if sum(current.values()):
-                partners.append(dict(current))
-            return
-        t = t_q[idx]
-        for c in range(caps[t] + 1):
-            current[t] = c
-            rec(idx + 1, current)
-        current.pop(t, None)
-
-    rec(0, {})
-    partners.sort(key=lambda d: sum(d.values()))
-    for part in partners:
-        mult = [0] * Q.n
-        for t, c in part.items():
-            mult[t] = c
-        if iso_fraction_exists(qc, x, Obj(tuple(mult)), budget):
-            return True
-    return False
+    t_q = {qc._q_index[t] for t in tsupp}
+    bounds = [Q.hom_space_dim(Q.single(i), Q.single(x)) if i in t_q else 0 for i in range(Q.n)]
+    return any(iso_fraction_exists(qc, x, Obj(mult), budget) for mult in _multiplicities(bounds))
 
 
 def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -572,8 +495,6 @@ def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAUL
     search runs over maps into the direct sum, so both legs are linear in one
     searched element.
     """
-    from .fincat import sum_projection
-
     Q = qc.presentation
     X = Q.single(x)
     W = Q.single(w) if isinstance(w, int) else w
@@ -581,53 +502,18 @@ def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAUL
         min(Q.hom_space_dim(Q.single(i), X), Q.hom_space_dim(Q.single(i), W))
         for i in range(Q.n)
     ]
-    cands = []
-
-    def rec(prefix):
-        if len(prefix) == Q.n:
-            cands.append(tuple(prefix))
-            return
-        for c in range(bounds[len(prefix)] + 1):
-            rec(prefix + [c])
-
-    rec([])
-    cands.sort(key=lambda m: (sum(m), m))
-    target_parts = [X, W]
-    for mult in cands:
-        if sum(mult) == 0:
-            continue
+    XW = X + W
+    for mult in _multiplicities(bounds):
         A = Obj(mult)
-        XW = X + W
         subspace = Q.hom_basis(A, XW)
         if not subspace:
             continue
-        projX = sum_projection(Q, target_parts, 0)
-        projW = sum_projection(Q, target_parts, 1)
         conditions = []
-        for leg_proj, tgt in ((projX, X), (projW, W)):
-            for z in range(Q.n):
-                Z = Q.single(z)
-                need_epi = Q.hom_space_dim(tgt, Z)
-                if need_epi:
-                    conditions.append(
-                        RankCondition(
-                            lambda h, Z=Z, lp=leg_proj: _pre(Q, compose(Q, lp, h), Z),
-                            need_epi,
-                            "leg-epi",
-                        )
-                    )
-                need_mono = Q.hom_space_dim(Z, A)
-                if need_mono:
-                    conditions.append(
-                        RankCondition(
-                            lambda h, Z=Z, lp=leg_proj: postcompose_matrix(Q, compose(Q, lp, h), Z),
-                            need_mono,
-                            "leg-mono",
-                        )
-                    )
+        for k, tgt in enumerate((X, W)):
+            proj = sum_projection(Q, [X, W], k)
+            conditions += _regular_conditions(Q, lambda h, proj=proj: compose(Q, proj, h), A, tgt)
         res = search_open_conditions(
-            Q, A, XW, subspace, conditions, budget,
-            salt=hash(("iso", x, tuple(W.mult), mult)) & 0xFFFF,
+            Q, A, XW, subspace, conditions, budget, salt=f"iso:{x}:{W.mult}:{mult}"
         )
         if res.status == SearchResult.FOUND:
             return True

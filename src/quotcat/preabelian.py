@@ -31,8 +31,6 @@ from .fincat import (
     postcompose_matrix,
     precompose_matrix,
     stack_cols,
-    stack_rows,
-    sum_inclusion,
     sum_projection,
 )
 from .linalg import Matrix, PrimeField
@@ -77,47 +75,32 @@ def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
 
 
 def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
-    for z in range(Q.n):
-        Z = Q.single(z)
-        d = Q.hom_space_dim(Z, f.source)
-        if d and postcompose_matrix(Q, f, Z).rank() != d:
-            return False
-    return True
+    """Mono iff epi in the opposite presentation."""
+    op = opposite(Q)
+    return is_epi(op, op_morphism(op, f))
 
 
 def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
     return is_epi(Q, f) and is_mono(Q, f)
 
 
-def is_isomorphism(Q: CategoryPresentation, f: Morphism) -> bool:
-    """Two-sided invertibility, decided by a linear solve."""
-    inv = solve_two_sided_inverse(Q, f)
-    return inv is not None
+def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, basis, images, want):
+    """The combination of basis (of Hom(X, Y)) whose images sum to want, or None.
+
+    images[k] is the coordinate vector of the image of basis[k] under the
+    linear map being inverted, and want is in the same coordinates.
+    """
+    m = Matrix(P.field, len(want), len(basis), [[col[i] for col in images] for i in range(len(want))])
+    sol = m.solve(want)
+    return None if sol is None else _combine(P, X, Y, basis, sol)
 
 
 def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
     """Some g with g o f = id and f o g = id, or None."""
     X, Y = f.source, f.target
-    dYX = Q.hom_space_dim(Y, X)
     basis = Q.hom_basis(Y, X)
-    cols = []
-    for g in basis:
-        cols.append(compose(Q, g, f).to_vector() + compose(Q, f, g).to_vector())
-    want = Q.identity(X).to_vector() + Q.identity(Y).to_vector()
-    m = Matrix(
-        Q.field,
-        len(want),
-        dYX,
-        [[cols[j][i] for j in range(dYX)] for i in range(len(want))],
-    )
-    sol = m.solve(want)
-    if sol is None:
-        return None
-    g = Q.zero_morphism(Y, X)
-    for c, b in zip(sol, basis):
-        if c != Q.field.zero:
-            g = g + b.scale(c)
-    return g
+    images = [compose(Q, g, f).to_vector() + compose(Q, f, g).to_vector() for g in basis]
+    return solve_on_basis(Q, Y, X, basis, images, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
 
 
 # -- the open-condition search engine -----------------------------------------
@@ -165,7 +148,7 @@ def search_open_conditions(
     subspace: list[Morphism],
     conditions: list[RankCondition],
     budget: Budget,
-    salt: int = 0,
+    salt: int | str = 0,
 ) -> SearchResult:
     """Find m in span(subspace) satisfying all rank conditions, certified.
 
@@ -321,21 +304,12 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
 
 def kernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
     """Kernel of f: the cokernel search in the opposite presentation."""
-    op = _op_of(Q)
+    op = opposite(Q)
     res = cokernel(op, op_morphism(op, f), budget)
     if res is None:
         return None
     K, c_op = res
     return (K, op_morphism(Q, c_op))
-
-
-def _op_of(Q: CategoryPresentation) -> CategoryPresentation:
-    cached = getattr(Q, "_op_cache", None)
-    if cached is None:
-        cached = opposite(Q)
-        cached._op_cache = Q
-        Q._op_cache = cached
-    return cached
 
 
 # -- limit squares ---------------------------------------------------------------
@@ -377,75 +351,37 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
 
 
 def pushout(Q: CategoryPresentation, a: Morphism, b: Morphism, budget: Budget = DEFAULT_BUDGET) -> LimitSquare:
-    """Cokernel-based pushout of a: A -> B and b: A -> C."""
+    """Cokernel-based pushout of a: A -> B and b: A -> C: the pullback in Q^op."""
     if a.source != b.source:
         raise ShapeError("pushout needs a common source")
-    B, C = a.target, b.target
-    diff = stack_rows(Q, [a, b.scale(-1)])
-    res = cokernel(Q, diff, budget)
-    if res is None:
-        raise NoCokernel("difference map has no cokernel: presentation is not preabelian here")
-    D, e = res
-    c = compose(Q, e, sum_inclusion(Q, [B, C], 0))
-    d = compose(Q, e, sum_inclusion(Q, [B, C], 1))
-    sq = LimitSquare(a.source, B, C, D, a, b, c, d)
-    if not sq.check_commutes(Q):
-        raise InternalInconsistency("pushout square does not commute")
-    return sq
+    op = opposite(Q)
+    try:
+        sq = pullback(op, op_morphism(op, a), op_morphism(op, b), budget)
+    except NoKernel:
+        raise NoCokernel("difference map has no cokernel: presentation is not preabelian here") from None
+    c, d = op_morphism(Q, sq.a), op_morphism(Q, sq.b)
+    return LimitSquare(a.source, a.target, b.target, sq.A, a, b, c, d)
 
 
 def mediating_to_pullback(Q: CategoryPresentation, sq: LimitSquare, u: Morphism, v: Morphism):
     """Solve a o w = u, b o w = v for a cone (u, v); None if no mediator."""
-    W = u.source
-    basis = Q.hom_basis(W, sq.A)
-    cols = [
-        compose(Q, sq.a, w).to_vector() + compose(Q, sq.b, w).to_vector() for w in basis
-    ]
-    want = u.to_vector() + v.to_vector()
-    m = Matrix(
-        Q.field,
-        len(want),
-        len(basis),
-        [[cols[j][i] for j in range(len(basis))] for i in range(len(want))],
-    )
-    sol = m.solve(want)
-    if sol is None:
-        return None
-    return _combine(Q, W, sq.A, basis, sol)
+    basis = Q.hom_basis(u.source, sq.A)
+    images = [compose(Q, sq.a, w).to_vector() + compose(Q, sq.b, w).to_vector() for w in basis]
+    return solve_on_basis(Q, u.source, sq.A, basis, images, u.to_vector() + v.to_vector())
 
 
 def factors_through_map(Q: CategoryPresentation, f: Morphism, c: Morphism):
     """Some g with g o c = f (c and f sharing their source), or None."""
     basis = Q.hom_basis(c.target, f.target)
-    cols = [compose(Q, g, c).to_vector() for g in basis]
-    want = f.to_vector()
-    m = Matrix(
-        Q.field,
-        len(want),
-        len(basis),
-        [[cols[j][i] for j in range(len(basis))] for i in range(len(want))],
-    )
-    sol = m.solve(want)
-    if sol is None:
-        return None
-    return _combine(Q, c.target, f.target, basis, sol)
+    images = [compose(Q, g, c).to_vector() for g in basis]
+    return solve_on_basis(Q, c.target, f.target, basis, images, f.to_vector())
 
 
 def lifts_through_epi(Q: CategoryPresentation, f: Morphism, c: Morphism):
     """Some g with c o g = f (c and f sharing their target), or None."""
     basis = Q.hom_basis(f.source, c.source)
-    cols = [compose(Q, c, g).to_vector() for g in basis]
-    want = f.to_vector()
-    m = Matrix(
-        Q.field,
-        len(want),
-        len(basis),
-        [[cols[j][i] for j in range(len(basis))] for i in range(len(want))],
-    )
-    sol = m.solve(want)
-    if sol is None:
-        return None
-    return _combine(Q, f.source, c.source, basis, sol)
+    images = [compose(Q, c, g).to_vector() for g in basis]
+    return solve_on_basis(Q, f.source, c.source, basis, images, f.to_vector())
 
 
 # -- coimage / image factorisation -------------------------------------------------
@@ -589,101 +525,95 @@ class PropertyReport:
         return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
-def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> PropertyReport:
-    """Bounded exhaustive check of preabelian / semi-abelian / integral clauses."""
-    report = PropertyReport()
-    # preabelian: kernel + cokernel existence over all basis morphisms
+def pullback_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAULT_BUDGET):
+    """(d, c, leg) for each d in given and each c in others into its target.
+
+    leg is the side of the pullback of d along c that is opposite d.
+    """
+    for d in given:
+        for c in others:
+            if c.target == d.target:
+                yield d, c, pullback(Q, c, d, budget).a
+
+
+def pushout_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAULT_BUDGET):
+    """(a, b, leg) for each a in given and each b in others out of its source.
+
+    leg is the side of the pushout of a and b that is opposite a.
+    """
+    for a in given:
+        for b in others:
+            if b.source == a.source:
+                yield a, b, pushout(Q, a, b, budget).d
+
+
+def run_leg_clause(legs, ok, budget: Budget = DEFAULT_BUDGET) -> ClauseResult:
+    """Whether ok(Q, leg) holds on the first scan_pairs_cap (x, y, leg) triples.
+
+    ok is is_epi, is_mono or is_regular; a failure names the property and
+    the pair of maps.  A missing limit square fails the clause.  Running out
+    of budget is not a theorem failure: the clause is then bounds-exceeded.
+    """
     checked = 0
-    failure = None
+    try:
+        for x, y, leg in itertools.islice(legs, budget.scan_pairs_cap):
+            checked += 1
+            P = leg.P
+            if not ok(P, leg):
+                prop = ok.__name__.removeprefix("is_")
+                return ClauseResult(
+                    "fail",
+                    checked,
+                    f"leg not {prop} for {P.obj_name(x.source)} -> {P.obj_name(x.target)}"
+                    f" with {P.obj_name(y.source)} -> {P.obj_name(y.target)}",
+                )
+    except (NoKernel, NoCokernel) as e:
+        return ClauseResult("fail", checked, f"no limit square: {e}")
+    except BoundsExceeded as e:
+        return ClauseResult("bounds-exceeded", checked, str(e))
+    return ClauseResult("pass", checked)
+
+
+def _preabelian_clause(Q: CategoryPresentation, budget: Budget) -> ClauseResult:
+    """Kernel and cokernel existence over all basis morphisms."""
+    checked = 0
     try:
         for i in range(Q.n):
             for j in range(Q.n):
                 for a in range(Q.hom_dim(i, j)):
                     f = Q.basis_morphism(i, j, a)
-                    if cokernel(Q, f, budget) is None:
-                        failure = f"no cokernel for basis ({Q.objects[i]} -> {Q.objects[j]}, {a})"
-                        raise _ScanStop
-                    if kernel(Q, f, budget) is None:
-                        failure = f"no kernel for basis ({Q.objects[i]} -> {Q.objects[j]}, {a})"
-                        raise _ScanStop
+                    for what, search in (("cokernel", cokernel), ("kernel", kernel)):
+                        if search(Q, f, budget) is None:
+                            return ClauseResult(
+                                "fail", checked, f"no {what} for basis ({Q.objects[i]} -> {Q.objects[j]}, {a})"
+                            )
                     checked += 1
-    except _ScanStop:
-        pass
     except BoundsExceeded as e:
-        report.clauses["preabelian"] = ClauseResult("bounds-exceeded", checked, str(e))
-    if "preabelian" not in report.clauses:
-        report.clauses["preabelian"] = (
-            ClauseResult("pass", checked)
-            if failure is None
-            else ClauseResult("fail", checked, failure)
-        )
-    if failure is not None:
+        return ClauseResult("bounds-exceeded", checked, str(e))
+    return ClauseResult("pass", checked)
+
+
+def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> PropertyReport:
+    """Bounded exhaustive check of preabelian / semi-abelian / integral clauses."""
+    report = PropertyReport()
+    report.clauses["preabelian"] = _preabelian_clause(Q, budget)
+    if report.clauses["preabelian"].status == "fail":
         # pullback clauses are meaningless without kernels
         return report
 
     fam = build_morphism_family(Q, budget)
-
-    def run_pullback_clause(name, given, predicate_leg):
-        # the leg a: A -> B is the pullback of the given d: C -> D along c
-        count = 0
-        for d in given:
-            for c in fam.all:
-                if c.target != d.target:
-                    continue
-                if count >= budget.scan_pairs_cap:
-                    break
-                try:
-                    sq = pullback(Q, c, d, budget)
-                except (NoKernel, BoundsExceeded) as e:
-                    report.clauses[name] = ClauseResult("fail", count, f"pullback failed: {e}")
-                    return
-                count += 1
-                if not predicate_leg(sq.a):
-                    report.clauses[name] = ClauseResult(
-                        "fail",
-                        count,
-                        f"leg fails for d: {Q.obj_name(d.source)} -> {Q.obj_name(d.target)}",
-                    )
-                    return
-        report.clauses[name] = ClauseResult("pass", count)
-
-    def run_pushout_clause(name, given, predicate_leg):
-        # the leg d: C -> D is the pushout of the given a: A -> B along b
-        count = 0
-        for a in given:
-            for b in fam.all:
-                if a.source != b.source:
-                    continue
-                if count >= budget.scan_pairs_cap:
-                    break
-                try:
-                    sq = pushout(Q, a, b, budget)
-                except (NoCokernel, BoundsExceeded) as e:
-                    report.clauses[name] = ClauseResult("fail", count, f"pushout failed: {e}")
-                    return
-                count += 1
-                if not predicate_leg(sq.d):
-                    report.clauses[name] = ClauseResult(
-                        "fail",
-                        count,
-                        f"leg fails for a: {Q.obj_name(a.source)} -> {Q.obj_name(a.target)}",
-                    )
-                    return
-        report.clauses[name] = ClauseResult("pass", count)
-
-    run_pullback_clause("pullback_cokernel_leg", fam.cokernel_maps, lambda m: is_epi(Q, m))
-    run_pullback_clause("pullback_epi_leg", fam.epis, lambda m: is_epi(Q, m))
-    run_pullback_clause("pullback_mono_leg", fam.monos, lambda m: is_mono(Q, m))
-    run_pullback_clause("pullback_regular_leg", fam.regulars, lambda m: is_regular(Q, m))
-    run_pushout_clause("pushout_kernel_leg", fam.kernel_maps, lambda m: is_mono(Q, m))
-    run_pushout_clause("pushout_mono_leg", fam.monos, lambda m: is_mono(Q, m))
-    run_pushout_clause("pushout_epi_leg", fam.epis, lambda m: is_epi(Q, m))
-    run_pushout_clause("pushout_regular_leg", fam.regulars, lambda m: is_regular(Q, m))
+    for name, legs, ok in (
+        ("pullback_cokernel_leg", pullback_legs(Q, fam.cokernel_maps, fam.all, budget), is_epi),
+        ("pullback_epi_leg", pullback_legs(Q, fam.epis, fam.all, budget), is_epi),
+        ("pullback_mono_leg", pullback_legs(Q, fam.monos, fam.all, budget), is_mono),
+        ("pullback_regular_leg", pullback_legs(Q, fam.regulars, fam.all, budget), is_regular),
+        ("pushout_kernel_leg", pushout_legs(Q, fam.kernel_maps, fam.all, budget), is_mono),
+        ("pushout_mono_leg", pushout_legs(Q, fam.monos, fam.all, budget), is_mono),
+        ("pushout_epi_leg", pushout_legs(Q, fam.epis, fam.all, budget), is_epi),
+        ("pushout_regular_leg", pushout_legs(Q, fam.regulars, fam.all, budget), is_regular),
+    ):
+        report.clauses[name] = run_leg_clause(legs, ok, budget)
     return report
-
-
-class _ScanStop(Exception):
-    pass
 
 
 # -- projective / injective objects ---------------------------------------------------
@@ -716,11 +646,8 @@ def is_injective_object(
     budget: Budget = DEFAULT_BUDGET,
     family: MorphismFamily | None = None,
 ) -> bool:
+    """Extension property of X along every mono: projectivity in Q^op."""
     fam = family or build_morphism_family(Q, budget)
-    for j in fam.monos:
-        dAX = Q.hom_space_dim(j.source, X)
-        if dAX == 0:
-            continue
-        if precompose_matrix(Q, j, X).rank() != dAX:
-            return False
-    return True
+    op = opposite(Q)
+    monos_op = MorphismFamily(epis=[op_morphism(op, j) for j in fam.monos])
+    return is_projective_object(op, X, budget, monos_op)

@@ -42,6 +42,18 @@ def _clause(status, detail="", **payload):
     return out
 
 
+def _bounded(results: dict) -> dict:
+    """One bounded clause from per-clause results (statuses as in ClauseResult).
+
+    All pass: bounded-pass with the checked total.  Otherwise fail when any
+    clause failed, and bounds-exceeded when the rest only ran out of budget.
+    """
+    bad = {k: v.detail for k, v in results.items() if v.status != PASS}
+    if not bad:
+        return _clause(BOUNDED, checked=sum(v.checked for v in results.values()))
+    return _clause(FAIL if any(v.status == FAIL for v in results.values()) else EXCEEDED, str(bad))
+
+
 def run_verification(
     P: CategoryPresentation,
     t_spec: Obj | None = None,
@@ -96,19 +108,11 @@ def run_verification(
     try:
         prop = timed("property_scan", lambda: scan_properties(Q, budget))
         pre = prop.clauses["preabelian"]
-        clauses["preabelian"] = _clause(
-            PASS if pre.status == "pass" else (EXCEEDED if pre.status == "bounds-exceeded" else FAIL),
-            pre.detail,
-            checked=pre.checked,
-        )
-        rest = {k: v for k, v in prop.clauses.items() if k != "preabelian"}
-        if pre.status != "pass":
+        clauses["preabelian"] = _clause(pre.status, pre.detail, checked=pre.checked)
+        if pre.status != PASS:
             clauses["integral"] = _clause(SKIPPED, "presentation is not preabelian")
-        elif all(v.status == "pass" for v in rest.values()):
-            clauses["integral"] = _clause(BOUNDED, checked=sum(v.checked for v in rest.values()))
         else:
-            bad = {k: v.detail for k, v in rest.items() if v.status != "pass"}
-            clauses["integral"] = _clause(FAIL, str(bad))
+            clauses["integral"] = _bounded({k: v for k, v in prop.clauses.items() if k != "preabelian"})
     except BoundsExceeded as e:
         clauses["preabelian"] = _clause(EXCEEDED, str(e))
         clauses["integral"] = _clause(SKIPPED)
@@ -116,40 +120,44 @@ def run_verification(
     preabelian_ok = clauses["preabelian"]["status"] == PASS
     integral_ok = clauses.get("integral", {}).get("status") == BOUNDED
 
-    # calculus of fractions
+    # calculus of fractions; here and below, running out of budget is a
+    # clause status, never a lost report
     if preabelian_ok:
-        rf = timed("rf_axioms", lambda: verify_rf_axioms(Q, budget))
-        if rf.ok:
-            clauses["rf_axioms"] = _clause(BOUNDED, checked=sum(c.checked for c in rf.clauses.values()))
-        else:
-            bad = {k: v.detail for k, v in rf.clauses.items() if v.status != "pass"}
-            clauses["rf_axioms"] = _clause(FAIL, str(bad))
+        try:
+            rf = timed("rf_axioms", lambda: verify_rf_axioms(Q, budget))
+            clauses["rf_axioms"] = _bounded(rf.clauses)
+        except BoundsExceeded as e:
+            clauses["rf_axioms"] = _clause(EXCEEDED, str(e))
     else:
         clauses["rf_axioms"] = _clause(SKIPPED, "needs a preabelian quotient")
 
     # abelian localisation
     if preabelian_ok and integral_ok:
-        ab = timed("abelian", lambda: check_abelian(Q, budget))
-        cl = ab.clauses["abelian_middle_maps"]
-        clauses["abelian_localisation"] = _clause(
-            PASS if cl.status == "pass" else FAIL, cl.detail, checked=cl.checked
-        )
+        try:
+            cl = timed("abelian", lambda: check_abelian(Q, budget)).clauses["abelian_middle_maps"]
+            clauses["abelian_localisation"] = _clause(cl.status, cl.detail, checked=cl.checked)
+        except BoundsExceeded as e:
+            clauses["abelian_localisation"] = _clause(EXCEEDED, str(e))
     else:
         clauses["abelian_localisation"] = _clause(SKIPPED, "needs an integral quotient")
 
     # equivalence with the module category
     if t_spec is not None and preabelian_ok and integral_ok:
-        eq = timed("equivalence", lambda: verify_equivalence(P, t_spec, qc, budget))
-        if eq.ok:
-            nontrivial = sum(1 for (_, _, nt) in eq.witnesses.get("full", []) if nt)
-            clauses["equivalence"] = _clause(
-                PASS,
-                checked={k: v.checked for k, v in eq.clauses.items()},
-                fractions_with_nonidentity_denominator=nontrivial,
-            )
+        try:
+            eq = timed("equivalence", lambda: verify_equivalence(P, t_spec, qc, budget))
+        except BoundsExceeded as e:
+            clauses["equivalence"] = _clause(EXCEEDED, str(e))
         else:
-            bad = {k: v.detail for k, v in eq.clauses.items() if v.status != "pass"}
-            clauses["equivalence"] = _clause(FAIL, str(bad))
+            if eq.ok:
+                nontrivial = sum(1 for (_, _, nt) in eq.witnesses.get("full", []) if nt)
+                clauses["equivalence"] = _clause(
+                    PASS,
+                    checked={k: v.checked for k, v in eq.clauses.items()},
+                    fractions_with_nonidentity_denominator=nontrivial,
+                )
+            else:
+                bad = {k: v.detail for k, v in eq.clauses.items() if v.status != PASS}
+                clauses["equivalence"] = _clause(FAIL, str(bad))
     else:
         clauses["equivalence"] = _clause(SKIPPED)
 

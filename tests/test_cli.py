@@ -68,6 +68,30 @@ def test_verify_not_rigid_distinct_status(a3_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_budget_exhaustion_still_reports(a3_path, capsys):
+    code = main(["verify", a3_path, "--T", "P2", "--retries", "1", "--grid-cap", "1"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    statuses = {name: c["status"] for name, c in rep["clauses"].items()}
+    assert "bounds-exceeded" in statuses.values(), statuses
+    assert "fail" not in statuses.values(), statuses
+
+
+def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, capsys, monkeypatch):
+    import quotcat.verify
+    from quotcat.errors import BoundsExceeded
+
+    def exhausted(*args, **kwargs):
+        raise BoundsExceeded("grid exceeds the cap")
+
+    monkeypatch.setattr(quotcat.verify, "check_abelian", exhausted)
+    monkeypatch.setattr(quotcat.verify, "verify_equivalence", exhausted)
+    assert main(["verify", a3_path, "--T", "P1+P2+P3", "--scan-pairs-cap", "40"]) == 1
+    clauses = json.loads(capsys.readouterr().out)["clauses"]
+    for name in ("abelian_localisation", "equivalence"):
+        assert clauses[name] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
+
+
 def test_verify_section6_subcat_fails_preabelian(a3_path, tmp_path, capsys):
     out = tmp_path / "rep6.json"
     code = main(

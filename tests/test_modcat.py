@@ -256,3 +256,41 @@ def test_iso_fraction_reflexive(A3, TCT):
     assert iso_fraction_exists(qc, 0, 0)
     # P1 and S2 are not isomorphic in the localisation of the CT quotient
     assert not iso_fraction_exists(qc, Q.index("P1"), Q.index("S2"))
+
+
+_WITNESS_SCRIPT = """
+from quotcat.clustergen import build_cluster_category
+from quotcat.modcat import HFunctor, module_hom_space, realize_module_map
+from quotcat.quotient import build_quotient
+
+A3 = build_cluster_category(3)
+T = A3.obj({"P1": 1, "P3": 1})
+qc = build_quotient(A3, T, validate=False)
+Q, H = qc.presentation, HFunctor(A3, T)
+for x in range(Q.n):
+    for y in range(Q.n):
+        Mx, My = (H.module(qc.lift_obj(Q.single(i))) for i in (x, y))
+        for phi in module_hom_space(Mx, My):
+            if not phi.matrix.is_zero():
+                F = realize_module_map(H, qc, x, y, phi.matrix)
+                print(x, y, F.aux.mult, [str(c) for c in F.denom.to_vector() + F.num.to_vector()])
+"""
+
+
+def test_realize_witnesses_ignore_hash_seed():
+    # search salts are strings, so the witnesses do not depend on PYTHONHASHSEED
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _WITNESS_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -2,7 +2,7 @@ import pytest
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
-from quotcat.fincat import approximation, compose
+from quotcat.fincat import approximation, compose, postcompose_matrix, precompose_matrix, stack_cols
 from quotcat.preabelian import (
     Budget,
     build_morphism_family,
@@ -326,3 +326,51 @@ def test_enough_projectives_and_injectives(A3, QCT):
         b = approximation(A3, s2S, C, "left")
         qb = QCT.project(b)
         assert is_mono(Q, qb)
+
+
+def test_mono_and_injective_match_direct_rank_tests(QCT, Q2):
+    # is_mono and is_injective_object run in the opposite presentation; pin
+    # them to their rank definitions on post- and pre-composition here
+    for qc in (QCT, Q2):
+        Q = qc.presentation
+        fam = build_morphism_family(Q)
+        singles = [Q.single(z) for z in range(Q.n)]
+        for m in fam.all + fam.cokernel_maps + fam.kernel_maps:
+            direct = all(postcompose_matrix(Q, m, Z).rank() == Q.hom_space_dim(Z, m.source) for Z in singles)
+            assert is_mono(Q, m) == direct
+        for X in singles + [Q.zero_obj(), singles[0] + singles[-1]]:
+            direct = all(precompose_matrix(Q, j, X).rank() == Q.hom_space_dim(j.source, X) for j in fam.monos)
+            assert is_injective_object(Q, X, family=fam) == direct
+
+
+def test_pushout_squares_are_pushouts(QCT, Q2):
+    # pushouts are pullbacks in the opposite presentation; check each square
+    # and its universal property against cocones solved directly in Q
+    for qc in (QCT, Q2):
+        Q = qc.presentation
+        fam = build_morphism_family(Q, derived=False)
+        pairs = [(a, b) for a in fam.all for b in fam.all if a.source == b.source]
+        for a, b in pairs:
+            sq = pushout(Q, a, b)
+            assert (sq.A, sq.B, sq.C) == (a.source, a.target, b.target)
+            assert sq.check_commutes(Q)
+            legs = stack_cols(Q, [sq.c, sq.d])
+            for w in range(Q.n):
+                W = Q.single(w)
+                for u in Q.hom_basis(sq.B, W):
+                    v = factors_through_map(Q, compose(Q, u, a), b)
+                    if v is None:
+                        continue
+                    med = factors_through_map(Q, stack_cols(Q, [u, v]), legs)
+                    assert med is not None
+                    assert compose(Q, med, sq.c) == u
+                    assert compose(Q, med, sq.d) == v
+
+
+def test_scan_budget_exhaustion_is_not_failure(A3):
+    qc = build_quotient(A3, A3.obj({"P2": 1}), validate=False)
+    rep = scan_properties(qc.presentation, Budget(retries=1, grid_cap=1))
+    assert rep.clauses["preabelian"].status == "pass"
+    statuses = {name: c.status for name, c in rep.clauses.items()}
+    assert "fail" not in statuses.values(), statuses
+    assert "bounds-exceeded" in statuses.values(), statuses
