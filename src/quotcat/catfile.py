@@ -36,8 +36,11 @@ def _field_tag(field: Field):
 def _field_from_tag(tag) -> Field:
     if tag == "Q":
         return QQ
-    if isinstance(tag, dict) and set(tag) == {"Fp"}:
-        return GF(int(tag["Fp"]))
+    if isinstance(tag, dict) and set(tag) == {"Fp"} and _is_index(tag["Fp"]):
+        try:
+            return GF(tag["Fp"])
+        except ValueError as e:
+            raise ShapeError(f"field tag {tag!r}: {e}") from None
     raise ShapeError(f"unknown field tag {tag!r}")
 
 
@@ -82,42 +85,99 @@ def presentation_to_dict(P: CategoryPresentation) -> dict:
     return doc
 
 
+def _entries(doc: dict, key: str, kind=list):
+    val = doc.get(key)
+    if not isinstance(val, kind):
+        raise ShapeError(f"{key!r} must be a JSON {'list' if kind is list else 'object'}")
+    return val
+
+
+def _is_index(x, bound: int | None = None) -> bool:
+    """Whether x is an int in [0, bound), or a non-negative int without a bound."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0 and (bound is None or x < bound)
+
+
+def _scalar(field: Field, x):
+    """The field element written as x (a fraction string or an int), or None."""
+    if isinstance(x, (str, int)) and not isinstance(x, bool):
+        try:
+            return field.of(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
+
+
 def presentation_from_dict(doc: dict, strict: bool = True, validate: bool = True) -> CategoryPresentation:
+    """Parse a category file; a malformed part raises ShapeError naming it."""
+    if not isinstance(doc, dict):
+        raise ShapeError("a category file must hold a JSON object")
     if strict:
         unknown = set(doc) - _KNOWN_KEYS
         if unknown:
             raise ShapeError(f"unknown fields in category file: {sorted(unknown)}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ShapeError(f"unsupported format_version {doc.get('format_version')!r}")
-    field = _field_from_tag(doc["field"])
-    objects = list(doc["indecomposables"])
+    field = _field_from_tag(doc.get("field"))
+    objects = _entries(doc, "indecomposables")
+    if not all(isinstance(name, str) for name in objects) or len(set(objects)) != len(objects):
+        raise ShapeError("'indecomposables' must be a list of distinct names")
     index = {name: i for i, name in enumerate(objects)}
+
+    def obj(kind, entry, key):
+        name = entry.get(key) if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name not in index:
+            raise ShapeError(f"{kind} entry {entry!r}: {key} is not an indecomposable")
+        return index[name]
+
     hom = {}
-    for entry in doc["hom"]:
-        hom[(index[entry["src"]], index[entry["dst"]])] = int(entry["dim"])
+    for entry in _entries(doc, "hom"):
+        key = (obj("hom", entry, "src"), obj("hom", entry, "dst"))
+        if not _is_index(entry.get("dim")):
+            raise ShapeError(f"hom entry {entry!r}: dim is not a non-negative int")
+        hom[key] = entry["dim"]
 
     def dim(i, j):
         return hom.get((i, j), 0)
 
     comp: dict = {}
-    for entry in doc["comp"]:
-        i, j, k = index[entry["i"]], index[entry["j"]], index[entry["k"]]
+    for entry in _entries(doc, "comp"):
+        i, j, k = (obj("comp", entry, x) for x in "ijk")
         key = (i, j, k)
+        a, b, c = idx = (entry.get("a"), entry.get("b"), entry.get("c"))
+        for x, v, d in zip("abc", idx, (dim(i, j), dim(j, k), dim(i, k))):
+            if not _is_index(v, d):
+                raise ShapeError(f"comp entry {entry!r}: {x} is not an int in [0, {d})")
+        coeff = _scalar(field, entry.get("coeff"))
+        if coeff is None:
+            raise ShapeError(f"comp entry {entry!r}: coeff is not a fraction string over {field!r}")
         if key not in comp:
             comp[key] = [
                 [[field.zero] * dim(i, k) for _ in range(dim(j, k))]
                 for _ in range(dim(i, j))
             ]
-        comp[key][int(entry["a"])][int(entry["b"])][int(entry["c"])] = field.parse(entry["coeff"])
-    identities = [[field.parse(x) for x in vec] for vec in doc["identities"]]
+        comp[key][a][b][c] = coeff
+    vecs = _entries(doc, "identities")
+    if len(vecs) != len(objects):
+        raise ShapeError(f"'identities' has {len(vecs)} vectors for {len(objects)} indecomposables")
+    identities = [[_scalar(field, x) for x in vec] if isinstance(vec, list) else None for vec in vecs]
+    for i, vec in enumerate(identities):
+        if vec is None or len(vec) != dim(i, i) or None in vec:
+            raise ShapeError(f"identity of {objects[i]!r} is not {dim(i, i)} fraction strings over {field!r}")
+    sigma = doc.get("sigma")
+    if sigma is not None and (
+        not isinstance(sigma, list)
+        or not all(_is_index(x) for x in sigma)
+        or sorted(sigma) != list(range(len(objects)))
+    ):
+        raise ShapeError("'sigma' must be a permutation of the indecomposables")
     P = CategoryPresentation(
         field,
         objects,
         hom,
         comp,
         identities,
-        sigma=doc.get("sigma"),
-        metadata=doc.get("metadata", {}),
+        sigma=sigma,
+        metadata=_entries(doc, "metadata", dict) if "metadata" in doc else {},
     )
     if validate:
         rep = validate_category(P)

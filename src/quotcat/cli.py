@@ -1,7 +1,9 @@
 """Command line interface.
 
 Subcommands: generate, verify, cotorsion, fraction.  Exit codes: 0 when all
-clauses pass, 1 on a theorem-clause failure, 2 on usage or data errors.
+clauses pass, 1 on a theorem-clause failure, 2 on usage or data errors
+(including malformed category files and budgets), 3 when no clause failed
+but some ran out of budget.
 Budgets come from an optional JSON config file (QUOTCAT_CONFIG or --config)
 overridden by flags.
 
@@ -52,6 +54,7 @@ from .verify import run_cotorsion, run_verification
 EXIT_OK = 0
 EXIT_CLAUSE_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BOUNDS = 3
 
 
 def _load_budget(args) -> Budget:
@@ -59,7 +62,10 @@ def _load_budget(args) -> Budget:
     path = getattr(args, "config", None) or os.environ.get("QUOTCAT_CONFIG")
     if path:
         with open(path, encoding="utf-8") as fh:
-            data.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ShapeError(f"budget config {path} must hold a JSON object")
+        data.update(config)
     for key in ("seed", "retries", "grid_cap", "scan_pairs_cap", "scan_random_per_pair"):
         val = getattr(args, key, None)
         if val is not None:
@@ -108,7 +114,7 @@ def cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return EXIT_OK if report["overall"] == "pass" else EXIT_CLAUSE_FAIL
+    return {"pass": EXIT_OK, "bounds-exceeded": EXIT_BOUNDS}.get(report["overall"], EXIT_CLAUSE_FAIL)
 
 
 def cmd_cotorsion(args) -> int:
@@ -300,7 +306,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except BoundsExceeded as e:
         print(f"bounds exceeded: {e}", file=sys.stderr)
-        return EXIT_CLAUSE_FAIL
+        return EXIT_BOUNDS
     except QuotcatError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CLAUSE_FAIL

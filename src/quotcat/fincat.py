@@ -10,6 +10,8 @@ vectors, morphisms are block arrays of coefficient vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from operator import mul
 
 from .errors import MissingSuspension, ShapeError
 from .linalg import Field, Matrix, vec_add, vec_is_zero, vec_scale, vec_sub
@@ -49,6 +51,7 @@ class CategoryPresentation:
             raise ValueError("sigma is not a permutation")
         self.metadata = dict(metadata or {})
         self._opposite = None
+        self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     # -- basic queries ------------------------------------------------
 
@@ -74,9 +77,7 @@ class CategoryPresentation:
 
     def single(self, name_or_idx) -> "Obj":
         i = name_or_idx if isinstance(name_or_idx, int) else self.index(name_or_idx)
-        v = [0] * self.n
-        v[i] = 1
-        return Obj(tuple(v))
+        return self._singles[i]
 
     def zero_obj(self) -> "Obj":
         return Obj((0,) * self.n)
@@ -93,11 +94,27 @@ class CategoryPresentation:
     # -- morphisms -----------------------------------------------------
 
     def hom_space_dim(self, X: "Obj", Y: "Obj") -> int:
-        return sum(
-            self._dim[i][j]
-            for i in X.copies()
-            for j in Y.copies()
-        )
+        dim, ym = self._dim, Y.mult
+        total = 0
+        for i, mx in enumerate(X.mult):
+            if mx:
+                total += mx * sum(map(mul, dim[i], ym))
+        return total
+
+    def hom_offsets(self, X: "Obj", Y: "Obj"):
+        """(off, d): off[t][s] is where block (t, s) of Hom(X, Y) starts in the
+        flat to_vector order, and d = dim Hom(X, Y)."""
+        dim = self._dim
+        srcs = X.copies()
+        off = []
+        pos = 0
+        for j in Y.copies():
+            row = []
+            for i in srcs:
+                row.append(pos)
+                pos += dim[i][j]
+            off.append(row)
+        return off, pos
 
     def zero_morphism(self, X: "Obj", Y: "Obj") -> "Morphism":
         srcs = X.copies()
@@ -150,12 +167,17 @@ class Obj:
 
     mult: tuple
 
-    def copies(self) -> list[int]:
+    def copies(self) -> tuple:
         """Indecomposable index of each copy, in block order."""
+        return self._copies
+
+    @cached_property
+    def _copies(self) -> tuple:
         out = []
         for i, m in enumerate(self.mult):
-            out.extend([i] * m)
-        return out
+            if m:
+                out += [i] * m
+        return tuple(out)
 
     @property
     def total(self) -> int:
@@ -306,25 +328,78 @@ def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
 
 
 def precompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
-    """Matrix of Hom(target f, Z) -> Hom(source f, Z), v -> v o f."""
-    dY = P.hom_space_dim(f.target, Z)
-    dX = P.hom_space_dim(f.source, Z)
-    cols = []
-    for v in P.hom_basis(f.target, Z):
-        cols.append(compose(P, v, f).to_vector())
-    data = [[cols[j][i] for j in range(dY)] for i in range(dX)]
-    return Matrix(P.field, dX, dY, data)
+    """Matrix of Hom(target f, Z) -> Hom(source f, Z), v -> v o f.
+
+    Built from the structure constants: the image of basis b of block (t, m)
+    of Hom(Y, Z) has, in block (t, s) of Hom(X, Z), the coordinates
+    sum_a f[m][s][a] * comp[(i_s, j_m, k_t)][a][b].  Rows and columns are in
+    to_vector order.
+    """
+    X, Y = f.source, f.target
+    offX, dX = P.hom_offsets(X, Z)
+    offY, dY = P.hom_offsets(Y, Z)
+    fld = P.field
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    comp = P.comp
+    data = [[zero] * dY for _ in range(dX)]
+    mids = Y.copies()
+    for t, k in enumerate(Z.copies()):
+        ox, oy = offX[t], offY[t]
+        for s, i in enumerate(X.copies()):
+            for m, j in enumerate(mids):
+                table = comp.get((i, j, k))
+                if table is None:
+                    continue
+                r0, c0 = ox[s], oy[m]
+                for a, fa in enumerate(f.blocks[m][s]):
+                    if not fa:
+                        continue
+                    for b, vec in enumerate(table[a]):
+                        col = c0 + b
+                        for c, rc in enumerate(vec):
+                            if rc:
+                                row = data[r0 + c]
+                                row[col] = add(row[col], mul(fa, rc))
+    return Matrix(fld, dX, dY, data)
 
 
 def postcompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
-    """Matrix of Hom(Z, source f) -> Hom(Z, target f), u -> f o u."""
-    dX = P.hom_space_dim(Z, f.source)
-    dY = P.hom_space_dim(Z, f.target)
-    cols = []
-    for u in P.hom_basis(Z, f.source):
-        cols.append(compose(P, f, u).to_vector())
-    data = [[cols[j][i] for j in range(dX)] for i in range(dY)]
-    return Matrix(P.field, dY, dX, data)
+    """Matrix of Hom(Z, source f) -> Hom(Z, target f), u -> f o u.
+
+    Built from the structure constants like precompose_matrix: the image of
+    basis a of block (m, s) of Hom(Z, X) has, in block (t, s) of Hom(Z, Y),
+    the coordinates sum_b f[t][m][b] * comp[(i_s, j_m, k_t)][a][b].
+    """
+    X, Y = f.source, f.target
+    offX, dX = P.hom_offsets(Z, X)
+    offY, dY = P.hom_offsets(Z, Y)
+    fld = P.field
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    comp = P.comp
+    data = [[zero] * dX for _ in range(dY)]
+    srcs = Z.copies()
+    for t, k in enumerate(Y.copies()):
+        oy = offY[t]
+        for m, j in enumerate(X.copies()):
+            fblock = f.blocks[t][m]
+            if not any(fblock):
+                continue
+            ox = offX[m]
+            for s, i in enumerate(srcs):
+                table = comp.get((i, j, k))
+                if table is None:
+                    continue
+                r0, c0 = oy[s], ox[s]
+                for a, ta in enumerate(table):
+                    col = c0 + a
+                    for b, fb in enumerate(fblock):
+                        if not fb:
+                            continue
+                        for c, rc in enumerate(ta[b]):
+                            if rc:
+                                row = data[r0 + c]
+                                row[col] = add(row[col], mul(fb, rc))
+    return Matrix(fld, dY, dX, data)
 
 
 # -- validation ---------------------------------------------------------

@@ -329,7 +329,8 @@ def realize_module_map(
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
         want_m = phi * H.mor_matrix(qc.lift(r))
         want = [want_m.data[i][j] for i in range(want_m.nrows) for j in range(want_m.ncols)]
-        f_par = solve_on_basis(P, A_par, qc.lift_obj(Y), g_basis, img_vecs, want)
+        img = Matrix(field, len(want), len(g_basis), [[v[i] for v in img_vecs] for i in range(len(want))])
+        f_par = solve_on_basis(P, A_par, qc.lift_obj(Y), img, want)
         if f_par is None:
             continue
         F = Fraction(Q, r, qc.project(f_par))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from .errors import BoundsExceeded, InternalInconsistency, NoCokernel, NoKernel, ShapeError
 from .fincat import (
@@ -50,11 +50,24 @@ class Budget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Budget":
+        """A budget from config values; ValueError names a key it rejects.
+
+        Every limit but the seed must be non-negative, and grid_cap,
+        scan_pairs_cap and coeff_base must be positive.
+        """
         b = cls()
+        keys = {f.name for f in fields(cls)}
         for k, v in d.items():
-            if not hasattr(b, k):
+            if k not in keys:
                 raise ValueError(f"unknown budget key {k!r}")
-            setattr(b, k, int(v))
+            try:
+                v = int(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"budget {k} must be an integer, got {v!r}") from None
+            least = 1 if k in ("grid_cap", "scan_pairs_cap", "coeff_base") else 0
+            if k != "seed" and v < least:
+                raise ValueError(f"budget {k} must be at least {least}, got {v}")
+            setattr(b, k, v)
         return b
 
 
@@ -84,23 +97,25 @@ def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
     return is_epi(Q, f) and is_mono(Q, f)
 
 
-def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, basis, images, want):
-    """The combination of basis (of Hom(X, Y)) whose images sum to want, or None.
+def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
+    """Some g in Hom(X, Y) with m (g as a coordinate vector) = want, or None.
 
-    images[k] is the coordinate vector of the image of basis[k] under the
-    linear map being inverted, and want is in the same coordinates.
+    m is a linear map on Hom(X, Y) in to_vector coordinates, such as a pre-
+    or post-composition matrix, or several of them stacked.
     """
-    m = Matrix(P.field, len(want), len(basis), [[col[i] for col in images] for i in range(len(want))])
     sol = m.solve(want)
-    return None if sol is None else _combine(P, X, Y, basis, sol)
+    return None if sol is None else P.morphism_from_vector(X, Y, sol)
+
+
+def _stack(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(a.field, a.nrows + b.nrows, a.ncols, a.data + b.data)
 
 
 def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
     """Some g with g o f = id and f o g = id, or None."""
     X, Y = f.source, f.target
-    basis = Q.hom_basis(Y, X)
-    images = [compose(Q, g, f).to_vector() + compose(Q, f, g).to_vector() for g in basis]
-    return solve_on_basis(Q, Y, X, basis, images, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
+    m = _stack(precompose_matrix(Q, f, X), postcompose_matrix(Q, f, Y))
+    return solve_on_basis(Q, Y, X, m, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
 
 
 # -- the open-condition search engine -----------------------------------------
@@ -234,23 +249,25 @@ def search_open_conditions(
 def _candidate_multiplicities(bounds: list[int], rows: list[list[int]], targets: list[int]):
     """Solutions m of sum_i m_i * rows[z][i] = targets[z], within bounds."""
     n = len(bounds)
+    cols = [[row[i] for row in rows] for i in range(n)]
+    # adding invisible summands never helps
+    tops = [bounds[i] if any(cols[i]) else 0 for i in range(n)]
     out = []
 
     def rec(i, mult, remaining):
-        if any(r < 0 for r in remaining):
-            return
         if i == n:
-            if all(r == 0 for r in remaining):
+            if not any(remaining):
                 out.append(tuple(mult))
             return
-        # skip indecomposables that cannot contribute
-        col = [rows[z][i] for z in range(len(rows))]
-        for c in range(bounds[i] + 1):
-            if c > 0 and all(v == 0 for v in col):
-                break  # adding invisible summands never helps
-            rec(i + 1, mult + [c], [r - c * v for r, v in zip(remaining, col)])
+        col = cols[i]
+        for c in range(tops[i] + 1):
+            rest = [r - c * v for r, v in zip(remaining, col)]
+            if min(rest, default=0) < 0:
+                break  # the entries of col are dimensions, so a larger c is worse
+            rec(i + 1, mult + [c], rest)
 
-    rec(0, [], list(targets))
+    if min(targets, default=0) >= 0:
+        rec(0, [], list(targets))
     out.sort(key=lambda m: (sum(m), m))
     return out
 
@@ -265,7 +282,6 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     cokernel, hence a cokernel.
     """
     Y = f.target
-    field = Q.field
     targets = []
     rows = []
     for z in range(Q.n):
@@ -277,12 +293,8 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     bounds = [Q.hom_space_dim(Y, Q.single(i)) for i in range(Q.n)]
     for mult in _candidate_multiplicities(bounds, rows, targets):
         M = Obj(mult)
-        dYM = Q.hom_space_dim(Y, M)
         # subspace {c : c o f = 0}
-        basis = Q.hom_basis(Y, M)
-        cols = [compose(Q, b, f).to_vector() for b in basis]
-        width = Q.hom_space_dim(f.source, M)
-        mat = Matrix(field, width, dYM, [[cols[j][i] for j in range(dYM)] for i in range(width)])
+        mat = precompose_matrix(Q, f, M)
         sub = [Q.morphism_from_vector(Y, M, v) for v in mat.kernel_basis()]
         conditions = []
         for z in range(Q.n):
@@ -365,23 +377,18 @@ def pushout(Q: CategoryPresentation, a: Morphism, b: Morphism, budget: Budget = 
 
 def mediating_to_pullback(Q: CategoryPresentation, sq: LimitSquare, u: Morphism, v: Morphism):
     """Solve a o w = u, b o w = v for a cone (u, v); None if no mediator."""
-    basis = Q.hom_basis(u.source, sq.A)
-    images = [compose(Q, sq.a, w).to_vector() + compose(Q, sq.b, w).to_vector() for w in basis]
-    return solve_on_basis(Q, u.source, sq.A, basis, images, u.to_vector() + v.to_vector())
+    m = _stack(postcompose_matrix(Q, sq.a, u.source), postcompose_matrix(Q, sq.b, u.source))
+    return solve_on_basis(Q, u.source, sq.A, m, u.to_vector() + v.to_vector())
 
 
 def factors_through_map(Q: CategoryPresentation, f: Morphism, c: Morphism):
     """Some g with g o c = f (c and f sharing their source), or None."""
-    basis = Q.hom_basis(c.target, f.target)
-    images = [compose(Q, g, c).to_vector() for g in basis]
-    return solve_on_basis(Q, c.target, f.target, basis, images, f.to_vector())
+    return solve_on_basis(Q, c.target, f.target, precompose_matrix(Q, c, f.target), f.to_vector())
 
 
 def lifts_through_epi(Q: CategoryPresentation, f: Morphism, c: Morphism):
     """Some g with c o g = f (c and f sharing their target), or None."""
-    basis = Q.hom_basis(f.source, c.source)
-    images = [compose(Q, c, g).to_vector() for g in basis]
-    return solve_on_basis(Q, f.source, c.source, basis, images, f.to_vector())
+    return solve_on_basis(Q, f.source, c.source, postcompose_matrix(Q, c, f.source), f.to_vector())
 
 
 # -- coimage / image factorisation -------------------------------------------------

@@ -71,7 +71,8 @@ def test_verify_not_rigid_distinct_status(a3_path, tmp_path, capsys):
 def test_verify_budget_exhaustion_still_reports(a3_path, capsys):
     code = main(["verify", a3_path, "--T", "P2", "--retries", "1", "--grid-cap", "1"])
     rep = json.loads(capsys.readouterr().out)
-    assert code == 1
+    assert code == 3
+    assert rep["overall"] == "bounds-exceeded"
     statuses = {name: c["status"] for name, c in rep["clauses"].items()}
     assert "bounds-exceeded" in statuses.values(), statuses
     assert "fail" not in statuses.values(), statuses
@@ -86,7 +87,7 @@ def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, capsys, monk
 
     monkeypatch.setattr(quotcat.verify, "check_abelian", exhausted)
     monkeypatch.setattr(quotcat.verify, "verify_equivalence", exhausted)
-    assert main(["verify", a3_path, "--T", "P1+P2+P3", "--scan-pairs-cap", "40"]) == 1
+    assert main(["verify", a3_path, "--T", "P1+P2+P3", "--scan-pairs-cap", "40"]) == 3
     clauses = json.loads(capsys.readouterr().out)["clauses"]
     for name in ("abelian_localisation", "equivalence"):
         assert clauses[name] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
@@ -208,3 +209,57 @@ def test_fraction_kernel_and_cokernel_expressions(a3_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     assert len(out) == 2 and all(line.startswith("[") for line in out)
+
+
+def _corrupt(entry, **changes):
+    def apply(doc):
+        doc[entry[0]][entry[1]].update(changes)
+
+    return apply
+
+
+def _short_identities(doc):
+    doc["identities"].pop()
+
+
+# Each is one hand corruption of the committed C(A_2) file.
+MALFORMED = {
+    "unknown object in hom": _corrupt(("hom", 0), src="nope"),
+    "unknown object in comp": _corrupt(("comp", 0), j="nope"),
+    "non-name src": _corrupt(("hom", 0), src=3),
+    "comp index 99": _corrupt(("comp", 0), c=99),
+    "negative comp index": _corrupt(("comp", 0), a=-1),
+    "short identities list": _short_identities,
+    "non-int dim": _corrupt(("hom", 0), dim="1"),
+    "fractional dim": _corrupt(("hom", 0), dim=1.5),
+    "unparsable coefficient": _corrupt(("comp", 0), coeff="x/y"),
+    "zero denominator": _corrupt(("comp", 0), coeff="1/0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_category_file_exits_2(name, tmp_path, capsys):
+    import pathlib
+
+    doc = json.loads((pathlib.Path(__file__).parent / "golden" / "a2.json").read_text())
+    MALFORMED[name](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--T", "P1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--retries", "-1"],
+        ["--grid-cap", "0"],
+        ["--grid-cap", "-5"],
+        ["--scan-pairs-cap", "0"],
+    ],
+)
+def test_nonsense_budget_flags_exit_2(a3_path, flags, capsys):
+    assert main(["verify", a3_path, "--T", "P2", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget ") and err.count("\n") == 1, err

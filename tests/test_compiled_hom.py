@@ -1,0 +1,128 @@
+"""Differential tests: the compiled pre/post-composition matrices against
+their definition.
+
+precompose_matrix and postcompose_matrix are assembled straight from the
+structure constants.  The reference below is the definition they replace:
+compose with every hom_basis element and transpose the columns.  Exact
+arithmetic means the two must agree entry for entry, on random morphisms
+between random multi-copy objects.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from quotcat.clustergen import build_cluster_category
+from quotcat.fincat import (
+    CategoryPresentation,
+    Obj,
+    compose,
+    opposite,
+    postcompose_matrix,
+    precompose_matrix,
+    validate_category,
+)
+from quotcat.linalg import GF, QQ, Matrix
+from quotcat.quotient import build_quotient
+
+
+def reference_precompose(P, f, Z):
+    cols = [compose(P, v, f).to_vector() for v in P.hom_basis(f.target, Z)]
+    rows = len(P.zero_morphism(f.source, Z).to_vector())
+    return Matrix(P.field, rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
+
+
+def reference_postcompose(P, f, Z):
+    cols = [compose(P, f, u).to_vector() for u in P.hom_basis(Z, f.source)]
+    rows = len(P.zero_morphism(Z, f.target).to_vector())
+    return Matrix(P.field, rows, len(cols), [[col[i] for col in cols] for i in range(rows)])
+
+
+def reference_hom_space_dim(P, X, Y):
+    return sum(P.hom_dim(i, j) for i in X.copies() for j in Y.copies())
+
+
+def truncated_polynomials(field=QQ):
+    """One object with End = k[x]/(x^3): Hom blocks of dimension 3."""
+    one, zero = field.one, field.zero
+    table = [[[one if c == a + b else zero for c in range(3)] for b in range(3)] for a in range(3)]
+    return CategoryPresentation(field, ["pt"], {(0, 0): 3}, {(0, 0, 0): table}, [[one, zero, zero]])
+
+
+def kronecker(field=QQ):
+    """x => y: two arrows, so Hom(x, y) is two-dimensional."""
+    one = field.one
+    comp = {
+        (0, 0, 0): [[[one]]],
+        (1, 1, 1): [[[one]]],
+        (0, 0, 1): [[[one, field.zero], [field.zero, one]]],
+        (0, 1, 1): [[[one, field.zero]], [[field.zero, one]]],
+    }
+    return CategoryPresentation(field, ["x", "y"], {(0, 0): 1, (1, 1): 1, (0, 1): 2}, comp, [[one], [one]])
+
+
+@lru_cache(maxsize=None)
+def categories():
+    a3 = build_cluster_category(3)
+    a4 = build_cluster_category(4, "><>", GF(101))
+    bases = [
+        a3,
+        a4,
+        build_quotient(a3, a3.obj({"P2": 1}), validate=False).presentation,
+        build_quotient(a4, a4.obj({"I1": 1, "P1": 1}), validate=False).presentation,
+        truncated_polynomials(),
+        kronecker(GF(101)),
+    ]
+    return tuple(bases + [opposite(P) for P in bases])
+
+
+def test_extra_categories_are_categories():
+    for P in categories()[4:6]:
+        assert validate_category(P).ok
+
+
+@st.composite
+def objects(draw, P):
+    """Up to three distinct indecomposables with multiplicities 1..3."""
+    support = draw(st.lists(st.integers(0, P.n - 1), min_size=1, max_size=3, unique=True))
+    mult = [0] * P.n
+    for i in support:
+        mult[i] = draw(st.integers(1, 3))
+    return Obj(tuple(mult))
+
+
+@st.composite
+def instances(draw):
+    """(P, f, Z) with f a random morphism between random objects of P."""
+    P = draw(st.sampled_from(categories()))
+    X, Y, Z = draw(objects(P)), draw(objects(P)), draw(objects(P))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=P.hom_space_dim(X, Y), max_size=P.hom_space_dim(X, Y)))
+    return P, P.morphism_from_vector(X, Y, coeffs), Z
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_precompose_matrix_matches_definition(inst):
+    P, f, Z = inst
+    assert precompose_matrix(P, f, Z) == reference_precompose(P, f, Z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_postcompose_matrix_matches_definition(inst):
+    P, f, Z = inst
+    assert postcompose_matrix(P, f, Z) == reference_postcompose(P, f, Z)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_hom_space_dim_matches_basis(inst):
+    P, f, Z = inst
+    for X, Y in ((f.source, f.target), (f.target, Z), (Z, f.source)):
+        d = P.hom_space_dim(X, Y)
+        assert d == reference_hom_space_dim(P, X, Y) == len(P.hom_basis(X, Y))
+        off, total = P.hom_offsets(X, Y)
+        assert total == d
+        zero = P.zero_morphism(X, Y)
+        flat = [off[t][s] + c for t, row in enumerate(zero.blocks) for s, blk in enumerate(row) for c in range(len(blk))]
+        assert flat == list(range(d))

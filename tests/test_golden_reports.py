@@ -1,9 +1,11 @@
 """Byte-identical verification reports on a fixed corpus.
 
 The reports in golden/reports_a3.json were recorded before the duality
-refactor; any change to a verdict, a count or a failure detail shows up
-here.  Only `timing_s` is dropped, because it is the one non-deterministic
-section.  Regenerate the file on purpose with
+refactor, and those in golden/reports_a4.json (C(A_4) with the non-linear
+orientation "><>" over GF(101), whose 14 objects give multi-copy blocks)
+before the compiled Hom layout; any change to a verdict, a count or a
+failure detail shows up here.  Only `timing_s` is dropped, because it is
+the one non-deterministic section.  Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 """
@@ -17,36 +19,63 @@ from quotcat.linalg import GF
 from quotcat.preabelian import Budget
 from quotcat.verify import run_verification
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "reports_a3.json"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def corpus_reports() -> dict:
-    """Reports keyed by case name, as the JSON text they are compared by."""
+def _cases_a3() -> dict:
     a3 = build_cluster_category(3)
     a3p = build_cluster_category(3, field=GF(101))
-    capped = Budget(scan_pairs_cap=120)
-    cases = {
+    return {
         "A3/Q T=P2": (a3, {"t_spec": a3.obj({"P2": 1})}),
         "A3/Q T=P1+P3": (a3, {"t_spec": a3.obj({"P1": 1, "P3": 1})}),
         "A3/Q T=S2+I2": (a3, {"t_spec": a3.obj({"S2": 1, "I2": 1})}),
         "A3/F101 T=P1+P3": (a3p, {"t_spec": a3p.obj({"P1": 1, "P3": 1})}),
         "A3/Q subcat=P1+P2+S2": (a3, {"subcat": {a3.index(s) for s in ("P1", "P2", "S2")}}),
     }
+
+
+def _cases_a4() -> dict:
+    a4 = build_cluster_category(4, "><>", GF(101))
+    return {
+        "A4(><>)/F101 T=I1+P1": (a4, {"t_spec": a4.obj({"I1": 1, "P1": 1})}),
+        "A4(><>)/F101 T=I1+P1+I2+M[1,4]": (
+            a4,
+            {"t_spec": a4.obj({"I1": 1, "P1": 1, "I2": 1, "M[1,4]": 1})},
+        ),
+    }
+
+
+CORPORA = {"reports_a3.json": _cases_a3, "reports_a4.json": _cases_a4}
+
+
+def corpus_reports(cases) -> dict:
+    """Reports keyed by case name, as the JSON text they are compared by."""
+    capped = Budget(scan_pairs_cap=120)
     out = {}
-    for name, (P, kw) in cases.items():
+    for name, (P, kw) in cases().items():
         rep = run_verification(P, budget=capped, **kw)
         rep.pop("timing_s")
         out[name] = json.dumps(rep, indent=1, sort_keys=True)
     return out
 
 
-def test_reports_match_golden():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    fresh = corpus_reports()
+def _check(filename):
+    golden = json.loads((GOLDEN_DIR / filename).read_text(encoding="utf-8"))
+    fresh = corpus_reports(CORPORA[filename])
     assert sorted(fresh) == sorted(golden)
     for name, text in fresh.items():
         assert text == golden[name], name
 
 
+def test_reports_match_golden():
+    _check("reports_a3.json")
+
+
+def test_a4_f101_reports_match_golden():
+    _check("reports_a4.json")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    GOLDEN.write_text(json.dumps(corpus_reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for filename, cases in CORPORA.items():
+        text = json.dumps(corpus_reports(cases), indent=1, sort_keys=True) + "\n"
+        (GOLDEN_DIR / filename).write_text(text, encoding="utf-8")

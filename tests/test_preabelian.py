@@ -170,6 +170,25 @@ def test_bounds_exceeded_is_distinct(QCT):
         cokernel(Q, f, Budget(retries=0, grid_cap=0))
 
 
+def test_budget_from_dict_rejects_nonsense():
+    assert Budget.from_dict({"seed": -3, "retries": 0, "scan_double_objects": 0}).seed == -3
+    bad = [
+        {"retries": -1},
+        {"scan_random_per_pair": -1},
+        {"scan_double_objects": -2},
+        {"grid_cap": 0},
+        {"scan_pairs_cap": 0},
+        {"coeff_base": 0},
+        {"coeff_base": -4},
+        {"retries": None},
+        {"from_dict": 1},
+    ]
+    for d in bad:
+        key = next(iter(d))
+        with pytest.raises(ValueError, match=key):
+            Budget.from_dict(d)
+
+
 def test_pullback_along_identity(QCT):
     Q = QCT.presentation
     c = Q.basis_morphism(0, 1, 0) if Q.hom_dim(0, 1) else None
