@@ -9,9 +9,9 @@ vectors, morphisms are block arrays of coefficient vectors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from operator import mul
 
 from .errors import MissingSuspension, ShapeError
 from .linalg import Field, Matrix, vec_add, vec_is_zero, vec_scale, vec_sub
@@ -98,12 +98,15 @@ class CategoryPresentation:
         total = 0
         for i, mx in enumerate(X.mult):
             if mx:
-                total += mx * sum(map(mul, dim[i], ym))
+                total += mx * sum(map(operator.mul, dim[i], ym))
         return total
 
     def hom_offsets(self, X: "Obj", Y: "Obj"):
-        """(off, d): off[t][s] is where block (t, s) of Hom(X, Y) starts in the
-        flat to_vector order, and d = dim Hom(X, Y)."""
+        """Block offsets of Hom(X, Y) and its dimension, as (off, d).
+
+        off[t][s] is where the block from source copy s to target copy t
+        starts in the flat to_vector order.
+        """
         dim = self._dim
         srcs = X.copies()
         off = []
@@ -168,7 +171,10 @@ class Obj:
     mult: tuple
 
     def copies(self) -> tuple:
-        """Indecomposable index of each copy, in block order."""
+        """Indecomposable index of each copy, in block order.
+
+        Computed once per object, which is safe because Obj is frozen.
+        """
         return self._copies
 
     @cached_property

@@ -246,10 +246,9 @@ def search_open_conditions(
 # -- kernels and cokernels -----------------------------------------------------
 
 
-def _candidate_multiplicities(bounds: list[int], rows: list[list[int]], targets: list[int]):
-    """Solutions m of sum_i m_i * rows[z][i] = targets[z], within bounds."""
+def _candidate_multiplicities(bounds: list[int], cols: list[list[int]], targets: list[int]):
+    """Solutions m of sum_i m_i * cols[i][z] = targets[z], within bounds."""
     n = len(bounds)
-    cols = [[row[i] for row in rows] for i in range(n)]
     # adding invisible summands never helps
     tops = [bounds[i] if any(cols[i]) else 0 for i in range(n)]
     out = []
@@ -283,15 +282,14 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     """
     Y = f.target
     targets = []
-    rows = []
     for z in range(Q.n):
         Z = Q.single(z)
         dYZ = Q.hom_space_dim(Y, Z)
         rk = precompose_matrix(Q, f, Z).rank() if dYZ else 0
         targets.append(dYZ - rk)
-        rows.append([Q.hom_dim(i, z) for i in range(Q.n)])
+    cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
     bounds = [Q.hom_space_dim(Y, Q.single(i)) for i in range(Q.n)]
-    for mult in _candidate_multiplicities(bounds, rows, targets):
+    for mult in _candidate_multiplicities(bounds, cols, targets):
         M = Obj(mult)
         # subspace {c : c o f = 0}
         mat = precompose_matrix(Q, f, M)
