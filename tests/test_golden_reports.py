@@ -1,10 +1,11 @@
 """Byte-identical verification reports on a fixed corpus.
 
 The reports in golden/reports_a3.json were recorded before the duality
-refactor, and those in golden/reports_a4.json (C(A_4) with the non-linear
+refactor, those in golden/reports_a4.json (C(A_4) with the non-linear
 orientation "><>" over GF(101), whose 14 objects give multi-copy blocks)
-before the compiled Hom layout; any change to a verdict, a count or a
-failure detail shows up here.  Only `timing_s` is dropped, because it is
+before the compiled Hom layout, and golden/reports_a4_q.json (C(A_4) over Q
+at the default budget, scan_pairs_cap=400) before integral rationals became
+ints; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is
 the one non-deterministic section.  Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
@@ -15,7 +16,7 @@ import pathlib
 import sys
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.linalg import GF
+from quotcat.linalg import GF, QQ
 from quotcat.preabelian import Budget
 from quotcat.verify import run_verification
 
@@ -45,15 +46,25 @@ def _cases_a4() -> dict:
     }
 
 
-CORPORA = {"reports_a3.json": _cases_a3, "reports_a4.json": _cases_a4}
+def _cases_a4_q() -> dict:
+    a4 = build_cluster_category(4, field=QQ)
+    return {"A4/Q T=P1+P2+P3+P4": (a4, {"t_spec": a4.obj({f"P{i}": 1 for i in range(1, 5)})})}
 
 
-def corpus_reports(cases) -> dict:
+CAPPED = Budget(scan_pairs_cap=120)
+CORPORA = {
+    "reports_a3.json": (_cases_a3, CAPPED),
+    "reports_a4.json": (_cases_a4, CAPPED),
+    "reports_a4_q.json": (_cases_a4_q, Budget()),
+}
+
+
+def corpus_reports(filename) -> dict:
     """Reports keyed by case name, as the JSON text they are compared by."""
-    capped = Budget(scan_pairs_cap=120)
+    cases, budget = CORPORA[filename]
     out = {}
     for name, (P, kw) in cases().items():
-        rep = run_verification(P, budget=capped, **kw)
+        rep = run_verification(P, budget=budget, **kw)
         rep.pop("timing_s")
         out[name] = json.dumps(rep, indent=1, sort_keys=True)
     return out
@@ -61,7 +72,7 @@ def corpus_reports(cases) -> dict:
 
 def _check(filename):
     golden = json.loads((GOLDEN_DIR / filename).read_text(encoding="utf-8"))
-    fresh = corpus_reports(CORPORA[filename])
+    fresh = corpus_reports(filename)
     assert sorted(fresh) == sorted(golden)
     for name, text in fresh.items():
         assert text == golden[name], name
@@ -75,7 +86,11 @@ def test_a4_f101_reports_match_golden():
     _check("reports_a4.json")
 
 
+def test_a4_q_default_budget_reports_match_golden():
+    _check("reports_a4_q.json")
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    for filename, cases in CORPORA.items():
-        text = json.dumps(corpus_reports(cases), indent=1, sort_keys=True) + "\n"
+    for filename in CORPORA:
+        text = json.dumps(corpus_reports(filename), indent=1, sort_keys=True) + "\n"
         (GOLDEN_DIR / filename).write_text(text, encoding="utf-8")
