@@ -664,7 +664,7 @@ def op_morphism(Q: CategoryPresentation, f: Morphism) -> Morphism:
 # -- direct sum plumbing --------------------------------------------------
 
 
-def _sum_copy_map(parts: list[Obj]):
+def sum_copy_map(parts: list[Obj]):
     """Align the copies of a sum object with (part, copy-position) pairs.
 
     The sum's copies are ordered by indecomposable index; within one index,
@@ -697,26 +697,29 @@ def sum_obj(parts: list[Obj]) -> Obj:
     return total
 
 
-def sum_projection(P: CategoryPresentation, parts: list[Obj], k: int) -> Morphism:
-    """Canonical projection: direct sum of parts -> parts[k]."""
+def sum_projections(P: CategoryPresentation, parts: list[Obj], cmap=None) -> list[Morphism]:
+    """Canonical projections of the direct sum of parts, one per part.
+
+    cmap is sum_copy_map(parts), for a caller that already has it.
+    """
     S = sum_obj(parts)
-    m = P.zero_morphism(S, parts[k])
-    cmap = _sum_copy_map(parts)
-    for s, (pi, cpos) in enumerate(cmap):
-        if pi == k:
-            i = parts[k].copies()[cpos]
-            m.blocks[cpos][s] = list(P.identities[i])
-    return m
+    projs = [P.zero_morphism(S, part) for part in parts]
+    for s, (pi, cpos) in enumerate(cmap or sum_copy_map(parts)):
+        i = parts[pi].copies()[cpos]
+        projs[pi].blocks[cpos][s] = list(P.identities[i])
+    return projs
 
 
-def stack_cols(P: CategoryPresentation, fs: list[Morphism]) -> Morphism:
-    """[f1 | f2 | ...]: the map (sum of sources) -> common target."""
+def stack_cols(P: CategoryPresentation, fs: list[Morphism], cmap=None) -> Morphism:
+    """[f1 | f2 | ...]: the map (sum of sources) -> common target.
+
+    cmap is sum_copy_map of the sources, for a caller that already has it.
+    """
     target = fs[0].target
     parts = [f.source for f in fs]
     S = sum_obj(parts)
     m = P.zero_morphism(S, target)
-    cmap = _sum_copy_map(parts)
-    for s, (pi, cpos) in enumerate(cmap):
+    for s, (pi, cpos) in enumerate(cmap or sum_copy_map(parts)):
         for t in range(len(target.copies())):
             m.blocks[t][s] = list(fs[pi].blocks[t][cpos])
     return m

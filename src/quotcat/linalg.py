@@ -1,9 +1,11 @@
 """Exact dense linear algebra over Q and prime fields.
 
 Everything downstream (category presentations, quotients, searches) runs on
-this module.  There is no floating point anywhere: rationals are
-`fractions.Fraction`, prime-field elements are ints reduced mod p.  All
-decisions (rank, solvability, membership) are therefore exact.
+this module.  There is no floating point anywhere: rationals are ints when
+integral and reduced `fractions.Fraction`s otherwise, prime-field elements
+are ints reduced mod p.  Rank is fraction-free (Bareiss elimination), so an
+integer matrix never creates a `Fraction`.  All decisions (rank,
+solvability, membership) are exact.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def bareiss_row(self, nums, prev):
+        """Finish one fraction-free elimination step: nums / prev in the field.
+
+        nums is p*x - a*y, computed with the number operators on a row x, the
+        pivot row y, its pivot p and a = x[c]; prev is the previous pivot.
+        """
+        raise NotImplementedError
+
     def is_zero(self, a) -> bool:
         return a == self.zero
 
@@ -47,29 +57,42 @@ class Field:
         raise NotImplementedError
 
 
-class RationalField(Field):
-    """Arbitrary-precision rationals, always reduced (Fraction invariant)."""
+def _rational(r):
+    """The element of QQ equal to the int, bool or Fraction r."""
+    if type(r) is int:
+        return r
+    return r.numerator if r.denominator == 1 else r
 
-    zero = Fraction(0)
-    one = Fraction(1)
+
+class RationalField(Field):
+    """Exact rationals: an int when integral, a reduced Fraction otherwise.
+
+    Every operation returns an int for an integral value, so integer
+    matrices are computed on with int arithmetic alone.  1 and Fraction(1)
+    compare and hash equal, so sets and dicts of elements do not change.
+    """
+
+    zero = 0
+    one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return _rational(x)
         if isinstance(x, str):
-            return Fraction(x)
+            return _rational(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int else _rational(r)
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int else _rational(r)
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int else _rational(r)
 
     def neg(self, a):
         return -a
@@ -77,13 +100,28 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return _rational(1 / a)
+
+    def div(self, a, b):
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _rational(Fraction(a) / b)
+
+    def bareiss_row(self, nums, prev):
+        # Exact: the entries are minors of the matrix, divisible by prev.
+        if prev == 1:
+            return nums
+        div = self.div
+        return [div(n, prev) for n in nums]
 
     def fmt(self, a) -> str:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
 
     def parse(self, s: str):
-        return Fraction(s)
+        return _rational(Fraction(s))
 
     def __repr__(self):
         return "QQ"
@@ -147,6 +185,12 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
+
+    def bareiss_row(self, nums, prev):
+        # The division by prev is left out: it only scales the row by a unit,
+        # and entries reduced mod p cannot grow.
+        p = self.p
+        return [n % p for n in nums]
 
     def fmt(self, a) -> str:
         return str(a)
@@ -359,7 +403,33 @@ class Matrix:
         return result
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Rank by fraction-free elimination (Bareiss, 1968).
+
+        At each pivot y with pivot entry p in column c, every other remaining
+        row x becomes (p*x - x[c]*y) / prev, where prev is the pivot of the
+        step before; no pivot is inverted.  Over Q the division is exact and
+        the entries stay minors of the matrix; Field.bareiss_row does it.
+        Only the columns right of c are kept.  A cached rref is reused.
+        """
+        if self._rref is not None:
+            return len(self._rref[1])
+        step = self.field.bareiss_row
+        rows = list(self.data)
+        rank, prev, start = 0, 1, 0
+        for c in range(self.ncols):
+            k = c - start  # the rows hold columns start.. only
+            i = next((i for i, x in enumerate(rows) if x[k]), None)
+            if i is None:
+                continue
+            y = rows.pop(i)
+            p = y[k]
+            rank += 1
+            if not rows:
+                break
+            tail = y[k + 1 :]
+            rows = [step([p * u - x[k] * v for u, v in zip(x[k + 1 :], tail)], prev) for x in rows]
+            prev, start = p, c + 1
+        return rank
 
     def kernel_basis(self):
         """Basis of the right kernel {v : m v = 0}, as column vectors (lists)."""

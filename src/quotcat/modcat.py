@@ -20,7 +20,7 @@ from .fincat import (
     compose,
     postcompose_matrix,
     precompose_matrix,
-    sum_projection,
+    sum_projections,
 )
 from .linalg import Matrix, RowSpace
 from .preabelian import (
@@ -504,14 +504,14 @@ def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAUL
         for i in range(Q.n)
     ]
     XW = X + W
+    projs = sum_projections(Q, [X, W])
     for mult in _multiplicities(bounds):
         A = Obj(mult)
         subspace = Q.hom_basis(A, XW)
         if not subspace:
             continue
         conditions = []
-        for k, tgt in enumerate((X, W)):
-            proj = sum_projection(Q, [X, W], k)
+        for proj, tgt in zip(projs, (X, W)):
             conditions += _regular_conditions(Q, lambda h, proj=proj: compose(Q, proj, h), A, tgt)
         res = search_open_conditions(
             Q, A, XW, subspace, conditions, budget, salt=f"iso:{x}:{W.mult}:{mult}"

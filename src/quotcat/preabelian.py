@@ -31,7 +31,8 @@ from .fincat import (
     postcompose_matrix,
     precompose_matrix,
     stack_cols,
-    sum_projection,
+    sum_copy_map,
+    sum_projections,
 )
 from .linalg import Matrix, PrimeField
 
@@ -346,14 +347,14 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     """Kernel-based pullback of c: B -> D and d: C -> D."""
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
-    B, C = c.source, d.source
-    diff = stack_cols(Q, [c, d.scale(-1)])
+    B, C = parts = [c.source, d.source]
+    cmap = sum_copy_map(parts)
+    diff = stack_cols(Q, [c, d.scale(-1)], cmap)
     res = kernel(Q, diff, budget)
     if res is None:
         raise NoKernel("difference map has no kernel: presentation is not preabelian here")
     A, j = res
-    a = compose(Q, sum_projection(Q, [B, C], 0), j)
-    b = compose(Q, sum_projection(Q, [B, C], 1), j)
+    a, b = (compose(Q, proj, j) for proj in sum_projections(Q, parts, cmap))
     sq = LimitSquare(A, B, C, c.target, a, b, c, d)
     if not sq.check_commutes(Q):
         raise InternalInconsistency("pullback square does not commute")

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from quotcat.fincat import CategoryPresentation
 from quotcat.linalg import QQ
+
+# One profile for every property test: examples may be slow (a quotient or a
+# search), and a failure prints the blob that replays it with @reproduce_failure.
+settings.register_profile("quotcat", deadline=None, print_blob=True)
+settings.load_profile("quotcat")
 
 
 def point_category(field=QQ):

@@ -12,7 +12,7 @@ from quotcat.catfile import (
 )
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import ShapeError
-from quotcat.linalg import GF
+from quotcat.linalg import GF, QQ
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,20 @@ def test_roundtrip_bit_exact(tmp_path, A3):
     assert P.comp == A3.comp
     assert P.identities == A3.identities
     assert P.sigma == A3.sigma
+
+
+def test_roundtrip_rationals_load_as_ints(tmp_path):
+    A4 = build_cluster_category(4, field=QQ)
+    p1 = tmp_path / "a4.json"
+    p2 = tmp_path / "a4_again.json"
+    save_category(A4, str(p1))
+    P = load_category(str(p1))
+    save_category(P, str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+    assert P.comp == A4.comp
+    scalars = [x for table in P.comp.values() for row in table for vec in row for x in vec]
+    scalars += [x for vec in P.identities for x in vec]
+    assert scalars and all(type(x) is int for x in scalars)
 
 
 def test_roundtrip_prime_field(tmp_path):

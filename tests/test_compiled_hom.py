@@ -100,21 +100,21 @@ def instances(draw):
     return P, P.morphism_from_vector(X, Y, coeffs), Z
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(instances())
 def test_precompose_matrix_matches_definition(inst):
     P, f, Z = inst
     assert precompose_matrix(P, f, Z) == reference_precompose(P, f, Z)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(instances())
 def test_postcompose_matrix_matches_definition(inst):
     P, f, Z = inst
     assert postcompose_matrix(P, f, Z) == reference_postcompose(P, f, Z)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(instances())
 def test_hom_space_dim_matches_basis(inst):
     P, f, Z = inst

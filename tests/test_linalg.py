@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotcat.errors import FieldMismatch, ShapeError
 from quotcat.linalg import GF, QQ, Matrix, RowSpace
@@ -143,3 +145,77 @@ def test_rowspace_coords():
         rebuilt = [QQ.add(r, QQ.mul(c, x)) for r, x in zip(rebuilt, row)]
     assert rebuilt == v
     assert rs.coords_in_basis([QQ.of(1), QQ.of(1), QQ.of(0)]) is None
+
+
+# -- fraction-free rank against rref, and the int/Fraction contract of QQ --
+
+
+def _rref_rank(m):
+    """Rank from the rref of a copy, so m keeps no cached rref."""
+    return len(Matrix(m.field, m.nrows, m.ncols, m.data).rref()[1])
+
+
+@st.composite
+def matrices(draw):
+    """A matrix up to 12x12 over QQ, GF(101) or GF(2), with repeated rows.
+
+    Over QQ the entries are mostly ints (pivots up to 6 in size, so rarely
+    units) and some Fractions.
+    """
+    field = draw(st.sampled_from([QQ, GF(101), GF(2)]))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    ints = st.integers(-6, 6)
+    entry = st.one_of(ints, st.fractions(-3, 3, max_denominator=4)) if field is QQ else ints
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=3)):
+        if i < nrows and j < nrows:
+            rows[i] = list(rows[j])
+    return Matrix.from_rows(field, rows, ncols=ncols)
+
+
+@settings(max_examples=300)
+@given(matrices())
+def test_rank_matches_rref(m):
+    assert m.rank() == _rref_rank(m)
+
+
+def test_rank_of_dense_integer_matrix_stays_fast():
+    # Without the exact division by the previous pivot, entry sizes double
+    # at every step and this does not finish.
+    rng = random.Random(30)
+    m = Matrix.from_rows(QQ, [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)])
+    assert m.rank() == _rref_rank(m)
+
+
+def test_rank_reuses_cached_rref():
+    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
+    m.rref()
+    m.data = [[1, 0], [0, 1]]  # only the cached rref still says rank 1
+    assert m.rank() == 1
+
+
+def test_integral_rationals_are_ints():
+    for x in (3, -7, True, Fraction(4, 2), "3", "-6/3"):
+        assert type(QQ.of(x)) is int
+    assert QQ.of(Fraction(4, 2)) == 2 and QQ.of(True) == 1
+    assert type(QQ.parse("3")) is int
+    assert QQ.parse("1/2") == Fraction(1, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.mul(Fraction(1, 2), 2)) is int
+    assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int
+
+
+def test_inverse_and_quotient_never_float():
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.div(6, -3) == -2 and type(QQ.div(6, -3)) is int
+    values = [*range(-20, 21), Fraction(1, 2), Fraction(-5, 3)]
+    for a in values:
+        if a:
+            assert a * QQ.inv(a) == 1 and not isinstance(QQ.inv(a), float)
+        for b in values:
+            if b:
+                q = QQ.div(a, b)
+                assert q == Fraction(a) / b and not isinstance(q, float)
+                assert type(q) is int or q.denominator != 1
