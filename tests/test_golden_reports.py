@@ -3,10 +3,13 @@
 The reports in golden/reports_a3.json were recorded before the duality
 refactor, those in golden/reports_a4.json (C(A_4) with the non-linear
 orientation "><>" over GF(101), whose 14 objects give multi-copy blocks)
-before the compiled Hom layout, and golden/reports_a4_q.json (C(A_4) over Q
-at the default budget, scan_pairs_cap=400) before integral rationals became
-ints; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is
-the one non-deterministic section.  Regenerate the files on purpose with
+before the compiled Hom layout, golden/reports_a4_q.json (C(A_4) over Q at
+the default budget, scan_pairs_cap=400) before integral rationals became
+ints, and golden/reports_fail.json (failing and budget-exhausted verdicts of
+C(A_3) over Q, each at its own budget) before the scan became the one place
+that computes the bounded clauses; any change to a verdict, a count or a
+failure detail shows up here.  Only `timing_s` is dropped, because it is the
+one non-deterministic section.  Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 """
@@ -51,11 +54,29 @@ def _cases_a4_q() -> dict:
     return {"A4/Q T=P1+P2+P3+P4": (a4, {"t_spec": a4.obj({f"P{i}": 1 for i in range(1, 5)})})}
 
 
+def _cases_fail() -> dict:
+    # integral and rf_axioms fail with leg details; then both run out of
+    # budget in their leg clauses; then the preabelian clause itself does
+    a3 = build_cluster_category(3)
+    return {
+        "A3/Q subcat=P1+P2+I2": (a3, {"subcat": {a3.index(s) for s in ("P1", "P2", "I2")}}),
+        "A3/Q T=P2 retries=1 grid_cap=1": (
+            a3,
+            {"t_spec": a3.obj({"P2": 1}), "budget": Budget(retries=1, grid_cap=1)},
+        ),
+        "A3/Q T=P1+P2 retries=0 grid_cap=1": (
+            a3,
+            {"t_spec": a3.obj({"P1": 1, "P2": 1}), "budget": Budget(retries=0, grid_cap=1)},
+        ),
+    }
+
+
 CAPPED = Budget(scan_pairs_cap=120)
-CORPORA = {
+CORPORA = {  # each file with the budget of the cases that name none
     "reports_a3.json": (_cases_a3, CAPPED),
     "reports_a4.json": (_cases_a4, CAPPED),
     "reports_a4_q.json": (_cases_a4_q, Budget()),
+    "reports_fail.json": (_cases_fail, CAPPED),
 }
 
 
@@ -64,7 +85,7 @@ def corpus_reports(filename) -> dict:
     cases, budget = CORPORA[filename]
     out = {}
     for name, (P, kw) in cases().items():
-        rep = run_verification(P, budget=budget, **kw)
+        rep = run_verification(P, **{"budget": budget, **kw})
         rep.pop("timing_s")
         out[name] = json.dumps(rep, indent=1, sort_keys=True)
     return out
@@ -88,6 +109,10 @@ def test_a4_f101_reports_match_golden():
 
 def test_a4_q_default_budget_reports_match_golden():
     _check("reports_a4_q.json")
+
+
+def test_failing_and_exhausted_reports_match_golden():
+    _check("reports_fail.json")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
