@@ -17,7 +17,7 @@ from quotcat.localization import (
     invert_regular,
     verify_rf_axioms,
 )
-from quotcat.preabelian import build_morphism_family, coim_im_factorise, is_regular, solve_two_sided_inverse
+from quotcat.preabelian import coim_im_factorise, is_regular, scan_properties, solve_two_sided_inverse
 
 P = build_cluster_category(3)
 T = P.obj({"P1": 1, "P3": 1})
@@ -27,12 +27,13 @@ print("=" * 70)
 print("Fraction calculus on C(A_3)/X_T for T = P1 + P3")
 print("=" * 70)
 
-rep = verify_rf_axioms(Q)
+scan = scan_properties(Q)  # RF2/LF2 are its square-completion clauses
+rep = verify_rf_axioms(Q, scan)
 print("\naxiom scan:")
 for name, clause in rep.clauses.items():
     print(f"  {name}: {clause.status} ({clause.checked} instances)")
 
-fam = build_morphism_family(Q, derived=False)
+fam = scan.family
 r = next(m for m in fam.regulars if m.source != m.target and solve_two_sided_inverse(Q, m) is None)
 print(
     f"\na regular but non-invertible morphism: {Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"

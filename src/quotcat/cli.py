@@ -66,7 +66,7 @@ def _load_budget(args) -> Budget:
         if not isinstance(config, dict):
             raise ShapeError(f"budget config {path} must hold a JSON object")
         data.update(config)
-    for key in ("seed", "retries", "grid_cap", "scan_pairs_cap", "scan_random_per_pair"):
+    for key in ("seed", "retries", "grid_cap", "scan_pairs_cap"):
         val = getattr(args, key, None)
         if val is not None:
             data[key] = val
@@ -156,7 +156,7 @@ class _Tokens:
         return tok
 
 
-def _parse_morphism(Q, qc, tokens: _Tokens):
+def _parse_morphism(Q, tokens: _Tokens):
     off, tok = tokens.next()
     parts = tok.split(":")
     try:
@@ -179,18 +179,18 @@ def _parse_morphism(Q, qc, tokens: _Tokens):
     raise ShapeError(f"cannot parse morphism {tok!r} at position {off}")
 
 
-def _parse_fraction(Q, qc, tokens: _Tokens) -> Fraction:
+def _parse_fraction(Q, tokens: _Tokens) -> Fraction:
     tokens.expect("[")
     if tokens.peek() == "id":
         # bare id: the identity on the numerator's source
         tokens.next()
         tokens.expect(",")
-        num = _parse_morphism(Q, qc, tokens)
+        num = _parse_morphism(Q, tokens)
         tokens.expect("]")
         return Fraction(Q, Q.identity(num.source), num)
-    denom = _parse_morphism(Q, qc, tokens)
+    denom = _parse_morphism(Q, tokens)
     tokens.expect(",")
-    num = _parse_morphism(Q, qc, tokens)
+    num = _parse_morphism(Q, tokens)
     tokens.expect("]")
     return Fraction(Q, denom, num)
 
@@ -207,44 +207,43 @@ def _show_fraction(Q, F: Fraction) -> str:
     )
 
 
-def evaluate_fraction_expression(Q, qc, text: str, budget: Budget) -> str:
+def evaluate_fraction_expression(Q, text: str, budget: Budget) -> str:
     tokens = _Tokens(text)
     head = tokens.peek()
     if head == "equal?":
         tokens.next()
-        F = _parse_fraction(Q, qc, tokens)
-        G = _parse_fraction(Q, qc, tokens)
+        F = _parse_fraction(Q, tokens)
+        G = _parse_fraction(Q, tokens)
         return "true" if fractions_equal(Q, F, G, budget) else "false"
     if head == "compose":
         tokens.next()
-        G = _parse_fraction(Q, qc, tokens)
-        F = _parse_fraction(Q, qc, tokens)
+        G = _parse_fraction(Q, tokens)
+        F = _parse_fraction(Q, tokens)
         return _show_fraction(Q, compose_fractions(Q, G, F, budget))
     if head == "invert":
         tokens.next()
-        m = _parse_morphism(Q, qc, tokens)
+        m = _parse_morphism(Q, tokens)
         return _show_fraction(Q, invert_regular(Q, m))
     if head == "cokernel":
         tokens.next()
-        F = _parse_fraction(Q, qc, tokens)
+        F = _parse_fraction(Q, tokens)
         return _show_fraction(Q, localised_cokernel(Q, F, budget))
     if head == "kernel":
         tokens.next()
-        F = _parse_fraction(Q, qc, tokens)
+        F = _parse_fraction(Q, tokens)
         return _show_fraction(Q, localised_kernel(Q, F, budget))
-    return _show_fraction(Q, _parse_fraction(Q, qc, tokens))
+    return _show_fraction(Q, _parse_fraction(Q, tokens))
 
 
 def cmd_fraction(args) -> int:
     budget = _load_budget(args)
     P = load_category(args.category)
     T = parse_object_spec(P, args.T)
-    qc = build_quotient(P, T, validate=False)
-    Q = qc.presentation
+    Q = build_quotient(P, T, validate=False).presentation
     status = EXIT_OK
     for expr in args.expressions:
         try:
-            print(evaluate_fraction_expression(Q, qc, expr, budget))
+            print(evaluate_fraction_expression(Q, expr, budget))
         except (ShapeError, NotRegular, NoKernel, NoCokernel) as e:
             print(f"error: {e}", file=sys.stderr)
             status = EXIT_USAGE if isinstance(e, ShapeError) else EXIT_CLAUSE_FAIL

@@ -290,6 +290,14 @@ class Morphism:
         return f"Morphism({P.obj_name(self.source)} -> {P.obj_name(self.target)})"
 
 
+def basis_morphisms(P: CategoryPresentation):
+    """(i, j, a, basis element a of Hom(i, j)) over every indecomposable pair."""
+    for i in range(P.n):
+        for j in range(P.n):
+            for a in range(P.hom_dim(i, j)):
+                yield i, j, a, P.basis_morphism(i, j, a)
+
+
 def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
     """g o f, blockwise bilinear via the structure constants."""
     if f.P is not P or g.P is not P:
@@ -444,17 +452,11 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
         if len(idv) != P.hom_dim(i, i) or vec_is_zero(f, idv):
             rep.add("identity-missing", (i,))
     # unit laws: id o a = a and a o id = a for every basis element a
-    for i in range(P.n):
-        for j in range(P.n):
-            d = P.hom_dim(i, j)
-            for a in range(d):
-                m = P.basis_morphism(i, j, a)
-                left = compose(P, P.identity(P.single(j)), m)
-                right = compose(P, m, P.identity(P.single(i)))
-                if left != m:
-                    rep.add("left-unit", (i, j, a))
-                if right != m:
-                    rep.add("right-unit", (i, j, a))
+    for i, j, a, m in basis_morphisms(P):
+        if compose(P, P.identity(P.single(j)), m) != m:
+            rep.add("left-unit", (i, j, a))
+        if compose(P, m, P.identity(P.single(i))) != m:
+            rep.add("right-unit", (i, j, a))
     # associativity on basis triples
     for (i, j, k) in list(P.comp.keys()):
         for l in range(P.n):

@@ -9,15 +9,16 @@ exact linear algebra on the quotient presentation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NoCokernel, NoKernel, NotRegular, ShapeError
-from .fincat import CategoryPresentation, Morphism, Obj, compose
+from .fincat import CategoryPresentation, Morphism, Obj, basis_morphisms, compose
 from .preabelian import (
     Budget,
     ClauseResult,
     DEFAULT_BUDGET,
-    build_morphism_family,
+    PropertyReport,
     coim_im_factorise,
     cokernel,
     is_epi,
@@ -25,10 +26,8 @@ from .preabelian import (
     is_regular,
     kernel,
     pullback,
-    pullback_legs,
     pushout,
-    pushout_legs,
-    run_leg_clause,
+    run_clause,
 )
 
 
@@ -175,52 +174,44 @@ class AxiomReport:
         return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
-def verify_rf_axioms(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> AxiomReport:
-    """RF1-RF3 for the regular class, plus the LF duals via pushouts."""
-    report = AxiomReport()
-    fam = build_morphism_family(Q, budget, derived=False)
-
-    # RF1 / LF1: identities are regular and the class is composition closed
-    count = 0
-    detail = ""
-    status = "pass"
+def _rf1_clause(Q: CategoryPresentation, regulars, budget: Budget):
+    """Clause body: identities are regular and the class is composition closed."""
     for i in range(Q.n):
         if not is_regular(Q, Q.identity(Q.single(i))):
-            status, detail = "fail", f"identity of {Q.objects[i]} is not regular"
-            break
-    if status == "pass":
-        for r in fam.regulars:
-            for s in fam.regulars:
-                if r.target != s.source:
-                    continue
-                if count >= budget.scan_pairs_cap:
-                    break
-                count += 1
-                if not is_regular(Q, compose(Q, s, r)):
-                    status = "fail"
-                    detail = "regulars are not closed under composition"
-                    break
-            if status == "fail":
-                break
-    report.clauses["RF1_identities_and_closure"] = ClauseResult(status, count, detail)
+            return f"identity of {Q.objects[i]} is not regular"
+    pairs = ((r, s) for r in regulars for s in regulars if r.target == s.source)
+    for r, s in itertools.islice(pairs, budget.scan_pairs_cap):
+        yield
+        if not is_regular(Q, compose(Q, s, r)):
+            return "regulars are not closed under composition"
 
-    # RF2 / LF2: a regular r and any f into (out of) its target (source)
-    # complete to a square whose leg opposite r is regular.
-    # RF3 / LF3: r o f = r o f' forces f = f' (f o r = f' o r forces f = f');
-    # the identity refinement suffices because regulars are mono (epi).
-    for half, legs, side, cancels, kind in (
-        ("RF", pullback_legs(Q, fam.regulars, fam.all, budget), "left", is_mono, "mono"),
-        ("LF", pushout_legs(Q, fam.regulars, fam.all, budget), "right", is_epi, "epi"),
-    ):
-        report.clauses[f"{half}2_square_completion"] = run_leg_clause(legs, is_regular, budget)
-        count = 0
-        status, detail = "pass", ""
-        for r in fam.regulars:
-            count += 1
-            if not cancels(Q, r):
-                status, detail = "fail", f"a regular morphism is not {kind}"
-                break
-        report.clauses[f"{half}3_{side}_cancellation"] = ClauseResult(status, count, detail)
+
+def _cancellation_clause(Q: CategoryPresentation, regulars, cancels, kind: str):
+    """Clause body: every regular morphism is mono (epi)."""
+    for r in regulars:
+        yield
+        if not cancels(Q, r):
+            return f"a regular morphism is not {kind}"
+
+
+def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budget = DEFAULT_BUDGET) -> AxiomReport:
+    """RF1-RF3 for the regular class, plus the LF duals.
+
+    scan is scan_properties(Q, budget) of a preabelian Q: its morphism
+    family is the one the clauses range over, and RF2 / LF2 (a regular r
+    and any f into (out of) its target (source) complete to a square whose
+    leg opposite r is regular) are its pullback_regular_leg and
+    pushout_regular_leg clauses.  RF3 / LF3: r o f = r o f' forces f = f'
+    (f o r = f' o r forces f = f'); the identity refinement suffices because
+    regulars are mono (epi).
+    """
+    regulars = scan.family.regulars
+    report = AxiomReport()
+    report.clauses["RF1_identities_and_closure"] = run_clause(_rf1_clause(Q, regulars, budget))
+    report.clauses["RF2_square_completion"] = scan.clauses["pullback_regular_leg"]
+    report.clauses["RF3_left_cancellation"] = run_clause(_cancellation_clause(Q, regulars, is_mono, "mono"))
+    report.clauses["LF2_square_completion"] = scan.clauses["pushout_regular_leg"]
+    report.clauses["LF3_right_cancellation"] = run_clause(_cancellation_clause(Q, regulars, is_epi, "epi"))
     return report
 
 
@@ -233,27 +224,20 @@ def check_abelian(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> A
     report = AxiomReport()
     count = 0
     status, detail = "pass", ""
-    for i in range(Q.n):
-        for j in range(Q.n):
-            for a in range(Q.hom_dim(i, j)):
-                f = Q.basis_morphism(i, j, a)
-                try:
-                    fac = coim_im_factorise(Q, f, budget)
-                except (NoKernel, NoCokernel) as e:
-                    status, detail = "fail", f"factorisation failed at ({i},{j},{a}): {e}"
-                    break
-                count += 1
-                if not is_regular(Q, fac.ftilde):
-                    status, detail = "fail", f"middle map not regular at ({i},{j},{a})"
-                    break
-                frac = from_morphism(Q, fac.ftilde)
-                inv = invert_regular(Q, fac.ftilde)
-                if not fraction_two_sided_inverse(Q, frac, inv, budget):
-                    status, detail = "fail", f"middle map not invertible at ({i},{j},{a})"
-                    break
-            if status == "fail":
-                break
-        if status == "fail":
+    for i, j, a, f in basis_morphisms(Q):
+        try:
+            fac = coim_im_factorise(Q, f, budget)
+        except (NoKernel, NoCokernel) as e:
+            status, detail = "fail", f"factorisation failed at ({i},{j},{a}): {e}"
+            break
+        count += 1
+        if not is_regular(Q, fac.ftilde):
+            status, detail = "fail", f"middle map not regular at ({i},{j},{a})"
+            break
+        frac = from_morphism(Q, fac.ftilde)
+        inv = invert_regular(Q, fac.ftilde)
+        if not fraction_two_sided_inverse(Q, frac, inv, budget):
+            status, detail = "fail", f"middle map not invertible at ({i},{j},{a})"
             break
     report.clauses["abelian_middle_maps"] = ClauseResult(status, count, detail)
     return report

@@ -17,6 +17,7 @@ from .fincat import (
     CategoryPresentation,
     Morphism,
     Obj,
+    basis_morphisms,
     compose,
     postcompose_matrix,
     precompose_matrix,
@@ -254,13 +255,6 @@ def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[Ra
     return out
 
 
-def _image_rowspace(field, vectors):
-    rs = RowSpace(field, len(vectors[0]) if vectors else 0)
-    for v in vectors:
-        rs.add(v)
-    return rs
-
-
 def realize_module_map(
     H: HFunctor,
     qc: QuotientCategory,
@@ -364,20 +358,13 @@ def verify_equivalence(
     # clause: FAITHFUL
     checked = 0
     status, detail = "pass", ""
-    for i in range(P.n):
-        for j in range(P.n):
-            for a in range(P.hom_dim(i, j)):
-                f = P.basis_morphism(i, j, a)
-                hz = H.mor_matrix(f).is_zero()
-                ft = factors_through(P, f, qc.xt)
-                checked += 1
-                if hz != ft:
-                    status = "fail"
-                    detail = f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
-                    break
-            if status == "fail":
-                break
-        if status == "fail":
+    for i, j, a, f in basis_morphisms(P):
+        hz = H.mor_matrix(f).is_zero()
+        ft = factors_through(P, f, qc.xt)
+        checked += 1
+        if hz != ft:
+            status = "fail"
+            detail = f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
             break
     # dimension form of the same identity, per pair
     if status == "pass":
@@ -390,7 +377,7 @@ def verify_equivalence(
                 for a in range(d):
                     m = H.mor_matrix(P.basis_morphism(i, j, a))
                     vecs.append([m.data[r][c] for r in range(m.nrows) for c in range(m.ncols)])
-                rs = _image_rowspace(P.field, vecs)
+                rs = RowSpace.from_rows(P.field, len(vecs[0]), vecs)
                 if rs.dim != len(qc.rep_coords[(i, j)]):
                     status = "fail"
                     detail = f"H-image dimension mismatch on ({P.objects[i]}, {P.objects[j]})"

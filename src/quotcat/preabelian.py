@@ -25,6 +25,7 @@ from .fincat import (
     CategoryPresentation,
     Morphism,
     Obj,
+    basis_morphisms,
     compose,
     op_morphism,
     opposite,
@@ -437,6 +438,12 @@ def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEF
 
 @dataclass
 class MorphismFamily:
+    """The maps a scan ranges over, classified.
+
+    cokernel_maps and kernel_maps are filled by the preabelian clause of
+    scan_properties: the cokernel and kernel maps of the basis morphisms.
+    """
+
     all: list = dc_field(default_factory=list)
     epis: list = dc_field(default_factory=list)
     monos: list = dc_field(default_factory=list)
@@ -445,12 +452,8 @@ class MorphismFamily:
     kernel_maps: list = dc_field(default_factory=list)
 
 
-def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET, derived: bool = True) -> MorphismFamily:
-    """Basis morphisms, identities, and seeded random maps, classified.
-
-    With derived=True the kernel/cokernel maps of all basis morphisms are
-    added, giving the scan genuine cokernel-type and kernel-type entries.
-    """
+def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> MorphismFamily:
+    """Basis morphisms, identities, and seeded random maps, classified."""
     fam = MorphismFamily()
     rng = random.Random(f"{budget.seed}:family")
     singles = [Q.single(i) for i in range(Q.n)]
@@ -484,17 +487,6 @@ def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDG
             fam.monos.append(m)
         if e and mo:
             fam.regulars.append(m)
-    if derived:
-        for i in range(Q.n):
-            for j in range(Q.n):
-                for a in range(Q.hom_dim(i, j)):
-                    f = Q.basis_morphism(i, j, a)
-                    cres = cokernel(Q, f, budget)
-                    if cres is not None:
-                        fam.cokernel_maps.append(cres[1])
-                    kres = kernel(Q, f, budget)
-                    if kres is not None:
-                        fam.kernel_maps.append(kres[1])
     return fam
 
 
@@ -514,6 +506,7 @@ class ClauseResult:
 @dataclass
 class PropertyReport:
     clauses: dict = dc_field(default_factory=dict)
+    family: MorphismFamily = dc_field(default_factory=MorphismFamily)
 
     @property
     def preabelian(self) -> bool:
@@ -529,6 +522,27 @@ class PropertyReport:
 
     def as_dict(self):
         return {k: v.as_dict() for k, v in self.clauses.items()}
+
+
+def run_clause(body) -> ClauseResult:
+    """Run one bounded clause.
+
+    body is a generator that yields once per checked case and returns the
+    failure detail, or None when every case held; a case counts when the
+    body yields for it, so a body that yields before its test counts the
+    failing case.  Running out of budget is not a theorem failure: the
+    clause is then bounds-exceeded with the cases counted so far.
+    """
+    checked = 0
+    try:
+        while True:
+            next(body)
+            checked += 1
+    except StopIteration as stop:
+        detail = stop.value
+    except BoundsExceeded as e:
+        return ClauseResult("bounds-exceeded", checked, str(e))
+    return ClauseResult("pass", checked) if detail is None else ClauseResult("fail", checked, detail)
 
 
 def pullback_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAULT_BUDGET):
@@ -553,61 +567,55 @@ def pushout_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAUL
                 yield a, b, pushout(Q, a, b, budget).d
 
 
-def run_leg_clause(legs, ok, budget: Budget = DEFAULT_BUDGET) -> ClauseResult:
-    """Whether ok(Q, leg) holds on the first scan_pairs_cap (x, y, leg) triples.
+def _leg_clause(legs, ok, budget: Budget):
+    """Clause body: ok(Q, leg) on the first scan_pairs_cap (x, y, leg) triples.
 
     ok is is_epi, is_mono or is_regular; a failure names the property and
-    the pair of maps.  A missing limit square fails the clause.  Running out
-    of budget is not a theorem failure: the clause is then bounds-exceeded.
+    the pair of maps.  A missing limit square fails the clause.
     """
-    checked = 0
     try:
         for x, y, leg in itertools.islice(legs, budget.scan_pairs_cap):
-            checked += 1
+            yield
             P = leg.P
             if not ok(P, leg):
                 prop = ok.__name__.removeprefix("is_")
-                return ClauseResult(
-                    "fail",
-                    checked,
+                return (
                     f"leg not {prop} for {P.obj_name(x.source)} -> {P.obj_name(x.target)}"
-                    f" with {P.obj_name(y.source)} -> {P.obj_name(y.target)}",
+                    f" with {P.obj_name(y.source)} -> {P.obj_name(y.target)}"
                 )
     except (NoKernel, NoCokernel) as e:
-        return ClauseResult("fail", checked, f"no limit square: {e}")
-    except BoundsExceeded as e:
-        return ClauseResult("bounds-exceeded", checked, str(e))
-    return ClauseResult("pass", checked)
+        return f"no limit square: {e}"
 
 
-def _preabelian_clause(Q: CategoryPresentation, budget: Budget) -> ClauseResult:
-    """Kernel and cokernel existence over all basis morphisms."""
-    checked = 0
-    try:
-        for i in range(Q.n):
-            for j in range(Q.n):
-                for a in range(Q.hom_dim(i, j)):
-                    f = Q.basis_morphism(i, j, a)
-                    for what, search in (("cokernel", cokernel), ("kernel", kernel)):
-                        if search(Q, f, budget) is None:
-                            return ClauseResult(
-                                "fail", checked, f"no {what} for basis ({Q.objects[i]} -> {Q.objects[j]}, {a})"
-                            )
-                    checked += 1
-    except BoundsExceeded as e:
-        return ClauseResult("bounds-exceeded", checked, str(e))
-    return ClauseResult("pass", checked)
+def _preabelian_clause(Q: CategoryPresentation, fam: MorphismFamily, budget: Budget):
+    """Clause body: kernel and cokernel existence over all basis morphisms.
+
+    The cokernel and kernel maps found go to fam.cokernel_maps and
+    fam.kernel_maps.
+    """
+    searches = (("cokernel", cokernel, fam.cokernel_maps), ("kernel", kernel, fam.kernel_maps))
+    for i, j, a, f in basis_morphisms(Q):
+        for what, search, maps in searches:
+            res = search(Q, f, budget)
+            if res is None:
+                return f"no {what} for basis ({Q.objects[i]} -> {Q.objects[j]}, {a})"
+            maps.append(res[1])
+        yield
 
 
 def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> PropertyReport:
-    """Bounded exhaustive check of preabelian / semi-abelian / integral clauses."""
-    report = PropertyReport()
-    report.clauses["preabelian"] = _preabelian_clause(Q, budget)
-    if report.clauses["preabelian"].status == "fail":
-        # pullback clauses are meaningless without kernels
+    """Bounded exhaustive check of preabelian / semi-abelian / integral clauses.
+
+    The report carries the morphism family the clauses ran over, including
+    the cokernel and kernel maps the preabelian clause found.
+    """
+    fam = build_morphism_family(Q, budget)
+    report = PropertyReport(family=fam)
+    report.clauses["preabelian"] = run_clause(_preabelian_clause(Q, fam, budget))
+    if report.clauses["preabelian"].status != "pass":
+        # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    fam = build_morphism_family(Q, budget)
     for name, legs, ok in (
         ("pullback_cokernel_leg", pullback_legs(Q, fam.cokernel_maps, fam.all, budget), is_epi),
         ("pullback_epi_leg", pullback_legs(Q, fam.epis, fam.all, budget), is_epi),
@@ -618,7 +626,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", pushout_legs(Q, fam.epis, fam.all, budget), is_epi),
         ("pushout_regular_leg", pushout_legs(Q, fam.regulars, fam.all, budget), is_regular),
     ):
-        report.clauses[name] = run_leg_clause(legs, ok, budget)
+        report.clauses[name] = run_clause(_leg_clause(legs, ok, budget))
     return report
 
 

@@ -21,7 +21,6 @@ from .modcat import verify_equivalence
 from .preabelian import (
     Budget,
     DEFAULT_BUDGET,
-    build_morphism_family,
     scan_properties,
     solve_two_sided_inverse,
 )
@@ -104,34 +103,41 @@ def run_verification(
         killed=sorted(P.objects[i] for i in qc.xt),
     )
 
-    # preabelian + integrality scans
-    try:
-        prop = timed("property_scan", lambda: scan_properties(Q, budget))
-        pre = prop.clauses["preabelian"]
-        clauses["preabelian"] = _clause(pre.status, pre.detail, checked=pre.checked)
-        if pre.status != PASS:
-            clauses["integral"] = _clause(SKIPPED, "presentation is not preabelian")
-        else:
-            clauses["integral"] = _bounded({k: v for k, v in prop.clauses.items() if k != "preabelian"})
-    except BoundsExceeded as e:
-        clauses["preabelian"] = _clause(EXCEEDED, str(e))
+    # preabelian + integrality scans; every bounded clause below reads this one
+    prop = timed("property_scan", lambda: scan_properties(Q, budget))
+    pre = prop.clauses["preabelian"]
+    if pre.status == EXCEEDED:
+        # undecided, so integrality is skipped without a reason
+        clauses["preabelian"] = _clause(EXCEEDED, pre.detail)
         clauses["integral"] = _clause(SKIPPED)
+    elif pre.status != PASS:
+        clauses["preabelian"] = _clause(pre.status, pre.detail, checked=pre.checked)
+        clauses["integral"] = _clause(SKIPPED, "presentation is not preabelian")
+    else:
+        clauses["preabelian"] = _clause(PASS, checked=pre.checked)
+        clauses["integral"] = _bounded({k: v for k, v in prop.clauses.items() if k != "preabelian"})
 
     preabelian_ok = clauses["preabelian"]["status"] == PASS
     integral_ok = clauses.get("integral", {}).get("status") == BOUNDED
 
-    # calculus of fractions; here and below, running out of budget is a
-    # clause status, never a lost report
+    # calculus of fractions, on the scan's family and square clauses
     if preabelian_ok:
-        try:
-            rf = timed("rf_axioms", lambda: verify_rf_axioms(Q, budget))
-            clauses["rf_axioms"] = _bounded(rf.clauses)
-        except BoundsExceeded as e:
-            clauses["rf_axioms"] = _clause(EXCEEDED, str(e))
+        clauses["rf_axioms"] = _bounded(timed("rf_axioms", lambda: verify_rf_axioms(Q, prop, budget)).clauses)
     else:
         clauses["rf_axioms"] = _clause(SKIPPED, "needs a preabelian quotient")
 
-    # abelian localisation
+    # the cluster-tilting clause below reads the scan's regulars here, so the
+    # later clauses do not hold the family
+    noninvertible = None
+    if t_spec is not None:
+        for r in prop.family.regulars:
+            if solve_two_sided_inverse(Q, r) is None:
+                noninvertible = f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
+                break
+    del prop
+
+    # abelian localisation; here and below, running out of budget is a
+    # clause status, never a lost report
     if preabelian_ok and integral_ok:
         try:
             cl = timed("abelian", lambda: check_abelian(Q, budget)).clauses["abelian_middle_maps"]
@@ -167,12 +173,6 @@ def run_verification(
         payload = {"is_cluster_tilting": ct}
         status = PASS
         detail = ""
-        fam = build_morphism_family(Q, budget, derived=False)
-        noninvertible = None
-        for r in fam.regulars:
-            if solve_two_sided_inverse(Q, r) is None:
-                noninvertible = f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
-                break
         payload["all_regular_invertible"] = noninvertible is None
         if noninvertible:
             payload["regular_noninvertible_witness"] = noninvertible

@@ -34,6 +34,7 @@ from quotcat.preabelian import (
     is_regular,
     kernel,
     precompose_matrix,
+    scan_properties,
     solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient, x_t_objects
@@ -139,13 +140,19 @@ def test_criterion_02_preabelian_every_rigid_T(A3_F101):
     )
 
 
-def test_criterion_03_integral_every_rigid_T(A3):
-    from quotcat.preabelian import scan_properties
-
-    checked = 0
+@pytest.fixture(scope="module")
+def A3_scans(A3):
+    """(T, quotient, property scan) for every rigid T in C(A_3), shared by 03 and 04."""
+    out = []
     for T in rigid_objects(A3, 3):
-        qc = build_quotient(A3, T, validate=False)
-        rep = scan_properties(qc.presentation, SCAN_BUDGET)
+        Q = build_quotient(A3, T, validate=False).presentation
+        out.append((T, Q, scan_properties(Q, SCAN_BUDGET)))
+    return out
+
+
+def test_criterion_03_integral_every_rigid_T(A3, A3_scans):
+    checked = 0
+    for T, _, rep in A3_scans:
         assert rep.preabelian, A3.obj_name(T)
         assert rep.integral, (A3.obj_name(T), rep.as_dict())
         for name, clause in rep.clauses.items():
@@ -154,11 +161,10 @@ def test_criterion_03_integral_every_rigid_T(A3):
     report(3, True, f"integrality scans pass for all {checked} rigid T in C(A_3) (within budget)")
 
 
-def test_criterion_04_calculus_of_fractions(A3):
+def test_criterion_04_calculus_of_fractions(A3, A3_scans):
     checked = 0
-    for T in rigid_objects(A3, 3):
-        qc = build_quotient(A3, T, validate=False)
-        rep = verify_rf_axioms(qc.presentation, SCAN_BUDGET)
+    for T, Q, scan in A3_scans:
+        rep = verify_rf_axioms(Q, scan, SCAN_BUDGET)
         assert rep.ok, (A3.obj_name(T), rep.as_dict())
         checked += 1
     report(
@@ -221,7 +227,7 @@ def test_criterion_07_cluster_tilting_degeneration(A3):
         assert xt == sigma_t, A3.obj_name(T)
         qc = build_quotient(A3, T, validate=False)
         Q = qc.presentation
-        fam = build_morphism_family(Q, SCAN_BUDGET, derived=False)
+        fam = build_morphism_family(Q, SCAN_BUDGET)
         for r in fam.regulars:
             assert solve_two_sided_inverse(Q, r) is not None, A3.obj_name(T)
     report(

@@ -196,6 +196,18 @@ def test_budget_config_file(a3_path, tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_budget_config_sets_keys_that_have_no_flag(tmp_path, monkeypatch):
+    from argparse import Namespace
+
+    from quotcat.cli import _load_budget
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 9, "scan_random_per_pair": 1}))
+    monkeypatch.setenv("QUOTCAT_CONFIG", str(cfg))
+    budget = _load_budget(Namespace(seed=5))
+    assert (budget.seed, budget.scan_random_per_pair) == (5, 1)
+
+
 def test_fraction_kernel_and_cokernel_expressions(a3_path, capsys):
     code = main(
         [

@@ -20,10 +20,12 @@ from quotcat.localization import (
     Fraction,
 )
 from quotcat.preabelian import (
+    Budget,
     build_morphism_family,
     cokernel,
     is_epi,
     is_regular,
+    scan_properties,
     solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient
@@ -77,7 +79,7 @@ def test_invert_requires_regular(A2Q):
 
 def test_inverse_composes_to_identity(Q13):
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     # pick a regular non-invertible witness if one exists, else any regular
     r = next((m for m in fam.regulars if m.source != m.target), fam.regulars[0])
     F, R = from_morphism(Q, r), invert_regular(Q, r)
@@ -136,7 +138,7 @@ def test_faithfulness_on_plain_morphisms(A2Q):
 def test_amplification(Q13):
     # [r, f o r] = [id, f]
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     checked = 0
     for r in fam.regulars:
         for f in basis_morphisms(Q):
@@ -152,7 +154,7 @@ def test_amplification(Q13):
 
 def test_equality_is_equivalence_and_congruence(Q13):
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     regs = [m for m in fam.regulars][:3]
     fracs = []
     for r in regs:
@@ -192,12 +194,12 @@ def test_additivity(A2Q):
 
 
 def test_rf_axioms_cluster_tilting(A2Q):
-    rep = verify_rf_axioms(A2Q)
+    rep = verify_rf_axioms(A2Q, scan_properties(A2Q))
     assert rep.ok, rep.as_dict()
 
 
 def test_rf_axioms_two_summand(Q13):
-    rep = verify_rf_axioms(Q13)
+    rep = verify_rf_axioms(Q13, scan_properties(Q13))
     assert rep.ok, rep.as_dict()
 
 
@@ -205,10 +207,24 @@ def test_rf_axioms_negative_control(A3):
     # quotient by add{P1, P2, I2}: preabelian but not integral, so the
     # square-completion axiom fails with a concrete witness
     q = build_quotient(A3, subcat={"P1", "P2", "I2"}, validate=False)
-    rep = verify_rf_axioms(q.presentation)
+    rep = verify_rf_axioms(q.presentation, scan_properties(q.presentation))
     assert not rep.ok
     assert rep.clauses["RF2_square_completion"].status == "fail"
     assert "not regular" in rep.clauses["RF2_square_completion"].detail
+
+
+def test_square_completion_is_the_scan_clause(Q13):
+    scan = scan_properties(Q13, Budget(scan_pairs_cap=120))
+    rep = verify_rf_axioms(Q13, scan, Budget(scan_pairs_cap=120))
+    assert list(rep.clauses) == [
+        "RF1_identities_and_closure",
+        "RF2_square_completion",
+        "RF3_left_cancellation",
+        "LF2_square_completion",
+        "LF3_right_cancellation",
+    ]
+    assert rep.clauses["RF2_square_completion"] is scan.clauses["pullback_regular_leg"]
+    assert rep.clauses["LF2_square_completion"] is scan.clauses["pushout_regular_leg"]
 
 
 def test_localised_cokernel_of_identity(A2Q):
@@ -242,7 +258,7 @@ def test_localised_kernel(Q13):
 def test_left_fraction_conversion_identity(Q13):
     # s o f = g o r with s regular: the conversion criterion holds exactly
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     r = fam.regulars[0]
     for f in basis_morphisms(Q):
         if f.source != r.source:
@@ -263,7 +279,7 @@ def test_check_abelian(A2Q, Q13):
 def test_regular_into_projective_is_iso(A3, Q13):
     # regular maps into add T are already invertible in the quotient
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     tnames = {"P1", "P3"}
     checked = 0
     for r in fam.regulars:
@@ -277,7 +293,7 @@ def test_regular_into_projective_is_iso(A3, Q13):
 def test_epi_transfer(Q13):
     # f epi downstairs iff [f] epi upstairs, tested on cancellation instances
     Q = Q13
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     epis = [m for m in fam.epis if m.source != m.target][:2]
     for f in epis:
         F = from_morphism(Q, f)

@@ -173,7 +173,7 @@ def test_equal_fractions_have_equal_h_images(A2):
     qc = build_quotient(A2, T, validate=False)
     Q = qc.presentation
     H = HFunctor(A2, T)
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     fracs = []
     for r in fam.regulars:
         for i in range(Q.n):

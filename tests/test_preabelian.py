@@ -2,9 +2,17 @@ import pytest
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
-from quotcat.fincat import approximation, compose, postcompose_matrix, precompose_matrix, stack_cols
+from quotcat.fincat import (
+    approximation,
+    basis_morphisms,
+    compose,
+    postcompose_matrix,
+    precompose_matrix,
+    stack_cols,
+)
 from quotcat.preabelian import (
     Budget,
+    ClauseResult,
     build_morphism_family,
     coim_im_factorise,
     cokernel,
@@ -19,6 +27,7 @@ from quotcat.preabelian import (
     mediating_to_pullback,
     pullback,
     pushout,
+    run_clause,
     scan_properties,
     solve_two_sided_inverse,
 )
@@ -80,7 +89,7 @@ def test_regular_noninvertible_exists(Q2):
 def test_no_regular_noninvertible_for_cluster_tilting(QCT):
     # cluster-tilting degeneration: every regular morphism is invertible
     Q = QCT.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     for f in fam.regulars:
         assert solve_two_sided_inverse(Q, f) is not None
 
@@ -205,7 +214,7 @@ def test_pullback_along_identity(QCT):
 
 def test_pullback_preserves_mono_and_regular(Q2):
     Q = Q2.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     mono = fam.monos[0]
     for c in fam.all:
         if c.target == mono.target and c is not mono:
@@ -222,7 +231,7 @@ def test_pullback_preserves_mono_and_regular(Q2):
 
 def test_pullback_universal_property(QCT):
     Q = QCT.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     checked = 0
     for d in fam.epis[:3]:
         for c in fam.all:
@@ -247,7 +256,7 @@ def test_pullback_universal_property(QCT):
 
 def test_pushout_dual_cases(Q2):
     Q = Q2.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     epi = fam.epis[0]
     for b in fam.all:
         if b.source == epi.source and b is not epi:
@@ -305,16 +314,61 @@ def test_scan_properties_section6_fails(A3):
     assert "P3 -> I2" in rep.clauses["preabelian"].detail
 
 
+def test_scan_family_holds_the_preabelian_witnesses(QCT, Q2):
+    # the preabelian clause's cokernel and kernel maps are the scan's
+    # cokernel-type and kernel-type entries, in basis order
+    budget = Budget(scan_pairs_cap=1)
+    for qc in (QCT, Q2):
+        Q = qc.presentation
+        fam = scan_properties(Q, budget).family
+        plain = build_morphism_family(Q, budget)
+        assert (fam.all, fam.epis, fam.monos, fam.regulars) == (plain.all, plain.epis, plain.monos, plain.regulars)
+        assert fam.cokernel_maps == [cokernel(Q, f, budget)[1] for *_, f in basis_morphisms(Q)]
+        assert fam.kernel_maps == [kernel(Q, f, budget)[1] for *_, f in basis_morphisms(Q)]
+
+
+def test_scan_reports_an_exhausted_preabelian_clause(A3):
+    qc = build_quotient(A3, A3.obj({"P1": 1, "P2": 1}), validate=False)
+    rep = scan_properties(qc.presentation, Budget(retries=0, grid_cap=1))
+    assert list(rep.clauses) == ["preabelian"]
+    assert rep.clauses["preabelian"].status == "bounds-exceeded"
+    assert rep.family.all
+
+
+def test_run_clause_counts_a_case_where_the_body_yields():
+    def body(yield_first):
+        for case in (1, 2, 3):
+            if yield_first:
+                yield
+            if case == 2:
+                return "case 2 fails"
+            if not yield_first:
+                yield
+
+    assert run_clause(body(True)) == ClauseResult("fail", 2, "case 2 fails")
+    assert run_clause(body(False)) == ClauseResult("fail", 1, "case 2 fails")
+    assert run_clause(iter([None] * 3)) == ClauseResult("pass", 3)
+
+
+def test_run_clause_bounds_exceeded_keeps_the_count():
+    def body():
+        yield
+        yield
+        raise BoundsExceeded("grid 3^3 exceeds the cap")
+
+    assert run_clause(body()) == ClauseResult("bounds-exceeded", 2, "grid 3^3 exceeds the cap")
+
+
 def test_zero_object_projective(QCT):
     Q = QCT.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     assert is_projective_object(Q, Q.zero_obj(), family=fam)
     assert is_injective_object(Q, Q.zero_obj(), family=fam)
 
 
 def test_t_summands_projective(A3, QCT):
     Q = QCT.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     for name in ("P1", "P2", "P3"):
         assert is_projective_object(Q, Q.single(name), family=fam)
     # non-summands need not be projective; S2 is not
@@ -323,7 +377,7 @@ def test_t_summands_projective(A3, QCT):
 
 def test_sigma2_t_summands_injective(A3, QCT):
     Q = QCT.presentation
-    fam = build_morphism_family(Q, derived=False)
+    fam = build_morphism_family(Q)
     for name in ("P1", "P2", "P3"):
         s2 = A3.sigma[A3.sigma[A3.index(name)]]
         s2name = A3.objects[s2]
@@ -352,7 +406,8 @@ def test_mono_and_injective_match_direct_rank_tests(QCT, Q2):
     # them to their rank definitions on post- and pre-composition here
     for qc in (QCT, Q2):
         Q = qc.presentation
-        fam = build_morphism_family(Q)
+        # the family does not depend on scan_pairs_cap, so a cap of 1 keeps the scan short
+        fam = scan_properties(Q, Budget(scan_pairs_cap=1)).family
         singles = [Q.single(z) for z in range(Q.n)]
         for m in fam.all + fam.cokernel_maps + fam.kernel_maps:
             direct = all(postcompose_matrix(Q, m, Z).rank() == Q.hom_space_dim(Z, m.source) for Z in singles)
@@ -367,7 +422,7 @@ def test_pushout_squares_are_pushouts(QCT, Q2):
     # and its universal property against cocones solved directly in Q
     for qc in (QCT, Q2):
         Q = qc.presentation
-        fam = build_morphism_family(Q, derived=False)
+        fam = build_morphism_family(Q)
         pairs = [(a, b) for a in fam.all for b in fam.all if a.source == b.source]
         for a, b in pairs:
             sq = pushout(Q, a, b)
