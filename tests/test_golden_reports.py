@@ -5,9 +5,11 @@ refactor, those in golden/reports_a4.json (C(A_4) with the non-linear
 orientation "><>" over GF(101), whose 14 objects give multi-copy blocks)
 before the compiled Hom layout, golden/reports_a4_q.json (C(A_4) over Q at
 the default budget, scan_pairs_cap=400) before integral rationals became
-ints, and golden/reports_fail.json (failing and budget-exhausted verdicts of
+ints, golden/reports_fail.json (failing and budget-exhausted verdicts of
 C(A_3) over Q, each at its own budget) before the scan became the one place
-that computes the bounded clauses; any change to a verdict, a count or a
+that computes the bounded clauses, and golden/reports_a5_q.json (C(A_5) over
+Q, T = P1+...+P5, at the default budget) before the equivalence verifier's
+regular-leg searches were pruned by shape; any change to a verdict, a count or a
 failure detail shows up here.  Only `timing_s` is dropped, because it is the
 one non-deterministic section.  Regenerate the files on purpose with
 
@@ -54,6 +56,11 @@ def _cases_a4_q() -> dict:
     return {"A4/Q T=P1+P2+P3+P4": (a4, {"t_spec": a4.obj({f"P{i}": 1 for i in range(1, 5)})})}
 
 
+def _cases_a5_q() -> dict:
+    a5 = build_cluster_category(5, field=QQ)
+    return {"A5/Q T=P1+...+P5": (a5, {"t_spec": a5.obj({f"P{i}": 1 for i in range(1, 6)})})}
+
+
 def _cases_fail() -> dict:
     # integral and rf_axioms fail with leg details; then both run out of
     # budget in their leg clauses; then the preabelian clause itself does
@@ -77,6 +84,7 @@ CORPORA = {  # each file with the budget of the cases that name none
     "reports_a4.json": (_cases_a4, CAPPED),
     "reports_a4_q.json": (_cases_a4_q, Budget()),
     "reports_fail.json": (_cases_fail, CAPPED),
+    "reports_a5_q.json": (_cases_a5_q, Budget()),
 }
 
 
@@ -113,6 +121,10 @@ def test_a4_q_default_budget_reports_match_golden():
 
 def test_failing_and_exhausted_reports_match_golden():
     _check("reports_fail.json")
+
+
+def test_a5_q_default_budget_reports_match_golden():
+    _check("reports_a5_q.json")
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
