@@ -9,7 +9,6 @@ checked here with exact linear algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotInS
@@ -17,6 +16,7 @@ from .fincat import (
     CategoryPresentation,
     Morphism,
     Obj,
+    approximation,
     basis_morphisms,
     compose,
     postcompose_matrix,
@@ -24,16 +24,18 @@ from .fincat import (
     sum_projections,
 )
 from .linalg import Matrix, RowSpace
+from .localization import Fraction
 from .preabelian import (
     Budget,
     ClauseResult,
     DEFAULT_BUDGET,
     RankCondition,
     SearchResult,
+    multiplicities,
     search_open_conditions,
     solve_on_basis,
 )
-from .quotient import QuotientCategory, factors_through
+from .quotient import QuotientCategory, build_quotient, factors_through
 
 
 class Algebra:
@@ -232,10 +234,24 @@ class EquivalenceReport:
         return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
-def _multiplicities(bounds):
-    """Nonzero m with 0 <= m_i <= bounds[i], by (sum, lexicographic) order."""
-    full = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda m: (sum(m), m))
-    return [m for m in full if any(m)]
+def _flat(m: Matrix) -> list:
+    return [a for row in m.data for a in row]
+
+
+def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[tuple]:
+    """Multiplicities of each A from which a map into every X in targets can
+    be regular as far as dimensions go.
+
+    Epi needs dim Hom(A, Z) >= dim Hom(X, Z) and mono needs dim Hom(Z, A) <=
+    dim Hom(Z, X) for every Z: exactly the sources that the shape test of
+    search_open_conditions does not certify empty.
+    """
+    zs = [Q.single(z) for z in range(Q.n)]
+    down = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
+    up = [[Q.hom_dim(z, i) for z in range(Q.n)] for i in range(Q.n)]
+    floor = [max(Q.hom_space_dim(X, Z) for X in targets) for Z in zs]
+    ceiling = [min(Q.hom_space_dim(Z, X) for X in targets) for Z in zs]
+    return multiplicities(down, floor, up, ceiling)
 
 
 def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[RankCondition]:
@@ -255,6 +271,27 @@ def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[Ra
     return out
 
 
+def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget, salt: str):
+    """(A, h) for each leg source A of targets whose search finds h.
+
+    h is searched in space(A), a list of morphisms out of A, so that each
+    legs[k](h): A -> targets[k] is regular; every leg must be linear in h.
+    The search for A is seeded by f"{salt}:{A.mult}", so a skipped source
+    changes no other witness.
+    """
+    for mult in _leg_sources(Q, targets):
+        A = Obj(mult)
+        subspace = space(A)
+        if not subspace:
+            continue
+        conditions = [c for leg, X in zip(legs, targets) for c in _regular_conditions(Q, leg, A, X)]
+        res = search_open_conditions(
+            Q, A, subspace[0].target, subspace, conditions, budget, salt=f"{salt}:{mult}"
+        )
+        if res.status == SearchResult.FOUND:
+            yield A, res.witness
+
+
 def realize_module_map(
     H: HFunctor,
     qc: QuotientCategory,
@@ -265,71 +302,42 @@ def realize_module_map(
 ):
     """A fraction F: x => y with h_fraction(F) = phi, or None (certified).
 
-    Searches regular denominators r: A -> x with the kernel-style bound
-    mult_i(A) <= dim Hom_Q(i, x); the numerator condition is the linear
-    constraint phi o H(r) in image(H on Hom(A, y)).
+    Searches regular denominators r: A -> x over the leg sources of x; the
+    numerator condition is the linear constraint phi o H(r) in image(H on
+    Hom(A, y)).
     """
     Q = qc.presentation
     P = qc.parent
-    X, Y = Q.single(x), Q.single(y)
+    X, Y_par = Q.single(x), qc.lift_obj(Q.single(y))
     field = Q.field
 
-    from .localization import Fraction
+    def image(A):
+        """The flattened H-images of the basis of Hom_C(A, y)."""
+        return [_flat(H.mor_matrix(g)) for g in P.hom_basis(qc.lift_obj(A), Y_par)]
 
-    for mult in _multiplicities([Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]):
-        A = Obj(mult)
-        A_par = qc.lift_obj(A)
-        dAX = Q.hom_space_dim(A, X)
-        if dAX == 0:
-            continue
-        # image of H on Hom_C(A, y), flattened
-        g_basis = P.hom_basis(A_par, qc.lift_obj(Y))
-        img_vecs = []
-        for g in g_basis:
-            hg = H.mor_matrix(g)
-            img_vecs.append([hg.data[i][j] for i in range(hg.nrows) for j in range(hg.ncols)])
-        # feasible denominators: phi o H(lift r) lands in that image
-        r_basis = Q.hom_basis(A, X)
-        cols = []
-        for rq in r_basis:
-            hr = H.mor_matrix(qc.lift(rq))
-            prod = phi * hr
-            cols.append([prod.data[i][j] for i in range(prod.nrows) for j in range(prod.ncols)])
-        w = len(cols[0]) if cols else 0
-        unknowns = dAX + len(g_basis)
-        rows = []
-        for pos in range(w):
-            row = [field.zero] * unknowns
-            for k in range(dAX):
-                row[k] = cols[k][pos]
-            for l in range(len(g_basis)):
-                row[dAX + l] = field.neg(img_vecs[l][pos]) if img_vecs else field.zero
-            rows.append(row)
-        mat = Matrix(field, len(rows), unknowns, rows)
-        proj = RowSpace(field, dAX)
-        sub_vecs = []
+    def denominators(A):
+        """Basis of the r in Hom(A, x) with phi o H(lift r) in image(A).
+
+        Hom(A, x) is nonzero: the floor of a leg source forces it.
+        """
+        cols = [_flat(phi * H.mor_matrix(qc.lift(r))) for r in Q.hom_basis(A, X)]
+        unknowns = cols + [[field.neg(a) for a in v] for v in image(A)]
+        mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
+        proj = RowSpace(field, len(cols))
         for v in mat.kernel_basis():
-            c = v[:dAX]
-            if proj.add(c):
-                sub_vecs.append(c)
-        subspace = [Q.morphism_from_vector(A, X, v) for v in proj.rows]
-        if not subspace:
-            continue
-        conditions = _regular_conditions(Q, lambda r: r, A, X)
-        res = search_open_conditions(Q, A, X, subspace, conditions, budget, salt=f"full:{x}:{y}:{mult}")
-        if res.status != SearchResult.FOUND:
-            continue
-        r = res.witness
+            proj.add(v[: len(cols)])
+        return [Q.morphism_from_vector(A, X, v) for v in proj.rows]
+
+    for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
-        want_m = phi * H.mor_matrix(qc.lift(r))
-        want = [want_m.data[i][j] for i in range(want_m.nrows) for j in range(want_m.ncols)]
-        img = Matrix(field, len(want), len(g_basis), [[v[i] for v in img_vecs] for i in range(len(want))])
-        f_par = solve_on_basis(P, A_par, qc.lift_obj(Y), img, want)
+        want = _flat(phi * H.mor_matrix(qc.lift(r)))
+        img = image(A)
+        img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])
+        f_par = solve_on_basis(P, qc.lift_obj(A), Y_par, img_mat, want)
         if f_par is None:
             continue
         F = Fraction(Q, r, qc.project(f_par))
-        got = h_fraction(H, qc, F)
-        if got == phi:
+        if h_fraction(H, qc, F) == phi:
             return F
     return None
 
@@ -348,8 +356,6 @@ def verify_equivalence(
     of indecomposables is realised by a fraction.  PROJECTIVES: the
     localised projectives are exactly add T, and End dimensions agree.
     """
-    from .quotient import build_quotient
-
     report = EquivalenceReport()
     qc = qc or build_quotient(P, T, validate=False)
     Q = qc.presentation
@@ -373,10 +379,7 @@ def verify_equivalence(
                 d = P.hom_dim(i, j)
                 if d == 0:
                     continue
-                vecs = []
-                for a in range(d):
-                    m = H.mor_matrix(P.basis_morphism(i, j, a))
-                    vecs.append([m.data[r][c] for r in range(m.nrows) for c in range(m.ncols)])
+                vecs = [_flat(H.mor_matrix(P.basis_morphism(i, j, a))) for a in range(d)]
                 rs = RowSpace.from_rows(P.field, len(vecs[0]), vecs)
                 if rs.dim != len(qc.rep_coords[(i, j)]):
                     status = "fail"
@@ -419,8 +422,6 @@ def verify_equivalence(
     checked = 0
     status, detail = "pass", ""
     tsupp = {i for i in T.support()}
-    from .fincat import approximation
-
     for x in range(Q.n):
         parent_idx = qc.keep[x]
         appr = approximation(P, sorted(tsupp), P.single(parent_idx), "right")
@@ -446,34 +447,29 @@ def _fraction_split_epi(qc: QuotientCategory, qa: Morphism, budget: Budget) -> b
     """Split-epi test for the localised image of qa: T0 -> X.
 
     The identity of X factors through [qa] iff some g: B -> T0 with
-    regular composite qa o g exists, B bounded as in the kernel search.
+    regular composite qa o g exists, B running over the leg sources of X.
     """
     Q = qc.presentation
     X = qa.target
-    for mult in _multiplicities([Q.hom_space_dim(Q.single(i), X) for i in range(Q.n)]):
-        B = Obj(mult)
-        subspace = Q.hom_basis(B, qa.source)
-        if not subspace:
-            continue
-        conditions = _regular_conditions(Q, lambda g: compose(Q, qa, g), B, X)
-        res = search_open_conditions(
-            Q, B, qa.source, subspace, conditions, budget, salt=f"split:{X.mult}:{mult}"
-        )
-        if res.status == SearchResult.FOUND:
-            return True
-    return False
+    roofs = _regular_roofs(
+        Q, [X], lambda B: Q.hom_basis(B, qa.source), [lambda g: compose(Q, qa, g)], budget, f"split:{X.mult}"
+    )
+    return next(roofs, None) is not None
 
 
 def _iso_to_add_t(qc: QuotientCategory, x: int, tsupp, budget: Budget) -> bool:
     """Whether x is localised-isomorphic to some object of add T.
 
-    The partner may be decomposable (semisimple degenerations), so all
-    bounded multiplicity vectors over the T-summands are tried.
+    The partner may be decomposable (semisimple degenerations), so every
+    nonzero multiplicity vector over the T-summands with m_i <= dim Hom(i, x)
+    is tried.
     """
     Q = qc.presentation
     t_q = {qc._q_index[t] for t in tsupp}
-    bounds = [Q.hom_space_dim(Q.single(i), Q.single(x)) if i in t_q else 0 for i in range(Q.n)]
-    return any(iso_fraction_exists(qc, x, Obj(mult), budget) for mult in _multiplicities(bounds))
+    bounds = [Q.hom_dim(i, x) if i in t_q else 0 for i in range(Q.n)]
+    unit = [[int(i == z) for z in range(Q.n)] for i in range(Q.n)]
+    partners = multiplicities([[1]] * Q.n, [1], unit, bounds)
+    return any(iso_fraction_exists(qc, x, Obj(mult), budget) for mult in partners)
 
 
 def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -486,23 +482,7 @@ def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAUL
     Q = qc.presentation
     X = Q.single(x)
     W = Q.single(w) if isinstance(w, int) else w
-    bounds = [
-        min(Q.hom_space_dim(Q.single(i), X), Q.hom_space_dim(Q.single(i), W))
-        for i in range(Q.n)
-    ]
     XW = X + W
-    projs = sum_projections(Q, [X, W])
-    for mult in _multiplicities(bounds):
-        A = Obj(mult)
-        subspace = Q.hom_basis(A, XW)
-        if not subspace:
-            continue
-        conditions = []
-        for proj, tgt in zip(projs, (X, W)):
-            conditions += _regular_conditions(Q, lambda h, proj=proj: compose(Q, proj, h), A, tgt)
-        res = search_open_conditions(
-            Q, A, XW, subspace, conditions, budget, salt=f"iso:{x}:{W.mult}:{mult}"
-        )
-        if res.status == SearchResult.FOUND:
-            return True
-    return False
+    legs = [lambda h, proj=proj: compose(Q, proj, h) for proj in sum_projections(Q, [X, W])]
+    roofs = _regular_roofs(Q, [X, W], lambda A: Q.hom_basis(A, XW), legs, budget, f"iso:{x}:{W.mult}")
+    return next(roofs, None) is not None

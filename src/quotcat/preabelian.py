@@ -248,29 +248,34 @@ def search_open_conditions(
 # -- kernels and cokernels -----------------------------------------------------
 
 
-def _candidate_multiplicities(bounds: list[int], cols: list[list[int]], targets: list[int]):
-    """Solutions m of sum_i m_i * cols[i][z] = targets[z], within bounds."""
-    n = len(bounds)
-    # adding invisible summands never helps
-    tops = [bounds[i] if any(cols[i]) else 0 for i in range(n)]
+def multiplicities(down, floor, up, ceiling) -> list[tuple]:
+    """Every m with sum_i m_i*down[i] >= floor and sum_i m_i*up[i] <= ceiling.
+
+    The inequalities are entrywise and the vectors come in (sum,
+    lexicographic) order.  Every entry is non-negative, as a dimension is,
+    and up[i][i] >= 1, as dim End(i) is, so the ceiling bounds each m_i.
+    """
     out = []
-
-    def rec(i, mult, remaining):
-        if i == n:
-            if not any(remaining):
-                out.append(tuple(mult))
-            return
-        col = cols[i]
-        for c in range(tops[i] + 1):
-            rest = [r - c * v for r, v in zip(remaining, col)]
-            if min(rest, default=0) < 0:
-                break  # the entries of col are dimensions, so a larger c is worse
-            rec(i + 1, mult + [c], rest)
-
-    if min(targets, default=0) >= 0:
-        rec(0, [], list(targets))
-    out.sort(key=lambda m: (sum(m), m))
+    _extend(down, up, [], list(floor), list(ceiling), out)
+    out.sort(key=sum)  # stable: lexicographic within each sum
     return out
+
+
+def _extend(down, up, mult, need, room, out):
+    """Append to out each completion of the prefix mult; need and room are
+    what is left of the floor and the ceiling."""
+    i = len(mult)
+    if i == len(up):
+        if max(need, default=0) <= 0:
+            out.append(tuple(mult))
+        return
+    mult.append(0)
+    while min(room, default=0) >= 0:  # a larger m_i only lowers the room
+        _extend(down, up, mult, need, room, out)
+        mult[i] += 1
+        need = [a - b for a, b in zip(need, down[i])]
+        room = [a - b for a, b in zip(room, up[i])]
+    mult.pop()
 
 
 def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
@@ -290,8 +295,7 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
         rk = precompose_matrix(Q, f, Z).rank() if dYZ else 0
         targets.append(dYZ - rk)
     cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
-    bounds = [Q.hom_space_dim(Y, Q.single(i)) for i in range(Q.n)]
-    for mult in _candidate_multiplicities(bounds, cols, targets):
+    for mult in multiplicities(cols, targets, cols, targets):
         M = Obj(mult)
         # subspace {c : c o f = 0}
         mat = precompose_matrix(Q, f, M)

@@ -1,12 +1,16 @@
+import itertools
+
 import pytest
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.errors import NotInS
-from quotcat.fincat import all_rigid_supports, compose
+from quotcat.errors import BoundsExceeded, NotInS
+from quotcat.fincat import Obj, all_rigid_supports, compose
 from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism, identity_fraction
-from quotcat.linalg import Matrix
+from quotcat.linalg import GF, Matrix
 from quotcat.modcat import (
     HFunctor,
+    _leg_sources,
+    _regular_conditions,
     endomorphism_algebra,
     h_fraction,
     in_s,
@@ -14,7 +18,7 @@ from quotcat.modcat import (
     module_hom_space,
     verify_equivalence,
 )
-from quotcat.preabelian import build_morphism_family, is_regular
+from quotcat.preabelian import Budget, SearchResult, build_morphism_family, is_regular, search_open_conditions
 from quotcat.quotient import build_quotient
 
 
@@ -256,6 +260,52 @@ def test_iso_fraction_reflexive(A3, TCT):
     assert iso_fraction_exists(qc, 0, 0)
     # P1 and S2 are not isomorphic in the localisation of the CT quotient
     assert not iso_fraction_exists(qc, Q.index("P1"), Q.index("S2"))
+
+
+def _full_product(bounds):
+    """The enumerator the leg sources replaced: every nonzero m with
+    m_i <= bounds[i], in (sum, lexicographic) order."""
+    full = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda m: (sum(m), m))
+    return [m for m in full if any(m)]
+
+
+def _empty_by_shape(Q, A, X):
+    """Whether the search for a regular map A -> X is certified empty by the
+    shape test of search_open_conditions.
+
+    With no random tries and a grid cap of 1, a search that passes the shape
+    test over a nonzero Hom space goes on to a grid and raises.
+    """
+    conditions = _regular_conditions(Q, lambda h: h, A, X)
+    try:
+        res = search_open_conditions(Q, A, X, Q.hom_basis(A, X), conditions, Budget(retries=0, grid_cap=1))
+    except BoundsExceeded:
+        return False
+    return res.status == SearchResult.CERTIFIED_EMPTY
+
+
+def _shape_quotients():
+    a3 = build_cluster_category(3)
+    for supp in all_rigid_supports(a3, 3):
+        yield build_quotient(a3, a3.obj({a3.objects[i]: 1 for i in supp}), validate=False)
+    a4 = build_cluster_category(4, "><>", GF(101))
+    yield build_quotient(a4, a4.obj({"I1": 1, "P1": 1}), validate=False)
+
+
+def test_leg_sources_are_the_shapes_a_search_does_not_rule_out():
+    # the pruned enumerator skips exactly the sources whose search the shape
+    # test certifies empty, and keeps the order of the full product; a pair
+    # of targets is the two-legged search of iso_fraction_exists
+    skipped = 0
+    for qc in _shape_quotients():
+        Q = qc.presentation
+        for x, w in itertools.product(range(Q.n), repeat=2):
+            targets = [Q.single(x)] if x == w else [Q.single(x), Q.single(w)]
+            old = _full_product([min(Q.hom_dim(i, x), Q.hom_dim(i, w)) for i in range(Q.n)])
+            want = [m for m in old if not any(_empty_by_shape(Q, Obj(m), X) for X in targets)]
+            assert _leg_sources(Q, targets) == want, (Q.objects, x, w)
+            skipped += len(old) - len(want)
+    assert skipped
 
 
 _WITNESS_SCRIPT = """

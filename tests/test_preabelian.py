@@ -1,4 +1,8 @@
+import gc
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
@@ -25,6 +29,7 @@ from quotcat.preabelian import (
     kernel,
     lifts_through_epi,
     mediating_to_pullback,
+    multiplicities,
     pullback,
     pushout,
     run_clause,
@@ -157,6 +162,61 @@ def test_cokernel_uniqueness_across_seeds(Q2):
         assert u is not None and v is not None
         assert compose(Q, v, u) == Q.identity(M1)
         assert compose(Q, u, v) == Q.identity(M2)
+
+
+def test_cokernel_leaves_no_garbage_cycles(Q2):
+    # the multiplicity recursion is a module-level function, not a closure
+    # that refers to itself, so a cokernel frees everything by reference count
+    Q = Q2.presentation
+    maps = list(all_basis_morphisms(Q))
+    assert len(maps) == 11
+    for f in maps:
+        cokernel(Q, f)
+    gc.collect()
+    gc.disable()
+    try:
+        for f in maps:
+            cokernel(Q, f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def multiplicity_problems(draw):
+    """(down, floor, up, ceiling): small dimension columns with up[i][i] >= 1;
+    half the time an equality, down = up and floor = ceiling."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    up = [[draw(st.integers(1 if i == z else 0, 2)) for z in range(n)] for i in range(n)]
+    ceiling = [draw(st.integers(-1, 5)) for _ in range(n)]
+    if draw(st.booleans()):
+        return up, ceiling, up, ceiling
+    down = [[draw(st.integers(0, 2)) for _ in range(k)] for _ in range(n)]
+    floor = [draw(st.integers(-1, 4)) for _ in range(k)]
+    return down, floor, up, ceiling
+
+
+@given(multiplicity_problems())
+def test_multiplicities_match_brute_force(problem):
+    down, floor, up, ceiling = problem
+    n = len(up)
+
+    def total(cols, m):
+        return [sum(mi * col[z] for mi, col in zip(m, cols)) for z in range(len(cols[0]))]
+
+    # up[i][i] >= 1, so m_i <= ceiling[i]
+    box = itertools.product(range(max(ceiling) + 1), repeat=n)
+    want = sorted(
+        (
+            m
+            for m in box
+            if all(a >= b for a, b in zip(total(down, m), floor))
+            and all(a <= b for a, b in zip(total(up, m), ceiling))
+        ),
+        key=lambda m: (sum(m), m),
+    )
+    assert multiplicities(down, floor, up, ceiling) == want
 
 
 def test_section6_certified_no_cokernel(A3):
