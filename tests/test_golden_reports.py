@@ -11,15 +11,23 @@ that computes the bounded clauses, and golden/reports_a5_q.json (C(A_5) over
 Q, T = P1+...+P5, at the default budget) before the equivalence verifier's
 regular-leg searches were pruned by shape; any change to a verdict, a count or a
 failure detail shows up here.  Only `timing_s` is dropped, because it is the
-one non-deterministic section.  Regenerate the files on purpose with
+one non-deterministic section.  golden/categories.json holds the sha256 of
+the saved form of 18 generated categories (C(A_1)..C(A_6), every orientation
+of C(A_4), C(A_3, "><") over Q, C(A_4, "><>") over GF(101), C(A_3) over GF(2)
+and GF(3)), recorded before the generator wrote each dual construction once;
+any change to a generated Hom basis, composition table, name or labelling
+shows up there.  Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 """
 
+import hashlib
+import itertools
 import json
 import pathlib
 import sys
 
+from quotcat.catfile import presentation_to_dict
 from quotcat.clustergen import build_cluster_category
 from quotcat.linalg import GF, QQ
 from quotcat.preabelian import Budget
@@ -127,7 +135,32 @@ def test_a5_q_default_budget_reports_match_golden():
     _check("reports_a5_q.json")
 
 
+GENERATED = (  # (n, orientation, field) of each category in categories.json
+    [(n, None, QQ) for n in range(1, 7)]
+    + [(4, "".join(o), QQ) for o in itertools.product("<>", repeat=3)]
+    + [(3, "><", QQ), (4, "><>", GF(101)), (3, None, GF(2)), (3, None, GF(3))]
+)
+
+
+def category_digests() -> dict:
+    """sha256 of each generated category's saved form, keyed by its name."""
+    out = {}
+    for n, orientation, field in GENERATED:
+        P = build_cluster_category(n, orientation, field)
+        text = json.dumps(presentation_to_dict(P), indent=1, sort_keys=True)
+        name = f"A{n}" + (f"({orientation})" if orientation is not None else "") + f"/{field!r}"
+        out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
+
+
+def test_generated_categories_match_golden():
+    golden = json.loads((GOLDEN_DIR / "categories.json").read_text(encoding="utf-8"))
+    assert category_digests() == golden
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     for filename in CORPORA:
         text = json.dumps(corpus_reports(filename), indent=1, sort_keys=True) + "\n"
         (GOLDEN_DIR / filename).write_text(text, encoding="utf-8")
+    text = json.dumps(category_digests(), indent=1, sort_keys=True) + "\n"
+    (GOLDEN_DIR / "categories.json").write_text(text, encoding="utf-8")
