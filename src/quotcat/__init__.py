@@ -48,8 +48,6 @@ from .modcat import (
     HFunctor,
     endomorphism_algebra,
     h_fraction,
-    h_mor,
-    h_object,
     in_s,
     module_hom_space,
     verify_equivalence,

@@ -83,15 +83,8 @@ def _field_from_arg(name: str):
 
 
 def cmd_generate(args) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     field = _field_from_arg(args.field)
-    orientation = args.orientation
-    if orientation is not None and len(orientation) != args.n - 1:
-        print("error: orientation must have length n-1", file=sys.stderr)
-        return EXIT_USAGE
-    P = build_cluster_category(args.n, orientation, field)
+    P = build_cluster_category(args.n, args.orientation, field)
     save_category(P, args.out)
     print(f"wrote {args.out}: {P.n} indecomposables over {args.field}")
     return EXIT_OK

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationError
 from .fincat import CategoryPresentation
-from .linalg import QQ, Field, Matrix, RowSpace
+from .linalg import QQ, Field, Matrix, RowSpace, intertwiners
 
 # ---------------------------------------------------------------------------
 # quivers and representations
@@ -100,22 +100,22 @@ def interval_rep(quiver: QuiverAn, field: Field, a: int, b: int) -> Rep:
 
 def proj_interval(quiver: QuiverAn, v: int) -> tuple[int, int]:
     """Support of the projective at v: all vertices reachable from v."""
-    lo = v
-    while lo > 1 and quiver.orientation[lo - 2] == "<":
-        lo -= 1
-    hi = v
-    while hi < quiver.n and quiver.orientation[hi - 1] == ">":
-        hi += 1
-    return (lo, hi)
+    return _walk(quiver, v, "<")
 
 
 def inj_interval(quiver: QuiverAn, v: int) -> tuple[int, int]:
     """Support of the injective at v: all vertices reaching v."""
+    return _walk(quiver, v, ">")
+
+
+def _walk(quiver: QuiverAn, v: int, below: str) -> tuple[int, int]:
+    """Widest interval around v whose edges read `below` under v and the
+    other direction over v."""
     lo = v
-    while lo > 1 and quiver.orientation[lo - 2] == ">":
+    while lo > 1 and quiver.orientation[lo - 2] == below:
         lo -= 1
     hi = v
-    while hi < quiver.n and quiver.orientation[hi - 1] == "<":
+    while hi < quiver.n and quiver.orientation[hi - 1] != below:
         hi += 1
     return (lo, hi)
 
@@ -226,44 +226,24 @@ def hom_from_flat(M: Rep, N: Rep, vec) -> RepHom:
 
 
 def hom_rep(M: Rep, N: Rep) -> list[RepHom]:
-    """Basis of Hom(M, N), by solving the arrow-commutation system."""
-    f = M.field
-    total = hom_flat_dim(M, N)
-    rows = []
-    arrows = M.quiver.arrows()
-    # unknowns: entries of phi_v, flattened in vertex order
-    offsets = []
-    pos = 0
-    for v in range(M.quiver.n):
-        offsets.append(pos)
-        pos += N.dims[v] * M.dims[v]
-    for k, (s, t) in enumerate(arrows):
-        sm, tm = M.mats[k], N.mats[k]
-        # constraint: phi_t * M_k - N_k * phi_s = 0, entrywise
-        for i in range(N.dims[t - 1]):
-            for j in range(M.dims[s - 1]):
-                row = [f.zero] * total
-                # (phi_t * M_k)[i][j] = sum_l phi_t[i][l] * M_k[l][j]
-                for l in range(M.dims[t - 1]):
-                    idx = offsets[t - 1] + i * M.dims[t - 1] + l
-                    row[idx] = f.add(row[idx], sm.data[l][j])
-                # (N_k * phi_s)[i][j] = sum_l N_k[i][l] * phi_s[l][j]
-                for l in range(N.dims[s - 1]):
-                    idx = offsets[s - 1] + l * M.dims[s - 1] + j
-                    row[idx] = f.sub(row[idx], tm.data[i][l])
-                rows.append(row)
-    mat = Matrix(f, len(rows), total, rows)
-    return [hom_from_flat(M, N, v) for v in mat.kernel_basis()]
+    """Basis of Hom(M, N): one family of vertex maps commuting with each arrow."""
+    relations = [(s - 1, t - 1, a, b) for (s, t), a, b in zip(M.quiver.arrows(), M.mats, N.mats)]
+    return [hom_from_flat(M, N, v) for v in intertwiners(M.field, M.dims, N.dims, relations)]
 
 
-def _coords_in_homs(field: Field, basis: list[RepHom], h: RepHom):
-    """Coefficients of h against a list of independent homs, or None."""
-    flat = h.flatten()
-    if not basis:
-        return [] if all(x == field.zero for x in flat) else None
-    cols = [b.flatten() for b in basis]
-    m = Matrix(field, len(flat), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(len(flat))])
-    return m.solve(flat)
+def _solve_columns(field: Field, cols, want):
+    """Coefficients x with sum_j x[j] * cols[j] = want, or None."""
+    m = Matrix(field, len(want), len(cols), [[c[i] for c in cols] for i in range(len(want))])
+    return m.solve(want)
+
+
+def _block_matrix(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
+    """The zero matrix with each (row offset, column offset, block) copied in."""
+    m = Matrix.zeros(field, nrows, ncols)
+    for ro, co, block in blocks:
+        for i, row in enumerate(block.data):
+            m.data[ro + i][co : co + block.ncols] = row
+    return m
 
 
 def direct_sum(reps: list[Rep], quiver: QuiverAn, field: Field) -> tuple[Rep, list[list[int]]]:
@@ -277,14 +257,8 @@ def direct_sum(reps: list[Rep], quiver: QuiverAn, field: Field) -> tuple[Rep, li
             dims[v] += r.dims[v]
     mats = []
     for k, (s, t) in enumerate(quiver.arrows()):
-        m = Matrix.zeros(field, dims[t - 1], dims[s - 1])
-        for r, off in zip(reps, offsets):
-            block = r.mats[k]
-            ro, co = off[t - 1], off[s - 1]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    m.data[ro + i][co + j] = block.data[i][j]
-        mats.append(m)
+        blocks = [(off[t - 1], off[s - 1], r.mats[k]) for r, off in zip(reps, offsets)]
+        mats.append(_block_matrix(field, dims[t - 1], dims[s - 1], blocks))
     return Rep(quiver, field, dims, mats), offsets
 
 
@@ -442,14 +416,11 @@ class Presentation:
         self.parts = parts
         self.P0 = P0
         # assemble pi: P0 -> M columnwise from the generator maps
-        mats = [Matrix.zeros(field, M.dims[v], P0.dims[v]) for v in range(quiver.n)]
-        for (v, x), prep, off in zip(gens, preps, offsets):
-            h = hom_from_projective(M, v, x, prep)
-            for w in range(quiver.n):
-                block = h.mats[w]
-                for i in range(block.nrows):
-                    for j in range(block.ncols):
-                        mats[w].data[i][off[w] + j] = block.data[i][j]
+        homs = [hom_from_projective(M, v, x, prep) for (v, x), prep in zip(gens, preps)]
+        mats = []
+        for w in range(quiver.n):
+            blocks = [(0, off[w], h.mats[w]) for h, off in zip(homs, offsets)]
+            mats.append(_block_matrix(field, M.dims[w], P0.dims[w], blocks))
         self.pi = RepHom(P0, M, mats)
         for v in range(quiver.n):
             if self.pi.mats[v].rank() != M.dims[v]:
@@ -496,14 +467,11 @@ def _inj_envelope(quiver: QuiverAn, field: Field, M: Rep):
             funcs.append(xi)
     ireps = [interval_rep(quiver, field, *inj_interval(quiver, v)) for v in parts]
     Isum, offsets = direct_sum(ireps, quiver, field)
-    mats = [Matrix.zeros(field, Isum.dims[v], M.dims[v]) for v in range(quiver.n)]
-    for (v, xi), irep, off in zip(zip(parts, funcs), ireps, offsets):
-        h = hom_to_injective(M, v, xi, irep)
-        for w in range(quiver.n):
-            block = h.mats[w]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    mats[w].data[off[w] + i][j] = block.data[i][j]
+    homs = [hom_to_injective(M, v, xi, irep) for v, xi, irep in zip(parts, funcs, ireps)]
+    mats = []
+    for w in range(quiver.n):
+        blocks = [(off[w], 0, h.mats[w]) for h, off in zip(homs, offsets)]
+        mats.append(_block_matrix(field, Isum.dims[w], M.dims[w], blocks))
     return parts, RepHom(M, Isum, mats), Isum
 
 
@@ -543,28 +511,32 @@ class _NakayamaContext:
                     if gi != gp:
                         raise GenerationError(f"Nakayama coherence fails at {(a, b, c)}")
 
-    def nu_inv(self, parts_src, parts_tgt, h: RepHom, P0src: Rep, offs, P0tgt: Rep, offt, src_offs, tgt_offs) -> RepHom:
-        """Transport a map between injective sums to the projective sums."""
-        field = self.field
-        mats = [Matrix.zeros(field, P0tgt.dims[v], P0src.dims[v]) for v in range(self.quiver.n)]
-        for bi, b in enumerate(parts_tgt):
-            for ai, a in enumerate(parts_src):
-                gamma = self.gamma[(a, b)]
-                coeff = _block_coefficient(h, src_offs[ai], tgt_offs[bi], self.I[a], self.I[b], gamma)
-                if coeff is None:
-                    raise GenerationError("injective block is not a canonical multiple")
+    def transport(self, h: RepHom, src_parts, tgt_parts, to_injective: bool) -> RepHom:
+        """Nakayama image of h between the sums over src_parts and tgt_parts.
+
+        h maps the sum of the P_v (to_injective) or of the I_v, v in
+        src_parts, to the sum over tgt_parts.  Each (a -> b) block of h is a
+        multiple of that side's canonical map; the image has the same
+        multiple of the other side's canonical map in the same block.
+        """
+        quiver, field = self.quiver, self.field
+        here, canon_here, there, canon_there = self.P, self.delta, self.I, self.gamma
+        if not to_injective:
+            here, canon_here, there, canon_there = there, canon_there, here, canon_here
+        _, h_offs_s = direct_sum([here[a] for a in src_parts], quiver, field)
+        _, h_offs_t = direct_sum([here[b] for b in tgt_parts], quiver, field)
+        S, offs_s = direct_sum([there[a] for a in src_parts], quiver, field)
+        T, offs_t = direct_sum([there[b] for b in tgt_parts], quiver, field)
+        blocks = [[] for _ in range(quiver.n)]
+        for bi, b in enumerate(tgt_parts):
+            for ai, a in enumerate(src_parts):
+                coeff = _block_coefficient(h, h_offs_s[ai], h_offs_t[bi], here[a], here[b], canon_here[(a, b)])
                 if coeff == field.zero:
                     continue
-                delta = self.delta[(a, b)]
-                for v in range(self.quiver.n):
-                    block = delta.mats[v]
-                    ro, co = offt[bi][v], offs[ai][v]
-                    for i in range(block.nrows):
-                        for j in range(block.ncols):
-                            mats[v].data[ro + i][co + j] = field.add(
-                                mats[v].data[ro + i][co + j], field.mul(coeff, block.data[i][j])
-                            )
-        return RepHom(P0src, P0tgt, mats)
+                image = canon_there[(a, b)].scale(coeff)
+                for v in range(quiver.n):
+                    blocks[v].append((offs_t[bi][v], offs_s[ai][v], image.mats[v]))
+        return RepHom(S, T, [_block_matrix(field, T.dims[v], S.dims[v], blocks[v]) for v in range(quiver.n)])
 
 
 def _canonical_hom(A: Rep, B: Rep):
@@ -608,27 +580,14 @@ def _hom_equal_scaled(h: RepHom, canon: RepHom, c) -> bool:
     return all(m == cm.scale(c) for m, cm in zip(h.mats, canon.mats))
 
 
-def _block_coefficient(h: RepHom, src_off, tgt_off, Ia: Rep, Ib: Rep, gamma):
-    """Coefficient of the (Ia -> Ib) block of h against the canonical hom."""
-    field = h.source.field
+def _block_coefficient(h: RepHom, src_off, tgt_off, A: Rep, B: Rep, canon):
+    """Coefficient of the (A -> B) block of h against the canonical hom."""
     block_mats = []
-    for v in range(h.source.quiver.n):
-        rows = []
-        for i in range(Ib.dims[v]):
-            row = []
-            for j in range(Ia.dims[v]):
-                row.append(h.mats[v].data[tgt_off[v] + i][src_off[v] + j])
-            rows.append(row)
-        block_mats.append(Matrix(field, Ib.dims[v], Ia.dims[v], rows))
-    block = RepHom(Ia, Ib, block_mats)
-    if gamma is None:
-        if not block.is_zero():
-            return None
-        return field.zero
-    try:
-        return _hom_coefficient(block, gamma)
-    except GenerationError:
-        return None
+    for v, m in enumerate(h.mats):
+        rows = m.data[tgt_off[v] : tgt_off[v] + B.dims[v]]
+        data = [r[src_off[v] : src_off[v] + A.dims[v]] for r in rows]
+        block_mats.append(Matrix(h.source.field, B.dims[v], A.dims[v], data))
+    return _hom_coefficient(RepHom(A, B, block_mats), canon)
 
 
 def _identify_interval(R: Rep) -> tuple[int, int] | None:
@@ -671,37 +630,7 @@ class TauContext:
         if not kpres.pi.is_iso():
             raise GenerationError("syzygy cover is not an isomorphism")
         inc = pres.iota.compose(kpres.pi)  # sum of projectives -> P0
-        # transport to injectives via the canonical correspondence
-        src_parts = kpres.parts
-        tgt_parts = pres.parts
-        ireps_s = [interval_rep(quiver, field, *inj_interval(quiver, v)) for v in src_parts]
-        ireps_t = [interval_rep(quiver, field, *inj_interval(quiver, v)) for v in tgt_parts]
-        Isrc, offs_s = direct_sum(ireps_s, quiver, field)
-        Itgt, offs_t = direct_sum(ireps_t, quiver, field)
-        preps_s = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in src_parts]
-        preps_t = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in tgt_parts]
-        Psrc, poffs_s = direct_sum(preps_s, quiver, field)
-        Ptgt, poffs_t = direct_sum(preps_t, quiver, field)
-        mats = [Matrix.zeros(field, Itgt.dims[v], Isrc.dims[v]) for v in range(quiver.n)]
-        for bi, b in enumerate(tgt_parts):
-            for ai, a in enumerate(src_parts):
-                delta = self.nak.delta[(a, b)]
-                coeff = _block_coefficient(inc, poffs_s[ai], poffs_t[bi], self.nak.P[a], self.nak.P[b], delta)
-                if coeff is None:
-                    raise GenerationError("projective block is not a canonical multiple")
-                gamma = self.nak.gamma[(a, b)]
-                if coeff == field.zero or gamma is None:
-                    continue
-                for v in range(quiver.n):
-                    block = gamma.mats[v]
-                    ro, co = offs_t[bi][v], offs_s[ai][v]
-                    for i in range(block.nrows):
-                        for j in range(block.ncols):
-                            mats[v].data[ro + i][co + j] = field.add(
-                                mats[v].data[ro + i][co + j], field.mul(coeff, block.data[i][j])
-                            )
-        nu_inc = RepHom(Isrc, Itgt, mats)
-        K, _ = kernel_rep(nu_inc)
+        K, _ = kernel_rep(self.nak.transport(inc, kpres.parts, pres.parts, to_injective=True))
         iv2 = _identify_interval(K)
         if iv2 is None:
             raise GenerationError("tau did not produce an interval")
@@ -717,13 +646,7 @@ class TauContext:
         quiver, field = self.quiver, self.field
         N = interval_rep(quiver, field, *iv)
         cop = Copresentation(quiver, field, N)
-        preps_s = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in cop.i0_parts]
-        preps_t = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in cop.i1_parts]
-        Psrc, poffs_s = direct_sum(preps_s, quiver, field)
-        Ptgt, poffs_t = direct_sum(preps_t, quiver, field)
-        _, ioffs_s = direct_sum([self.nak.I[v] for v in cop.i0_parts], quiver, field)
-        _, ioffs_t = direct_sum([self.nak.I[v] for v in cop.i1_parts], quiver, field)
-        D = self.nak.nu_inv(cop.i0_parts, cop.i1_parts, cop.d, Psrc, poffs_s, Ptgt, poffs_t, ioffs_s, ioffs_t)
+        D = self.nak.transport(cop.d, cop.i0_parts, cop.i1_parts, to_injective=False)
         R, proj, sect = cokernel_rep(D)
         iv2 = _identify_interval(R)
         if iv2 is None:
@@ -741,13 +664,6 @@ class TauContext:
             "interval": iv2,
             "std": std,
             "cop": cop,
-            "Psrc": Psrc,
-            "Ptgt": Ptgt,
-            "poffs_s": poffs_s,
-            "poffs_t": poffs_t,
-            "ioffs_s": ioffs_s,
-            "ioffs_t": ioffs_t,
-            "D": D,
             "R": R,
             "proj": proj,
             "sect": sect,
@@ -773,15 +689,10 @@ class TauContext:
         dN = self._tinv_data(ivN)
         dL = self._tinv_data(ivL)
         copN, copL = dN["cop"], dL["cop"]
-        u0 = _solve_right_factor(copL.iota.compose(u), copN.iota, copN.I0, copL.I0)
-        u1 = _solve_right_factor(copL.d.compose(u0), copN.d, copN.I1, copL.I1)
-        V = self.nak.nu_inv(
-            copN.i1_parts, copL.i1_parts, u1,
-            dN["Ptgt"], dN["poffs_t"], dL["Ptgt"], dL["poffs_t"],
-            dN["ioffs_t"], dL["ioffs_t"],
-        )
+        u0 = _solve_factor(copL.iota.compose(u), copN.I0, copL.I0, lambda h: h.compose(copN.iota))
+        u1 = _solve_factor(copL.d.compose(u0), copN.I1, copL.I1, lambda h: h.compose(copN.d))
+        V = self.nak.transport(u1, copN.i1_parts, copL.i1_parts, to_injective=False)
         # induced map on cokernels, then conjugate into the interval models
-        field = self.field
         mats = []
         for v in range(self.quiver.n):
             sectN = dN["sect"][v]
@@ -794,16 +705,13 @@ class TauContext:
         return out
 
 
-def _solve_right_factor(target: RepHom, through: RepHom, src: Rep, dst: Rep) -> RepHom:
-    """Some h with h o through = target, in Hom(src's target rep, dst)."""
-    field = target.source.field
+def _solve_factor(target: RepHom, src: Rep, dst: Rep, image) -> RepHom:
+    """Some h: src -> dst with image(h) = target, for a linear image."""
+    field = src.field
     basis = hom_rep(src, dst)
-    cols = [b.compose(through).flatten() for b in basis]
-    want = target.flatten()
-    m = Matrix(field, len(want), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(len(want))])
-    x = m.solve(want)
+    x = _solve_columns(field, [image(b).flatten() for b in basis], target.flatten())
     if x is None:
-        raise GenerationError("copresentation lift does not exist (impossible)")
+        raise GenerationError("lift through a presentation does not exist (impossible)")
     out = zero_hom(src, dst)
     for c, b in zip(x, basis):
         if c != field.zero:
@@ -957,29 +865,14 @@ def search_labelling(model: DiagonalModel, sigma: list[int], dims) -> list | Non
 # assembly of the cluster category presentation
 
 
-def _module_name(quiver: QuiverAn, a: int, b: int) -> str:
-    for v in range(1, quiver.n + 1):
-        if proj_interval(quiver, v) == (a, b):
-            return f"P{v}"
-    for v in range(1, quiver.n + 1):
-        if inj_interval(quiver, v) == (a, b):
-            return f"I{v}"
-    if a == b:
-        return f"S{a}"
-    return f"M[{a},{b}]"
-
-
-def _module_aliases(quiver: QuiverAn, a: int, b: int, canonical: str) -> list[str]:
-    names = []
-    for v in range(1, quiver.n + 1):
-        if proj_interval(quiver, v) == (a, b):
-            names.append(f"P{v}")
-        if inj_interval(quiver, v) == (a, b):
-            names.append(f"I{v}")
+def _module_names(quiver: QuiverAn, a: int, b: int) -> list[str]:
+    """Every name of the interval module [a, b], the canonical one first."""
+    vertices = range(1, quiver.n + 1)
+    names = [f"P{v}" for v in vertices if proj_interval(quiver, v) == (a, b)]
+    names += [f"I{v}" for v in vertices if inj_interval(quiver, v) == (a, b)]
     if a == b:
         names.append(f"S{a}")
-    names.append(f"M[{a},{b}]")
-    return [x for x in names if x != canonical]
+    return names + [f"M[{a},{b}]"]
 
 
 class _PairData:
@@ -996,7 +889,7 @@ class _PairData:
         return len(self.h0) + len(self.e1)
 
     def coords_h0(self, h: RepHom):
-        c = _coords_in_homs(self.field, self.h0, h)
+        c = _solve_columns(self.field, [b.flatten() for b in self.h0], h.flatten())
         if c is None:
             raise GenerationError("hom does not lie in the computed basis span")
         return list(c) + [self.field.zero] * len(self.e1)
@@ -1026,47 +919,17 @@ class _ExtReducer:
         for h in homs_k:
             if probe.add(h.flatten()):
                 self.basis.append(h)
-        # fixed solve matrix: columns are reduced basis flats
         self.reduced_cols = [img.reduce(h.flatten()) for h in self.basis]
-        self.width = width
 
     @property
     def dim(self):
         return len(self.basis)
 
     def reduce(self, e: RepHom):
-        v = self.img.reduce(e.flatten())
-        if not self.basis:
-            if any(x != self.field.zero for x in v):
-                raise GenerationError("nonzero class in zero Ext space")
-            return []
-        m = Matrix(
-            self.field,
-            self.width,
-            len(self.basis),
-            [[self.reduced_cols[j][i] for j in range(len(self.basis))] for i in range(self.width)],
-        )
-        c = m.solve(v)
+        c = _solve_columns(self.field, self.reduced_cols, self.img.reduce(e.flatten()))
         if c is None:
             raise GenerationError("cocycle outside Ext span")
         return c
-
-
-def _solve_left_factor(target: RepHom, through: RepHom, src: Rep, dst: Rep) -> RepHom:
-    """Some h: src -> dst with through o h = target."""
-    field = target.source.field
-    basis = hom_rep(src, dst)
-    cols = [through.compose(b).flatten() for b in basis]
-    want = target.flatten()
-    m = Matrix(field, len(want), len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(len(want))])
-    x = m.solve(want)
-    if x is None:
-        raise GenerationError("presentation lift does not exist (impossible)")
-    out = zero_hom(src, dst)
-    for c, b in zip(x, basis):
-        if c != field.zero:
-            out = out + b.scale(c)
-    return out
 
 
 class _ClusterBuilder:
@@ -1085,9 +948,9 @@ class _ClusterBuilder:
             key = ("mod",) + iv
             self.reps[key] = interval_rep(self.quiver, field, *iv)
             self.pres[key] = Presentation(self.quiver, field, self.reps[key])
-            name = _module_name(self.quiver, *iv)
+            name, *aliases = _module_names(self.quiver, *iv)
             self.names[key] = name
-            for alias in _module_aliases(self.quiver, *iv, name):
+            for alias in aliases:
                 self.aliases[alias] = name
         for i in range(1, n + 1):
             self.names[("sp", i)] = f"SP{i}"
@@ -1129,8 +992,8 @@ class _ClusterBuilder:
         if ck in self._lift_cache:
             return self._lift_cache[ck]
         px, py = self.pres[kx], self.pres[ky]
-        f0 = _solve_left_factor(f.compose(px.pi), py.pi, px.P0, py.P0)
-        f1 = _solve_left_factor(f0.compose(px.iota), py.iota, px.K, py.K)
+        f0 = _solve_factor(f.compose(px.pi), px.P0, py.P0, py.pi.compose)
+        f1 = _solve_factor(f0.compose(px.iota), px.K, py.K, py.iota.compose)
         self._lift_cache[ck] = f1
         return f1
 
@@ -1147,42 +1010,25 @@ class _ClusterBuilder:
         g_isext = b >= len(py.h0)
         f = px.e1[a - len(px.h0)] if f_isext else px.h0[a]
         g = py.e1[b - len(py.h0)] if g_isext else py.h0[b]
-        tx, ty, tz = kx[0], ky[0], kz[0]
-        if tx == "mod" and ty == "mod" and tz == "mod":
-            if not f_isext and not g_isext:
-                return pz.coords_h0(g.compose(f))
-            if f_isext and g_isext:
+        # a Hom out of SP_i has no e1 part, so a composite that is not a
+        # plain module map is read in e1 out of a module and in h0 out of SP_i
+        coords_ext = pz.coords_e1 if kx[0] == "mod" else pz.coords_h0
+        if ky[0] == "sp":
+            # g : P_j -> tau^{-1} Z or P_k pushes f forward
+            return coords_ext(g.compose(f))
+        # y is a module: f lies in Hom(x, Fy) when it is a class or leaves SP_i
+        f_in_F = f_isext or kx[0] == "sp"
+        if g_isext:
+            if f_in_F:
                 return zero
-            if not f_isext and g_isext:
-                # pull the class of g back along f
-                f1 = self._lift_syzygy(kx, ky, a, f)
-                return pz.coords_e1(g.compose(f1))
-            # f is a class, g a module map: push forward along tau^{-1} g
-            if self._is_inj(kz):
-                return zero
-            tg = self._tinv_mor(ky, kz, b, g)
-            return pz.coords_e1(tg.compose(f))
-        if tx == "mod" and ty == "mod" and tz == "sp":
-            if f_isext:
-                return zero
+            # pull the class of g back along f
             f1 = self._lift_syzygy(kx, ky, a, f)
             return pz.coords_e1(g.compose(f1))
-        if tx == "mod" and ty == "sp" and tz == "mod":
-            # g : P_j -> tau^{-1} Z pushes the class of f forward
-            return pz.coords_e1(g.compose(f))
-        if tx == "mod" and ty == "sp" and tz == "sp":
-            return pz.coords_e1(g.compose(f))
-        if tx == "sp" and ty == "mod" and tz == "mod":
-            if g_isext:
-                return zero
+        if f_in_F:
+            # g is a module map: push f forward along tau^{-1} g
             if self._is_inj(kz):
                 return zero
-            tg = self._tinv_mor(ky, kz, b, g)
-            return pz.coords_h0(tg.compose(f))
-        if tx == "sp" and ty == "mod" and tz == "sp":
-            return zero
-        if tx == "sp" and ty == "sp" and tz == "mod":
-            return pz.coords_h0(g.compose(f))
+            return coords_ext(self._tinv_mor(ky, kz, b, g).compose(f))
         return pz.coords_h0(g.compose(f))
 
     # -- sigma ----------------------------------------------------------------

@@ -567,6 +567,33 @@ class RowSpace:
         return coeffs
 
 
+def intertwiners(field: Field, src_dims, tgt_dims, relations):
+    """Basis of the families (phi_v) with phi_t * a = b * phi_s for every relation.
+
+    phi_v is a tgt_dims[v] x src_dims[v] matrix; each relation (s, t, a, b)
+    has a: src_dims[s] -> src_dims[t] and b: tgt_dims[s] -> tgt_dims[t].
+    A basis vector lists the entries of every phi_v row-major, in vertex order.
+    """
+    offsets = [0]
+    for c, r in zip(src_dims, tgt_dims):
+        offsets.append(offsets[-1] + r * c)
+    rows = []
+    for s, t, a, b in relations:
+        for i in range(tgt_dims[t]):
+            for j in range(src_dims[s]):
+                row = [field.zero] * offsets[-1]
+                # (phi_t * a)[i][j] = sum_l phi_t[i][l] * a[l][j]
+                for l in range(src_dims[t]):
+                    idx = offsets[t] + i * src_dims[t] + l
+                    row[idx] = field.add(row[idx], a.data[l][j])
+                # (b * phi_s)[i][j] = sum_l b[i][l] * phi_s[l][j]
+                for l in range(tgt_dims[s]):
+                    idx = offsets[s] + l * src_dims[s] + j
+                    row[idx] = field.sub(row[idx], b.data[i][l])
+                rows.append(row)
+    return Matrix(field, len(rows), offsets[-1], rows).kernel_basis()
+
+
 def vec_add(field: Field, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")

@@ -23,7 +23,7 @@ from .fincat import (
     precompose_matrix,
     sum_projections,
 )
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, intertwiners
 from .localization import Fraction
 from .preabelian import (
     Budget,
@@ -166,14 +166,6 @@ class HFunctor:
         return ModuleMap(self.module(f.source), self.module(f.target), self.mor_matrix(f))
 
 
-def h_object(P: CategoryPresentation, T: Obj, X: Obj) -> GammaModule:
-    return GammaModule(P, T, X)
-
-
-def h_mor(P: CategoryPresentation, T: Obj, f: Morphism) -> ModuleMap:
-    return HFunctor(P, T).mor(f)
-
-
 def in_s(P: CategoryPresentation, T: Obj, f: Morphism, H: HFunctor | None = None) -> bool:
     """Membership in the inverted class: H(f) is a module isomorphism."""
     H = H or HFunctor(P, T)
@@ -196,23 +188,11 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[ModuleMap]:
-    """Basis of the matrices commuting with every action matrix."""
+    """Basis of the matrices Phi with Phi * am = an * Phi for every action pair."""
     f = M.P.field
-    total = N.dim * M.dim
-    rows = []
-    for am, an in zip(M.actions, N.actions):
-        # constraint: Phi * am - an * Phi = 0
-        for i in range(N.dim):
-            for j in range(M.dim):
-                row = [f.zero] * total
-                for l in range(M.dim):
-                    row[i * M.dim + l] = f.add(row[i * M.dim + l], am.data[l][j])
-                for l in range(N.dim):
-                    row[l * M.dim + j] = f.sub(row[l * M.dim + j], an.data[i][l])
-                rows.append(row)
-    mat = Matrix(f, len(rows), total, rows)
+    relations = [(0, 0, am, an) for am, an in zip(M.actions, N.actions)]
     out = []
-    for v in mat.kernel_basis():
+    for v in intertwiners(f, [M.dim], [N.dim], relations):
         data = [v[i * M.dim : (i + 1) * M.dim] for i in range(N.dim)]
         out.append(ModuleMap(M, N, Matrix(f, N.dim, M.dim, data)))
     return out

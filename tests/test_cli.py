@@ -26,6 +26,13 @@ def test_generate_invalid_n(tmp_path, capsys):
     assert main(["generate", "0", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("orientation", ["<", "ab"])
+def test_generate_invalid_orientation(tmp_path, capsys, orientation):
+    assert main(["generate", "3", str(tmp_path / "x.json"), "--orientation", orientation]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_generate_orientation_and_field(tmp_path):
     out = tmp_path / "a3r.json"
     assert main(["generate", "3", str(out), "--orientation", ">>", "--field", "F101"]) == 0

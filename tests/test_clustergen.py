@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from quotcat.clustergen import (
     DiagonalModel,
+    Presentation,
     QuiverAn,
     build_cluster_category,
     diagonal_dimension_oracle,
@@ -100,6 +103,22 @@ def test_tau_projective_undefined_and_inverse():
     # tau and tau^{-1} are mutually inverse away from the boundary cases
     S2 = interval_rep(q, QQ, 2, 2)
     assert tau(tau_inv(S2, ctx), ctx).dims == S2.dims
+
+
+@pytest.mark.parametrize("orientation", ["".join(o) for o in itertools.product("<>", repeat=3)])
+def test_nakayama_transport_round_trip(orientation):
+    # the map tau_interval transports, P -> I and back I -> P
+    q = QuiverAn(4, orientation)
+    ctx = TauContext(q, QQ)
+    for a in range(1, 5):
+        for b in range(a, 5):
+            if ctx.is_projective((a, b)):
+                continue
+            pres = Presentation(q, QQ, interval_rep(q, QQ, a, b))
+            kpres = Presentation(q, QQ, pres.K)
+            inc = pres.iota.compose(kpres.pi)
+            nu_inc = ctx.nak.transport(inc, kpres.parts, pres.parts, to_injective=True)
+            assert ctx.nak.transport(nu_inc, kpres.parts, pres.parts, to_injective=False) == inc
 
 
 # -- generated categories ----------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.errors import FieldMismatch, ShapeError
-from quotcat.linalg import GF, QQ, Matrix, RowSpace
+from quotcat.linalg import GF, QQ, Matrix, RowSpace, intertwiners
 
 
 def test_rank_empty_matrix():
@@ -219,3 +220,57 @@ def test_inverse_and_quotient_never_float():
                 q = QQ.div(a, b)
                 assert q == Fraction(a) / b and not isinstance(q, float)
                 assert type(q) is int or q.denominator != 1
+
+
+@st.composite
+def intertwiner_systems(draw):
+    """(p, src_dims, tgt_dims, relations) over GF(p) with at most 8 unknowns."""
+    p = draw(st.sampled_from([2, 3]))
+    nv = draw(st.integers(1, 3))
+    src, tgt, room = [], [], 8
+    for _ in range(nv):
+        c = draw(st.integers(0, 3))
+        r = draw(st.integers(0, min(3, room // c) if c else 3))
+        src.append(c)
+        tgt.append(r)
+        room -= c * r
+    entry = st.integers(0, p - 1)
+
+    def matrix(nr, nc):
+        return Matrix(GF(p), nr, nc, draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr)))
+
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        s, t = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
+        relations.append((s, t, matrix(src[t], src[s]), matrix(tgt[t], tgt[s])))
+    return p, src, tgt, relations
+
+
+def _intertwines(p, src, tgt, relations, vec) -> bool:
+    """phi_t * a == b * phi_s mod p for every relation, phi read off vec."""
+    phi, pos = [], 0
+    for c, r in zip(src, tgt):
+        phi.append([vec[pos + i * c : pos + (i + 1) * c] for i in range(r)])
+        pos += r * c
+    for s, t, a, b in relations:
+        for i in range(tgt[t]):
+            for j in range(src[s]):
+                lhs = sum(phi[t][i][l] * a.data[l][j] for l in range(src[t]))
+                rhs = sum(b.data[i][l] * phi[s][l][j] for l in range(tgt[s]))
+                if (lhs - rhs) % p:
+                    return False
+    return True
+
+
+@settings(max_examples=60)
+@given(intertwiner_systems())
+def test_intertwiners_against_brute_force(system):
+    p, src, tgt, relations = system
+    total = sum(c * r for c, r in zip(src, tgt))
+    basis = intertwiners(GF(p), src, tgt, relations)
+    assert all(_intertwines(p, src, tgt, relations, v) for v in basis)
+    assert RowSpace.from_rows(GF(p), total, basis).dim == len(basis)
+    solutions = sum(
+        _intertwines(p, src, tgt, relations, v) for v in itertools.product(range(p), repeat=total)
+    )
+    assert p ** len(basis) == solutions
