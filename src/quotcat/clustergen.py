@@ -1093,7 +1093,8 @@ class _ClusterBuilder:
                 ident = identity_hom(self.pj[kx[1]])
             identities.append(pd.coords_h0(ident))
         names = [self.names[k] for k in self.keys]
-        labelling = self._labelling(hom)
+        sigma = self.sigma_perm()
+        labelling = self._labelling(hom, sigma)
         metadata = {
             "name": f"C(A{self.n})",
             "n": self.n,
@@ -1109,12 +1110,12 @@ class _ClusterBuilder:
             hom,
             comp,
             identities,
-            sigma=self.sigma_perm(),
+            sigma=sigma,
             metadata=metadata,
         )
         return P
 
-    def _labelling(self, hom) -> list:
+    def _labelling(self, hom, sigma) -> list:
         model = DiagonalModel(self.n)
         m = len(self.keys)
         dims = [[hom.get((i, j), 0) for j in range(m)] for i in range(m)]
@@ -1129,7 +1130,7 @@ class _ClusterBuilder:
                             f"generated {dims[i][j]}, oracle {model.expected_dim(lab[i], lab[j])}"
                         )
             return lab
-        lab = search_labelling(model, self.sigma_perm(), dims)
+        lab = search_labelling(model, sigma, dims)
         if lab is None:
             raise GenerationError("no rotation-equivariant diagonal labelling matches the table")
         return lab

@@ -549,43 +549,75 @@ def run_clause(body) -> ClauseResult:
     return ClauseResult("pass", checked) if detail is None else ClauseResult("fail", checked, detail)
 
 
-def pullback_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAULT_BUDGET):
-    """(d, c, leg) for each d in given and each c in others into its target.
+class _ScanLegs:
+    """The legs of one scan's limit squares, and their epi and mono answers.
 
-    leg is the side of the pullback of d along c that is opposite d.
+    A square and its kernel search are a pure function of (Q, given map,
+    other map, budget), so each distinct pair is built once.  Pairs are keyed
+    by the maps' values, not their places in a list: the cokernel-map and
+    kernel-map clauses share squares with the others only by value.  Only
+    the leg opposite the given map is kept, not the square.  A square that
+    could not be built is kept as its failure and raised again to every
+    clause that reaches the pair.
     """
-    for d in given:
-        for c in others:
-            if c.target == d.target:
-                yield d, c, pullback(Q, c, d, budget).a
+
+    def __init__(self, Q: CategoryPresentation, budget: Budget):
+        self.Q = Q
+        self.budget = budget
+        self.legs = {}  # (limit, given, other) -> leg, or the failure building it raised
+        self.answers = {"epi": {}, "mono": {}}  # prop -> {leg: bool}, filled as asked
+
+    def leg(self, limit: str, x: Morphism, y: Morphism) -> Morphism:
+        """The leg opposite x of the pullback (x and y into one target) or
+        the pushout (x and y out of one source)."""
+        key = (limit, x, y)
+        leg = self.legs.get(key)
+        if leg is None:
+            try:
+                if limit == "pullback":
+                    leg = pullback(self.Q, y, x, self.budget).a
+                else:
+                    leg = pushout(self.Q, x, y, self.budget).d
+            except (NoKernel, NoCokernel, BoundsExceeded) as e:
+                leg = type(e)(*e.args)  # without the traceback, which holds this frame
+            self.legs[key] = leg
+        if isinstance(leg, Exception):
+            raise type(leg)(*leg.args)
+        return leg
+
+    def has(self, leg: Morphism, prop: str) -> bool:
+        """Whether leg is epi, mono or regular (epi, then mono)."""
+        if prop == "regular":
+            return self.has(leg, "epi") and self.has(leg, "mono")
+        known = self.answers[prop]
+        answer = known.get(leg)
+        if answer is None:
+            answer = known[leg] = (is_epi if prop == "epi" else is_mono)(self.Q, leg)
+        return answer
 
 
-def pushout_legs(Q: CategoryPresentation, given, others, budget: Budget = DEFAULT_BUDGET):
-    """(a, b, leg) for each a in given and each b in others out of its source.
+def _leg_clause(legs: _ScanLegs, limit: str, given, others, prop: str):
+    """Clause body: the leg opposite x is prop for the first scan_pairs_cap
+    pairs (x, y), x in given and y in others.
 
-    leg is the side of the pushout of a and b that is opposite a.
+    limit is "pullback", pairing x with the maps into its target, or
+    "pushout", pairing it with the maps out of its source.  prop is "epi",
+    "mono" or "regular".  A failure names the property and the pair of maps.
+    A missing limit square fails the clause.
     """
-    for a in given:
-        for b in others:
-            if b.source == a.source:
-                yield a, b, pushout(Q, a, b, budget).d
-
-
-def _leg_clause(legs, ok, budget: Budget):
-    """Clause body: ok(Q, leg) on the first scan_pairs_cap (x, y, leg) triples.
-
-    ok is is_epi, is_mono or is_regular; a failure names the property and
-    the pair of maps.  A missing limit square fails the clause.
-    """
+    if limit == "pullback":
+        pairs = ((x, y) for x in given for y in others if y.target == x.target)
+    else:
+        pairs = ((x, y) for x in given for y in others if y.source == x.source)
+    Q = legs.Q
     try:
-        for x, y, leg in itertools.islice(legs, budget.scan_pairs_cap):
+        for x, y in itertools.islice(pairs, legs.budget.scan_pairs_cap):
+            leg = legs.leg(limit, x, y)
             yield
-            P = leg.P
-            if not ok(P, leg):
-                prop = ok.__name__.removeprefix("is_")
+            if not legs.has(leg, prop):
                 return (
-                    f"leg not {prop} for {P.obj_name(x.source)} -> {P.obj_name(x.target)}"
-                    f" with {P.obj_name(y.source)} -> {P.obj_name(y.target)}"
+                    f"leg not {prop} for {Q.obj_name(x.source)} -> {Q.obj_name(x.target)}"
+                    f" with {Q.obj_name(y.source)} -> {Q.obj_name(y.target)}"
                 )
     except (NoKernel, NoCokernel) as e:
         return f"no limit square: {e}"
@@ -620,17 +652,18 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    for name, legs, ok in (
-        ("pullback_cokernel_leg", pullback_legs(Q, fam.cokernel_maps, fam.all, budget), is_epi),
-        ("pullback_epi_leg", pullback_legs(Q, fam.epis, fam.all, budget), is_epi),
-        ("pullback_mono_leg", pullback_legs(Q, fam.monos, fam.all, budget), is_mono),
-        ("pullback_regular_leg", pullback_legs(Q, fam.regulars, fam.all, budget), is_regular),
-        ("pushout_kernel_leg", pushout_legs(Q, fam.kernel_maps, fam.all, budget), is_mono),
-        ("pushout_mono_leg", pushout_legs(Q, fam.monos, fam.all, budget), is_mono),
-        ("pushout_epi_leg", pushout_legs(Q, fam.epis, fam.all, budget), is_epi),
-        ("pushout_regular_leg", pushout_legs(Q, fam.regulars, fam.all, budget), is_regular),
+    legs = _ScanLegs(Q, budget)
+    for name, limit, given, prop in (
+        ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, "epi"),
+        ("pullback_epi_leg", "pullback", fam.epis, "epi"),
+        ("pullback_mono_leg", "pullback", fam.monos, "mono"),
+        ("pullback_regular_leg", "pullback", fam.regulars, "regular"),
+        ("pushout_kernel_leg", "pushout", fam.kernel_maps, "mono"),
+        ("pushout_mono_leg", "pushout", fam.monos, "mono"),
+        ("pushout_epi_leg", "pushout", fam.epis, "epi"),
+        ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(legs, ok, budget))
+        report.clauses[name] = run_clause(_leg_clause(legs, limit, given, fam.all, prop))
     return report
 
 
