@@ -231,10 +231,9 @@ def hom_rep(M: Rep, N: Rep) -> list[RepHom]:
     return [hom_from_flat(M, N, v) for v in intertwiners(M.field, M.dims, N.dims, relations)]
 
 
-def _solve_columns(field: Field, cols, want):
-    """Coefficients x with sum_j x[j] * cols[j] = want, or None."""
-    m = Matrix(field, len(want), len(cols), [[c[i] for c in cols] for i in range(len(want))])
-    return m.solve(want)
+def _column_matrix(field: Field, cols, nrows: int) -> Matrix:
+    """The nrows-row matrix whose columns are cols."""
+    return Matrix(field, nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
 
 
 def _block_matrix(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
@@ -709,7 +708,8 @@ def _solve_factor(target: RepHom, src: Rep, dst: Rep, image) -> RepHom:
     """Some h: src -> dst with image(h) = target, for a linear image."""
     field = src.field
     basis = hom_rep(src, dst)
-    x = _solve_columns(field, [image(b).flatten() for b in basis], target.flatten())
+    want = target.flatten()
+    x = _column_matrix(field, [image(b).flatten() for b in basis], len(want)).solve(want)
     if x is None:
         raise GenerationError("lift through a presentation does not exist (impossible)")
     out = zero_hom(src, dst)
@@ -883,13 +883,17 @@ class _PairData:
         self.h0 = []  # degree-0 module homs (mm) / plain homs (ms, sm, ss)
         self.e1 = []  # degree-1 extension classes (mm only)
         self.ext = None  # _ExtReducer for the ext-type part
+        self.h0_cols = None  # h0 as columns, built at the first coords_h0
 
     @property
     def dim(self):
         return len(self.h0) + len(self.e1)
 
     def coords_h0(self, h: RepHom):
-        c = _solve_columns(self.field, [b.flatten() for b in self.h0], h.flatten())
+        want = h.flatten()
+        if self.h0_cols is None:  # h0 is final once composites are read
+            self.h0_cols = _column_matrix(self.field, [b.flatten() for b in self.h0], len(want))
+        c = self.h0_cols.solve(want)
         if c is None:
             raise GenerationError("hom does not lie in the computed basis span")
         return list(c) + [self.field.zero] * len(self.e1)
@@ -919,14 +923,14 @@ class _ExtReducer:
         for h in homs_k:
             if probe.add(h.flatten()):
                 self.basis.append(h)
-        self.reduced_cols = [img.reduce(h.flatten()) for h in self.basis]
+        self.reduced_cols = _column_matrix(field, [img.reduce(h.flatten()) for h in self.basis], width)
 
     @property
     def dim(self):
         return len(self.basis)
 
     def reduce(self, e: RepHom):
-        c = _solve_columns(self.field, self.reduced_cols, self.img.reduce(e.flatten()))
+        c = self.reduced_cols.solve(self.img.reduce(e.flatten()))
         if c is None:
             raise GenerationError("cocycle outside Ext span")
         return c

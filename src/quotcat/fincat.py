@@ -51,6 +51,7 @@ class CategoryPresentation:
             raise ValueError("sigma is not a permutation")
         self.metadata = dict(metadata or {})
         self._opposite = None
+        self._multiplicities = {}  # cokernel targets -> preabelian.multiplicities' list
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     # -- basic queries ------------------------------------------------

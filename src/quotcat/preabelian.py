@@ -170,7 +170,17 @@ def search_open_conditions(
     """Find m in span(subspace) satisfying all rank conditions, certified.
 
     Returns FOUND with a witness, CERTIFIED_EMPTY when no element of the
-    subspace can satisfy them, or raises BoundsExceeded.
+    subspace can satisfy them, or raises BoundsExceeded.  The phases run in
+    this order, each only when the ones before it decided nothing:
+
+    1. budget.retries seeded random combinations;
+    2. the shape test: a condition whose required rank exceeds the smaller
+       side of its matrix certifies empty.  No random try can meet such a
+       condition and the test draws no randomness, so running it after the
+       random phase changes no outcome; it only spares the found searches
+       the matrices it builds;
+    3. over F_p, every combination of the p^d grid; over Q, one grid per
+       condition, then the joint grid (or, past grid_cap, more random tries).
     """
     field = Q.field
     d = len(subspace)
@@ -183,12 +193,6 @@ def search_open_conditions(
             return SearchResult(SearchResult.FOUND, zero)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
-    # impossibility by shape: rank can never exceed min dimension
-    for c in live:
-        probe = c.builder(_combine(Q, X, Y, subspace, [0] * d))
-        if c.required > min(probe.nrows, probe.ncols):
-            return SearchResult(SearchResult.CERTIFIED_EMPTY)
-
     rng = random.Random(f"{budget.seed}:{salt}:{d}")
     for attempt in range(budget.retries):
         radius = budget.coeff_base ** (1 + attempt // 3)
@@ -196,6 +200,13 @@ def search_open_conditions(
         m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
+
+    # impossibility by shape: rank can never exceed min dimension
+    zero = _combine(Q, X, Y, subspace, [0] * d)
+    for c in live:
+        probe = c.builder(zero)
+        if c.required > min(probe.nrows, probe.ncols):
+            return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
     if isinstance(field, PrimeField):
         p = field.p
@@ -285,7 +296,8 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     dim Hom(M, Z) = dim Hom(Y, Z) - rank(- o f) forced on any epi weak
     cokernel; the map c is then a generic element of {c : c o f = 0} subject
     to the per-object injectivity conditions.  An accepted c is an epi weak
-    cokernel, hence a cokernel.
+    cokernel, hence a cokernel.  The candidates M depend only on Q and the
+    target counts, so each list is enumerated once and kept on Q.
     """
     Y = f.target
     targets = []
@@ -294,20 +306,22 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
         dYZ = Q.hom_space_dim(Y, Z)
         rk = precompose_matrix(Q, f, Z).rank() if dYZ else 0
         targets.append(dYZ - rk)
-    cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
-    for mult in multiplicities(cols, targets, cols, targets):
+    key = tuple(targets)
+    candidates = Q._multiplicities.get(key)
+    if candidates is None:
+        cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
+        candidates = Q._multiplicities[key] = multiplicities(cols, targets, cols, targets)
+    for mult in candidates:
         M = Obj(mult)
         # subspace {c : c o f = 0}
         mat = precompose_matrix(Q, f, M)
         sub = [Q.morphism_from_vector(Y, M, v) for v in mat.kernel_basis()]
         conditions = []
-        for z in range(Q.n):
-            Z = Q.single(z)
-            need = Q.hom_space_dim(M, Z)
+        for z, need in enumerate(targets):  # dim Hom(M, Z_z): M meets the targets
             if need:
                 conditions.append(
                     RankCondition(
-                        lambda c, Z=Z: precompose_matrix(Q, c, Z),
+                        lambda c, Z=Q.single(z): precompose_matrix(Q, c, Z),
                         need,
                         f"inj-into-{z}",
                     )

@@ -1,0 +1,157 @@
+"""The certified kernel/cokernel search does each Q-only computation once.
+
+The candidate targets of a cokernel depend only on the presentation and the
+target counts, so `cokernel` enumerates them once per (presentation,
+targets) and keeps the list on the presentation.  The shape test of
+`search_open_conditions` runs only after the random phase, so a search found
+at random builds no probe matrix.  These tests pin both, and check on random
+morphisms that the certificates hold and do not depend on the memo.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import arrow_category
+from quotcat import preabelian
+from quotcat.clustergen import build_cluster_category
+from quotcat.fincat import compose, postcompose_matrix, precompose_matrix
+from quotcat.linalg import GF, QQ
+from quotcat.preabelian import Budget, RankCondition, SearchResult, cokernel, is_epi, is_mono, kernel, search_open_conditions
+from quotcat.quotient import build_quotient
+
+CAPPED = Budget(scan_pairs_cap=120)
+
+
+@pytest.fixture(scope="module")
+def A3():
+    return build_cluster_category(3)
+
+
+def _quotient(A3, names):
+    return build_quotient(A3, A3.obj({s: 1 for s in names}), validate=False).presentation
+
+
+# -- one enumeration per (presentation, targets) ------------------------------
+
+
+@pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
+def test_each_multiplicity_list_is_enumerated_once(A3, monkeypatch, t):
+    # kernels and pushouts run the search in Q^op, so keys name the presentation
+    Q = _quotient(A3, t)
+    searched = []
+    keys = []
+
+    def search(P, *args, **kwargs):
+        searched.append(P)
+        try:
+            return run_cokernel(P, *args, **kwargs)
+        finally:
+            searched.pop()
+
+    def enumerate_(down, floor, up, ceiling):
+        keys.append((id(searched[-1]), tuple(floor)))
+        return run_multiplicities(down, floor, up, ceiling)
+
+    run_cokernel, run_multiplicities = preabelian.cokernel, preabelian.multiplicities
+    monkeypatch.setattr(preabelian, "cokernel", search)
+    monkeypatch.setattr(preabelian, "multiplicities", enumerate_)
+    rep = preabelian.scan_properties(Q, CAPPED)
+    assert all(c.status == "pass" for c in rep.clauses.values())
+    assert len(keys) > 1 and len(keys) == len(set(keys))
+
+
+# -- the shape test runs after the random phase ---------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_shape_test_certifies_what_no_grid_could(field):
+    # rank 2 of a 1 x 1 matrix: past the random phase the shape test certifies
+    # empty before the grid, which grid_cap=1 would refuse
+    Q = arrow_category(field)
+    x, y = Q.single(0), Q.single(1)
+    cond = RankCondition(lambda m: precompose_matrix(Q, m, y), 2)
+    res = search_open_conditions(Q, x, y, Q.hom_basis(x, y), [cond], Budget(retries=10, grid_cap=1))
+    assert res.status == SearchResult.CERTIFIED_EMPTY
+
+
+def test_search_found_at_random_builds_no_probe():
+    Q = arrow_category()
+    x, y = Q.single(0), Q.single(1)
+    built = []
+
+    def condition(Z):
+        def builder(m):
+            built.append((Z, m))
+            return precompose_matrix(Q, m, Z)
+
+        return RankCondition(builder, 1)
+
+    conditions = [condition(y), condition(Q.single(1) + Q.single(1))]
+    res = search_open_conditions(Q, x, y, Q.hom_basis(x, y), conditions, Budget())
+    assert res.status == SearchResult.FOUND and not res.witness.is_zero()
+    # one build per condition, each for the first (and found) combination
+    assert built == [(y, res.witness), (Q.single(1) + Q.single(1), res.witness)]
+
+
+# -- certificates on random morphisms ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def warm(A3):
+    """One quotient reused across examples, so its memo stays warm."""
+    return _quotient(A3, ("P1", "P3"))
+
+
+@st.composite
+def morphisms(draw, Q):
+    """A morphism between sums of at most two indecomposables with at least
+    two nonzero coordinates, so not a multiple of a basis morphism."""
+
+    def obj():
+        picks = draw(st.lists(st.integers(0, Q.n - 1), min_size=1, max_size=2))
+        return sum((Q.single(i) for i in picks[1:]), Q.single(picks[0]))
+
+    X, Y = obj(), obj()
+    d = Q.hom_space_dim(X, Y)
+    vec = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    assume(sum(1 for c in vec if c) >= 2)
+    return Q.morphism_from_vector(X, Y, [Q.field.of(c) for c in vec])
+
+
+def _rank(m):
+    return m.rank() if m.nrows and m.ncols else 0
+
+
+def _check_cokernel(Q, f, res):
+    M, c = res
+    Y = f.target
+    assert compose(Q, c, f).is_zero()
+    assert is_epi(Q, c)
+    for z in range(Q.n):
+        Z = Q.single(z)
+        assert Q.hom_space_dim(M, Z) == Q.hom_space_dim(Y, Z) - _rank(precompose_matrix(Q, f, Z))
+
+
+def _check_kernel(Q, f, res):
+    K, k = res
+    X = f.source
+    assert compose(Q, f, k).is_zero()
+    assert is_mono(Q, k)
+    for z in range(Q.n):
+        Z = Q.single(z)
+        assert Q.hom_space_dim(Z, K) == Q.hom_space_dim(Z, X) - _rank(postcompose_matrix(Q, f, Z))
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_certificates_on_random_morphisms(A3, warm, data):
+    f = data.draw(morphisms(warm))
+    cold = _quotient(A3, ("P1", "P3"))
+    f_cold = cold.morphism_from_vector(f.source, f.target, f.to_vector())
+    for search, check in ((cokernel, _check_cokernel), (kernel, _check_kernel)):
+        res = search(warm, f)
+        assert res is not None
+        check(warm, f, res)
+        # the memo is transparent: a cold presentation gives the same answer
+        res_cold = search(cold, f_cold)
+        assert (res_cold[0], res_cold[1].to_vector()) == (res[0], res[1].to_vector())
