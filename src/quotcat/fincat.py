@@ -52,6 +52,7 @@ class CategoryPresentation:
         self.metadata = dict(metadata or {})
         self._opposite = None
         self._multiplicities = {}  # cokernel targets -> preabelian.multiplicities' list
+        self._layouts = {}  # X.mult -> hom_layout(X)
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     # -- basic queries ------------------------------------------------
@@ -65,6 +66,18 @@ class CategoryPresentation:
     def comp_table(self, i: int, j: int, k: int):
         """Nested table t[a][b] -> coefficient vector, or None if all zero."""
         return self.comp.get((i, j, k))
+
+    @cached_property
+    def comp_by_pair(self) -> dict:
+        """The structure constants grouped by pair: (i, j) -> [(k, comp[(i, j, k)])].
+
+        Built on first use, so a presentation that never pre-composes never
+        pays for it.
+        """
+        out = {}
+        for (i, j, k), table in self.comp.items():
+            out.setdefault((i, j), []).append((k, table))
+        return out
 
     # -- objects of the additive closure ------------------------------
 
@@ -119,6 +132,28 @@ class CategoryPresentation:
                 pos += dim[i][j]
             off.append(row)
         return off, pos
+
+    def hom_layout(self, X: "Obj"):
+        """Block offsets and dimensions of Hom(X, k) for every indecomposable k,
+        as (off, dims).
+
+        off[k][s] is where the block of source copy s starts in Hom(X, k),
+        and dims[k] is dim Hom(X, k).  Computed once per object.
+        """
+        layout = self._layouts.get(X.mult)
+        if layout is None:
+            dim = self._dim
+            srcs = X.copies()
+            off, dims = [], []
+            for k in range(self.n):
+                row, pos = [], 0
+                for i in srcs:
+                    row.append(pos)
+                    pos += dim[i][k]
+                off.append(row)
+                dims.append(pos)
+            layout = self._layouts[X.mult] = (off, dims)
+        return layout
 
     def zero_morphism(self, X: "Obj", Y: "Obj") -> "Morphism":
         srcs = X.copies()
@@ -342,40 +377,50 @@ def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
     return Morphism(P, f.source, g.target, out)
 
 
-def precompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
-    """Matrix of Hom(target f, Z) -> Hom(source f, Z), v -> v o f.
+def precompose_matrices(P: CategoryPresentation, f: Morphism) -> list[Matrix]:
+    """Matrices of Hom(target f, k) -> Hom(source f, k), v -> v o f, one per
+    indecomposable k, from one pass over the blocks of f.
 
-    Built from the structure constants: the image of basis b of block (t, m)
-    of Hom(Y, Z) has, in block (t, s) of Hom(X, Z), the coordinates
-    sum_a f[m][s][a] * comp[(i_s, j_m, k_t)][a][b].  Rows and columns are in
+    Built from the structure constants: the image of basis b of block m of
+    Hom(Y, k) has, in block s of Hom(X, k), the coordinates
+    sum_a f[m][s][a] * comp[(i_s, j_m, k)][a][b].  Rows and columns are in
     to_vector order.
     """
-    X, Y = f.source, f.target
-    offX, dX = P.hom_offsets(X, Z)
-    offY, dY = P.hom_offsets(Y, Z)
+    offX, dX = P.hom_layout(f.source)
+    offY, dY = P.hom_layout(f.target)
     fld = P.field
     zero, add, mul = fld.zero, fld.add, fld.mul
-    comp = P.comp
-    data = [[zero] * dY for _ in range(dX)]
-    mids = Y.copies()
-    for t, k in enumerate(Z.copies()):
-        ox, oy = offX[t], offY[t]
-        for s, i in enumerate(X.copies()):
-            for m, j in enumerate(mids):
-                table = comp.get((i, j, k))
-                if table is None:
-                    continue
-                r0, c0 = ox[s], oy[m]
-                for a, fa in enumerate(f.blocks[m][s]):
+    data = [[[zero] * dy for _ in range(dx)] for dx, dy in zip(dX, dY)]
+    by_pair = P.comp_by_pair
+    srcs = f.source.copies()
+    for m, (j, row) in enumerate(zip(f.target.copies(), f.blocks)):
+        for s, (i, fblock) in enumerate(zip(srcs, row)):
+            tables = by_pair.get((i, j))
+            if tables is None or not any(fblock):
+                continue
+            for k, table in tables:
+                rows, r0, c0 = data[k], offX[k][s], offY[k][m]
+                for a, fa in enumerate(fblock):
                     if not fa:
                         continue
                     for b, vec in enumerate(table[a]):
                         col = c0 + b
                         for c, rc in enumerate(vec):
                             if rc:
-                                row = data[r0 + c]
-                                row[col] = add(row[col], mul(fa, rc))
-    return Matrix(fld, dX, dY, data)
+                                out = rows[r0 + c]
+                                out[col] = add(out[col], mul(fa, rc))
+    return [Matrix(fld, dx, dy, rows) for dx, dy, rows in zip(dX, dY, data)]
+
+
+def precompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
+    """Matrix of Hom(target f, Z) -> Hom(source f, Z), v -> v o f.
+
+    Hom(-, Z) is the sum of Hom(-, k) over the copies k of Z, in to_vector
+    order, so the matrix is block diagonal with the blocks of
+    precompose_matrices.
+    """
+    blocks = precompose_matrices(P, f)
+    return Matrix.block_diagonal(P.field, [blocks[k] for k in Z.copies()])
 
 
 def postcompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
@@ -700,14 +745,11 @@ def sum_obj(parts: list[Obj]) -> Obj:
     return total
 
 
-def sum_projections(P: CategoryPresentation, parts: list[Obj], cmap=None) -> list[Morphism]:
-    """Canonical projections of the direct sum of parts, one per part.
-
-    cmap is sum_copy_map(parts), for a caller that already has it.
-    """
+def sum_projections(P: CategoryPresentation, parts: list[Obj]) -> list[Morphism]:
+    """Canonical projections of the direct sum of parts, one per part."""
     S = sum_obj(parts)
     projs = [P.zero_morphism(S, part) for part in parts]
-    for s, (pi, cpos) in enumerate(cmap or sum_copy_map(parts)):
+    for s, (pi, cpos) in enumerate(sum_copy_map(parts)):
         i = parts[pi].copies()[cpos]
         projs[pi].blocks[cpos][s] = list(P.identities[i])
     return projs

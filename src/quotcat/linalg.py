@@ -214,7 +214,11 @@ def _check_same_field(a: "Matrix", b: "Matrix"):
 
 
 class Matrix:
-    """Dense row-major matrix over a fixed field.  Treated as immutable."""
+    """Dense row-major matrix over a fixed field.  Treated as immutable.
+
+    The matrix takes ownership of the row lists it is given: a caller that
+    keeps a row to change it later passes a copy.
+    """
 
     __slots__ = ("field", "nrows", "ncols", "data", "_rref")
 
@@ -227,7 +231,7 @@ class Matrix:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.data = [list(row) for row in data]
+        self.data = data
         self._rref = None
 
     @classmethod
@@ -248,6 +252,24 @@ class Matrix:
         for i in range(n):
             m.data[i][i] = field.one
         return m
+
+    @classmethod
+    def block_diagonal(cls, field: Field, blocks) -> "Matrix":
+        """The matrix with blocks down its diagonal and zeros elsewhere.
+
+        A single block is returned as it is.
+        """
+        if len(blocks) == 1:
+            return blocks[0]
+        zero = field.zero
+        ncols = sum(b.ncols for b in blocks)
+        data = []
+        left = 0
+        for b in blocks:
+            pad_left, pad_right = [zero] * left, [zero] * (ncols - left - b.ncols)
+            data.extend(pad_left + row + pad_right for row in b.data)
+            left += b.ncols
+        return cls(field, len(data), ncols, data)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -274,7 +296,7 @@ class Matrix:
         return all(x == z for row in self.data for x in row)
 
     def copy(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, self.data)
+        return Matrix(self.field, self.nrows, self.ncols, [list(row) for row in self.data])
 
     def row(self, i):
         return list(self.data[i])
@@ -374,7 +396,7 @@ class Matrix:
             return self._rref
         f = self.field
         zero = f.zero
-        rows = [list(r) for r in self.data]
+        rows = list(self.data)  # each row is replaced, never changed in place
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -592,6 +614,25 @@ def intertwiners(field: Field, src_dims, tgt_dims, relations):
                     row[idx] = field.sub(row[idx], b.data[i][l])
                 rows.append(row)
     return Matrix(field, len(rows), offsets[-1], rows).kernel_basis()
+
+
+def block_diagonal_kernel_basis(field: Field, blocks):
+    """Matrix.block_diagonal(field, blocks).kernel_basis(), block by block.
+
+    Each block's rref is the block diagonal matrix's rref on the block's own
+    columns, so the free columns, and with them the basis vectors, come block
+    by block in column order: each block's kernel basis, in its place.
+    """
+    width = sum(b.ncols for b in blocks)
+    zero = field.zero
+    out, left = [], 0
+    for b in blocks:
+        for v in b.kernel_basis():
+            vec = [zero] * width
+            vec[left : left + b.ncols] = v
+            out.append(vec)
+        left += b.ncols
+    return out
 
 
 def vec_add(field: Field, u, v):

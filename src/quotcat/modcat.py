@@ -19,7 +19,10 @@ from .fincat import (
     approximation,
     basis_morphisms,
     compose,
+    op_morphism,
+    opposite,
     postcompose_matrix,
+    precompose_matrices,
     precompose_matrix,
     sum_projections,
 )
@@ -31,6 +34,7 @@ from .preabelian import (
     DEFAULT_BUDGET,
     RankCondition,
     SearchResult,
+    last_one,
     multiplicities,
     search_open_conditions,
     solve_on_basis,
@@ -237,17 +241,23 @@ def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[tuple]:
 def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[RankCondition]:
     """Rank conditions under which leg(m): A -> X is regular (epi and mono).
 
-    leg must be linear in the searched morphism m.
+    leg must be linear in the searched morphism m.  For each tried m, leg(m)
+    is built once, and one pass gives every - o leg(m) (epi) and one pass in
+    the opposite presentation every leg(m) o - (mono).
     """
+    op = opposite(Q)
+    g = last_one(leg)
+    epi = last_one(lambda m: precompose_matrices(Q, g(m)))
+    mono = last_one(lambda m: precompose_matrices(op, op_morphism(op, g(m))))
     out = []
     for z in range(Q.n):
         Z = Q.single(z)
         need_epi = Q.hom_space_dim(X, Z)
         if need_epi:
-            out.append(RankCondition(lambda m, Z=Z: precompose_matrix(Q, leg(m), Z), need_epi, f"epi-{z}"))
+            out.append(RankCondition(lambda m, z=z: epi(m)[z], need_epi, f"epi-{z}"))
         need_mono = Q.hom_space_dim(Z, A)
         if need_mono:
-            out.append(RankCondition(lambda m, Z=Z: postcompose_matrix(Q, leg(m), Z), need_mono, f"mono-{z}"))
+            out.append(RankCondition(lambda m, z=z: mono(m)[z], need_mono, f"mono-{z}"))
     return out
 
 

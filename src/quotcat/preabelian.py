@@ -30,12 +30,12 @@ from .fincat import (
     op_morphism,
     opposite,
     postcompose_matrix,
+    precompose_matrices,
     precompose_matrix,
     stack_cols,
     sum_copy_map,
-    sum_projections,
 )
-from .linalg import Matrix, PrimeField
+from .linalg import Matrix, PrimeField, block_diagonal_kernel_basis
 
 
 @dataclass
@@ -81,12 +81,7 @@ DEFAULT_BUDGET = Budget()
 
 def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
     """Epi iff precomposition with f is injective into every Hom(-, Z)."""
-    for z in range(Q.n):
-        Z = Q.single(z)
-        d = Q.hom_space_dim(f.target, Z)
-        if d and precompose_matrix(Q, f, Z).rank() != d:
-            return False
-    return True
+    return all(m.rank() == m.ncols for m in precompose_matrices(Q, f))
 
 
 def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
@@ -150,12 +145,33 @@ class SearchResult:
         self.witness = witness
 
 
-def _combine(Q, X, Y, basis, coeffs) -> Morphism:
-    m = Q.zero_morphism(X, Y)
-    for c, b in zip(coeffs, basis):
+def last_one(fn):
+    """fn with a one-entry memo keyed by its argument object.
+
+    The rank conditions of a search are all asked of the same tried
+    morphism, so conditions built on one such fn share one call per try.
+    """
+    memo = [None, None]
+
+    def call(m):
+        if memo[0] is not m:
+            memo[:] = m, fn(m)
+        return memo[1]
+
+    return call
+
+
+def _combine(Q, X, Y, vecs, coeffs) -> Morphism:
+    """The morphism X -> Y with coordinates sum_i coeffs[i] * vecs[i]; vecs
+    is not empty."""
+    fld = Q.field
+    add, mul = fld.add, fld.mul
+    out = [fld.zero] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
         if c:
-            m = m + b.scale(c)
-    return m
+            c = fld.of(c)
+            out = [add(a, mul(c, x)) for a, x in zip(out, v)]
+    return Morphism.from_vector(Q, X, Y, out)
 
 
 def search_open_conditions(
@@ -170,8 +186,10 @@ def search_open_conditions(
     """Find m in span(subspace) satisfying all rank conditions, certified.
 
     Returns FOUND with a witness, CERTIFIED_EMPTY when no element of the
-    subspace can satisfy them, or raises BoundsExceeded.  The phases run in
-    this order, each only when the ones before it decided nothing:
+    subspace can satisfy them, or raises BoundsExceeded.  Each tried element
+    is a combination of the subspace's coordinate vectors, read off once, and
+    becomes a morphism once.  The phases run in this order, each only when
+    the ones before it decided nothing:
 
     1. budget.retries seeded random combinations;
     2. the shape test: a condition whose required rank exceeds the smaller
@@ -186,23 +204,24 @@ def search_open_conditions(
     d = len(subspace)
     live = [c for c in conditions if c.required > 0]
     if not live:
-        return SearchResult(SearchResult.FOUND, _combine(Q, X, Y, subspace, [0] * d))
+        return SearchResult(SearchResult.FOUND, Q.zero_morphism(X, Y))
     if d == 0:
         zero = Q.zero_morphism(X, Y)
         if all(c.holds(zero) for c in live):
             return SearchResult(SearchResult.FOUND, zero)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
+    vecs = [b.to_vector() for b in subspace]
 
     rng = random.Random(f"{budget.seed}:{salt}:{d}")
     for attempt in range(budget.retries):
         radius = budget.coeff_base ** (1 + attempt // 3)
         coeffs = [rng.randint(-radius, radius) for _ in range(d)]
-        m = _combine(Q, X, Y, subspace, coeffs)
+        m = _combine(Q, X, Y, vecs, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
 
     # impossibility by shape: rank can never exceed min dimension
-    zero = _combine(Q, X, Y, subspace, [0] * d)
+    zero = Q.zero_morphism(X, Y)
     for c in live:
         probe = c.builder(zero)
         if c.required > min(probe.nrows, probe.ncols):
@@ -215,7 +234,7 @@ def search_open_conditions(
                 f"cannot certify over F_{p}: {p}^{d} exceeds the grid cap"
             )
         for coeffs in itertools.product(range(p), repeat=d):
-            m = _combine(Q, X, Y, subspace, coeffs)
+            m = _combine(Q, X, Y, vecs, coeffs)
             if all(c.holds(m) for c in live):
                 return SearchResult(SearchResult.FOUND, m)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
@@ -229,7 +248,7 @@ def search_open_conditions(
             )
         sat = False
         for coeffs in itertools.product(range(r + 1), repeat=d):
-            m = _combine(Q, X, Y, subspace, coeffs)
+            m = _combine(Q, X, Y, vecs, coeffs)
             if c.holds(m):
                 sat = True
                 break
@@ -245,12 +264,12 @@ def search_open_conditions(
         for attempt in range(4 * budget.retries):
             radius = budget.coeff_base ** (2 + attempt // 4)
             coeffs = [rng.randint(-radius, radius) for _ in range(d)]
-            m = _combine(Q, X, Y, subspace, coeffs)
+            m = _combine(Q, X, Y, vecs, coeffs)
             if all(c.holds(m) for c in live):
                 return SearchResult(SearchResult.FOUND, m)
         raise BoundsExceeded(f"joint grid {(D + 1)}^{d} exceeds the cap")
     for coeffs in itertools.product(range(D + 1), repeat=d):
-        m = _combine(Q, X, Y, subspace, coeffs)
+        m = _combine(Q, X, Y, vecs, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
     raise InternalInconsistency("joint grid missed a guaranteed witness")
@@ -297,35 +316,30 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     cokernel; the map c is then a generic element of {c : c o f = 0} subject
     to the per-object injectivity conditions.  An accepted c is an epi weak
     cokernel, hence a cokernel.  The candidates M depend only on Q and the
-    target counts, so each list is enumerated once and kept on Q.
+    target counts, so each list is enumerated once and kept on Q.  The
+    counts and every candidate's subspace come from one precompose_matrices
+    pass over f.
     """
     Y = f.target
-    targets = []
-    for z in range(Q.n):
-        Z = Q.single(z)
-        dYZ = Q.hom_space_dim(Y, Z)
-        rk = precompose_matrix(Q, f, Z).rank() if dYZ else 0
-        targets.append(dYZ - rk)
+    blocks = precompose_matrices(Q, f)  # - o f on each Hom(Y, Z_k)
+    targets = [m.ncols - m.rank() for m in blocks]
     key = tuple(targets)
     candidates = Q._multiplicities.get(key)
     if candidates is None:
         cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
         candidates = Q._multiplicities[key] = multiplicities(cols, targets, cols, targets)
+    # dim Hom(M, Z_z): M meets the targets; one pass per tried c
+    pre = last_one(lambda c: precompose_matrices(Q, c))
+    conditions = [
+        RankCondition(lambda c, z=z: pre(c)[z], need, f"inj-into-{z}")
+        for z, need in enumerate(targets)
+        if need
+    ]
     for mult in candidates:
         M = Obj(mult)
-        # subspace {c : c o f = 0}
-        mat = precompose_matrix(Q, f, M)
-        sub = [Q.morphism_from_vector(Y, M, v) for v in mat.kernel_basis()]
-        conditions = []
-        for z, need in enumerate(targets):  # dim Hom(M, Z_z): M meets the targets
-            if need:
-                conditions.append(
-                    RankCondition(
-                        lambda c, Z=Q.single(z): precompose_matrix(Q, c, Z),
-                        need,
-                        f"inj-into-{z}",
-                    )
-                )
+        # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
+        kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
+        sub = [Q.morphism_from_vector(Y, M, v) for v in kills_f]
         res = search_open_conditions(Q, Y, M, sub, conditions, budget, salt=hash(mult) & 0xFFFF)
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
@@ -373,7 +387,11 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     if res is None:
         raise NoKernel("difference map has no kernel: presentation is not preabelian here")
     A, j = res
-    a, b = (compose(Q, proj, j) for proj in sum_projections(Q, parts, cmap))
+    # the legs are the projections composed with j: j's rows of each part
+    a, b = (
+        Morphism(Q, A, part, [row for row, (pi, _) in zip(j.blocks, cmap) if pi == p])
+        for p, part in enumerate(parts)
+    )
     sq = LimitSquare(A, B, C, c.target, a, b, c, d)
     if not sq.check_commutes(Q):
         raise InternalInconsistency("pullback square does not commute")

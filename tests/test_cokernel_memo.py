@@ -2,21 +2,36 @@
 
 The candidate targets of a cokernel depend only on the presentation and the
 target counts, so `cokernel` enumerates them once per (presentation,
-targets) and keeps the list on the presentation.  The shape test of
-`search_open_conditions` runs only after the random phase, so a search found
-at random builds no probe matrix.  These tests pin both, and check on random
-morphisms that the certificates hold and do not depend on the memo.
+targets) and keeps the list on the presentation.  The target counts and the
+subspace {c : c o f = 0} come from one pass of `precompose_matrices` over f,
+and the rank conditions on a tried c share one pass over c.  The shape test
+of `search_open_conditions` runs only after the random phase, so a search
+found at random builds no probe matrix.  These tests pin all three, and check
+on random morphisms that the certificates hold and do not depend on the memo,
+and that the pullback legs read off the kernel are the projections composed
+with it.
 """
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import arrow_category
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
-from quotcat.fincat import compose, postcompose_matrix, precompose_matrix
+from quotcat import fincat
+from quotcat.fincat import compose, postcompose_matrix, precompose_matrix, stack_cols, sum_copy_map, sum_projections
 from quotcat.linalg import GF, QQ
-from quotcat.preabelian import Budget, RankCondition, SearchResult, cokernel, is_epi, is_mono, kernel, search_open_conditions
+from quotcat.preabelian import (
+    Budget,
+    RankCondition,
+    SearchResult,
+    cokernel,
+    is_epi,
+    is_mono,
+    kernel,
+    pullback,
+    search_open_conditions,
+)
 from quotcat.quotient import build_quotient
 
 CAPPED = Budget(scan_pairs_cap=120)
@@ -58,6 +73,33 @@ def test_each_multiplicity_list_is_enumerated_once(A3, monkeypatch, t):
     rep = preabelian.scan_properties(Q, CAPPED)
     assert all(c.status == "pass" for c in rep.clauses.values())
     assert len(keys) > 1 and len(keys) == len(set(keys))
+
+
+# -- one pass of precompose_matrices per morphism ---------------------------------
+
+
+@pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
+def test_one_pass_per_cokernel_and_per_tried_map(A3, monkeypatch, t):
+    Q = _quotient(A3, t)
+    passes = []
+
+    def counted(P, f):
+        passes.append(f)  # held, so no two entries share an id
+        return run(P, f)
+
+    def assembled(*args):
+        raise AssertionError("the cokernel search assembles no block-diagonal matrix")
+
+    run = fincat.precompose_matrices
+    monkeypatch.setattr(preabelian, "precompose_matrices", counted)
+    monkeypatch.setattr(preabelian, "precompose_matrix", assembled)
+    for _, _, _, f in fincat.basis_morphisms(Q):
+        passes.clear()
+        assert cokernel(Q, f) is not None
+        # the targets and the subspace: one pass over f, and its first
+        assert [p for p in passes if p is f] == [f] and passes[0] is f
+        # each tried c (the witness among them): one pass for every inj-into-z
+        assert len({id(p) for p in passes}) == len(passes)
 
 
 # -- the shape test runs after the random phase ---------------------------------
@@ -102,19 +144,29 @@ def warm(A3):
     return _quotient(A3, ("P1", "P3"))
 
 
+def _small_objects(Q):
+    """The sums of one or two indecomposables."""
+    singles = [Q.single(i) for i in range(Q.n)]
+    return singles + [x + y for i, x in enumerate(singles) for y in singles[i:]]
+
+
 @st.composite
-def morphisms(draw, Q):
+def morphisms(draw, Q, into=None):
     """A morphism between sums of at most two indecomposables with at least
-    two nonzero coordinates, so not a multiple of a basis morphism."""
+    two nonzero coordinates, so not a multiple of a basis morphism.
 
-    def obj():
-        picks = draw(st.lists(st.integers(0, Q.n - 1), min_size=1, max_size=2))
-        return sum((Q.single(i) for i in picks[1:]), Q.single(picks[0]))
-
-    X, Y = obj(), obj()
+    The pair of objects is drawn among those with dim Hom >= 2, and the
+    vector is built with two or more nonzero coordinates, so nothing is
+    filtered out.  into fixes the target.
+    """
+    objs = _small_objects(Q)
+    pairs = [(X, Y) for X in objs for Y in ([into] if into else objs) if Q.hom_space_dim(X, Y) >= 2]
+    X, Y = draw(st.sampled_from(pairs))
     d = Q.hom_space_dim(X, Y)
-    vec = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
-    assume(sum(1 for c in vec if c) >= 2)
+    support = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=d, unique=True))
+    vec = [0] * d
+    for pos in support:
+        vec[pos] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
     return Q.morphism_from_vector(X, Y, [Q.field.of(c) for c in vec])
 
 
@@ -155,3 +207,14 @@ def test_certificates_on_random_morphisms(A3, warm, data):
         # the memo is transparent: a cold presentation gives the same answer
         res_cold = search(cold, f_cold)
         assert (res_cold[0], res_cold[1].to_vector()) == (res[0], res[1].to_vector())
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
+    c = data.draw(morphisms(warm))
+    d = data.draw(morphisms(warm, into=c.target))
+    sq = pullback(warm, c, d)
+    parts = [c.source, d.source]
+    _, j = kernel(warm, stack_cols(warm, [c, d.scale(-1)], sum_copy_map(parts)))
+    assert [sq.a, sq.b] == [compose(warm, proj, j) for proj in sum_projections(warm, parts)]

@@ -1,8 +1,9 @@
 """Differential tests: the compiled pre/post-composition matrices against
 their definition.
 
-precompose_matrix and postcompose_matrix are assembled straight from the
-structure constants.  The reference below is the definition they replace:
+precompose_matrices and postcompose_matrix are assembled straight from the
+structure constants, and precompose_matrix from the blocks of
+precompose_matrices.  The reference below is the definition they replace:
 compose with every hom_basis element and transpose the columns.  Exact
 arithmetic means the two must agree entry for entry, on random morphisms
 between random multi-copy objects.
@@ -19,10 +20,11 @@ from quotcat.fincat import (
     compose,
     opposite,
     postcompose_matrix,
+    precompose_matrices,
     precompose_matrix,
     validate_category,
 )
-from quotcat.linalg import GF, QQ, Matrix
+from quotcat.linalg import GF, QQ, Matrix, block_diagonal_kernel_basis
 from quotcat.quotient import build_quotient
 
 
@@ -109,6 +111,29 @@ def test_precompose_matrix_matches_definition(inst):
 
 @settings(max_examples=80)
 @given(instances())
+def test_one_pass_gives_every_single_block(inst):
+    P, f, Z = inst
+    blocks = precompose_matrices(P, f)
+    assert len(blocks) == P.n
+    for k, m in enumerate(blocks):
+        assert m == precompose_matrix(P, f, P.single(k)) == reference_precompose(P, f, P.single(k))
+    # a multi-copy Z is the block assembly of its copies' blocks
+    assembled = Matrix.block_diagonal(P.field, [blocks[k] for k in Z.copies()])
+    assert assembled == precompose_matrix(P, f, Z) == reference_precompose(P, f, Z)
+
+
+@settings(max_examples=80)
+@given(instances())
+def test_kernel_of_the_assembly_is_read_block_by_block(inst):
+    # the cokernel search reads {c : c o f = 0} in Hom(Y, Z) off the blocks
+    P, f, Z = inst
+    blocks = precompose_matrices(P, f)
+    by_blocks = block_diagonal_kernel_basis(P.field, [blocks[k] for k in Z.copies()])
+    assert by_blocks == precompose_matrix(P, f, Z).kernel_basis()
+
+
+@settings(max_examples=80)
+@given(instances())
 def test_postcompose_matrix_matches_definition(inst):
     P, f, Z = inst
     assert postcompose_matrix(P, f, Z) == reference_postcompose(P, f, Z)
@@ -126,3 +151,8 @@ def test_hom_space_dim_matches_basis(inst):
         zero = P.zero_morphism(X, Y)
         flat = [off[t][s] + c for t, row in enumerate(zero.blocks) for s, blk in enumerate(row) for c in range(len(blk))]
         assert flat == list(range(d))
+    for X in (f.source, f.target, Z):
+        offs, dims = P.hom_layout(X)
+        for k in range(P.n):
+            off, total = P.hom_offsets(X, P.single(k))
+            assert (offs[k], dims[k]) == (off[0], total)
