@@ -254,6 +254,14 @@ class Morphism:
 
     @classmethod
     def from_vector(cls, P: CategoryPresentation, X: Obj, Y: Obj, vec) -> "Morphism":
+        """The morphism with coordinates vec; ints and strings are coerced
+        into P's field."""
+        of = P.field.of
+        return cls.from_coords(P, X, Y, [of(x) if isinstance(x, (int, str)) else x for x in vec])
+
+    @classmethod
+    def from_coords(cls, P: CategoryPresentation, X: Obj, Y: Obj, vec) -> "Morphism":
+        """The morphism with coordinates vec, which are field elements already."""
         srcs, tgts = X.copies(), Y.copies()
         blocks = []
         pos = 0
@@ -261,7 +269,7 @@ class Morphism:
             row = []
             for i in srcs:
                 d = P.hom_dim(i, j)
-                row.append([P.field.of(x) if isinstance(x, (int, str)) else x for x in vec[pos : pos + d]])
+                row.append(vec[pos : pos + d])
                 pos += d
             blocks.append(row)
         if pos != len(vec):

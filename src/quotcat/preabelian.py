@@ -171,7 +171,7 @@ def _combine(Q, X, Y, vecs, coeffs) -> Morphism:
         if c:
             c = fld.of(c)
             out = [add(a, mul(c, x)) for a, x in zip(out, v)]
-    return Morphism.from_vector(Q, X, Y, out)
+    return Morphism.from_coords(Q, X, Y, out)
 
 
 def search_open_conditions(
@@ -339,7 +339,7 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
         M = Obj(mult)
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
         kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
-        sub = [Q.morphism_from_vector(Y, M, v) for v in kills_f]
+        sub = [Morphism.from_coords(Q, Y, M, v) for v in kills_f]
         res = search_open_conditions(Q, Y, M, sub, conditions, budget, salt=hash(mult) & 0xFFFF)
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
@@ -585,33 +585,57 @@ class _ScanLegs:
     """The legs of one scan's limit squares, and their epi and mono answers.
 
     A square and its kernel search are a pure function of (Q, given map,
-    other map, budget), so each distinct pair is built once.  Pairs are keyed
-    by the maps' values, not their places in a list: the cokernel-map and
-    kernel-map clauses share squares with the others only by value.  Only
-    the leg opposite the given map is kept, not the square.  A square that
-    could not be built is kept as its failure and raised again to every
-    clause that reaches the pair.
+    other map, budget), and one square serves a whole class of pairs:
+    - rescaling: for nonzero scalars s, t, ker [s x, -t y] is ker [x, -y]
+      composed with diag(s, t), so the legs of the square of (s x, t y) are
+      nonzero multiples of those of (x, y); pushouts are dual;
+    - exchange: if (A, a, b) is a pullback of (y, x), then (A, b, a) is a
+      pullback of (x, y); pushouts are dual.
+    Epi and mono are unchanged by both, so a pair is keyed by the unit
+    representatives of its maps (scaled so the first nonzero coordinate is
+    one; a zero map is its own), its square is built from them, and both of
+    its legs are kept, the second under the exchanged key.  Keys are map
+    values, not places in a list: the cokernel-map and kernel-map clauses
+    share squares with the others only by value.  A square that could not be
+    built is kept as its failure under the key that raised it, and raised
+    again to every clause that reaches that key.
     """
 
     def __init__(self, Q: CategoryPresentation, budget: Budget):
         self.Q = Q
         self.budget = budget
-        self.legs = {}  # (limit, given, other) -> leg, or the failure building it raised
+        self.units = {}  # map -> its unit representative
+        self.legs = {}  # (limit, given, other) of unit maps -> leg, or the failure building it raised
         self.answers = {"epi": {}, "mono": {}}  # prop -> {leg: bool}, filled as asked
 
+    def unit(self, f: Morphism) -> Morphism:
+        """f scaled so that its first nonzero coordinate is one."""
+        u = self.units.get(f)
+        if u is None:
+            fld = self.Q.field
+            lead = next((c for c in f.to_vector() if c), fld.one)
+            u = self.units[f] = f if lead == fld.one else f.scale(fld.inv(lead))
+        return u
+
     def leg(self, limit: str, x: Morphism, y: Morphism) -> Morphism:
-        """The leg opposite x of the pullback (x and y into one target) or
-        the pushout (x and y out of one source)."""
+        """A leg with the epi and mono answers of the leg opposite x of the
+        pullback (x and y into one target) or the pushout (x and y out of one
+        source)."""
+        x, y = self.unit(x), self.unit(y)
         key = (limit, x, y)
         leg = self.legs.get(key)
         if leg is None:
             try:
                 if limit == "pullback":
-                    leg = pullback(self.Q, y, x, self.budget).a
+                    sq = pullback(self.Q, y, x, self.budget)
+                    leg, other = sq.a, sq.b
                 else:
-                    leg = pushout(self.Q, x, y, self.budget).d
+                    sq = pushout(self.Q, x, y, self.budget)
+                    leg, other = sq.d, sq.c
             except (NoKernel, NoCokernel, BoundsExceeded) as e:
                 leg = type(e)(*e.args)  # without the traceback, which holds this frame
+            else:
+                self.legs.setdefault((limit, y, x), other)
             self.legs[key] = leg
         if isinstance(leg, Exception):
             raise type(leg)(*leg.args)

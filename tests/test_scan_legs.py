@@ -1,16 +1,25 @@
-"""The property scan builds each limit square and tests each leg once.
+"""The property scan builds one limit square per class of pairs and tests
+each leg once.
 
 The eight leg clauses of `scan_properties` share (given, other) pairs, so
 the scan keeps one table of legs and one of epi/mono answers for the length
-of one call.  These tests pin that each square is built once, and that the
-tables are transparent: every clause result equals the one computed by the
-plain per-clause loop below, which builds a square for every pair it meets.
+of one call.  A square also serves every pair that differs from its own by
+nonzero rescaling of the two maps or by their exchange, so the scan builds
+one square per class: the unordered pair of unit-normalised maps.  These
+tests pin that each class is built once and that the sharing pays on
+C(A_3)/Q, that the invariance the sharing rests on holds on random pairs,
+and that the tables are transparent: every clause result equals the one
+computed by the plain per-clause loop below, which builds a square for every
+pair it meets.
 """
 
 import collections
+import functools
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
@@ -30,6 +39,18 @@ def A3():
 @pytest.fixture(scope="module")
 def A4():
     return build_cluster_category(4, "><>", GF(101))
+
+
+@pytest.fixture(scope="module")
+def A4Q():
+    return build_cluster_category(4)
+
+
+def _unit(f):
+    """f scaled so that its first nonzero coordinate is one."""
+    fld = f.P.field
+    lead = next((c for c in f.to_vector() if c), fld.one)
+    return f.scale(fld.inv(lead))
 
 
 # -- the per-clause loop, one square per pair met ---------------------------------
@@ -85,16 +106,18 @@ def _plain_leg_clauses(Q, fam, budget) -> dict:
 
 @pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
 def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
-    # a pushout is a pullback in Q^op, so counting pullback counts both
+    # a pushout is a pullback in Q^op, so counting pullbacks counts both; a
+    # class is the unordered pair of unit-normalised maps
     Q = build_quotient(A3, A3.obj({s: 1 for s in t}), validate=False).presentation
     squares = collections.Counter()
     tests = collections.Counter()
+    asked = set()
     family_built = []
 
     def counted(fn, name):
         def wrapper(P, *args, **kwargs):
             if name == "pullback":
-                squares[(id(P),) + args[:2]] += 1
+                squares[(id(P), frozenset(_unit(m) for m in args[:2]))] += 1
             elif P is Q and family_built:
                 tests[(name, args[0])] += 1
             return fn(P, *args, **kwargs)
@@ -106,15 +129,75 @@ def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
         family_built.append(True)
         return fam
 
-    build_family = preabelian.build_morphism_family
+    def leg(self, limit, x, y):
+        asked.add((limit, x, y))
+        return scan_leg(self, limit, x, y)
+
+    build_family, scan_leg = preabelian.build_morphism_family, preabelian._ScanLegs.leg
     monkeypatch.setattr(preabelian, "build_morphism_family", family)
+    monkeypatch.setattr(preabelian._ScanLegs, "leg", leg)
     for name in ("pullback", "is_epi", "is_mono"):
         monkeypatch.setattr(preabelian, name, counted(getattr(preabelian, name), name))
     rep = preabelian.scan_properties(Q, CAPPED)
     assert all(c.status == "pass" for c in rep.clauses.values())
     assert squares and set(squares.values()) == {1}
+    if t == ("P2",):
+        # rescaling and exchange leave fewer squares than ordered value pairs
+        assert sum(squares.values()) < len(asked)
     # after the family is classified, every epi or mono test is a leg's
     assert tests and set(tests.values()) == {1}
+
+
+@functools.cache
+def _eligible_pairs(case):
+    """The (limit, x, y) pairs a scan of case meets, x from any given list."""
+    cat, t = case.split(" T=")
+    P = build_cluster_category(4, "><>", GF(101)) if cat.startswith("A4") else build_cluster_category(3)
+    Q = build_quotient(P, P.obj({s: 1 for s in t.split("+")}), validate=False).presentation
+    fam = scan_properties(Q, CAPPED).family
+    givens = fam.all + fam.cokernel_maps + fam.kernel_maps
+    return Q, [
+        (limit, x, y)
+        for limit, meet in (("pullback", "target"), ("pushout", "source"))
+        for x in givens
+        for y in fam.all
+        if getattr(x, meet) == getattr(y, meet)
+    ]
+
+
+def _answers(Q, *maps):
+    return [(is_epi(Q, m), is_mono(Q, m)) for m in maps]
+
+
+def _square_legs(Q, limit, x, y):
+    """(leg opposite x, leg opposite y) of the square of x and y."""
+    if limit == "pullback":
+        sq = pullback(Q, y, x, CAPPED)
+        return sq.a, sq.b
+    sq = pushout(Q, x, y, CAPPED)
+    return sq.d, sq.c
+
+
+_NONZERO = st.builds(
+    lambda n, d, neg: Fraction(-n if neg else n, d),
+    st.integers(1, 100),
+    st.integers(1, 7),
+    st.booleans(),
+)  # never 0 in Q or in GF(101)
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+@settings(max_examples=30)
+@given(data=st.data(), s=_NONZERO, t=_NONZERO)
+def test_square_answers_survive_rescaling_and_exchange(case, data, s, t):
+    Q, pairs = _eligible_pairs(case)
+    limit, x, y = data.draw(st.sampled_from(pairs))
+    legs = _square_legs(Q, limit, x, y)
+    assert _answers(Q, *_square_legs(Q, limit, x.scale(s), y.scale(t))) == _answers(Q, *legs)
+    kept = preabelian._ScanLegs(Q, CAPPED)
+    kept.leg(limit, x, y)
+    exchanged = kept.legs[(limit, kept.unit(y), kept.unit(x))]
+    assert _answers(Q, exchanged, legs[1]) == 2 * _answers(Q, _square_legs(Q, limit, y, x)[0])
 
 
 @pytest.mark.parametrize(
@@ -127,11 +210,12 @@ def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
         "A3/Q T=P2 retries=1 grid_cap=1",
         "A4(><>)/F101 T=I1+P1",
         "A4(><>)/F101 T=I1+P1+I2+M[1,4]",
+        "A4/Q T=P1+P2+P3+P4",
     ],
 )
-def test_scan_tables_are_transparent(A3, A4, case):
+def test_scan_tables_are_transparent(A3, A4, A4Q, case):
     cat, spec = case.split(" ", 1)
-    P = A4 if cat.startswith("A4") else A3
+    P = {"A3/Q": A3, "A4/Q": A4Q, "A4(><>)/F101": A4}[cat]
     budget = CAPPED
     if spec.endswith("retries=1 grid_cap=1"):
         spec, budget = spec.split(" ")[0], Budget(retries=1, grid_cap=1)
