@@ -2,7 +2,8 @@
 
 Scalars are serialised as fraction strings ("2/3", "-1") so files are
 human-diffable and round-trip bit for bit.  Structure constants are sparse:
-missing entries are zero.  Loaders run the full validation pass by default.
+missing entries are zero.  Loaders reject unknown keys and run the full
+validation pass.
 """
 
 from __future__ import annotations
@@ -107,14 +108,13 @@ def _scalar(field: Field, x):
     return None
 
 
-def presentation_from_dict(doc: dict, strict: bool = True, validate: bool = True) -> CategoryPresentation:
+def presentation_from_dict(doc: dict) -> CategoryPresentation:
     """Parse a category file; a malformed part raises ShapeError naming it."""
     if not isinstance(doc, dict):
         raise ShapeError("a category file must hold a JSON object")
-    if strict:
-        unknown = set(doc) - _KNOWN_KEYS
-        if unknown:
-            raise ShapeError(f"unknown fields in category file: {sorted(unknown)}")
+    unknown = set(doc) - _KNOWN_KEYS
+    if unknown:
+        raise ShapeError(f"unknown fields in category file: {sorted(unknown)}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ShapeError(f"unsupported format_version {doc.get('format_version')!r}")
     field = _field_from_tag(doc.get("field"))
@@ -179,10 +179,9 @@ def presentation_from_dict(doc: dict, strict: bool = True, validate: bool = True
         sigma=sigma,
         metadata=_entries(doc, "metadata", dict) if "metadata" in doc else {},
     )
-    if validate:
-        rep = validate_category(P)
-        if not rep.ok:
-            raise ShapeError(f"category file does not validate: {rep}")
+    rep = validate_category(P)
+    if not rep.ok:
+        raise ShapeError(f"category file does not validate: {rep}")
     return P
 
 
@@ -192,10 +191,9 @@ def save_category(P: CategoryPresentation, path: str):
         fh.write("\n")
 
 
-def load_category(path: str, strict: bool = True, validate: bool = True) -> CategoryPresentation:
+def load_category(path: str) -> CategoryPresentation:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return presentation_from_dict(doc, strict=strict, validate=validate)
+        return presentation_from_dict(json.load(fh))
 
 
 # -- object specs -------------------------------------------------------------
@@ -220,7 +218,9 @@ def parse_object_spec(P: CategoryPresentation, spec: str) -> Obj:
             continue
         if "^" in part:
             name, _, power = part.partition("^")
-            count = int(power)
+            count = int(power) if power.strip().isdecimal() else 0
+            if count < 1:
+                raise ShapeError(f"object spec part {part!r}: the power is not a positive integer")
         else:
             name, count = part, 1
         mult[resolve_object_name(P, name.strip())] += count

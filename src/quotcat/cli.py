@@ -82,6 +82,11 @@ def _field_from_arg(name: str):
     return GF(int(m.group(1)))
 
 
+def _object_set(P, spec: str) -> set[int]:
+    """The indecomposables named in 'P1+P2' (or comma-separated), aliases accepted."""
+    return {resolve_object_name(P, s.strip()) for s in spec.replace(",", "+").split("+") if s.strip()}
+
+
 def cmd_generate(args) -> int:
     field = _field_from_arg(args.field)
     P = build_cluster_category(args.n, args.orientation, field)
@@ -100,8 +105,7 @@ def cmd_verify(args) -> int:
         T = parse_object_spec(P, args.T)
         report = run_verification(P, t_spec=T, budget=budget)
     else:
-        S = {resolve_object_name(P, s.strip()) for s in args.subcat.replace(",", "+").split("+") if s.strip()}
-        report = run_verification(P, subcat=S, budget=budget)
+        report = run_verification(P, subcat=_object_set(P, args.subcat), budget=budget)
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -112,11 +116,8 @@ def cmd_verify(args) -> int:
 
 def cmd_cotorsion(args) -> int:
     P = load_category(args.category)
-    U = {resolve_object_name(P, s.strip()) for s in args.U.replace(",", "+").split("+") if s.strip()}
-    V = None
-    if args.V:
-        V = {resolve_object_name(P, s.strip()) for s in args.V.replace(",", "+").split("+") if s.strip()}
-    report = run_cotorsion(P, U, V)
+    V = _object_set(P, args.V) if args.V else None
+    report = run_cotorsion(P, _object_set(P, args.U), V)
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK if report["overall"] == "pass" else EXIT_CLAUSE_FAIL
 
@@ -232,7 +233,7 @@ def cmd_fraction(args) -> int:
     budget = _load_budget(args)
     P = load_category(args.category)
     T = parse_object_spec(P, args.T)
-    Q = build_quotient(P, T, validate=False).presentation
+    Q = build_quotient(P, T).presentation
     status = EXIT_OK
     for expr in args.expressions:
         try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenerationError
-from .fincat import CategoryPresentation
+from .fincat import CategoryPresentation, check_serre_symmetry, structure_constants, validate_category
 from .linalg import QQ, Field, Matrix, RowSpace, intertwiners
 
 # ---------------------------------------------------------------------------
@@ -676,14 +676,14 @@ class TauContext:
         """Standard interval model of the inverse translate."""
         return self._tinv_data(iv)["std"]
 
-    def tau_inv_mor(self, ivN: tuple[int, int], ivL: tuple[int, int], u: RepHom, cache_key=None) -> RepHom:
+    def tau_inv_mor(self, ivN: tuple[int, int], ivL: tuple[int, int], u: RepHom, cache_key) -> RepHom:
         """Inverse translate of u between non-injective intervals.
 
         Lifts u to the injective copresentations, transports through the
         Nakayama correspondence, and conjugates the induced cokernel map by
-        the fixed interval identifications.
+        the fixed interval identifications.  The result is kept under cache_key.
         """
-        if cache_key is not None and cache_key in self._tinv_mor_cache:
+        if cache_key in self._tinv_mor_cache:
             return self._tinv_mor_cache[cache_key]
         dN = self._tinv_data(ivN)
         dL = self._tinv_data(ivL)
@@ -699,8 +699,7 @@ class TauContext:
             mats.append(w)
         induced = RepHom(dN["R"], dL["R"], mats)
         out = dL["iso"].compose(induced).compose(dN["iso_inv"])
-        if cache_key is not None:
-            self._tinv_mor_cache[cache_key] = out
+        self._tinv_mor_cache[cache_key] = out
         return out
 
 
@@ -741,9 +740,9 @@ def tau_inv(M: Rep, ctx: TauContext | None = None):
     return ctx.tau_inv_std(iv)
 
 
-def ext1_rep(M: Rep, N: Rep, pres: Presentation | None = None) -> int:
+def ext1_rep(M: Rep, N: Rep) -> int:
     """dim Ext^1(M, N) via a projective presentation of M."""
-    pres = pres or Presentation(M.quiver, M.field, M)
+    pres = Presentation(M.quiver, M.field, M)
     homs_k = hom_rep(pres.K, N)
     homs_p = hom_rep(pres.P0, N)
     rs = RowSpace(M.field, hom_flat_dim(pres.K, N))
@@ -794,26 +793,10 @@ class DiagonalModel:
         return 1 if self.cross(da, self.rotate(db, -1)) else 0
 
 
-def fan_labelling(n: int):
-    """Documented convention for the linear orientation.
-
-    Interval [a, b] maps to the diagonal {a-1, b+1}; the shifted projective
-    at i maps to {i, n+2}.  The projectives then form the fan at vertex 0.
-    """
-    lab = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            lab[("mod", a, b)] = (a - 1, b + 1)
-    for i in range(1, n + 1):
-        lab[("sp", i)] = (i, n + 2)
-    return lab
-
-
 def search_labelling(model: DiagonalModel, sigma: list[int], dims) -> list | None:
     """Rotation-equivariant labelling matching a hom-dimension table.
 
-    Used for non-linear orientations, where the fan convention does not
-    apply.  Objects are indexed 0..m-1; dims[x][y] is the table to match.
+    Objects are indexed 0..m-1; dims[x][y] is the table to match.
     Returns a list of diagonals per object, or None.
     """
     m = len(sigma)
@@ -1058,47 +1041,25 @@ class _ClusterBuilder:
     # -- final assembly ---------------------------------------------------------
 
     def build(self) -> CategoryPresentation:
-        for kx in self.keys:
-            for ky in self.keys:
+        keys = self.keys
+        for kx in keys:
+            for ky in keys:
                 self.pairs[(kx, ky)] = self.build_pair(kx, ky)
-        hom = {}
-        for (kx, ky), pd in self.pairs.items():
-            if pd.dim:
-                hom[(self.keys.index(kx), self.keys.index(ky))] = pd.dim
-        comp = {}
-        for i, kx in enumerate(self.keys):
-            for j, ky in enumerate(self.keys):
-                dij = self.pairs[(kx, ky)].dim
-                if dij == 0:
-                    continue
-                for k, kz in enumerate(self.keys):
-                    djk = self.pairs[(ky, kz)].dim
-                    dik = self.pairs[(kx, kz)].dim
-                    if djk == 0 or dik == 0:
-                        continue
-                    table = []
-                    nonzero = False
-                    for a in range(dij):
-                        row = []
-                        for b in range(djk):
-                            vec = self.compose_basis(kx, ky, kz, a, b)
-                            if any(x != self.field.zero for x in vec):
-                                nonzero = True
-                            row.append(vec)
-                        table.append(row)
-                    if nonzero:
-                        comp[(i, j, k)] = table
+        dims = [[self.pairs[(kx, ky)].dim for ky in keys] for kx in keys]
+        hom, comp = structure_constants(
+            self.field, dims, lambda i, j, k, a, b: self.compose_basis(keys[i], keys[j], keys[k], a, b)
+        )
         identities = []
-        for kx in self.keys:
+        for kx in keys:
             pd = self.pairs[(kx, kx)]
             if kx[0] == "mod":
                 ident = identity_hom(self.reps[kx])
             else:
                 ident = identity_hom(self.pj[kx[1]])
             identities.append(pd.coords_h0(ident))
-        names = [self.names[k] for k in self.keys]
+        names = [self.names[k] for k in keys]
         sigma = self.sigma_perm()
-        labelling = self._labelling(hom, sigma)
+        labelling = _labelling(self.n, sigma, dims)
         metadata = {
             "name": f"C(A{self.n})",
             "n": self.n,
@@ -1119,25 +1080,13 @@ class _ClusterBuilder:
         )
         return P
 
-    def _labelling(self, hom, sigma) -> list:
-        model = DiagonalModel(self.n)
-        m = len(self.keys)
-        dims = [[hom.get((i, j), 0) for j in range(m)] for i in range(m)]
-        if self.quiver.orientation == "<" * (self.n - 1):
-            fan = fan_labelling(self.n)
-            lab = [fan[k] for k in self.keys]
-            for i in range(m):
-                for j in range(m):
-                    if dims[i][j] != model.expected_dim(lab[i], lab[j]):
-                        raise GenerationError(
-                            f"oracle mismatch at ({self.names[self.keys[i]]}, {self.names[self.keys[j]]}): "
-                            f"generated {dims[i][j]}, oracle {model.expected_dim(lab[i], lab[j])}"
-                        )
-            return lab
-        lab = search_labelling(model, sigma, dims)
-        if lab is None:
-            raise GenerationError("no rotation-equivariant diagonal labelling matches the table")
-        return lab
+
+def _labelling(n: int, sigma: list[int], dims) -> list:
+    """The diagonal of each indecomposable; GenerationError if none fits dims."""
+    lab = search_labelling(DiagonalModel(n), sigma, dims)
+    if lab is None:
+        raise GenerationError("no rotation-equivariant diagonal labelling matches the table")
+    return lab
 
 
 def build_cluster_category(n: int, orientation: str | None = None, field: Field = QQ) -> CategoryPresentation:
@@ -1148,8 +1097,6 @@ def build_cluster_category(n: int, orientation: str | None = None, field: Field 
     construction aborts with GenerationError if any internal consistency
     check (oracle table, validation, symmetry) fails.
     """
-    from .fincat import check_serre_symmetry, validate_category
-
     builder = _ClusterBuilder(n, orientation, field)
     P = builder.build()
     expected = n * (n + 3) // 2

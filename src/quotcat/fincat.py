@@ -200,6 +200,27 @@ class CategoryPresentation:
             raise MissingSuspension("presentation has no suspension permutation")
 
 
+def structure_constants(field: Field, dims, product) -> tuple[dict, dict]:
+    """The hom and comp arguments of CategoryPresentation from a basis product.
+
+    dims[i][j] is dim Hom(i, j), and product(i, j, k, a, b) is the coefficient
+    vector of (basis b of Hom(j, k)) o (basis a of Hom(i, j)).  The product is
+    called in (i, j, k, a, b) order; a table of zero composites is left out.
+    """
+    m = len(dims)
+    hom = {(i, j): dims[i][j] for i in range(m) for j in range(m) if dims[i][j]}
+    comp = {}
+    for (i, j), dij in hom.items():
+        for k in range(m):
+            djk, dik = dims[j][k], dims[i][k]
+            if djk == 0 or dik == 0:
+                continue
+            table = [[product(i, j, k, a, b) for b in range(djk)] for a in range(dij)]
+            if not all(vec_is_zero(field, vec) for row in table for vec in row):
+                comp[(i, j, k)] = table
+    return hom, comp
+
+
 @dataclass(frozen=True)
 class Obj:
     """A formal direct sum of indecomposables: a multiplicity vector."""

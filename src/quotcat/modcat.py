@@ -154,7 +154,6 @@ class HFunctor:
     def __init__(self, P: CategoryPresentation, T: Obj):
         self.P = P
         self.T = T
-        self.algebra = endomorphism_algebra(P, T)
         self._modules: dict[tuple, GammaModule] = {}
 
     def module(self, X: Obj) -> GammaModule:
@@ -347,7 +346,7 @@ def verify_equivalence(
     localised projectives are exactly add T, and End dimensions agree.
     """
     report = EquivalenceReport()
-    qc = qc or build_quotient(P, T, validate=False)
+    qc = qc or build_quotient(P, T)
     Q = qc.presentation
     H = H or HFunctor(P, T)
 

@@ -2,22 +2,15 @@
 
 For a rigid object T, X_T is the set of indecomposables i with
 Hom(T, i) = 0.  The quotient keeps the remaining indecomposables and divides
-every Hom space by the subspace of maps factoring through add X_T.  The
-induced presentation is re-validated and representatives are chosen by
-deterministic elimination, so quotient data is reproducible bit for bit.
+every Hom space by the subspace of maps factoring through add X_T.
+Representatives are chosen by deterministic elimination, so quotient data
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from .errors import NotRigid, ShapeError
-from .fincat import (
-    CategoryPresentation,
-    Morphism,
-    Obj,
-    compose,
-    is_rigid,
-    validate_category,
-)
+from .fincat import CategoryPresentation, Morphism, Obj, compose, is_rigid, structure_constants
 from .linalg import RowSpace
 
 
@@ -49,65 +42,41 @@ def factors_through(P: CategoryPresentation, f: Morphism, S) -> bool:
 class QuotientCategory:
     """C/X_T packaged with its induced presentation and transfer maps."""
 
-    def __init__(self, parent: CategoryPresentation, xt: set[int], validate: bool = True):
+    def __init__(self, parent: CategoryPresentation, xt: set[int]):
         self.parent = parent
         self.xt = set(xt)
-        self.keep = [i for i in range(parent.n) if i not in self.xt]
-        self._q_index = {p: q for q, p in enumerate(self.keep)}
+        self.keep = keep = [i for i in range(parent.n) if i not in self.xt]
+        self._q_index = {p: q for q, p in enumerate(keep)}
         field = parent.field
         # ideal subspaces F(i, j) on surviving single-object pairs
         self.f_spaces: dict[tuple[int, int], RowSpace] = {}
         self.rep_coords: dict[tuple[int, int], list[int]] = {}
-        for i in self.keep:
-            for j in self.keep:
+        for i in keep:
+            for j in keep:
                 rs = factoring_subspace(parent, parent.single(i), parent.single(j), self.xt)
                 self.f_spaces[(i, j)] = rs
                 self.rep_coords[(i, j)] = rs.complement_indices()
-        if any(not self.rep_coords[(i, i)] for i in self.keep):
-            bad = [parent.objects[i] for i in self.keep if not self.rep_coords[(i, i)]]
+        if any(not self.rep_coords[(i, i)] for i in keep):
+            bad = [parent.objects[i] for i in keep if not self.rep_coords[(i, i)]]
             raise NotRigid(
                 f"identity of {bad} factors through the subcategory; "
                 "these objects should have been in X_T"
             )
-        hom = {}
-        for (i, j), coords in self.rep_coords.items():
-            if coords:
-                hom[(self._q_index[i], self._q_index[j])] = len(coords)
-        comp = {}
-        for i in self.keep:
-            qi = self._q_index[i]
-            for j in self.keep:
-                qj = self._q_index[j]
-                dij = len(self.rep_coords[(i, j)])
-                if dij == 0:
-                    continue
-                for k in self.keep:
-                    qk = self._q_index[k]
-                    djk = len(self.rep_coords[(j, k)])
-                    dik = len(self.rep_coords[(i, k)])
-                    if djk == 0 or dik == 0:
-                        continue
-                    table = []
-                    nonzero = False
-                    for a in range(dij):
-                        fa = self._lift_basis(i, j, a)
-                        row = []
-                        for b in range(djk):
-                            gb = self._lift_basis(j, k, b)
-                            vec = self._project_vector(i, k, compose(parent, gb, fa).to_vector())
-                            if any(x != field.zero for x in vec):
-                                nonzero = True
-                            row.append(vec)
-                        table.append(row)
-                    if nonzero:
-                        comp[(qi, qj, qk)] = table
+
+        def product(i, j, k, a, b):
+            fa = self._lift_basis(keep[i], keep[j], a)
+            gb = self._lift_basis(keep[j], keep[k], b)
+            return self._project_vector(keep[i], keep[k], compose(parent, gb, fa).to_vector())
+
+        dims = [[len(self.rep_coords[(i, j)]) for j in keep] for i in keep]
+        hom, comp = structure_constants(field, dims, product)
         identities = []
-        for i in self.keep:
+        for i in keep:
             idv = self.parent.identity(parent.single(i)).to_vector()
             identities.append(self._project_vector(i, i, idv))
         self.presentation = CategoryPresentation(
             field,
-            [parent.objects[i] for i in self.keep],
+            [parent.objects[i] for i in keep],
             hom,
             comp,
             identities,
@@ -122,10 +91,6 @@ class QuotientCategory:
                 },
             },
         )
-        if validate:
-            rep = validate_category(self.presentation)
-            if not rep.ok:
-                raise ShapeError(f"induced quotient presentation invalid: {rep}")
 
     # -- helpers ---------------------------------------------------------
 
@@ -191,22 +156,20 @@ def build_quotient(
     P: CategoryPresentation,
     T: Obj | None = None,
     subcat=None,
-    allow_non_rigid: bool = False,
-    validate: bool = True,
 ) -> QuotientCategory:
     """Quotient by X_T for a rigid T, or by an explicit indecomposable set.
 
     Rigidity of T is the standing hypothesis of every downstream result and
-    is enforced whenever T is given; pass allow_non_rigid=True for
-    exploratory use.  The explicit subcat form serves quotients by a
-    perpendicular subcategory, as in the cotorsion counterexample.
+    is enforced whenever T is given.  The explicit subcat form serves
+    quotients by a perpendicular subcategory, as in the cotorsion
+    counterexample, and by x_t_objects(P, T) for a T that is not rigid.
     """
     if (T is None) == (subcat is None):
         raise ValueError("pass exactly one of T or subcat")
     if T is not None:
-        if not allow_non_rigid and not is_rigid(P, T):
+        if not is_rigid(P, T):
             raise NotRigid(f"object {P.obj_name(T)} is not rigid")
         xt = x_t_objects(P, T)
     else:
         xt = {s if isinstance(s, int) else P.index(s) for s in subcat}
-    return QuotientCategory(P, xt, validate=validate)
+    return QuotientCategory(P, xt)

@@ -93,7 +93,7 @@ def run_verification(
         clauses["rigidity"] = _clause(SKIPPED, "explicit subcategory quotient")
         xt = set(subcat)
 
-    qc = timed("quotient", lambda: build_quotient(P, subcat=xt, validate=False))
+    qc = timed("quotient", lambda: build_quotient(P, subcat=xt))
     Q = qc.presentation
     vrep = validate_category(Q)
     clauses["quotient"] = _clause(

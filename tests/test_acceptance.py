@@ -110,7 +110,7 @@ def test_criterion_02_preabelian_every_rigid_T(A3_F101):
     total = 0
     for T in rigid_objects(P, 3):
         t0 = time.time()
-        qc = build_quotient(P, T, validate=False)
+        qc = build_quotient(P, T)
         Q = qc.presentation
         for f in quotient_basis_morphisms(Q):
             cres = cokernel(Q, f, SCAN_BUDGET)
@@ -145,7 +145,7 @@ def A3_scans(A3):
     """(T, quotient, property scan) for every rigid T in C(A_3), shared by 03 and 04."""
     out = []
     for T in rigid_objects(A3, 3):
-        Q = build_quotient(A3, T, validate=False).presentation
+        Q = build_quotient(A3, T).presentation
         out.append((T, Q, scan_properties(Q, SCAN_BUDGET)))
     return out
 
@@ -179,7 +179,7 @@ def test_criterion_05_abelian_localisation(A2, A3):
     for label, P in (("A_2", A2), ("A_3", A3)):
         total = 0
         for T in rigid_objects(P, P.metadata["n"]):
-            qc = build_quotient(P, T, validate=False)
+            qc = build_quotient(P, T)
             rep = check_abelian(qc.presentation, SCAN_BUDGET)
             assert rep.ok, (P.obj_name(T), rep.as_dict())
             total += rep.clauses["abelian_middle_maps"].checked
@@ -225,7 +225,7 @@ def test_criterion_07_cluster_tilting_degeneration(A3):
         xt = x_t_objects(A3, T)
         sigma_t = {A3.sigma[i] for i in T.support()}
         assert xt == sigma_t, A3.obj_name(T)
-        qc = build_quotient(A3, T, validate=False)
+        qc = build_quotient(A3, T)
         Q = qc.presentation
         fam = build_morphism_family(Q, SCAN_BUDGET)
         for r in fam.regulars:
@@ -243,7 +243,7 @@ def test_criterion_08_regular_noninvertible_witness(A3):
     for T in rigid_objects(A3, 3):
         if len(T.support()) != 2:
             continue
-        qc = build_quotient(A3, T, validate=False)
+        qc = build_quotient(A3, T)
         Q = qc.presentation
         for f in quotient_basis_morphisms(Q):
             if f.source != f.target and is_regular(Q, f) and solve_two_sided_inverse(Q, f) is None:
@@ -267,6 +267,7 @@ def test_criterion_09_section6_counterexample(A3):
     assert uperp == {"P1", "P2", "S2"}
     q6 = build_quotient(A3, subcat={"P1", "P2", "S2"})
     Q6 = q6.presentation
+    assert validate_category(Q6).ok
     f = q6.project(A3.basis_morphism(A3.index("P3"), A3.index("I2"), 0))
     assert not f.is_zero()
     res = cokernel(Q6, f, SCAN_BUDGET)
@@ -286,7 +287,7 @@ def test_criterion_10_decider_agreement(A2, A3):
     # fractions_equal vs H-image equality, exhaustive over C(A_2)/X_T roofs
     pairs_checked = 0
     for T in rigid_objects(A2, 2):
-        qc = build_quotient(A2, T, validate=False)
+        qc = build_quotient(A2, T)
         Q = qc.presentation
         H = HFunctor(A2, T)
         regs = [Q.identity(Q.single(i)) for i in range(Q.n)]
@@ -308,7 +309,7 @@ def test_criterion_10_decider_agreement(A2, A3):
     # bridge identity over every rigid T in C(A_3)
     bridge_checked = 0
     for T in rigid_objects(A3, 3):
-        qc = build_quotient(A3, T, validate=False)
+        qc = build_quotient(A3, T)
         H = HFunctor(A3, T)
         for i in range(A3.n):
             for j in range(A3.n):

@@ -64,9 +64,6 @@ def test_unknown_fields_rejected_in_strict_mode(tmp_path, A3):
     doc["surprise"] = 1
     with pytest.raises(ShapeError):
         presentation_from_dict(doc)
-    # non-strict mode tolerates them
-    P = presentation_from_dict(doc, strict=False)
-    assert P.n == A3.n
 
 
 def test_bad_format_version(A3):
@@ -122,6 +119,6 @@ def test_quotient_reproducible_bit_for_bit():
     docs = []
     for _ in range(2):
         P = build_cluster_category(3)
-        qc = build_quotient(P, P.obj({"P1": 1, "P3": 1}), validate=False)
+        qc = build_quotient(P, P.obj({"P1": 1, "P3": 1}))
         docs.append(presentation_to_dict(qc.presentation))
     assert docs[0] == docs[1]

@@ -282,3 +282,27 @@ def test_nonsense_budget_flags_exit_2(a3_path, flags, capsys):
     assert main(["verify", a3_path, "--T", "P2", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: budget ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("spec", ["P1^-1", "P1^x", "P1^0"])
+def test_bad_power_in_object_spec_exits_2(a3_path, spec, capsys):
+    assert main(["verify", a3_path, "--T", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(spec) in err and "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{path}", "--subcat", "P1+nope"],
+        ["cotorsion", "{path}", "P2+nope"],
+        ["cotorsion", "{path}", "P2+P3+SP3", "--V", "P1,nope"],
+    ],
+    ids=["verify --subcat", "cotorsion U", "cotorsion --V"],
+)
+def test_unknown_name_in_object_set_exits_2(a3_path, argv, capsys):
+    assert main([a.format(path=a3_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'nope'" in err

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quotcat.catfile import resolve_object_name
 from quotcat.clustergen import (
     DiagonalModel,
     Presentation,
@@ -15,10 +16,13 @@ from quotcat.clustergen import (
     interval_rep,
     linear_quiver,
     proj_interval,
+    search_labelling,
     tau,
     tau_inv,
     TauContext,
+    _labelling,
 )
+from quotcat.errors import GenerationError
 from quotcat.fincat import (
     all_rigid_supports,
     approximation,
@@ -161,6 +165,32 @@ def test_oracle_trivial_cases():
     assert len(model.diagonals) == 9
     rotated = {model.rotate(x) for x in model.diagonals}
     assert rotated == set(model.diagonals)
+
+
+def test_labelling_rejects_a_table_no_diagonals_fit(A3):
+    dims = [[A3.hom_dim(i, j) for j in range(A3.n)] for i in range(A3.n)]
+    stored = [tuple(A3.metadata["labelling"][name]) for name in A3.objects]
+    assert _labelling(3, A3.sigma, dims) == stored
+    dims[0][1] = 1 - dims[0][1]
+    assert search_labelling(DiagonalModel(3), A3.sigma, dims) is None
+    with pytest.raises(GenerationError):
+        _labelling(3, A3.sigma, dims)
+
+
+def _fan(n):
+    """The documented convention for the linear orientation: [a, b] and SP_i."""
+    lab = {f"M[{a},{b}]": (a - 1, b + 1) for a in range(1, n + 1) for b in range(a, n + 1)}
+    lab.update({f"SP{i}": (i, n + 2) for i in range(1, n + 1)})
+    return lab
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear_orientation_is_labelled_by_the_fan(n):
+    P = build_cluster_category(n)
+    labelling = P.metadata["labelling"]
+    assert len(labelling) == P.n == len(_fan(n))
+    for name, diagonal in _fan(n).items():
+        assert tuple(labelling[P.objects[resolve_object_name(P, name)]]) == diagonal
 
 
 def test_nonlinear_orientations_build():
@@ -350,6 +380,7 @@ def test_small_prime_fields_generate_and_quotient():
     for p in (2, 3):
         P = build_cluster_category(3, field=GF(p))
         q6 = build_quotient(P, subcat={"P1", "P2", "S2"})
+        assert validate_category(q6.presentation).ok
         f6 = q6.project(P.basis_morphism(P.index("P3"), P.index("I2"), 0))
         assert not f6.is_zero()
         assert cokernel(q6.presentation, f6) is None

@@ -43,7 +43,7 @@ def A3():
 
 
 def _quotient(A3, names):
-    return build_quotient(A3, A3.obj({s: 1 for s in names}), validate=False).presentation
+    return build_quotient(A3, A3.obj({s: 1 for s in names})).presentation
 
 
 # -- one enumeration per (presentation, targets) ------------------------------

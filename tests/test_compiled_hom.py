@@ -70,8 +70,8 @@ def categories():
     bases = [
         a3,
         a4,
-        build_quotient(a3, a3.obj({"P2": 1}), validate=False).presentation,
-        build_quotient(a4, a4.obj({"I1": 1, "P1": 1}), validate=False).presentation,
+        build_quotient(a3, a3.obj({"P2": 1})).presentation,
+        build_quotient(a4, a4.obj({"I1": 1, "P1": 1})).presentation,
         truncated_polynomials(),
         kronecker(GF(101)),
     ]

@@ -34,7 +34,7 @@ from quotcat.quotient import build_quotient
 @pytest.fixture(scope="module")
 def A2Q():
     A2 = build_cluster_category(2)
-    qc = build_quotient(A2, A2.obj({"P1": 1, "P2": 1}), validate=False)
+    qc = build_quotient(A2, A2.obj({"P1": 1, "P2": 1}))
     return qc.presentation
 
 
@@ -45,7 +45,7 @@ def A3():
 
 @pytest.fixture(scope="module")
 def Q13(A3):
-    return build_quotient(A3, A3.obj({"P1": 1, "P3": 1}), validate=False).presentation
+    return build_quotient(A3, A3.obj({"P1": 1, "P3": 1})).presentation
 
 
 def basis_morphisms(Q):
@@ -206,7 +206,7 @@ def test_rf_axioms_two_summand(Q13):
 def test_rf_axioms_negative_control(A3):
     # quotient by add{P1, P2, I2}: preabelian but not integral, so the
     # square-completion axiom fails with a concrete witness
-    q = build_quotient(A3, subcat={"P1", "P2", "I2"}, validate=False)
+    q = build_quotient(A3, subcat={"P1", "P2", "I2"})
     rep = verify_rf_axioms(q.presentation, scan_properties(q.presentation))
     assert not rep.ok
     assert rep.clauses["RF2_square_completion"].status == "fail"

@@ -13,6 +13,7 @@ from quotcat.fincat import (
     postcompose_matrix,
     precompose_matrix,
     stack_cols,
+    validate_category,
 )
 from quotcat.preabelian import (
     Budget,
@@ -46,13 +47,13 @@ def A3():
 
 @pytest.fixture(scope="module")
 def QCT(A3):
-    return build_quotient(A3, A3.obj({"P1": 1, "P2": 1, "P3": 1}), validate=False)
+    return build_quotient(A3, A3.obj({"P1": 1, "P2": 1, "P3": 1}))
 
 
 @pytest.fixture(scope="module")
 def Q2(A3):
     # 2-summand rigid: the quotient has regular non-isomorphisms
-    return build_quotient(A3, A3.obj({"P1": 1, "P3": 1}), validate=False)
+    return build_quotient(A3, A3.obj({"P1": 1, "P3": 1}))
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,7 @@ def test_multiplicities_match_brute_force(problem):
 def test_section6_certified_no_cokernel(A3):
     q6 = build_quotient(A3, subcat={"P1", "P2", "S2"})
     Q6 = q6.presentation
+    assert validate_category(Q6).ok
     f = q6.project(A3.basis_morphism(A3.index("P3"), A3.index("I2"), 0))
     assert not f.is_zero()
     assert cokernel(Q6, f) is None
@@ -350,7 +352,7 @@ def test_ftilde_regular_everywhere(A2):
 
         if not is_rigid(A2p, T):
             continue
-        qc = build_quotient(A2p, T, validate=False)
+        qc = build_quotient(A2p, T)
         Q = qc.presentation
         for f in all_basis_morphisms(Q):
             fac = coim_im_factorise(Q, f)
@@ -369,6 +371,7 @@ def test_scan_properties_integral(QCT, Q2):
 
 def test_scan_properties_section6_fails(A3):
     q6 = build_quotient(A3, subcat={"P1", "P2", "S2"})
+    assert validate_category(q6.presentation).ok
     rep = scan_properties(q6.presentation, Budget(scan_pairs_cap=60))
     assert rep.clauses["preabelian"].status == "fail"
     assert "P3 -> I2" in rep.clauses["preabelian"].detail
@@ -388,7 +391,7 @@ def test_scan_family_holds_the_preabelian_witnesses(QCT, Q2):
 
 
 def test_scan_reports_an_exhausted_preabelian_clause(A3):
-    qc = build_quotient(A3, A3.obj({"P1": 1, "P2": 1}), validate=False)
+    qc = build_quotient(A3, A3.obj({"P1": 1, "P2": 1}))
     rep = scan_properties(qc.presentation, Budget(retries=0, grid_cap=1))
     assert list(rep.clauses) == ["preabelian"]
     assert rep.clauses["preabelian"].status == "bounds-exceeded"
@@ -502,7 +505,7 @@ def test_pushout_squares_are_pushouts(QCT, Q2):
 
 
 def test_scan_budget_exhaustion_is_not_failure(A3):
-    qc = build_quotient(A3, A3.obj({"P2": 1}), validate=False)
+    qc = build_quotient(A3, A3.obj({"P2": 1}))
     rep = scan_properties(qc.presentation, Budget(retries=1, grid_cap=1))
     assert rep.clauses["preabelian"].status == "pass"
     statuses = {name: c.status for name, c in rep.clauses.items()}

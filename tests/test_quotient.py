@@ -50,14 +50,16 @@ def test_x_t_two_summand_scan_oracle(A3):
 def test_build_quotient_requires_rigid(A3):
     with pytest.raises(NotRigid):
         build_quotient(A3, A3.obj({"P1": 1, "S2": 1}))
-    # override for exploratory use
-    q = build_quotient(A3, A3.obj({"P1": 1, "S2": 1}), allow_non_rigid=True)
+    # a T that is not rigid still names its X_T as an explicit subcategory
+    q = build_quotient(A3, subcat=x_t_objects(A3, A3.obj({"P1": 1, "S2": 1})))
+    assert validate_category(q.presentation).ok
     assert q.presentation.n <= 9
 
 
 def test_quotient_by_nothing_is_parent(A3):
     T = A3.obj({name: 1 for name in A3.objects})
-    q = build_quotient(A3, T, allow_non_rigid=True)
+    q = build_quotient(A3, subcat=x_t_objects(A3, T))
+    assert validate_category(q.presentation).ok
     assert q.presentation.n == A3.n
     for i in range(A3.n):
         for j in range(A3.n):
@@ -72,6 +74,7 @@ def test_xt_objects_become_zero(QCT):
 
 
 def test_quotient_revalidates(QCT):
+    # the quotient is not validated as it is built; this checks it
     assert validate_category(QCT.presentation).ok
 
 
@@ -143,6 +146,7 @@ def test_factors_through(A3):
 
 def test_section6_quotient(A3):
     q = build_quotient(A3, subcat={"P1", "P2", "S2"})
+    assert validate_category(q.presentation).ok
     assert set(q.presentation.objects) == {"P3", "I2", "I3", "SP1", "SP2", "SP3"}
     f = A3.basis_morphism(A3.index("P3"), A3.index("I2"), 0)
     assert not q.project(f).is_zero()

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NoCokernel, NoKernel
+from quotcat.fincat import validate_category
 from quotcat.linalg import GF
 from quotcat.preabelian import Budget, is_epi, is_mono, is_regular, pullback, pushout, run_clause, scan_properties
 from quotcat.quotient import build_quotient
@@ -108,7 +109,7 @@ def _plain_leg_clauses(Q, fam, budget) -> dict:
 def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
     # a pushout is a pullback in Q^op, so counting pullbacks counts both; a
     # class is the unordered pair of unit-normalised maps
-    Q = build_quotient(A3, A3.obj({s: 1 for s in t}), validate=False).presentation
+    Q = build_quotient(A3, A3.obj({s: 1 for s in t})).presentation
     squares = collections.Counter()
     tests = collections.Counter()
     asked = set()
@@ -153,7 +154,7 @@ def _eligible_pairs(case):
     """The (limit, x, y) pairs a scan of case meets, x from any given list."""
     cat, t = case.split(" T=")
     P = build_cluster_category(4, "><>", GF(101)) if cat.startswith("A4") else build_cluster_category(3)
-    Q = build_quotient(P, P.obj({s: 1 for s in t.split("+")}), validate=False).presentation
+    Q = build_quotient(P, P.obj({s: 1 for s in t.split("+")})).presentation
     fam = scan_properties(Q, CAPPED).family
     givens = fam.all + fam.cokernel_maps + fam.kernel_maps
     return Q, [
@@ -223,8 +224,9 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
     names = names.split("+")
     if kind == "subcat":
         qc = build_quotient(P, subcat={P.index(s) for s in names})
+        assert validate_category(qc.presentation).ok
     else:
-        qc = build_quotient(P, P.obj({s: 1 for s in names}), validate=False)
+        qc = build_quotient(P, P.obj({s: 1 for s in names}))
     Q = qc.presentation
     rep = scan_properties(Q, budget)
     assert rep.clauses["preabelian"].status == "pass"
