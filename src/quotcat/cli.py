@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cotorsion(args) -> int:
     P = load_category(args.category)
-    V = _object_set(P, args.V) if args.V else None
+    V = _object_set(P, args.V) if args.V is not None else None
     report = run_cotorsion(P, _object_set(P, args.U), V)
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK if report["overall"] == "pass" else EXIT_CLAUSE_FAIL

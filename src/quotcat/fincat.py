@@ -52,6 +52,7 @@ class CategoryPresentation:
         self.metadata = dict(metadata or {})
         self._opposite = None
         self._multiplicities = {}  # cokernel targets -> preabelian.multiplicities' list
+        self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' list
         self._layouts = {}  # X.mult -> hom_layout(X)
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
@@ -166,19 +167,19 @@ class CategoryPresentation:
         return Morphism(self, X, Y, blocks)
 
     def identity(self, X: "Obj") -> "Morphism":
-        m = self.zero_morphism(X, X)
-        srcs = X.copies()
-        for p, i in enumerate(srcs):
-            m.blocks[p][p] = list(self.identities[i])
-        return m
+        z = self.field.zero
+        copies = X.copies()
+        blocks = [
+            [list(self.identities[i]) if s == t else [z] * self._dim[i][j] for s, i in enumerate(copies)]
+            for t, j in enumerate(copies)
+        ]
+        return Morphism(self, X, X, blocks)
 
     def basis_morphism(self, i: int, j: int, a: int) -> "Morphism":
         """Basis element a of Hom(i, j) as a morphism of single objects."""
-        m = self.zero_morphism(self.single(i), self.single(j))
         vec = [self.field.zero] * self._dim[i][j]
         vec[a] = self.field.one
-        m.blocks[0][0] = vec
-        return m
+        return Morphism(self, self.single(i), self.single(j), [[vec]])
 
     def hom_basis(self, X: "Obj", Y: "Obj"):
         """All coordinate basis morphisms of Hom(X, Y), in flat order."""
@@ -260,16 +261,18 @@ class Morphism:
     """A map between formal sums, stored as blocks of Hom coefficients.
 
     blocks[t][s] is the coefficient vector of the component from source
-    copy s to target copy t.
+    copy s to target copy t.  A morphism is immutable once built: its blocks
+    are complete when it is constructed, and its hash is computed once.
     """
 
-    __slots__ = ("P", "source", "target", "blocks")
+    __slots__ = ("P", "source", "target", "blocks", "_hash")
 
     def __init__(self, P: CategoryPresentation, source: Obj, target: Obj, blocks):
         self.P = P
         self.source = source
         self.target = target
         self.blocks = blocks
+        self._hash = None
 
     # -- construction / coordinates ------------------------------------
 
@@ -340,7 +343,11 @@ class Morphism:
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(tuple(tuple(b) for b in row) for row in self.blocks)))
+        h = self._hash
+        if h is None:
+            blocks = tuple(tuple(tuple(b) for b in row) for row in self.blocks)
+            h = self._hash = hash((self.source, self.target, blocks))
+        return h
 
     def is_zero(self) -> bool:
         f = self.P.field
@@ -777,10 +784,18 @@ def sum_obj(parts: list[Obj]) -> Obj:
 def sum_projections(P: CategoryPresentation, parts: list[Obj]) -> list[Morphism]:
     """Canonical projections of the direct sum of parts, one per part."""
     S = sum_obj(parts)
-    projs = [P.zero_morphism(S, part) for part in parts]
-    for s, (pi, cpos) in enumerate(sum_copy_map(parts)):
-        i = parts[pi].copies()[cpos]
-        projs[pi].blocks[cpos][s] = list(P.identities[i])
+    z = P.field.zero
+    cmap = sum_copy_map(parts)
+    projs = []
+    for pi, part in enumerate(parts):
+        blocks = [
+            [
+                list(P.identities[j]) if (qi, cpos) == (pi, t) else [z] * P.hom_dim(i, j)
+                for i, (qi, cpos) in zip(S.copies(), cmap)
+            ]
+            for t, j in enumerate(part.copies())
+        ]
+        projs.append(Morphism(P, S, part, blocks))
     return projs
 
 
@@ -791,9 +806,6 @@ def stack_cols(P: CategoryPresentation, fs: list[Morphism], cmap=None) -> Morphi
     """
     target = fs[0].target
     parts = [f.source for f in fs]
-    S = sum_obj(parts)
-    m = P.zero_morphism(S, target)
-    for s, (pi, cpos) in enumerate(cmap or sum_copy_map(parts)):
-        for t in range(len(target.copies())):
-            m.blocks[t][s] = list(fs[pi].blocks[t][cpos])
-    return m
+    cmap = cmap or sum_copy_map(parts)
+    blocks = [[list(fs[pi].blocks[t][cpos]) for pi, cpos in cmap] for t in range(len(target.copies()))]
+    return Morphism(P, sum_obj(parts), target, blocks)

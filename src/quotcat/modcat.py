@@ -10,6 +10,7 @@ checked here with exact linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import NotInS
 from .fincat import (
@@ -26,7 +27,7 @@ from .fincat import (
     precompose_matrix,
     sum_projections,
 )
-from .linalg import Matrix, RowSpace, intertwiners
+from .linalg import Matrix, RowSpace, intertwiners, kernel_basis_in_order
 from .localization import Fraction
 from .preabelian import (
     Budget,
@@ -103,17 +104,56 @@ def endomorphism_algebra(P: CategoryPresentation, T: Obj) -> Algebra:
     return Algebra(P.field, d, mult, ident)
 
 
-class GammaModule:
-    """Hom(T, X) with the pre-composition action of End(T)^op."""
+def end_basis_actions(P: CategoryPresentation, T: Obj) -> list[tuple]:
+    """(t, s, acts) for each basis element e of End(T), in flat order.
 
-    def __init__(self, P: CategoryPresentation, T: Obj, X: Obj):
+    e lies in the block from copy s of T to copy t, so - o e sends
+    Hom(T_t, -) to Hom(T_s, -); acts[k] is its matrix on Hom(T_t, k) for
+    every indecomposable k.  Copies of one indecomposable share their
+    matrices.
+    """
+    memo = {}
+    out = []
+    copies = T.copies()
+    for t, j in enumerate(copies):
+        for s, i in enumerate(copies):
+            for a in range(P.hom_dim(i, j)):
+                if (i, j, a) not in memo:
+                    memo[(i, j, a)] = precompose_matrices(P, P.basis_morphism(i, j, a))
+                out.append((t, s, memo[(i, j, a)]))
+    return out
+
+
+class GammaModule:
+    """Hom(T, X) with the pre-composition action of End(T)^op.
+
+    Hom(T, X) is the sum of the Hom(T_s, X) over the copies s of T, and
+    positions[s] lists where Hom(T_s, X) sits in the flat order.  A basis
+    element of End(T) in the block T_s -> T_t acts from Hom(T_t, X) to
+    Hom(T_s, X) and by zero elsewhere; copy_actions holds (t, s, matrix)
+    for each, in the basis order of End(T), built from end_actions, which
+    is end_basis_actions(P, T).
+    """
+
+    def __init__(self, P: CategoryPresentation, T: Obj, X: Obj, end_actions: list[tuple]):
         self.P = P
         self.T = T
         self.X = X
-        self.dim = P.hom_space_dim(T, X)
-        self.actions = []
-        for e in P.hom_basis(T, T):
-            self.actions.append(precompose_matrix(P, e, X))
+        off, self.dim = P.hom_offsets(T, X)
+        xs = X.copies()
+        self.positions = [
+            [p for row, k in zip(off, xs) for p in range(row[s], row[s] + P.hom_dim(i, k))]
+            for s, i in enumerate(T.copies())
+        ]
+        self.copy_actions = [
+            (t, s, Matrix.block_diagonal(P.field, [acts[k] for k in xs]))
+            for t, s, acts in end_actions
+        ]
+
+    @cached_property
+    def actions(self) -> list[Matrix]:
+        """The action matrices on all of Hom(T, X), one per basis element of End(T)."""
+        return [precompose_matrix(self.P, e, self.X) for e in self.P.hom_basis(self.T, self.T)]
 
     def check_module_axioms(self, algebra: Algebra) -> bool:
         f = self.P.field
@@ -156,9 +196,13 @@ class HFunctor:
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
 
+    @cached_property
+    def end_actions(self) -> list[tuple]:
+        return end_basis_actions(self.P, self.T)
+
     def module(self, X: Obj) -> GammaModule:
         if X.mult not in self._modules:
-            self._modules[X.mult] = GammaModule(self.P, self.T, X)
+            self._modules[X.mult] = GammaModule(self.P, self.T, X, self.end_actions)
         return self._modules[X.mult]
 
     def mor_matrix(self, f: Morphism) -> Matrix:
@@ -191,12 +235,31 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[ModuleMap]:
-    """Basis of the matrices Phi with Phi * am = an * Phi for every action pair."""
+    """Basis of the matrices Phi with Phi * am = an * Phi for every action pair.
+
+    Phi commutes with the idempotent of each copy s of T, so it is the sum
+    of blocks phi_s: Hom(T_s, X) -> Hom(T_s, Y).  A basis element of End(T)
+    in the block T_s -> T_t relates two of them, phi_s * a = b * phi_t, so
+    the blocks solve one intertwiner system whose vertices are T's copies.
+    The basis is the one kernel_basis gives for the flat system in the
+    row-major entries of Phi.
+    """
     f = M.P.field
-    relations = [(0, 0, am, an) for am, an in zip(M.actions, N.actions)]
+    relations = [(t, s, a, b) for (t, s, a), (_, _, b) in zip(M.copy_actions, N.copy_actions)]
+    src = [len(cols) for cols in M.positions]
+    tgt = [len(rows) for rows in N.positions]
+    # entries[u] is the (row, column) of Phi that unknown u of the block system is
+    entries = [(r, c) for rows, cols in zip(N.positions, M.positions) for r in rows for c in cols]
+    basis = intertwiners(f, src, tgt, relations)
+    # entries are in flat order when X and Y are indecomposable, and the
+    # block basis is then the flat one as it stands
+    if any(u > v for u, v in zip(entries, entries[1:])):
+        basis = kernel_basis_in_order(f, basis, entries)
     out = []
-    for v in intertwiners(f, [M.dim], [N.dim], relations):
-        data = [v[i * M.dim : (i + 1) * M.dim] for i in range(N.dim)]
+    for v in basis:
+        data = [[f.zero] * M.dim for _ in range(N.dim)]
+        for (r, c), x in zip(entries, v):
+            data[r][c] = x
         out.append(ModuleMap(M, N, Matrix(f, N.dim, M.dim, data)))
     return out
 
@@ -227,14 +290,20 @@ def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[tuple]:
 
     Epi needs dim Hom(A, Z) >= dim Hom(X, Z) and mono needs dim Hom(Z, A) <=
     dim Hom(Z, X) for every Z: exactly the sources that the shape test of
-    search_open_conditions does not certify empty.
+    search_open_conditions does not certify empty.  The list depends on Q
+    and the targets only, so it is enumerated once per target list and kept
+    on Q.
     """
-    zs = [Q.single(z) for z in range(Q.n)]
-    down = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
-    up = [[Q.hom_dim(z, i) for z in range(Q.n)] for i in range(Q.n)]
-    floor = [max(Q.hom_space_dim(X, Z) for X in targets) for Z in zs]
-    ceiling = [min(Q.hom_space_dim(Z, X) for X in targets) for Z in zs]
-    return multiplicities(down, floor, up, ceiling)
+    key = tuple(X.mult for X in targets)
+    sources = Q._leg_sources.get(key)
+    if sources is None:
+        zs = [Q.single(z) for z in range(Q.n)]
+        down = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
+        up = [[Q.hom_dim(z, i) for z in range(Q.n)] for i in range(Q.n)]
+        floor = [max(Q.hom_space_dim(X, Z) for X in targets) for Z in zs]
+        ceiling = [min(Q.hom_space_dim(Z, X) for X in targets) for Z in zs]
+        sources = Q._leg_sources[key] = multiplicities(down, floor, up, ceiling)
+    return sources
 
 
 def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[RankCondition]:

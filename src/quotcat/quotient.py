@@ -136,20 +136,19 @@ class QuotientCategory:
         """The chosen parent representative of a quotient morphism."""
         if qf.P is not self.presentation:
             raise ShapeError("morphism does not live in the quotient presentation")
-        X = self.lift_obj(qf.source)
-        Y = self.lift_obj(qf.target)
-        out = self.parent.zero_morphism(X, Y)
-        srcs = qf.source.copies()
-        tgts = qf.target.copies()
-        for t, qj in enumerate(tgts):
-            j = self.keep[qj]
-            for s, qi in enumerate(srcs):
-                i = self.keep[qi]
-                block = [self.parent.field.zero] * self.parent.hom_dim(i, j)
-                for a, coord in enumerate(self.rep_coords[(i, j)]):
-                    block[coord] = qf.blocks[t][s][a]
-                out.blocks[t][s] = block
-        return out
+        parent = self.parent
+        zero = parent.field.zero
+        srcs = [self.keep[qi] for qi in qf.source.copies()]
+        blocks = []
+        for j, qrow in zip((self.keep[qj] for qj in qf.target.copies()), qf.blocks):
+            row = []
+            for i, qblock in zip(srcs, qrow):
+                block = [zero] * parent.hom_dim(i, j)
+                for coord, x in zip(self.rep_coords[(i, j)], qblock):
+                    block[coord] = x
+                row.append(block)
+            blocks.append(row)
+        return Morphism(parent, self.lift_obj(qf.source), self.lift_obj(qf.target), blocks)
 
 
 def build_quotient(

@@ -147,6 +147,15 @@ def test_cotorsion_whole_category_against_zero(a3_path, capsys):
     assert code == 0 and rep["overall"] == "pass"
 
 
+def test_cotorsion_explicit_empty_v(a3_path, capsys):
+    # --V "" is the empty V, not an omitted one: U-perp is [P1, P2, S2]
+    code = main(["cotorsion", a3_path, "P2+P3+SP3", "--V", ""])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert rep["V"] == []
+    assert rep["clauses"]["a_U_perp_equals_V"]["status"] == "fail"
+
+
 def test_cotorsion_non_closed_fails(a3_path, capsys):
     # a non-rigid U is never the perp of its perp
     code = main(["cotorsion", a3_path, "P1+S2"])

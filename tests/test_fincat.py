@@ -11,6 +11,8 @@ from quotcat.fincat import (
     perp,
     postcompose_matrix,
     precompose_matrix,
+    stack_cols,
+    sum_projections,
     validate_category,
 )
 from quotcat.linalg import QQ
@@ -141,3 +143,30 @@ def test_precompose_postcompose_matrices(arrow):
     assert pre.data[0][0] == QQ.one
     post = postcompose_matrix(arrow, f, x)  # Hom(x,x) -> Hom(x,y)
     assert post.data[0][0] == QQ.one
+
+
+def test_morphism_hash_is_cached_and_equal_for_equal_morphisms():
+    from quotcat.clustergen import build_cluster_category
+    from quotcat.quotient import build_quotient
+
+    P = build_cluster_category(3)
+    T = P.obj({"P1": 1, "P3": 1})
+    qc = build_quotient(P, T)
+    X = P.obj({"P1": 2, "P2": 1})
+    p1, p2 = P.single("P1"), P.single("P2")
+    proj = sum_projections(P, [p1, X])[1]
+    pairs = [
+        (P.identity(X), P.morphism_from_vector(X, X, P.identity(X).to_vector())),
+        (P.basis_morphism(0, 1, 0), P.hom_basis(p1, p2)[0]),
+        (proj, P.morphism_from_vector(p1 + X, X, proj.to_vector())),
+        (stack_cols(P, [proj, P.identity(X)]), stack_cols(P, [proj.scale(1), P.identity(X)])),
+    ]
+    Q = qc.presentation
+    for i, j, a in ((0, 1, 0), (1, 1, 0)):
+        qf = Q.basis_morphism(i, j, a)
+        pairs.append((qc.lift(qf), qc.lift(qc.project(qc.lift(qf)))))
+    for f, g in pairs:
+        assert f == g and hash(f) == hash(g)
+        for m in (f, g):
+            blocks = tuple(tuple(tuple(b) for b in row) for row in m.blocks)
+            assert m._hash == hash((m.source, m.target, blocks)) == hash(m)

@@ -4,9 +4,9 @@ import pytest
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded, NotInS
-from quotcat.fincat import Obj, all_rigid_supports, compose
+from quotcat.fincat import Obj, all_rigid_supports, compose, opposite
 from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism, identity_fraction
-from quotcat.linalg import GF, Matrix
+from quotcat.linalg import GF, QQ, Matrix, intertwiners
 from quotcat.modcat import (
     HFunctor,
     _leg_sources,
@@ -223,6 +223,57 @@ def test_module_hom_space_trivia(A3, TCT, H_CT):
     Hs = HFunctor(A3, one_alg_T)
     reg = Hs.module(one_alg_T)
     assert len(module_hom_space(reg, reg)) == 1
+
+
+def _dense_module_hom_space(M, N):
+    """The flat solve that module_hom_space replaced: every action matrix on
+    all of Hom(T, X) is one relation of a single-vertex system."""
+    f = M.P.field
+    relations = [(0, 0, am, an) for am, an in zip(M.actions, N.actions)]
+    return [
+        Matrix(f, N.dim, M.dim, [v[i * M.dim : (i + 1) * M.dim] for i in range(N.dim)])
+        for v in intertwiners(f, [M.dim], [N.dim], relations)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+@pytest.mark.parametrize("side", ["C", "Cop"])
+@pytest.mark.parametrize("summands", [{"P1": 1, "P2": 1, "P3": 1}, {"P1": 2, "P2": 1}, {"P1": 1, "P3": 1}])
+def test_block_solve_is_the_dense_solve(field, side, summands):
+    # the same matrices in the same order: the lifted indecomposables of the
+    # quotient in every ordered pair, then H(T) with itself
+    P = build_cluster_category(3, field=field)
+    T = P.obj(summands)
+    qc = build_quotient(P, T)
+    P = opposite(P) if side == "Cop" else P
+    H = HFunctor(P, T)
+    lifted = [qc.lift_obj(qc.presentation.single(x)) for x in range(qc.presentation.n)]
+    pairs = list(itertools.product(lifted, repeat=2)) + [(T, T)]
+    for X, Y in pairs:
+        M, N = H.module(X), H.module(Y)
+        maps = module_hom_space(M, N)
+        assert [m.matrix for m in maps] == _dense_module_hom_space(M, N), (X, Y)
+        assert all(m.commutes_with_actions() for m in maps)
+    assert len(module_hom_space(H.module(T), H.module(T))) == P.hom_space_dim(T, T)
+
+
+def test_block_solve_memory_at_a6():
+    # the flat system for H(T) at C(A_6) peaks at about 41 MB; the blocks
+    # stay well under 1 MB
+    import tracemalloc
+
+    P = build_cluster_category(6)
+    T = P.obj({f"P{i}": 1 for i in range(1, 7)})
+    H = HFunctor(P, T)
+    M = H.module(T)
+    tracemalloc.start()
+    try:
+        maps = module_hom_space(M, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == P.hom_space_dim(T, T)
+    assert peak < 4 * 2**20, peak
 
 
 def test_verify_equivalence_a2_all_rigid(A2):
