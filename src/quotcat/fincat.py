@@ -54,7 +54,22 @@ class CategoryPresentation:
         self._multiplicities = {}  # cokernel targets -> preabelian.multiplicities' list
         self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' list
         self._layouts = {}  # X.mult -> hom_layout(X)
+        # one verdict long (clear_verdict_tables): they hold maps of self
+        self._cokernels = {}  # (f, budget fields read) -> preabelian.cokernel's result
+        self._epis = {}  # f -> preabelian.is_epi's answer
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
+
+    def clear_verdict_tables(self):
+        """Empty the cokernel and epi tables, here and in the opposite if built.
+
+        Their maps point back at the presentation, so tables kept past a
+        verdict hold finished quotients in reference cycles until a full
+        collection.
+        """
+        for P in (self, self._opposite):
+            if P is not None:
+                P._cokernels.clear()
+                P._epis.clear()
 
     # -- basic queries ------------------------------------------------
 

@@ -17,6 +17,7 @@ replaces the grid (openness does not guarantee rational points there).
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field, fields
 
@@ -54,8 +55,10 @@ class Budget:
     def from_dict(cls, d: dict) -> "Budget":
         """A budget from config values; ValueError names a key it rejects.
 
-        Every limit but the seed must be non-negative, and grid_cap,
-        scan_pairs_cap and coeff_base must be positive.
+        Values are ints, integral floats or decimal strings; a bool or a
+        fraction is rejected, not truncated.  Every limit but the seed must
+        be non-negative, and grid_cap, scan_pairs_cap and coeff_base must be
+        positive.
         """
         b = cls()
         keys = {f.name for f in fields(cls)}
@@ -63,6 +66,8 @@ class Budget:
             if k not in keys:
                 raise ValueError(f"unknown budget key {k!r}")
             try:
+                if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+                    raise TypeError
                 v = int(v)
             except (TypeError, ValueError):
                 raise ValueError(f"budget {k} must be an integer, got {v!r}") from None
@@ -80,8 +85,19 @@ DEFAULT_BUDGET = Budget()
 
 
 def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
-    """Epi iff precomposition with f is injective into every Hom(-, Z)."""
-    return all(m.rank() == m.ncols for m in precompose_matrices(Q, f))
+    """Epi iff precomposition with f is injective into every Hom(-, Z).
+
+    Injectivity into Hom(X, k) needs dim Hom(Y, k) <= dim Hom(X, k), which
+    decides many non-epis before any matrix is built.  Answers are kept on
+    Q for one verdict: run_verification empties the table when it returns.
+    """
+    answer = Q._epis.get(f)
+    if answer is None:
+        dX, dY = Q.hom_layout(f.source)[1], Q.hom_layout(f.target)[1]
+        answer = Q._epis[f] = all(map(operator.le, dY, dX)) and all(
+            not m.ncols or m.rank() == m.ncols for m in precompose_matrices(Q, f)
+        )
+    return answer
 
 
 def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
@@ -308,6 +324,9 @@ def _extend(down, up, mult, need, room, out):
     mult.pop()
 
 
+_UNSEEN = object()
+
+
 def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
     """Cokernel of f by complete bounded search, or None (certified).
 
@@ -319,10 +338,24 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     target counts, so each list is enumerated once and kept on Q.  The
     counts and every candidate's subspace come from one precompose_matrices
     pass over f.
+
+    Results, None included, are kept on Q for one verdict, keyed by f and
+    the budget fields the search reads: run_verification empties the table
+    when it returns.  BoundsExceeded is not kept, so a search that ran out
+    of budget runs again.
     """
+    key = (f, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    res = Q._cokernels.get(key, _UNSEEN)
+    if res is _UNSEEN:
+        res = Q._cokernels[key] = _search_cokernel(Q, f, budget)
+    return res
+
+
+def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
+    """The search behind cokernel, run once per key of its table."""
     Y = f.target
     blocks = precompose_matrices(Q, f)  # - o f on each Hom(Y, Z_k)
-    targets = [m.ncols - m.rank() for m in blocks]
+    targets = [m.ncols - m.rank() if m.ncols else 0 for m in blocks]
     key = tuple(targets)
     candidates = Q._multiplicities.get(key)
     if candidates is None:
@@ -582,7 +615,7 @@ def run_clause(body) -> ClauseResult:
 
 
 class _ScanLegs:
-    """The legs of one scan's limit squares, and their epi and mono answers.
+    """The legs of one scan's limit squares.
 
     A square and its kernel search are a pure function of (Q, given map,
     other map, budget), and one square serves a whole class of pairs:
@@ -598,7 +631,8 @@ class _ScanLegs:
     values, not places in a list: the cokernel-map and kernel-map clauses
     share squares with the others only by value.  A square that could not be
     built is kept as its failure under the key that raised it, and raised
-    again to every clause that reaches that key.
+    again to every clause that reaches that key.  A leg's epi and mono
+    answers are kept by is_epi, in Q and in Q^op.
     """
 
     def __init__(self, Q: CategoryPresentation, budget: Budget):
@@ -606,7 +640,6 @@ class _ScanLegs:
         self.budget = budget
         self.units = {}  # map -> its unit representative
         self.legs = {}  # (limit, given, other) of unit maps -> leg, or the failure building it raised
-        self.answers = {"epi": {}, "mono": {}}  # prop -> {leg: bool}, filled as asked
 
     def unit(self, f: Morphism) -> Morphism:
         """f scaled so that its first nonzero coordinate is one."""
@@ -618,9 +651,8 @@ class _ScanLegs:
         return u
 
     def leg(self, limit: str, x: Morphism, y: Morphism) -> Morphism:
-        """A leg with the epi and mono answers of the leg opposite x of the
-        pullback (x and y into one target) or the pushout (x and y out of one
-        source)."""
+        """The leg opposite x of the pullback (x and y into one target) or
+        the pushout (x and y out of one source)."""
         x, y = self.unit(x), self.unit(y)
         key = (limit, x, y)
         leg = self.legs.get(key)
@@ -641,16 +673,6 @@ class _ScanLegs:
             raise type(leg)(*leg.args)
         return leg
 
-    def has(self, leg: Morphism, prop: str) -> bool:
-        """Whether leg is epi, mono or regular (epi, then mono)."""
-        if prop == "regular":
-            return self.has(leg, "epi") and self.has(leg, "mono")
-        known = self.answers[prop]
-        answer = known.get(leg)
-        if answer is None:
-            answer = known[leg] = (is_epi if prop == "epi" else is_mono)(self.Q, leg)
-        return answer
-
 
 def _leg_clause(legs: _ScanLegs, limit: str, given, others, prop: str):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
@@ -666,11 +688,12 @@ def _leg_clause(legs: _ScanLegs, limit: str, given, others, prop: str):
     else:
         pairs = ((x, y) for x in given for y in others if y.source == x.source)
     Q = legs.Q
+    has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
         for x, y in itertools.islice(pairs, legs.budget.scan_pairs_cap):
             leg = legs.leg(limit, x, y)
             yield
-            if not legs.has(leg, prop):
+            if not has(Q, leg):
                 return (
                     f"leg not {prop} for {Q.obj_name(x.source)} -> {Q.obj_name(x.target)}"
                     f" with {Q.obj_name(y.source)} -> {Q.obj_name(y.target)}"

@@ -94,6 +94,18 @@ def run_verification(
         xt = set(subcat)
 
     qc = timed("quotient", lambda: build_quotient(P, subcat=xt))
+    try:
+        _quotient_clauses(P, t_spec, xt, qc, budget, report, timed)
+    finally:
+        # the cokernel and epi tables last one verdict
+        qc.presentation.clear_verdict_tables()
+        P.clear_verdict_tables()
+    return report
+
+
+def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
+    """The clauses from the quotient on; they fill report."""
+    clauses = report["clauses"]
     Q = qc.presentation
     vrep = validate_category(Q)
     clauses["quotient"] = _clause(
@@ -188,7 +200,6 @@ def run_verification(
     # running out of budget alone is not a theorem failure
     statuses = {c["status"] for c in clauses.values()}
     report["overall"] = FAIL if FAIL in statuses else EXCEEDED if EXCEEDED in statuses else PASS
-    return report
 
 
 def run_cotorsion(P: CategoryPresentation, U: set, V: set | None = None) -> dict:

@@ -293,6 +293,29 @@ def test_nonsense_budget_flags_exit_2(a3_path, flags, capsys):
     assert err.startswith("error: budget ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [{"seed": 1.5}, {"retries": 2.9}, {"seed": True}, {"scan_pairs_cap": False}, {"grid_cap": "2.5"}],
+    ids=["fractional seed", "fractional retries", "true seed", "false cap", "fractional string"],
+)
+def test_non_integral_budget_config_exits_2(a3_path, tmp_path, monkeypatch, capsys, config):
+    # truncating would run, and report, a budget the config did not ask for
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    monkeypatch.setenv("QUOTCAT_CONFIG", str(cfg))
+    assert main(["verify", a3_path, "--T", "P2"]) == 2
+    err = capsys.readouterr().err
+    (key,) = config
+    assert err.startswith(f"error: budget {key} must be an integer") and err.count("\n") == 1, err
+
+
+def test_integral_budget_values_are_read():
+    from quotcat.preabelian import Budget
+
+    budget = Budget.from_dict({"seed": "12", "retries": 3, "grid_cap": 1000.0})
+    assert (budget.seed, budget.retries, budget.grid_cap) == (12, 3, 1000)
+
+
 @pytest.mark.parametrize("spec", ["P1^-1", "P1^x", "P1^0"])
 def test_bad_power_in_object_spec_exits_2(a3_path, spec, capsys):
     assert main(["verify", a3_path, "--T", spec]) == 2
