@@ -210,7 +210,11 @@ def resolve_object_name(P: CategoryPresentation, name: str) -> int:
 
 
 def parse_object_spec(P: CategoryPresentation, spec: str) -> Obj:
-    """Parse 'P1+P2^2+SP3' (or comma-separated) into an object."""
+    """Parse 'P1+P2^2+SP3' (or comma-separated) into an object.
+
+    A spec that names no summand, such as '' or '+', is an error rather
+    than the zero object.
+    """
     mult = [0] * P.n
     for part in spec.replace(",", "+").split("+"):
         part = part.strip()
@@ -224,4 +228,6 @@ def parse_object_spec(P: CategoryPresentation, spec: str) -> Obj:
         else:
             name, count = part, 1
         mult[resolve_object_name(P, name.strip())] += count
+    if not any(mult):
+        raise ShapeError(f"object spec {spec!r} names no summand")
     return Obj(tuple(mult))

@@ -239,9 +239,24 @@ def structure_constants(field: Field, dims, product) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class Obj:
-    """A formal direct sum of indecomposables: a multiplicity vector."""
+    """A formal direct sum of indecomposables: a multiplicity vector.
+
+    Equality tries identity first: maps and tables mostly share one Obj, so
+    most comparisons are of an object with itself.  The hash is the
+    dataclass's, hash((mult,)), so set and dict order are unchanged.
+    """
 
     mult: tuple
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Obj:
+            return self.mult == other.mult
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.mult,))
 
     def copies(self) -> tuple:
         """Indecomposable index of each copy, in block order.
@@ -278,9 +293,11 @@ class Morphism:
     blocks[t][s] is the coefficient vector of the component from source
     copy s to target copy t.  A morphism is immutable once built: its blocks
     are complete when it is constructed, and its hash is computed once.
+    _op is its twin in the opposite presentation once op_morphism has built
+    it.
     """
 
-    __slots__ = ("P", "source", "target", "blocks", "_hash")
+    __slots__ = ("P", "source", "target", "blocks", "_hash", "_op")
 
     def __init__(self, P: CategoryPresentation, source: Obj, target: Obj, blocks):
         self.P = P
@@ -288,6 +305,7 @@ class Morphism:
         self.target = target
         self.blocks = blocks
         self._hash = None
+        self._op = None
 
     # -- construction / coordinates ------------------------------------
 
@@ -752,12 +770,18 @@ def opposite(P: CategoryPresentation) -> CategoryPresentation:
 
 
 def op_morphism(Q: CategoryPresentation, f: Morphism) -> Morphism:
-    """Reinterpret a morphism of the opposite presentation in Q (or back)."""
-    blocks = [
-        [list(f.blocks[t][s]) for t in range(len(f.target.copies()))]
-        for s in range(len(f.source.copies()))
-    ]
-    return Morphism(Q, f.target, f.source, blocks)
+    """Reinterpret a morphism of the opposite presentation in Q (or back).
+
+    The twin shares f's coefficient vectors, which no morphism changes, and
+    is kept on f, so asking again returns the same map with its hash
+    computed.  The twin does not point back at f: carrying f there and back
+    gives a map equal to f, not f itself, and makes no reference cycle.
+    """
+    twin = f._op
+    if twin is None or twin.P is not Q:
+        blocks = [[row[s] for row in f.blocks] for s in range(len(f.source.copies()))]
+        twin = f._op = Morphism(Q, f.target, f.source, blocks)
+    return twin
 
 
 # -- direct sum plumbing --------------------------------------------------

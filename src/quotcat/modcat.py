@@ -343,9 +343,8 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
         if not subspace:
             continue
         conditions = [c for leg, X in zip(legs, targets) for c in _regular_conditions(Q, leg, A, X)]
-        res = search_open_conditions(
-            Q, A, subspace[0].target, subspace, conditions, budget, salt=f"{salt}:{mult}"
-        )
+        vecs = [b.to_vector() for b in subspace]
+        res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{mult}")
         if res.status == SearchResult.FOUND:
             yield A, res.witness
 

@@ -194,18 +194,20 @@ def search_open_conditions(
     Q: CategoryPresentation,
     X: Obj,
     Y: Obj,
-    subspace: list[Morphism],
+    subspace: list[list],
     conditions: list[RankCondition],
     budget: Budget,
     salt: int | str = 0,
 ) -> SearchResult:
-    """Find m in span(subspace) satisfying all rank conditions, certified.
+    """Find m: X -> Y in the span of subspace satisfying all rank
+    conditions, certified.
 
-    Returns FOUND with a witness, CERTIFIED_EMPTY when no element of the
-    subspace can satisfy them, or raises BoundsExceeded.  Each tried element
-    is a combination of the subspace's coordinate vectors, read off once, and
-    becomes a morphism once.  The phases run in this order, each only when
-    the ones before it decided nothing:
+    subspace is a list of coordinate vectors of Hom(X, Y), in to_vector
+    order.  Returns FOUND with a witness, CERTIFIED_EMPTY when no element of
+    the subspace can satisfy them, or raises BoundsExceeded.  Each tried
+    element is a combination of those vectors and becomes a morphism once.
+    The phases run in this order, each only when the ones before it decided
+    nothing:
 
     1. budget.retries seeded random combinations;
     2. the shape test: a condition whose required rank exceeds the smaller
@@ -226,13 +228,12 @@ def search_open_conditions(
         if all(c.holds(zero) for c in live):
             return SearchResult(SearchResult.FOUND, zero)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
-    vecs = [b.to_vector() for b in subspace]
 
     rng = random.Random(f"{budget.seed}:{salt}:{d}")
     for attempt in range(budget.retries):
         radius = budget.coeff_base ** (1 + attempt // 3)
         coeffs = [rng.randint(-radius, radius) for _ in range(d)]
-        m = _combine(Q, X, Y, vecs, coeffs)
+        m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
 
@@ -250,7 +251,7 @@ def search_open_conditions(
                 f"cannot certify over F_{p}: {p}^{d} exceeds the grid cap"
             )
         for coeffs in itertools.product(range(p), repeat=d):
-            m = _combine(Q, X, Y, vecs, coeffs)
+            m = _combine(Q, X, Y, subspace, coeffs)
             if all(c.holds(m) for c in live):
                 return SearchResult(SearchResult.FOUND, m)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
@@ -264,7 +265,7 @@ def search_open_conditions(
             )
         sat = False
         for coeffs in itertools.product(range(r + 1), repeat=d):
-            m = _combine(Q, X, Y, vecs, coeffs)
+            m = _combine(Q, X, Y, subspace, coeffs)
             if c.holds(m):
                 sat = True
                 break
@@ -280,12 +281,12 @@ def search_open_conditions(
         for attempt in range(4 * budget.retries):
             radius = budget.coeff_base ** (2 + attempt // 4)
             coeffs = [rng.randint(-radius, radius) for _ in range(d)]
-            m = _combine(Q, X, Y, vecs, coeffs)
+            m = _combine(Q, X, Y, subspace, coeffs)
             if all(c.holds(m) for c in live):
                 return SearchResult(SearchResult.FOUND, m)
         raise BoundsExceeded(f"joint grid {(D + 1)}^{d} exceeds the cap")
     for coeffs in itertools.product(range(D + 1), repeat=d):
-        m = _combine(Q, X, Y, vecs, coeffs)
+        m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
     raise InternalInconsistency("joint grid missed a guaranteed witness")
@@ -301,23 +302,30 @@ def multiplicities(down, floor, up, ceiling) -> list[tuple]:
     lexicographic) order.  Every entry is non-negative, as a dimension is,
     and up[i][i] >= 1, as dim End(i) is, so the ceiling bounds each m_i.
     """
+    # last[z]: the last row that raises coordinate z, or -1 if none does
+    last = [max((i for i, row in enumerate(down) if row[z] > 0), default=-1) for z in range(len(floor))]
     out = []
-    _extend(down, up, [], list(floor), list(ceiling), out)
+    _extend(down, up, last, [], list(floor), list(ceiling), out)
     out.sort(key=sum)  # stable: lexicographic within each sum
     return out
 
 
-def _extend(down, up, mult, need, room, out):
+def _extend(down, up, last, mult, need, room, out):
     """Append to out each completion of the prefix mult; need and room are
-    what is left of the floor and the ceiling."""
+    what is left of the floor and the ceiling.
+
+    A prefix is dropped once a coordinate still below the floor has no row
+    left that can raise it; with no row left, that is the floor test itself.
+    """
     i = len(mult)
+    if any(a > 0 and r < i for a, r in zip(need, last)):
+        return
     if i == len(up):
-        if max(need, default=0) <= 0:
-            out.append(tuple(mult))
+        out.append(tuple(mult))
         return
     mult.append(0)
     while min(room, default=0) >= 0:  # a larger m_i only lowers the room
-        _extend(down, up, mult, need, room, out)
+        _extend(down, up, last, mult, need, room, out)
         mult[i] += 1
         need = [a - b for a, b in zip(need, down[i])]
         room = [a - b for a, b in zip(room, up[i])]
@@ -372,8 +380,7 @@ def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
         M = Obj(mult)
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
         kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
-        sub = [Morphism.from_coords(Q, Y, M, v) for v in kills_f]
-        res = search_open_conditions(Q, Y, M, sub, conditions, budget, salt=hash(mult) & 0xFFFF)
+        res = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt=hash(mult) & 0xFFFF)
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
     return None
@@ -674,23 +681,32 @@ class _ScanLegs:
         return leg
 
 
+def _leg_pairs(limit: str, given, others):
+    """The pairs (x, y), x in given and y in others, that meet: y into x's
+    target for a pullback, y out of x's source for a pushout.
+
+    In the order of given, then of others; each x looks up its partners in
+    an index of others by that end instead of testing every y.
+    """
+    end = operator.attrgetter("target" if limit == "pullback" else "source")
+    partners = {}
+    for y in others:
+        partners.setdefault(end(y), []).append(y)
+    return ((x, y) for x in given for y in partners.get(end(x), ()))
+
+
 def _leg_clause(legs: _ScanLegs, limit: str, given, others, prop: str):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
-    pairs (x, y), x in given and y in others.
+    pairs (x, y) of _leg_pairs(limit, given, others).
 
-    limit is "pullback", pairing x with the maps into its target, or
-    "pushout", pairing it with the maps out of its source.  prop is "epi",
-    "mono" or "regular".  A failure names the property and the pair of maps.
-    A missing limit square fails the clause.
+    limit is "pullback" or "pushout"; prop is "epi", "mono" or "regular".
+    A failure names the property and the pair of maps.  A missing limit
+    square fails the clause.
     """
-    if limit == "pullback":
-        pairs = ((x, y) for x in given for y in others if y.target == x.target)
-    else:
-        pairs = ((x, y) for x in given for y in others if y.source == x.source)
     Q = legs.Q
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
-        for x, y in itertools.islice(pairs, legs.budget.scan_pairs_cap):
+        for x, y in itertools.islice(_leg_pairs(limit, given, others), legs.budget.scan_pairs_cap):
             leg = legs.leg(limit, x, y)
             yield
             if not has(Q, leg):

@@ -324,6 +324,18 @@ def test_bad_power_in_object_spec_exits_2(a3_path, spec, capsys):
     assert repr(spec) in err and "positive integer" in err
 
 
+@pytest.mark.parametrize("spec", ["", "+", " , "])
+@pytest.mark.parametrize("command", ["verify", "fraction"])
+def test_empty_object_spec_exits_2(a3_path, command, spec, capsys):
+    # a spec naming no summand is not T = 0, which would verify vacuously
+    argv = ["verify", a3_path, "--T", spec] if command == "verify" else ["fraction", a3_path, spec, "P1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(spec) in err and "names no summand" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -112,7 +112,7 @@ def test_shape_test_certifies_what_no_grid_could(field):
     Q = arrow_category(field)
     x, y = Q.single(0), Q.single(1)
     cond = RankCondition(lambda m: precompose_matrix(Q, m, y), 2)
-    res = search_open_conditions(Q, x, y, Q.hom_basis(x, y), [cond], Budget(retries=10, grid_cap=1))
+    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], [cond], Budget(retries=10, grid_cap=1))
     assert res.status == SearchResult.CERTIFIED_EMPTY
 
 
@@ -129,7 +129,7 @@ def test_search_found_at_random_builds_no_probe():
         return RankCondition(builder, 1)
 
     conditions = [condition(y), condition(Q.single(1) + Q.single(1))]
-    res = search_open_conditions(Q, x, y, Q.hom_basis(x, y), conditions, Budget())
+    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], conditions, Budget())
     assert res.status == SearchResult.FOUND and not res.witness.is_zero()
     # one build per condition, each for the first (and found) combination
     assert built == [(y, res.witness), (Q.single(1) + Q.single(1), res.witness)]

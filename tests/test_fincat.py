@@ -1,8 +1,14 @@
+import gc
+
 import pytest
 
+from quotcat.clustergen import build_cluster_category
 from quotcat.errors import MissingSuspension, ShapeError
 from quotcat.fincat import (
+    Morphism,
+    Obj,
     approximation,
+    basis_morphisms,
     compose,
     is_cluster_tilting,
     is_rigid,
@@ -15,7 +21,8 @@ from quotcat.fincat import (
     sum_projections,
     validate_category,
 )
-from quotcat.linalg import QQ
+from quotcat.linalg import GF, QQ
+from quotcat.preabelian import build_morphism_family
 
 from conftest import arrow_category, chain4_category
 
@@ -133,6 +140,54 @@ def test_opposite_roundtrip():
     # in the opposite category the same composite reads f^op o g^op
     fo, go = op_morphism(op, f), op_morphism(op, g)
     assert op_morphism(P, compose(op, fo, go)) == gf
+
+
+def _copied_op_morphism(Q, f):
+    """op_morphism as it was before twins: a fresh copy of every block."""
+    blocks = [
+        [list(f.blocks[t][s]) for t in range(len(f.target.copies()))]
+        for s in range(len(f.source.copies()))
+    ]
+    return Morphism(Q, f.target, f.source, blocks)
+
+
+@pytest.mark.parametrize("case", ["A3/Q", "A4(><>)/F101"])
+def test_op_morphism_twin_is_kept_and_equals_the_copy(case):
+    P = build_cluster_category(3) if case == "A3/Q" else build_cluster_category(4, "><>", GF(101))
+    op = opposite(P)
+    X = P.single(0) + P.single(1)
+    maps = [f for _, _, _, f in basis_morphisms(P)] + build_morphism_family(P).all
+    maps += [P.zero_morphism(X, P.zero_obj()), P.zero_morphism(P.zero_obj(), X)]
+    assert any(f.source.total > 1 for f in maps)
+    for f in maps:
+        twin = op_morphism(op, f)
+        assert op_morphism(op, f) is twin
+        copy = _copied_op_morphism(op, f)
+        assert twin == copy and hash(twin) == hash(copy)
+        back = op_morphism(P, twin)
+        assert back == f and hash(back) == hash(f)
+
+
+def test_op_morphism_twin_holds_no_reference_back():
+    P = build_cluster_category(3)
+    op = opposite(P)
+    f = P.identity(P.single(0) + P.single(1))
+    twin = op_morphism(op, f)
+    assert f._op is twin and twin._op is None
+    assert all(r is not f for r in gc.get_referents(twin))
+    # the twin shares f's coefficient vectors rather than copying them
+    assert twin.blocks[1][0] is f.blocks[0][1]
+
+
+def test_obj_equality_and_hash():
+    X, Y = Obj((1, 0, 2)), Obj((0, 1, 0))
+    same = Obj((1, 0, 2))
+    assert X == X and X == same and not X != same
+    assert X != Y and not X == Y
+    assert X != (1, 0, 2) and X != "X" and not X == None  # noqa: E711
+    for m in ((1, 0, 2), (0, 1, 0), ()):
+        assert hash(Obj(m)) == hash((m,))
+    assert len({X, same, Y}) == 2 and {X: 1}[same] == 1
 
 
 def test_precompose_postcompose_matrices(arrow):

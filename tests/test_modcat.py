@@ -329,7 +329,9 @@ def _empty_by_shape(Q, A, X):
     """
     conditions = _regular_conditions(Q, lambda h: h, A, X)
     try:
-        res = search_open_conditions(Q, A, X, Q.hom_basis(A, X), conditions, Budget(retries=0, grid_cap=1))
+        res = search_open_conditions(
+            Q, A, X, [b.to_vector() for b in Q.hom_basis(A, X)], conditions, Budget(retries=0, grid_cap=1)
+        )
     except BoundsExceeded:
         return False
     return res.status == SearchResult.CERTIFIED_EMPTY

@@ -249,3 +249,19 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
         assert statuses["bounds-exceeded"] >= 2
     if kind == "subcat":
         assert statuses["fail"] >= 2
+
+
+def test_leg_pairs_keep_the_filtered_order(A4):
+    # the pairs a leg clause meets, from an index of others by the meeting
+    # end, are those of the filter over every (x, y), in the same order
+    Q = build_quotient(A4, A4.obj({"I1": 1, "P1": 1})).presentation
+    fam = scan_properties(Q, CAPPED).family
+    givens = [fam.all, fam.epis, fam.monos, fam.regulars, fam.cokernel_maps, fam.kernel_maps]
+    assert all(givens)
+    for limit, meet in (("pullback", "target"), ("pushout", "source")):
+        for given in givens:
+            filtered = [(x, y) for x in given for y in fam.all if getattr(y, meet) == getattr(x, meet)]
+            indexed = list(preabelian._leg_pairs(limit, given, fam.all))
+            assert len(indexed) == len(filtered) and all(
+                a[0] is b[0] and a[1] is b[1] for a, b in zip(indexed, filtered)
+            )
