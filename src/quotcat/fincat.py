@@ -589,6 +589,20 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
                         rhs = compose(P, hg, fa)
                         if lhs != rhs:
                             rep.add("associativity", (i, j, k, l, a, b, c))
+    # no (i, j, k) table says g o f = 0 there, so (h o g) o f, read from the
+    # (j, k, l) and (i, j, l) tables, must vanish too
+    for (j, k, l), hg_table in P.comp.items():
+        for i in range(P.n):
+            f_table = P.comp.get((i, j, l))
+            if f_table is None or (i, j, k) in P.comp:
+                continue
+            for a, rows in enumerate(f_table):
+                # - o f_a on Hom(j, l), in coordinates
+                pre = Matrix(f, len(rows), P.hom_dim(i, l), rows).transpose()
+                for b, row in enumerate(hg_table):
+                    for c, hg in enumerate(row):
+                        if not vec_is_zero(f, pre.apply(hg)):
+                            rep.add("associativity", (i, j, k, l, a, b, c))
     if P.sigma is not None and sorted(P.sigma) != list(range(P.n)):
         rep.add("sigma-not-bijective", tuple(P.sigma))
     if P.metadata.get("two_cy") and P.sigma is not None:

@@ -10,13 +10,12 @@ exact linear algebra on the quotient presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from .errors import NoCokernel, NoKernel, NotRegular, ShapeError
 from .fincat import CategoryPresentation, Morphism, Obj, basis_morphisms, compose
 from .preabelian import (
     Budget,
-    ClauseResult,
+    ClauseReport,
     DEFAULT_BUDGET,
     PropertyReport,
     coim_im_factorise,
@@ -162,18 +161,6 @@ def localised_kernel(Q: CategoryPresentation, F: Fraction, budget: Budget = DEFA
 # -- axiom scans -----------------------------------------------------------------
 
 
-@dataclass
-class AxiomReport:
-    clauses: dict = dc_field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == "pass" for c in self.clauses.values())
-
-    def as_dict(self):
-        return {k: v.as_dict() for k, v in self.clauses.items()}
-
-
 def _rf1_clause(Q: CategoryPresentation, regulars, budget: Budget):
     """Clause body: identities are regular and the class is composition closed."""
     for i in range(Q.n):
@@ -194,7 +181,7 @@ def _cancellation_clause(Q: CategoryPresentation, regulars, cancels, kind: str):
             return f"a regular morphism is not {kind}"
 
 
-def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budget = DEFAULT_BUDGET) -> AxiomReport:
+def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budget = DEFAULT_BUDGET) -> ClauseReport:
     """RF1-RF3 for the regular class, plus the LF duals.
 
     scan is scan_properties(Q, budget) of a preabelian Q: its morphism
@@ -206,7 +193,7 @@ def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budg
     regulars are mono (epi).
     """
     regulars = scan.family.regulars
-    report = AxiomReport()
+    report = ClauseReport()
     report.clauses["RF1_identities_and_closure"] = run_clause(_rf1_clause(Q, regulars, budget))
     report.clauses["RF2_square_completion"] = scan.clauses["pullback_regular_leg"]
     report.clauses["RF3_left_cancellation"] = run_clause(_cancellation_clause(Q, regulars, is_mono, "mono"))
@@ -215,29 +202,24 @@ def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budg
     return report
 
 
-def check_abelian(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> AxiomReport:
-    """Abelianness of the localisation via the coim-im middle map.
-
-    For every basis morphism: the middle map of the factorisation is regular
-    and its fraction is two-sided invertible by the equality decider.
-    """
-    report = AxiomReport()
-    count = 0
-    status, detail = "pass", ""
+def _abelian_clause(Q: CategoryPresentation, budget: Budget):
+    """Clause body: for every basis morphism, the middle map of its coim-im
+    factorisation is regular and its fraction is two-sided invertible by the
+    equality decider."""
     for i, j, a, f in basis_morphisms(Q):
         try:
             fac = coim_im_factorise(Q, f, budget)
         except (NoKernel, NoCokernel) as e:
-            status, detail = "fail", f"factorisation failed at ({i},{j},{a}): {e}"
-            break
-        count += 1
+            return f"factorisation failed at ({i},{j},{a}): {e}"
+        yield
         if not is_regular(Q, fac.ftilde):
-            status, detail = "fail", f"middle map not regular at ({i},{j},{a})"
-            break
+            return f"middle map not regular at ({i},{j},{a})"
         frac = from_morphism(Q, fac.ftilde)
         inv = invert_regular(Q, fac.ftilde)
         if not fraction_two_sided_inverse(Q, frac, inv, budget):
-            status, detail = "fail", f"middle map not invertible at ({i},{j},{a})"
-            break
-    report.clauses["abelian_middle_maps"] = ClauseResult(status, count, detail)
-    return report
+            return f"middle map not invertible at ({i},{j},{a})"
+
+
+def check_abelian(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> ClauseReport:
+    """Abelianness of the localisation via the coim-im middle map."""
+    return ClauseReport({"abelian_middle_maps": run_clause(_abelian_clause(Q, budget))})

@@ -9,6 +9,7 @@ checked here with exact linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -31,12 +32,13 @@ from .linalg import Matrix, RowSpace, intertwiners, kernel_basis_in_order
 from .localization import Fraction
 from .preabelian import (
     Budget,
-    ClauseResult,
+    ClauseReport,
     DEFAULT_BUDGET,
     RankCondition,
     SearchResult,
     last_one,
     multiplicities,
+    run_clause,
     search_open_conditions,
     solve_on_basis,
 )
@@ -268,16 +270,8 @@ def module_hom_space(M: GammaModule, N: GammaModule) -> list[ModuleMap]:
 
 
 @dataclass
-class EquivalenceReport:
-    clauses: dict = dc_field(default_factory=dict)
+class EquivalenceReport(ClauseReport):
     witnesses: dict = dc_field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == "pass" for c in self.clauses.values())
-
-    def as_dict(self):
-        return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
 def _flat(m: Matrix) -> list:
@@ -322,10 +316,10 @@ def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[Ra
         Z = Q.single(z)
         need_epi = Q.hom_space_dim(X, Z)
         if need_epi:
-            out.append(RankCondition(lambda m, z=z: epi(m)[z], need_epi, f"epi-{z}"))
+            out.append(RankCondition(lambda m, z=z: epi(m)[z], need_epi))
         need_mono = Q.hom_space_dim(Z, A)
         if need_mono:
-            out.append(RankCondition(lambda m, z=z: mono(m)[z], need_mono, f"mono-{z}"))
+            out.append(RankCondition(lambda m, z=z: mono(m)[z], need_mono))
     return out
 
 
@@ -399,6 +393,65 @@ def realize_module_map(
     return None
 
 
+def _faithful_clause(P: CategoryPresentation, qc: QuotientCategory, H: HFunctor):
+    """Clause body: the kernel of H on each Hom space is exactly the maps
+    factoring through X_T, per basis morphism and then as a dimension per
+    pair of kept objects."""
+    for i, j, a, f in basis_morphisms(P):
+        hz, ft = H.mor_matrix(f).is_zero(), factors_through(P, f, qc.xt)
+        yield
+        if hz != ft:
+            return f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
+    for i, j in itertools.product(qc.keep, repeat=2):
+        d = P.hom_dim(i, j)
+        if d == 0:
+            continue
+        vecs = [_flat(H.mor_matrix(P.basis_morphism(i, j, a))) for a in range(d)]
+        if RowSpace.from_rows(P.field, len(vecs[0]), vecs).dim != len(qc.rep_coords[(i, j)]):
+            return f"H-image dimension mismatch on ({P.objects[i]}, {P.objects[j]})"
+
+
+def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: list):
+    """Clause body: every nonzero module map between images of
+    indecomposables is realised by a fraction.
+
+    Each realisation appends (source, target, whether its denominator is not
+    an identity) to witnesses.
+    """
+    Q = qc.presentation
+    for x, y in itertools.product(range(Q.n), repeat=2):
+        Mx = H.module(qc.lift_obj(Q.single(x)))
+        My = H.module(qc.lift_obj(Q.single(y)))
+        for phi in module_hom_space(Mx, My):
+            if phi.matrix.is_zero():
+                continue
+            yield
+            try:
+                F = realize_module_map(H, qc, x, y, phi.matrix, budget)
+            except NotInS as e:
+                return f"inconsistent functor data: {e}"
+            if F is None:
+                return f"unrealised module map {Q.objects[x]} -> {Q.objects[y]}"
+            witnesses.append((Q.objects[x], Q.objects[y], F.denom.source != F.denom.target))
+
+
+def _projectives_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H: HFunctor, budget: Budget):
+    """Clause body: the localised projectives are exactly add T up to
+    isomorphism, and End dimensions agree."""
+    tsupp = set(T.support())
+    for x, parent_idx in enumerate(qc.keep):
+        appr = approximation(P, sorted(tsupp), P.single(parent_idx), "right")
+        split = _fraction_split_epi(qc, qc.project(appr), budget)
+        in_add_t = parent_idx in tsupp or _iso_to_add_t(qc, x, tsupp, budget)
+        yield
+        if split != in_add_t:
+            return f"localised projectivity mismatch at {P.objects[parent_idx]}"
+    dT = P.hom_space_dim(T, T)
+    dMod = len(module_hom_space(H.module(T), H.module(T)))
+    if dT != dMod:
+        return f"End dimension mismatch: {dT} vs {dMod}"
+
+
 def verify_equivalence(
     P: CategoryPresentation,
     T: Obj,
@@ -412,91 +465,14 @@ def verify_equivalence(
     factoring through X_T.  FULL: every module homomorphism between images
     of indecomposables is realised by a fraction.  PROJECTIVES: the
     localised projectives are exactly add T, and End dimensions agree.
+    Each runs through run_clause: one out of budget does not stop the rest.
     """
-    report = EquivalenceReport()
     qc = qc or build_quotient(P, T)
-    Q = qc.presentation
     H = H or HFunctor(P, T)
-
-    # clause: FAITHFUL
-    checked = 0
-    status, detail = "pass", ""
-    for i, j, a, f in basis_morphisms(P):
-        hz = H.mor_matrix(f).is_zero()
-        ft = factors_through(P, f, qc.xt)
-        checked += 1
-        if hz != ft:
-            status = "fail"
-            detail = f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
-            break
-    # dimension form of the same identity, per pair
-    if status == "pass":
-        for i in qc.keep:
-            for j in qc.keep:
-                d = P.hom_dim(i, j)
-                if d == 0:
-                    continue
-                vecs = [_flat(H.mor_matrix(P.basis_morphism(i, j, a))) for a in range(d)]
-                rs = RowSpace.from_rows(P.field, len(vecs[0]), vecs)
-                if rs.dim != len(qc.rep_coords[(i, j)]):
-                    status = "fail"
-                    detail = f"H-image dimension mismatch on ({P.objects[i]}, {P.objects[j]})"
-                    break
-            if status == "fail":
-                break
-    report.clauses["faithful"] = ClauseResult(status, checked, detail)
-
-    # clause: FULL
-    checked = 0
-    status, detail = "pass", ""
-    witnesses = []
-    for x in range(Q.n):
-        for y in range(Q.n):
-            Mx = H.module(qc.lift_obj(Q.single(x)))
-            My = H.module(qc.lift_obj(Q.single(y)))
-            for phi in module_hom_space(Mx, My):
-                if phi.matrix.is_zero():
-                    continue
-                checked += 1
-                try:
-                    F = realize_module_map(H, qc, x, y, phi.matrix, budget)
-                except NotInS as e:
-                    status, detail = "fail", f"inconsistent functor data: {e}"
-                    break
-                if F is None:
-                    status = "fail"
-                    detail = f"unrealised module map {Q.objects[x]} -> {Q.objects[y]}"
-                    break
-                witnesses.append((Q.objects[x], Q.objects[y], F.denom.source != F.denom.target))
-            if status == "fail":
-                break
-        if status == "fail":
-            break
-    report.clauses["full"] = ClauseResult(status, checked, detail)
-    report.witnesses["full"] = witnesses
-
-    # clause: PROJECTIVES (localised projectives = add T up to isomorphism)
-    checked = 0
-    status, detail = "pass", ""
-    tsupp = {i for i in T.support()}
-    for x in range(Q.n):
-        parent_idx = qc.keep[x]
-        appr = approximation(P, sorted(tsupp), P.single(parent_idx), "right")
-        qa = qc.project(appr)
-        split = _fraction_split_epi(qc, qa, budget)
-        in_add_t = parent_idx in tsupp or _iso_to_add_t(qc, x, tsupp, budget)
-        checked += 1
-        if split != in_add_t:
-            status = "fail"
-            detail = f"localised projectivity mismatch at {P.objects[parent_idx]}"
-            break
-    if status == "pass":
-        dT = P.hom_space_dim(T, T)
-        dMod = len(module_hom_space(H.module(T), H.module(T)))
-        if dT != dMod:
-            status = "fail"
-            detail = f"End dimension mismatch: {dT} vs {dMod}"
-    report.clauses["projectives"] = ClauseResult(status, checked, detail)
+    report = EquivalenceReport(witnesses={"full": []})
+    report.clauses["faithful"] = run_clause(_faithful_clause(P, qc, H))
+    report.clauses["full"] = run_clause(_full_clause(H, qc, budget, report.witnesses["full"]))
+    report.clauses["projectives"] = run_clause(_projectives_clause(P, T, qc, H, budget))
     return report
 
 

@@ -141,10 +141,9 @@ class RankCondition:
     sound; every condition used here is a pre- or post-composition matrix.
     """
 
-    def __init__(self, builder, required: int, label: str = ""):
+    def __init__(self, builder, required: int):
         self.builder = builder
         self.required = required
-        self.label = label
 
     def holds(self, m: Morphism) -> bool:
         if self.required <= 0:
@@ -371,11 +370,7 @@ def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
         candidates = Q._multiplicities[key] = multiplicities(cols, targets, cols, targets)
     # dim Hom(M, Z_z): M meets the targets; one pass per tried c
     pre = last_one(lambda c: precompose_matrices(Q, c))
-    conditions = [
-        RankCondition(lambda c, z=z: pre(c)[z], need, f"inj-into-{z}")
-        for z, need in enumerate(targets)
-        if need
-    ]
+    conditions = [RankCondition(lambda c, z=z: pre(c)[z], need) for z, need in enumerate(targets) if need]
     for mult in candidates:
         M = Obj(mult)
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
@@ -580,8 +575,21 @@ class ClauseResult:
 
 
 @dataclass
-class PropertyReport:
+class ClauseReport:
+    """Clause name -> ClauseResult, in the order the clauses ran."""
+
     clauses: dict = dc_field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return all(c.status == "pass" for c in self.clauses.values())
+
+    def as_dict(self):
+        return {k: v.as_dict() for k, v in self.clauses.items()}
+
+
+@dataclass
+class PropertyReport(ClauseReport):
     family: MorphismFamily = dc_field(default_factory=MorphismFamily)
 
     @property
@@ -595,9 +603,6 @@ class PropertyReport:
             for k in ("pullback_epi_leg", "pushout_mono_leg")
             if k in self.clauses
         )
-
-    def as_dict(self):
-        return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
 def run_clause(body) -> ClauseResult:

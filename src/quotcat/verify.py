@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 
-from .errors import BoundsExceeded
 from .fincat import (
     CategoryPresentation,
     Obj,
@@ -51,6 +50,13 @@ def _bounded(results: dict) -> dict:
     if not bad:
         return _clause(BOUNDED, checked=sum(v.checked for v in results.values()))
     return _clause(FAIL if any(v.status == FAIL for v in results.values()) else EXCEEDED, str(bad))
+
+
+def _single(cl) -> dict:
+    """The report clause of one ClauseResult; out of budget, it has no checked count."""
+    if cl.status == EXCEEDED:
+        return _clause(EXCEEDED, cl.detail)
+    return _clause(cl.status, cl.detail, checked=cl.checked)
 
 
 def run_verification(
@@ -107,7 +113,7 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
     """The clauses from the quotient on; they fill report."""
     clauses = report["clauses"]
     Q = qc.presentation
-    vrep = validate_category(Q)
+    vrep = timed("quotient_validation", lambda: validate_category(Q))
     clauses["quotient"] = _clause(
         PASS if vrep.ok else FAIL,
         "" if vrep.ok else str(vrep),
@@ -118,15 +124,13 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
     # preabelian + integrality scans; every bounded clause below reads this one
     prop = timed("property_scan", lambda: scan_properties(Q, budget))
     pre = prop.clauses["preabelian"]
+    clauses["preabelian"] = _single(pre)
     if pre.status == EXCEEDED:
         # undecided, so integrality is skipped without a reason
-        clauses["preabelian"] = _clause(EXCEEDED, pre.detail)
         clauses["integral"] = _clause(SKIPPED)
     elif pre.status != PASS:
-        clauses["preabelian"] = _clause(pre.status, pre.detail, checked=pre.checked)
         clauses["integral"] = _clause(SKIPPED, "presentation is not preabelian")
     else:
-        clauses["preabelian"] = _clause(PASS, checked=pre.checked)
         clauses["integral"] = _bounded({k: v for k, v in prop.clauses.items() if k != "preabelian"})
 
     preabelian_ok = clauses["preabelian"]["status"] == PASS
@@ -148,34 +152,26 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
                 break
     del prop
 
-    # abelian localisation; here and below, running out of budget is a
-    # clause status, never a lost report
+    # abelian localisation; running out of budget here and below is a clause
+    # status, never a lost report
     if preabelian_ok and integral_ok:
-        try:
-            cl = timed("abelian", lambda: check_abelian(Q, budget)).clauses["abelian_middle_maps"]
-            clauses["abelian_localisation"] = _clause(cl.status, cl.detail, checked=cl.checked)
-        except BoundsExceeded as e:
-            clauses["abelian_localisation"] = _clause(EXCEEDED, str(e))
+        cl = timed("abelian", lambda: check_abelian(Q, budget)).clauses["abelian_middle_maps"]
+        clauses["abelian_localisation"] = _single(cl)
     else:
         clauses["abelian_localisation"] = _clause(SKIPPED, "needs an integral quotient")
 
     # equivalence with the module category
     if t_spec is not None and preabelian_ok and integral_ok:
-        try:
-            eq = timed("equivalence", lambda: verify_equivalence(P, t_spec, qc, budget))
-        except BoundsExceeded as e:
-            clauses["equivalence"] = _clause(EXCEEDED, str(e))
+        eq = timed("equivalence", lambda: verify_equivalence(P, t_spec, qc, budget))
+        if eq.ok:
+            nontrivial = sum(1 for (_, _, nt) in eq.witnesses["full"] if nt)
+            clauses["equivalence"] = _clause(
+                PASS,
+                checked={k: v.checked for k, v in eq.clauses.items()},
+                fractions_with_nonidentity_denominator=nontrivial,
+            )
         else:
-            if eq.ok:
-                nontrivial = sum(1 for (_, _, nt) in eq.witnesses.get("full", []) if nt)
-                clauses["equivalence"] = _clause(
-                    PASS,
-                    checked={k: v.checked for k, v in eq.clauses.items()},
-                    fractions_with_nonidentity_denominator=nontrivial,
-                )
-            else:
-                bad = {k: v.detail for k, v in eq.clauses.items() if v.status != PASS}
-                clauses["equivalence"] = _clause(FAIL, str(bad))
+            clauses["equivalence"] = _bounded(eq.clauses)
     else:
         clauses["equivalence"] = _clause(SKIPPED)
 

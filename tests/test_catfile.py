@@ -14,6 +14,8 @@ from quotcat.clustergen import build_cluster_category
 from quotcat.errors import ShapeError
 from quotcat.linalg import GF, QQ
 
+from conftest import chain4_category
+
 
 @pytest.fixture(scope="module")
 def A3():
@@ -77,6 +79,14 @@ def test_corrupted_file_fails_validation(A3):
     doc = presentation_to_dict(A3)
     doc["comp"][0]["coeff"] = "7"
     with pytest.raises(ShapeError):
+        presentation_from_dict(doc)
+
+
+def test_file_without_a_nonzero_composite_table_fails_validation():
+    # with no (w, x, y) entries g o f is zero, yet (h o g) o f is not
+    doc = presentation_to_dict(chain4_category())
+    doc["comp"] = [e for e in doc["comp"] if (e["i"], e["j"], e["k"]) != ("w", "x", "y")]
+    with pytest.raises(ShapeError, match="associativity"):
         presentation_from_dict(doc)
 
 

@@ -86,18 +86,20 @@ def test_verify_budget_exhaustion_still_reports(a3_path, capsys):
 
 
 def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, capsys, monkeypatch):
-    import quotcat.verify
+    import quotcat.localization
+    import quotcat.modcat
     from quotcat.errors import BoundsExceeded
 
     def exhausted(*args, **kwargs):
         raise BoundsExceeded("grid exceeds the cap")
 
-    monkeypatch.setattr(quotcat.verify, "check_abelian", exhausted)
-    monkeypatch.setattr(quotcat.verify, "verify_equivalence", exhausted)
+    # inside the clauses, where a search runs out of budget
+    monkeypatch.setattr(quotcat.localization, "coim_im_factorise", exhausted)
+    monkeypatch.setattr(quotcat.modcat, "realize_module_map", exhausted)
     assert main(["verify", a3_path, "--T", "P1+P2+P3", "--scan-pairs-cap", "40"]) == 3
     clauses = json.loads(capsys.readouterr().out)["clauses"]
-    for name in ("abelian_localisation", "equivalence"):
-        assert clauses[name] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
+    assert clauses["abelian_localisation"] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
+    assert clauses["equivalence"] == {"status": "bounds-exceeded", "detail": "{'full': 'grid exceeds the cap'}"}
 
 
 def test_verify_section6_subcat_fails_preabelian(a3_path, tmp_path, capsys):

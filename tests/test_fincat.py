@@ -53,6 +53,15 @@ def test_corrupted_associativity_reported_with_triple():
     assert any(d[:4] == (0, 1, 2, 3) for d in assoc)
 
 
+def test_missing_table_associativity_reported():
+    # with no (w, x, y) table g o f is zero, yet (h o g) o f reads 1 from the
+    # (x, y, z) and (w, x, z) tables
+    P = chain4_category()
+    del P.comp[(0, 1, 2)]
+    rep = validate_category(P)
+    assert ("associativity", (0, 1, 2, 3, 0, 0, 0)) in rep.violations
+
+
 def test_compose_identity_and_zero(arrow):
     x, y = arrow.single("x"), arrow.single("y")
     f = arrow.basis_morphism(0, 1, 0)

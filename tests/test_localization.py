@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.errors import NotRegular, ShapeError
+from quotcat.errors import BoundsExceeded, NotRegular, ShapeError
 from quotcat.fincat import compose
 from quotcat.localization import (
     check_abelian,
@@ -274,6 +274,17 @@ def test_check_abelian(A2Q, Q13):
     for Q in (A2Q, Q13):
         rep = check_abelian(Q)
         assert rep.ok, rep.as_dict()
+
+
+def test_check_abelian_out_of_budget_is_a_status(Q13, monkeypatch):
+    import quotcat.localization
+
+    def exhausted(*args, **kwargs):
+        raise BoundsExceeded("grid exceeds the cap")
+
+    monkeypatch.setattr(quotcat.localization, "coim_im_factorise", exhausted)
+    cl = check_abelian(Q13).clauses["abelian_middle_maps"]
+    assert (cl.status, cl.checked, cl.detail) == ("bounds-exceeded", 0, "grid exceeds the cap")
 
 
 def test_regular_into_projective_is_iso(A3, Q13):

@@ -305,6 +305,19 @@ def test_faithful_clause_negative_control(A3, TCT):
     assert rep.clauses["faithful"].status == "fail"
 
 
+def test_equivalence_out_of_budget_keeps_the_faithful_failure(A3, TCT):
+    # FULL runs out of budget, yet the report stands and keeps FAITHFUL's failure
+    class Corrupted(HFunctor):
+        def mor_matrix(self, f):
+            m = super().mor_matrix(f)
+            return Matrix.zeros(m.field, m.nrows, m.ncols)
+
+    rep = verify_equivalence(A3, TCT, budget=Budget(retries=0, grid_cap=1), H=Corrupted(A3, TCT))
+    assert rep.clauses["faithful"].status == "fail"
+    assert rep.clauses["full"].status == "bounds-exceeded"
+    assert not rep.ok
+
+
 def test_iso_fraction_reflexive(A3, TCT):
     qc = build_quotient(A3, TCT)
     Q = qc.presentation
