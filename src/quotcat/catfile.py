@@ -181,7 +181,10 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
     )
     rep = validate_category(P)
     if not rep.ok:
-        raise ShapeError(f"category file does not validate: {rep}")
+        kind, detail = rep.violations[0]
+        raise ShapeError(
+            f"category file does not validate: {len(rep.violations)} violation(s), the first {kind} at {detail}"
+        )
     return P
 
 

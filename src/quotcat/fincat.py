@@ -9,6 +9,7 @@ vectors, morphisms are block arrays of coefficient vectors.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -79,10 +80,6 @@ class CategoryPresentation:
     def hom_dim(self, i: int, j: int) -> int:
         return self._dim[i][j]
 
-    def comp_table(self, i: int, j: int, k: int):
-        """Nested table t[a][b] -> coefficient vector, or None if all zero."""
-        return self.comp.get((i, j, k))
-
     @cached_property
     def comp_by_pair(self) -> dict:
         """The structure constants grouped by pair: (i, j) -> [(k, comp[(i, j, k)])].
@@ -130,24 +127,6 @@ class CategoryPresentation:
             if mx:
                 total += mx * sum(map(operator.mul, dim[i], ym))
         return total
-
-    def hom_offsets(self, X: "Obj", Y: "Obj"):
-        """Block offsets of Hom(X, Y) and its dimension, as (off, d).
-
-        off[t][s] is where the block from source copy s to target copy t
-        starts in the flat to_vector order.
-        """
-        dim = self._dim
-        srcs = X.copies()
-        off = []
-        pos = 0
-        for j in Y.copies():
-            row = []
-            for i in srcs:
-                row.append(pos)
-                pos += dim[i][j]
-            off.append(row)
-        return off, pos
 
     def hom_layout(self, X: "Obj"):
         """Block offsets and dimensions of Hom(X, k) for every indecomposable k,
@@ -426,7 +405,7 @@ def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
             if not acc:
                 continue
             for m, j in enumerate(mids):
-                table = P.comp_table(i, j, k)
+                table = P.comp.get((i, j, k))
                 if table is None:
                     continue
                 fblock = f.blocks[m][s]
@@ -499,26 +478,27 @@ def postcompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
     basis a of block (m, s) of Hom(Z, X) has, in block (t, s) of Hom(Z, Y),
     the coordinates sum_b f[t][m][b] * comp[(i_s, j_m, k_t)][a][b].
     """
-    X, Y = f.source, f.target
-    offX, dX = P.hom_offsets(Z, X)
-    offY, dY = P.hom_offsets(Z, Y)
+    off, dims = P.hom_layout(Z)
+    xs, ys = f.source.copies(), f.target.copies()
+    # Hom(Z, X) is the sum of the Hom(Z, j) over X's copies j, so block (m, s)
+    # starts at the dimensions of the copies before m plus off[j_m][s]
+    x0 = list(itertools.accumulate((dims[j] for j in xs), initial=0))
+    y0 = list(itertools.accumulate((dims[k] for k in ys), initial=0))
     fld = P.field
     zero, add, mul = fld.zero, fld.add, fld.mul
     comp = P.comp
-    data = [[zero] * dX for _ in range(dY)]
+    data = [[zero] * x0[-1] for _ in range(y0[-1])]
     srcs = Z.copies()
-    for t, k in enumerate(Y.copies()):
-        oy = offY[t]
-        for m, j in enumerate(X.copies()):
+    for t, k in enumerate(ys):
+        for m, j in enumerate(xs):
             fblock = f.blocks[t][m]
             if not any(fblock):
                 continue
-            ox = offX[m]
             for s, i in enumerate(srcs):
                 table = comp.get((i, j, k))
                 if table is None:
                     continue
-                r0, c0 = oy[s], ox[s]
+                r0, c0 = y0[t] + off[k][s], x0[m] + off[j][s]
                 for a, ta in enumerate(table):
                     col = c0 + a
                     for b, fb in enumerate(fblock):
@@ -528,7 +508,7 @@ def postcompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:
                             if rc:
                                 row = data[r0 + c]
                                 row[col] = add(row[col], mul(fb, rc))
-    return Matrix(fld, dY, dX, data)
+    return Matrix(fld, y0[-1], x0[-1], data)
 
 
 # -- validation ---------------------------------------------------------
@@ -556,53 +536,79 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v) -> list:
+    """Coordinates in Hom(i, k) of v o u, for u in Hom(i, j) and v in Hom(j, k).
+
+    Read from comp[(i, j, k)] alone: sum_{a,b} u[a] * v[b] * comp[(i, j, k)][a][b].
+    A missing table makes every composite zero.
+    """
+    fld = P.field
+    out = [fld.zero] * P._dim[i][k]
+    table = P.comp.get((i, j, k))
+    if table is None:
+        return out
+    add, mul = fld.add, fld.mul
+    for ua, row in zip(u, table):
+        if not ua:
+            continue
+        for vb, vec in zip(v, row):
+            if not vb:
+                continue
+            coeff = mul(ua, vb)
+            for e, x in enumerate(vec):
+                if x:
+                    out[e] = add(out[e], mul(coeff, x))
+    return out
+
+
 def validate_category(P: CategoryPresentation) -> ValidationReport:
-    """Exhaustive associativity and unit checks over basis triples."""
+    """Exhaustive unit and associativity checks on the structure constants.
+
+    Associativity on basis elements a, b, c of Hom(i, j), Hom(j, k), Hom(k, l)
+    is sum_e comp[(i,j,k)][a][b][e] * comp[(i,k,l)][e][c] =
+    sum_e comp[(j,k,l)][b][c][e] * comp[(i,j,l)][a][e], a missing table read
+    as zero, checked in (i, j, k, l, a, b, c) order.
+    """
     rep = ValidationReport()
     f = P.field
-    for i in range(P.n):
-        if P.hom_dim(i, i) < 1:
+    n, dim, comp = P.n, P._dim, P.comp
+    zero, one = f.zero, f.one
+
+    def unit(d, a):
+        vec = [zero] * d
+        vec[a] = one
+        return vec
+
+    for i in range(n):
+        if dim[i][i] < 1:
             rep.add("endomorphism-space-empty", (i,))
         idv = P.identities[i]
-        if len(idv) != P.hom_dim(i, i) or vec_is_zero(f, idv):
+        if len(idv) != dim[i][i] or vec_is_zero(f, idv):
             rep.add("identity-missing", (i,))
     # unit laws: id o a = a and a o id = a for every basis element a
-    for i, j, a, m in basis_morphisms(P):
-        if compose(P, P.identity(P.single(j)), m) != m:
-            rep.add("left-unit", (i, j, a))
-        if compose(P, m, P.identity(P.single(i))) != m:
-            rep.add("right-unit", (i, j, a))
+    for i, j in itertools.product(range(n), repeat=2):
+        for a in range(dim[i][j]):
+            ea = unit(dim[i][j], a)
+            if _composite(P, i, j, j, ea, P.identities[j]) != ea:
+                rep.add("left-unit", (i, j, a))
+            if _composite(P, i, i, j, P.identities[i], ea) != ea:
+                rep.add("right-unit", (i, j, a))
     # associativity on basis triples
-    for (i, j, k) in list(P.comp.keys()):
-        for l in range(P.n):
-            if P.hom_dim(k, l) == 0:
-                continue
-            for a in range(P.hom_dim(i, j)):
-                fa = P.basis_morphism(i, j, a)
-                for b in range(P.hom_dim(j, k)):
-                    gb = P.basis_morphism(j, k, b)
-                    gf = compose(P, gb, fa)
-                    for c in range(P.hom_dim(k, l)):
-                        hc = P.basis_morphism(k, l, c)
-                        hg = compose(P, hc, gb)
-                        lhs = compose(P, hc, gf)
-                        rhs = compose(P, hg, fa)
-                        if lhs != rhs:
-                            rep.add("associativity", (i, j, k, l, a, b, c))
-    # no (i, j, k) table says g o f = 0 there, so (h o g) o f, read from the
-    # (j, k, l) and (i, j, l) tables, must vanish too
-    for (j, k, l), hg_table in P.comp.items():
-        for i in range(P.n):
-            f_table = P.comp.get((i, j, l))
-            if f_table is None or (i, j, k) in P.comp:
-                continue
-            for a, rows in enumerate(f_table):
-                # - o f_a on Hom(j, l), in coordinates
-                pre = Matrix(f, len(rows), P.hom_dim(i, l), rows).transpose()
-                for b, row in enumerate(hg_table):
-                    for c, hg in enumerate(row):
-                        if not vec_is_zero(f, pre.apply(hg)):
-                            rep.add("associativity", (i, j, k, l, a, b, c))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if not (dim[i][j] and dim[j][k] and dim[k][l] and dim[i][l]):
+            continue
+        gf_table, hg_table = comp.get((i, j, k)), comp.get((j, k, l))
+        if (gf_table is None or (i, k, l) not in comp) and (hg_table is None or (i, j, l) not in comp):
+            continue
+        for a in range(dim[i][j]):
+            ea = unit(dim[i][j], a)
+            for b in range(dim[j][k]):
+                gf = gf_table[a][b] if gf_table else ()  # () reads as zero
+                for c in range(dim[k][l]):
+                    hg = hg_table[b][c] if hg_table else ()
+                    lhs = _composite(P, i, k, l, gf, unit(dim[k][l], c))
+                    if lhs != _composite(P, i, j, l, ea, hg):
+                        rep.add("associativity", (i, j, k, l, a, b, c))
     if P.sigma is not None and sorted(P.sigma) != list(range(P.n)):
         rep.add("sigma-not-bijective", tuple(P.sigma))
     if P.metadata.get("two_cy") and P.sigma is not None:

@@ -379,14 +379,6 @@ class Matrix:
             out.append(s)
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.ncols,
-            self.nrows,
-            [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
     def rref(self):
         """Reduced row echelon form; returns (rref matrix, pivot column tuple).
 

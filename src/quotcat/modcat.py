@@ -141,10 +141,13 @@ class GammaModule:
         self.P = P
         self.T = T
         self.X = X
-        off, self.dim = P.hom_offsets(T, X)
+        off, dims = P.hom_layout(T)
         xs = X.copies()
+        # Hom(T, X) is the sum of the Hom(T, k) over X's copies k
+        starts = list(itertools.accumulate((dims[k] for k in xs), initial=0))
+        self.dim = starts[-1]
         self.positions = [
-            [p for row, k in zip(off, xs) for p in range(row[s], row[s] + P.hom_dim(i, k))]
+            [p for x0, k in zip(starts, xs) for p in range(x0 + off[k][s], x0 + off[k][s] + P.hom_dim(i, k))]
             for s, i in enumerate(T.copies())
         ]
         self.copy_actions = [

@@ -4,14 +4,14 @@ The central primitive is a certified search for an element of a linear
 subspace of a Hom space subject to maximal-rank (Zariski-open) conditions.
 Kernels, cokernels, and every projectivity/regularity witness reduce to it.
 
-Certification strategy over Q: a failed random phase falls back to exact
-grid evaluation.  A minor of size r in coefficients that enter linearly has
-degree at most r in each variable, so evaluating on the grid {0..r}^d
-decides whether the condition is generically satisfiable; the product
+Certification, over Q and F_p alike: a failed random phase falls back to
+exact grid evaluation.  A minor of size r in coefficients that enter
+linearly has degree at most r in each variable, so evaluating on the grid
+{0..r}^d decides whether the condition is satisfiable; the product
 polynomial argument then yields a deterministic joint witness on the grid
-{0..sum r_i}^d.  A certified negative is therefore a theorem about the
-instance, not a timeout.  Over small prime fields exhaustive enumeration
-replaces the grid (openness does not guarantee rational points there).
+{0..sum r_i}^d.  Over F_p a grid of p or more values is all of F_p, and
+scanning it is exhaustive.  A certified negative is therefore a theorem
+about the instance, not a timeout.
 """
 
 from __future__ import annotations
@@ -214,10 +214,20 @@ def search_open_conditions(
        condition and the test draws no randomness, so running it after the
        random phase changes no outcome; it only spares the found searches
        the matrices it builds;
-    3. over F_p, every combination of the p^d grid; over Q, one grid per
-       condition, then the joint grid (or, past grid_cap, more random tries).
+    3. one grid per condition, then the joint grid (or, past grid_cap, more
+       random tries): {0..r}^d for a condition of rank r and {0..D}^d for D
+       the sum of the ranks, or all of F_p^d once r or D is at least p.
+
+    A rank-r condition is a nonzero r x r minor, of degree at most r in each
+    coefficient, and such a polynomial does not vanish on all of S^d when
+    |S| > r (Alon 1999).  So a miss on a condition's grid certifies, as does
+    a miss on all of F_p^d; otherwise the product of the minors, of degree
+    at most D in each coefficient, has a witness on the joint grid.  With
+    D < p the first witness of F_p^d in lexicographic order lies in
+    {0..D}^d: if x_i > D is the first coordinate of a witness x above D, the
+    product with x_1..x_{i-1} fixed is nonzero at x, so it is nonzero at a
+    point of {0..D}^(d-i+1), which gives a witness before x.
     """
-    field = Q.field
     d = len(subspace)
     live = [c for c in conditions if c.required > 0]
     if not live:
@@ -243,51 +253,34 @@ def search_open_conditions(
         if c.required > min(probe.nrows, probe.ncols):
             return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
-    if isinstance(field, PrimeField):
-        p = field.p
-        if p**d > budget.grid_cap:
-            raise BoundsExceeded(
-                f"cannot certify over F_{p}: {p}^{d} exceeds the grid cap"
-            )
-        for coeffs in itertools.product(range(p), repeat=d):
-            m = _combine(Q, X, Y, subspace, coeffs)
-            if all(c.holds(m) for c in live):
-                return SearchResult(SearchResult.FOUND, m)
-        return SearchResult(SearchResult.CERTIFIED_EMPTY)
+    p = Q.field.p if isinstance(Q.field, PrimeField) else None
 
-    # rational field: per-condition grid decides generic satisfiability
+    def grid(r):
+        return range(r + 1 if p is None or r < p else p)
+
     for c in live:
-        r = c.required
-        if (r + 1) ** d > budget.grid_cap:
-            raise BoundsExceeded(
-                f"certification grid {(r + 1)}^{d} exceeds the cap"
-            )
-        sat = False
-        for coeffs in itertools.product(range(r + 1), repeat=d):
-            m = _combine(Q, X, Y, subspace, coeffs)
-            if c.holds(m):
-                sat = True
-                break
-        if not sat:
-            # degree <= r per variable: vanishing on the whole grid is exact
+        values = grid(c.required)
+        if len(values) ** d > budget.grid_cap:
+            raise BoundsExceeded(f"certification grid {len(values)}^{d} exceeds the cap")
+        tries = (_combine(Q, X, Y, subspace, coeffs) for coeffs in itertools.product(values, repeat=d))
+        if not any(map(c.holds, tries)):
             return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
-    # every condition is satisfiable, so their intersection is nonempty over
-    # an infinite field; the product-of-minors degree bound makes the joint
-    # grid below exhaustive
-    D = sum(c.required for c in live)
-    if (D + 1) ** d > budget.grid_cap:
+    values = grid(sum(c.required for c in live))
+    if len(values) ** d > budget.grid_cap:
         for attempt in range(4 * budget.retries):
             radius = budget.coeff_base ** (2 + attempt // 4)
             coeffs = [rng.randint(-radius, radius) for _ in range(d)]
             m = _combine(Q, X, Y, subspace, coeffs)
             if all(c.holds(m) for c in live):
                 return SearchResult(SearchResult.FOUND, m)
-        raise BoundsExceeded(f"joint grid {(D + 1)}^{d} exceeds the cap")
-    for coeffs in itertools.product(range(D + 1), repeat=d):
+        raise BoundsExceeded(f"joint grid {len(values)}^{d} exceeds the cap")
+    for coeffs in itertools.product(values, repeat=d):
         m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
+    if len(values) == p:
+        return SearchResult(SearchResult.CERTIFIED_EMPTY)
     raise InternalInconsistency("joint grid missed a guaranteed witness")
 
 

@@ -64,16 +64,18 @@ class QuotientCategory:
             )
 
         def product(i, j, k, a, b):
-            fa = self._lift_basis(keep[i], keep[j], a)
-            gb = self._lift_basis(keep[j], keep[k], b)
-            return self._project_vector(keep[i], keep[k], compose(parent, gb, fa).to_vector())
+            # the composite of the representatives, read from the parent's table
+            pi, pj, pk = keep[i], keep[j], keep[k]
+            table = parent.comp.get((pi, pj, pk))
+            if table is None:
+                vec = [field.zero] * parent.hom_dim(pi, pk)
+            else:
+                vec = table[self.rep_coords[(pi, pj)][a]][self.rep_coords[(pj, pk)][b]]
+            return self._project_vector(pi, pk, vec)
 
         dims = [[len(self.rep_coords[(i, j)]) for j in keep] for i in keep]
         hom, comp = structure_constants(field, dims, product)
-        identities = []
-        for i in keep:
-            idv = self.parent.identity(parent.single(i)).to_vector()
-            identities.append(self._project_vector(i, i, idv))
+        identities = [self._project_vector(i, i, parent.identities[i]) for i in keep]
         self.presentation = CategoryPresentation(
             field,
             [parent.objects[i] for i in keep],
@@ -93,11 +95,6 @@ class QuotientCategory:
         )
 
     # -- helpers ---------------------------------------------------------
-
-    def _lift_basis(self, i: int, j: int, a: int) -> Morphism:
-        """Parent morphism representing quotient basis element a of (i, j)."""
-        coord = self.rep_coords[(i, j)][a]
-        return self.parent.basis_morphism(i, j, coord)
 
     def _project_vector(self, i: int, j: int, vec):
         red = self.f_spaces[(i, j)].reduce(vec)

@@ -33,6 +33,17 @@ def test_generate_invalid_orientation(tmp_path, capsys, orientation):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+def test_verify_invalid_category_is_one_line(a3_path, tmp_path, capsys):
+    # id_P1 = 2 breaks both unit laws on every basis element out of and into P1
+    doc = json.loads(open(a3_path).read())
+    doc["identities"][doc["indecomposables"].index("P1")] = ["2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad), "--T", "P1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_generate_orientation_and_field(tmp_path):
     out = tmp_path / "a3r.json"
     assert main(["generate", "3", str(out), "--orientation", ">>", "--field", "F101"]) == 0

@@ -10,6 +10,7 @@ between random multi-copy objects.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
@@ -146,13 +147,16 @@ def test_hom_space_dim_matches_basis(inst):
     for X, Y in ((f.source, f.target), (f.target, Z), (Z, f.source)):
         d = P.hom_space_dim(X, Y)
         assert d == reference_hom_space_dim(P, X, Y) == len(P.hom_basis(X, Y))
-        off, total = P.hom_offsets(X, Y)
-        assert total == d
+        # block (t, s) of Hom(X, Y) starts after Hom(X, j) for Y's earlier
+        # copies j, at off[j_t][s]
+        off, dims = P.hom_layout(X)
+        starts = list(accumulate((dims[j] for j in Y.copies()), initial=0))
+        assert starts[-1] == d
         zero = P.zero_morphism(X, Y)
-        flat = [off[t][s] + c for t, row in enumerate(zero.blocks) for s, blk in enumerate(row) for c in range(len(blk))]
+        flat = [
+            starts[t] + off[j][s] + c
+            for t, (j, row) in enumerate(zip(Y.copies(), zero.blocks))
+            for s, blk in enumerate(row)
+            for c in range(len(blk))
+        ]
         assert flat == list(range(d))
-    for X in (f.source, f.target, Z):
-        offs, dims = P.hom_layout(X)
-        for k in range(P.n):
-            off, total = P.hom_offsets(X, P.single(k))
-            assert (offs[k], dims[k]) == (off[0], total)

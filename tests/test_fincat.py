@@ -1,10 +1,14 @@
 import gc
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quotcat import fincat
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import MissingSuspension, ShapeError
 from quotcat.fincat import (
+    CategoryPresentation,
     Morphism,
     Obj,
     approximation,
@@ -60,6 +64,81 @@ def test_missing_table_associativity_reported():
     del P.comp[(0, 1, 2)]
     rep = validate_category(P)
     assert ("associativity", (0, 1, 2, 3, 0, 0, 0)) in rep.violations
+
+
+def reference_violations(P):
+    """The unit and associativity violations by composing basis morphisms:
+    one loop over the tables that exist, one over the (i, j, k) that are
+    missing, where g o f is zero."""
+    out = []
+    for i, j, a, m in basis_morphisms(P):
+        if compose(P, P.identity(P.single(j)), m) != m:
+            out.append(("left-unit", (i, j, a)))
+        if compose(P, m, P.identity(P.single(i))) != m:
+            out.append(("right-unit", (i, j, a)))
+    for (i, j, k) in P.comp:
+        for l in range(P.n):
+            for a in range(P.hom_dim(i, j)):
+                fa = P.basis_morphism(i, j, a)
+                for b in range(P.hom_dim(j, k)):
+                    gb = P.basis_morphism(j, k, b)
+                    for c in range(P.hom_dim(k, l)):
+                        hc = P.basis_morphism(k, l, c)
+                        if compose(P, hc, compose(P, gb, fa)) != compose(P, compose(P, hc, gb), fa):
+                            out.append(("associativity", (i, j, k, l, a, b, c)))
+    for (j, k, l), hg_table in P.comp.items():
+        for i in range(P.n):
+            if (i, j, k) in P.comp:
+                continue
+            for a in range(P.hom_dim(i, j)):
+                fa = P.basis_morphism(i, j, a)
+                for b, row in enumerate(hg_table):
+                    for c, hg in enumerate(row):
+                        if not compose(P, Morphism(P, P.single(j), P.single(l), [[hg]]), fa).is_zero():
+                            out.append(("associativity", (i, j, k, l, a, b, c)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def validation_bases():
+    return (build_cluster_category(3), build_cluster_category(4, "><>", GF(101)), chain4_category())
+
+
+@st.composite
+def perturbed(draw):
+    """A copy of a valid presentation with one structure constant changed,
+    one comp table deleted, or both."""
+    P = draw(st.sampled_from(validation_bases()))
+    comp = {key: [[list(vec) for vec in row] for row in table] for key, table in P.comp.items()}
+    keys = sorted(comp)
+    change, delete = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    if change:
+        table = comp[draw(st.sampled_from(keys))]
+        vec = draw(st.sampled_from([vec for row in table for vec in row]))
+        e = draw(st.integers(0, len(vec) - 1))
+        vec[e] = P.field.add(vec[e], P.field.of(draw(st.integers(1, 5))))
+    if delete:
+        del comp[draw(st.sampled_from(keys))]
+    hom = {(i, j): P.hom_dim(i, j) for i in range(P.n) for j in range(P.n) if P.hom_dim(i, j)}
+    return CategoryPresentation(P.field, P.objects, hom, comp, P.identities, sigma=P.sigma)
+
+
+@settings(max_examples=60)
+@given(perturbed())
+def test_validation_matches_basis_composites(P):
+    got = [v for v in validate_category(P).violations if v[0] in ("left-unit", "right-unit", "associativity")]
+    assert sorted(got) == sorted(reference_violations(P))
+
+
+def test_validation_composes_no_morphism(monkeypatch):
+    P = build_cluster_category(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation built a morphism")
+
+    monkeypatch.setattr(fincat, "compose", refuse)
+    monkeypatch.setattr(Morphism, "__init__", refuse)
+    assert validate_category(P).ok
 
 
 def test_compose_identity_and_zero(arrow):

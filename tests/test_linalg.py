@@ -29,8 +29,10 @@ def test_rank_transpose_invariant():
     rng = random.Random(7)
     for _ in range(25):
         nr, nc = rng.randint(0, 5), rng.randint(0, 5)
-        m = Matrix.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)], ncols=nc)
-        assert m.rank() == m.transpose().rank()
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        m = Matrix.from_rows(QQ, rows, ncols=nc)
+        mt = Matrix.from_rows(QQ, [list(col) for col in zip(*rows)], ncols=nr)
+        assert m.rank() == mt.rank()
 
 
 def test_kernel_identity_empty():

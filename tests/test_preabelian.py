@@ -1,8 +1,10 @@
 import gc
 import itertools
+from collections import Counter
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
@@ -11,13 +13,17 @@ from quotcat.fincat import (
     basis_morphisms,
     compose,
     postcompose_matrix,
+    precompose_matrices,
     precompose_matrix,
     stack_cols,
     validate_category,
 )
+from quotcat.linalg import GF, QQ
 from quotcat.preabelian import (
     Budget,
     ClauseResult,
+    RankCondition,
+    SearchResult,
     build_morphism_family,
     coim_im_factorise,
     cokernel,
@@ -35,6 +41,7 @@ from quotcat.preabelian import (
     pushout,
     run_clause,
     scan_properties,
+    search_open_conditions,
     solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient
@@ -227,6 +234,74 @@ def test_section6_certified_no_cokernel(A3):
     f = q6.project(A3.basis_morphism(A3.index("P3"), A3.index("I2"), 0))
     assert not f.is_zero()
     assert cokernel(Q6, f) is None
+
+
+def epi_conditions(P, X, Y):
+    """One condition per indecomposable z: - o m is injective on Hom(Y, z)."""
+    return [
+        RankCondition(lambda m, z=z: precompose_matrices(P, m)[z], P.hom_space_dim(Y, P.single(z)))
+        for z in range(P.n)
+    ]
+
+
+def test_prime_field_search_past_the_full_grid_is_certified():
+    # 101^3 points exceed the grid cap; the joint grid {0..D}^3 does not
+    witnesses = []
+    for field in (QQ, GF(101)):
+        P = build_cluster_category(3, field=field)
+        X, Y = P.obj({"P1": 1, "P2": 1, "P3": 1}), P.single("P3")
+        basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+        assert len(basis) == 3
+        res = search_open_conditions(P, X, Y, basis, epi_conditions(P, X, Y), Budget(retries=0))
+        assert res.status == SearchResult.FOUND
+        witnesses.append(res.witness.to_vector())
+    assert witnesses == [[0, 0, 1], [0, 0, 1]]
+
+
+def test_prime_field_negative_past_the_full_grid_is_certified():
+    # no element of this 3-dimensional subspace is epi, over Q or F_101
+    for field in (QQ, GF(101)):
+        P = build_cluster_category(3, field=field)
+        X, Y = P.obj({"P1": 1, "P2": 1, "SP2": 1, "SP3": 1}), P.single("P2")
+        basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+        subspace = [basis[0], basis[2], basis[3]]
+        res = search_open_conditions(P, X, Y, subspace, epi_conditions(P, X, Y), Budget(retries=0))
+        assert res.status == SearchResult.CERTIFIED_EMPTY
+
+
+@lru_cache(maxsize=None)
+def prime_field_categories():
+    return tuple(build_cluster_category(3, field=GF(p)) for p in (2, 3, 7, 101))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_prime_field_search_matches_full_scan(data):
+    # where F_p^d fits the grid cap, the status and the witness are those of
+    # scanning all of F_p^d in lexicographic order
+    P = data.draw(st.sampled_from(prime_field_categories()))
+    fld = P.field
+    names = st.lists(st.sampled_from(P.objects), min_size=1, max_size=3)
+    X = P.obj(Counter(data.draw(names)))
+    Y = P.obj(Counter(data.draw(names)[:2]))
+    basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+    assume(basis)
+    d = max(k for k in range(1, len(basis) + 1) if fld.p**k <= 400)
+    subspace = data.draw(st.permutations(basis))[:d]
+    conditions = epi_conditions(P, X, Y)
+    want = None
+    for coeffs in itertools.product(range(fld.p), repeat=d):
+        vec = [fld.zero] * len(basis)
+        for c, v in zip(coeffs, subspace):
+            vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, v)]
+        if all(c.holds(P.morphism_from_vector(X, Y, vec)) for c in conditions):
+            want = vec
+            break
+    res = search_open_conditions(P, X, Y, subspace, conditions, Budget(retries=0))
+    if want is None:
+        assert res.status == SearchResult.CERTIFIED_EMPTY
+    else:
+        assert (res.status, res.witness.to_vector()) == (SearchResult.FOUND, want)
 
 
 def test_bounds_exceeded_is_distinct(QCT):
