@@ -9,6 +9,7 @@ vectors, morphisms are block arrays of coefficient vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -52,25 +53,29 @@ class CategoryPresentation:
             raise ValueError("sigma is not a permutation")
         self.metadata = dict(metadata or {})
         self._opposite = None
-        self._multiplicities = {}  # cokernel targets -> preabelian.multiplicities' list
-        self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' list
+        self._multiplicities = {}  # cokernel targets -> the candidate Objs of preabelian.cokernel
+        self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' Objs
         self._layouts = {}  # X.mult -> hom_layout(X)
         # one verdict long (clear_verdict_tables): they hold maps of self
         self._cokernels = {}  # (f, budget fields read) -> preabelian.cokernel's result
         self._epis = {}  # f -> preabelian.is_epi's answer
+        self._searches = {}  # candidate search key -> preabelian._search_cokernel's SearchResult
+        self._draws = {}  # (seed string, retries, coeff_base) -> the random phase's nonzero draws
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the cokernel and epi tables, here and in the opposite if built.
+        """Empty the cokernel, epi, search and draw tables, here and in the
+        opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
-        collection.
+        collection; the draws are dropped so that they do not add up over a
+        sweep.
         """
         for P in (self, self._opposite):
             if P is not None:
-                P._cokernels.clear()
-                P._epis.clear()
+                for table in (P._cokernels, P._epis, P._searches, P._draws):
+                    table.clear()
 
     # -- basic queries ------------------------------------------------
 
@@ -807,30 +812,27 @@ def op_morphism(Q: CategoryPresentation, f: Morphism) -> Morphism:
 # -- direct sum plumbing --------------------------------------------------
 
 
-def sum_copy_map(parts: list[Obj]):
+def sum_copy_map(parts: list[Obj]) -> tuple:
     """Align the copies of a sum object with (part, copy-position) pairs.
 
     The sum's copies are ordered by indecomposable index; within one index,
-    parts contribute in order.  Returned list is parallel to
-    (sum of parts).copies().
+    parts contribute in order.  Returned tuple is parallel to
+    (sum of parts).copies().  It is memoised on the parts' multiplicity
+    vectors, for the 128 lists used last: a verdict asks for few lists
+    many times, and a bounded memo does not grow over a sweep.
     """
-    if not parts:
-        return []
-    n = len(parts[0].mult)
-    offsets = []
-    for part in parts:
-        off = []
-        pos = 0
-        for i in range(n):
-            off.append(pos)
-            pos += part.mult[i]
-        offsets.append(off)
+    return _sum_copy_map(tuple(part.mult for part in parts))
+
+
+@functools.lru_cache(maxsize=128)
+def _sum_copy_map(mults: tuple) -> tuple:
+    """sum_copy_map of parts with the multiplicity vectors mults."""
     out = []
-    for i in range(n):
-        for pi, part in enumerate(parts):
-            for c in range(part.mult[i]):
-                out.append((pi, offsets[pi][i] + c))
-    return out
+    for i in range(len(mults[0]) if mults else 0):
+        for pi, mult in enumerate(mults):
+            start = sum(mult[:i])  # the copies of part pi before index i
+            out.extend((pi, start + c) for c in range(mult[i]))
+    return tuple(out)
 
 
 def sum_obj(parts: list[Obj]) -> Obj:

@@ -417,16 +417,27 @@ class Matrix:
         return result
 
     def rank(self) -> int:
+        """Rank, from a cached rref if there is one.
+
+        A matrix with one row or one column, most of the search's condition
+        matrices, has rank 1 if an entry is nonzero and 0 otherwise; any
+        other is eliminated by _bareiss_rank.
+        """
+        if self._rref is not None:
+            return len(self._rref[1])
+        if self.nrows <= 1 or self.ncols <= 1:
+            return int(any(map(any, self.data)))
+        return self._bareiss_rank()
+
+    def _bareiss_rank(self) -> int:
         """Rank by fraction-free elimination (Bareiss, 1968).
 
         At each pivot y with pivot entry p in column c, every other remaining
         row x becomes (p*x - x[c]*y) / prev, where prev is the pivot of the
         step before; no pivot is inverted.  Over Q the division is exact and
         the entries stay minors of the matrix; Field.bareiss_row does it.
-        Only the columns right of c are kept.  A cached rref is reused.
+        Only the columns right of c are kept.
         """
-        if self._rref is not None:
-            return len(self._rref[1])
         step = self.field.bareiss_row
         rows = list(self.data)
         rank, prev, start = 0, 1, 0

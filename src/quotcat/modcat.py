@@ -42,7 +42,7 @@ from .preabelian import (
     search_open_conditions,
     solve_on_basis,
 )
-from .quotient import QuotientCategory, build_quotient, factors_through
+from .quotient import QuotientCategory, build_quotient, factoring_subspace
 
 
 class Algebra:
@@ -281,25 +281,26 @@ def _flat(m: Matrix) -> list:
     return [a for row in m.data for a in row]
 
 
-def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[tuple]:
-    """Multiplicities of each A from which a map into every X in targets can
-    be regular as far as dimensions go.
+def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[Obj]:
+    """Each A from which a map into every X in targets can be regular as far
+    as dimensions go.
 
     Epi needs dim Hom(A, Z) >= dim Hom(X, Z) and mono needs dim Hom(Z, A) <=
     dim Hom(Z, X) for every Z: exactly the sources that the shape test of
-    search_open_conditions does not certify empty.  The list depends on Q
-    and the targets only, so it is enumerated once per target list and kept
-    on Q.
+    search_open_conditions does not certify empty.  dim Hom(X, -) is X's
+    hom_layout row in Q and dim Hom(-, X) its row in Q^op, so the floor and
+    the ceiling are their entrywise max and min over the targets.  The list
+    depends on Q and the targets only, so it is enumerated once per target
+    list and kept on Q.
     """
     key = tuple(X.mult for X in targets)
     sources = Q._leg_sources.get(key)
     if sources is None:
-        zs = [Q.single(z) for z in range(Q.n)]
-        down = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
-        up = [[Q.hom_dim(z, i) for z in range(Q.n)] for i in range(Q.n)]
-        floor = [max(Q.hom_space_dim(X, Z) for X in targets) for Z in zs]
-        ceiling = [min(Q.hom_space_dim(Z, X) for X in targets) for Z in zs]
-        sources = Q._leg_sources[key] = multiplicities(down, floor, up, ceiling)
+        op = opposite(Q)
+        floor = [max(col) for col in zip(*(Q.hom_layout(X)[1] for X in targets))]
+        ceiling = [min(col) for col in zip(*(op.hom_layout(X)[1] for X in targets))]
+        mults = multiplicities(Q._dim, floor, op._dim, ceiling)
+        sources = Q._leg_sources[key] = [Obj(mult) for mult in mults]
     return sources
 
 
@@ -334,14 +335,13 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
     The search for A is seeded by f"{salt}:{A.mult}", so a skipped source
     changes no other witness.
     """
-    for mult in _leg_sources(Q, targets):
-        A = Obj(mult)
+    for A in _leg_sources(Q, targets):
         subspace = space(A)
         if not subspace:
             continue
         conditions = [c for leg, X in zip(legs, targets) for c in _regular_conditions(Q, leg, A, X)]
         vecs = [b.to_vector() for b in subspace]
-        res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{mult}")
+        res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{A.mult}")
         if res.status == SearchResult.FOUND:
             yield A, res.witness
 
@@ -399,9 +399,17 @@ def realize_module_map(
 def _faithful_clause(P: CategoryPresentation, qc: QuotientCategory, H: HFunctor):
     """Clause body: the kernel of H on each Hom space is exactly the maps
     factoring through X_T, per basis morphism and then as a dimension per
-    pair of kept objects."""
+    pair of kept objects.
+
+    The maps factoring through X_T are qc.f_spaces on kept pairs; every
+    other pair's space is computed once, on its first basis morphism.
+    """
+    spaces = dict(qc.f_spaces)
     for i, j, a, f in basis_morphisms(P):
-        hz, ft = H.mor_matrix(f).is_zero(), factors_through(P, f, qc.xt)
+        rs = spaces.get((i, j))
+        if rs is None:
+            rs = spaces[(i, j)] = factoring_subspace(P, i, j, qc.xt)
+        hz, ft = H.mor_matrix(f).is_zero(), rs.contains(f.to_vector())
         yield
         if hz != ft:
             return f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"

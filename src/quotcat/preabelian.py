@@ -189,6 +189,15 @@ def _combine(Q, X, Y, vecs, coeffs) -> Morphism:
     return Morphism.from_coords(Q, X, Y, out)
 
 
+def _random_draws(rng: random.Random, d: int, budget: Budget) -> list[list[int]]:
+    """The coefficient vectors of the random phase, budget.retries of them
+    in the order drawn from rng."""
+    return [
+        [rng.randint(-radius, radius) for _ in range(d)]
+        for radius in (budget.coeff_base ** (1 + attempt // 3) for attempt in range(budget.retries))
+    ]
+
+
 def search_open_conditions(
     Q: CategoryPresentation,
     X: Obj,
@@ -208,15 +217,20 @@ def search_open_conditions(
     The phases run in this order, each only when the ones before it decided
     nothing:
 
-    1. budget.retries seeded random combinations;
+    1. budget.retries seeded random combinations.  They depend only on the
+       seed string f"{budget.seed}:{salt}:{d}", retries and coeff_base, so
+       they are drawn once per verdict and kept in Q._draws; an all-zero
+       draw is not tried, since by linearity of the builders it meets no
+       condition of positive rank;
     2. the shape test: a condition whose required rank exceeds the smaller
        side of its matrix certifies empty.  No random try can meet such a
        condition and the test draws no randomness, so running it after the
        random phase changes no outcome; it only spares the found searches
        the matrices it builds;
     3. one grid per condition, then the joint grid (or, past grid_cap, more
-       random tries): {0..r}^d for a condition of rank r and {0..D}^d for D
-       the sum of the ranks, or all of F_p^d once r or D is at least p.
+       random tries, which go on with the random phase's stream): {0..r}^d
+       for a condition of rank r and {0..D}^d for D the sum of the ranks,
+       or all of F_p^d once r or D is at least p.
 
     A rank-r condition is a nonzero r x r minor, of degree at most r in each
     coefficient, and such a polynomial does not vanish on all of S^d when
@@ -238,10 +252,13 @@ def search_open_conditions(
             return SearchResult(SearchResult.FOUND, zero)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
-    rng = random.Random(f"{budget.seed}:{salt}:{d}")
-    for attempt in range(budget.retries):
-        radius = budget.coeff_base ** (1 + attempt // 3)
-        coeffs = [rng.randint(-radius, radius) for _ in range(d)]
+    seed = f"{budget.seed}:{salt}:{d}"
+    key = (seed, budget.retries, budget.coeff_base)
+    draws = Q._draws.get(key)
+    if draws is None:
+        # a zero draw is left out: by linearity it meets no live condition
+        draws = Q._draws[key] = tuple(tuple(c) for c in _random_draws(random.Random(seed), d, budget) if any(c))
+    for coeffs in draws:
         m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in live):
             return SearchResult(SearchResult.FOUND, m)
@@ -268,6 +285,8 @@ def search_open_conditions(
 
     values = grid(sum(c.required for c in live))
     if len(values) ** d > budget.grid_cap:
+        rng = random.Random(seed)
+        _random_draws(rng, d, budget)  # replayed: the stream goes on past the random phase
         for attempt in range(4 * budget.retries):
             radius = budget.coeff_base ** (2 + attempt // 4)
             coeffs = [rng.randint(-radius, radius) for _ in range(d)]
@@ -352,23 +371,40 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
 
 
 def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
-    """The search behind cokernel, run once per key of its table."""
+    """The search behind cokernel, run once per key of its table.
+
+    Each candidate's search is kept in Q._searches for one verdict, keyed by
+    (Y.mult, M.mult, the subspace vectors, seed, retries, coeff_base,
+    grid_cap).  That key covers everything the search reads: its domain Y
+    and codomain M, its subspace, the budget fields, its conditions and its
+    salt.  The condition on Z_z asks rank(- o c on Hom(M, Z_z)) >=
+    targets[z], and every candidate M meets the targets exactly (floor =
+    ceiling), so targets[z] = dim Hom(M, Z_z) is fixed by M; the salt is a
+    function of M.mult.  So two cokernel searches that reach one key run the
+    same search, and the second reads the first's result.  They may then
+    share one witness object, which is safe because maps are immutable.
+    BoundsExceeded propagates and is not kept.
+    """
     Y = f.target
     blocks = precompose_matrices(Q, f)  # - o f on each Hom(Y, Z_k)
     targets = [m.ncols - m.rank() if m.ncols else 0 for m in blocks]
     key = tuple(targets)
     candidates = Q._multiplicities.get(key)
     if candidates is None:
-        cols = [[Q.hom_dim(i, z) for z in range(Q.n)] for i in range(Q.n)]
-        candidates = Q._multiplicities[key] = multiplicities(cols, targets, cols, targets)
+        mults = multiplicities(Q._dim, targets, Q._dim, targets)
+        candidates = Q._multiplicities[key] = [Obj(mult) for mult in mults]
     # dim Hom(M, Z_z): M meets the targets; one pass per tried c
     pre = last_one(lambda c: precompose_matrices(Q, c))
     conditions = [RankCondition(lambda c, z=z: pre(c)[z], need) for z, need in enumerate(targets) if need]
-    for mult in candidates:
-        M = Obj(mult)
+    fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    for M in candidates:
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
         kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
-        res = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt=hash(mult) & 0xFFFF)
+        search = (Y.mult, M.mult, tuple(map(tuple, kills_f)), *fixed)
+        res = Q._searches.get(search)
+        if res is None:
+            salt = hash(M.mult) & 0xFFFF
+            res = Q._searches[search] = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt=salt)
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
     return None

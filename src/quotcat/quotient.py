@@ -10,7 +10,7 @@ is reproducible bit for bit.
 from __future__ import annotations
 
 from .errors import NotRigid, ShapeError
-from .fincat import CategoryPresentation, Morphism, Obj, compose, is_rigid, structure_constants
+from .fincat import CategoryPresentation, Morphism, Obj, is_rigid, structure_constants
 from .linalg import RowSpace
 
 
@@ -20,23 +20,36 @@ def x_t_objects(P: CategoryPresentation, T: Obj) -> set[int]:
     return {i for i in range(P.n) if all(P.hom_dim(t, i) == 0 for t in supp)}
 
 
-def factoring_subspace(P: CategoryPresentation, X: Obj, Y: Obj, S) -> RowSpace:
-    """Span of all two-step compositions X -> s -> Y with s in add S."""
-    width = P.hom_space_dim(X, Y)
-    rs = RowSpace(P.field, width)
+def factoring_subspace(P: CategoryPresentation, i: int, j: int, S) -> RowSpace:
+    """Span of the maps i -> j that factor through add S, for indecomposables
+    i and j and a set S of indecomposable indices.
+
+    It is spanned by the composites i -> s -> j of basis elements, and the
+    composite of basis a of Hom(i, s) and basis b of Hom(s, j) is
+    comp[(i, s, j)][a][b], read from the structure constants.  They are
+    added in (s, a, b) order, s ascending; a missing table makes them all
+    zero, which adds nothing.
+    """
+    rs = RowSpace(P.field, P.hom_dim(i, j))
     for s in sorted(S):
-        Zs = P.single(s)
-        for u in P.hom_basis(X, Zs):
-            for v in P.hom_basis(Zs, Y):
-                rs.add(compose(P, v, u).to_vector())
+        for row in P.comp.get((i, s, j), ()):
+            for vec in row:
+                rs.add(vec)
     return rs
 
 
 def factors_through(P: CategoryPresentation, f: Morphism, S) -> bool:
-    """True iff f lies in the span of compositions through add S."""
+    """True iff f factors through add S.
+
+    The maps that do form an ideal, so f factors through add S iff each of
+    its blocks does.
+    """
     S = {s if isinstance(s, int) else P.index(s) for s in S}
-    rs = factoring_subspace(P, f.source, f.target, S)
-    return rs.contains(f.to_vector())
+    return all(
+        factoring_subspace(P, i, j, S).contains(block)
+        for j, row in zip(f.target.copies(), f.blocks)
+        for i, block in zip(f.source.copies(), row)
+    )
 
 
 class QuotientCategory:
@@ -53,7 +66,7 @@ class QuotientCategory:
         self.rep_coords: dict[tuple[int, int], list[int]] = {}
         for i in keep:
             for j in keep:
-                rs = factoring_subspace(parent, parent.single(i), parent.single(j), self.xt)
+                rs = factoring_subspace(parent, i, j, self.xt)
                 self.f_spaces[(i, j)] = rs
                 self.rep_coords[(i, j)] = rs.complement_indices()
         if any(not self.rep_coords[(i, i)] for i in keep):

@@ -6,11 +6,15 @@ targets) and keeps the list on the presentation.  The target counts and the
 subspace {c : c o f = 0} come from one pass of `precompose_matrices` over f,
 and the rank conditions on a tried c share one pass over c.  The shape test
 of `search_open_conditions` runs only after the random phase, so a search
-found at random builds no probe matrix.  These tests pin all three, and check
-on random morphisms that the certificates hold and do not depend on the memo,
-and that the pullback legs read off the kernel are the projections composed
-with it.
+found at random builds no probe matrix.  Within a verdict each candidate
+search runs once per (Y, M, subspace) and each seed is drawn once, a zero
+draw is not tried, and the over-cap fallback goes on with the seed's
+stream.  These tests pin all of these, and check on random morphisms that
+the certificates hold and do not depend on the memo, and that the pullback
+legs read off the kernel are the projections composed with it.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +23,22 @@ from conftest import arrow_category
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat import fincat
-from quotcat.fincat import compose, postcompose_matrix, precompose_matrix, stack_cols, sum_copy_map, sum_projections
+from quotcat.fincat import (
+    basis_morphisms,
+    compose,
+    postcompose_matrix,
+    precompose_matrices,
+    precompose_matrix,
+    stack_cols,
+    sum_copy_map,
+    sum_projections,
+)
 from quotcat.linalg import GF, QQ
 from quotcat.preabelian import (
     Budget,
     RankCondition,
     SearchResult,
+    _combine,
     cokernel,
     is_epi,
     is_mono,
@@ -218,3 +232,111 @@ def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
     parts = [c.source, d.source]
     _, j = kernel(warm, stack_cols(warm, [c, d.scale(-1)], sum_copy_map(parts)))
     assert [sq.a, sq.b] == [compose(warm, proj, j) for proj in sum_projections(warm, parts)]
+
+
+# -- one search per subspace, one draw per seed ----------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_a_repeated_subspace_is_searched_once(monkeypatch, field):
+    # 2f is another cokernel key with the targets and the subspaces of f, so
+    # its candidate searches are all read from the table
+    P = build_cluster_category(3, field=field)
+    Q = _quotient(P, ("P1", "P3"))
+    runs = []
+
+    def counted(P_, X, Y, subspace, *args, **kwargs):
+        if P_ is Q:
+            runs.append((X.mult, Y.mult, tuple(map(tuple, subspace))))
+        return run_search(P_, X, Y, subspace, *args, **kwargs)
+
+    run_search = preabelian.search_open_conditions
+    monkeypatch.setattr(preabelian, "search_open_conditions", counted)
+    for _, _, _, f in basis_morphisms(Q):
+        cokernel(Q, f)
+        before = len(runs)
+        twice = f.scale(2)
+        again = cokernel(Q, twice)
+        assert len(runs) == before
+        cold_Q = _quotient(P, ("P1", "P3"))
+        cold = cokernel(cold_Q, cold_Q.morphism_from_vector(f.source, f.target, twice.to_vector()))
+        assert (again[0], again[1].to_vector()) == (cold[0], cold[1].to_vector())
+    assert runs and len(runs) == len(set(runs))
+    assert Q._searches and Q._draws
+
+
+def _epi_conditions(P, Y):
+    return [
+        RankCondition(lambda m, z=z: precompose_matrices(P, m)[z], P.hom_space_dim(Y, P.single(z)))
+        for z in range(P.n)
+    ]
+
+
+def _fresh_random_phase(Q, X, Y, subspace, conditions, budget, salt):
+    """The random phase with a fresh generator per search and every draw
+    tried, zero draws included: FOUND and its witness, or None."""
+    d = len(subspace)
+    rng = random.Random(f"{budget.seed}:{salt}:{d}")
+    for attempt in range(budget.retries):
+        radius = budget.coeff_base ** (1 + attempt // 3)
+        coeffs = [rng.randint(-radius, radius) for _ in range(d)]
+        m = _combine(Q, X, Y, subspace, coeffs)
+        if all(c.holds(m) for c in conditions if c.required > 0):
+            return SearchResult(SearchResult.FOUND, m)
+    return None
+
+
+def _random_draws_of(seed, d):
+    """The random phase's draws for a budget seed, salt 0 and dimension d."""
+    return preabelian._random_draws(random.Random(f"{seed}:0:{d}"), d, Budget())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_a_zero_first_draw_changes_no_search(field):
+    # P1+P2 -> P2 is found, but not by the draws (c, 0); P1+P2 -> P3 is
+    # certified empty past the random phase
+    P = build_cluster_category(3, field=field)
+    seeds = [s for s in range(3000) if not any(_random_draws_of(s, 2)[0])][:6]
+    assert len(seeds) == 6
+    for y in ("P2", "P3"):
+        X, Y = P.obj({"P1": 1, "P2": 1}), P.single(y)
+        basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+        assert len(basis) == 2
+        for seed in seeds:
+            budget = Budget(seed=seed)
+            conditions = _epi_conditions(P, Y)
+            want = _fresh_random_phase(P, X, Y, basis, conditions, budget, 0)
+            if want is None:  # the phases after the random one
+                want = search_open_conditions(P, X, Y, basis, conditions, Budget(seed=seed, retries=0))
+            got = search_open_conditions(P, X, Y, basis, conditions, budget)
+            assert got.status == want.status
+            assert (got.witness and got.witness.to_vector()) == (want.witness and want.witness.to_vector())
+        assert (f"{seeds[0]}:0:2", 10, 4) in P._draws
+    P.clear_verdict_tables()
+    assert not P._draws
+
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_the_over_cap_fallback_goes_on_with_the_stream(field):
+    # one try in the random phase, a zero one, then a joint grid over the
+    # cap: the fallback's draws are the stream's second and later ones
+    P = build_cluster_category(3, field=field)
+    X, Y = P.obj({"P1": 1, "P2": 1}), P.single("P2")
+    basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+    conditions = [c for c in _epi_conditions(P, Y) if c.required > 0]
+    seed = next(s for s in range(3000) if not any(_random_draws_of(s, 2)[0]))
+    cap = max((c.required + 1) ** 2 for c in conditions)
+    assert (sum(c.required for c in conditions) + 1) ** 2 > cap
+    budget = Budget(seed=seed, retries=1, grid_cap=cap)
+    rng = random.Random(f"{seed}:0:2")
+    rng.randint(-4, 4), rng.randint(-4, 4)  # the random phase's one draw
+    for attempt in range(4):
+        radius = 4 ** (2 + attempt // 4)
+        m = _combine(P, X, Y, basis, [rng.randint(-radius, radius) for _ in range(2)])
+        if all(c.holds(m) for c in conditions):
+            break
+    else:
+        pytest.fail("no fallback draw is a witness")
+    res = search_open_conditions(P, X, Y, basis, conditions, budget)
+    assert (res.status, res.witness.to_vector()) == (SearchResult.FOUND, m.to_vector())

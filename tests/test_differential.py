@@ -1,18 +1,28 @@
-"""Differential tests: the verdict does not depend on the field.
+"""Differential tests: two independent deciders of one fact agree.
 
 Every clause of a C(A_3) verdict is a statement about dimensions and ranks
 of integer structure constants that reduce well mod 101, so its status and
 its count of checked cases must agree between Q and GF(101).  Witness
 coordinates may differ and are not compared.
+
+Equality of right fractions is decided twice: by `fractions_equal`, on a
+pullback of the two denominators in the quotient, and through the
+equivalence with mod End(T)^op, by comparing the module maps
+`h_fraction` gives.  They must agree on random roofs.
 """
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.fincat import all_rigid_supports
-from quotcat.linalg import GF
-from quotcat.preabelian import Budget
+from quotcat.fincat import all_rigid_supports, compose
+from quotcat.linalg import GF, QQ
+from quotcat.localization import Fraction, fractions_equal
+from quotcat.modcat import HFunctor, h_fraction
+from quotcat.preabelian import Budget, build_morphism_family
+from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
 
 CAPPED = Budget(scan_pairs_cap=120)
@@ -35,3 +45,54 @@ def test_every_clause_agrees_over_q_and_f101(A3_pair, data):
     supp = data.draw(st.sampled_from(all_rigid_supports(P, 3)))
     assert all_rigid_supports(F, 3) == all_rigid_supports(P, 3)
     assert _clauses(F, supp) == _clauses(P, supp)
+
+
+# -- fraction equality against the module side --------------------------------------
+
+# name -> (n, orientation, field, T)
+ROOF_CATEGORIES = {
+    "A3/Q": (3, None, QQ, "P1+P3"),
+    "A4(><>)/F101": (4, "><>", GF(101), "I1+P1"),
+}
+
+
+@lru_cache(maxsize=None)
+def _roof_setting(name):
+    """The quotient by X_T, the functor H and the regular maps of the scan family."""
+    n, orientation, field, spec = ROOF_CATEGORIES[name]
+    P = build_cluster_category(n, orientation, field)
+    T = P.obj({s: 1 for s in spec.split("+")})
+    qc = build_quotient(P, T)
+    return qc, HFunctor(P, T), build_morphism_family(qc.presentation).regulars
+
+
+def _random_map(data, Q, X, Y):
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=Q.hom_space_dim(X, Y), max_size=Q.hom_space_dim(X, Y)))
+    return Q.morphism_from_vector(X, Y, coeffs)
+
+
+@settings(max_examples=40)
+@given(name=st.sampled_from(sorted(ROOF_CATEGORIES)), data=st.data())
+def test_fraction_equality_agrees_with_the_module_maps(name, data):
+    # G is F amplified by a regular s (equal to F), or F's amplification
+    # with a map added to its numerator, or an unrelated roof over F's
+    # source; fractions_equal and h_fraction must agree in every case
+    qc, H, regulars = _roof_setting(name)
+    Q = qc.presentation
+    r = data.draw(st.sampled_from(regulars))
+    Y = Q.single(data.draw(st.integers(0, Q.n - 1)))
+    F = Fraction(Q, r, _random_map(data, Q, r.source, Y))
+    how = data.draw(st.sampled_from(["amplified", "shifted", "other"]))
+    if how == "other":
+        r2 = data.draw(st.sampled_from([g for g in regulars if g.target == r.target]))
+        G = Fraction(Q, r2, _random_map(data, Q, r2.source, Y))
+    else:
+        s = data.draw(st.sampled_from([g for g in regulars if g.target == r.source]))
+        num = compose(Q, F.num, s)
+        if how == "shifted":
+            num = num + _random_map(data, Q, s.source, Y)
+        G = Fraction(Q, compose(Q, r, s), num)
+    equal = fractions_equal(Q, F, G)
+    assert equal == (h_fraction(H, qc, F) == h_fraction(H, qc, G))
+    if how == "amplified":
+        assert equal

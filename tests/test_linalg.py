@@ -183,6 +183,29 @@ def test_rank_matches_rref(m):
     assert m.rank() == _rref_rank(m)
 
 
+@st.composite
+def thin_matrices(draw):
+    """A matrix with one row or one column (or none), up to 12 long, over
+    QQ, GF(101) or GF(2); zero entries are drawn often, so all-zero ones
+    come up, and over QQ some entries are Fractions."""
+    field = draw(st.sampled_from([QQ, GF(101), GF(2)]))
+    length = draw(st.integers(0, 12))
+    ints = st.one_of(st.just(0), st.integers(-6, 6))
+    entry = st.one_of(ints, st.fractions(-3, 3, max_denominator=4)) if field is QQ else ints
+    line = draw(st.lists(entry, min_size=length, max_size=length))
+    if draw(st.booleans()):
+        return Matrix.from_rows(field, [line], ncols=length)
+    return Matrix.from_rows(field, [[x] for x in line], ncols=1)
+
+
+@settings(max_examples=300)
+@given(thin_matrices())
+def test_thin_rank_is_the_bareiss_rank(m):
+    # the closed form reads the entries only; the elimination it skips agrees
+    assert m.rank() == m._bareiss_rank() == _rref_rank(m)
+    assert m.rank() == int(not m.is_zero())
+
+
 def test_rank_of_dense_integer_matrix_stays_fast():
     # Without the exact division by the previous pivot, entry sizes double
     # at every step and this does not finish.

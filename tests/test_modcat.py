@@ -369,7 +369,7 @@ def test_leg_sources_are_the_shapes_a_search_does_not_rule_out():
             targets = [Q.single(x)] if x == w else [Q.single(x), Q.single(w)]
             old = _full_product([min(Q.hom_dim(i, x), Q.hom_dim(i, w)) for i in range(Q.n)])
             want = [m for m in old if not any(_empty_by_shape(Q, Obj(m), X) for X in targets)]
-            assert _leg_sources(Q, targets) == want, (Q.objects, x, w)
+            assert [A.mult for A in _leg_sources(Q, targets)] == want, (Q.objects, x, w)
             skipped += len(old) - len(want)
     assert skipped
 
