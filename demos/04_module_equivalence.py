@@ -1,12 +1,13 @@
 """The equivalence of the localised quotient with modules over End(T)^op.
 
-Assembles the opposite endomorphism algebra, the functor Hom(T, -), checks
-the bridge identity (inverted by H iff regular in the quotient), and runs
-the three certified clauses of the equivalence: faithfulness, fullness by
-explicit fraction realisation, and the classification of projectives.
+Assembles the opposite endomorphism algebra as a one-object category and
+validates it, builds the functor Hom(T, -), checks the bridge identity
+(inverted by H iff regular in the quotient), and runs the three certified
+clauses of the equivalence: faithfulness, fullness by explicit fraction
+realisation, and the classification of projectives.
 """
 
-from quotcat import build_cluster_category, build_quotient
+from quotcat import build_cluster_category, build_quotient, validate_category
 from quotcat.modcat import (
     HFunctor,
     endomorphism_algebra,
@@ -25,8 +26,8 @@ for t_names in (("P1", "P2", "P3"), ("P1", "P3")):
     print("=" * 70)
 
     alg = endomorphism_algebra(P, T)
-    print(f"\nGamma = End(T)^op has dimension {alg.dim}; associative and unital: "
-          f"{alg.check_associative_unital()}")
+    print(f"\nGamma = End(T)^op has dimension {alg.hom_dim(0, 0)}; associative and unital: "
+          f"{validate_category(alg).ok}")
 
     H = HFunctor(P, T)
     print("\nmodule dimensions under H = Hom(T, -):")

@@ -170,15 +170,11 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
         or sorted(sigma) != list(range(len(objects)))
     ):
         raise ShapeError("'sigma' must be a permutation of the indecomposables")
-    P = CategoryPresentation(
-        field,
-        objects,
-        hom,
-        comp,
-        identities,
-        sigma=sigma,
-        metadata=_entries(doc, "metadata", dict) if "metadata" in doc else {},
-    )
+    metadata = _entries(doc, "metadata", dict) if "metadata" in doc else {}
+    aliases = metadata.get("aliases", {})
+    if not isinstance(aliases, dict) or not all(isinstance(x, str) for pair in aliases.items() for x in pair):
+        raise ShapeError("'metadata.aliases' must be a JSON object of names to names")
+    P = CategoryPresentation(field, objects, hom, comp, identities, sigma=sigma, metadata=metadata)
     rep = validate_category(P)
     if not rep.ok:
         kind, detail = rep.violations[0]

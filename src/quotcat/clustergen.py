@@ -47,10 +47,6 @@ class QuiverAn:
         return out
 
 
-def linear_quiver(n: int) -> QuiverAn:
-    return QuiverAn(n, "<" * (n - 1))
-
-
 class Rep:
     """A representation of a QuiverAn: one space per vertex, one map per edge.
 
@@ -118,15 +114,6 @@ def _walk(quiver: QuiverAn, v: int, below: str) -> tuple[int, int]:
     while hi < quiver.n and quiver.orientation[hi - 1] != below:
         hi += 1
     return (lo, hi)
-
-
-def indecomposable_reps(quiver: QuiverAn, field: Field = QQ):
-    """The n(n+1)/2 interval representations, ordered by (a, b)."""
-    return [
-        interval_rep(quiver, field, a, b)
-        for a in range(1, quiver.n + 1)
-        for b in range(a, quiver.n + 1)
-    ]
 
 
 def path_matrix(rep: Rep, src: int, dst: int):
@@ -716,39 +703,6 @@ def _solve_factor(target: RepHom, src: Rep, dst: Rep, image) -> RepHom:
         if c != field.zero:
             out = out + b.scale(c)
     return out
-
-
-def tau(M: Rep, ctx: TauContext | None = None):
-    """AR translate of an interval module; None for a projective."""
-    ctx = ctx or TauContext(M.quiver, M.field)
-    iv = _identify_interval(M)
-    if iv is None:
-        raise ValueError("tau implemented for interval modules only")
-    if ctx.is_projective(iv):
-        return None
-    return interval_rep(M.quiver, M.field, *ctx.tau_interval(iv))
-
-
-def tau_inv(M: Rep, ctx: TauContext | None = None):
-    """Inverse AR translate of an interval module; None for an injective."""
-    ctx = ctx or TauContext(M.quiver, M.field)
-    iv = _identify_interval(M)
-    if iv is None:
-        raise ValueError("tau_inv implemented for interval modules only")
-    if ctx.is_injective(iv):
-        return None
-    return ctx.tau_inv_std(iv)
-
-
-def ext1_rep(M: Rep, N: Rep) -> int:
-    """dim Ext^1(M, N) via a projective presentation of M."""
-    pres = Presentation(M.quiver, M.field, M)
-    homs_k = hom_rep(pres.K, N)
-    homs_p = hom_rep(pres.P0, N)
-    rs = RowSpace(M.field, hom_flat_dim(pres.K, N))
-    for g in homs_p:
-        rs.add(g.compose(pres.iota).flatten())
-    return len(homs_k) - rs.dim
 
 
 # ---------------------------------------------------------------------------

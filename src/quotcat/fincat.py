@@ -111,9 +111,6 @@ class CategoryPresentation:
         i = name_or_idx if isinstance(name_or_idx, int) else self.index(name_or_idx)
         return self._singles[i]
 
-    def zero_obj(self) -> "Obj":
-        return Obj((0,) * self.n)
-
     def obj_name(self, X: "Obj") -> str:
         parts = []
         for i, m in enumerate(X.mult):
@@ -388,45 +385,27 @@ def basis_morphisms(P: CategoryPresentation):
 
 
 def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
-    """g o f, blockwise bilinear via the structure constants."""
+    """g o f: block (t, s) adds g[t][m] o f[m][s] over the middle copies m."""
     if f.P is not P or g.P is not P:
         raise ShapeError("morphisms from a different presentation")
     if f.target != g.source:
         raise ShapeError(
             f"cannot compose: target {P.obj_name(f.target)} != source {P.obj_name(g.source)}"
         )
-    fld = P.field
-    zero = fld.zero
+    zero, dim = P.field.zero, P._dim
     srcs = f.source.copies()
     mids = f.target.copies()
-    tgts = g.target.copies()
-    out = [
-        [[zero] * P.hom_dim(i, k) for i in srcs]
-        for k in tgts
-    ]
-    for t, k in enumerate(tgts):
+    out = []
+    for t, (k, grow) in enumerate(zip(g.target.copies(), g.blocks)):
+        row = []
         for s, i in enumerate(srcs):
-            acc = out[t][s]
-            if not acc:
-                continue
-            for m, j in enumerate(mids):
-                table = P.comp.get((i, j, k))
-                if table is None:
-                    continue
-                fblock = f.blocks[m][s]
-                gblock = g.blocks[t][m]
-                for a, fa in enumerate(fblock):
-                    if fa == zero:
-                        continue
-                    ta = table[a]
-                    for b, gb in enumerate(gblock):
-                        if gb == zero:
-                            continue
-                        coeff = fld.mul(fa, gb)
-                        row = ta[b]
-                        for c, rc in enumerate(row):
-                            if rc != zero:
-                                acc[c] = fld.add(acc[c], fld.mul(coeff, rc))
+            acc = [zero] * dim[i][k]
+            if acc:
+                for j, fcol, gblock in zip(mids, f.blocks, grow):
+                    if fcol[s] and gblock:  # no call for a zero-dimensional Hom
+                        _composite(P, i, j, k, fcol[s], gblock, acc)
+            row.append(acc)
+        out.append(row)
     return Morphism(P, f.source, g.target, out)
 
 
@@ -541,18 +520,19 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v) -> list:
-    """Coordinates in Hom(i, k) of v o u, for u in Hom(i, j) and v in Hom(j, k).
+def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v, out: list) -> list:
+    """Add the coordinates of v o u in Hom(i, k) to out and return out, for u
+    in Hom(i, j) and v in Hom(j, k).
 
     Read from comp[(i, j, k)] alone: sum_{a,b} u[a] * v[b] * comp[(i, j, k)][a][b].
-    A missing table makes every composite zero.
+    A missing table makes every composite zero.  This is the one bilinear
+    product on the structure constants: compose and validate_category both
+    call it.
     """
-    fld = P.field
-    out = [fld.zero] * P._dim[i][k]
     table = P.comp.get((i, j, k))
     if table is None:
         return out
-    add, mul = fld.add, fld.mul
+    add, mul = P.field.add, P.field.mul
     for ua, row in zip(u, table):
         if not ua:
             continue
@@ -594,9 +574,9 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
     for i, j in itertools.product(range(n), repeat=2):
         for a in range(dim[i][j]):
             ea = unit(dim[i][j], a)
-            if _composite(P, i, j, j, ea, P.identities[j]) != ea:
+            if _composite(P, i, j, j, ea, P.identities[j], [zero] * dim[i][j]) != ea:
                 rep.add("left-unit", (i, j, a))
-            if _composite(P, i, i, j, P.identities[i], ea) != ea:
+            if _composite(P, i, i, j, P.identities[i], ea, [zero] * dim[i][j]) != ea:
                 rep.add("right-unit", (i, j, a))
     # associativity on basis triples
     for i, j, k, l in itertools.product(range(n), repeat=4):
@@ -611,8 +591,8 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
                 gf = gf_table[a][b] if gf_table else ()  # () reads as zero
                 for c in range(dim[k][l]):
                     hg = hg_table[b][c] if hg_table else ()
-                    lhs = _composite(P, i, k, l, gf, unit(dim[k][l], c))
-                    if lhs != _composite(P, i, j, l, ea, hg):
+                    lhs = _composite(P, i, k, l, gf, unit(dim[k][l], c), [zero] * dim[i][l])
+                    if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
                         rep.add("associativity", (i, j, k, l, a, b, c))
     if P.sigma is not None and sorted(P.sigma) != list(range(P.n)):
         rep.add("sigma-not-bijective", tuple(P.sigma))
@@ -842,31 +822,23 @@ def sum_obj(parts: list[Obj]) -> Obj:
     return total
 
 
-def sum_projections(P: CategoryPresentation, parts: list[Obj]) -> list[Morphism]:
-    """Canonical projections of the direct sum of parts, one per part."""
-    S = sum_obj(parts)
-    z = P.field.zero
-    cmap = sum_copy_map(parts)
-    projs = []
-    for pi, part in enumerate(parts):
-        blocks = [
-            [
-                list(P.identities[j]) if (qi, cpos) == (pi, t) else [z] * P.hom_dim(i, j)
-                for i, (qi, cpos) in zip(S.copies(), cmap)
-            ]
-            for t, j in enumerate(part.copies())
-        ]
-        projs.append(Morphism(P, S, part, blocks))
-    return projs
+def split_rows(P: CategoryPresentation, f: Morphism, parts: list[Obj]) -> list[Morphism]:
+    """The components proj_p o f of f: X -> (sum of parts), one per part.
 
-
-def stack_cols(P: CategoryPresentation, fs: list[Morphism], cmap=None) -> Morphism:
-    """[f1 | f2 | ...]: the map (sum of sources) -> common target.
-
-    cmap is sum_copy_map of the sources, for a caller that already has it.
+    proj_p o f is f's rows of the copies of part p, read through
+    sum_copy_map(parts), which lists them in p's copy order.
     """
+    cmap = sum_copy_map(parts)
+    return [
+        Morphism(P, f.source, part, [row for row, (q, _) in zip(f.blocks, cmap) if q == p])
+        for p, part in enumerate(parts)
+    ]
+
+
+def stack_cols(P: CategoryPresentation, fs: list[Morphism]) -> Morphism:
+    """[f1 | f2 | ...]: the map (sum of sources) -> common target."""
     target = fs[0].target
     parts = [f.source for f in fs]
-    cmap = cmap or sum_copy_map(parts)
+    cmap = sum_copy_map(parts)
     blocks = [[list(fs[pi].blocks[t][cpos]) for pi, cpos in cmap] for t in range(len(target.copies()))]
     return Morphism(P, sum_obj(parts), target, blocks)

@@ -298,9 +298,6 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.nrows, self.ncols, [list(row) for row in self.data])
 
-    def row(self, i):
-        return list(self.data[i])
-
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
 
@@ -576,20 +573,6 @@ class RowSpace:
         """Coordinate indices of the canonical complement (non-pivot slots)."""
         pivset = set(self.pivots)
         return [j for j in range(self.width) if j not in pivset]
-
-    def coords_in_basis(self, vec):
-        """Coefficients of vec against the echelon rows, or None if outside."""
-        f = self.field
-        v = list(vec)
-        coeffs = []
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            coeffs.append(c)
-            if c != f.zero:
-                v = [f.sub(v[j], f.mul(c, row[j])) for j in range(self.width)]
-        if any(x != f.zero for x in v):
-            return None
-        return coeffs
 
 
 def intertwiners(field: Field, src_dims, tgt_dims, relations):

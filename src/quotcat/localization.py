@@ -98,20 +98,6 @@ def fractions_equal(Q: CategoryPresentation, F: Fraction, G: Fraction, budget: B
     return compose(Q, F.num, sq.a) == compose(Q, G.num, sq.b)
 
 
-def fraction_add(Q: CategoryPresentation, F: Fraction, G: Fraction, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    """Sum over the common denominator given by the denominator pullback."""
-    if F.source != G.source or F.target != G.target:
-        raise ShapeError("fractions must be parallel to add")
-    sq = pullback(Q, F.denom, G.denom, budget)
-    denom = compose(Q, F.denom, sq.a)
-    num = compose(Q, F.num, sq.a) + compose(Q, G.num, sq.b)
-    return Fraction(Q, denom, num)
-
-
-def fraction_scale(Q: CategoryPresentation, F: Fraction, c) -> Fraction:
-    return Fraction(Q, F.denom, F.num.scale(c), _checked=True)
-
-
 def is_identity_fraction(Q: CategoryPresentation, F: Fraction, budget: Budget = DEFAULT_BUDGET) -> bool:
     if F.source != F.target:
         return False

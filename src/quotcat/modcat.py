@@ -25,8 +25,8 @@ from .fincat import (
     opposite,
     postcompose_matrix,
     precompose_matrices,
-    precompose_matrix,
-    sum_projections,
+    split_rows,
+    structure_constants,
 )
 from .linalg import Matrix, RowSpace, intertwiners, kernel_basis_in_order
 from .localization import Fraction
@@ -45,65 +45,19 @@ from .preabelian import (
 from .quotient import QuotientCategory, build_quotient, factoring_subspace
 
 
-class Algebra:
-    """A finite-dimensional algebra by structure constants (here End(T)^op)."""
+def endomorphism_algebra(P: CategoryPresentation, T: Obj) -> CategoryPresentation:
+    """End(T)^op as a presentation with one object, named after T.
 
-    def __init__(self, field, dim: int, mult, identity, labels=None):
-        self.field = field
-        self.dim = dim
-        self.mult = mult  # mult[a][b] = coeff vector of (basis a) * (basis b)
-        self.identity = list(identity)
-        self.labels = labels or [str(i) for i in range(dim)]
-
-    def multiply(self, u, v):
-        f = self.field
-        out = [f.zero] * self.dim
-        for a, ua in enumerate(u):
-            if ua == f.zero:
-                continue
-            row = self.mult[a]
-            for b, vb in enumerate(v):
-                if vb == f.zero:
-                    continue
-                coeff = f.mul(ua, vb)
-                for c, x in enumerate(row[b]):
-                    if x != f.zero:
-                        out[c] = f.add(out[c], f.mul(coeff, x))
-        return out
-
-    def check_associative_unital(self) -> bool:
-        f = self.field
-        e = self.identity
-        for a in range(self.dim):
-            ua = [f.one if i == a else f.zero for i in range(self.dim)]
-            if self.multiply(e, ua) != ua or self.multiply(ua, e) != ua:
-                return False
-        for a in range(self.dim):
-            ua = [f.one if i == a else f.zero for i in range(self.dim)]
-            for b in range(self.dim):
-                ub = [f.one if i == b else f.zero for i in range(self.dim)]
-                ab = self.multiply(ua, ub)
-                for c in range(self.dim):
-                    uc = [f.one if i == c else f.zero for i in range(self.dim)]
-                    if self.multiply(ab, uc) != self.multiply(ua, self.multiply(ub, uc)):
-                        return False
-        return True
-
-
-def endomorphism_algebra(P: CategoryPresentation, T: Obj) -> Algebra:
-    """End(T) with the opposite multiplication: x * y is (y then x) in C."""
-    d = P.hom_space_dim(T, T)
+    comp[(0, 0, 0)][a][b] is the product a * b of End(T)^op, which is b o a
+    in P; a one-object presentation reads that entry as (basis b) o (basis
+    a), so the presentation composes as P does on End(T).  validate_category
+    of it checks that the algebra is associative and unital.
+    """
     basis = P.hom_basis(T, T)
-    mult = []
-    for a in range(d):
-        row = []
-        for b in range(d):
-            # opposite product: a * b is the composite (b then a) reversed,
-            # i.e. compose(b, a) in the original category
-            row.append(compose(P, basis[b], basis[a]).to_vector())
-        mult.append(row)
-    ident = P.identity(T).to_vector()
-    return Algebra(P.field, d, mult, ident)
+    hom, comp = structure_constants(
+        P.field, [[len(basis)]], lambda i, j, k, a, b: compose(P, basis[b], basis[a]).to_vector()
+    )
+    return CategoryPresentation(P.field, [P.obj_name(T)], hom, comp, [P.identity(T).to_vector()])
 
 
 def end_basis_actions(P: CategoryPresentation, T: Obj) -> list[tuple]:
@@ -155,42 +109,12 @@ class GammaModule:
             for t, s, acts in end_actions
         ]
 
-    @cached_property
-    def actions(self) -> list[Matrix]:
-        """The action matrices on all of Hom(T, X), one per basis element of End(T)."""
-        return [precompose_matrix(self.P, e, self.X) for e in self.P.hom_basis(self.T, self.T)]
-
-    def check_module_axioms(self, algebra: Algebra) -> bool:
-        f = self.P.field
-        ident = Matrix.zeros(f, self.dim, self.dim)
-        for k, c in enumerate(algebra.identity):
-            if c != f.zero:
-                ident = ident + self.actions[k].scale(c)
-        if ident != Matrix.identity(f, self.dim):
-            return False
-        for a in range(algebra.dim):
-            for b in range(algebra.dim):
-                prod = algebra.mult[a][b]
-                lhs = Matrix.zeros(f, self.dim, self.dim)
-                for k, c in enumerate(prod):
-                    if c != f.zero:
-                        lhs = lhs + self.actions[k].scale(c)
-                if lhs != self.actions[a] * self.actions[b]:
-                    return False
-        return True
-
 
 @dataclass
 class ModuleMap:
     source: GammaModule
     target: GammaModule
     matrix: Matrix
-
-    def commutes_with_actions(self) -> bool:
-        return all(
-            self.matrix * am == an * self.matrix
-            for am, an in zip(self.source.actions, self.target.actions)
-        )
 
 
 class HFunctor:
@@ -213,9 +137,6 @@ class HFunctor:
     def mor_matrix(self, f: Morphism) -> Matrix:
         """Matrix of Hom(T, source f) -> Hom(T, target f)."""
         return postcompose_matrix(self.P, f, self.T)
-
-    def mor(self, f: Morphism) -> ModuleMap:
-        return ModuleMap(self.module(f.source), self.module(f.target), self.mor_matrix(f))
 
 
 def in_s(P: CategoryPresentation, T: Obj, f: Morphism, H: HFunctor | None = None) -> bool:
@@ -364,10 +285,15 @@ def realize_module_map(
     P = qc.parent
     X, Y_par = Q.single(x), qc.lift_obj(Q.single(y))
     field = Q.field
+    images = {}
 
     def image(A):
-        """The flattened H-images of the basis of Hom_C(A, y)."""
-        return [_flat(H.mor_matrix(g)) for g in P.hom_basis(qc.lift_obj(A), Y_par)]
+        """The flattened H-images of the basis of Hom_C(A, y), built once per A:
+        the denominator space and the numerator both read them."""
+        img = images.get(A)
+        if img is None:
+            img = images[A] = [_flat(H.mor_matrix(g)) for g in P.hom_basis(qc.lift_obj(A), Y_par)]
+        return img
 
     def denominators(A):
         """Basis of the r in Hom(A, x) with phi o H(lift r) in image(A).
@@ -527,6 +453,6 @@ def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAUL
     X = Q.single(x)
     W = Q.single(w) if isinstance(w, int) else w
     XW = X + W
-    legs = [lambda h, proj=proj: compose(Q, proj, h) for proj in sum_projections(Q, [X, W])]
+    legs = [lambda h, p=p: split_rows(Q, h, [X, W])[p] for p in range(2)]
     roofs = _regular_roofs(Q, [X, W], lambda A: Q.hom_basis(A, XW), legs, budget, f"iso:{x}:{W.mult}")
     return next(roofs, None) is not None

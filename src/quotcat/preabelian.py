@@ -33,8 +33,8 @@ from .fincat import (
     postcompose_matrix,
     precompose_matrices,
     precompose_matrix,
+    split_rows,
     stack_cols,
-    sum_copy_map,
 )
 from .linalg import Matrix, PrimeField, block_diagonal_kernel_basis
 
@@ -120,14 +120,11 @@ def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
     return None if sol is None else P.morphism_from_vector(X, Y, sol)
 
 
-def _stack(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.field, a.nrows + b.nrows, a.ncols, a.data + b.data)
-
-
 def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
     """Some g with g o f = id and f o g = id, or None."""
     X, Y = f.source, f.target
-    m = _stack(precompose_matrix(Q, f, X), postcompose_matrix(Q, f, Y))
+    pre, post = precompose_matrix(Q, f, X), postcompose_matrix(Q, f, Y)
+    m = Matrix(Q.field, pre.nrows + post.nrows, pre.ncols, pre.data + post.data)
     return solve_on_basis(Q, Y, X, m, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
 
 
@@ -444,19 +441,13 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     """Kernel-based pullback of c: B -> D and d: C -> D."""
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
-    B, C = parts = [c.source, d.source]
-    cmap = sum_copy_map(parts)
-    diff = stack_cols(Q, [c, d.scale(-1)], cmap)
-    res = kernel(Q, diff, budget)
+    res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
     if res is None:
         raise NoKernel("difference map has no kernel: presentation is not preabelian here")
     A, j = res
-    # the legs are the projections composed with j: j's rows of each part
-    a, b = (
-        Morphism(Q, A, part, [row for row, (pi, _) in zip(j.blocks, cmap) if pi == p])
-        for p, part in enumerate(parts)
-    )
-    sq = LimitSquare(A, B, C, c.target, a, b, c, d)
+    # the legs are the projections composed with j
+    a, b = split_rows(Q, j, [c.source, d.source])
+    sq = LimitSquare(A, c.source, d.source, c.target, a, b, c, d)
     if not sq.check_commutes(Q):
         raise InternalInconsistency("pullback square does not commute")
     return sq
@@ -473,12 +464,6 @@ def pushout(Q: CategoryPresentation, a: Morphism, b: Morphism, budget: Budget = 
         raise NoCokernel("difference map has no cokernel: presentation is not preabelian here") from None
     c, d = op_morphism(Q, sq.a), op_morphism(Q, sq.b)
     return LimitSquare(a.source, a.target, b.target, sq.A, a, b, c, d)
-
-
-def mediating_to_pullback(Q: CategoryPresentation, sq: LimitSquare, u: Morphism, v: Morphism):
-    """Solve a o w = u, b o w = v for a cone (u, v); None if no mediator."""
-    m = _stack(postcompose_matrix(Q, sq.a, u.source), postcompose_matrix(Q, sq.b, u.source))
-    return solve_on_basis(Q, u.source, sq.A, m, u.to_vector() + v.to_vector())
 
 
 def factors_through_map(Q: CategoryPresentation, f: Morphism, c: Morphism):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotcat.catfile import (
     load_category,
@@ -12,6 +13,7 @@ from quotcat.catfile import (
 )
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import ShapeError
+from quotcat.fincat import validate_category
 from quotcat.linalg import GF, QQ
 
 from conftest import chain4_category
@@ -132,3 +134,56 @@ def test_quotient_reproducible_bit_for_bit():
         qc = build_quotient(P, P.obj({"P1": 1, "P3": 1}))
         docs.append(presentation_to_dict(qc.presentation))
     assert docs[0] == docs[1]
+
+
+# -- fuzzing: a mutated file loads as a valid presentation or is refused -------
+
+
+# values of another type, indices out of range and bad scalars
+_STRAY_VALUES = [None, True, 1.5, "x", "", [], {}, 0, 1, -1, 99, "1/0", "2/3", "nan", {"Fp": 4}, {"Fp": 101}]
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the document's own () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """Drop, retype or truncate one value of doc, in place."""
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    kinds = ["drop", "retype"] + (["truncate"] if isinstance(node, list) and node else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "retype":
+        parent[key] = json.loads(json.dumps(data.draw(st.sampled_from(_STRAY_VALUES))))
+    else:
+        del node[data.draw(st.integers(0, len(node) - 1)):]
+
+
+@pytest.fixture(scope="module")
+def a3_doc(A3):
+    return json.dumps(presentation_to_dict(A3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_valid_or_is_refused(a3_doc, data):
+    doc = json.loads(a3_doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    try:
+        P = presentation_from_dict(doc)
+    except (ShapeError, ValueError):
+        return
+    assert validate_category(P).ok
+    aliases = P.metadata.get("aliases", {})
+    assert isinstance(aliases, dict) and all(isinstance(x, str) for pair in aliases.items() for x in pair)

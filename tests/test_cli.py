@@ -291,6 +291,21 @@ def test_malformed_category_file_exits_2(name, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("aliases", [["Q1"], {"Q1": 3}, "Q1"], ids=["list", "non-name value", "string"])
+@pytest.mark.parametrize("spec", ["Q1", "P1+P2+P3"])
+def test_malformed_aliases_exit_2(a3_path, tmp_path, capsys, aliases, spec):
+    # a list once reached resolve_object_name (TypeError) and the quotient
+    # (AttributeError) as a traceback with exit 1
+    doc = json.loads(open(a3_path).read())
+    doc["metadata"]["aliases"] = aliases
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--T", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "aliases" in err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

