@@ -115,8 +115,9 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise ShapeError(f"unknown fields in category file: {sorted(unknown)}")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ShapeError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ShapeError(f"unsupported format_version {version!r}")
     field = _field_from_tag(doc.get("field"))
     objects = _entries(doc, "indecomposables")
     if not all(isinstance(name, str) for name in objects) or len(set(objects)) != len(objects):

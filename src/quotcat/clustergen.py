@@ -497,29 +497,26 @@ class _NakayamaContext:
                     if gi != gp:
                         raise GenerationError(f"Nakayama coherence fails at {(a, b, c)}")
 
-    def transport(self, h: RepHom, src_parts, tgt_parts, to_injective: bool) -> RepHom:
+    def transport(self, h: RepHom, src_parts, tgt_parts) -> RepHom:
         """Nakayama image of h between the sums over src_parts and tgt_parts.
 
-        h maps the sum of the P_v (to_injective) or of the I_v, v in
-        src_parts, to the sum over tgt_parts.  Each (a -> b) block of h is a
-        multiple of that side's canonical map; the image has the same
-        multiple of the other side's canonical map in the same block.
+        h maps the sum of the I_v, v in src_parts, to the sum over
+        tgt_parts.  Each (a -> b) block of h is a multiple of the canonical
+        map I_a -> I_b; the image has the same multiple of the canonical map
+        P_a -> P_b in the same block.
         """
         quiver, field = self.quiver, self.field
-        here, canon_here, there, canon_there = self.P, self.delta, self.I, self.gamma
-        if not to_injective:
-            here, canon_here, there, canon_there = there, canon_there, here, canon_here
-        _, h_offs_s = direct_sum([here[a] for a in src_parts], quiver, field)
-        _, h_offs_t = direct_sum([here[b] for b in tgt_parts], quiver, field)
-        S, offs_s = direct_sum([there[a] for a in src_parts], quiver, field)
-        T, offs_t = direct_sum([there[b] for b in tgt_parts], quiver, field)
+        _, i_offs_s = direct_sum([self.I[a] for a in src_parts], quiver, field)
+        _, i_offs_t = direct_sum([self.I[b] for b in tgt_parts], quiver, field)
+        S, offs_s = direct_sum([self.P[a] for a in src_parts], quiver, field)
+        T, offs_t = direct_sum([self.P[b] for b in tgt_parts], quiver, field)
         blocks = [[] for _ in range(quiver.n)]
         for bi, b in enumerate(tgt_parts):
             for ai, a in enumerate(src_parts):
-                coeff = _block_coefficient(h, h_offs_s[ai], h_offs_t[bi], here[a], here[b], canon_here[(a, b)])
+                coeff = _block_coefficient(h, i_offs_s[ai], i_offs_t[bi], self.I[a], self.I[b], self.gamma[(a, b)])
                 if coeff == field.zero:
                     continue
-                image = canon_there[(a, b)].scale(coeff)
+                image = self.delta[(a, b)].scale(coeff)
                 for v in range(quiver.n):
                     blocks[v].append((offs_t[bi][v], offs_s[ai][v], image.mats[v]))
         return RepHom(S, T, [_block_matrix(field, T.dims[v], S.dims[v], blocks[v]) for v in range(quiver.n)])
@@ -596,31 +593,8 @@ class TauContext:
         self._tinv = {}
         self._tinv_mor_cache = {}
 
-    # -- object level ---------------------------------------------------
-
-    def is_projective(self, iv: tuple[int, int]) -> bool:
-        return any(proj_interval(self.quiver, v) == iv for v in range(1, self.quiver.n + 1))
-
     def is_injective(self, iv: tuple[int, int]) -> bool:
         return any(inj_interval(self.quiver, v) == iv for v in range(1, self.quiver.n + 1))
-
-    def tau_interval(self, iv: tuple[int, int]) -> tuple[int, int]:
-        """Translate of a non-projective interval, via the projective side."""
-        if self.is_projective(iv):
-            raise GenerationError("tau of a projective is undefined")
-        quiver, field = self.quiver, self.field
-        M = interval_rep(quiver, field, *iv)
-        pres = Presentation(quiver, field, M)
-        # decompose K into projectives through its (iso) projective cover
-        kpres = Presentation(quiver, field, pres.K)
-        if not kpres.pi.is_iso():
-            raise GenerationError("syzygy cover is not an isomorphism")
-        inc = pres.iota.compose(kpres.pi)  # sum of projectives -> P0
-        K, _ = kernel_rep(self.nak.transport(inc, kpres.parts, pres.parts, to_injective=True))
-        iv2 = _identify_interval(K)
-        if iv2 is None:
-            raise GenerationError("tau did not produce an interval")
-        return iv2
 
     # -- tau inverse with morphisms --------------------------------------
 
@@ -632,7 +606,7 @@ class TauContext:
         quiver, field = self.quiver, self.field
         N = interval_rep(quiver, field, *iv)
         cop = Copresentation(quiver, field, N)
-        D = self.nak.transport(cop.d, cop.i0_parts, cop.i1_parts, to_injective=False)
+        D = self.nak.transport(cop.d, cop.i0_parts, cop.i1_parts)
         R, proj, sect = cokernel_rep(D)
         iv2 = _identify_interval(R)
         if iv2 is None:
@@ -659,6 +633,10 @@ class TauContext:
         self._tinv[iv] = data
         return data
 
+    def tau_inv_interval(self, iv: tuple[int, int]) -> tuple[int, int]:
+        """The interval of the inverse translate of a non-injective interval."""
+        return self._tinv_data(iv)["interval"]
+
     def tau_inv_std(self, iv: tuple[int, int]) -> Rep:
         """Standard interval model of the inverse translate."""
         return self._tinv_data(iv)["std"]
@@ -677,7 +655,7 @@ class TauContext:
         copN, copL = dN["cop"], dL["cop"]
         u0 = _solve_factor(copL.iota.compose(u), copN.I0, copL.I0, lambda h: h.compose(copN.iota))
         u1 = _solve_factor(copL.d.compose(u0), copN.I1, copL.I1, lambda h: h.compose(copN.d))
-        V = self.nak.transport(u1, copN.i1_parts, copL.i1_parts, to_injective=False)
+        V = self.nak.transport(u1, copN.i1_parts, copL.i1_parts)
         # induced map on cokernels, then conjugate into the interval models
         mats = []
         for v in range(self.quiver.n):
@@ -975,21 +953,17 @@ class _ClusterBuilder:
     # -- sigma ----------------------------------------------------------------
 
     def sigma_perm(self) -> list[int]:
+        """sigma is tau on modules: sigma(tau^{-1} N) = N for every
+        non-injective N, read off the tau^{-1} table the maps fill; sigma
+        sends P_v to SP_v and SP_v to I_v."""
         index = {k: i for i, k in enumerate(self.keys)}
         out = [0] * len(self.keys)
-        for k in self.keys:
-            if k[0] == "mod":
-                iv = (k[1], k[2])
-                if self.ctx.is_projective(iv):
-                    v = next(
-                        v for v in range(1, self.n + 1) if proj_interval(self.quiver, v) == iv
-                    )
-                    out[index[k]] = index[("sp", v)]
-                else:
-                    out[index[k]] = index[("mod",) + self.ctx.tau_interval(iv)]
-            else:
-                iv = inj_interval(self.quiver, k[1])
-                out[index[k]] = index[("mod",) + iv]
+        for iv in self.intervals:
+            if not self.ctx.is_injective(iv):
+                out[index[("mod",) + self.ctx.tau_inv_interval(iv)]] = index[("mod",) + iv]
+        for v in range(1, self.n + 1):
+            out[index[("mod",) + proj_interval(self.quiver, v)]] = index[("sp", v)]
+            out[index[("sp", v)]] = index[("mod",) + inj_interval(self.quiver, v)]
         return out
 
     # -- final assembly ---------------------------------------------------------

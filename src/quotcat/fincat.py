@@ -594,8 +594,6 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
                     lhs = _composite(P, i, k, l, gf, unit(dim[k][l], c), [zero] * dim[i][l])
                     if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
                         rep.add("associativity", (i, j, k, l, a, b, c))
-    if P.sigma is not None and sorted(P.sigma) != list(range(P.n)):
-        rep.add("sigma-not-bijective", tuple(P.sigma))
     if P.metadata.get("two_cy") and P.sigma is not None:
         for pair in check_serre_symmetry(P):
             rep.add("serre-symmetry", pair)
@@ -617,21 +615,11 @@ def check_serre_symmetry(P: CategoryPresentation) -> list:
 # -- perpendicular categories and rigidity ------------------------------
 
 
-def perp(P: CategoryPresentation, S, side: str = "right") -> set[int]:
-    """Objects c with Ext^1(x, c) = 0 for all x in S (right), or dually."""
+def perp(P: CategoryPresentation, S) -> set[int]:
+    """Objects c with Ext^1(x, c) = 0 for all x in S."""
     P.require_sigma()
     S = {s if isinstance(s, int) else P.index(s) for s in S}
-    out = set()
-    for c in range(P.n):
-        if side == "right":
-            if all(P.hom_dim(x, P.sigma[c]) == 0 for x in S):
-                out.add(c)
-        elif side == "left":
-            if all(P.hom_dim(c, P.sigma[x]) == 0 for x in S):
-                out.add(c)
-        else:
-            raise ValueError("side must be 'right' or 'left'")
-    return out
+    return {c for c in range(P.n) if all(P.hom_dim(x, P.sigma[c]) == 0 for x in S)}
 
 
 def is_rigid(P: CategoryPresentation, T: Obj) -> bool:
@@ -645,7 +633,7 @@ def is_cluster_tilting(P: CategoryPresentation, T: Obj) -> bool:
     supp = T.support()
     if not supp:
         return P.n == 0
-    return supp == perp(P, supp, "right")
+    return supp == perp(P, supp)
 
 
 def all_rigid_supports(P: CategoryPresentation, max_size: int) -> list[tuple[int, ...]]:
@@ -695,20 +683,14 @@ def _delete_copy(P: CategoryPresentation, a: Morphism, pos: int) -> Morphism:
     return Morphism(P, X, a.target, blocks)
 
 
-def approximation(P: CategoryPresentation, S, C: Obj, side: str = "right") -> Morphism:
-    """Minimal right (or left) add-S-approximation of C.
+def approximation(P: CategoryPresentation, S, C: Obj) -> Morphism:
+    """Minimal right add-S-approximation of C.
 
     Starts from the tautologically covering map out of the full basis sum
     and greedily deletes copies while the covering rank condition survives.
     Deterministic scan order, so the result is reproducible.
     """
     S = sorted(s if isinstance(s, int) else P.index(s) for s in S)
-    if side == "left":
-        op = opposite(P)
-        a = approximation(op, S, C, "right")
-        return op_morphism(P, a)
-    if side != "right":
-        raise ValueError("side must be 'right' or 'left'")
     # start object: one copy of x per basis element of Hom(x, C)
     mult = [0] * P.n
     for x in S:

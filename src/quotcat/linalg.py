@@ -271,10 +271,6 @@ class Matrix:
             left += b.ncols
         return cls(field, len(data), ncols, data)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -284,9 +280,6 @@ class Matrix:
             and self.data == other.data
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(tuple(r) for r in self.data)))
-
     def __repr__(self):
         rows = "; ".join(" ".join(self.field.fmt(x) for x in row) for row in self.data)
         return f"Matrix({self.nrows}x{self.ncols}: {rows})"
@@ -294,9 +287,6 @@ class Matrix:
     def is_zero(self) -> bool:
         z = self.field.zero
         return all(x == z for row in self.data for x in row)
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.nrows, self.ncols, [list(row) for row in self.data])
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
@@ -314,18 +304,6 @@ class Matrix:
                 [add(self.data[i][j], other.data[i][j]) for j in range(self.ncols)]
                 for i in range(self.nrows)
             ],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [[neg(x) for x in row] for row in self.data],
         )
 
     def scale(self, c) -> "Matrix":
@@ -414,14 +392,12 @@ class Matrix:
         return result
 
     def rank(self) -> int:
-        """Rank, from a cached rref if there is one.
+        """Rank.
 
         A matrix with one row or one column, most of the search's condition
         matrices, has rank 1 if an entry is nonzero and 0 otherwise; any
         other is eliminated by _bareiss_rank.
         """
-        if self._rref is not None:
-            return len(self._rref[1])
         if self.nrows <= 1 or self.ncols <= 1:
             return int(any(map(any, self.data)))
         return self._bareiss_rank()
@@ -472,39 +448,33 @@ class Matrix:
         """Some x with m x = b, or None when the system is inconsistent."""
         if len(b) != self.nrows:
             raise ShapeError(f"rhs length {len(b)} != {self.nrows} rows")
-        f = self.field
-        aug = Matrix(f, self.nrows, self.ncols + 1, [self.data[i] + [b[i]] for i in range(self.nrows)])
-        reduced, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = reduced.data[r][self.ncols]
-        return x
+        X = self.solve_matrix(Matrix(self.field, self.nrows, 1, [[x] for x in b]))
+        return None if X is None else [row[0] for row in X.data]
 
     def solve_matrix(self, B: "Matrix"):
-        """Some X with self * X = B, or None."""
+        """Some X with self * X = B, or None, from one rref of [self | B].
+
+        The pivots in self's columns do not depend on B, and the system is
+        inconsistent exactly when a pivot falls in B's columns; otherwise
+        column j of X sets each pivot variable to its row's entry in column
+        j of B and every free variable to zero.
+        """
         _check_same_field(self, B)
         if B.nrows != self.nrows:
             raise ShapeError("solve_matrix shape mismatch")
-        cols = []
-        for j in range(B.ncols):
-            x = self.solve(B.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix(
-            self.field,
-            self.ncols,
-            B.ncols,
-            [[cols[j][i] for j in range(B.ncols)] for i in range(self.ncols)],
-        )
+        n = self.ncols
+        aug = Matrix(self.field, self.nrows, n + B.ncols, [a + b for a, b in zip(self.data, B.data)])
+        reduced, pivots = aug.rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        data = [[self.field.zero] * B.ncols for _ in range(n)]
+        for r, pc in enumerate(pivots):
+            data[pc] = reduced.data[r][n:]
+        return Matrix(self.field, n, B.ncols, data)
 
     def inverse(self):
         """Two-sided inverse, or None if not square/invertible."""
         if self.nrows != self.ncols:
-            return None
-        if self.rank() != self.nrows:
             return None
         return self.solve_matrix(Matrix.identity(self.field, self.nrows))
 

@@ -36,6 +36,7 @@ from .preabelian import (
     DEFAULT_BUDGET,
     RankCondition,
     SearchResult,
+    epi_conditions,
     last_one,
     multiplicities,
     run_clause,
@@ -110,13 +111,6 @@ class GammaModule:
         ]
 
 
-@dataclass
-class ModuleMap:
-    source: GammaModule
-    target: GammaModule
-    matrix: Matrix
-
-
 class HFunctor:
     """Hom(T, -) from the parent presentation to Gamma-modules."""
 
@@ -124,6 +118,7 @@ class HFunctor:
         self.P = P
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
+        self._images: dict[tuple, list] = {}
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -138,10 +133,19 @@ class HFunctor:
         """Matrix of Hom(T, source f) -> Hom(T, target f)."""
         return postcompose_matrix(self.P, f, self.T)
 
+    def images(self, A: Obj, Y: Obj) -> list[list]:
+        """The flattened H-images of the basis of Hom(A, Y), built once per
+        (A, Y): FAITHFUL and every module map into Y realised from A read
+        them."""
+        key = (A.mult, Y.mult)
+        img = self._images.get(key)
+        if img is None:
+            img = self._images[key] = [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
+        return img
 
-def in_s(P: CategoryPresentation, T: Obj, f: Morphism, H: HFunctor | None = None) -> bool:
+
+def in_s(P: CategoryPresentation, T: Obj, f: Morphism, H: HFunctor) -> bool:
     """Membership in the inverted class: H(f) is a module isomorphism."""
-    H = H or HFunctor(P, T)
     m = H.mor_matrix(f)
     return m.nrows == m.ncols and m.rank() == m.nrows
 
@@ -160,7 +164,7 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
     return H.mor_matrix(f_lift) * hr.inverse()
 
 
-def module_hom_space(M: GammaModule, N: GammaModule) -> list[ModuleMap]:
+def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
     """Basis of the matrices Phi with Phi * am = an * Phi for every action pair.
 
     Phi commutes with the idempotent of each copy s of T, so it is the sum
@@ -186,7 +190,7 @@ def module_hom_space(M: GammaModule, N: GammaModule) -> list[ModuleMap]:
         data = [[f.zero] * M.dim for _ in range(N.dim)]
         for (r, c), x in zip(entries, v):
             data[r][c] = x
-        out.append(ModuleMap(M, N, Matrix(f, N.dim, M.dim, data)))
+        out.append(Matrix(f, N.dim, M.dim, data))
     return out
 
 
@@ -228,24 +232,12 @@ def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[Obj]:
 def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[RankCondition]:
     """Rank conditions under which leg(m): A -> X is regular (epi and mono).
 
-    leg must be linear in the searched morphism m.  For each tried m, leg(m)
-    is built once, and one pass gives every - o leg(m) (epi) and one pass in
-    the opposite presentation every leg(m) o - (mono).
+    leg must be linear in the searched morphism m; it is built once per
+    tried m.  Mono is epi in the opposite presentation.
     """
     op = opposite(Q)
     g = last_one(leg)
-    epi = last_one(lambda m: precompose_matrices(Q, g(m)))
-    mono = last_one(lambda m: precompose_matrices(op, op_morphism(op, g(m))))
-    out = []
-    for z in range(Q.n):
-        Z = Q.single(z)
-        need_epi = Q.hom_space_dim(X, Z)
-        if need_epi:
-            out.append(RankCondition(lambda m, z=z: epi(m)[z], need_epi))
-        need_mono = Q.hom_space_dim(Z, A)
-        if need_mono:
-            out.append(RankCondition(lambda m, z=z: mono(m)[z], need_mono))
-    return out
+    return epi_conditions(Q, g, X) + epi_conditions(op, lambda m: op_morphism(op, g(m)), A)
 
 
 def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget, salt: str):
@@ -285,15 +277,11 @@ def realize_module_map(
     P = qc.parent
     X, Y_par = Q.single(x), qc.lift_obj(Q.single(y))
     field = Q.field
-    images = {}
 
     def image(A):
-        """The flattened H-images of the basis of Hom_C(A, y), built once per A:
-        the denominator space and the numerator both read them."""
-        img = images.get(A)
-        if img is None:
-            img = images[A] = [_flat(H.mor_matrix(g)) for g in P.hom_basis(qc.lift_obj(A), Y_par)]
-        return img
+        """The H-images of Hom_C(A, y), kept on H for every phi into y: the
+        denominator space and the numerator both read them."""
+        return H.images(qc.lift_obj(A), Y_par)
 
     def denominators(A):
         """Basis of the r in Hom(A, x) with phi o H(lift r) in image(A).
@@ -328,23 +316,22 @@ def _faithful_clause(P: CategoryPresentation, qc: QuotientCategory, H: HFunctor)
     pair of kept objects.
 
     The maps factoring through X_T are qc.f_spaces on kept pairs; every
-    other pair's space is computed once, on its first basis morphism.
+    other pair's space is computed once, on its first basis morphism.  Both
+    loops read the H-images of basis morphisms off H.images, where FULL
+    finds them too.
     """
     spaces = dict(qc.f_spaces)
     for i, j, a, f in basis_morphisms(P):
         rs = spaces.get((i, j))
         if rs is None:
             rs = spaces[(i, j)] = factoring_subspace(P, i, j, qc.xt)
-        hz, ft = H.mor_matrix(f).is_zero(), rs.contains(f.to_vector())
+        hz, ft = not any(H.images(P.single(i), P.single(j))[a]), rs.contains(f.to_vector())
         yield
         if hz != ft:
             return f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
     for i, j in itertools.product(qc.keep, repeat=2):
-        d = P.hom_dim(i, j)
-        if d == 0:
-            continue
-        vecs = [_flat(H.mor_matrix(P.basis_morphism(i, j, a))) for a in range(d)]
-        if RowSpace.from_rows(P.field, len(vecs[0]), vecs).dim != len(qc.rep_coords[(i, j)]):
+        vecs = H.images(P.single(i), P.single(j))
+        if vecs and RowSpace.from_rows(P.field, len(vecs[0]), vecs).dim != len(qc.rep_coords[(i, j)]):
             return f"H-image dimension mismatch on ({P.objects[i]}, {P.objects[j]})"
 
 
@@ -360,11 +347,11 @@ def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: l
         Mx = H.module(qc.lift_obj(Q.single(x)))
         My = H.module(qc.lift_obj(Q.single(y)))
         for phi in module_hom_space(Mx, My):
-            if phi.matrix.is_zero():
+            if phi.is_zero():
                 continue
             yield
             try:
-                F = realize_module_map(H, qc, x, y, phi.matrix, budget)
+                F = realize_module_map(H, qc, x, y, phi, budget)
             except NotInS as e:
                 return f"inconsistent functor data: {e}"
             if F is None:
@@ -377,7 +364,7 @@ def _projectives_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H
     isomorphism, and End dimensions agree."""
     tsupp = set(T.support())
     for x, parent_idx in enumerate(qc.keep):
-        appr = approximation(P, sorted(tsupp), P.single(parent_idx), "right")
+        appr = approximation(P, sorted(tsupp), P.single(parent_idx))
         split = _fraction_split_epi(qc, qc.project(appr), budget)
         in_add_t = parent_idx in tsupp or _iso_to_add_t(qc, x, tsupp, budget)
         yield

@@ -121,11 +121,13 @@ def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
 
 
 def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
-    """Some g with g o f = id and f o g = id, or None."""
-    X, Y = f.source, f.target
-    pre, post = precompose_matrix(Q, f, X), postcompose_matrix(Q, f, Y)
-    m = Matrix(Q.field, pre.nrows + post.nrows, pre.ncols, pre.data + post.data)
-    return solve_on_basis(Q, Y, X, m, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
+    """Some g with g o f = id and f o g = id, or None.
+
+    An invertible f has exactly one left inverse, so g is the left inverse
+    the solve finds, kept only when it is a right inverse too.
+    """
+    g = factors_through_map(Q, Q.identity(f.source), f)
+    return g if g is not None and compose(Q, f, g) == Q.identity(f.target) else None
 
 
 # -- the open-condition search engine -----------------------------------------
@@ -186,6 +188,18 @@ def _combine(Q, X, Y, vecs, coeffs) -> Morphism:
     return Morphism.from_coords(Q, X, Y, out)
 
 
+def epi_conditions(Q: CategoryPresentation, leg, X: Obj) -> list[RankCondition]:
+    """Rank conditions under which leg(m), a map into X, is epi.
+
+    One condition per indecomposable z with d = dim Hom(X, z) > 0: - o
+    leg(m) has rank d on Hom(X, z).  leg must be linear in the searched
+    morphism m; the conditions share one precompose_matrices pass per tried
+    m.
+    """
+    pre = last_one(lambda m: precompose_matrices(Q, leg(m)))
+    return [RankCondition(lambda m, z=z: pre(m)[z], d) for z, d in enumerate(Q.hom_layout(X)[1]) if d]
+
+
 def _random_draws(rng: random.Random, d: int, budget: Budget) -> list[list[int]]:
     """The coefficient vectors of the random phase, budget.retries of them
     in the order drawn from rng."""
@@ -202,7 +216,7 @@ def search_open_conditions(
     subspace: list[list],
     conditions: list[RankCondition],
     budget: Budget,
-    salt: int | str = 0,
+    salt: int | str,
 ) -> SearchResult:
     """Find m: X -> Y in the span of subspace satisfying all rank
     conditions, certified.
@@ -390,9 +404,6 @@ def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
     if candidates is None:
         mults = multiplicities(Q._dim, targets, Q._dim, targets)
         candidates = Q._multiplicities[key] = [Obj(mult) for mult in mults]
-    # dim Hom(M, Z_z): M meets the targets; one pass per tried c
-    pre = last_one(lambda c: precompose_matrices(Q, c))
-    conditions = [RankCondition(lambda c, z=z: pre(c)[z], need) for z, need in enumerate(targets) if need]
     fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
     for M in candidates:
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
@@ -401,7 +412,8 @@ def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
         res = Q._searches.get(search)
         if res is None:
             salt = hash(M.mult) & 0xFFFF
-            res = Q._searches[search] = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt=salt)
+            conditions = epi_conditions(Q, lambda c: c, M)
+            res = Q._searches[search] = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt)
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
     return None
@@ -784,19 +796,13 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
 # -- projective / injective objects ---------------------------------------------------
 
 
-def is_projective_object(
-    Q: CategoryPresentation,
-    X: Obj,
-    budget: Budget = DEFAULT_BUDGET,
-    family: MorphismFamily | None = None,
-) -> bool:
-    """Lifting property of X against every epi in the enumeration budget.
+def is_projective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
+    """Lifting property of X against every epi of family.
 
     Factoring every f: X -> C through c: B -> C is the single rank condition
     rank(c o -) = dim Hom(X, C).
     """
-    fam = family or build_morphism_family(Q, budget)
-    for c in fam.epis:
+    for c in family.epis:
         dXC = Q.hom_space_dim(X, c.target)
         if dXC == 0:
             continue
@@ -805,14 +811,7 @@ def is_projective_object(
     return True
 
 
-def is_injective_object(
-    Q: CategoryPresentation,
-    X: Obj,
-    budget: Budget = DEFAULT_BUDGET,
-    family: MorphismFamily | None = None,
-) -> bool:
-    """Extension property of X along every mono: projectivity in Q^op."""
-    fam = family or build_morphism_family(Q, budget)
+def is_injective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
+    """Extension property of X along every mono of family: projectivity in Q^op."""
     op = opposite(Q)
-    monos_op = MorphismFamily(epis=[op_morphism(op, j) for j in fam.monos])
-    return is_projective_object(op, X, budget, monos_op)
+    return is_projective_object(op, X, MorphismFamily(epis=[op_morphism(op, j) for j in family.monos]))

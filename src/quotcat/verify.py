@@ -206,10 +206,10 @@ def run_cotorsion(P: CategoryPresentation, U: set, V: set | None = None) -> dict
     """
     from .fincat import perp
 
-    Uperp = perp(P, U, "right")
+    Uperp = perp(P, U)
     a_ok = V is None or set(V) == Uperp
     V = Uperp if V is None else set(V)
-    Vperp = perp(P, V, "right")
+    Vperp = perp(P, V)
     b_ok = Vperp == set(U)
     return {
         "U": sorted(P.objects[i] for i in U),

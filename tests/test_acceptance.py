@@ -263,7 +263,7 @@ def test_criterion_09_section6_counterexample(A3):
     from quotcat.fincat import perp
 
     U = {A3.index("P2"), A3.index("P3"), A3.index("SP3")}
-    uperp = {A3.objects[i] for i in perp(A3, U, "right")}
+    uperp = {A3.objects[i] for i in perp(A3, U)}
     assert uperp == {"P1", "P2", "S2"}
     q6 = build_quotient(A3, subcat={"P1", "P2", "S2"})
     Q6 = q6.presentation

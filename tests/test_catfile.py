@@ -71,10 +71,12 @@ def test_unknown_fields_rejected_in_strict_mode(tmp_path, A3):
 
 
 def test_bad_format_version(A3):
+    # only the int 1 is version 1: a bool, a float or a string equal to it is refused
     doc = presentation_to_dict(A3)
-    doc["format_version"] = 99
-    with pytest.raises(ShapeError):
-        presentation_from_dict(doc)
+    for version in (99, True, 1.0, "1"):
+        doc["format_version"] = version
+        with pytest.raises(ShapeError, match="format_version"):
+            presentation_from_dict(doc)
 
 
 def test_corrupted_file_fails_validation(A3):

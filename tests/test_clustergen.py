@@ -7,15 +7,21 @@ from quotcat.clustergen import (
     DiagonalModel,
     Presentation,
     QuiverAn,
+    RepHom,
     build_cluster_category,
     diagonal_dimension_oracle,
+    direct_sum,
     hom_flat_dim,
     hom_rep,
     inj_interval,
     interval_rep,
+    kernel_rep,
     proj_interval,
     search_labelling,
     TauContext,
+    _block_coefficient,
+    _block_matrix,
+    _ClusterBuilder,
     _identify_interval,
     _labelling,
 )
@@ -27,6 +33,8 @@ from quotcat.fincat import (
     check_serre_symmetry,
     is_cluster_tilting,
     is_rigid,
+    op_morphism,
+    opposite,
     perp,
     postcompose_matrix,
     validate_category,
@@ -56,10 +64,47 @@ def indecomposable_reps(quiver, field=QQ):
     return [interval_rep(quiver, field, a, b) for a in range(1, quiver.n + 1) for b in range(a, quiver.n + 1)]
 
 
+def is_projective(quiver, iv):
+    return any(proj_interval(quiver, v) == iv for v in range(1, quiver.n + 1))
+
+
+def nakayama_p_to_i(ctx, h, src_parts, tgt_parts):
+    """Nakayama image of h from the sum of the P_v, v in src_parts, to the
+    sum over tgt_parts: each (a -> b) block's multiple of the canonical map
+    P_a -> P_b becomes that multiple of the canonical map I_a -> I_b."""
+    nak = ctx.nak
+    quiver, field = nak.quiver, nak.field
+    _, p_offs_s = direct_sum([nak.P[a] for a in src_parts], quiver, field)
+    _, p_offs_t = direct_sum([nak.P[b] for b in tgt_parts], quiver, field)
+    S, offs_s = direct_sum([nak.I[a] for a in src_parts], quiver, field)
+    T, offs_t = direct_sum([nak.I[b] for b in tgt_parts], quiver, field)
+    blocks = [[] for _ in range(quiver.n)]
+    for bi, b in enumerate(tgt_parts):
+        for ai, a in enumerate(src_parts):
+            coeff = _block_coefficient(h, p_offs_s[ai], p_offs_t[bi], nak.P[a], nak.P[b], nak.delta[(a, b)])
+            if coeff != field.zero:
+                image = nak.gamma[(a, b)].scale(coeff)
+                for v in range(quiver.n):
+                    blocks[v].append((offs_t[bi][v], offs_s[ai][v], image.mats[v]))
+    return RepHom(S, T, [_block_matrix(field, T.dims[v], S.dims[v], blocks[v]) for v in range(quiver.n)])
+
+
+def tau_interval(ctx, iv):
+    """AR translate of a non-projective interval on the projective side,
+    independent of the tau^{-1} the generator computes: tau M is the kernel
+    of the Nakayama image of the projective presentation of M."""
+    quiver, field = ctx.quiver, ctx.field
+    pres = Presentation(quiver, field, interval_rep(quiver, field, *iv))
+    kpres = Presentation(quiver, field, pres.K)  # its cover is an iso: K is projective
+    assert kpres.pi.is_iso()
+    K, _ = kernel_rep(nakayama_p_to_i(ctx, pres.iota.compose(kpres.pi), kpres.parts, pres.parts))
+    return _identify_interval(K)
+
+
 def tau(M, ctx):
     """AR translate of an interval module; None for a projective."""
     iv = _identify_interval(M)
-    return None if ctx.is_projective(iv) else interval_rep(M.quiver, M.field, *ctx.tau_interval(iv))
+    return None if is_projective(M.quiver, iv) else interval_rep(M.quiver, M.field, *tau_interval(ctx, iv))
 
 
 def tau_inv(M, ctx):
@@ -139,18 +184,33 @@ def test_tau_projective_undefined_and_inverse():
 
 @pytest.mark.parametrize("orientation", ["".join(o) for o in itertools.product("<>", repeat=3)])
 def test_nakayama_transport_round_trip(orientation):
-    # the map tau_interval transports, P -> I and back I -> P
+    # the map the projective-side tau carries P -> I, and the generator's
+    # transport carries back I -> P
     q = QuiverAn(4, orientation)
     ctx = TauContext(q, QQ)
     for a in range(1, 5):
         for b in range(a, 5):
-            if ctx.is_projective((a, b)):
+            if is_projective(q, (a, b)):
                 continue
             pres = Presentation(q, QQ, interval_rep(q, QQ, a, b))
             kpres = Presentation(q, QQ, pres.K)
             inc = pres.iota.compose(kpres.pi)
-            nu_inc = ctx.nak.transport(inc, kpres.parts, pres.parts, to_injective=True)
-            assert ctx.nak.transport(nu_inc, kpres.parts, pres.parts, to_injective=False) == inc
+            nu_inc = nakayama_p_to_i(ctx, inc, kpres.parts, pres.parts)
+            assert ctx.nak.transport(nu_inc, kpres.parts, pres.parts) == inc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sigma_is_tau_on_non_projective_modules(n):
+    # sigma is read off the tau^{-1} table; the projective-side tau agrees
+    # with it on every non-projective interval of every orientation of A_n
+    for orientation in ("".join(o) for o in itertools.product("<>", repeat=n - 1)):
+        builder = _ClusterBuilder(n, orientation, QQ)
+        index = {k: i for i, k in enumerate(builder.keys)}
+        sigma = builder.sigma_perm()
+        for iv in builder.intervals:
+            if not is_projective(builder.quiver, iv):
+                want = index[("mod",) + tau_interval(builder.ctx, iv)]
+                assert sigma[index[("mod",) + iv]] == want, (orientation, iv)
 
 
 # -- generated categories ----------------------------------------------------
@@ -239,13 +299,13 @@ def test_prime_field_generation():
 
 
 def test_perp_empty_is_everything(A3):
-    assert perp(A3, set(), "right") == set(range(9))
+    assert perp(A3, set()) == set(range(9))
 
 
 def test_perp_section6(A3):
     # U = add {P2, P3, SP3} has U-perp with indecomposables P1, P2, S2
     U = {A3.index("P2"), A3.index("P3"), A3.index("SP3")}
-    got = {A3.objects[i] for i in perp(A3, U, "right")}
+    got = {A3.objects[i] for i in perp(A3, U)}
     assert got == {"P1", "P2", "S2"}
 
 
@@ -255,13 +315,13 @@ def test_perp_brute_force_scan(A2):
         expected = {
             c for c in range(A2.n) if A2.hom_dim(t, A2.sigma[c]) == 0
         }
-        assert perp(A2, {t}, "right") == expected
+        assert perp(A2, {t}) == expected
 
 
 def test_perp_antitone(A3):
     small = {A3.index("P2")}
     large = small | {A3.index("P3")}
-    assert perp(A3, large, "right") <= perp(A3, small, "right")
+    assert perp(A3, large) <= perp(A3, small)
 
 
 def test_rigid_examples(A3):
@@ -299,7 +359,7 @@ def test_approximation_minimal_and_covering(A3):
     S = [A3.index(t) for t in T]
     for name in A3.objects:
         C = A3.single(name)
-        a = approximation(A3, S, C, "right")
+        a = approximation(A3, S, C)
         # surjectivity of Hom(t, X0) -> Hom(t, C) re-verified by rank
         for t in S:
             Z = A3.single(t)
@@ -340,9 +400,10 @@ def _reverse_greedy(P, S, C):
 
 
 def test_left_approximation(A3):
+    # a minimal left approximation is a right one in the opposite category
     S = [A3.index(t) for t in ("P1", "P2", "P3")]
     C = A3.single("S2")
-    a = approximation(A3, S, C, "left")
+    a = op_morphism(A3, approximation(opposite(A3), S, C))
     assert a.source == C
     from quotcat.fincat import precompose_matrix
 

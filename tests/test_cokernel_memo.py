@@ -29,7 +29,6 @@ from quotcat.fincat import (
     basis_morphisms,
     compose,
     postcompose_matrix,
-    precompose_matrices,
     precompose_matrix,
     split_rows,
     stack_cols,
@@ -43,6 +42,7 @@ from quotcat.preabelian import (
     SearchResult,
     _combine,
     cokernel,
+    epi_conditions,
     is_epi,
     is_mono,
     kernel,
@@ -129,7 +129,7 @@ def test_shape_test_certifies_what_no_grid_could(field):
     Q = arrow_category(field)
     x, y = Q.single(0), Q.single(1)
     cond = RankCondition(lambda m: precompose_matrix(Q, m, y), 2)
-    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], [cond], Budget(retries=10, grid_cap=1))
+    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], [cond], Budget(retries=10, grid_cap=1), 0)
     assert res.status == SearchResult.CERTIFIED_EMPTY
 
 
@@ -146,7 +146,7 @@ def test_search_found_at_random_builds_no_probe():
         return RankCondition(builder, 1)
 
     conditions = [condition(y), condition(Q.single(1) + Q.single(1))]
-    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], conditions, Budget())
+    res = search_open_conditions(Q, x, y, [b.to_vector() for b in Q.hom_basis(x, y)], conditions, Budget(), 0)
     assert res.status == SearchResult.FOUND and not res.witness.is_zero()
     # one build per condition, each for the first (and found) combination
     assert built == [(y, res.witness), (Q.single(1) + Q.single(1), res.witness)]
@@ -299,13 +299,6 @@ def test_a_repeated_subspace_is_searched_once(monkeypatch, field):
     assert Q._searches and Q._draws
 
 
-def _epi_conditions(P, Y):
-    return [
-        RankCondition(lambda m, z=z: precompose_matrices(P, m)[z], P.hom_space_dim(Y, P.single(z)))
-        for z in range(P.n)
-    ]
-
-
 def _fresh_random_phase(Q, X, Y, subspace, conditions, budget, salt):
     """The random phase with a fresh generator per search and every draw
     tried, zero draws included: FOUND and its witness, or None."""
@@ -338,11 +331,11 @@ def test_a_zero_first_draw_changes_no_search(field):
         assert len(basis) == 2
         for seed in seeds:
             budget = Budget(seed=seed)
-            conditions = _epi_conditions(P, Y)
+            conditions = epi_conditions(P, lambda m: m, Y)
             want = _fresh_random_phase(P, X, Y, basis, conditions, budget, 0)
             if want is None:  # the phases after the random one
-                want = search_open_conditions(P, X, Y, basis, conditions, Budget(seed=seed, retries=0))
-            got = search_open_conditions(P, X, Y, basis, conditions, budget)
+                want = search_open_conditions(P, X, Y, basis, conditions, Budget(seed=seed, retries=0), 0)
+            got = search_open_conditions(P, X, Y, basis, conditions, budget, 0)
             assert got.status == want.status
             assert (got.witness and got.witness.to_vector()) == (want.witness and want.witness.to_vector())
         assert (f"{seeds[0]}:0:2", 10, 4) in P._draws
@@ -358,7 +351,7 @@ def test_the_over_cap_fallback_goes_on_with_the_stream(field):
     P = build_cluster_category(3, field=field)
     X, Y = P.obj({"P1": 1, "P2": 1}), P.single("P2")
     basis = [b.to_vector() for b in P.hom_basis(X, Y)]
-    conditions = [c for c in _epi_conditions(P, Y) if c.required > 0]
+    conditions = epi_conditions(P, lambda m: m, Y)
     seed = next(s for s in range(3000) if not any(_random_draws_of(s, 2)[0]))
     cap = max((c.required + 1) ** 2 for c in conditions)
     assert (sum(c.required for c in conditions) + 1) ** 2 > cap
@@ -372,5 +365,5 @@ def test_the_over_cap_fallback_goes_on_with_the_stream(field):
             break
     else:
         pytest.fail("no fallback draw is a witness")
-    res = search_open_conditions(P, X, Y, basis, conditions, budget)
+    res = search_open_conditions(P, X, Y, basis, conditions, budget, 0)
     assert (res.status, res.witness.to_vector()) == (SearchResult.FOUND, m.to_vector())

@@ -231,13 +231,12 @@ def test_morphism_vector_roundtrip(arrow):
 
 
 def test_perp_vacuous(point):
-    assert perp(point, set(), "right") == {0}
-    assert perp(point, set(), "left") == {0}
+    assert perp(point, set()) == {0}
 
 
 def test_perp_needs_sigma(arrow):
     with pytest.raises(MissingSuspension):
-        perp(arrow, {0}, "right")
+        perp(arrow, {0})
 
 
 def test_rigid_zero_object(point):
@@ -250,21 +249,21 @@ def test_rigid_zero_object(point):
 def test_approximation_identity_case(arrow):
     # C in add S: the reduced approximation is an isomorphism onto C
     x = arrow.single("x")
-    a = approximation(arrow, {"x"}, x, "right")
+    a = approximation(arrow, {"x"}, x)
     assert a.source == x
     assert not a.is_zero()
 
 
 def test_approximation_zero_case(arrow):
     # no maps from y to x at all
-    a = approximation(arrow, {"y"}, arrow.single("x"), "right")
+    a = approximation(arrow, {"y"}, arrow.single("x"))
     assert a.source.is_zero()
 
 
 def test_approximation_covering(arrow):
     # right add-x approximation of y: Hom(x, -) surjectivity via rank oracle
     y = arrow.single("y")
-    a = approximation(arrow, {"x"}, y, "right")
+    a = approximation(arrow, {"x"}, y)
     x = arrow.single("x")
     m = postcompose_matrix(arrow, a, x)
     assert m.rank() == arrow.hom_space_dim(x, y)

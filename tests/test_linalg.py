@@ -227,11 +227,60 @@ def test_rank_of_dense_integer_matrix_stays_fast():
     assert m.rank() == _rref_rank(m)
 
 
-def test_rank_reuses_cached_rref():
-    m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
-    m.rref()
-    m.data = [[1, 0], [0, 1]]  # only the cached rref still says rank 1
-    assert m.rank() == 1
+def _solve_by_columns(A, B):
+    """Some X with A X = B, or None, by one rref of [A | b] per column b of
+    B: the column-by-column solve that solve_matrix's one elimination
+    replaced."""
+    f, n = A.field, A.ncols
+    cols = []
+    for j in range(B.ncols):
+        aug = Matrix(f, A.nrows, n + 1, [row + [B.data[i][j]] for i, row in enumerate(A.data)])
+        reduced, pivots = aug.rref()
+        if n in pivots:
+            return None
+        x = [f.zero] * n
+        for r, pc in enumerate(pivots):
+            x[pc] = reduced.data[r][n]
+        cols.append(x)
+    return Matrix(f, n, B.ncols, [[c[i] for c in cols] for i in range(n)])
+
+
+@st.composite
+def systems(draw):
+    """(A, B) over QQ or GF(7), A up to 6x6 and B up to 4 columns; each
+    column of B is A times a drawn vector (consistent) or drawn outright
+    (often inconsistent when A is rank-deficient)."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    ints = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    A = Matrix.from_rows(field, rows, ncols=ncols)
+    cols = []
+    for consistent in draw(st.lists(st.booleans(), max_size=4)):
+        if consistent:
+            cols.append(A.apply([field.of(x) for x in draw(st.lists(ints, min_size=ncols, max_size=ncols))]))
+        else:
+            cols.append([field.of(x) for x in draw(st.lists(ints, min_size=nrows, max_size=nrows))])
+    B = Matrix(field, nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
+    return A, B
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_solve_matrix_is_the_column_by_column_solve(system):
+    A, B = system
+    X = A.solve_matrix(B)
+    assert X == _solve_by_columns(A, B)
+    cols = [A.solve(B.col(j)) for j in range(B.ncols)]
+    if X is None:
+        assert None in cols
+    else:
+        assert A * X == B
+        assert cols == [X.col(j) for j in range(B.ncols)]
+    if A.nrows == A.ncols:
+        inv = A.inverse()
+        assert (inv is None) == (A.rank() < A.nrows)
+        assert inv is None or A * inv == Matrix.identity(A.field, A.nrows) == inv * A
 
 
 def test_integral_rationals_are_ints():

@@ -9,7 +9,6 @@ from quotcat.localization import Fraction, compose_fractions, fractions_equal, f
 from quotcat.linalg import GF, QQ, Matrix, intertwiners
 from quotcat.modcat import (
     HFunctor,
-    ModuleMap,
     _leg_sources,
     _regular_conditions,
     endomorphism_algebra,
@@ -48,12 +47,10 @@ def _actions(P, T, X):
     return [precompose_matrix(P, e, X) for e in P.hom_basis(T, T)]
 
 
-def _commutes_with_actions(H, m):
-    """Whether the module map m commutes with every dense action matrix."""
-    return all(
-        m.matrix * am == an * m.matrix
-        for am, an in zip(_actions(H.P, H.T, m.source.X), _actions(H.P, H.T, m.target.X))
-    )
+def _commutes_with_actions(H, X, Y, m):
+    """Whether the matrix m: Hom(T, X) -> Hom(T, Y) commutes with every dense
+    action matrix."""
+    return all(m * am == an * m for am, an in zip(_actions(H.P, H.T, X), _actions(H.P, H.T, Y)))
 
 
 def _algebra_mult(P, T):
@@ -152,8 +149,7 @@ def test_h_mor_commutes_with_actions(A3, TCT, H_CT):
         for j in range(A3.n):
             for a in range(A3.hom_dim(i, j)):
                 f = A3.basis_morphism(i, j, a)
-                m = ModuleMap(H_CT.module(f.source), H_CT.module(f.target), H_CT.mor_matrix(f))
-                assert _commutes_with_actions(H_CT, m)
+                assert _commutes_with_actions(H_CT, f.source, f.target, H_CT.mor_matrix(f))
 
 
 def test_in_s_trivial_cases(A3, TCT, H_CT):
@@ -299,8 +295,8 @@ def test_block_solve_is_the_dense_solve(field, side, summands):
     for X, Y in pairs:
         M, N = H.module(X), H.module(Y)
         maps = module_hom_space(M, N)
-        assert [m.matrix for m in maps] == _dense_module_hom_space(M, N), (X, Y)
-        assert all(_commutes_with_actions(H, m) for m in maps)
+        assert maps == _dense_module_hom_space(M, N), (X, Y)
+        assert all(_commutes_with_actions(H, X, Y, m) for m in maps)
     assert len(module_hom_space(H.module(T), H.module(T))) == P.hom_space_dim(T, T)
 
 
@@ -390,7 +386,7 @@ def _empty_by_shape(Q, A, X):
     conditions = _regular_conditions(Q, lambda h: h, A, X)
     try:
         res = search_open_conditions(
-            Q, A, X, [b.to_vector() for b in Q.hom_basis(A, X)], conditions, Budget(retries=0, grid_cap=1)
+            Q, A, X, [b.to_vector() for b in Q.hom_basis(A, X)], conditions, Budget(retries=0, grid_cap=1), 0
         )
     except BoundsExceeded:
         return False
@@ -434,8 +430,8 @@ for x in range(Q.n):
     for y in range(Q.n):
         Mx, My = (H.module(qc.lift_obj(Q.single(i))) for i in (x, y))
         for phi in module_hom_space(Mx, My):
-            if not phi.matrix.is_zero():
-                F = realize_module_map(H, qc, x, y, phi.matrix)
+            if not phi.is_zero():
+                F = realize_module_map(H, qc, x, y, phi)
                 print(x, y, F.aux.mult, [str(c) for c in F.denom.to_vector() + F.num.to_vector()])
 """
 

@@ -10,11 +10,13 @@ from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
 from quotcat.fincat import (
     Obj,
+    all_rigid_supports,
     approximation,
     basis_morphisms,
     compose,
+    op_morphism,
+    opposite,
     postcompose_matrix,
-    precompose_matrices,
     precompose_matrix,
     stack_cols,
     validate_category,
@@ -23,11 +25,11 @@ from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
     Budget,
     ClauseResult,
-    RankCondition,
     SearchResult,
     build_morphism_family,
     coim_im_factorise,
     cokernel,
+    epi_conditions,
     factors_through_map,
     is_epi,
     is_injective_object,
@@ -237,14 +239,6 @@ def test_section6_certified_no_cokernel(A3):
     assert cokernel(Q6, f) is None
 
 
-def epi_conditions(P, X, Y):
-    """One condition per indecomposable z: - o m is injective on Hom(Y, z)."""
-    return [
-        RankCondition(lambda m, z=z: precompose_matrices(P, m)[z], P.hom_space_dim(Y, P.single(z)))
-        for z in range(P.n)
-    ]
-
-
 def test_prime_field_search_past_the_full_grid_is_certified():
     # 101^3 points exceed the grid cap; the joint grid {0..D}^3 does not
     witnesses = []
@@ -253,7 +247,7 @@ def test_prime_field_search_past_the_full_grid_is_certified():
         X, Y = P.obj({"P1": 1, "P2": 1, "P3": 1}), P.single("P3")
         basis = [b.to_vector() for b in P.hom_basis(X, Y)]
         assert len(basis) == 3
-        res = search_open_conditions(P, X, Y, basis, epi_conditions(P, X, Y), Budget(retries=0))
+        res = search_open_conditions(P, X, Y, basis, epi_conditions(P, lambda m: m, Y), Budget(retries=0), 0)
         assert res.status == SearchResult.FOUND
         witnesses.append(res.witness.to_vector())
     assert witnesses == [[0, 0, 1], [0, 0, 1]]
@@ -266,7 +260,7 @@ def test_prime_field_negative_past_the_full_grid_is_certified():
         X, Y = P.obj({"P1": 1, "P2": 1, "SP2": 1, "SP3": 1}), P.single("P2")
         basis = [b.to_vector() for b in P.hom_basis(X, Y)]
         subspace = [basis[0], basis[2], basis[3]]
-        res = search_open_conditions(P, X, Y, subspace, epi_conditions(P, X, Y), Budget(retries=0))
+        res = search_open_conditions(P, X, Y, subspace, epi_conditions(P, lambda m: m, Y), Budget(retries=0), 0)
         assert res.status == SearchResult.CERTIFIED_EMPTY
 
 
@@ -289,7 +283,7 @@ def test_prime_field_search_matches_full_scan(data):
     assume(basis)
     d = max(k for k in range(1, len(basis) + 1) if fld.p**k <= 400)
     subspace = data.draw(st.permutations(basis))[:d]
-    conditions = epi_conditions(P, X, Y)
+    conditions = epi_conditions(P, lambda m: m, Y)
     want = None
     for coeffs in itertools.product(range(fld.p), repeat=d):
         vec = [fld.zero] * len(basis)
@@ -298,7 +292,7 @@ def test_prime_field_search_matches_full_scan(data):
         if all(c.holds(P.morphism_from_vector(X, Y, vec)) for c in conditions):
             want = vec
             break
-    res = search_open_conditions(P, X, Y, subspace, conditions, Budget(retries=0))
+    res = search_open_conditions(P, X, Y, subspace, conditions, Budget(retries=0), 0)
     if want is None:
         assert res.status == SearchResult.CERTIFIED_EMPTY
     else:
@@ -540,10 +534,10 @@ def test_enough_projectives_and_injectives(A3, QCT):
     Q = QCT.presentation
     for i in QCT.keep:
         C = A3.single(i)
-        a = approximation(A3, S, C, "right")
+        a = approximation(A3, S, C)
         qa = QCT.project(a)
         assert is_epi(Q, qa)
-        b = approximation(A3, s2S, C, "left")
+        b = op_morphism(A3, approximation(opposite(A3), s2S, C))  # a left approximation
         qb = QCT.project(b)
         assert is_mono(Q, qb)
 
@@ -595,3 +589,25 @@ def test_scan_budget_exhaustion_is_not_failure(A3):
     statuses = {name: c.status for name, c in rep.clauses.items()}
     assert "fail" not in statuses.values(), statuses
     assert "bounds-exceeded" in statuses.values(), statuses
+
+
+def _stacked_two_sided_inverse(Q, f):
+    """Some g with g o f = id and f o g = id, or None, from one stacked
+    system: the pre-composition rows (g o f = id) over the post-composition
+    rows (f o g = id)."""
+    X, Y = f.source, f.target
+    pre, post = precompose_matrix(Q, f, X), postcompose_matrix(Q, f, Y)
+    m = Matrix(Q.field, pre.nrows + post.nrows, pre.ncols, pre.data + post.data)
+    return solve_on_basis(Q, Y, X, m, Q.identity(X).to_vector() + Q.identity(Y).to_vector())
+
+
+@pytest.mark.parametrize("n,orientation,field", [(3, None, QQ), (4, "><>", GF(101))], ids=["A3-QQ", "A4-GF101"])
+def test_two_sided_inverse_is_the_stacked_solve(n, orientation, field):
+    # a left inverse kept when it is also a right one: the same answer as
+    # solving both equations at once, on every family map of every rigid T
+    P = build_cluster_category(n, orientation, field)
+    for supp in all_rigid_supports(P, n):
+        Q = build_quotient(P, P.obj({P.objects[i]: 1 for i in supp})).presentation
+        for f in build_morphism_family(Q).all:
+            got, want = solve_two_sided_inverse(Q, f), _stacked_two_sided_inverse(Q, f)
+            assert (got and got.to_vector()) == (want and want.to_vector()), (supp, f)
