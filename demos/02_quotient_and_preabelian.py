@@ -45,7 +45,9 @@ for i in range(Q.n):
             )
 
 rep = scan_properties(Q)
-print(f"\nproperty scan: preabelian = {rep.preabelian}, integral = {rep.integral}")
+print("\nproperty scan clauses:")
+for name, clause in rep.clauses.items():
+    print(f"  {name}: {clause.status} ({clause.checked} checked)")
 
 print()
 print("=" * 70)

@@ -40,7 +40,7 @@ for t_names in (("P1", "P2", "P3"), ("P1", "P3")):
         for j in range(P.n):
             for a in range(P.hom_dim(i, j)):
                 f = P.basis_morphism(i, j, a)
-                if in_s(P, T, f, H) != is_regular(Q, qc.project(f)):
+                if in_s(H, f) != is_regular(Q, qc.project(f)):
                     mismatches += 1
     print(f"\nbridge identity in_s(f) <=> regular(projection of f): {mismatches} mismatches")
 

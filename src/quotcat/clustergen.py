@@ -390,7 +390,6 @@ class Presentation:
     """Short exact sequence 0 -> K -> P0 -> M -> 0 with P0 a projective sum."""
 
     def __init__(self, quiver: QuiverAn, field: Field, M: Rep):
-        self.M = M
         parts = []
         gens = []
         for v in range(1, quiver.n + 1):
@@ -422,7 +421,6 @@ class Copresentation:
     """
 
     def __init__(self, quiver: QuiverAn, field: Field, N: Rep):
-        self.N = N
         self.i0_parts, self.iota, I0 = _inj_envelope(quiver, field, N)
         self.I0 = I0
         C, proj, _ = cokernel_rep(self.iota)

@@ -61,11 +61,12 @@ class CategoryPresentation:
         self._epis = {}  # f -> preabelian.is_epi's answer
         self._searches = {}  # candidate search key -> preabelian._search_cokernel's SearchResult
         self._draws = {}  # (seed string, retries, coeff_base) -> the random phase's nonzero draws
+        self._squares = {}  # (c, d, budget fields read) -> preabelian.pullback's LimitSquare
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the cokernel, epi, search and draw tables, here and in the
-        opposite if built.
+        """Empty the cokernel, epi, search, draw and square tables, here and
+        in the opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
@@ -74,7 +75,7 @@ class CategoryPresentation:
         """
         for P in (self, self._opposite):
             if P is not None:
-                for table in (P._cokernels, P._epis, P._searches, P._draws):
+                for table in (P._cokernels, P._epis, P._searches, P._draws, P._squares):
                     table.clear()
 
     # -- basic queries ------------------------------------------------

@@ -144,7 +144,7 @@ class HFunctor:
         return img
 
 
-def in_s(P: CategoryPresentation, T: Obj, f: Morphism, H: HFunctor) -> bool:
+def in_s(H: HFunctor, f: Morphism) -> bool:
     """Membership in the inverted class: H(f) is a module isomorphism."""
     m = H.mor_matrix(f)
     return m.nrows == m.ncols and m.rank() == m.nrows

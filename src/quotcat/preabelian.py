@@ -432,9 +432,12 @@ def kernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET
 # -- limit squares ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitSquare:
-    """Commuting square c o a = d o b with a: A->B, b: A->C, c: B->D, d: C->D."""
+    """Commuting square c o a = d o b with a: A->B, b: A->C, c: B->D, d: C->D.
+
+    Frozen: a kept square is shared by every caller that reaches its key.
+    """
 
     A: Obj
     B: Obj
@@ -450,18 +453,35 @@ class LimitSquare:
 
 
 def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget = DEFAULT_BUDGET) -> LimitSquare:
-    """Kernel-based pullback of c: B -> D and d: C -> D."""
+    """Kernel-based pullback of c: B -> D and d: C -> D.
+
+    Squares are kept on Q for one verdict, keyed like the cokernel table by
+    (c, d) and the budget fields the kernel search reads: run_verification
+    empties the table when it returns.  A square that cannot be built is not
+    kept.  Building the square of (c, d) also keeps its exchange: if
+    (A, a, b) is a pullback of (c, d), then (A, b, a) is a pullback of
+    (d, c), since c o a = d o b is the same equation and a map into both
+    legs factors through A either way.  So pullback(Q, d, c) reads that
+    square instead of building its own.  The exchange is kept first, so
+    that for c = d the key holds the square the kernel gave.  pushout keeps
+    its squares here too, in Q^op.
+    """
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
-    res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
-    if res is None:
-        raise NoKernel("difference map has no kernel: presentation is not preabelian here")
-    A, j = res
-    # the legs are the projections composed with j
-    a, b = split_rows(Q, j, [c.source, d.source])
-    sq = LimitSquare(A, c.source, d.source, c.target, a, b, c, d)
-    if not sq.check_commutes(Q):
-        raise InternalInconsistency("pullback square does not commute")
+    fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    sq = Q._squares.get((c, d, *fixed))
+    if sq is None:
+        res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
+        if res is None:
+            raise NoKernel("difference map has no kernel: presentation is not preabelian here")
+        A, j = res
+        # the legs are the projections composed with j
+        a, b = split_rows(Q, j, [c.source, d.source])
+        sq = LimitSquare(A, c.source, d.source, c.target, a, b, c, d)
+        if not sq.check_commutes(Q):
+            raise InternalInconsistency("pullback square does not commute")
+        Q._squares[(d, c, *fixed)] = LimitSquare(A, d.source, c.source, c.target, b, a, d, c)
+        Q._squares[(c, d, *fixed)] = sq
     return sq
 
 
@@ -618,18 +638,6 @@ class ClauseReport:
 class PropertyReport(ClauseReport):
     family: MorphismFamily = dc_field(default_factory=MorphismFamily)
 
-    @property
-    def preabelian(self) -> bool:
-        return self.clauses.get("preabelian", ClauseResult("fail")).status == "pass"
-
-    @property
-    def integral(self) -> bool:
-        return self.preabelian and all(
-            self.clauses[k].status == "pass"
-            for k in ("pullback_epi_leg", "pushout_mono_leg")
-            if k in self.clauses
-        )
-
 
 def run_clause(body) -> ClauseResult:
     """Run one bounded clause.
@@ -652,64 +660,26 @@ def run_clause(body) -> ClauseResult:
     return ClauseResult("pass", checked) if detail is None else ClauseResult("fail", checked, detail)
 
 
-class _ScanLegs:
-    """The legs of one scan's limit squares.
+def _unit(units: dict, f: Morphism) -> Morphism:
+    """f scaled so that its first nonzero coordinate is one (a zero map is
+    its own), kept in units, one dict per scan.
 
-    A square and its kernel search are a pure function of (Q, given map,
-    other map, budget), and one square serves a whole class of pairs:
-    - rescaling: for nonzero scalars s, t, ker [s x, -t y] is ker [x, -y]
-      composed with diag(s, t), so the legs of the square of (s x, t y) are
-      nonzero multiples of those of (x, y); pushouts are dual;
-    - exchange: if (A, a, b) is a pullback of (y, x), then (A, b, a) is a
-      pullback of (x, y); pushouts are dual.
-    Epi and mono are unchanged by both, so a pair is keyed by the unit
-    representatives of its maps (scaled so the first nonzero coordinate is
-    one; a zero map is its own), its square is built from them, and both of
-    its legs are kept, the second under the exchanged key.  Keys are map
-    values, not places in a list: the cokernel-map and kernel-map clauses
-    share squares with the others only by value.  A square that could not be
-    built is kept as its failure under the key that raised it, and raised
-    again to every clause that reaches that key.  A leg's epi and mono
-    answers are kept by is_epi, in Q and in Q^op.
+    A leg clause asks only whether a leg is epi or mono, and one square
+    answers that for a whole class of pairs.  For nonzero scalars s, t,
+    ker [s x, -t y] is diag(1/s, 1/t) composed with ker [x, -y], so the legs
+    of the pullback of (s x, t y) are nonzero multiples of those of (x, y);
+    pushouts are dual, and any other kernel differs by an isomorphism of A.
+    Epi and mono are unchanged by nonzero scalars and isomorphisms, so the
+    scan asks for the square of the pair's unit representatives.  With the
+    exchange pullback keeps, it builds one square per unordered pair of
+    them.
     """
-
-    def __init__(self, Q: CategoryPresentation, budget: Budget):
-        self.Q = Q
-        self.budget = budget
-        self.units = {}  # map -> its unit representative
-        self.legs = {}  # (limit, given, other) of unit maps -> leg, or the failure building it raised
-
-    def unit(self, f: Morphism) -> Morphism:
-        """f scaled so that its first nonzero coordinate is one."""
-        u = self.units.get(f)
-        if u is None:
-            fld = self.Q.field
-            lead = next((c for c in f.to_vector() if c), fld.one)
-            u = self.units[f] = f if lead == fld.one else f.scale(fld.inv(lead))
-        return u
-
-    def leg(self, limit: str, x: Morphism, y: Morphism) -> Morphism:
-        """The leg opposite x of the pullback (x and y into one target) or
-        the pushout (x and y out of one source)."""
-        x, y = self.unit(x), self.unit(y)
-        key = (limit, x, y)
-        leg = self.legs.get(key)
-        if leg is None:
-            try:
-                if limit == "pullback":
-                    sq = pullback(self.Q, y, x, self.budget)
-                    leg, other = sq.a, sq.b
-                else:
-                    sq = pushout(self.Q, x, y, self.budget)
-                    leg, other = sq.d, sq.c
-            except (NoKernel, NoCokernel, BoundsExceeded) as e:
-                leg = type(e)(*e.args)  # without the traceback, which holds this frame
-            else:
-                self.legs.setdefault((limit, y, x), other)
-            self.legs[key] = leg
-        if isinstance(leg, Exception):
-            raise type(leg)(*leg.args)
-        return leg
+    u = units.get(f)
+    if u is None:
+        fld = f.P.field
+        lead = next((c for c in f.to_vector() if c), fld.one)
+        u = units[f] = f if lead == fld.one else f.scale(fld.inv(lead))
+    return u
 
 
 def _leg_pairs(limit: str, given, others):
@@ -726,19 +696,20 @@ def _leg_pairs(limit: str, given, others):
     return ((x, y) for x in given for y in partners.get(end(x), ()))
 
 
-def _leg_clause(legs: _ScanLegs, limit: str, given, others, prop: str):
+def _leg_clause(Q: CategoryPresentation, units: dict, limit: str, given, others, prop: str, budget: Budget):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
     pairs (x, y) of _leg_pairs(limit, given, others).
 
     limit is "pullback" or "pushout"; prop is "epi", "mono" or "regular".
-    A failure names the property and the pair of maps.  A missing limit
-    square fails the clause.
+    The leg is read off the square of the unit representatives (_unit) of x
+    and y.  A failure names the property and the pair of maps.  A missing
+    limit square fails the clause.
     """
-    Q = legs.Q
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
-        for x, y in itertools.islice(_leg_pairs(limit, given, others), legs.budget.scan_pairs_cap):
-            leg = legs.leg(limit, x, y)
+        for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
+            ux, uy = _unit(units, x), _unit(units, y)
+            leg = pullback(Q, uy, ux, budget).a if limit == "pullback" else pushout(Q, ux, uy, budget).d
             yield
             if not has(Q, leg):
                 return (
@@ -778,7 +749,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    legs = _ScanLegs(Q, budget)
+    units = {}
     for name, limit, given, prop in (
         ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, "epi"),
         ("pullback_epi_leg", "pullback", fam.epis, "epi"),
@@ -789,7 +760,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", "pushout", fam.epis, "epi"),
         ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(legs, limit, given, fam.all, prop))
+        report.clauses[name] = run_clause(_leg_clause(Q, units, limit, given, fam.all, prop, budget))
     return report
 
 

@@ -103,7 +103,7 @@ def run_verification(
     try:
         _quotient_clauses(P, t_spec, xt, qc, budget, report, timed)
     finally:
-        # the cokernel and epi tables last one verdict
+        # the verdict tables (clear_verdict_tables) last one verdict
         qc.presentation.clear_verdict_tables()
         P.clear_verdict_tables()
     return report

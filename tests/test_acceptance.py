@@ -153,10 +153,7 @@ def A3_scans(A3):
 def test_criterion_03_integral_every_rigid_T(A3, A3_scans):
     checked = 0
     for T, _, rep in A3_scans:
-        assert rep.preabelian, A3.obj_name(T)
-        assert rep.integral, (A3.obj_name(T), rep.as_dict())
-        for name, clause in rep.clauses.items():
-            assert clause.status == "pass", (A3.obj_name(T), name, clause.detail)
+        assert rep.ok, (A3.obj_name(T), rep.as_dict())
         checked += 1
     report(3, True, f"integrality scans pass for all {checked} rigid T in C(A_3) (within budget)")
 
@@ -238,6 +235,21 @@ def test_criterion_07_cluster_tilting_degeneration(A3):
     )
 
 
+def test_cluster_tilting_regulars_are_invertible_in_C_A4():
+    # for a cluster-tilting T, C/X_T is already abelian (Buan-Marsh-Reiten
+    # 2007), so a map that is mono and epi there is invertible
+    A4 = build_cluster_category(4, "><>", GF(101))
+    count = 0
+    for T in rigid_objects(A4, 4):
+        if not is_cluster_tilting(A4, T):
+            continue
+        count += 1
+        Q = build_quotient(A4, T).presentation
+        for r in build_morphism_family(Q, SCAN_BUDGET).regulars:
+            assert solve_two_sided_inverse(Q, r) is not None, (A4.obj_name(T), r)
+    assert count == 42
+
+
 def test_criterion_08_regular_noninvertible_witness(A3):
     witnesses = []
     for T in rigid_objects(A3, 3):
@@ -315,7 +327,7 @@ def test_criterion_10_decider_agreement(A2, A3):
             for j in range(A3.n):
                 for a in range(A3.hom_dim(i, j)):
                     f = A3.basis_morphism(i, j, a)
-                    assert in_s(A3, T, f, H) == is_regular(qc.presentation, qc.project(f))
+                    assert in_s(H, f) == is_regular(qc.presentation, qc.project(f))
                     bridge_checked += 1
     report(
         10,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quotcat import cli
 from quotcat.catfile import load_category, save_category
 from quotcat.cli import main
 from quotcat.clustergen import build_cluster_category
@@ -250,6 +251,62 @@ def test_fraction_kernel_and_cokernel_expressions(a3_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     assert len(out) == 2 and all(line.startswith("[") for line in out)
+
+
+# C(A_3), T = P1+P3, in one command: the quotient and its square table are
+# shared by the expressions.  P1 -> P2 and I2 -> I3 are regular there.  The
+# third expression and the fifth read the square the second built, with its
+# two maps exchanged; the fourth reads it as built.
+FRACTION_OUTPUT = [
+    ("equal? [P1:P2:0, id:P1] [P1:P2:0, id:P1]", "true"),
+    ("compose [id, P2:P3:0] [id, P1:P2:0]", "[P1 <= P1 => P3; denom (P1 -> P1: [-1]), num (P1 -> P3: [-1])]"),
+    ("compose [P1:P2:0, P1:P3:0] [id, id:P2]", "[P2 <= P1 => P3; denom (P1 -> P2: [-1]), num (P1 -> P3: [-1])]"),
+    ("equal? [P1:P2:0, P1:P3:0] [id, P2:P3:0]", "true"),
+    ("equal? [id, P2:P3:0] [P1:P2:0, P1:P3:0]", "true"),
+    ("invert P1:P2:0", "[P2 <= P1 => P1; denom (P1 -> P2: [1]), num (P1 -> P1: [1])]"),
+    ("invert I2:I3:0", "[I3 <= I2 => I2; denom (I2 -> I3: [1]), num (I2 -> I2: [1])]"),
+    ("compose [P1:P2:0, id:P1] [id, P1:P2:0]", "[P1 <= P1 => P1; denom (P1 -> P1: [-1]), num (P1 -> P1: [-1])]"),
+    ("compose [id, P1:P2:0] [P1:P2:0, id:P1]", "[P2 <= P1 => P2; denom (P1 -> P2: [-1]), num (P1 -> P2: [-1])]"),
+    ("kernel [id, P2:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
+    ("cokernel [id, P2:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+    ("kernel [P1:P2:0, P1:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
+    ("cokernel [P1:P2:0, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+    ("kernel [id, P3:I2:0]", "[P2 <= P2 => P3; denom (P2 -> P2: [1]), num (P2 -> P3: [-4])]"),
+    ("cokernel [id, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+]
+
+
+class _Misses(dict):
+    """A square table that logs the map pair of each key it misses."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key, default=None):
+        sq = super().get(key, default)
+        if sq is None:
+            self.log.append(key[:2])
+        return sq
+
+
+def test_fraction_output_is_pinned(a3_path, capsys, monkeypatch):
+    built, misses = [], []
+
+    def quotient(*args, **kwargs):
+        qc = build(*args, **kwargs)
+        qc.presentation._squares = _Misses(misses)
+        built.append(qc.presentation)
+        return qc
+
+    build = cli.build_quotient
+    monkeypatch.setattr(cli, "build_quotient", quotient)
+    code = main(["fraction", a3_path, "P1+P3", *(expr for expr, _ in FRACTION_OUTPUT)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [line for _, line in FRACTION_OUTPUT]
+    (Q,) = built
+    r, i2 = Q.basis_morphism(Q.index("P1"), Q.index("P2"), 0), Q.identity(Q.single(Q.index("P2")))
+    assert misses.count((r, i2)) == 1 and (i2, r) not in misses
 
 
 def _corrupt(entry, **changes):

@@ -153,11 +153,11 @@ def test_h_mor_commutes_with_actions(A3, TCT, H_CT):
 
 
 def test_in_s_trivial_cases(A3, TCT, H_CT):
-    assert in_s(A3, TCT, A3.identity(A3.single("P1")), H_CT)
+    assert in_s(H_CT, A3.identity(A3.single("P1")))
     f = A3.basis_morphism(A3.index("P1"), A3.index("P2"), 0)
     # source and target modules have different dimensions here
     assert H_CT.module(A3.single("P1")).dim != H_CT.module(A3.single("P2")).dim
-    assert not in_s(A3, TCT, f, H_CT)
+    assert not in_s(H_CT, f)
 
 
 def test_in_s_bridge_identity_all_rigid(A3):
@@ -170,7 +170,7 @@ def test_in_s_bridge_identity_all_rigid(A3):
             for j in range(A3.n):
                 for a in range(A3.hom_dim(i, j)):
                     f = A3.basis_morphism(i, j, a)
-                    assert in_s(A3, T, f, H) == is_regular(qc.presentation, qc.project(f))
+                    assert in_s(H, f) == is_regular(qc.presentation, qc.project(f))
 
 
 def test_ker_h_equals_factoring_subspace(A3, TCT, H_CT):

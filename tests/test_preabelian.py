@@ -440,10 +440,7 @@ def test_ftilde_regular_everywhere(A2):
 def test_scan_properties_integral(QCT, Q2):
     for qc in (QCT, Q2):
         rep = scan_properties(qc.presentation, Budget(scan_pairs_cap=120))
-        assert rep.preabelian
-        assert rep.integral
-        for name, clause in rep.clauses.items():
-            assert clause.status == "pass", (name, clause.detail)
+        assert rep.ok, rep.as_dict()
 
 
 def test_scan_properties_section6_fails(A3):

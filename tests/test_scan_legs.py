@@ -1,16 +1,19 @@
 """The property scan builds one limit square per class of pairs and tests
 each leg once.
 
-The eight leg clauses of `scan_properties` share (given, other) pairs, so
-the scan keeps one table of legs for the length of one call, and `is_epi`
-keeps each answer, in Q and in Q^op (where `is_mono` asks), for one verdict.  A square also serves every pair that differs from its own by
-nonzero rescaling of the two maps or by their exchange, so the scan builds
-one square per class: the unordered pair of unit-normalised maps.  These
-tests pin that each class is built once and that the sharing pays on
-C(A_3)/Q, that the invariance the sharing rests on holds on random pairs,
-and that the tables are transparent: every clause result equals the one
-computed by the plain per-clause loop below, which builds a square for every
-pair it meets.
+The eight leg clauses of `scan_properties` share (given, other) pairs.
+`pullback` keeps each square it builds in `Q._squares` for one verdict,
+together with its exchange, and `pushout` keeps its squares there in Q^op;
+the fraction calculus reads the same table.  `is_epi` keeps each answer, in
+Q and in Q^op (where `is_mono` asks), for one verdict.  A square also serves
+every pair that differs from its own by nonzero rescaling of the two maps or
+by their exchange, so the scan asks for the square of the pair's unit
+representatives and builds one square per class: the unordered pair of
+unit-normalised maps.  These tests pin that each class is built once (one
+miss of the square table) and that the sharing pays on C(A_3)/Q, that the
+invariance the sharing rests on holds on random pairs, and that the tables
+are transparent: every clause result equals the one computed by the plain
+per-clause loop below, which builds a square for every pair it meets.
 """
 
 import collections
@@ -54,6 +57,22 @@ def _unit(f):
     return f.scale(fld.inv(lead))
 
 
+def _square_legs(Q, limit, x, y, budget):
+    """(leg opposite x, leg opposite y) of the square of x and y."""
+    if limit == "pullback":
+        sq = pullback(Q, y, x, budget)
+        return sq.a, sq.b
+    sq = pushout(Q, x, y, budget)
+    return sq.d, sq.c
+
+
+def _fresh_legs(Q, limit, x, y, budget):
+    """_square_legs with the square built afresh, not read from a table."""
+    for P in (Q, opposite(Q)):
+        P._squares.clear()
+    return _square_legs(Q, limit, x, y, budget)
+
+
 # -- the per-clause loop, one square per pair met ---------------------------------
 
 
@@ -61,14 +80,14 @@ def _pullback_legs(Q, given, others, budget):
     for d in given:
         for c in others:
             if c.target == d.target:
-                yield d, c, pullback(Q, c, d, budget).a
+                yield d, c, _fresh_legs(Q, "pullback", d, c, budget)[0]
 
 
 def _pushout_legs(Q, given, others, budget):
     for a in given:
         for b in others:
             if b.source == a.source:
-                yield a, b, pushout(Q, a, b, budget).d
+                yield a, b, _fresh_legs(Q, "pushout", a, b, budget)[0]
 
 
 def _plain_leg_clause(legs, ok, budget):
@@ -119,36 +138,47 @@ class _Decisions(dict):
         super().__setitem__(f, answer)
 
 
+class _Squares(dict):
+    """A square table that counts, per presentation and class of pairs, each
+    miss: pullback builds the square on a miss."""
+
+    def __init__(self, P, log):
+        super().__init__()
+        self.P, self.log = P, log
+
+    def get(self, key, default=None):
+        sq = super().get(key, default)
+        if sq is None:
+            self.log[(id(self.P), frozenset(_unit(m) for m in key[:2]))] += 1
+        return sq
+
+
 @pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
 def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
-    # a pushout is a pullback in Q^op, so counting pullbacks counts both; a
-    # class is the unordered pair of unit-normalised maps
+    # a pushout is a pullback in Q^op, so counting the misses of both tables
+    # counts both; a class is the unordered pair of unit-normalised maps
     Q = build_quotient(A3, A3.obj({s: 1 for s in t})).presentation
     squares = collections.Counter()
     decided = collections.Counter()
     asked = set()
     family_built = []
-    for P in (Q, opposite(Q)):  # is_mono decides in Q^op
+    for P in (Q, opposite(Q)):  # is_mono decides, and pushout builds, in Q^op
         P._epis = _Decisions(P, decided, family_built)
-
-    def pullback(P, *args, **kwargs):
-        squares[(id(P), frozenset(_unit(m) for m in args[:2]))] += 1
-        return build_pullback(P, *args, **kwargs)
+        P._squares = _Squares(P, squares)
 
     def family(*args):
         fam = build_family(*args)
         family_built.append(True)
         return fam
 
-    def leg(self, limit, x, y):
-        asked.add((limit, x, y))
-        return scan_leg(self, limit, x, y)
+    def leg_pairs(limit, given, others):
+        for x, y in build_leg_pairs(limit, given, others):
+            asked.add((limit, x, y))
+            yield x, y
 
-    build_family, build_pullback = preabelian.build_morphism_family, preabelian.pullback
-    scan_leg = preabelian._ScanLegs.leg
+    build_family, build_leg_pairs = preabelian.build_morphism_family, preabelian._leg_pairs
     monkeypatch.setattr(preabelian, "build_morphism_family", family)
-    monkeypatch.setattr(preabelian._ScanLegs, "leg", leg)
-    monkeypatch.setattr(preabelian, "pullback", pullback)
+    monkeypatch.setattr(preabelian, "_leg_pairs", leg_pairs)
     rep = preabelian.scan_properties(Q, CAPPED)
     assert all(c.status == "pass" for c in rep.clauses.values())
     assert squares and set(squares.values()) == {1}
@@ -181,15 +211,6 @@ def _answers(Q, *maps):
     return [(is_epi(Q, m), is_mono(Q, m)) for m in maps]
 
 
-def _square_legs(Q, limit, x, y):
-    """(leg opposite x, leg opposite y) of the square of x and y."""
-    if limit == "pullback":
-        sq = pullback(Q, y, x, CAPPED)
-        return sq.a, sq.b
-    sq = pushout(Q, x, y, CAPPED)
-    return sq.d, sq.c
-
-
 _NONZERO = st.builds(
     lambda n, d, neg: Fraction(-n if neg else n, d),
     st.integers(1, 100),
@@ -204,12 +225,13 @@ _NONZERO = st.builds(
 def test_square_answers_survive_rescaling_and_exchange(case, data, s, t):
     Q, pairs = _eligible_pairs(case)
     limit, x, y = data.draw(st.sampled_from(pairs))
-    legs = _square_legs(Q, limit, x, y)
-    assert _answers(Q, *_square_legs(Q, limit, x.scale(s), y.scale(t))) == _answers(Q, *legs)
-    kept = preabelian._ScanLegs(Q, CAPPED)
-    kept.leg(limit, x, y)
-    exchanged = kept.legs[(limit, kept.unit(y), kept.unit(x))]
-    assert _answers(Q, exchanged, legs[1]) == 2 * _answers(Q, _square_legs(Q, limit, y, x)[0])
+    legs = _fresh_legs(Q, limit, x, y, CAPPED)
+    # the square of (y, x) is the exchanged entry kept with the square of
+    # (x, y); for x = y the table keeps the square the kernel gave
+    exchanged = _square_legs(Q, limit, y, x, CAPPED)
+    assert all(e is leg for e, leg in zip(exchanged, legs if x == y else legs[::-1]))
+    assert _answers(Q, *exchanged) == _answers(Q, *_fresh_legs(Q, limit, y, x, CAPPED))
+    assert _answers(Q, *_fresh_legs(Q, limit, x.scale(s), y.scale(t), CAPPED)) == _answers(Q, *legs)
 
 
 @pytest.mark.parametrize(
