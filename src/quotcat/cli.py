@@ -149,6 +149,11 @@ class _Tokens:
             raise ShapeError(f"expected {want!r} at position {off}, found {tok!r}")
         return tok
 
+    def expect_end(self):
+        if self.pos < len(self.items):
+            off, tok = self.items[self.pos]
+            raise ShapeError(f"unexpected {tok!r} at position {off} after a complete expression")
+
 
 def _parse_morphism(Q, tokens: _Tokens):
     off, tok = tokens.next()
@@ -201,32 +206,36 @@ def _show_fraction(Q, F: Fraction) -> str:
     )
 
 
+# the forms whose arguments are fractions, and how many each takes
+_FRACTION_FORMS = {"equal?": 2, "compose": 2, "cokernel": 1, "kernel": 1}
+
+
 def evaluate_fraction_expression(Q, text: str, budget: Budget) -> str:
+    """The printed value of one expression.  The whole text is parsed
+    first, so a token left after a complete expression is refused before
+    the expression is evaluated."""
     tokens = _Tokens(text)
     head = tokens.peek()
-    if head == "equal?":
-        tokens.next()
-        F = _parse_fraction(Q, tokens)
-        G = _parse_fraction(Q, tokens)
-        return "true" if fractions_equal(Q, F, G, budget) else "false"
-    if head == "compose":
-        tokens.next()
-        G = _parse_fraction(Q, tokens)
-        F = _parse_fraction(Q, tokens)
-        return _show_fraction(Q, compose_fractions(Q, G, F, budget))
     if head == "invert":
         tokens.next()
-        m = _parse_morphism(Q, tokens)
-        return _show_fraction(Q, invert_regular(Q, m))
+        args = [_parse_morphism(Q, tokens)]
+    elif head in _FRACTION_FORMS:
+        tokens.next()
+        args = [_parse_fraction(Q, tokens) for _ in range(_FRACTION_FORMS[head])]
+    else:
+        args = [_parse_fraction(Q, tokens)]
+    tokens.expect_end()
+    if head == "equal?":
+        return "true" if fractions_equal(Q, *args, budget) else "false"
+    if head == "compose":
+        return _show_fraction(Q, compose_fractions(Q, *args, budget))
+    if head == "invert":
+        return _show_fraction(Q, invert_regular(Q, *args))
     if head == "cokernel":
-        tokens.next()
-        F = _parse_fraction(Q, tokens)
-        return _show_fraction(Q, localised_cokernel(Q, F, budget))
+        return _show_fraction(Q, localised_cokernel(Q, *args, budget))
     if head == "kernel":
-        tokens.next()
-        F = _parse_fraction(Q, tokens)
-        return _show_fraction(Q, localised_kernel(Q, F, budget))
-    return _show_fraction(Q, _parse_fraction(Q, tokens))
+        return _show_fraction(Q, localised_kernel(Q, *args, budget))
+    return _show_fraction(Q, *args)
 
 
 def cmd_fraction(args) -> int:

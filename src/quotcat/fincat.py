@@ -418,12 +418,15 @@ def precompose_matrices(P: CategoryPresentation, f: Morphism) -> list[Matrix]:
     Hom(Y, k) has, in block s of Hom(X, k), the coordinates
     sum_a f[m][s][a] * comp[(i_s, j_m, k)][a][b].  Rows and columns are in
     to_vector order.
+
+    A block with no entries, where dim Hom(X, k) or dim Hom(Y, k) is 0, is
+    the one shared Matrix.entryless of its shape, and the pass skips it.
     """
     offX, dX = P.hom_layout(f.source)
     offY, dY = P.hom_layout(f.target)
     fld = P.field
     zero, add, mul = fld.zero, fld.add, fld.mul
-    data = [[[zero] * dy for _ in range(dx)] for dx, dy in zip(dX, dY)]
+    data = [[[zero] * dy for _ in range(dx)] if dx and dy else None for dx, dy in zip(dX, dY)]
     by_pair = P.comp_by_pair
     srcs = f.source.copies()
     for m, (j, row) in enumerate(zip(f.target.copies(), f.blocks)):
@@ -432,7 +435,10 @@ def precompose_matrices(P: CategoryPresentation, f: Morphism) -> list[Matrix]:
             if tables is None or not any(fblock):
                 continue
             for k, table in tables:
-                rows, r0, c0 = data[k], offX[k][s], offY[k][m]
+                rows = data[k]
+                if rows is None:
+                    continue
+                r0, c0 = offX[k][s], offY[k][m]
                 for a, fa in enumerate(fblock):
                     if not fa:
                         continue
@@ -442,7 +448,10 @@ def precompose_matrices(P: CategoryPresentation, f: Morphism) -> list[Matrix]:
                             if rc:
                                 out = rows[r0 + c]
                                 out[col] = add(out[col], mul(fa, rc))
-    return [Matrix(fld, dx, dy, rows) for dx, dy, rows in zip(dX, dY, data)]
+    return [
+        Matrix.entryless(fld, dx, dy) if rows is None else Matrix(fld, dx, dy, rows)
+        for dx, dy, rows in zip(dX, dY, data)
+    ]
 
 
 def precompose_matrix(P: CategoryPresentation, f: Morphism, Z: Obj) -> Matrix:

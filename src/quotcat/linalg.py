@@ -213,6 +213,9 @@ def _check_same_field(a: "Matrix", b: "Matrix"):
         raise FieldMismatch(f"mixed fields {a.field!r} and {b.field!r}")
 
 
+_ENTRYLESS: dict[tuple, "Matrix"] = {}  # (field, nrows, ncols) -> Matrix.entryless
+
+
 class Matrix:
     """Dense row-major matrix over a fixed field.  Treated as immutable.
 
@@ -245,6 +248,20 @@ class Matrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+
+    @classmethod
+    def entryless(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
+        """The nrows x ncols matrix over field, for nrows or ncols zero.
+
+        It has no entry, so it depends on the field and the shape alone: one
+        object per (field, nrows, ncols) serves every caller.  A shape with
+        entries is refused by the constructor, as its empty rows are short.
+        """
+        key = (field, nrows, ncols)
+        m = _ENTRYLESS.get(key)
+        if m is None:
+            m = _ENTRYLESS[key] = cls(field, nrows, ncols, [[] for _ in range(nrows)])
+        return m
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":

@@ -119,6 +119,7 @@ class HFunctor:
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
         self._images: dict[tuple, list] = {}
+        self._lifts: dict[Morphism, Matrix] = {}
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -143,6 +144,16 @@ class HFunctor:
             img = self._images[key] = [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
         return img
 
+    def lift_matrix(self, qc: QuotientCategory, r: Morphism) -> Matrix:
+        """H(qc.lift(r)) for a map r of the quotient, built once per r: the
+        denominator space, the numerator and h_fraction of a realised
+        fraction all read it.  r's presentation is part of its equality, so
+        a key never mixes two quotients."""
+        m = self._lifts.get(r)
+        if m is None:
+            m = self._lifts[r] = self.mor_matrix(qc.lift(r))
+        return m
+
 
 def in_s(H: HFunctor, f: Morphism) -> bool:
     """Membership in the inverted class: H(f) is a module isomorphism."""
@@ -156,12 +167,10 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
     Lift independence: maps factoring through X_T have zero H-image, so any
     parent representatives give the same matrix.
     """
-    r_lift = qc.lift(F.denom)
-    f_lift = qc.lift(F.num)
-    hr = H.mor_matrix(r_lift)
+    hr = H.lift_matrix(qc, F.denom)
     if hr.nrows != hr.ncols or hr.rank() != hr.nrows:
         raise NotInS("fraction denominator is not inverted by Hom(T, -)")
-    return H.mor_matrix(f_lift) * hr.inverse()
+    return H.lift_matrix(qc, F.num) * hr.inverse()
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
@@ -288,7 +297,7 @@ def realize_module_map(
 
         Hom(A, x) is nonzero: the floor of a leg source forces it.
         """
-        cols = [_flat(phi * H.mor_matrix(qc.lift(r))) for r in Q.hom_basis(A, X)]
+        cols = [_flat(phi * H.lift_matrix(qc, r)) for r in Q.hom_basis(A, X)]
         unknowns = cols + [[field.neg(a) for a in v] for v in image(A)]
         mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
         proj = RowSpace(field, len(cols))
@@ -298,7 +307,7 @@ def realize_module_map(
 
     for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
-        want = _flat(phi * H.mor_matrix(qc.lift(r)))
+        want = _flat(phi * H.lift_matrix(qc, r))
         img = image(A)
         img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])
         f_par = solve_on_basis(P, qc.lift_obj(A), Y_par, img_mat, want)

@@ -323,11 +323,26 @@ def multiplicities(down, floor, up, ceiling) -> list[tuple]:
     The inequalities are entrywise and the vectors come in (sum,
     lexicographic) order.  Every entry is non-negative, as a dimension is,
     and up[i][i] >= 1, as dim End(i) is, so the ceiling bounds each m_i.
+
+    A row whose up[i] does not fit under the ceiling once has m_i = 0, so
+    only the other rows are enumerated and the zeros are written back;
+    fixed zeros leave the order of the vectors as it is.  A ceiling with a
+    negative entry admits no m at all, not even m = 0.
     """
-    # last[z]: the last row that raises coordinate z, or -1 if none does
-    last = [max((i for i, row in enumerate(down) if row[z] > 0), default=-1) for z in range(len(floor))]
+    if min(ceiling, default=0) < 0:
+        return []
+    kept = [i for i, row in enumerate(up) if all(map(operator.le, row, ceiling))]
+    down_k = [down[i] for i in kept]
+    # last[z]: the last kept row that raises coordinate z, or -1 if none does
+    last = [max((r for r, row in enumerate(down_k) if row[z] > 0), default=-1) for z in range(len(floor))]
+    found = []
+    _extend(down_k, [up[i] for i in kept], last, [], list(floor), list(ceiling), found)
     out = []
-    _extend(down, up, last, [], list(floor), list(ceiling), out)
+    for m in found:
+        full = [0] * len(up)
+        for i, mi in zip(kept, m):
+            full[i] = mi
+        out.append(tuple(full))
     out.sort(key=sum)  # stable: lexicographic within each sum
     return out
 

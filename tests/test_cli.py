@@ -207,6 +207,26 @@ def test_fraction_parse_error_position(a3_path, capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "expr, token, position",
+    [
+        ("kernel [id:P2, P2:P3:0] extra", "extra", 24),
+        ("compose [id, P2:P3:0] [id, P1:P2:0] ]", "]", 36),
+        ("equal? [id, P1:P2:0] [id, P1:P2:0] [id, P1:P2:0]", "[", 35),
+        ("invert id:P1 id:P1", "id:P1", 13),
+        ("[id, P1:P2:0],", ",", 13),
+    ],
+)
+def test_fraction_refuses_tokens_after_a_complete_expression(a3_path, capsys, monkeypatch, expr, token, position):
+    # refused before anything is computed; the next expression still runs
+    monkeypatch.setattr(cli, "localised_kernel", None)
+    code = main(["fraction", a3_path, "P1+P3", expr, "invert id:P1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.splitlines() == [f"error: unexpected {token!r} at position {position} after a complete expression"]
+    assert out.splitlines() == ["[P1 <= P1 => P1; denom (P1 -> P1: [1]), num (P1 -> P1: [1])]"]
+
+
 def test_fraction_not_regular_denominator(a3_path, capsys):
     code = main(["fraction", a3_path, "P1+P3", "[zero:P1:P1, id:P1]"])
     err = capsys.readouterr().err

@@ -25,8 +25,9 @@ from quotcat.fincat import (
     precompose_matrix,
     validate_category,
 )
-from quotcat.linalg import GF, QQ, Matrix, block_diagonal_kernel_basis
+from quotcat.linalg import _ENTRYLESS, GF, QQ, Matrix, block_diagonal_kernel_basis
 from quotcat.quotient import build_quotient
+from quotcat.verify import run_verification
 
 
 def reference_precompose(P, f, Z):
@@ -118,9 +119,25 @@ def test_one_pass_gives_every_single_block(inst):
     assert len(blocks) == P.n
     for k, m in enumerate(blocks):
         assert m == precompose_matrix(P, f, P.single(k)) == reference_precompose(P, f, P.single(k))
+        # an entry-less block is the one shared matrix of its shape
+        if not m.nrows * m.ncols:
+            assert m is Matrix.entryless(P.field, m.nrows, m.ncols)
+    again = precompose_matrices(P, f)
+    assert all((a is b) == (not a.nrows * a.ncols) for a, b in zip(blocks, again))
     # a multi-copy Z is the block assembly of its copies' blocks
     assembled = Matrix.block_diagonal(P.field, [blocks[k] for k in Z.copies()])
     assert assembled == precompose_matrix(P, f, Z) == reference_precompose(P, f, Z)
+
+
+def test_a_verdict_leaves_the_shared_entry_less_blocks_entry_less():
+    # every caller of the blocks shares them, so a verdict must change none
+    a4 = categories()[1]
+    rep = run_verification(a4, t_spec=a4.obj({"I1": 1, "P1": 1}))
+    assert rep["overall"] == "pass"
+    assert any(f is GF(101) for f, _, _ in _ENTRYLESS)
+    for (fld, nrows, ncols), m in _ENTRYLESS.items():
+        assert (m.field, m.nrows, m.ncols) == (fld, nrows, ncols)
+        assert not nrows * ncols and m.data == [[] for _ in range(nrows)]
 
 
 @settings(max_examples=80)

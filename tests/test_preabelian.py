@@ -4,7 +4,7 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
@@ -209,6 +209,9 @@ def multiplicity_problems(draw):
 
 
 @given(multiplicity_problems())
+# m = 0 does not fit under a negative ceiling, even where no row does
+@example(([[0]], [0], [[1]], [-1]))
+@example(([[1], [1]], [1], [[1, 0], [0, 1]], [2, -1]))
 def test_multiplicities_match_brute_force(problem):
     down, floor, up, ceiling = problem
     n = len(up)
@@ -228,6 +231,68 @@ def test_multiplicities_match_brute_force(problem):
         key=lambda m: (sum(m), m),
     )
     assert multiplicities(down, floor, up, ceiling) == want
+
+
+def unfiltered_multiplicities(down, floor, up, ceiling):
+    """The enumerator without its row prefilter: every row is walked, the
+    rows that cannot fit under the ceiling once included."""
+    last = [max((i for i, row in enumerate(down) if row[z] > 0), default=-1) for z in range(len(floor))]
+    out = []
+
+    def extend(mult, need, room):
+        i = len(mult)
+        if any(a > 0 and r < i for a, r in zip(need, last)):
+            return
+        if i == len(up):
+            out.append(tuple(mult))
+            return
+        mult.append(0)
+        while min(room, default=0) >= 0:
+            extend(mult, need, room)
+            mult[i] += 1
+            need = [a - b for a, b in zip(need, down[i])]
+            room = [a - b for a, b in zip(room, up[i])]
+        mult.pop()
+
+    extend([], list(floor), list(ceiling))
+    out.sort(key=sum)
+    return out
+
+
+@lru_cache(maxsize=None)
+def a4_quotient_dims():
+    """dim Hom(i, j) of C/X_T for every rigid T of C(A_4, "><>")/GF(101)."""
+    A4 = build_cluster_category(4, "><>", GF(101))
+    out = []
+    for support in all_rigid_supports(A4, 4):
+        Q = build_quotient(A4, A4.obj({A4.objects[i]: 1 for i in support})).presentation
+        out.append(tuple(map(tuple, Q._dim)))
+    return tuple(out)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_multiplicities_match_the_unfiltered_enumerator_on_A4_quotients(data):
+    # the three shapes the verdict asks: cokernel targets (D, t, D, t), leg
+    # sources (D, floor, D^T, ceiling) and add-T partners (ones, [1], unit,
+    # bounds), whose bounds are 0 off at most four summands, as off T's;
+    # floors and ceilings are random, negative entries included
+    dims = data.draw(st.sampled_from(a4_quotient_dims()))
+    n = len(dims)
+    D = [list(row) for row in dims]
+    vec = st.lists(st.integers(-1, 4), min_size=n, max_size=n)
+    shape = data.draw(st.sampled_from(["cokernel", "legs", "partners"]))
+    if shape == "cokernel":
+        t = data.draw(vec)
+        problem = (D, t, D, t)
+    elif shape == "legs":
+        problem = (D, data.draw(vec), [list(col) for col in zip(*D)], data.draw(vec))
+    else:
+        unit = [[int(i == z) for z in range(n)] for i in range(n)]
+        summands = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+        bounds = [b if i in summands else 0 for i, b in enumerate(data.draw(vec))]
+        problem = ([[1]] * n, [1], unit, bounds)
+    assert multiplicities(*problem) == unfiltered_multiplicities(*problem)
 
 
 def test_section6_certified_no_cokernel(A3):
