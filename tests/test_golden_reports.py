@@ -9,8 +9,10 @@ ints, golden/reports_fail.json (failing and budget-exhausted verdicts of
 C(A_3) over Q, each at its own budget) before the scan became the one place
 that computes the bounded clauses, and golden/reports_a5_q.json (C(A_5) over
 Q, T = P1+...+P5, at the default budget) before the equivalence verifier's
-regular-leg searches were pruned by shape; any change to a verdict, a count or a
-failure detail shows up here.  Only `timing_s` is dropped, because it is the
+regular-leg searches were pruned by shape, and golden/reports_a7_q.json (C(A_7)
+over Q, T = P1+...+P7, at the default budget, whose quotient is the largest
+any golden file validates) before associativity was checked on generating
+words; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is the
 one non-deterministic section.  golden/categories.json holds the sha256 of
 the saved form of 18 generated categories (C(A_1)..C(A_6), every orientation
 of C(A_4), C(A_3, "><") over Q, C(A_4, "><>") over GF(101), C(A_3) over GF(2)
@@ -69,6 +71,11 @@ def _cases_a5_q() -> dict:
     return {"A5/Q T=P1+...+P5": (a5, {"t_spec": a5.obj({f"P{i}": 1 for i in range(1, 6)})})}
 
 
+def _cases_a7_q() -> dict:
+    a7 = build_cluster_category(7, field=QQ)
+    return {"A7/Q T=P1+...+P7": (a7, {"t_spec": a7.obj({f"P{i}": 1 for i in range(1, 8)})})}
+
+
 def _cases_fail() -> dict:
     # integral and rf_axioms fail with leg details; then both run out of
     # budget in their leg clauses; then the preabelian clause itself does
@@ -93,6 +100,7 @@ CORPORA = {  # each file with the budget of the cases that name none
     "reports_a4_q.json": (_cases_a4_q, Budget()),
     "reports_fail.json": (_cases_fail, CAPPED),
     "reports_a5_q.json": (_cases_a5_q, Budget()),
+    "reports_a7_q.json": (_cases_a7_q, Budget()),
 }
 
 
@@ -133,6 +141,10 @@ def test_failing_and_exhausted_reports_match_golden():
 
 def test_a5_q_default_budget_reports_match_golden():
     _check("reports_a5_q.json")
+
+
+def test_a7_q_default_budget_reports_match_golden():
+    _check("reports_a7_q.json")
 
 
 GENERATED = (  # (n, orientation, field) of each category in categories.json
