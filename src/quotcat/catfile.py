@@ -135,12 +135,15 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
         key = (obj("hom", entry, "src"), obj("hom", entry, "dst"))
         if not _is_index(entry.get("dim")):
             raise ShapeError(f"hom entry {entry!r}: dim is not a non-negative int")
+        if key in hom:
+            raise ShapeError(f"hom entry {entry!r} repeats the (src, dst) of an earlier entry")
         hom[key] = entry["dim"]
 
     def dim(i, j):
         return hom.get((i, j), 0)
 
     comp: dict = {}
+    seen = set()  # the (i, j, k, a, b, c) read so far
     for entry in _entries(doc, "comp"):
         i, j, k = (obj("comp", entry, x) for x in "ijk")
         key = (i, j, k)
@@ -151,6 +154,9 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
         coeff = _scalar(field, entry.get("coeff"))
         if coeff is None:
             raise ShapeError(f"comp entry {entry!r}: coeff is not a fraction string over {field!r}")
+        if key + idx in seen:
+            raise ShapeError(f"comp entry {entry!r} repeats the (i, j, k, a, b, c) of an earlier entry")
+        seen.add(key + idx)
         if key not in comp:
             comp[key] = [
                 [[field.zero] * dim(i, k) for _ in range(dim(j, k))]

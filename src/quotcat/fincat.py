@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import MissingSuspension, ShapeError
-from .linalg import Field, Matrix, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import Field, Matrix, RowSpace, vec_add, vec_is_zero, vec_scale, vec_sub
 
 
 class CategoryPresentation:
@@ -556,23 +556,27 @@ def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v, out: list)
     return out
 
 
+def _unit(field, d: int, a: int) -> list:
+    """Basis vector a of a d-dimensional space."""
+    vec = [field.zero] * d
+    vec[a] = field.one
+    return vec
+
+
 def validate_category(P: CategoryPresentation) -> ValidationReport:
     """Exhaustive unit and associativity checks on the structure constants.
 
-    Associativity on basis elements a, b, c of Hom(i, j), Hom(j, k), Hom(k, l)
-    is sum_e comp[(i,j,k)][a][b][e] * comp[(i,k,l)][e][c] =
-    sum_e comp[(j,k,l)][b][c][e] * comp[(i,j,l)][a][e], a missing table read
-    as zero, checked in (i, j, k, l, a, b, c) order.
+    The unit laws are checked on every basis element.  Associativity is
+    checked on generating words (_associative_on_words) once the identity
+    and unit-law checks have found nothing; if they did, or the words do not
+    span, or a generator triple fails, every basis triple is checked
+    (_associativity_on_basis), so the violations and their order are those
+    of the full check.
     """
     rep = ValidationReport()
     f = P.field
-    n, dim, comp = P.n, P._dim, P.comp
-    zero, one = f.zero, f.one
-
-    def unit(d, a):
-        vec = [zero] * d
-        vec[a] = one
-        return vec
+    n, dim = P.n, P._dim
+    zero = f.zero
 
     for i in range(n):
         if dim[i][i] < 1:
@@ -583,31 +587,145 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
     # unit laws: id o a = a and a o id = a for every basis element a
     for i, j in itertools.product(range(n), repeat=2):
         for a in range(dim[i][j]):
-            ea = unit(dim[i][j], a)
+            ea = _unit(f, dim[i][j], a)
             if _composite(P, i, j, j, ea, P.identities[j], [zero] * dim[i][j]) != ea:
                 rep.add("left-unit", (i, j, a))
             if _composite(P, i, i, j, P.identities[i], ea, [zero] * dim[i][j]) != ea:
                 rep.add("right-unit", (i, j, a))
-    # associativity on basis triples
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        if not (dim[i][j] and dim[j][k] and dim[k][l] and dim[i][l]):
-            continue
-        gf_table, hg_table = comp.get((i, j, k)), comp.get((j, k, l))
-        if (gf_table is None or (i, k, l) not in comp) and (hg_table is None or (i, j, l) not in comp):
-            continue
-        for a in range(dim[i][j]):
-            ea = unit(dim[i][j], a)
-            for b in range(dim[j][k]):
-                gf = gf_table[a][b] if gf_table else ()  # () reads as zero
-                for c in range(dim[k][l]):
-                    hg = hg_table[b][c] if hg_table else ()
-                    lhs = _composite(P, i, k, l, gf, unit(dim[k][l], c), [zero] * dim[i][l])
-                    if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
-                        rep.add("associativity", (i, j, k, l, a, b, c))
+    if rep.violations or not _associative_on_words(P):
+        _associativity_on_basis(P, rep)
     if P.metadata.get("two_cy") and P.sigma is not None:
         for pair in check_serre_symmetry(P):
             rep.add("serre-symmetry", pair)
     return rep
+
+
+def _associativity_failures(P: CategoryPresentation, i: int, j: int, k: int, l: int, cs):
+    """The basis triples (a, b, c) of Hom(i, j), Hom(j, k), Hom(k, l), c in
+    cs, with (c o b) o a != c o (b o a), in (a, b, c) order.
+
+    Both sides are sum_e comp[(i,j,k)][a][b][e] * comp[(i,k,l)][e][c] and
+    sum_e comp[(j,k,l)][b][c][e] * comp[(i,j,l)][a][e], a missing table read
+    as zero.
+    """
+    f, dim, comp = P.field, P._dim, P.comp
+    gf_table, hg_table = comp.get((i, j, k)), comp.get((j, k, l))
+    if (gf_table is None or (i, k, l) not in comp) and (hg_table is None or (i, j, l) not in comp):
+        return
+    zero = f.zero
+    for a in range(dim[i][j]):
+        ea = _unit(f, dim[i][j], a)
+        for b in range(dim[j][k]):
+            gf = gf_table[a][b] if gf_table else ()  # () reads as zero
+            for c in cs:
+                hg = hg_table[b][c] if hg_table else ()
+                lhs = _composite(P, i, k, l, gf, _unit(f, dim[k][l], c), [zero] * dim[i][l])
+                if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
+                    yield a, b, c
+
+
+def _associativity_on_basis(P: CategoryPresentation, rep: ValidationReport):
+    """Add an associativity violation to rep for every failing basis triple,
+    in (i, j, k, l, a, b, c) order: the full check, n^4 object quadruples."""
+    dim = P._dim
+    for i, j, k, l in itertools.product(range(P.n), repeat=4):
+        if dim[i][j] and dim[j][k] and dim[k][l] and dim[i][l]:
+            for a, b, c in _associativity_failures(P, i, j, k, l, range(dim[k][l])):
+                rep.add("associativity", (i, j, k, l, a, b, c))
+
+
+def _word_generators(P: CategoryPresentation) -> dict:
+    """(i, j) -> G(i, j), for the pairs where it is not empty.
+
+    G(i, j) is the basis elements of Hom(i, j), in order, that complete the
+    span of the composites comp[(i, m, j)] through a third object m, m not i
+    or j, and of the identity when i = j.  When every End(i) is k, as in
+    C(A_n) and its quotients, they span a complement of rad^2 in the
+    radical: the irreducible maps (Auslander-Reiten-Smalo 1995).
+    """
+    f, dim = P.field, P._dim
+    spans = {}
+    for (i, m, j), table in P.comp.items():
+        if m == i or m == j:
+            continue
+        d = dim[i][j]
+        rs = spans.get((i, j)) or spans.setdefault((i, j), RowSpace(f, d))
+        for vec in itertools.chain.from_iterable(table):
+            if rs.dim == d:
+                break
+            rs.add(vec)
+    gens = {}
+    for i, j in itertools.product(range(P.n), repeat=2):
+        d = dim[i][j]
+        if not d:
+            continue
+        rs = spans.get((i, j)) or RowSpace(f, d)
+        if i == j:
+            rs.add(P.identities[i])
+        g = [a for a in range(d) if rs.add(_unit(f, d, a))]
+        if g:
+            gens[(i, j)] = g
+    return gens
+
+
+def _words_span(P: CategoryPresentation, gens: dict) -> bool:
+    """Whether the right-bracketed words s1 o (s2 o (... o (sk o id))), each
+    s a basis element gens lists, span every Hom space.
+
+    The words from i are grown one generator at a time, s o w for each new
+    element w of their span, with the presentation's own product, until no
+    Hom(i, j) grows.
+    """
+    f, dim = P.field, P._dim
+    leaving = {}  # m -> [(j, a)]: the generators out of m
+    for (m, j), g in gens.items():
+        leaving.setdefault(m, []).extend((j, a) for a in g)
+    for i in range(P.n):
+        spans = {i: RowSpace.from_rows(f, dim[i][i], [P.identities[i]])}
+        frontier = [(i, P.identities[i])]
+        while frontier:
+            m, w = frontier.pop()
+            for j, a in leaving.get(m, ()):
+                d = dim[i][j]
+                rs = spans.get(j) or spans.setdefault(j, RowSpace(f, d))
+                if rs.dim == d:
+                    continue
+                sw = _composite(P, i, m, j, w, _unit(f, dim[m][j], a), [f.zero] * d)
+                if rs.add(sw):
+                    frontier.append((j, sw))
+        if any(dim[i][j] and (j not in spans or spans[j].dim < dim[i][j]) for j in range(P.n)):
+            return False
+    return True
+
+
+def _associative_on_words(P: CategoryPresentation) -> bool:
+    """Whether associativity follows from the generator triples alone.
+
+    With G = _word_generators(P), it checks that the words of G span every
+    Hom space (_words_span) and that (s o y) o z = s o (y o z) for every s in
+    G and all basis y, z.  If the unit laws hold, the product is then
+    associative.  By trilinearity it is enough to show (x o y) o z =
+    x o (y o z) for x a word, by induction on its length.  For x = id it is
+    the left unit law, and for x = s o x' with s in G,
+
+        (x o y) o z = (s o (x' o y)) o z = s o ((x' o y) o z)
+                    = s o (x' o (y o z)) = x o (y o z),
+
+    by the generator triples, the induction hypothesis for x', and the
+    generator triples again.  So if it returns True the full check finds no
+    violation.
+    """
+    gens = _word_generators(P)
+    if not _words_span(P, gens):
+        return False
+    dim = P._dim
+    into = [[j for j in range(P.n) if dim[j][k]] for k in range(P.n)]  # k -> the j with Hom(j, k) != 0
+    for (k, l), g in gens.items():
+        for j in into[k]:
+            for i in into[j]:
+                if dim[i][l] and next(_associativity_failures(P, i, j, k, l, g), None) is not None:
+                    return False
+    return True
 
 
 def check_serre_symmetry(P: CategoryPresentation) -> list:

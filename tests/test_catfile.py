@@ -86,6 +86,17 @@ def test_corrupted_file_fails_validation(A3):
         presentation_from_dict(doc)
 
 
+@pytest.mark.parametrize("key, change", [("hom", {"dim": 2}), ("comp", {"coeff": "5"})])
+def test_repeated_entry_refused(A3, key, change):
+    # a copy of the first entry, changed, before it: the later one once won
+    doc = presentation_to_dict(A3)
+    copy = {**doc[key][0], **change}
+    doc[key].insert(0, copy)
+    with pytest.raises(ShapeError, match="repeats") as err:
+        presentation_from_dict(doc)
+    assert str(err.value).startswith(f"{key} entry {doc[key][1]!r}")
+
+
 def test_file_without_a_nonzero_composite_table_fails_validation():
     # with no (w, x, y) entries g o f is zero, yet (h o g) o f is not
     doc = presentation_to_dict(chain4_category())

@@ -340,6 +340,15 @@ def _short_identities(doc):
     doc["identities"].pop()
 
 
+def _repeat(key, **changes):
+    """Insert a changed copy of the first entry of doc[key] before it."""
+
+    def apply(doc):
+        doc[key].insert(0, {**doc[key][0], **changes})
+
+    return apply
+
+
 # Each is one hand corruption of the committed C(A_2) file.
 MALFORMED = {
     "unknown object in hom": _corrupt(("hom", 0), src="nope"),
@@ -352,6 +361,8 @@ MALFORMED = {
     "fractional dim": _corrupt(("hom", 0), dim=1.5),
     "unparsable coefficient": _corrupt(("comp", 0), coeff="x/y"),
     "zero denominator": _corrupt(("comp", 0), coeff="1/0"),
+    "repeated hom entry": _repeat("hom", dim=2),
+    "repeated comp entry": _repeat("comp", coeff="5"),
 }
 
 

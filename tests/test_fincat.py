@@ -11,6 +11,7 @@ from quotcat.fincat import (
     CategoryPresentation,
     Morphism,
     Obj,
+    all_rigid_supports,
     approximation,
     basis_morphisms,
     compose,
@@ -26,7 +27,9 @@ from quotcat.fincat import (
     validate_category,
 )
 from quotcat.linalg import GF, QQ
+from quotcat.modcat import endomorphism_algebra
 from quotcat.preabelian import build_morphism_family
+from quotcat.quotient import build_quotient
 
 from conftest import arrow_category, chain4_category
 
@@ -107,17 +110,20 @@ def validation_bases():
 @st.composite
 def perturbed(draw):
     """A copy of a valid presentation with one structure constant changed,
-    one comp table deleted, or both."""
+    one comp table deleted, or both; or with one constant of a table (i, j, k),
+    i, j, k pairwise distinct, changed, which leaves the unit laws holding, so
+    that associativity is checked on generating words."""
     P = draw(st.sampled_from(validation_bases()))
     comp = {key: [[list(vec) for vec in row] for row in table] for key, table in P.comp.items()}
     keys = sorted(comp)
-    change, delete = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    if change:
-        table = comp[draw(st.sampled_from(keys))]
+    kind = draw(st.sampled_from(["change", "delete", "both", "associativity"]))
+    if kind != "delete":
+        distinct = [key for key in keys if len(set(key)) == 3]
+        table = comp[draw(st.sampled_from(distinct if kind == "associativity" else keys))]
         vec = draw(st.sampled_from([vec for row in table for vec in row]))
         e = draw(st.integers(0, len(vec) - 1))
         vec[e] = P.field.add(vec[e], P.field.of(draw(st.integers(1, 5))))
-    if delete:
+    if kind in ("delete", "both"):
         del comp[draw(st.sampled_from(keys))]
     hom = {(i, j): P.hom_dim(i, j) for i in range(P.n) for j in range(P.n) if P.hom_dim(i, j)}
     return CategoryPresentation(P.field, P.objects, hom, comp, P.identities, sigma=P.sigma)
@@ -128,6 +134,29 @@ def perturbed(draw):
 def test_validation_matches_basis_composites(P):
     got = [v for v in validate_category(P).violations if v[0] in ("left-unit", "right-unit", "associativity")]
     assert sorted(got) == sorted(reference_violations(P))
+
+
+def test_valid_presentations_are_checked_on_generating_words(monkeypatch):
+    # a silent fallback to the full check keeps every verdict but loses the
+    # speed, so the full check must not run on a valid presentation
+    from test_golden_reports import GENERATED
+
+    full = []
+    on_basis = fincat._associativity_on_basis
+    monkeypatch.setattr(fincat, "_associativity_on_basis", lambda P, rep: (full.append(P), on_basis(P, rep)))
+    for n, orientation, field in GENERATED:
+        assert validate_category(build_cluster_category(n, orientation, field)).ok
+    a4 = build_cluster_category(4, "><>", GF(101))
+    supports = all_rigid_supports(a4, a4.n)
+    assert len(supports) == 196
+    for supp in supports:
+        assert validate_category(build_quotient(a4, a4.obj({a4.objects[i]: 1 for i in supp})).presentation).ok
+    a4q = build_cluster_category(4)
+    assert validate_category(endomorphism_algebra(a4q, a4q.obj({f"P{i}": 1 for i in range(1, 5)}))).ok
+    assert full == []
+    # the wrap sees the fallback an associativity failure takes
+    broken = chain4_category(assoc_coeff=2)
+    assert not validate_category(broken).ok and full == [broken]
 
 
 def test_validation_composes_no_morphism(monkeypatch):
