@@ -238,6 +238,10 @@ def evaluate_fraction_expression(Q, text: str, budget: Budget) -> str:
     return _show_fraction(Q, *args)
 
 
+# exit codes from least to most severe: the worst over all expressions wins
+_SEVERITY = [EXIT_OK, EXIT_BOUNDS, EXIT_CLAUSE_FAIL, EXIT_USAGE]
+
+
 def cmd_fraction(args) -> int:
     budget = _load_budget(args)
     P = load_category(args.category)
@@ -247,9 +251,14 @@ def cmd_fraction(args) -> int:
     for expr in args.expressions:
         try:
             print(evaluate_fraction_expression(Q, expr, budget))
+            continue
+        except BoundsExceeded as e:
+            print(f"bounds exceeded: {e}", file=sys.stderr)
+            code = EXIT_BOUNDS
         except (ShapeError, NotRegular, NoKernel, NoCokernel) as e:
             print(f"error: {e}", file=sys.stderr)
-            status = EXIT_USAGE if isinstance(e, ShapeError) else EXIT_CLAUSE_FAIL
+            code = EXIT_USAGE if isinstance(e, ShapeError) else EXIT_CLAUSE_FAIL
+        status = max(status, code, key=_SEVERITY.index)
     return status
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenerationError
-from .fincat import CategoryPresentation, check_serre_symmetry, structure_constants, validate_category
+from .fincat import CategoryPresentation, structure_constants, validate_category
 from .linalg import QQ, Field, Matrix, RowSpace, intertwiners
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +1021,7 @@ def build_cluster_category(n: int, orientation: str | None = None, field: Field 
     The output carries the suspension permutation, object names (P_i, I_i,
     S_i, M[a,b], SP_i) and the diagonal labelling in its metadata.  The
     construction aborts with GenerationError if any internal consistency
-    check (oracle table, validation, symmetry) fails.
+    check (oracle table, validation with its Serre symmetry) fails.
     """
     builder = _ClusterBuilder(n, orientation, field)
     P = builder.build()
@@ -1031,9 +1031,6 @@ def build_cluster_category(n: int, orientation: str | None = None, field: Field 
     rep = validate_category(P)
     if not rep.ok:
         raise GenerationError(f"generated presentation invalid: {rep}")
-    bad = check_serre_symmetry(P)
-    if bad:
-        raise GenerationError(f"2-CY symmetry fails at pairs {bad[:5]}")
     for i in range(P.n):
         for j in range(P.n):
             if P.hom_dim(i, j) > 1:

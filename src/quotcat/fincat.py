@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import MissingSuspension, ShapeError
-from .linalg import Field, Matrix, RowSpace, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import Field, Matrix, RowSpace, vec_add, vec_is_zero, vec_scale
 
 
 class CategoryPresentation:
@@ -60,22 +60,20 @@ class CategoryPresentation:
         self._cokernels = {}  # (f, budget fields read) -> preabelian.cokernel's result
         self._epis = {}  # f -> preabelian.is_epi's answer
         self._searches = {}  # candidate search key -> preabelian._search_cokernel's SearchResult
-        self._draws = {}  # (seed string, retries, coeff_base) -> the random phase's nonzero draws
         self._squares = {}  # (c, d, budget fields read) -> preabelian.pullback's LimitSquare
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the cokernel, epi, search, draw and square tables, here and
-        in the opposite if built.
+        """Empty the cokernel, epi, search and square tables, here and in the
+        opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
-        collection; the draws are dropped so that they do not add up over a
-        sweep.
+        collection.
         """
         for P in (self, self._opposite):
             if P is not None:
-                for table in (P._cokernels, P._epis, P._searches, P._draws, P._squares):
+                for table in (P._cokernels, P._epis, P._searches, P._squares):
                     table.clear()
 
     # -- basic queries ------------------------------------------------
@@ -329,15 +327,6 @@ class Morphism:
         f = self.P.field
         blocks = [
             [vec_add(f, b1, b2) for b1, b2 in zip(r1, r2)]
-            for r1, r2 in zip(self.blocks, other.blocks)
-        ]
-        return Morphism(self.P, self.source, self.target, blocks)
-
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        self._check_parallel(other)
-        f = self.P.field
-        blocks = [
-            [vec_sub(f, b1, b2) for b1, b2 in zip(r1, r2)]
             for r1, r2 in zip(self.blocks, other.blocks)
         ]
         return Morphism(self.P, self.source, self.target, blocks)

@@ -47,13 +47,7 @@ class Field:
         """
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def fmt(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, s: str):
         raise NotImplementedError
 
 
@@ -119,9 +113,6 @@ class RationalField(Field):
 
     def fmt(self, a) -> str:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
-
-    def parse(self, s: str):
-        return _rational(Fraction(s))
 
     def __repr__(self):
         return "QQ"
@@ -194,9 +185,6 @@ class PrimeField(Field):
 
     def fmt(self, a) -> str:
         return str(a)
-
-    def parse(self, s: str):
-        return self.of(Fraction(s))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -634,12 +622,6 @@ def vec_add(field: Field, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")
     return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field: Field, u, v):
-    if len(u) != len(v):
-        raise ShapeError("vector length mismatch")
-    return [field.sub(a, b) for a, b in zip(u, v)]
 
 
 def vec_scale(field: Field, c, v):

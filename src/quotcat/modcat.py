@@ -118,8 +118,7 @@ class HFunctor:
         self.P = P
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
-        self._images: dict[tuple, list] = {}
-        self._lifts: dict[Morphism, Matrix] = {}
+        self._matrices: dict[Morphism, Matrix] = {}
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -131,28 +130,18 @@ class HFunctor:
         return self._modules[X.mult]
 
     def mor_matrix(self, f: Morphism) -> Matrix:
-        """Matrix of Hom(T, source f) -> Hom(T, target f)."""
-        return postcompose_matrix(self.P, f, self.T)
+        """Matrix of Hom(T, source f) -> Hom(T, target f), built once per
+        parent map f: FAITHFUL, images and the lifts of realised fractions
+        all read it.  f's presentation is part of its equality, so a key
+        never mixes two presentations."""
+        m = self._matrices.get(f)
+        if m is None:
+            m = self._matrices[f] = postcompose_matrix(self.P, f, self.T)
+        return m
 
     def images(self, A: Obj, Y: Obj) -> list[list]:
-        """The flattened H-images of the basis of Hom(A, Y), built once per
-        (A, Y): FAITHFUL and every module map into Y realised from A read
-        them."""
-        key = (A.mult, Y.mult)
-        img = self._images.get(key)
-        if img is None:
-            img = self._images[key] = [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
-        return img
-
-    def lift_matrix(self, qc: QuotientCategory, r: Morphism) -> Matrix:
-        """H(qc.lift(r)) for a map r of the quotient, built once per r: the
-        denominator space, the numerator and h_fraction of a realised
-        fraction all read it.  r's presentation is part of its equality, so
-        a key never mixes two quotients."""
-        m = self._lifts.get(r)
-        if m is None:
-            m = self._lifts[r] = self.mor_matrix(qc.lift(r))
-        return m
+        """The flattened H-images of the basis of Hom(A, Y)."""
+        return [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
 
 
 def in_s(H: HFunctor, f: Morphism) -> bool:
@@ -167,10 +156,10 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
     Lift independence: maps factoring through X_T have zero H-image, so any
     parent representatives give the same matrix.
     """
-    hr = H.lift_matrix(qc, F.denom)
+    hr = H.mor_matrix(qc.lift(F.denom))
     if hr.nrows != hr.ncols or hr.rank() != hr.nrows:
         raise NotInS("fraction denominator is not inverted by Hom(T, -)")
-    return H.lift_matrix(qc, F.num) * hr.inverse()
+    return H.mor_matrix(qc.lift(F.num)) * hr.inverse()
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
@@ -288,8 +277,8 @@ def realize_module_map(
     field = Q.field
 
     def image(A):
-        """The H-images of Hom_C(A, y), kept on H for every phi into y: the
-        denominator space and the numerator both read them."""
+        """The H-images of Hom_C(A, y): the denominator space and the
+        numerator both read them."""
         return H.images(qc.lift_obj(A), Y_par)
 
     def denominators(A):
@@ -297,7 +286,7 @@ def realize_module_map(
 
         Hom(A, x) is nonzero: the floor of a leg source forces it.
         """
-        cols = [_flat(phi * H.lift_matrix(qc, r)) for r in Q.hom_basis(A, X)]
+        cols = [_flat(phi * H.mor_matrix(qc.lift(r))) for r in Q.hom_basis(A, X)]
         unknowns = cols + [[field.neg(a) for a in v] for v in image(A)]
         mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
         proj = RowSpace(field, len(cols))
@@ -307,7 +296,7 @@ def realize_module_map(
 
     for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
-        want = _flat(phi * H.lift_matrix(qc, r))
+        want = _flat(phi * H.mor_matrix(qc.lift(r)))
         img = image(A)
         img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])
         f_par = solve_on_basis(P, qc.lift_obj(A), Y_par, img_mat, want)
@@ -326,15 +315,15 @@ def _faithful_clause(P: CategoryPresentation, qc: QuotientCategory, H: HFunctor)
 
     The maps factoring through X_T are qc.f_spaces on kept pairs; every
     other pair's space is computed once, on its first basis morphism.  Both
-    loops read the H-images of basis morphisms off H.images, where FULL
-    finds them too.
+    loops read H of each basis morphism off H's one table, where FULL finds
+    it too.
     """
     spaces = dict(qc.f_spaces)
     for i, j, a, f in basis_morphisms(P):
         rs = spaces.get((i, j))
         if rs is None:
             rs = spaces[(i, j)] = factoring_subspace(P, i, j, qc.xt)
-        hz, ft = not any(H.images(P.single(i), P.single(j))[a]), rs.contains(f.to_vector())
+        hz, ft = H.mor_matrix(f).is_zero(), rs.contains(f.to_vector())
         yield
         if hz != ft:
             return f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"

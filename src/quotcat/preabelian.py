@@ -200,15 +200,6 @@ def epi_conditions(Q: CategoryPresentation, leg, X: Obj) -> list[RankCondition]:
     return [RankCondition(lambda m, z=z: pre(m)[z], d) for z, d in enumerate(Q.hom_layout(X)[1]) if d]
 
 
-def _random_draws(rng: random.Random, d: int, budget: Budget) -> list[list[int]]:
-    """The coefficient vectors of the random phase, budget.retries of them
-    in the order drawn from rng."""
-    return [
-        [rng.randint(-radius, radius) for _ in range(d)]
-        for radius in (budget.coeff_base ** (1 + attempt // 3) for attempt in range(budget.retries))
-    ]
-
-
 def search_open_conditions(
     Q: CategoryPresentation,
     X: Obj,
@@ -228,11 +219,10 @@ def search_open_conditions(
     The phases run in this order, each only when the ones before it decided
     nothing:
 
-    1. budget.retries seeded random combinations.  They depend only on the
-       seed string f"{budget.seed}:{salt}:{d}", retries and coeff_base, so
-       they are drawn once per verdict and kept in Q._draws; an all-zero
-       draw is not tried, since by linearity of the builders it meets no
-       condition of positive rank;
+    1. budget.retries random combinations from one generator seeded by
+       f"{budget.seed}:{salt}:{d}", each drawn only when its try comes up;
+       an all-zero draw is not tried, since by linearity of the builders it
+       meets no condition of positive rank;
     2. the shape test: a condition whose required rank exceeds the smaller
        side of its matrix certifies empty.  No random try can meet such a
        condition and the test draws no randomness, so running it after the
@@ -263,16 +253,14 @@ def search_open_conditions(
             return SearchResult(SearchResult.FOUND, zero)
         return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
-    seed = f"{budget.seed}:{salt}:{d}"
-    key = (seed, budget.retries, budget.coeff_base)
-    draws = Q._draws.get(key)
-    if draws is None:
-        # a zero draw is left out: by linearity it meets no live condition
-        draws = Q._draws[key] = tuple(tuple(c) for c in _random_draws(random.Random(seed), d, budget) if any(c))
-    for coeffs in draws:
-        m = _combine(Q, X, Y, subspace, coeffs)
-        if all(c.holds(m) for c in live):
-            return SearchResult(SearchResult.FOUND, m)
+    rng = random.Random(f"{budget.seed}:{salt}:{d}")
+    for attempt in range(budget.retries):
+        radius = budget.coeff_base ** (1 + attempt // 3)
+        coeffs = [rng.randint(-radius, radius) for _ in range(d)]
+        if any(coeffs):  # by linearity a zero draw meets no live condition
+            m = _combine(Q, X, Y, subspace, coeffs)
+            if all(c.holds(m) for c in live):
+                return SearchResult(SearchResult.FOUND, m)
 
     # impossibility by shape: rank can never exceed min dimension
     zero = Q.zero_morphism(X, Y)
@@ -296,8 +284,6 @@ def search_open_conditions(
 
     values = grid(sum(c.required for c in live))
     if len(values) ** d > budget.grid_cap:
-        rng = random.Random(seed)
-        _random_draws(rng, d, budget)  # replayed: the stream goes on past the random phase
         for attempt in range(4 * budget.retries):
             radius = budget.coeff_base ** (2 + attempt // 4)
             coeffs = [rng.randint(-radius, radius) for _ in range(d)]

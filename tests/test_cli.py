@@ -234,6 +234,45 @@ def test_fraction_not_regular_denominator(a3_path, capsys):
     assert "regular" in err
 
 
+# over the cap with no random tries: the kernel's certification grid raises
+OUT_OF_BUDGET = ["--retries", "0", "--grid-cap", "1", "kernel [id, P2:P3:0]"]
+
+
+def test_fraction_out_of_budget_goes_on_with_the_next_expression(a3_path, capsys):
+    code = main(["fraction", a3_path, "P1+P3", *OUT_OF_BUDGET, "[id, P1:P2:0]"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err.splitlines() == ["bounds exceeded: certification grid 2^1 exceeds the cap"]
+    assert out.splitlines() == ["[P1 <= P1 => P2; denom (P1 -> P1: [1]), num (P1 -> P2: [1])]"]
+
+
+@pytest.mark.parametrize(
+    "exprs, want",
+    [
+        (["[id, P1:P9:0]", "invert P3:I2:0"], 2),
+        (["invert P3:I2:0", "[id, P1:P9:0]"], 2),
+        (["invert P3:I2:0", "kernel [id, P2:P3:0]"], 1),
+        (["kernel [id, P2:P3:0]", "invert P3:I2:0"], 1),
+        (["kernel [id, P2:P3:0]", "[id, P1:P2:0]"], 3),
+        (["[id, P1:P2:0]", "kernel [id, P2:P3:0]"], 3),
+    ],
+)
+def test_fraction_exits_with_the_worst_status_in_any_order(a3_path, capsys, exprs, want):
+    # a usage error over a failure over running out of budget over success
+    code = main(["fraction", a3_path, "P1+P3", *OUT_OF_BUDGET[:4], *exprs])
+    out, err = capsys.readouterr()
+    assert code == want
+    assert len(out.splitlines()) + len(err.splitlines()) == 2
+
+
+def test_fraction_with_a_non_rigid_t_exits_1(a3_path, capsys):
+    code = main(["fraction", a3_path, "P1+I2", "[id, P1:P2:0]"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert not out
+    assert err.splitlines() == ["error: object P1+I2 is not rigid"]
+
+
 def test_budget_config_file(a3_path, tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 9, "scan_pairs_cap": 30}))
@@ -293,6 +332,7 @@ FRACTION_OUTPUT = [
     ("cokernel [P1:P2:0, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
     ("kernel [id, P3:I2:0]", "[P2 <= P2 => P3; denom (P2 -> P2: [1]), num (P2 -> P3: [-4])]"),
     ("cokernel [id, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+    ("[P1:P2:0, P1:P3:0]", "[P2 <= P1 => P3; denom (P1 -> P2: [1]), num (P1 -> P3: [1])]"),
 ]
 
 

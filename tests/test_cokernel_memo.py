@@ -7,12 +7,12 @@ subspace {c : c o f = 0} come from one pass of `precompose_matrices` over f,
 and the rank conditions on a tried c share one pass over c.  The shape test
 of `search_open_conditions` runs only after the random phase, so a search
 found at random builds no probe matrix.  Within a verdict each candidate
-search runs once per (Y, M, subspace) and each seed is drawn once, a zero
-draw is not tried, and the over-cap fallback goes on with the seed's
-stream.  These tests pin all of these, and check on random morphisms that
-the certificates hold and do not depend on the memo, and that the pullback
-legs read off the kernel, like every split_rows, are the projections
-composed with the map.
+search runs once per (Y, M, subspace), a search draws only the tries it
+makes, a zero draw is not tried, and the over-cap fallback goes on with
+the seed's stream.  These tests pin all of these, and check on random
+morphisms that the certificates hold and do not depend on the memo, and
+that the pullback legs read off the kernel, like every split_rows, are the
+projections composed with the map.
 """
 
 import random
@@ -268,7 +268,7 @@ def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
     assert split_rows(warm, h, [X, W]) == [compose(warm, proj, h) for proj in _sum_projections(warm, [X, W])]
 
 
-# -- one search per subspace, one draw per seed ----------------------------------
+# -- one search per subspace, only the draws tried --------------------------------
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
@@ -296,26 +296,25 @@ def test_a_repeated_subspace_is_searched_once(monkeypatch, field):
         cold = cokernel(cold_Q, cold_Q.morphism_from_vector(f.source, f.target, twice.to_vector()))
         assert (again[0], again[1].to_vector()) == (cold[0], cold[1].to_vector())
     assert runs and len(runs) == len(set(runs))
-    assert Q._searches and Q._draws
+    assert Q._searches
 
 
 def _fresh_random_phase(Q, X, Y, subspace, conditions, budget, salt):
     """The random phase with a fresh generator per search and every draw
     tried, zero draws included: FOUND and its witness, or None."""
-    d = len(subspace)
-    rng = random.Random(f"{budget.seed}:{salt}:{d}")
-    for attempt in range(budget.retries):
-        radius = budget.coeff_base ** (1 + attempt // 3)
-        coeffs = [rng.randint(-radius, radius) for _ in range(d)]
+    for coeffs in _random_draws_of(budget.seed, len(subspace), budget, salt):
         m = _combine(Q, X, Y, subspace, coeffs)
         if all(c.holds(m) for c in conditions if c.required > 0):
             return SearchResult(SearchResult.FOUND, m)
     return None
 
 
-def _random_draws_of(seed, d):
-    """The random phase's draws for a budget seed, salt 0 and dimension d."""
-    return preabelian._random_draws(random.Random(f"{seed}:0:{d}"), d, Budget())
+def _random_draws_of(seed, d, budget=Budget(), salt=0):
+    """The random phase's draws for a budget seed, a salt and dimension d, all
+    budget.retries of them, zero ones included."""
+    rng = random.Random(f"{seed}:{salt}:{d}")
+    radii = (budget.coeff_base ** (1 + attempt // 3) for attempt in range(budget.retries))
+    return [[rng.randint(-r, r) for _ in range(d)] for r in radii]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
@@ -338,10 +337,6 @@ def test_a_zero_first_draw_changes_no_search(field):
             got = search_open_conditions(P, X, Y, basis, conditions, budget, 0)
             assert got.status == want.status
             assert (got.witness and got.witness.to_vector()) == (want.witness and want.witness.to_vector())
-        assert (f"{seeds[0]}:0:2", 10, 4) in P._draws
-    P.clear_verdict_tables()
-    assert not P._draws
-
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
@@ -367,3 +362,32 @@ def test_the_over_cap_fallback_goes_on_with_the_stream(field):
         pytest.fail("no fallback draw is a witness")
     res = search_open_conditions(P, X, Y, basis, conditions, budget, 0)
     assert (res.status, res.witness.to_vector()) == (SearchResult.FOUND, m.to_vector())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_a_search_found_at_its_first_try_draws_one_vector(monkeypatch, field):
+    # the random phase draws each try only when it comes up, so a search
+    # found at its first try makes d randint calls, not retries * d
+    P = build_cluster_category(3, field=field)
+    X, Y = P.obj({"P1": 1, "P2": 1}), P.single("P2")
+    basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+    conditions = epi_conditions(P, lambda m: m, Y)
+
+    def first_try_finds(seed):
+        (coeffs,) = _random_draws_of(seed, 2, Budget(retries=1))
+        return any(coeffs) and all(c.holds(_combine(P, X, Y, basis, coeffs)) for c in conditions)
+
+    seed = next(s for s in range(3000) if first_try_finds(s))
+    (first,) = _random_draws_of(seed, 2, Budget(retries=1))
+    calls = []
+
+    class Counting(random.Random):
+        def randint(self, a, b):
+            calls.append((a, b))
+            return super().randint(a, b)
+
+    monkeypatch.setattr(preabelian.random, "Random", Counting)
+    res = search_open_conditions(P, X, Y, basis, conditions, Budget(seed=seed), 0)
+    assert res.status == SearchResult.FOUND
+    assert res.witness.to_vector() == _combine(P, X, Y, basis, first).to_vector()
+    assert calls == [(-4, 4)] * 2

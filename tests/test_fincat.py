@@ -2,7 +2,7 @@ import gc
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quotcat import fincat
 from quotcat.clustergen import build_cluster_category
@@ -129,8 +129,21 @@ def perturbed(draw):
     return CategoryPresentation(P.field, P.objects, hom, comp, P.identities, sigma=P.sigma)
 
 
+def unspanned_chain4():
+    """chain4_category with w -> y -> z composing to zero.  The unit laws
+    hold, but the words of the generators w -> x, x -> y, y -> z no longer
+    reach Hom(w, z), so validation falls back to the full loop, which finds
+    ((y -> z) o (x -> y)) o (w -> x) != (y -> z) o ((x -> y) o (w -> x))."""
+    P = chain4_category()
+    comp = dict(P.comp)
+    comp[(0, 2, 3)] = [[[P.field.zero]]]
+    hom = {(i, j): P.hom_dim(i, j) for i in range(P.n) for j in range(P.n) if P.hom_dim(i, j)}
+    return CategoryPresentation(P.field, P.objects, hom, comp, P.identities)
+
+
 @settings(max_examples=60)
 @given(perturbed())
+@example(unspanned_chain4())
 def test_validation_matches_basis_composites(P):
     got = [v for v in validate_category(P).violations if v[0] in ("left-unit", "right-unit", "associativity")]
     assert sorted(got) == sorted(reference_violations(P))
@@ -157,6 +170,11 @@ def test_valid_presentations_are_checked_on_generating_words(monkeypatch):
     # the wrap sees the fallback an associativity failure takes
     broken = chain4_category(assoc_coeff=2)
     assert not validate_category(broken).ok and full == [broken]
+    # and the fallback words that do not span take
+    unspanned = unspanned_chain4()
+    assert not fincat._words_span(unspanned, fincat._word_generators(unspanned))
+    assert validate_category(unspanned).violations == [("associativity", (0, 1, 2, 3, 0, 0, 0))]
+    assert full == [broken, unspanned]
 
 
 def test_validation_composes_no_morphism(monkeypatch):

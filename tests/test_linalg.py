@@ -287,8 +287,6 @@ def test_integral_rationals_are_ints():
     for x in (3, -7, True, Fraction(4, 2), "3", "-6/3"):
         assert type(QQ.of(x)) is int
     assert QQ.of(Fraction(4, 2)) == 2 and QQ.of(True) == 1
-    assert type(QQ.parse("3")) is int
-    assert QQ.parse("1/2") == Fraction(1, 2)
     assert type(QQ.zero) is int and type(QQ.one) is int
     assert type(QQ.mul(Fraction(1, 2), 2)) is int
     assert type(QQ.add(Fraction(1, 2), Fraction(1, 2))) is int

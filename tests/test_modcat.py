@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quotcat import modcat
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded, NotInS
 from quotcat.fincat import Obj, all_rigid_supports, compose, opposite, precompose_matrix, validate_category
@@ -20,6 +21,7 @@ from quotcat.modcat import (
 )
 from quotcat.preabelian import Budget, SearchResult, build_morphism_family, is_regular, search_open_conditions
 from quotcat.quotient import build_quotient
+from quotcat.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +337,22 @@ def test_verify_equivalence_a3_selected(A3, TCT):
     rep2 = verify_equivalence(A3, T2)
     assert rep2.ok, rep2.as_dict()
     assert any(nt for (_, _, nt) in rep2.witnesses["full"])
+
+
+def test_a_verdict_builds_h_once_per_parent_map(A3, monkeypatch):
+    # FAITHFUL, the H-images and the lifts of realised fractions read one
+    # table: a lift equal to a parent basis map is not built again
+    built = []
+
+    def counted(P, f, Z):
+        built.append(f)
+        return postcompose(P, f, Z)
+
+    postcompose = modcat.postcompose_matrix
+    monkeypatch.setattr(modcat, "postcompose_matrix", counted)
+    rep = run_verification(A3, A3.obj({"P1": 1, "P3": 1}), budget=Budget(scan_pairs_cap=120))
+    assert rep["clauses"]["equivalence"]["status"] == "pass"
+    assert len(built) == len(set(built)) == 47
 
 
 def test_faithful_clause_negative_control(A3, TCT):

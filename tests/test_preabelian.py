@@ -25,6 +25,7 @@ from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
     Budget,
     ClauseResult,
+    RankCondition,
     SearchResult,
     build_morphism_family,
     coim_im_factorise,
@@ -327,6 +328,38 @@ def test_prime_field_negative_past_the_full_grid_is_certified():
         subspace = [basis[0], basis[2], basis[3]]
         res = search_open_conditions(P, X, Y, subspace, epi_conditions(P, lambda m: m, Y), Budget(retries=0), 0)
         assert res.status == SearchResult.CERTIFIED_EMPTY
+
+
+def _pairwise_conditions(P):
+    """Three 1 x 1 conditions on m = (x, y) in Hom(P1+P2, P2): x, y and x + y
+    nonzero.  Each alone has a witness on {0, 1}^2; over F_2 no m meets all
+    three, and over Q the joint grid is {0..3}^2."""
+    fld = P.field
+    X, Y = P.obj({"P1": 1, "P2": 1}), P.single("P2")
+    basis = [b.to_vector() for b in P.hom_basis(X, Y)]
+    assert len(basis) == 2
+    forms = [(1, 0), (0, 1), (1, 1)]
+
+    def condition(form):
+        return RankCondition(
+            lambda m: Matrix(fld, 1, 1, [[fld.of(sum(c * v for c, v in zip(form, m.to_vector())))]]), 1
+        )
+
+    return X, Y, basis, [condition(form) for form in forms]
+
+
+def test_joint_grid_over_f2_certifies_empty_by_exhausting_it():
+    P = build_cluster_category(3, field=GF(2))
+    X, Y, basis, conditions = _pairwise_conditions(P)
+    res = search_open_conditions(P, X, Y, basis, conditions, Budget(), 0)
+    assert res.status == SearchResult.CERTIFIED_EMPTY
+
+
+def test_joint_grid_over_the_cap_with_no_fallback_tries_runs_out_of_budget():
+    P = build_cluster_category(3)
+    X, Y, basis, conditions = _pairwise_conditions(P)
+    with pytest.raises(BoundsExceeded, match=r"joint grid 4\^2 exceeds the cap"):
+        search_open_conditions(P, X, Y, basis, conditions, Budget(retries=0, grid_cap=4), 0)
 
 
 @lru_cache(maxsize=None)

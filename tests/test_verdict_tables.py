@@ -1,11 +1,11 @@
-"""The cokernel, epi, search, draw and square tables last one verdict.
+"""The cokernel, epi, search and square tables last one verdict.
 
 `cokernel` keeps its results on the presentation, keyed by the map and the
 budget fields the search reads, and `is_epi` keeps its answers keyed by the
-map.  The cokernel's candidate searches, the random phase's draws and
-`pullback`'s limit squares are kept there too.  `kernel`, `pushout`,
-`is_mono` and `is_regular` reach them through Q or Q^op.  `run_verification` empties the tables of Q,
-Q^op, P and P^op when it returns.  These tests pin that a hit is the cold
+map.  The cokernel's candidate searches and `pullback`'s limit squares
+are kept there too.  `kernel`, `pushout`, `is_mono` and `is_regular` reach
+them through Q or Q^op.  `run_verification` empties the tables of Q, Q^op,
+P and P^op when it returns.  These tests pin that a hit is the cold
 answer, that running out of budget is never kept, that a verdict searches
 each key once, that no table outlives its verdict, and that a report does
 not depend on the verdicts run before it in the same process.
@@ -58,7 +58,7 @@ def _quotient(P, spec):
 
 
 def _tables(P):
-    return [(C._cokernels, C._epis, C._searches, C._draws, C._squares) for C in (P, P._opposite) if C is not None]
+    return [(C._cokernels, C._epis, C._searches, C._squares) for C in (P, P._opposite) if C is not None]
 
 
 def _report(P, spec):
