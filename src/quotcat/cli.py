@@ -169,6 +169,8 @@ def _parse_morphism(Q, tokens: _Tokens):
         if len(parts) == 3:
             i = resolve_object_name(Q, parts[0])
             j = resolve_object_name(Q, parts[1])
+            if not re.fullmatch(r"[0-9]+", parts[2]):
+                raise ShapeError(f"basis index {parts[2]!r} is not a non-negative integer")
             a = int(parts[2])
             if not (0 <= a < Q.hom_dim(i, j)):
                 raise ShapeError(f"basis index {a} out of range for ({parts[0]}, {parts[1]})")

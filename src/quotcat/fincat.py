@@ -57,15 +57,14 @@ class CategoryPresentation:
         self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' Objs
         self._layouts = {}  # X.mult -> hom_layout(X)
         # one verdict long (clear_verdict_tables): they hold maps of self
-        self._cokernels = {}  # (f, budget fields read) -> preabelian.cokernel's result
         self._epis = {}  # f -> preabelian.is_epi's answer
-        self._searches = {}  # candidate search key -> preabelian._search_cokernel's SearchResult
+        self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
         self._squares = {}  # (c, d, budget fields read) -> preabelian.pullback's LimitSquare
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the cokernel, epi, search and square tables, here and in the
-        opposite if built.
+        """Empty the epi, search and square tables, here and in the opposite
+        if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
@@ -73,7 +72,7 @@ class CategoryPresentation:
         """
         for P in (self, self._opposite):
             if P is not None:
-                for table in (P._cokernels, P._epis, P._searches, P._squares):
+                for table in (P._epis, P._searches, P._squares):
                     table.clear()
 
     # -- basic queries ------------------------------------------------

@@ -596,28 +596,6 @@ def block_diagonal_kernel_basis(field: Field, blocks):
     return out
 
 
-def kernel_basis_in_order(field: Field, vectors, keys):
-    """The basis kernel_basis returns for the span of vectors, with the
-    coordinates ordered by keys instead of by position.
-
-    vectors is a basis of the kernel.  The free columns are the last nonzero
-    coordinates the kernel's vectors can have, and the basis vector of a
-    free column is 1 there and 0 at every other free column.  So the basis
-    is the reduced echelon form of the span with the coordinates read in
-    decreasing key order, its rows sorted by pivot in increasing key order.
-    """
-    order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
-    m = Matrix(field, len(vectors), len(order), [[v[c] for c in order] for v in vectors])
-    reduced, pivots = m.rref()
-    out = []
-    for row in reversed(reduced.data[: len(pivots)]):
-        v = [field.zero] * len(keys)
-        for c, x in zip(order, row):
-            v[c] = x
-        out.append(v)
-    return out
-
-
 def vec_add(field: Field, u, v):
     if len(u) != len(v):
         raise ShapeError("vector length mismatch")

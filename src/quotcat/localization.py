@@ -36,10 +36,10 @@ class Fraction:
 
     __slots__ = ("Q", "source", "target", "aux", "denom", "num")
 
-    def __init__(self, Q: CategoryPresentation, denom: Morphism, num: Morphism, _checked: bool = False):
+    def __init__(self, Q: CategoryPresentation, denom: Morphism, num: Morphism):
         if denom.source != num.source:
             raise ShapeError("fraction legs must share their auxiliary object")
-        if not _checked and not is_regular(Q, denom):
+        if not is_regular(Q, denom):
             raise NotRegular("fraction denominator is not regular")
         self.Q = Q
         self.aux = denom.source
@@ -58,7 +58,7 @@ class Fraction:
 
 def from_morphism(Q: CategoryPresentation, f: Morphism) -> Fraction:
     """The image [id, f] of f under the localisation functor."""
-    return Fraction(Q, Q.identity(f.source), f, _checked=True)
+    return Fraction(Q, Q.identity(f.source), f)
 
 
 def identity_fraction(Q: CategoryPresentation, X: Obj) -> Fraction:
@@ -69,7 +69,7 @@ def invert_regular(Q: CategoryPresentation, r: Morphism) -> Fraction:
     """[r, id]: the formal inverse of a regular morphism."""
     if not is_regular(Q, r):
         raise NotRegular("cannot invert: morphism is not regular")
-    return Fraction(Q, r, Q.identity(r.source), _checked=True)
+    return Fraction(Q, r, Q.identity(r.source))
 
 
 def compose_fractions(Q: CategoryPresentation, G: Fraction, F: Fraction, budget: Budget = DEFAULT_BUDGET) -> Fraction:

@@ -28,7 +28,7 @@ from .fincat import (
     split_rows,
     structure_constants,
 )
-from .linalg import Matrix, RowSpace, intertwiners, kernel_basis_in_order
+from .linalg import Matrix, RowSpace, intertwiners
 from .localization import Fraction
 from .preabelian import (
     Budget,
@@ -168,9 +168,10 @@ def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
     Phi commutes with the idempotent of each copy s of T, so it is the sum
     of blocks phi_s: Hom(T_s, X) -> Hom(T_s, Y).  A basis element of End(T)
     in the block T_s -> T_t relates two of them, phi_s * a = b * phi_t, so
-    the blocks solve one intertwiner system whose vertices are T's copies.
-    The basis is the one kernel_basis gives for the flat system in the
-    row-major entries of Phi.
+    the blocks solve one intertwiner system whose vertices are T's copies,
+    and the basis is the one intertwiners gives for it.  For indecomposable
+    X and Y the unknowns of the blocks are the row-major entries of Phi, so
+    that basis is the one kernel_basis gives for the flat system.
     """
     f = M.P.field
     relations = [(t, s, a, b) for (t, s, a), (_, _, b) in zip(M.copy_actions, N.copy_actions)]
@@ -178,13 +179,8 @@ def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
     tgt = [len(rows) for rows in N.positions]
     # entries[u] is the (row, column) of Phi that unknown u of the block system is
     entries = [(r, c) for rows, cols in zip(N.positions, M.positions) for r in rows for c in cols]
-    basis = intertwiners(f, src, tgt, relations)
-    # entries are in flat order when X and Y are indecomposable, and the
-    # block basis is then the flat one as it stands
-    if any(u > v for u, v in zip(entries, entries[1:])):
-        basis = kernel_basis_in_order(f, basis, entries)
     out = []
-    for v in basis:
+    for v in intertwiners(f, src, tgt, relations):
         data = [[f.zero] * M.dim for _ in range(N.dim)]
         for (r, c), x in zip(entries, v):
             data[r][c] = x

@@ -355,9 +355,6 @@ def _extend(down, up, last, mult, need, room, out):
     mult.pop()
 
 
-_UNSEEN = object()
-
-
 def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
     """Cokernel of f by complete bounded search, or None (certified).
 
@@ -370,21 +367,6 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     counts and every candidate's subspace come from one precompose_matrices
     pass over f.
 
-    Results, None included, are kept on Q for one verdict, keyed by f and
-    the budget fields the search reads: run_verification empties the table
-    when it returns.  BoundsExceeded is not kept, so a search that ran out
-    of budget runs again.
-    """
-    key = (f, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
-    res = Q._cokernels.get(key, _UNSEEN)
-    if res is _UNSEEN:
-        res = Q._cokernels[key] = _search_cokernel(Q, f, budget)
-    return res
-
-
-def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
-    """The search behind cokernel, run once per key of its table.
-
     Each candidate's search is kept in Q._searches for one verdict, keyed by
     (Y.mult, M.mult, the subspace vectors, seed, retries, coeff_base,
     grid_cap).  That key covers everything the search reads: its domain Y
@@ -395,7 +377,11 @@ def _search_cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget):
     function of M.mult.  So two cokernel searches that reach one key run the
     same search, and the second reads the first's result.  They may then
     share one witness object, which is safe because maps are immutable.
-    BoundsExceeded propagates and is not kept.
+    A repeated call with the same f and budget fields makes the same pass,
+    so it reaches the same keys and returns the same M and witness object,
+    or None.  run_verification empties the table when it returns.
+    BoundsExceeded propagates and is not kept, so a search that ran out of
+    budget runs again.
     """
     Y = f.target
     blocks = precompose_matrices(Q, f)  # - o f on each Hom(Y, Z_k)
@@ -456,8 +442,8 @@ class LimitSquare:
 def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget = DEFAULT_BUDGET) -> LimitSquare:
     """Kernel-based pullback of c: B -> D and d: C -> D.
 
-    Squares are kept on Q for one verdict, keyed like the cokernel table by
-    (c, d) and the budget fields the kernel search reads: run_verification
+    Squares are kept on Q for one verdict, keyed like the candidate searches
+    by (c, d) and the budget fields the kernel search reads: run_verification
     empties the table when it returns.  A square that cannot be built is not
     kept.  Building the square of (c, d) also keeps its exchange: if
     (A, a, b) is a pullback of (c, d), then (A, b, a) is a pullback of

@@ -207,6 +207,16 @@ def test_fraction_parse_error_position(a3_path, capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("index", ["x", "0_0", "+0"])
+def test_fraction_basis_index_is_ascii_digits(a3_path, capsys, index):
+    # int() would raise a bare ValueError on "x" and read "0_0" and "+0" as 0
+    code = main(["fraction", a3_path, "P1+P3", f"[id, P1:P2:{index}]", "[id, P1:P2:0]"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.splitlines() == [f"error: at position 5: basis index '{index}' is not a non-negative integer"]
+    assert out.splitlines() == ["[P1 <= P1 => P2; denom (P1 -> P1: [1]), num (P1 -> P2: [1])]"]
+
+
 @pytest.mark.parametrize(
     "expr, token, position",
     [

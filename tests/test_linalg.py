@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.errors import FieldMismatch, ShapeError
-from quotcat.linalg import GF, QQ, Matrix, RowSpace, intertwiners, kernel_basis_in_order
+from quotcat.linalg import GF, QQ, Matrix, RowSpace, intertwiners
 
 
 def test_rank_empty_matrix():
@@ -360,21 +359,3 @@ def test_intertwiners_against_brute_force(system):
         _intertwines(p, src, tgt, relations, v) for v in itertools.product(range(p), repeat=total)
     )
     assert p ** len(basis) == solutions
-
-
-@settings(max_examples=200)
-@given(matrices(), st.randoms(use_true_random=False))
-def test_kernel_basis_in_order_is_kernel_basis_of_reordered_columns(m, rng):
-    # any basis of the kernel, here a mixed and shuffled one, gives the basis
-    # that kernel_basis returns once the columns are put in key order
-    keys = list(range(m.ncols))
-    rng.shuffle(keys)
-    moved = [[None] * m.ncols for _ in range(m.nrows)]
-    for i, row in enumerate(m.data):
-        for c, x in enumerate(row):
-            moved[i][keys[c]] = x
-    want = [[v[keys[c]] for c in range(m.ncols)] for v in Matrix(m.field, m.nrows, m.ncols, moved).kernel_basis()]
-    basis, add = m.kernel_basis(), m.field.add
-    some_basis = [[functools.reduce(add, col) for col in zip(*basis[i:])] for i in range(len(basis))]
-    rng.shuffle(some_basis)
-    assert kernel_basis_in_order(m.field, some_basis, keys) == want

@@ -4,10 +4,10 @@ import pytest
 
 from quotcat import modcat
 from quotcat.clustergen import build_cluster_category
-from quotcat.errors import BoundsExceeded, NotInS
+from quotcat.errors import BoundsExceeded, NotInS, NotRegular
 from quotcat.fincat import Obj, all_rigid_supports, compose, opposite, precompose_matrix, validate_category
 from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism, identity_fraction
-from quotcat.linalg import GF, QQ, Matrix, intertwiners
+from quotcat.linalg import GF, QQ, Matrix, RowSpace, intertwiners
 from quotcat.modcat import (
     HFunctor,
     _leg_sources,
@@ -209,9 +209,12 @@ def test_h_fraction_denominator_must_be_inverted(A3, TCT, H_CT):
     qc = build_quotient(A3, TCT)
     Q = qc.presentation
     # hand-build a fraction object with a non-regular denominator, bypassing
-    # the constructor check, to confirm the guard fires
+    # the constructor, which refuses it, to confirm the guard fires
     z = Q.zero_morphism(Q.single("S2"), Q.single("S2"))
-    F = Fraction(Q, z, z, _checked=True)
+    with pytest.raises(NotRegular):
+        Fraction(Q, z, z)
+    F = Fraction.__new__(Fraction)
+    F.denom = F.num = z
     with pytest.raises(NotInS):
         h_fraction(H_CT, qc, F)
 
@@ -285,21 +288,28 @@ def _dense_module_hom_space(M, N):
 @pytest.mark.parametrize("side", ["C", "Cop"])
 @pytest.mark.parametrize("summands", [{"P1": 1, "P2": 1, "P3": 1}, {"P1": 2, "P2": 1}, {"P1": 1, "P3": 1}])
 def test_block_solve_is_the_dense_solve(field, side, summands):
-    # the same matrices in the same order: the lifted indecomposables of the
-    # quotient in every ordered pair, then H(T) with itself
+    # the same matrices in the same order for the lifted indecomposables of
+    # the quotient in every ordered pair, as FULL reads them; for H(T) with
+    # itself, whose block unknowns are not in flat order, the same span
     P = build_cluster_category(3, field=field)
     T = P.obj(summands)
     qc = build_quotient(P, T)
     P = opposite(P) if side == "Cop" else P
     H = HFunctor(P, T)
     lifted = [qc.lift_obj(qc.presentation.single(x)) for x in range(qc.presentation.n)]
-    pairs = list(itertools.product(lifted, repeat=2)) + [(T, T)]
-    for X, Y in pairs:
+    for X, Y in itertools.product(lifted, repeat=2):
         M, N = H.module(X), H.module(Y)
         maps = module_hom_space(M, N)
         assert maps == _dense_module_hom_space(M, N), (X, Y)
         assert all(_commutes_with_actions(H, X, Y, m) for m in maps)
-    assert len(module_hom_space(H.module(T), H.module(T))) == P.hom_space_dim(T, T)
+    M = H.module(T)
+    maps, dense = module_hom_space(M, M), _dense_module_hom_space(M, M)
+    assert len(maps) == len(dense) == P.hom_space_dim(T, T)
+    flat = [[[x for row in m.data for x in row] for m in ms] for ms in (maps, dense)]
+    spans = [RowSpace.from_rows(P.field, M.dim * M.dim, vs) for vs in flat]
+    assert [span.dim for span in spans] == [len(maps)] * 2
+    assert all(spans[1].contains(v) for v in flat[0])
+    assert all(_commutes_with_actions(H, T, T, m) for m in maps)
 
 
 def test_block_solve_memory_at_a6():

@@ -1,14 +1,15 @@
-"""The cokernel, epi, search and square tables last one verdict.
+"""The epi, search and square tables last one verdict.
 
-`cokernel` keeps its results on the presentation, keyed by the map and the
-budget fields the search reads, and `is_epi` keeps its answers keyed by the
-map.  The cokernel's candidate searches and `pullback`'s limit squares
-are kept there too.  `kernel`, `pushout`, `is_mono` and `is_regular` reach
-them through Q or Q^op.  `run_verification` empties the tables of Q, Q^op,
-P and P^op when it returns.  These tests pin that a hit is the cold
-answer, that running out of budget is never kept, that a verdict searches
-each key once, that no table outlives its verdict, and that a report does
-not depend on the verdicts run before it in the same process.
+`is_epi` keeps its answers on the presentation, keyed by the map, and
+`cokernel` keeps each candidate search there, keyed by the search's domain,
+codomain, subspace and the budget fields it reads.  `pullback`'s limit
+squares are kept there too.  `kernel`, `pushout`, `is_mono` and
+`is_regular` reach them through Q or Q^op.  `run_verification` empties the
+tables of Q, Q^op, P and P^op when it returns.  These tests pin that a
+repeated call reads the kept searches, that a hit is the cold answer, that
+running out of budget is never kept, that a verdict searches each key once,
+that no table outlives its verdict, and that a report does not depend on the
+verdicts run before it in the same process.
 """
 
 import collections
@@ -58,7 +59,7 @@ def _quotient(P, spec):
 
 
 def _tables(P):
-    return [(C._cokernels, C._epis, C._searches, C._squares) for C in (P, P._opposite) if C is not None]
+    return [(C._epis, C._searches, C._squares) for C in (P, P._opposite) if C is not None]
 
 
 def _report(P, spec):
@@ -83,10 +84,38 @@ def test_a_hit_is_the_cold_search(case):
             assert first is not None and cold is not None
             assert (again[0], again[1].to_vector()) == (first[0], first[1].to_vector())
             assert (again[0], again[1].to_vector()) == (cold[0], cold[1].to_vector())
-    assert warm._cokernels and opposite(warm)._cokernels
+    assert warm._searches and opposite(warm)._searches
 
 
-def test_running_out_of_budget_is_not_kept(A3):
+def _count_searches(monkeypatch):
+    """The arguments of each candidate search run from now on."""
+    searched = []
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return run_search(*args, **kwargs)
+
+    run_search = preabelian.search_open_conditions
+    monkeypatch.setattr(preabelian, "search_open_conditions", counted)
+    return searched
+
+
+def test_a_repeated_call_reads_the_kept_searches(case, monkeypatch):
+    # every candidate search of the first call is kept, so the repeat makes
+    # no search and returns the same M and the same witness object
+    name, P = case
+    Q = _quotient(P, CATEGORIES[name][3][0])
+    searched = _count_searches(monkeypatch)
+    for search in (cokernel, kernel):
+        for _, _, _, f in basis_morphisms(Q):
+            first = search(Q, f)
+            del searched[:]
+            again = search(Q, f)
+            assert not searched
+            assert again[0] == first[0] and again[1] is first[1]
+
+
+def test_running_out_of_budget_is_not_kept(A3, monkeypatch):
     Q, probe = _quotient(A3, "P1+P3"), _quotient(A3, "P1+P3")
     for _, _, _, f in basis_morphisms(Q):
         try:
@@ -95,14 +124,25 @@ def test_running_out_of_budget_is_not_kept(A3):
             break
     else:
         pytest.fail("no basis morphism runs out of the tight budget")
+    searched = _count_searches(monkeypatch)
     with pytest.raises(BoundsExceeded):
         cokernel(Q, f, TIGHT)
-    assert not Q._cokernels
+    # the searches decided before the raising one are kept, the raising one is not
+    kept = dict(Q._searches)
+    assert len(kept) == len(searched) - 1
+    del searched[:]
+    with pytest.raises(BoundsExceeded):
+        cokernel(Q, f, TIGHT)
+    # the repeat searches again: it reads the decided searches and runs the raising one
+    assert len(searched) == 1 and Q._searches == kept
     assert cokernel(Q, f) is not None
     with pytest.raises(BoundsExceeded):
         cokernel(Q, f, TIGHT)
-    # only the default budget's result is kept
-    assert [key[1:] for key in Q._cokernels] == [(1797, 10, 4, 500_000)]
+    # the tight budget's kept searches are still only the decided ones
+    tight = (TIGHT.seed, TIGHT.retries, TIGHT.coeff_base, TIGHT.grid_cap)
+    assert {key: res for key, res in Q._searches.items() if key[3:] == tight} == kept
+    # and every other kept search is the default budget's
+    assert {key[3:] for key in Q._searches if key not in kept} == {(1797, 10, 4, 500_000)}
 
 
 # -- one search per key within a verdict -----------------------------------------
@@ -186,7 +226,7 @@ def test_tables_are_empty_after_a_sweep(A3, monkeypatch):
     # the long-lived category itself is emptied by the next verdict too
     built, sizes = _watch(monkeypatch)
     _, _, _, f = next(basis_morphisms(A3))
-    assert kernel(A3, f) is not None and opposite(A3)._cokernels
+    assert kernel(A3, f) is not None and opposite(A3)._searches
     for support in all_rigid_supports(A3, 3)[:14]:
         T = A3.obj([int(i in support) for i in range(A3.n)])
         assert run_verification(A3, T, budget=CAPPED)["overall"] == "pass"
