@@ -12,7 +12,10 @@ Q, T = P1+...+P5, at the default budget) before the equivalence verifier's
 regular-leg searches were pruned by shape, and golden/reports_a7_q.json (C(A_7)
 over Q, T = P1+...+P7, at the default budget, whose quotient is the largest
 any golden file validates) before associativity was checked on generating
-words; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is the
+words, and golden/reports_a8_q_odd.json (C(A_8) over Q, T = P1+P3+P5+P7, at
+the default budget, whose FULL clause realises 90 fractions with a
+non-identity denominator) before the pullback stopped keeping exchanged
+squares; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is the
 one non-deterministic section.  golden/categories.json holds the sha256 of
 the saved form of 18 generated categories (C(A_1)..C(A_6), every orientation
 of C(A_4), C(A_3, "><") over Q, C(A_4, "><>") over GF(101), C(A_3) over GF(2)
@@ -76,6 +79,11 @@ def _cases_a7_q() -> dict:
     return {"A7/Q T=P1+...+P7": (a7, {"t_spec": a7.obj({f"P{i}": 1 for i in range(1, 8)})})}
 
 
+def _cases_a8_q_odd() -> dict:
+    a8 = build_cluster_category(8, field=QQ)
+    return {"A8/Q T=P1+P3+P5+P7": (a8, {"t_spec": a8.obj({f"P{i}": 1 for i in (1, 3, 5, 7)})})}
+
+
 def _cases_fail() -> dict:
     # integral and rf_axioms fail with leg details; then both run out of
     # budget in their leg clauses; then the preabelian clause itself does
@@ -101,6 +109,7 @@ CORPORA = {  # each file with the budget of the cases that name none
     "reports_fail.json": (_cases_fail, CAPPED),
     "reports_a5_q.json": (_cases_a5_q, Budget()),
     "reports_a7_q.json": (_cases_a7_q, Budget()),
+    "reports_a8_q_odd.json": (_cases_a8_q_odd, Budget()),
 }
 
 
@@ -145,6 +154,10 @@ def test_a5_q_default_budget_reports_match_golden():
 
 def test_a7_q_default_budget_reports_match_golden():
     _check("reports_a7_q.json")
+
+
+def test_a8_q_odd_projectives_reports_match_golden():
+    _check("reports_a8_q_odd.json")
 
 
 GENERATED = (  # (n, orientation, field) of each category in categories.json
