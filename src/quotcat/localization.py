@@ -4,8 +4,8 @@ Morphisms of the localised category are right fractions: a roof
 X <- A -> Y whose backwards leg is regular.  Composition completes squares
 by pullback, equality is decided on a pullback of denominators, and
 kernels/cokernels transfer from the underlying category.  All of it is
-exact linear algebra on the quotient presentation; the squares come from
-pullback's verdict table, which the property scan fills too.
+exact linear algebra on the quotient presentation; each square is pullback's
+for the ordered pair asked, kept in a table the property scan fills too.
 """
 
 from __future__ import annotations

@@ -442,16 +442,11 @@ class LimitSquare:
 def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget = DEFAULT_BUDGET) -> LimitSquare:
     """Kernel-based pullback of c: B -> D and d: C -> D.
 
-    Squares are kept on Q for one verdict, keyed like the candidate searches
-    by (c, d) and the budget fields the kernel search reads: run_verification
-    empties the table when it returns.  A square that cannot be built is not
-    kept.  Building the square of (c, d) also keeps its exchange: if
-    (A, a, b) is a pullback of (c, d), then (A, b, a) is a pullback of
-    (d, c), since c o a = d o b is the same equation and a map into both
-    legs factors through A either way.  So pullback(Q, d, c) reads that
-    square instead of building its own.  The exchange is kept first, so
-    that for c = d the key holds the square the kernel gave.  pushout keeps
-    its squares here too, in Q^op.
+    The square of (c, d) comes from kernel(Q, [c | -d], budget) and is kept
+    on Q for one verdict under (c, d, seed, retries, coeff_base, grid_cap):
+    run_verification empties the table when it returns.  No earlier call
+    changes it, and a square that cannot be built is not kept.  pushout
+    keeps its squares here too, in Q^op.
     """
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
@@ -467,7 +462,6 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
         sq = LimitSquare(A, c.source, d.source, c.target, a, b, c, d)
         if not sq.check_commutes(Q):
             raise InternalInconsistency("pullback square does not commute")
-        Q._squares[(d, c, *fixed)] = LimitSquare(A, d.source, c.source, c.target, b, a, d, c)
         Q._squares[(c, d, *fixed)] = sq
     return sq
 
@@ -647,26 +641,27 @@ def run_clause(body) -> ClauseResult:
     return ClauseResult("pass", checked) if detail is None else ClauseResult("fail", checked, detail)
 
 
-def _unit(units: dict, f: Morphism) -> Morphism:
-    """f scaled so that its first nonzero coordinate is one (a zero map is
-    its own), kept in units, one dict per scan.
+def _unit(units: dict, f: Morphism):
+    """(u, key): u is f scaled so that its first nonzero coordinate is one (a
+    zero map is its own), key is (source.mult, target.mult, u's coordinates);
+    both kept in units, one dict per scan.
 
     A leg clause asks only whether a leg is epi or mono, and one square
     answers that for a whole class of pairs.  For nonzero scalars s, t,
     ker [s x, -t y] is diag(1/s, 1/t) composed with ker [x, -y], so the legs
     of the pullback of (s x, t y) are nonzero multiples of those of (x, y);
     pushouts are dual, and any other kernel differs by an isomorphism of A.
-    Epi and mono are unchanged by nonzero scalars and isomorphisms, so the
-    scan asks for the square of the pair's unit representatives.  With the
-    exchange pullback keeps, it builds one square per unordered pair of
-    them.
+    Exchanging x and y exchanges the legs.  Epi and mono are unchanged by
+    all three, so the scan, not pullback, orders each class: it asks for the
+    square of the unit representatives with the smaller key (not hash()) first.
     """
-    u = units.get(f)
-    if u is None:
+    entry = units.get(f)
+    if entry is None:
         fld = f.P.field
         lead = next((c for c in f.to_vector() if c), fld.one)
-        u = units[f] = f if lead == fld.one else f.scale(fld.inv(lead))
-    return u
+        u = f if lead == fld.one else f.scale(fld.inv(lead))
+        entry = units[f] = (u, (f.source.mult, f.target.mult, tuple(u.to_vector())))
+    return entry
 
 
 def _leg_pairs(limit: str, given, others):
@@ -688,15 +683,18 @@ def _leg_clause(Q: CategoryPresentation, units: dict, limit: str, given, others,
     pairs (x, y) of _leg_pairs(limit, given, others).
 
     limit is "pullback" or "pushout"; prop is "epi", "mono" or "regular".
-    The leg is read off the square of the unit representatives (_unit) of x
-    and y.  A failure names the property and the pair of maps.  A missing
-    limit square fails the clause.
+    The leg is read off the square of x's and y's unit representatives, in
+    _unit's order.  A failure names the property and the pair of maps.  A
+    missing limit square fails the clause.
     """
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
         for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
-            ux, uy = _unit(units, x), _unit(units, y)
-            leg = pullback(Q, uy, ux, budget).a if limit == "pullback" else pushout(Q, ux, uy, budget).d
+            (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
+            if limit == "pullback":
+                leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
+            else:
+                leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
             yield
             if not has(Q, leg):
                 return (

@@ -12,7 +12,7 @@ makes, a zero draw is not tried, and the over-cap fallback goes on with
 the seed's stream.  These tests pin all of these, and check on random
 morphisms that the certificates hold and do not depend on the memo, and
 that the pullback legs read off the kernel, like every split_rows, are the
-projections composed with the map.
+projections composed with the map, whichever pairs were asked before.
 """
 
 import random
@@ -266,6 +266,43 @@ def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
     vec = data.draw(st.lists(st.sampled_from([0, -2, -1, 1, 3]), min_size=dim, max_size=dim))
     h = warm.morphism_from_vector(A, X + W, vec)
     assert split_rows(warm, h, [X, W]) == [compose(warm, proj, h) for proj in _sum_projections(warm, [X, W])]
+
+
+def _pairs_into_common_targets(Q, rng, n):
+    """n pairs (c, d) of maps between sums of at most two indecomposables,
+    with a common target and coordinates drawn from -3..3."""
+    objs = _small_objects(Q)
+    pairs = []
+    while len(pairs) < n:
+        D = rng.choice(objs)
+        sources = [X for X in objs if Q.hom_space_dim(X, D)]
+        if sources:
+            c, d = (
+                Q.morphism_from_vector(X, D, [rng.randint(-3, 3) for _ in range(Q.hom_space_dim(X, D))])
+                for X in (rng.choice(sources), rng.choice(sources))
+            )
+            pairs.append((c, d))
+    return pairs
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+def test_a_pullback_is_the_square_of_the_pair_asked(case):
+    # asking (d, c) first leaves the square of (c, d) the one ker [c, -d]
+    # gives: its legs are the projections of that kernel, computed on a
+    # quotient that never built a square
+    if case.startswith("A3"):
+        P, t = build_cluster_category(3), {"P1": 1, "P3": 1}
+    else:
+        P, t = build_cluster_category(4, "><>", GF(101)), {"I1": 1, "P1": 1}
+    Q, fresh = (build_quotient(P, P.obj(t)).presentation for _ in range(2))
+    for c, d in _pairs_into_common_targets(Q, random.Random(5), 60):
+        pullback(Q, d, c)
+        sq = pullback(Q, c, d)
+        cf, df = (fresh.morphism_from_vector(m.source, m.target, m.to_vector()) for m in (c, d))
+        K, j = kernel(fresh, stack_cols(fresh, [cf, df.scale(-1)]))
+        projections = [compose(fresh, proj, j) for proj in _sum_projections(fresh, [c.source, d.source])]
+        assert sq.A == K
+        assert [leg.to_vector() for leg in (sq.a, sq.b)] == [proj.to_vector() for proj in projections]
 
 
 # -- one search per subspace, only the draws tried --------------------------------
