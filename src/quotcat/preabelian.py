@@ -538,14 +538,17 @@ def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEF
 class MorphismFamily:
     """The maps a scan ranges over, classified.
 
-    cokernel_maps and kernel_maps are filled by the preabelian clause of
-    scan_properties: the cokernel and kernel maps of the basis morphisms.
+    invertible holds the regulars with a two-sided inverse, decided once for
+    the leg clauses and the cluster-tilting clause.  cokernel_maps and
+    kernel_maps are filled by the preabelian clause of scan_properties: the
+    cokernel and kernel maps of the basis morphisms.
     """
 
     all: list = dc_field(default_factory=list)
     epis: list = dc_field(default_factory=list)
     monos: list = dc_field(default_factory=list)
     regulars: list = dc_field(default_factory=list)
+    invertible: set = dc_field(default_factory=set)
     cokernel_maps: list = dc_field(default_factory=list)
     kernel_maps: list = dc_field(default_factory=list)
 
@@ -585,6 +588,7 @@ def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDG
             fam.monos.append(m)
         if e and mo:
             fam.regulars.append(m)
+    fam.invertible = {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
     return fam
 
 
@@ -646,14 +650,16 @@ def _unit(units: dict, f: Morphism):
     zero map is its own), key is (source.mult, target.mult, u's coordinates);
     both kept in units, one dict per scan.
 
-    A leg clause asks only whether a leg is epi or mono, and one square
-    answers that for a whole class of pairs.  For nonzero scalars s, t,
-    ker [s x, -t y] is diag(1/s, 1/t) composed with ker [x, -y], so the legs
-    of the pullback of (s x, t y) are nonzero multiples of those of (x, y);
-    pushouts are dual, and any other kernel differs by an isomorphism of A.
-    Exchanging x and y exchanges the legs.  Epi and mono are unchanged by
-    all three, so the scan, not pullback, orders each class: it asks for the
-    square of the unit representatives with the smaller key (not hash()) first.
+    A leg clause asks only whether a leg is epi or mono.  A pair that meets
+    an invertible map needs no square (see _leg_clause); for every other
+    pair, one square answers that for a whole class of pairs.  For nonzero
+    scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed with
+    ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
+    multiples of those of (x, y); pushouts are dual, and any other kernel
+    differs by an isomorphism of A.  Exchanging x and y exchanges the legs.
+    Epi and mono are unchanged by all three, so the scan, not pullback,
+    orders each class: it asks for the square of the unit representatives
+    with the smaller key (not hash()) first.
     """
     entry = units.get(f)
     if entry is None:
@@ -678,23 +684,43 @@ def _leg_pairs(limit: str, given, others):
     return ((x, y) for x in given for y in partners.get(end(x), ()))
 
 
-def _leg_clause(Q: CategoryPresentation, units: dict, limit: str, given, others, prop: str, budget: Budget):
+def _leg_clause(
+    Q: CategoryPresentation, units: dict, invertible: set, limit: str, given, others, prop: str, budget: Budget
+):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
     pairs (x, y) of _leg_pairs(limit, given, others).
 
     limit is "pullback" or "pushout"; prop is "epi", "mono" or "regular".
-    The leg is read off the square of x's and y's unit representatives, in
-    _unit's order.  A failure names the property and the pair of maps.  A
-    missing limit square fails the clause.
+    A failure names the property and the pair of maps.  A missing limit
+    square fails the clause.
+
+    When x or y is in invertible, the leg is prop exactly when x is, and no
+    square is built.  Take x: B -> D and y: C -> D, and a pullback (A, a, b)
+    with y a = x b, a the leg opposite x.  If y is invertible, (B, y^-1 x,
+    id_B) is a pullback, so a = y^-1 x phi for an isomorphism phi: A -> B;
+    if x is invertible, (C, id_C, x^-1 y) is one, so a is an isomorphism, as
+    x is.  Dually, for x: A -> B and y: A -> C and a pushout (D, c, d) with
+    c x = d y, d the leg opposite x: if y is invertible, (B, id_B, x y^-1) is
+    a pushout, so d = psi x y^-1 for an isomorphism psi: B -> D; if x is
+    invertible, (C, y x^-1, id_C) is one, so d is an isomorphism.  Epi, mono
+    and regular are unchanged by composing with isomorphisms.  The argument
+    uses only that Q is a category, which the verdict's quotient clause
+    validates.
+
+    Every other leg is read off the square of x's and y's unit
+    representatives, in _unit's order.
     """
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
         for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
-            (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
-            if limit == "pullback":
-                leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
+            if x in invertible or y in invertible:
+                leg = x  # prop exactly when the leg is
             else:
-                leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
+                (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
+                if limit == "pullback":
+                    leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
+                else:
+                    leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
             yield
             if not has(Q, leg):
                 return (
@@ -745,7 +771,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", "pushout", fam.epis, "epi"),
         ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(Q, units, limit, given, fam.all, prop, budget))
+        report.clauses[name] = run_clause(_leg_clause(Q, units, fam.invertible, limit, given, fam.all, prop, budget))
     return report
 
 

@@ -21,7 +21,6 @@ from .preabelian import (
     Budget,
     DEFAULT_BUDGET,
     scan_properties,
-    solve_two_sided_inverse,
 )
 from .quotient import build_quotient, x_t_objects
 
@@ -144,13 +143,10 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
 
     # the cluster-tilting clause below reads the scan's regulars here, so the
     # later clauses do not hold the family
-    noninvertible = None
-    if t_spec is not None:
-        for r in prop.family.regulars:
-            if solve_two_sided_inverse(Q, r) is None:
-                noninvertible = f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
-                break
-    del prop
+    fam = prop.family
+    r = next((r for r in fam.regulars if r not in fam.invertible), None)
+    noninvertible = None if r is None else f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
+    del prop, fam
 
     # abelian localisation; running out of budget here and below is a clause
     # status, never a lost report

@@ -9,12 +9,15 @@ Q and in Q^op (where `is_mono` asks), for one verdict.  A square's answers
 also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
 unit representatives, the one with the smaller key first, and builds one
-square per class: the unordered pair of unit-normalised maps.  These tests
-pin that each class is built once (one miss of the square table) and that
-the sharing pays on C(A_3)/Q, that the invariance the sharing rests on holds
-on random pairs, and that the tables are transparent: every clause result
-equals the one computed by the plain per-clause loop below, which builds a
-square for every pair it meets.
+square per class: the unordered pair of unit-normalised maps.  A pair that
+meets an invertible map of the family builds no square at all: its leg is
+epi, mono or regular exactly when x is.  These tests pin that each class is
+built once (one miss of the square table) and that the sharing pays on
+C(A_3)/Q, that the invariance the sharing rests on holds on random pairs,
+that the rule for invertible pairs agrees with a freshly built square and
+leaves no such square in the tables, and that the tables are transparent:
+every clause result equals the one computed by the plain per-clause loop
+below, which builds a square for every other pair it meets.
 """
 
 import collections
@@ -30,7 +33,17 @@ from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NoCokernel, NoKernel
 from quotcat.fincat import opposite, validate_category
 from quotcat.linalg import GF
-from quotcat.preabelian import Budget, is_epi, is_mono, is_regular, pullback, pushout, run_clause, scan_properties
+from quotcat.preabelian import (
+    Budget,
+    is_epi,
+    is_mono,
+    is_regular,
+    pullback,
+    pushout,
+    run_clause,
+    scan_properties,
+    solve_two_sided_inverse,
+)
 from quotcat.quotient import build_quotient
 
 CAPPED = Budget(scan_pairs_cap=120)
@@ -75,20 +88,29 @@ def _fresh_legs(Q, limit, x, y, budget):
 
 
 # -- the per-clause loop, one square per pair met ---------------------------------
+#
+# A pair that meets an invertible regular of the family is answered by x
+# itself, as in the scan: its leg is x up to isomorphisms, or an isomorphism
+# as x is.  Building its square instead would spend budget the scan does not
+# spend, so a clause that runs out of budget would stop at another pair.
 
 
-def _pullback_legs(Q, given, others, budget):
+def _invertible_regulars(Q, fam):
+    return {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
+
+
+def _pullback_legs(Q, given, others, inv, budget):
     for d in given:
         for c in others:
             if c.target == d.target:
-                yield d, c, _fresh_legs(Q, "pullback", d, c, budget)[0]
+                yield d, c, d if d in inv or c in inv else _fresh_legs(Q, "pullback", d, c, budget)[0]
 
 
-def _pushout_legs(Q, given, others, budget):
+def _pushout_legs(Q, given, others, inv, budget):
     for a in given:
         for b in others:
             if b.source == a.source:
-                yield a, b, _fresh_legs(Q, "pushout", a, b, budget)[0]
+                yield a, b, a if a in inv or b in inv else _fresh_legs(Q, "pushout", a, b, budget)[0]
 
 
 def _plain_leg_clause(legs, ok, budget):
@@ -107,17 +129,18 @@ def _plain_leg_clause(legs, ok, budget):
 
 
 def _plain_leg_clauses(Q, fam, budget) -> dict:
+    inv = _invertible_regulars(Q, fam)
     return {
         name: run_clause(_plain_leg_clause(legs, ok, budget))
         for name, legs, ok in (
-            ("pullback_cokernel_leg", _pullback_legs(Q, fam.cokernel_maps, fam.all, budget), is_epi),
-            ("pullback_epi_leg", _pullback_legs(Q, fam.epis, fam.all, budget), is_epi),
-            ("pullback_mono_leg", _pullback_legs(Q, fam.monos, fam.all, budget), is_mono),
-            ("pullback_regular_leg", _pullback_legs(Q, fam.regulars, fam.all, budget), is_regular),
-            ("pushout_kernel_leg", _pushout_legs(Q, fam.kernel_maps, fam.all, budget), is_mono),
-            ("pushout_mono_leg", _pushout_legs(Q, fam.monos, fam.all, budget), is_mono),
-            ("pushout_epi_leg", _pushout_legs(Q, fam.epis, fam.all, budget), is_epi),
-            ("pushout_regular_leg", _pushout_legs(Q, fam.regulars, fam.all, budget), is_regular),
+            ("pullback_cokernel_leg", _pullback_legs(Q, fam.cokernel_maps, fam.all, inv, budget), is_epi),
+            ("pullback_epi_leg", _pullback_legs(Q, fam.epis, fam.all, inv, budget), is_epi),
+            ("pullback_mono_leg", _pullback_legs(Q, fam.monos, fam.all, inv, budget), is_mono),
+            ("pullback_regular_leg", _pullback_legs(Q, fam.regulars, fam.all, inv, budget), is_regular),
+            ("pushout_kernel_leg", _pushout_legs(Q, fam.kernel_maps, fam.all, inv, budget), is_mono),
+            ("pushout_mono_leg", _pushout_legs(Q, fam.monos, fam.all, inv, budget), is_mono),
+            ("pushout_epi_leg", _pushout_legs(Q, fam.epis, fam.all, inv, budget), is_epi),
+            ("pushout_regular_leg", _pushout_legs(Q, fam.regulars, fam.all, inv, budget), is_regular),
         )
     }
 
@@ -193,19 +216,21 @@ def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
 
 @functools.cache
 def _eligible_pairs(case):
-    """The (limit, x, y) pairs a scan of case meets, x from any given list."""
+    """The (limit, x, y) pairs a scan of case meets, x from any given list,
+    and the family's invertible maps."""
     cat, t = case.split(" T=")
     P = build_cluster_category(4, "><>", GF(101)) if cat.startswith("A4") else build_cluster_category(3)
     Q = build_quotient(P, P.obj({s: 1 for s in t.split("+")})).presentation
     fam = scan_properties(Q, CAPPED).family
     givens = fam.all + fam.cokernel_maps + fam.kernel_maps
-    return Q, [
+    pairs = [
         (limit, x, y)
         for limit, meet in (("pullback", "target"), ("pushout", "source"))
         for x in givens
         for y in fam.all
         if getattr(x, meet) == getattr(y, meet)
     ]
+    return Q, pairs, fam.invertible
 
 
 def _answers(Q, *maps):
@@ -224,7 +249,7 @@ _NONZERO = st.builds(
 @settings(max_examples=30)
 @given(data=st.data(), s=_NONZERO, t=_NONZERO)
 def test_square_answers_survive_rescaling_and_exchange(case, data, s, t):
-    Q, pairs = _eligible_pairs(case)
+    Q, pairs, _ = _eligible_pairs(case)
     limit, x, y = data.draw(st.sampled_from(pairs))
     legs = _fresh_legs(Q, limit, x, y, CAPPED)
     # the square of (y, x) is its own, built from its own kernel; its legs
@@ -232,6 +257,22 @@ def test_square_answers_survive_rescaling_and_exchange(case, data, s, t):
     exchanged = _fresh_legs(Q, limit, y, x, CAPPED)
     assert _answers(Q, *exchanged) == _answers(Q, *legs[::-1])
     assert _answers(Q, *_fresh_legs(Q, limit, x.scale(s), y.scale(t), CAPPED)) == _answers(Q, *legs)
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+@settings(max_examples=30)
+@given(data=st.data(), s=_NONZERO, t=_NONZERO)
+def test_pairs_meeting_an_isomorphism_answer_as_x(case, data, s, t):
+    # the scan answers such a pair by x itself; the leg opposite x of a
+    # freshly built square must answer the same, before and after rescaling
+    Q, pairs, inv = _eligible_pairs(case)
+    limit, x, y = data.draw(st.sampled_from([p for p in pairs if p[1] in inv or p[2] in inv]))
+    x_iso = x in inv
+    for x, y in ((x, y), (x.scale(s), y.scale(t))):
+        leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
+        assert _answers(Q, leg) == _answers(Q, x)
+        # the leg opposite an isomorphism is one
+        assert not x_iso or solve_two_sided_inverse(Q, leg) is not None
 
 
 @pytest.mark.parametrize(
@@ -271,6 +312,23 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
         assert statuses["bounds-exceeded"] >= 2
     if kind == "subcat":
         assert statuses["fail"] >= 2
+
+
+def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
+    # T = I3+SP2 has a regular map that is not invertible, SP2 -> P1
+    Q = build_quotient(A3, A3.obj({"I3": 1, "SP2": 1})).presentation
+    fam = scan_properties(Q, CAPPED).family
+    inv = fam.invertible
+    assert {Q.identity(Q.single(i)) for i in range(Q.n)} <= inv
+    witness = next(r for r in fam.regulars if r not in inv)
+    assert (Q.obj_name(witness.source), Q.obj_name(witness.target)) == ("SP2", "P1")
+    assert solve_two_sided_inverse(Q, witness) is None
+    assert inv == {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
+    # pushout keeps its squares in Q^op, under the maps' opposite twins
+    for P in (Q, opposite(Q)):
+        assert P._squares
+        for c, d, *_ in P._squares:
+            assert solve_two_sided_inverse(P, c) is None and solve_two_sided_inverse(P, d) is None
 
 
 def test_leg_pairs_keep_the_filtered_order(A4):
