@@ -228,7 +228,7 @@ def parse_object_spec(P: CategoryPresentation, spec: str) -> Obj:
             continue
         if "^" in part:
             name, _, power = part.partition("^")
-            count = int(power) if power.strip().isdecimal() else 0
+            count = int(power) if power.isascii() and power.strip().isdecimal() else 0
             if count < 1:
                 raise ShapeError(f"object spec part {part!r}: the power is not a positive integer")
         else:

@@ -34,7 +34,6 @@ from .errors import (
     NoCokernel,
     NoKernel,
     NotRegular,
-    NotRigid,
     QuotcatError,
     ShapeError,
 )
@@ -76,7 +75,7 @@ def _load_budget(args) -> Budget:
 def _field_from_arg(name: str):
     if name in ("Q", "QQ", "q"):
         return QQ
-    m = re.fullmatch(r"[Ff]p?(\d+)", name)
+    m = re.fullmatch(r"[Ff]p?([0-9]+)", name)
     if not m:
         raise ShapeError(f"unknown field {name!r}; use Q or F<p>")
     return GF(int(m.group(1)))
@@ -253,14 +252,8 @@ def cmd_fraction(args) -> int:
     for expr in args.expressions:
         try:
             print(evaluate_fraction_expression(Q, expr, budget))
-            continue
-        except BoundsExceeded as e:
-            print(f"bounds exceeded: {e}", file=sys.stderr)
-            code = EXIT_BOUNDS
-        except (ShapeError, NotRegular, NoKernel, NoCokernel) as e:
-            print(f"error: {e}", file=sys.stderr)
-            code = EXIT_USAGE if isinstance(e, ShapeError) else EXIT_CLAUSE_FAIL
-        status = max(status, code, key=_SEVERITY.index)
+        except (BoundsExceeded, ShapeError, NotRegular, NoKernel, NoCokernel) as e:
+            status = max(status, _failure(e), key=_SEVERITY.index)
     return status
 
 
@@ -269,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a type-A cluster category file")
-    g.add_argument("n", type=int)
+    g.add_argument("n", type=_int_arg)
     g.add_argument("out")
     g.add_argument("--orientation", default=None, help="string of < and > of length n-1")
     g.add_argument("--field", default="Q", help="Q (default) or F<p>")
@@ -298,12 +291,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _int_arg(text: str) -> int:
+    """int(text) for ASCII text only, since int() also reads the digits of
+    other scripts; argparse reports a refusal as it does for type=int."""
+    try:
+        return int(text.encode("ascii"))
+    except ValueError:  # UnicodeEncodeError included
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _budget_flags(p):
     p.add_argument("--config", default=None, help="budget config JSON (or QUOTCAT_CONFIG)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--retries", type=int, default=None)
-    p.add_argument("--grid-cap", dest="grid_cap", type=int, default=None)
-    p.add_argument("--scan-pairs-cap", dest="scan_pairs_cap", type=int, default=None)
+    p.add_argument("--seed", type=_int_arg, default=None)
+    p.add_argument("--retries", type=_int_arg, default=None)
+    p.add_argument("--grid-cap", dest="grid_cap", type=_int_arg, default=None)
+    p.add_argument("--scan-pairs-cap", dest="scan_pairs_cap", type=_int_arg, default=None)
+
+
+def _failure(e: Exception) -> int:
+    """Print e as one stderr line and return its exit code: 3 when out of
+    budget, 2 for usage and data errors, 1 for any other library error."""
+    if isinstance(e, BoundsExceeded):
+        print(f"bounds exceeded: {e}", file=sys.stderr)
+        return EXIT_BOUNDS
+    print(f"error: {e}", file=sys.stderr)
+    usage = (GenerationError, ShapeError, MissingSuspension, OSError, ValueError)
+    return EXIT_USAGE if isinstance(e, usage) else EXIT_CLAUSE_FAIL
 
 
 def main(argv=None) -> int:
@@ -311,18 +324,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (NotRigid,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CLAUSE_FAIL
-    except (GenerationError, ShapeError, MissingSuspension, OSError, ValueError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundsExceeded as e:
-        print(f"bounds exceeded: {e}", file=sys.stderr)
-        return EXIT_BOUNDS
-    except QuotcatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CLAUSE_FAIL
+    except (QuotcatError, OSError, ValueError) as e:
+        return _failure(e)
 
 
 if __name__ == "__main__":

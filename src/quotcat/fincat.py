@@ -171,22 +171,12 @@ class CategoryPresentation:
 
     def basis_morphism(self, i: int, j: int, a: int) -> "Morphism":
         """Basis element a of Hom(i, j) as a morphism of single objects."""
-        vec = [self.field.zero] * self._dim[i][j]
-        vec[a] = self.field.one
-        return Morphism(self, self.single(i), self.single(j), [[vec]])
+        return Morphism(self, self.single(i), self.single(j), [[_unit(self.field, self._dim[i][j], a)]])
 
     def hom_basis(self, X: "Obj", Y: "Obj"):
         """All coordinate basis morphisms of Hom(X, Y), in flat order."""
         d = self.hom_space_dim(X, Y)
-        out = []
-        for k in range(d):
-            v = [self.field.zero] * d
-            v[k] = self.field.one
-            out.append(Morphism.from_vector(self, X, Y, v))
-        return out
-
-    def morphism_from_vector(self, X: "Obj", Y: "Obj", vec) -> "Morphism":
-        return Morphism.from_vector(self, X, Y, vec)
+        return [Morphism.from_coords(self, X, Y, _unit(self.field, d, k)) for k in range(d)]
 
     # -- suspension ----------------------------------------------------
 
@@ -803,8 +793,15 @@ def approximation(P: CategoryPresentation, S, C: Obj) -> Morphism:
     """Minimal right add-S-approximation of C.
 
     Starts from the tautologically covering map out of the full basis sum
-    and greedily deletes copies while the covering rank condition survives.
-    Deterministic scan order, so the result is reproducible.
+    and walks its copies once, in block order: a copy is deleted when the
+    covering rank condition survives without it, and the walk then stays
+    put, since the next copy has moved into its place.
+
+    This is the map of the greedy loop that restarts from copy 0 after each
+    deletion.  Covering is monotone: for x in S the image of a o - on
+    Hom(x, X) is spanned by the images through X's copies, so deleting
+    copies only shrinks it.  A copy that could not be deleted therefore
+    stays undeletable, and the restarts would re-test only such failures.
     """
     S = sorted(s if isinstance(s, int) else P.index(s) for s in S)
     # start object: one copy of x per basis element of Hom(x, C)
@@ -819,16 +816,13 @@ def approximation(P: CategoryPresentation, S, C: Obj) -> Morphism:
                 blocks[t].append(b.blocks[t][0])
     a = Morphism(P, X0, C, blocks)
     assert _approx_is_covering(P, S, a)
-    # greedy reduction
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(a.source.copies())):
-            trial = _delete_copy(P, a, pos)
-            if _approx_is_covering(P, S, trial):
-                a = trial
-                changed = True
-                break
+    pos = 0
+    while pos < len(a.source.copies()):
+        trial = _delete_copy(P, a, pos)
+        if _approx_is_covering(P, S, trial):
+            a = trial
+        else:
+            pos += 1
     return a
 
 

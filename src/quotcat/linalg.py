@@ -51,6 +51,14 @@ class Field:
         raise NotImplementedError
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text) for ASCII text only: Fraction also reads other
+    scripts' digits, which would not be written back as read."""
+    if not text.isascii():
+        raise ValueError(f"{text!r} is not an ASCII fraction string")
+    return Fraction(text)
+
+
 def _rational(r):
     """The element of QQ equal to the int, bool or Fraction r."""
     if type(r) is int:
@@ -73,7 +81,7 @@ class RationalField(Field):
         if isinstance(x, (int, Fraction)):
             return _rational(x)
         if isinstance(x, str):
-            return _rational(Fraction(x))
+            return _rational(_fraction(x))
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -157,7 +165,7 @@ class PrimeField(Field):
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator % self.p) * pow(den, -1, self.p) % self.p
         if isinstance(x, str):
-            return self.of(Fraction(x))
+            return self.of(_fraction(x))
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def add(self, a, b):

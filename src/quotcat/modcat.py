@@ -288,7 +288,7 @@ def realize_module_map(
         proj = RowSpace(field, len(cols))
         for v in mat.kernel_basis():
             proj.add(v[: len(cols)])
-        return [Q.morphism_from_vector(A, X, v) for v in proj.rows]
+        return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
     for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H

@@ -55,8 +55,8 @@ class Budget:
     def from_dict(cls, d: dict) -> "Budget":
         """A budget from config values; ValueError names a key it rejects.
 
-        Values are ints, integral floats or decimal strings; a bool or a
-        fraction is rejected, not truncated.  Every limit but the seed must
+        Values are ints, integral floats or ASCII decimal strings; a bool or
+        a fraction is rejected, not truncated.  Every limit but the seed must
         be non-negative, and grid_cap, scan_pairs_cap and coeff_base must be
         positive.
         """
@@ -68,7 +68,7 @@ class Budget:
             try:
                 if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
                     raise TypeError
-                v = int(v)
+                v = int(v.encode("ascii") if isinstance(v, str) else v)  # int() reads any script's digits
             except (TypeError, ValueError):
                 raise ValueError(f"budget {k} must be an integer, got {v!r}") from None
             least = 1 if k in ("grid_cap", "scan_pairs_cap", "coeff_base") else 0
@@ -117,7 +117,7 @@ def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
     or post-composition matrix, or several of them stacked.
     """
     sol = m.solve(want)
-    return None if sol is None else P.morphism_from_vector(X, Y, sol)
+    return None if sol is None else Morphism.from_vector(P, X, Y, sol)
 
 
 def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
@@ -176,11 +176,11 @@ def last_one(fn):
 
 
 def _combine(Q, X, Y, vecs, coeffs) -> Morphism:
-    """The morphism X -> Y with coordinates sum_i coeffs[i] * vecs[i]; vecs
-    is not empty."""
+    """The morphism X -> Y with coordinates sum_i coeffs[i] * vecs[i]; the
+    zero map when vecs is empty."""
     fld = Q.field
     add, mul = fld.add, fld.mul
-    out = [fld.zero] * len(vecs[0])
+    out = [fld.zero] * (len(vecs[0]) if vecs else Q.hom_space_dim(X, Y))
     for c, v in zip(coeffs, vecs):
         if c:
             c = fld.of(c)
@@ -236,8 +236,9 @@ def search_open_conditions(
     A rank-r condition is a nonzero r x r minor, of degree at most r in each
     coefficient, and such a polynomial does not vanish on all of S^d when
     |S| > r (Alon 1999).  So a miss on a condition's grid certifies, as does
-    a miss on all of F_p^d; otherwise the product of the minors, of degree
-    at most D in each coefficient, has a witness on the joint grid.  With
+    a miss on all of F_p^d, and for d = 0 each grid is the zero map alone;
+    otherwise the product of the minors, of degree at most D in each
+    coefficient, has a witness on the joint grid.  With
     D < p the first witness of F_p^d in lexicographic order lies in
     {0..D}^d: if x_i > D is the first coordinate of a witness x above D, the
     product with x_1..x_{i-1} fixed is nonzero at x, so it is nonzero at a
@@ -247,11 +248,6 @@ def search_open_conditions(
     live = [c for c in conditions if c.required > 0]
     if not live:
         return SearchResult(SearchResult.FOUND, Q.zero_morphism(X, Y))
-    if d == 0:
-        zero = Q.zero_morphism(X, Y)
-        if all(c.holds(zero) for c in live):
-            return SearchResult(SearchResult.FOUND, zero)
-        return SearchResult(SearchResult.CERTIFIED_EMPTY)
 
     rng = random.Random(f"{budget.seed}:{salt}:{d}")
     for attempt in range(budget.retries):
@@ -504,22 +500,15 @@ class Factorisation:
 
 
 def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET) -> Factorisation:
-    kres = kernel(Q, f, budget)
-    if kres is None:
-        raise NoKernel("morphism has no kernel")
-    K, kj = kres
-    cres = cokernel(Q, f, budget)
-    if cres is None:
-        raise NoCokernel("morphism has no cokernel")
-    Mc, ck = cres
-    ures = cokernel(Q, kj, budget)
-    if ures is None:
-        raise NoCokernel("kernel inclusion has no cokernel")
-    Coim, u = ures
-    vres = kernel(Q, ck, budget)
-    if vres is None:
-        raise NoKernel("cokernel map has no kernel")
-    Im, v = vres
+    def found(res, error, message):
+        if res is None:
+            raise error(message)
+        return res
+
+    kj = found(kernel(Q, f, budget), NoKernel, "morphism has no kernel")[1]
+    ck = found(cokernel(Q, f, budget), NoCokernel, "morphism has no cokernel")[1]
+    Coim, u = found(cokernel(Q, kj, budget), NoCokernel, "kernel inclusion has no cokernel")
+    Im, v = found(kernel(Q, ck, budget), NoKernel, "cokernel map has no kernel")
     w = factors_through_map(Q, f, u)
     if w is None:
         raise InternalInconsistency("f does not factor through its coimage")
@@ -573,7 +562,7 @@ def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDG
                 items.extend(Q.hom_basis(X, Y))
             for _ in range(budget.scan_random_per_pair):
                 vec = [Q.field.of(rng.randint(-2, 2)) for _ in range(d)]
-                items.append(Q.morphism_from_vector(X, Y, vec))
+                items.append(Morphism.from_vector(Q, X, Y, vec))
             for m in items:
                 if m.is_zero():
                     continue
@@ -601,9 +590,6 @@ class ClauseResult:
     checked: int = 0
     detail: str = ""
 
-    def as_dict(self):
-        return {"status": self.status, "checked": self.checked, "detail": self.detail}
-
 
 @dataclass
 class ClauseReport:
@@ -614,9 +600,6 @@ class ClauseReport:
     @property
     def ok(self) -> bool:
         return all(c.status == "pass" for c in self.clauses.values())
-
-    def as_dict(self):
-        return {k: v.as_dict() for k, v in self.clauses.items()}
 
 
 @dataclass

@@ -65,6 +65,8 @@ def run_verification(
     budget: Budget = DEFAULT_BUDGET,
 ) -> dict:
     """All theorem clauses for one category and one T (or explicit subcategory)."""
+    if (t_spec is None) == (subcat is None):
+        raise ValueError("pass exactly one of t_spec or subcat")
     report = {
         "category": {
             "name": P.metadata.get("name", "?"),

@@ -153,7 +153,7 @@ def A3_scans(A3):
 def test_criterion_03_integral_every_rigid_T(A3, A3_scans):
     checked = 0
     for T, _, rep in A3_scans:
-        assert rep.ok, (A3.obj_name(T), rep.as_dict())
+        assert rep.ok, (A3.obj_name(T), rep.clauses)
         checked += 1
     report(3, True, f"integrality scans pass for all {checked} rigid T in C(A_3) (within budget)")
 
@@ -162,7 +162,7 @@ def test_criterion_04_calculus_of_fractions(A3, A3_scans):
     checked = 0
     for T, Q, scan in A3_scans:
         rep = verify_rf_axioms(Q, scan, SCAN_BUDGET)
-        assert rep.ok, (A3.obj_name(T), rep.as_dict())
+        assert rep.ok, (A3.obj_name(T), rep.clauses)
         checked += 1
     report(
         4,
@@ -178,7 +178,7 @@ def test_criterion_05_abelian_localisation(A2, A3):
         for T in rigid_objects(P, P.metadata["n"]):
             qc = build_quotient(P, T)
             rep = check_abelian(qc.presentation, SCAN_BUDGET)
-            assert rep.ok, (P.obj_name(T), rep.as_dict())
+            assert rep.ok, (P.obj_name(T), rep.clauses)
             total += rep.clauses["abelian_middle_maps"].checked
         counts[label] = total
     report(
@@ -192,11 +192,11 @@ def test_criterion_05_abelian_localisation(A2, A3):
 def test_criterion_06_equivalence(A2, A3):
     for T in rigid_objects(A2, 2):
         rep = verify_equivalence(A2, T)
-        assert rep.ok, (A2.obj_name(T), rep.as_dict())
+        assert rep.ok, (A2.obj_name(T), rep.clauses)
     nontrivial_seen = False
     for T in rigid_objects(A3, 3):
         rep = verify_equivalence(A3, T)
-        assert rep.ok, (A3.obj_name(T), rep.as_dict())
+        assert rep.ok, (A3.obj_name(T), rep.clauses)
         if any(nt for (_, _, nt) in rep.witnesses["full"]):
             nontrivial_seen = True
         # the End-dimension identity is part of the projectives clause;

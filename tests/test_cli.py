@@ -6,6 +6,18 @@ from quotcat import cli
 from quotcat.catfile import load_category, save_category
 from quotcat.cli import main
 from quotcat.clustergen import build_cluster_category
+from quotcat.errors import (
+    BoundsExceeded,
+    GenerationError,
+    InternalInconsistency,
+    MissingSuspension,
+    NoCokernel,
+    NoKernel,
+    NotRegular,
+    NotRigid,
+    ShapeError,
+)
+from quotcat.verify import run_verification
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +55,27 @@ def test_verify_invalid_category_is_one_line(a3_path, tmp_path, capsys):
     assert main(["verify", str(bad), "--T", "P1"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_generate_refuses_a_field_with_non_ascii_digits(tmp_path, capsys):
+    # F followed by Arabic-Indic 101 once built GF(101)
+    assert main(["generate", "3", str(tmp_path / "x.json"), "--field", "F\u0661\u0660\u0661"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown field") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("arg", ["n", "--seed", "--retries", "--grid-cap", "--scan-pairs-cap"])
+def test_an_int_argument_with_non_ascii_digits_exits_2_through_argparse(a3_path, tmp_path, capsys, arg):
+    # int() reads Arabic-Indic 3 as 3
+    if arg == "n":
+        argv = ["generate", "\u0663", str(tmp_path / "x.json")]
+    else:
+        argv = ["verify", a3_path, "--T", "P2", arg, "\u0663"]
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2
+    assert "invalid int value: '\u0663'" in capsys.readouterr().err
 
 
 def test_generate_orientation_and_field(tmp_path):
@@ -131,6 +164,51 @@ def test_verify_usage_errors(a3_path, capsys):
     assert main(["verify", a3_path, "--T", "P1", "--subcat", "P2"]) == 2
     assert main(["verify", "/nonexistent.json", "--T", "P1"]) == 2
     capsys.readouterr()
+
+
+def test_run_verification_needs_exactly_one_of_t_spec_and_subcat():
+    # neither once raised a TypeError from iterating None; both once ran T
+    # and dropped subcat without a word
+    P = build_cluster_category(2)
+    for kw in ({}, {"t_spec": P.single("P1"), "subcat": {P.index("P1")}}):
+        with pytest.raises(ValueError, match="^pass exactly one of t_spec or subcat$"):
+            run_verification(P, **kw)
+
+
+# exception class -> the stderr prefix and exit code of the CLI's failure map
+FAILURES = {
+    BoundsExceeded: ("bounds exceeded: ", 3),
+    GenerationError: ("error: ", 2),
+    ShapeError: ("error: ", 2),
+    MissingSuspension: ("error: ", 2),
+    OSError: ("error: ", 2),
+    ValueError: ("error: ", 2),
+    NotRigid: ("error: ", 1),
+    NotRegular: ("error: ", 1),
+    NoKernel: ("error: ", 1),
+    NoCokernel: ("error: ", 1),
+    InternalInconsistency: ("error: ", 1),
+}
+
+
+@pytest.mark.parametrize("exc", list(FAILURES), ids=lambda exc: exc.__name__)
+@pytest.mark.parametrize("caller", ["main", "fraction"])
+def test_one_failure_map(a3_path, monkeypatch, capsys, caller, exc):
+    # main catches what a command raises; fraction catches per expression the
+    # errors it can go on after, and main the rest
+    def fail(*args):
+        raise exc("boom")
+
+    if caller == "main":
+        monkeypatch.setattr(cli, "run_cotorsion", fail)
+        argv = ["cotorsion", a3_path, "P2+P3+SP3"]
+    else:
+        monkeypatch.setattr(cli, "evaluate_fraction_expression", fail)
+        argv = ["fraction", a3_path, "P1+P3", "[id, P1:P2:0]"]
+    prefix, code = FAILURES[exc]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert not out and err.splitlines() == [prefix + "boom"]
 
 
 def test_report_deterministic(a3_path, tmp_path, capsys):
@@ -416,6 +494,7 @@ MALFORMED = {
     "zero denominator": _corrupt(("comp", 0), coeff="1/0"),
     "repeated hom entry": _repeat("hom", dim=2),
     "repeated comp entry": _repeat("comp", coeff="5"),
+    "non-ASCII digit coefficient": _corrupt(("comp", 0), coeff="\u0663"),
 }
 
 
@@ -464,8 +543,8 @@ def test_nonsense_budget_flags_exit_2(a3_path, flags, capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [{"seed": 1.5}, {"retries": 2.9}, {"seed": True}, {"scan_pairs_cap": False}, {"grid_cap": "2.5"}],
-    ids=["fractional seed", "fractional retries", "true seed", "false cap", "fractional string"],
+    [{"seed": 1.5}, {"retries": 2.9}, {"seed": True}, {"scan_pairs_cap": False}, {"grid_cap": "2.5"}, {"retries": "\u0663"}],
+    ids=["fractional seed", "fractional retries", "true seed", "false cap", "fractional string", "non-ASCII digit"],
 )
 def test_non_integral_budget_config_exits_2(a3_path, tmp_path, monkeypatch, capsys, config):
     # truncating would run, and report, a budget the config did not ask for
@@ -485,7 +564,7 @@ def test_integral_budget_values_are_read():
     assert (budget.seed, budget.retries, budget.grid_cap) == (12, 3, 1000)
 
 
-@pytest.mark.parametrize("spec", ["P1^-1", "P1^x", "P1^0"])
+@pytest.mark.parametrize("spec", ["P1^-1", "P1^x", "P1^0", "P1^\u0663"])
 def test_bad_power_in_object_spec_exits_2(a3_path, spec, capsys):
     assert main(["verify", a3_path, "--T", spec]) == 2
     err = capsys.readouterr().err

@@ -184,7 +184,7 @@ def morphisms(draw, Q, into=None):
     vec = [0] * d
     for pos in support:
         vec[pos] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
-    return Q.morphism_from_vector(X, Y, [Q.field.of(c) for c in vec])
+    return Morphism.from_vector(Q, X, Y, [Q.field.of(c) for c in vec])
 
 
 def _rank(m):
@@ -216,7 +216,7 @@ def _check_kernel(Q, f, res):
 def test_certificates_on_random_morphisms(A3, warm, data):
     f = data.draw(morphisms(warm))
     cold = _quotient(A3, ("P1", "P3"))
-    f_cold = cold.morphism_from_vector(f.source, f.target, f.to_vector())
+    f_cold = Morphism.from_vector(cold, f.source, f.target, f.to_vector())
     for search, check in ((cokernel, _check_cokernel), (kernel, _check_kernel)):
         res = search(warm, f)
         assert res is not None
@@ -264,7 +264,7 @@ def test_pullback_legs_are_the_projections_of_the_kernel(warm, data):
     A = data.draw(st.sampled_from([A for A in objs if warm.hom_space_dim(A, X + W)]))
     dim = warm.hom_space_dim(A, X + W)
     vec = data.draw(st.lists(st.sampled_from([0, -2, -1, 1, 3]), min_size=dim, max_size=dim))
-    h = warm.morphism_from_vector(A, X + W, vec)
+    h = Morphism.from_vector(warm, A, X + W, vec)
     assert split_rows(warm, h, [X, W]) == [compose(warm, proj, h) for proj in _sum_projections(warm, [X, W])]
 
 
@@ -278,7 +278,7 @@ def _pairs_into_common_targets(Q, rng, n):
         sources = [X for X in objs if Q.hom_space_dim(X, D)]
         if sources:
             c, d = (
-                Q.morphism_from_vector(X, D, [rng.randint(-3, 3) for _ in range(Q.hom_space_dim(X, D))])
+                Morphism.from_vector(Q, X, D, [rng.randint(-3, 3) for _ in range(Q.hom_space_dim(X, D))])
                 for X in (rng.choice(sources), rng.choice(sources))
             )
             pairs.append((c, d))
@@ -298,7 +298,7 @@ def test_a_pullback_is_the_square_of_the_pair_asked(case):
     for c, d in _pairs_into_common_targets(Q, random.Random(5), 60):
         pullback(Q, d, c)
         sq = pullback(Q, c, d)
-        cf, df = (fresh.morphism_from_vector(m.source, m.target, m.to_vector()) for m in (c, d))
+        cf, df = (Morphism.from_vector(fresh, m.source, m.target, m.to_vector()) for m in (c, d))
         K, j = kernel(fresh, stack_cols(fresh, [cf, df.scale(-1)]))
         projections = [compose(fresh, proj, j) for proj in _sum_projections(fresh, [c.source, d.source])]
         assert sq.A == K
@@ -330,7 +330,7 @@ def test_a_repeated_subspace_is_searched_once(monkeypatch, field):
         again = cokernel(Q, twice)
         assert len(runs) == before
         cold_Q = _quotient(P, ("P1", "P3"))
-        cold = cokernel(cold_Q, cold_Q.morphism_from_vector(f.source, f.target, twice.to_vector()))
+        cold = cokernel(cold_Q, Morphism.from_vector(cold_Q, f.source, f.target, twice.to_vector()))
         assert (again[0], again[1].to_vector()) == (cold[0], cold[1].to_vector())
     assert runs and len(runs) == len(set(runs))
     assert Q._searches

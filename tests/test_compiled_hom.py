@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from quotcat.clustergen import build_cluster_category
 from quotcat.fincat import (
     CategoryPresentation,
+    Morphism,
     Obj,
     compose,
     opposite,
@@ -101,7 +102,7 @@ def instances(draw):
     P = draw(st.sampled_from(categories()))
     X, Y, Z = draw(objects(P)), draw(objects(P)), draw(objects(P))
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=P.hom_space_dim(X, Y), max_size=P.hom_space_dim(X, Y)))
-    return P, P.morphism_from_vector(X, Y, coeffs), Z
+    return P, Morphism.from_vector(P, X, Y, coeffs), Z
 
 
 @settings(max_examples=80)

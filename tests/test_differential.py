@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.fincat import all_rigid_supports, compose
+from quotcat.fincat import Morphism, all_rigid_supports, compose
 from quotcat.linalg import GF, QQ
 from quotcat.localization import Fraction, fractions_equal
 from quotcat.modcat import HFunctor, h_fraction
@@ -68,7 +68,7 @@ def _roof_setting(name):
 
 def _random_map(data, Q, X, Y):
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=Q.hom_space_dim(X, Y), max_size=Q.hom_space_dim(X, Y)))
-    return Q.morphism_from_vector(X, Y, coeffs)
+    return Morphism.from_vector(Q, X, Y, coeffs)
 
 
 @settings(max_examples=40)

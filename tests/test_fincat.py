@@ -232,7 +232,7 @@ def test_compose_is_the_reference_loop(data):
     def morphism(X, Y):
         d = P.hom_space_dim(X, Y)
         vec = data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=d, max_size=d))
-        return P.morphism_from_vector(X, Y, vec)
+        return Morphism.from_vector(P, X, Y, vec)
 
     X, Y, Z = obj(), obj(), obj()
     f, g = morphism(X, Y), morphism(Y, Z)
@@ -314,6 +314,45 @@ def test_approximation_covering(arrow):
     x = arrow.single("x")
     m = postcompose_matrix(arrow, a, x)
     assert m.rank() == arrow.hom_space_dim(x, y)
+
+
+def _restarting_approximation(P, S, C):
+    """The reference for approximation's one-pass walk: the greedy loop
+    that starts again from copy 0 after every deletion."""
+    S = sorted(s if isinstance(s, int) else P.index(s) for s in S)
+    mult = [0] * P.n
+    for x in S:
+        mult[x] = P.hom_space_dim(P.single(x), C)
+    blocks = [[] for _ in C.copies()]
+    for x in S:
+        for b in P.hom_basis(P.single(x), C):
+            for t in range(len(C.copies())):
+                blocks[t].append(b.blocks[t][0])
+    a = Morphism(P, Obj(tuple(mult)), C, blocks)
+    changed = True
+    while changed:
+        changed = False
+        for pos in range(len(a.source.copies())):
+            trial = fincat._delete_copy(P, a, pos)
+            if fincat._approx_is_covering(P, S, trial):
+                a = trial
+                changed = True
+                break
+    return a
+
+
+def test_one_pass_approximation_is_the_restarting_loop():
+    # right approximations of every kept object of each quotient C/X_T, and
+    # the left ones through the opposite presentation
+    a3, a4 = build_cluster_category(3), build_cluster_category(4, "><>", GF(101))
+    cases = [(a3, all_rigid_supports(a3, 3)), (a4, [(a4.index("I1"), a4.index("P1"))])]
+    assert len(cases[0][1]) == 44
+    for P, supports in cases:
+        for supp in supports:
+            T = P.obj({P.objects[i]: 1 for i in supp})
+            for i in build_quotient(P, T).keep:
+                for R in (P, opposite(P)):
+                    assert approximation(R, supp, P.single(i)) == _restarting_approximation(R, supp, P.single(i))
 
 
 def test_opposite_roundtrip():
@@ -398,9 +437,9 @@ def test_morphism_hash_is_cached_and_equal_for_equal_morphisms():
     p1, p2 = P.single("P1"), P.single("P2")
     proj = split_rows(P, P.identity(p1 + X), [p1, X])[1]
     pairs = [
-        (P.identity(X), P.morphism_from_vector(X, X, P.identity(X).to_vector())),
+        (P.identity(X), Morphism.from_vector(P, X, X, P.identity(X).to_vector())),
         (P.basis_morphism(0, 1, 0), P.hom_basis(p1, p2)[0]),
-        (proj, P.morphism_from_vector(p1 + X, X, proj.to_vector())),
+        (proj, Morphism.from_vector(P, p1 + X, X, proj.to_vector())),
         (stack_cols(P, [proj, P.identity(X)]), stack_cols(P, [proj.scale(1), P.identity(X)])),
     ]
     Q = qc.presentation

@@ -359,3 +359,11 @@ def test_intertwiners_against_brute_force(system):
         _intertwines(p, src, tgt, relations, v) for v in itertools.product(range(p), repeat=total)
     )
     assert p ** len(basis) == solutions
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+def test_scalar_strings_are_read_in_ascii_digits_only(field):
+    # Fraction reads Arabic-Indic 3 as 3, which a file would not write back
+    assert field.of("-2/3") == field.of(Fraction(-2, 3))
+    with pytest.raises(ValueError, match="ASCII"):
+        field.of("\u0663")

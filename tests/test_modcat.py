@@ -335,17 +335,17 @@ def test_verify_equivalence_a2_all_rigid(A2):
     for supp in all_rigid_supports(A2, 2):
         T = A2.obj({A2.objects[i]: 1 for i in supp})
         rep = verify_equivalence(A2, T)
-        assert rep.ok, (supp, rep.as_dict())
+        assert rep.ok, (supp, rep.clauses)
 
 
 def test_verify_equivalence_a3_selected(A3, TCT):
     rep = verify_equivalence(A3, TCT)
-    assert rep.ok, rep.as_dict()
+    assert rep.ok, rep.clauses
     # cluster-tilting: no fraction needs a denominator other than an identity
     assert all(not nt for (_, _, nt) in rep.witnesses["full"])
     T2 = A3.obj({"P1": 1, "P3": 1})
     rep2 = verify_equivalence(A3, T2)
-    assert rep2.ok, rep2.as_dict()
+    assert rep2.ok, rep2.clauses
     assert any(nt for (_, _, nt) in rep2.witnesses["full"])
 
 

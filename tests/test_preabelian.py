@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
 from quotcat.fincat import (
+    Morphism,
     Obj,
     all_rigid_supports,
     approximation,
@@ -362,6 +363,31 @@ def test_joint_grid_over_the_cap_with_no_fallback_tries_runs_out_of_budget():
         search_open_conditions(P, X, Y, basis, conditions, Budget(retries=0, grid_cap=4), 0)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("budget", [Budget(), Budget(retries=0, grid_cap=1)], ids=["default", "tight"])
+def test_an_empty_subspace_takes_the_general_path(field, budget):
+    # d = 0: every grid is the one point, the zero map, so a condition the
+    # zero map meets gives FOUND with it, and one it fails certifies empty
+    P = build_cluster_category(3, field=field)
+    X, Y = P.obj({"P1": 1, "P2": 1}), P.single("P2")
+    zero = P.zero_morphism(X, Y)
+
+    def constant(entry):
+        return RankCondition(lambda m: Matrix(field, 1, 1, [[field.of(entry)]]), 1)
+
+    met, failed = constant(1), constant(0)
+    for conditions, want in (
+        ([met], SearchResult.FOUND),
+        ([failed], SearchResult.CERTIFIED_EMPTY),
+        ([met, failed], SearchResult.CERTIFIED_EMPTY),
+        (epi_conditions(P, lambda m: m, Y), SearchResult.CERTIFIED_EMPTY),
+    ):
+        res = search_open_conditions(P, X, Y, [], conditions, budget, 0)
+        assert res.status == want
+        if want == SearchResult.FOUND:
+            assert res.witness == zero and res.witness.is_zero()
+
+
 @lru_cache(maxsize=None)
 def prime_field_categories():
     return tuple(build_cluster_category(3, field=GF(p)) for p in (2, 3, 7, 101))
@@ -387,7 +413,7 @@ def test_prime_field_search_matches_full_scan(data):
         vec = [fld.zero] * len(basis)
         for c, v in zip(coeffs, subspace):
             vec = [fld.add(x, fld.mul(c, y)) for x, y in zip(vec, v)]
-        if all(c.holds(P.morphism_from_vector(X, Y, vec)) for c in conditions):
+        if all(c.holds(Morphism.from_vector(P, X, Y, vec)) for c in conditions):
             want = vec
             break
     res = search_open_conditions(P, X, Y, subspace, conditions, Budget(retries=0), 0)
@@ -538,7 +564,7 @@ def test_ftilde_regular_everywhere(A2):
 def test_scan_properties_integral(QCT, Q2):
     for qc in (QCT, Q2):
         rep = scan_properties(qc.presentation, Budget(scan_pairs_cap=120))
-        assert rep.ok, rep.as_dict()
+        assert rep.ok, rep.clauses
 
 
 def test_scan_properties_section6_fails(A3):

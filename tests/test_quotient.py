@@ -2,7 +2,7 @@ import pytest
 
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NotRigid
-from quotcat.fincat import compose, validate_category
+from quotcat.fincat import Morphism, compose, validate_category
 from quotcat.quotient import build_quotient, factors_through, x_t_objects
 
 
@@ -93,7 +93,7 @@ def test_ideal_property(QCT):
         if rs.dim == 0:
             continue
         for row in rs.rows:
-            w = P.morphism_from_vector(P.single(i), P.single(j), list(row))
+            w = Morphism.from_vector(P, P.single(i), P.single(j), list(row))
             for i2 in QCT.keep:
                 for a in range(P.hom_dim(i2, i)):
                     u = P.basis_morphism(i2, i, a)

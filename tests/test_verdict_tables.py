@@ -24,7 +24,7 @@ import pytest
 from quotcat import preabelian, verify
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded
-from quotcat.fincat import all_rigid_supports, basis_morphisms, opposite
+from quotcat.fincat import Morphism, all_rigid_supports, basis_morphisms, opposite
 from quotcat.linalg import GF, QQ
 from quotcat.preabelian import Budget, cokernel, kernel
 from quotcat.quotient import build_quotient
@@ -80,7 +80,7 @@ def test_a_hit_is_the_cold_search(case):
             first = search(warm, f)
             again = search(warm, f)
             cold_Q = _quotient(P, spec)  # built afresh: empty tables
-            cold = search(cold_Q, cold_Q.morphism_from_vector(f.source, f.target, f.to_vector()))
+            cold = search(cold_Q, Morphism.from_vector(cold_Q, f.source, f.target, f.to_vector()))
             assert first is not None and cold is not None
             assert (again[0], again[1].to_vector()) == (first[0], first[1].to_vector())
             assert (again[0], again[1].to_vector()) == (cold[0], cold[1].to_vector())
@@ -119,7 +119,7 @@ def test_running_out_of_budget_is_not_kept(A3, monkeypatch):
     Q, probe = _quotient(A3, "P1+P3"), _quotient(A3, "P1+P3")
     for _, _, _, f in basis_morphisms(Q):
         try:
-            cokernel(probe, probe.morphism_from_vector(f.source, f.target, f.to_vector()), TIGHT)
+            cokernel(probe, Morphism.from_vector(probe, f.source, f.target, f.to_vector()), TIGHT)
         except BoundsExceeded:
             break
     else:
