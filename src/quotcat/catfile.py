@@ -1,7 +1,8 @@
 """Category-data files: a JSON text format with exact scalars.
 
 Scalars are serialised as fraction strings ("2/3", "-1") so files are
-human-diffable and round-trip bit for bit.  Structure constants are sparse:
+human-diffable and round-trip bit for bit; a loader reads a scalar only in
+the form a writer gives it.  Structure constants are sparse:
 missing entries are zero.  Loaders reject unknown keys and run the full
 validation pass.
 """
@@ -99,12 +100,19 @@ def _is_index(x, bound: int | None = None) -> bool:
 
 
 def _scalar(field: Field, x):
-    """The field element written as x (a fraction string or an int), or None."""
-    if isinstance(x, (str, int)) and not isinstance(x, bool):
+    """The field element written as x, or None unless x is canonical: the
+    string presentation_to_dict writes for that element.
+
+    So "1.0", " 1", "1e0", "2/2" and a JSON number are refused, and over
+    GF(p) so are "-1", "p" and "1/2": each would be written back otherwise.
+    """
+    if isinstance(x, str):
         try:
-            return field.of(x)
+            v = field.of(x)
         except (ValueError, ZeroDivisionError):
-            pass
+            return None
+        if field.fmt(v) == x:
+            return v
     return None
 
 
@@ -153,7 +161,7 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
                 raise ShapeError(f"comp entry {entry!r}: {x} is not an int in [0, {d})")
         coeff = _scalar(field, entry.get("coeff"))
         if coeff is None:
-            raise ShapeError(f"comp entry {entry!r}: coeff is not a fraction string over {field!r}")
+            raise ShapeError(f"comp entry {entry!r}: coeff is not a canonical fraction string over {field!r}")
         if key + idx in seen:
             raise ShapeError(f"comp entry {entry!r} repeats the (i, j, k, a, b, c) of an earlier entry")
         seen.add(key + idx)
@@ -169,7 +177,7 @@ def presentation_from_dict(doc: dict) -> CategoryPresentation:
     identities = [[_scalar(field, x) for x in vec] if isinstance(vec, list) else None for vec in vecs]
     for i, vec in enumerate(identities):
         if vec is None or len(vec) != dim(i, i) or None in vec:
-            raise ShapeError(f"identity of {objects[i]!r} is not {dim(i, i)} fraction strings over {field!r}")
+            raise ShapeError(f"identity of {objects[i]!r} is not {dim(i, i)} canonical fraction strings over {field!r}")
     sigma = doc.get("sigma")
     if sigma is not None and (
         not isinstance(sigma, list)

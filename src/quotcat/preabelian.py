@@ -634,8 +634,8 @@ def _unit(units: dict, f: Morphism):
     both kept in units, one dict per scan.
 
     A leg clause asks only whether a leg is epi or mono.  A pair that meets
-    an invertible map needs no square (see _leg_clause); for every other
-    pair, one square answers that for a whole class of pairs.  For nonzero
+    a split map needs no square (see _leg_clause); for every other pair,
+    one square answers that for a whole class of pairs.  For nonzero
     scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed with
     ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
     multiples of those of (x, y); pushouts are dual, and any other kernel
@@ -667,9 +667,41 @@ def _leg_pairs(limit: str, given, others):
     return ((x, y) for x in given for y in partners.get(end(x), ()))
 
 
-def _leg_clause(
-    Q: CategoryPresentation, units: dict, invertible: set, limit: str, given, others, prop: str, budget: Budget
-):
+def _split_rule(Q: CategoryPresentation, invertible: set):
+    """split(f, limit): whether a leg-clause pair that meets f needs no
+    square (see _leg_clause).
+
+    For a pullback that is f split epi, for a pushout f split mono, each
+    decided once per map and side and kept for the scan: a split epi is
+    epi, so is_epi's table (is_mono's) refuses most maps, and one solve
+    decides the rest.
+
+    The rule needs idempotents to split, which holds when every
+    indecomposable of Q has a one-dimensional End: that End is the field,
+    a local ring, so Q, whose objects are finite sums of indecomposables,
+    is Krull-Schmidt (Krause, "Krull-Schmidt categories and projective
+    covers", 2015, Cor. 4.4).  Every C(A_n) quotient passes, as Hom spaces
+    between indecomposables of C(A_n) are at most one-dimensional.
+    Otherwise f must be in invertible, the family's invertible regulars.
+    """
+    if any(Q.hom_dim(i, i) != 1 for i in range(Q.n)):
+        return lambda f, limit: f in invertible
+    table = {}
+
+    def split(f, limit):
+        answer = table.get((f, limit))
+        if answer is None:
+            if limit == "pullback":
+                answer = is_epi(Q, f) and lifts_through_epi(Q, Q.identity(f.target), f) is not None
+            else:
+                answer = is_mono(Q, f) and factors_through_map(Q, Q.identity(f.source), f) is not None
+            table[(f, limit)] = answer
+        return answer
+
+    return split
+
+
+def _leg_clause(Q: CategoryPresentation, units: dict, split, limit: str, given, others, prop: str, budget: Budget):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
     pairs (x, y) of _leg_pairs(limit, given, others).
 
@@ -677,18 +709,34 @@ def _leg_clause(
     A failure names the property and the pair of maps.  A missing limit
     square fails the clause.
 
-    When x or y is in invertible, the leg is prop exactly when x is, and no
-    square is built.  Take x: B -> D and y: C -> D, and a pullback (A, a, b)
-    with y a = x b, a the leg opposite x.  If y is invertible, (B, y^-1 x,
-    id_B) is a pullback, so a = y^-1 x phi for an isomorphism phi: A -> B;
-    if x is invertible, (C, id_C, x^-1 y) is one, so a is an isomorphism, as
-    x is.  Dually, for x: A -> B and y: A -> C and a pushout (D, c, d) with
-    c x = d y, d the leg opposite x: if y is invertible, (B, id_B, x y^-1) is
-    a pushout, so d = psi x y^-1 for an isomorphism psi: B -> D; if x is
-    invertible, (C, y x^-1, id_C) is one, so d is an isomorphism.  Epi, mono
-    and regular are unchanged by composing with isomorphisms.  The argument
-    uses only that Q is a category, which the verdict's quotient clause
-    validates.
+    When split(x, limit) or split(y, limit) holds (_split_rule), the leg is
+    prop exactly when x is, and no square is built.  Take x: B -> D and
+    y: C -> D, and a pullback (A, a, b) with y a = x b, a: A -> C the leg
+    opposite x.  In an additive category a is mono exactly when x is: if x
+    is mono and a u = 0, then x b u = y a u = 0, so b u = 0, and u = 0 as
+    the only map into A over the cone (0, 0); if a is mono and x h = 0, the
+    cone (0, h) gives u with a u = 0 and b u = h, so u = 0 and h = 0.
+    For epi:
+    - y split epi, y s = 1_D.  If a is epi and h x = 0, then h y a =
+      h x b = 0, so h y = 0 and h = h y s = 0.  If x is epi and g a = 0,
+      the cones (s x, 1_B) and (1_C - s y, 0) give u and v with a u = s x
+      and a v = 1_C - s y; then g s x = 0, so g s = 0, and g = g s y +
+      g a v = 0.
+    - x split epi, x t = 1_D.  The cone (1_C, t y) gives v with a v = 1_C,
+      so a is split epi, and x is epi too.
+    So in both cases a is epi, mono and regular exactly when x is.  The
+    square exists when idempotents split: for y split epi, write the
+    idempotent e = 1_C - s y as i p with p i = 1_K; then (B + K,
+    a = s x pr_B + i pr_K, b = pr_B) is a pullback, since y e = 0 gives
+    y a = x b, and a cone (c, u) factors through (u, p c) and, as p s =
+    p e s = 0, through no other map.  For x split epi, exchange x and y.
+    An invertible map is split with K = 0, and then no splitting is needed.
+
+    Dually, for x: A -> B and y: A -> C and a pushout (D, c, d) with
+    c x = d y, d: C -> D the leg opposite x: when x or y is split mono, d is
+    prop exactly when x is.  This is the pullback statement in Q^op, which
+    is Krull-Schmidt when Q is; epi and mono exchange, as do split epi and
+    split mono.
 
     Every other leg is read off the square of x's and y's unit
     representatives, in _unit's order.
@@ -696,7 +744,7 @@ def _leg_clause(
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
         for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
-            if x in invertible or y in invertible:
+            if split(x, limit) or split(y, limit):
                 leg = x  # prop exactly when the leg is
             else:
                 (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
@@ -743,7 +791,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    units = {}
+    units, split = {}, _split_rule(Q, fam.invertible)
     for name, limit, given, prop in (
         ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, "epi"),
         ("pullback_epi_leg", "pullback", fam.epis, "epi"),
@@ -754,7 +802,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", "pushout", fam.epis, "epi"),
         ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(Q, units, fam.invertible, limit, given, fam.all, prop, budget))
+        report.clauses[name] = run_clause(_leg_clause(Q, units, split, limit, given, fam.all, prop, budget))
     return report
 
 

@@ -86,6 +86,43 @@ def test_corrupted_file_fails_validation(A3):
         presentation_from_dict(doc)
 
 
+def _ones(doc):
+    """The comp entry and the identity vector of doc that first hold a "1"."""
+    entry = next(e for e in doc["comp"] if e["coeff"] == "1")
+    vec = next(v for v in doc["identities"] if "1" in v)
+    return entry, vec
+
+
+@pytest.mark.parametrize("scalar", ["1.0", " 1", "1e0", "2/2", 1, 1.0])
+def test_non_canonical_scalar_refused(A3, scalar):
+    # each equals 1 but would be written back as "1", so a file holding it
+    # would not round-trip; refused in a comp entry and in an identity
+    doc = presentation_to_dict(A3)
+    entry, vec = _ones(doc)
+    entry["coeff"] = scalar
+    with pytest.raises(ShapeError, match="canonical") as err:
+        presentation_from_dict(doc)
+    assert str(err.value).startswith(f"comp entry {entry!r}: coeff")
+    doc = presentation_to_dict(A3)
+    entry, vec = _ones(doc)
+    vec[vec.index("1")] = scalar
+    with pytest.raises(ShapeError, match="identity of .* canonical"):
+        presentation_from_dict(doc)
+
+
+@pytest.mark.parametrize("scalar", ["-100", "102", "203", "1/1"])
+def test_prime_field_scalar_outside_0_to_p_refused(scalar):
+    # each is 1 mod 101, but GF(101) writes its elements as ints in [0, 101)
+    doc = presentation_to_dict(build_cluster_category(3, field=GF(101)))
+    entry, vec = _ones(doc)
+    entry["coeff"] = scalar
+    with pytest.raises(ShapeError, match="canonical") as err:
+        presentation_from_dict(doc)
+    assert str(err.value).startswith(f"comp entry {entry!r}: coeff")
+    entry["coeff"] = "1"
+    presentation_from_dict(doc)  # the canonical spelling loads
+
+
 @pytest.mark.parametrize("key, change", [("hom", {"dim": 2}), ("comp", {"coeff": "5"})])
 def test_repeated_entry_refused(A3, key, change):
     # a copy of the first entry, changed, before it: the later one once won

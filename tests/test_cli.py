@@ -495,6 +495,8 @@ MALFORMED = {
     "repeated hom entry": _repeat("hom", dim=2),
     "repeated comp entry": _repeat("comp", coeff="5"),
     "non-ASCII digit coefficient": _corrupt(("comp", 0), coeff="\u0663"),
+    "non-canonical coefficient": _corrupt(("comp", 0), coeff="1.0"),
+    "JSON number coefficient": _corrupt(("comp", 0), coeff=1),
 }
 
 

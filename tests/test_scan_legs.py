@@ -10,14 +10,18 @@ also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
 unit representatives, the one with the smaller key first, and builds one
 square per class: the unordered pair of unit-normalised maps.  A pair that
-meets an invertible map of the family builds no square at all: its leg is
-epi, mono or regular exactly when x is.  These tests pin that each class is
-built once (one miss of the square table) and that the sharing pays on
-C(A_3)/Q, that the invariance the sharing rests on holds on random pairs,
-that the rule for invertible pairs agrees with a freshly built square and
-leaves no such square in the tables, and that the tables are transparent:
-every clause result equals the one computed by the plain per-clause loop
-below, which builds a square for every other pair it meets.
+meets a split map (split epi for a pullback, split mono for a pushout)
+builds no square at all: its leg is epi, mono or regular exactly when x is.
+That rule needs idempotents to split, so it applies only where every
+indecomposable has a one-dimensional End; elsewhere only a pair that meets
+an invertible map of the family is so answered.  These tests pin that each
+class is built once (one miss of the square table) and that the sharing
+pays on C(A_3)/Q, that the invariance the sharing rests on holds on random
+pairs, that the rule for split pairs agrees with a freshly built square and
+leaves no such square in the tables, that it is off on a presentation with
+a two-dimensional End, and that the tables are transparent: every clause
+result equals the one computed by the plain per-clause loop below, which
+builds a square for every other pair it meets.
 """
 
 import collections
@@ -31,10 +35,11 @@ from hypothesis import given, settings, strategies as st
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NoCokernel, NoKernel
-from quotcat.fincat import opposite, validate_category
-from quotcat.linalg import GF
+from quotcat.fincat import CategoryPresentation, op_morphism, opposite, postcompose_matrix, validate_category
+from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
     Budget,
+    build_morphism_family,
     is_epi,
     is_mono,
     is_regular,
@@ -89,28 +94,55 @@ def _fresh_legs(Q, limit, x, y, budget):
 
 # -- the per-clause loop, one square per pair met ---------------------------------
 #
-# A pair that meets an invertible regular of the family is answered by x
-# itself, as in the scan: its leg is x up to isomorphisms, or an isomorphism
-# as x is.  Building its square instead would spend budget the scan does not
-# spend, so a clause that runs out of budget would stop at another pair.
+# A pair that meets a split map is answered by x itself, as in the scan: its
+# leg is epi, mono or regular exactly when x is.  Building its square instead
+# would spend budget the scan does not spend, so a clause that runs out of
+# budget would stop at another pair.  Split is decided here by rank, and a
+# split mono as a map with a section in Q^op, not by the scan's solves.
 
 
-def _invertible_regulars(Q, fam):
-    return {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
+def _has_section(P, f):
+    """Whether f o s = id for some s: id is in the span of f o - on Hom(target, source)."""
+    m = postcompose_matrix(P, f, f.target)
+    ident = P.identity(f.target).to_vector()
+    return m.rank() == Matrix(P.field, m.nrows, m.ncols + 1, [r + [v] for r, v in zip(m.data, ident)]).rank()
 
 
-def _pullback_legs(Q, given, others, inv, budget):
+def _is_split(Q, f, limit):
+    """Split epi for a pullback, split mono (split epi in Q^op) for a pushout."""
+    if limit == "pullback":
+        return _has_section(Q, f)
+    op = opposite(Q)
+    return _has_section(op, op_morphism(op, f))
+
+
+def _split_test(Q, fam):
+    """split(f, limit) for the plain loop: f is an invertible regular of fam
+    or, where every indecomposable of Q has a one-dimensional End, split."""
+    inv = {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
+    scalar_ends = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
+
+    @functools.cache
+    def split(f, limit):
+        return f in inv or (scalar_ends and _is_split(Q, f, limit))
+
+    return split
+
+
+def _pullback_legs(Q, given, others, split, budget):
     for d in given:
         for c in others:
             if c.target == d.target:
-                yield d, c, d if d in inv or c in inv else _fresh_legs(Q, "pullback", d, c, budget)[0]
+                meets = split(d, "pullback") or split(c, "pullback")
+                yield d, c, d if meets else _fresh_legs(Q, "pullback", d, c, budget)[0]
 
 
-def _pushout_legs(Q, given, others, inv, budget):
+def _pushout_legs(Q, given, others, split, budget):
     for a in given:
         for b in others:
             if b.source == a.source:
-                yield a, b, a if a in inv or b in inv else _fresh_legs(Q, "pushout", a, b, budget)[0]
+                meets = split(a, "pushout") or split(b, "pushout")
+                yield a, b, a if meets else _fresh_legs(Q, "pushout", a, b, budget)[0]
 
 
 def _plain_leg_clause(legs, ok, budget):
@@ -129,18 +161,18 @@ def _plain_leg_clause(legs, ok, budget):
 
 
 def _plain_leg_clauses(Q, fam, budget) -> dict:
-    inv = _invertible_regulars(Q, fam)
+    split = _split_test(Q, fam)
     return {
         name: run_clause(_plain_leg_clause(legs, ok, budget))
         for name, legs, ok in (
-            ("pullback_cokernel_leg", _pullback_legs(Q, fam.cokernel_maps, fam.all, inv, budget), is_epi),
-            ("pullback_epi_leg", _pullback_legs(Q, fam.epis, fam.all, inv, budget), is_epi),
-            ("pullback_mono_leg", _pullback_legs(Q, fam.monos, fam.all, inv, budget), is_mono),
-            ("pullback_regular_leg", _pullback_legs(Q, fam.regulars, fam.all, inv, budget), is_regular),
-            ("pushout_kernel_leg", _pushout_legs(Q, fam.kernel_maps, fam.all, inv, budget), is_mono),
-            ("pushout_mono_leg", _pushout_legs(Q, fam.monos, fam.all, inv, budget), is_mono),
-            ("pushout_epi_leg", _pushout_legs(Q, fam.epis, fam.all, inv, budget), is_epi),
-            ("pushout_regular_leg", _pushout_legs(Q, fam.regulars, fam.all, inv, budget), is_regular),
+            ("pullback_cokernel_leg", _pullback_legs(Q, fam.cokernel_maps, fam.all, split, budget), is_epi),
+            ("pullback_epi_leg", _pullback_legs(Q, fam.epis, fam.all, split, budget), is_epi),
+            ("pullback_mono_leg", _pullback_legs(Q, fam.monos, fam.all, split, budget), is_mono),
+            ("pullback_regular_leg", _pullback_legs(Q, fam.regulars, fam.all, split, budget), is_regular),
+            ("pushout_kernel_leg", _pushout_legs(Q, fam.kernel_maps, fam.all, split, budget), is_mono),
+            ("pushout_mono_leg", _pushout_legs(Q, fam.monos, fam.all, split, budget), is_mono),
+            ("pushout_epi_leg", _pushout_legs(Q, fam.epis, fam.all, split, budget), is_epi),
+            ("pushout_regular_leg", _pushout_legs(Q, fam.regulars, fam.all, split, budget), is_regular),
         )
     }
 
@@ -275,6 +307,32 @@ def test_pairs_meeting_an_isomorphism_answer_as_x(case, data, s, t):
         assert not x_iso or solve_two_sided_inverse(Q, leg) is not None
 
 
+@functools.cache
+def _split_pairs(case, which):
+    """The eligible pairs whose x (which = 1) or y (which = 2) is split and
+    not invertible; pairs that meet an invertible map are tested above."""
+    Q, pairs, inv = _eligible_pairs(case)
+    return [p for p in pairs if p[which] not in inv and _is_split(Q, p[which], p[0])]
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+@pytest.mark.parametrize("which", [1, 2], ids=["x-split", "y-split"])
+@settings(max_examples=30)
+@given(data=st.data(), s=_NONZERO, t=_NONZERO)
+def test_pairs_meeting_a_split_map_answer_as_x(case, which, data, s, t):
+    # the scan answers such a pair by x itself; the leg opposite x of a
+    # freshly built square must answer the same, before and after rescaling
+    Q, _, _ = _eligible_pairs(case)
+    pairs = _split_pairs(case, which)
+    assert {p[0] for p in pairs} == {"pullback", "pushout"}
+    limit, x, y = data.draw(st.sampled_from(pairs))
+    for x, y in ((x, y), (x.scale(s), y.scale(t))):
+        leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
+        assert _answers(Q, leg) == _answers(Q, x)
+        # opposite a split epi (a split mono for a pushout) the leg is one
+        assert which == 2 or _is_split(Q, leg, limit)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -329,6 +387,55 @@ def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
         assert P._squares
         for c, d, *_ in P._squares:
             assert solve_two_sided_inverse(P, c) is None and solve_two_sided_inverse(P, d) is None
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case):
+    Q, _, _ = _eligible_pairs(case)
+    # the scan meets split maps that are not invertible, so the rule is tried
+    assert _split_pairs(case, 1) and _split_pairs(case, 2)
+    Q.clear_verdict_tables()  # Q is shared with the tests that build squares afresh
+    scan_properties(Q, CAPPED)
+    # pushout keeps its squares in Q^op, where a split mono has a section
+    for P in (Q, opposite(Q)):
+        assert P._squares
+        for c, d, *_ in P._squares:
+            assert not _has_section(P, c) and not _has_section(P, d)
+
+
+def _two_idempotents():
+    """One object X with End(X) = Q x Q: basis e1, e2 of orthogonal
+    idempotents, and id = e1 + e2.  e1 does not split: X is the only
+    indecomposable."""
+    comp = {(0, 0, 0): [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+    return CategoryPresentation(QQ, ["X"], {(0, 0): 2}, comp, [[1, 1]])
+
+
+def test_split_rule_is_off_without_one_dimensional_ends():
+    # End(X) is two-dimensional, so only invertible maps answer a pair; a
+    # pair that meets a split map builds its square, as the plain loop does
+    E = _two_idempotents()
+    assert validate_category(E).ok
+    fam = build_morphism_family(E, CAPPED)
+    split = preabelian._split_rule(E, fam.invertible)
+    plain = _split_test(E, fam)
+    for limit in ("pullback", "pushout"):
+        maps = [f for f in fam.all if f not in fam.invertible and _is_split(E, f, limit)]
+        assert maps and not any(split(f, limit) or plain(f, limit) for f in maps)
+    # e1 against each split map that meets it: X^2 -> X for a pullback,
+    # X -> X^2 for a pushout; one square each, and the plain loop's answer
+    e1 = E.hom_basis(E.single(0), E.single(0))[0]
+    for limit, prop in (("pullback", "epi"), ("pushout", "mono")):
+        ys = [f for f in fam.all if f.source != f.target and _is_split(E, f, limit)]
+        assert ys
+        for y in ys:
+            for P in (E, opposite(E)):
+                P._squares.clear()
+            got = run_clause(preabelian._leg_clause(E, {}, split, limit, [e1], [y], prop, CAPPED))
+            assert got.checked == 1 and len(E._squares) + len(opposite(E)._squares) == 1
+            ok = {"epi": is_epi, "mono": is_mono}[prop]
+            legs = (_pullback_legs if limit == "pullback" else _pushout_legs)(E, [e1], [y], plain, CAPPED)
+            assert got == run_clause(_plain_leg_clause(legs, ok, CAPPED))
 
 
 def test_leg_pairs_keep_the_filtered_order(A4):
