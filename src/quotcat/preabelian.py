@@ -36,7 +36,7 @@ from .fincat import (
     split_rows,
     stack_cols,
 )
-from .linalg import Matrix, PrimeField, block_diagonal_kernel_basis
+from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis
 
 
 @dataclass
@@ -451,7 +451,7 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     if sq is None:
         res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
         if res is None:
-            raise NoKernel("difference map has no kernel: presentation is not preabelian here")
+            raise _no_square("pullback")
         A, j = res
         # the legs are the projections composed with j
         a, b = split_rows(Q, j, [c.source, d.source])
@@ -470,7 +470,7 @@ def pushout(Q: CategoryPresentation, a: Morphism, b: Morphism, budget: Budget = 
     try:
         sq = pullback(op, op_morphism(op, a), op_morphism(op, b), budget)
     except NoKernel:
-        raise NoCokernel("difference map has no cokernel: presentation is not preabelian here") from None
+        raise _no_square("pushout") from None
     c, d = op_morphism(Q, sq.a), op_morphism(Q, sq.b)
     return LimitSquare(a.source, a.target, b.target, sq.A, a, b, c, d)
 
@@ -527,17 +527,14 @@ def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEF
 class MorphismFamily:
     """The maps a scan ranges over, classified.
 
-    invertible holds the regulars with a two-sided inverse, decided once for
-    the leg clauses and the cluster-tilting clause.  cokernel_maps and
-    kernel_maps are filled by the preabelian clause of scan_properties: the
-    cokernel and kernel maps of the basis morphisms.
+    cokernel_maps and kernel_maps are filled by the preabelian clause of
+    scan_properties: the cokernel and kernel maps of the basis morphisms.
     """
 
     all: list = dc_field(default_factory=list)
     epis: list = dc_field(default_factory=list)
     monos: list = dc_field(default_factory=list)
     regulars: list = dc_field(default_factory=list)
-    invertible: set = dc_field(default_factory=set)
     cokernel_maps: list = dc_field(default_factory=list)
     kernel_maps: list = dc_field(default_factory=list)
 
@@ -577,7 +574,6 @@ def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDG
             fam.monos.append(m)
         if e and mo:
             fam.regulars.append(m)
-    fam.invertible = {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
     return fam
 
 
@@ -633,11 +629,11 @@ def _unit(units: dict, f: Morphism):
     zero map is its own), key is (source.mult, target.mult, u's coordinates);
     both kept in units, one dict per scan.
 
-    A leg clause asks only whether a leg is epi or mono.  A pair that meets
-    a split map needs no square (see _leg_clause); for every other pair,
-    one square answers that for a whole class of pairs.  For nonzero
-    scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed with
-    ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
+    A leg clause asks only whether a leg is epi or mono.  A pair that a
+    rule of _leg_answers decides needs no square (see _leg_clause); for
+    every other pair, one square answers that for a whole class of pairs.
+    For nonzero scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed
+    with ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
     multiples of those of (x, y); pushouts are dual, and any other kernel
     differs by an isomorphism of A.  Exchanging x and y exchanges the legs.
     Epi and mono are unchanged by all three, so the scan, not pullback,
@@ -667,41 +663,104 @@ def _leg_pairs(limit: str, given, others):
     return ((x, y) for x in given for y in partners.get(end(x), ()))
 
 
-def _split_rule(Q: CategoryPresentation, invertible: set):
-    """split(f, limit): whether a leg-clause pair that meets f needs no
-    square (see _leg_clause).
+def _no_square(limit: str):
+    """The error of a pullback (pushout) whose difference map has no kernel
+    (cokernel)."""
+    if limit == "pullback":
+        return NoKernel("difference map has no kernel: presentation is not preabelian here")
+    return NoCokernel("difference map has no cokernel: presentation is not preabelian here")
 
-    For a pullback that is f split epi, for a pushout f split mono, each
-    decided once per map and side and kept for the scan: a split epi is
-    epi, so is_epi's table (is_mono's) refuses most maps, and one solve
-    decides the rest.
 
-    The rule needs idempotents to split, which holds when every
-    indecomposable of Q has a one-dimensional End: that End is the field,
-    a local ring, so Q, whose objects are finite sums of indecomposables,
-    is Krull-Schmidt (Krause, "Krull-Schmidt categories and projective
-    covers", 2015, Cor. 4.4).  Every C(A_n) quotient passes, as Hom spaces
-    between indecomposables of C(A_n) are at most one-dimensional.
-    Otherwise f must be in invertible, the family's invertible regulars.
+def _leg_answers(Q: CategoryPresentation, budget: Budget):
+    """answer(x, y, limit, has): whether the leg opposite x of the pair
+    (x, y) passes has (is_epi, is_mono or is_regular), with the tables of
+    one scan.
+
+    Two rules answer without a limit square (proofs in _leg_clause): y is
+    split, or y factors through x.  Both ask whether a map g is in the
+    image of f o - (for a pushout, - o f): y factors through x when y is in
+    x's image, and f is split epi (split mono) when the identity is in its
+    own.  f o - acts on the component of g at each copy of its source (- o f
+    at each copy of its target) alone, so g is in the image when each
+    component is in the image on Hom(Z, source f) (Hom(target f, Z)), Z the
+    copy's indecomposable.  That image is the same for f and its nonzero
+    multiples, so it is built once per (unit representative of f, Z, limit)
+    and kept as full, zero or a RowSpace: most questions cost one rank.  A
+    pushout's images of f come from one precompose_matrices pass.  Whether
+    y is split, and whether the limit exists when y factors through x, are
+    kept per map and side.  Every other leg is read off the square of x's
+    and y's unit representatives, in _unit's order.
     """
-    if any(Q.hom_dim(i, i) != 1 for i in range(Q.n)):
-        return lambda f, limit: f in invertible
-    table = {}
+    gate = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
+    units, images, pre, split, exists = {}, {}, {}, {}, {}
 
-    def split(f, limit):
-        answer = table.get((f, limit))
-        if answer is None:
+    def image(f, z, limit):
+        im = images.get((f, z, limit))
+        if im is None:
             if limit == "pullback":
-                answer = is_epi(Q, f) and lifts_through_epi(Q, Q.identity(f.target), f) is not None
+                m = postcompose_matrix(Q, f, Q.single(z))
             else:
-                answer = is_mono(Q, f) and factors_through_map(Q, Q.identity(f.source), f) is not None
-            table[(f, limit)] = answer
+                blocks = pre.get(f)
+                if blocks is None:
+                    blocks = pre[f] = precompose_matrices(Q, f)
+                m = blocks[z]
+            rank = m.rank()
+            if rank == m.nrows:
+                im = True
+            elif rank == 0:
+                im = False
+            else:
+                im = RowSpace.from_rows(Q.field, m.nrows, zip(*m.data))
+            images[(f, z, limit)] = im
+        return im
+
+    def in_image(f, g, limit):
+        # g's component at source copy s is column s of its blocks (at
+        # target copy t, row t), in to_vector order
+        if limit == "pullback":
+            parts = zip(g.source.copies(), zip(*g.blocks))
+        else:
+            parts = zip(g.target.copies(), g.blocks)
+        for z, part in parts:
+            im = image(f, z, limit)
+            if im is True:
+                continue
+            vec = [c for block in part for c in block]
+            if any(vec) if im is False else not im.contains(vec):
+                return False
+        return True
+
+    def is_split(y, uy, limit):
+        answer = split.get((y, limit))
+        if answer is None:
+            side, other, end = (is_epi, is_mono, y.target) if limit == "pullback" else (is_mono, is_epi, y.source)
+            answer = side(Q, y) and (gate or other(Q, y)) and in_image(uy, Q.identity(end), limit)
+            split[(y, limit)] = answer
         return answer
 
-    return split
+    def answer(x, y, limit, has):
+        (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
+        if is_split(y, uy, limit):
+            return has(Q, x)
+        if in_image(ux, y, limit):
+            # the leg is split epi (split mono), and has the other property exactly when x does
+            always, like_x, search = (is_epi, is_mono, kernel) if limit == "pullback" else (is_mono, is_epi, cokernel)
+            found = exists.get((ux, limit))
+            if found is None:
+                found = exists[(ux, limit)] = like_x(Q, x) or search(Q, ux, budget) is not None
+            if not found:
+                raise _no_square(limit)
+            return has is always or like_x(Q, x)
+        if limit == "pullback":
+            leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
+        else:
+            leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
+        return has(Q, leg)
+
+    return answer
 
 
-def _leg_clause(Q: CategoryPresentation, units: dict, split, limit: str, given, others, prop: str, budget: Budget):
+def _leg_clause(Q: CategoryPresentation, answer, limit: str, given, others, prop: str, budget: Budget):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
     pairs (x, y) of _leg_pairs(limit, given, others).
 
@@ -709,51 +768,52 @@ def _leg_clause(Q: CategoryPresentation, units: dict, split, limit: str, given, 
     A failure names the property and the pair of maps.  A missing limit
     square fails the clause.
 
-    When split(x, limit) or split(y, limit) holds (_split_rule), the leg is
-    prop exactly when x is, and no square is built.  Take x: B -> D and
-    y: C -> D, and a pullback (A, a, b) with y a = x b, a: A -> C the leg
-    opposite x.  In an additive category a is mono exactly when x is: if x
-    is mono and a u = 0, then x b u = y a u = 0, so b u = 0, and u = 0 as
-    the only map into A over the cone (0, 0); if a is mono and x h = 0, the
-    cone (0, h) gives u with a u = 0 and b u = h, so u = 0 and h = 0.
-    For epi:
+    answer (_leg_answers) decides a pair without a square when y factors
+    through x, or when y is split.  Take x: B -> D and y: C -> D, and a
+    pullback (A, a, b) with y a = x b, a: A -> C the leg opposite x.  In an
+    additive category a is mono exactly when x is: if x is mono and a u = 0,
+    then x b u = y a u = 0, so b u = 0, and u = 0 as the only map into A
+    over the cone (0, 0); if a is mono and x h = 0, the cone (0, h) gives u
+    with a u = 0 and b u = h, so u = 0 and h = 0.
+    - y = x s for some s: C -> B.  The cone (1_C, s) gives v with a v = 1_C,
+      so a is split epi: it is always epi, and mono (or regular) exactly
+      when x is mono.  With phi = [[1, s], [0, 1]], an automorphism of
+      B + C, [x | -y] phi = [x | 0], so ker [x | -y] = phi (ker x + 1_C):
+      the square exists exactly when ker x does, and is (C, s, 1_C) when x
+      is mono.  No splitting is needed.  An x that is split epi, x t = 1_D,
+      is such a case, as y = x (t y); so is an invertible x.
     - y split epi, y s = 1_D.  If a is epi and h x = 0, then h y a =
       h x b = 0, so h y = 0 and h = h y s = 0.  If x is epi and g a = 0,
       the cones (s x, 1_B) and (1_C - s y, 0) give u and v with a u = s x
       and a v = 1_C - s y; then g s x = 0, so g s = 0, and g = g s y +
-      g a v = 0.
-    - x split epi, x t = 1_D.  The cone (1_C, t y) gives v with a v = 1_C,
-      so a is split epi, and x is epi too.
-    So in both cases a is epi, mono and regular exactly when x is.  The
-    square exists when idempotents split: for y split epi, write the
-    idempotent e = 1_C - s y as i p with p i = 1_K; then (B + K,
-    a = s x pr_B + i pr_K, b = pr_B) is a pullback, since y e = 0 gives
-    y a = x b, and a cone (c, u) factors through (u, p c) and, as p s =
-    p e s = 0, through no other map.  For x split epi, exchange x and y.
-    An invertible map is split with K = 0, and then no splitting is needed.
+      g a v = 0.  So a is epi, mono and regular exactly when x is.  The
+      square exists when idempotents split: write the idempotent
+      e = 1_C - s y as i p with p i = 1_K; then (B + K, a = s x pr_B +
+      i pr_K, b = pr_B) is a pullback, since y e = 0 gives y a = x b, and a
+      cone (c, u) factors through (u, p c) and, as p s = p e s = 0, through
+      no other map.  Idempotents split when every indecomposable of Q has a
+      one-dimensional End: that End is the field, a local ring, so Q, whose
+      objects are finite sums of indecomposables, is Krull-Schmidt (Krause,
+      "Krull-Schmidt categories and projective covers", 2015, Cor. 4.4).
+      Every C(A_n) quotient passes, as Hom spaces between indecomposables
+      of C(A_n) are at most one-dimensional.  Elsewhere y must also be
+      mono, so invertible (s y = 1_C follows from y s y = y); then K = 0
+      and no splitting is needed.
 
     Dually, for x: A -> B and y: A -> C and a pushout (D, c, d) with
-    c x = d y, d: C -> D the leg opposite x: when x or y is split mono, d is
-    prop exactly when x is.  This is the pullback statement in Q^op, which
-    is Krull-Schmidt when Q is; epi and mono exchange, as do split epi and
-    split mono.
-
-    Every other leg is read off the square of x's and y's unit
-    representatives, in _unit's order.
+    c x = d y, d: C -> D the leg opposite x: when y = s x, d is split mono,
+    so always mono, and epi (or regular) exactly when x is epi, and the
+    square exists exactly when coker x does; when y is split mono (and,
+    without one-dimensional Ends, epi), d is prop exactly when x is.  This
+    is the pullback statement in Q^op, which is Krull-Schmidt when Q is;
+    epi and mono exchange, as do split epi and split mono.
     """
     has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
     try:
         for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
-            if split(x, limit) or split(y, limit):
-                leg = x  # prop exactly when the leg is
-            else:
-                (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
-                if limit == "pullback":
-                    leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
-                else:
-                    leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
+            holds = answer(x, y, limit, has)
             yield
-            if not has(Q, leg):
+            if not holds:
                 return (
                     f"leg not {prop} for {Q.obj_name(x.source)} -> {Q.obj_name(x.target)}"
                     f" with {Q.obj_name(y.source)} -> {Q.obj_name(y.target)}"
@@ -791,7 +851,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    units, split = {}, _split_rule(Q, fam.invertible)
+    answer = _leg_answers(Q, budget)
     for name, limit, given, prop in (
         ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, "epi"),
         ("pullback_epi_leg", "pullback", fam.epis, "epi"),
@@ -802,7 +862,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", "pushout", fam.epis, "epi"),
         ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(Q, units, split, limit, given, fam.all, prop, budget))
+        report.clauses[name] = run_clause(_leg_clause(Q, answer, limit, given, fam.all, prop, budget))
     return report
 
 

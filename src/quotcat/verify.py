@@ -21,6 +21,7 @@ from .preabelian import (
     Budget,
     DEFAULT_BUDGET,
     scan_properties,
+    solve_two_sided_inverse,
 )
 from .quotient import build_quotient, x_t_objects
 
@@ -110,6 +111,13 @@ def run_verification(
     return report
 
 
+def _noninvertible_witness(Q: CategoryPresentation, regulars) -> str | None:
+    """The first of regulars without a two-sided inverse, named "source ->
+    target", or None; the walk stops there."""
+    r = next((r for r in regulars if solve_two_sided_inverse(Q, r) is None), None)
+    return None if r is None else f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
+
+
 def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
     """The clauses from the quotient on; they fill report."""
     clauses = report["clauses"]
@@ -145,10 +153,8 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
 
     # the cluster-tilting clause below reads the scan's regulars here, so the
     # later clauses do not hold the family
-    fam = prop.family
-    r = next((r for r in fam.regulars if r not in fam.invertible), None)
-    noninvertible = None if r is None else f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
-    del prop, fam
+    noninvertible = None if t_spec is None else _noninvertible_witness(Q, prop.family.regulars)
+    del prop
 
     # abelian localisation; running out of budget here and below is a clause
     # status, never a lost report

@@ -38,7 +38,7 @@ from quotcat.preabelian import (
     solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient, x_t_objects
-from quotcat.verify import run_cotorsion
+from quotcat.verify import _noninvertible_witness, run_cotorsion
 
 SCAN_BUDGET = Budget(scan_pairs_cap=120)
 
@@ -248,6 +248,25 @@ def test_cluster_tilting_regulars_are_invertible_in_C_A4():
         for r in build_morphism_family(Q, SCAN_BUDGET).regulars:
             assert solve_two_sided_inverse(Q, r) is not None, (A4.obj_name(T), r)
     assert count == 42
+
+
+@pytest.mark.parametrize("category", ["A3/Q", "A4(><>)/F101"])
+def test_noninvertible_witness_is_the_first_regular_outside_the_invertible_set(category):
+    # the cluster-tilting clause's witness walks the family's regulars and
+    # stops at the first without a two-sided inverse; it names the map the
+    # set of every invertible regular, solved up front, would give
+    P = build_cluster_category(4, "><>", GF(101)) if category.startswith("A4") else build_cluster_category(3)
+    named = 0
+    for support in all_rigid_supports(P, P.n):
+        T = P.obj({P.objects[i]: 1 for i in support})
+        Q = build_quotient(P, T).presentation
+        regulars = build_morphism_family(Q, SCAN_BUDGET).regulars
+        invertible = {r for r in regulars if solve_two_sided_inverse(Q, r) is not None}
+        first = next((r for r in regulars if r not in invertible), None)
+        want = None if first is None else f"{Q.obj_name(first.source)} -> {Q.obj_name(first.target)}"
+        assert _noninvertible_witness(Q, regulars) == want, P.obj_name(T)
+        named += want is not None
+    assert named  # some T has a regular map that is not invertible
 
 
 def test_criterion_08_regular_noninvertible_witness(A3):

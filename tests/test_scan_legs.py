@@ -9,19 +9,23 @@ Q and in Q^op (where `is_mono` asks), for one verdict.  A square's answers
 also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
 unit representatives, the one with the smaller key first, and builds one
-square per class: the unordered pair of unit-normalised maps.  A pair that
-meets a split map (split epi for a pullback, split mono for a pushout)
-builds no square at all: its leg is epi, mono or regular exactly when x is.
-That rule needs idempotents to split, so it applies only where every
-indecomposable has a one-dimensional End; elsewhere only a pair that meets
-an invertible map of the family is so answered.  These tests pin that each
-class is built once (one miss of the square table) and that the sharing
-pays on C(A_3)/Q, that the invariance the sharing rests on holds on random
-pairs, that the rule for split pairs agrees with a freshly built square and
-leaves no such square in the tables, that it is off on a presentation with
-a two-dimensional End, and that the tables are transparent: every clause
-result equals the one computed by the plain per-clause loop below, which
-builds a square for every other pair it meets.
+square per class: the unordered pair of unit-normalised maps.  Two rules
+answer a pair (x, y) without any square.  When y factors through x (y = x s
+for a pullback, y = s x for a pushout), the leg opposite x is split, and has
+the other property exactly when x does; the square exists exactly when the
+kernel (cokernel) of x does.  When y is split (split epi for a pullback,
+split mono for a pushout), the leg is epi, mono or regular exactly when x
+is; that needs idempotents to split, so it applies only where every
+indecomposable has a one-dimensional End, and elsewhere only to an
+invertible y.  These tests pin that each class is built once (one miss of
+the square table) and that the sharing pays on C(A_3)/Q, that the
+invariance the sharing rests on holds on random pairs, that both rules
+agree with a freshly built square and leave no such square in the tables,
+that the split rule is off on a presentation with a two-dimensional End
+while the factoring rule is not, and that the tables are transparent: every
+clause result equals the one computed by the plain per-clause loop below,
+which decides each rule by its own solves and builds a square for every
+other pair it meets.
 """
 
 import collections
@@ -40,9 +44,13 @@ from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
     Budget,
     build_morphism_family,
+    cokernel,
+    factors_through_map,
     is_epi,
     is_mono,
     is_regular,
+    kernel,
+    lifts_through_epi,
     pullback,
     pushout,
     run_clause,
@@ -85,20 +93,28 @@ def _square_legs(Q, limit, x, y, budget):
     return sq.d, sq.c
 
 
+def _clear_squares(P):
+    for R in (P, opposite(P)):
+        R._squares.clear()
+
+
+def _kept_squares(P):
+    return len(P._squares) + len(opposite(P)._squares)
+
+
 def _fresh_legs(Q, limit, x, y, budget):
     """_square_legs with the square built afresh, not read from a table."""
-    for P in (Q, opposite(Q)):
-        P._squares.clear()
+    _clear_squares(Q)
     return _square_legs(Q, limit, x, y, budget)
 
 
 # -- the per-clause loop, one square per pair met ---------------------------------
 #
-# A pair that meets a split map is answered by x itself, as in the scan: its
-# leg is epi, mono or regular exactly when x is.  Building its square instead
-# would spend budget the scan does not spend, so a clause that runs out of
-# budget would stop at another pair.  Split is decided here by rank, and a
-# split mono as a map with a section in Q^op, not by the scan's solves.
+# A pair that either rule answers builds no square, as in the scan.  Building
+# its square instead would spend budget the scan does not spend, so a clause
+# that runs out of budget would stop at another pair.  Here split is decided
+# by rank, a split mono as a map with a section in Q^op, and factoring by one
+# solve per pair, not by the scan's image table.
 
 
 def _has_section(P, f):
@@ -116,10 +132,21 @@ def _is_split(Q, f, limit):
     return _has_section(op, op_morphism(op, f))
 
 
+def _factors(Q, x, y, limit):
+    """Whether y = x s (pullback) or y = s x (pushout) for some s."""
+    if limit == "pullback":
+        return lifts_through_epi(Q, y, x) is not None
+    return factors_through_map(Q, y, x) is not None
+
+
+def _invertible(Q, maps):
+    return {f for f in maps if solve_two_sided_inverse(Q, f) is not None}
+
+
 def _split_test(Q, fam):
-    """split(f, limit) for the plain loop: f is an invertible regular of fam
+    """split(y, limit) for the plain loop: y is an invertible regular of fam
     or, where every indecomposable of Q has a one-dimensional End, split."""
-    inv = {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
+    inv = _invertible(Q, fam.regulars)
     scalar_ends = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
 
     @functools.cache
@@ -129,28 +156,39 @@ def _split_test(Q, fam):
     return split
 
 
-def _pullback_legs(Q, given, others, split, budget):
-    for d in given:
-        for c in others:
-            if c.target == d.target:
-                meets = split(d, "pullback") or split(c, "pullback")
-                yield d, c, d if meets else _fresh_legs(Q, "pullback", d, c, budget)[0]
+def _no_square(limit):
+    what, error = ("kernel", NoKernel) if limit == "pullback" else ("cokernel", NoCokernel)
+    return error(f"difference map has no {what}: presentation is not preabelian here")
 
 
-def _pushout_legs(Q, given, others, split, budget):
-    for a in given:
-        for b in others:
-            if b.source == a.source:
-                meets = split(a, "pushout") or split(b, "pushout")
-                yield a, b, a if meets else _fresh_legs(Q, "pushout", a, b, budget)[0]
+def _plain_legs(Q, limit, given, others, split, budget):
+    """(x, y, holds) for each pair met, x in given and y in others, in the
+    scan's order; holds(ok) is whether the leg opposite x passes ok."""
+    meet = "target" if limit == "pullback" else "source"
+    # opposite a y that factors through x the leg is split epi (split mono):
+    # always epi (mono), and mono (epi) exactly when x is
+    always, like_x, search = (is_epi, is_mono, kernel) if limit == "pullback" else (is_mono, is_epi, cokernel)
+    for x in given:
+        for y in others:
+            if getattr(y, meet) != getattr(x, meet):
+                continue
+            if split(y, limit):
+                yield x, y, lambda ok, x=x: ok(Q, x)
+            elif _factors(Q, x, y, limit):
+                if not like_x(Q, x) and search(Q, x, budget) is None:
+                    raise _no_square(limit)
+                yield x, y, lambda ok, x=x: ok is always or like_x(Q, x)
+            else:
+                leg = _fresh_legs(Q, limit, x, y, budget)[0]
+                yield x, y, lambda ok, leg=leg: ok(Q, leg)
 
 
 def _plain_leg_clause(legs, ok, budget):
     try:
-        for x, y, leg in itertools.islice(legs, budget.scan_pairs_cap):
+        for x, y, holds in itertools.islice(legs, budget.scan_pairs_cap):
             yield
-            P = leg.P
-            if not ok(P, leg):
+            P = x.P
+            if not holds(ok):
                 prop = ok.__name__.removeprefix("is_")
                 return (
                     f"leg not {prop} for {P.obj_name(x.source)} -> {P.obj_name(x.target)}"
@@ -163,16 +201,16 @@ def _plain_leg_clause(legs, ok, budget):
 def _plain_leg_clauses(Q, fam, budget) -> dict:
     split = _split_test(Q, fam)
     return {
-        name: run_clause(_plain_leg_clause(legs, ok, budget))
-        for name, legs, ok in (
-            ("pullback_cokernel_leg", _pullback_legs(Q, fam.cokernel_maps, fam.all, split, budget), is_epi),
-            ("pullback_epi_leg", _pullback_legs(Q, fam.epis, fam.all, split, budget), is_epi),
-            ("pullback_mono_leg", _pullback_legs(Q, fam.monos, fam.all, split, budget), is_mono),
-            ("pullback_regular_leg", _pullback_legs(Q, fam.regulars, fam.all, split, budget), is_regular),
-            ("pushout_kernel_leg", _pushout_legs(Q, fam.kernel_maps, fam.all, split, budget), is_mono),
-            ("pushout_mono_leg", _pushout_legs(Q, fam.monos, fam.all, split, budget), is_mono),
-            ("pushout_epi_leg", _pushout_legs(Q, fam.epis, fam.all, split, budget), is_epi),
-            ("pushout_regular_leg", _pushout_legs(Q, fam.regulars, fam.all, split, budget), is_regular),
+        name: run_clause(_plain_leg_clause(_plain_legs(Q, limit, given, fam.all, split, budget), ok, budget))
+        for name, limit, given, ok in (
+            ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, is_epi),
+            ("pullback_epi_leg", "pullback", fam.epis, is_epi),
+            ("pullback_mono_leg", "pullback", fam.monos, is_mono),
+            ("pullback_regular_leg", "pullback", fam.regulars, is_regular),
+            ("pushout_kernel_leg", "pushout", fam.kernel_maps, is_mono),
+            ("pushout_mono_leg", "pushout", fam.monos, is_mono),
+            ("pushout_epi_leg", "pushout", fam.epis, is_epi),
+            ("pushout_regular_leg", "pushout", fam.regulars, is_regular),
         )
     }
 
@@ -262,7 +300,7 @@ def _eligible_pairs(case):
         for y in fam.all
         if getattr(x, meet) == getattr(y, meet)
     ]
-    return Q, pairs, fam.invertible
+    return Q, pairs, _invertible(Q, fam.regulars)
 
 
 def _answers(Q, *maps):
@@ -333,6 +371,55 @@ def test_pairs_meeting_a_split_map_answer_as_x(case, which, data, s, t):
         assert which == 2 or _is_split(Q, leg, limit)
 
 
+@functools.cache
+def _factor_pairs(case):
+    """The eligible pairs whose y factors through x and is not split, so
+    that the factoring rule, not the split rule, answers them."""
+    Q, pairs, _ = _eligible_pairs(case)
+    split = functools.partial(_is_split, Q)
+    return [(limit, x, y) for limit, x, y in pairs if not split(y, limit) and _factors(Q, x, y, limit)]
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+@settings(max_examples=30)
+@given(data=st.data(), s=_NONZERO, t=_NONZERO)
+def test_pairs_where_y_factors_through_x_answer_by_the_rule(case, data, s, t):
+    # the scan's rule answers such a pair without a square; the leg opposite
+    # x of a freshly built square must answer the same for each property,
+    # before and after rescaling
+    Q, _, _ = _eligible_pairs(case)
+    pairs = _factor_pairs(case)
+    assert {p[0] for p in pairs} == {"pullback", "pushout"}
+    limit, x, y = data.draw(st.sampled_from(pairs))
+    for x, y in ((x, y), (x.scale(s), y.scale(t))):
+        _clear_squares(Q)
+        answer = preabelian._leg_answers(Q, CAPPED)
+        got = [answer(x, y, limit, has) for has in (is_epi, is_mono, is_regular)]
+        assert _kept_squares(Q) == 0  # the rule answered, not a square
+        leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
+        assert got == [has(Q, leg) for has in (is_epi, is_mono, is_regular)]
+        # opposite such an x the leg is split epi (split mono for a pushout)
+        assert _is_split(Q, leg, limit)
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+def test_rules_answer_exactly_the_pairs_the_solves_find(case):
+    # over every eligible pair, sums of indecomposables included, the image
+    # table decides a pair without a square exactly when y is split or
+    # factors through x by the plain loop's own rank test and solve
+    Q, pairs, _ = _eligible_pairs(case)
+    split = _split_test(Q, scan_properties(Q, CAPPED).family)
+    answer = preabelian._leg_answers(Q, CAPPED)
+    ruled = 0
+    for limit, x, y in pairs:
+        _clear_squares(Q)
+        answer(x, y, limit, is_epi)
+        rule = split(y, limit) or _factors(Q, x, y, limit)
+        assert (_kept_squares(Q) == 0) == rule, (limit, x, y)
+        ruled += rule
+    assert 0 < ruled < len(pairs)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -376,12 +463,10 @@ def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
     # T = I3+SP2 has a regular map that is not invertible, SP2 -> P1
     Q = build_quotient(A3, A3.obj({"I3": 1, "SP2": 1})).presentation
     fam = scan_properties(Q, CAPPED).family
-    inv = fam.invertible
+    inv = _invertible(Q, fam.regulars)
     assert {Q.identity(Q.single(i)) for i in range(Q.n)} <= inv
     witness = next(r for r in fam.regulars if r not in inv)
     assert (Q.obj_name(witness.source), Q.obj_name(witness.target)) == ("SP2", "P1")
-    assert solve_two_sided_inverse(Q, witness) is None
-    assert inv == {r for r in fam.regulars if solve_two_sided_inverse(Q, r) is not None}
     # pushout keeps its squares in Q^op, under the maps' opposite twins
     for P in (Q, opposite(Q)):
         assert P._squares
@@ -403,6 +488,45 @@ def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case):
             assert not _has_section(P, c) and not _has_section(P, d)
 
 
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+def test_scan_builds_no_square_for_a_pair_the_rule_answers(case, monkeypatch):
+    # every pair that reaches pullback or pushout from a leg clause is one
+    # that neither rule answers, by the plain loop's own solves; and the
+    # factoring rule answers some pair that the split rule does not
+    Q, _, _ = _eligible_pairs(case)
+    Q.clear_verdict_tables()  # Q is shared with the tests that build squares afresh
+    asked, squared, current = set(), set(), []
+
+    def leg_pairs(limit, given, others):
+        for x, y in build_leg_pairs(limit, given, others):
+            current[:] = [(limit, x, y)]
+            asked.update(current)
+            yield x, y
+
+    def recorded(build):
+        def call(*args):
+            squared.update(current)
+            return build(*args)
+
+        return call
+
+    build_leg_pairs = preabelian._leg_pairs
+    monkeypatch.setattr(preabelian, "_leg_pairs", leg_pairs)
+    monkeypatch.setattr(preabelian, "pullback", recorded(preabelian.pullback))
+    monkeypatch.setattr(preabelian, "pushout", recorded(preabelian.pushout))
+    split = _split_test(Q, scan_properties(Q, CAPPED).family)
+    assert squared and Q._squares and opposite(Q)._squares
+    for limit, x, y in squared:
+        assert not split(y, limit) and not _factors(Q, x, y, limit)
+    assert any(not split(y, limit) and _factors(Q, x, y, limit) for limit, x, y in asked - squared)
+
+
+def _scan_clause(P, limit, given, others, prop):
+    """The leg clause's result over given and others, with fresh scan tables."""
+    answer = preabelian._leg_answers(P, CAPPED)
+    return run_clause(preabelian._leg_clause(P, answer, limit, given, others, prop, CAPPED))
+
+
 def _two_idempotents():
     """One object X with End(X) = Q x Q: basis e1, e2 of orthogonal
     idempotents, and id = e1 + e2.  e1 does not split: X is the only
@@ -412,30 +536,51 @@ def _two_idempotents():
 
 
 def test_split_rule_is_off_without_one_dimensional_ends():
-    # End(X) is two-dimensional, so only invertible maps answer a pair; a
-    # pair that meets a split map builds its square, as the plain loop does
+    # End(X) is two-dimensional, so a split y answers a pair only when it is
+    # invertible.  A pair that meets a split y that is not, and whose y does
+    # not factor through x, builds its square, as the plain loop does
     E = _two_idempotents()
     assert validate_category(E).ok
     fam = build_morphism_family(E, CAPPED)
-    split = preabelian._split_rule(E, fam.invertible)
+    inv = _invertible(E, fam.regulars)
     plain = _split_test(E, fam)
-    for limit in ("pullback", "pushout"):
-        maps = [f for f in fam.all if f not in fam.invertible and _is_split(E, f, limit)]
-        assert maps and not any(split(f, limit) or plain(f, limit) for f in maps)
+    e1 = E.hom_basis(E.single(0), E.single(0))[0]
     # e1 against each split map that meets it: X^2 -> X for a pullback,
     # X -> X^2 for a pushout; one square each, and the plain loop's answer
-    e1 = E.hom_basis(E.single(0), E.single(0))[0]
     for limit, prop in (("pullback", "epi"), ("pushout", "mono")):
+        ok = {"epi": is_epi, "mono": is_mono}[prop]
         ys = [f for f in fam.all if f.source != f.target and _is_split(E, f, limit)]
-        assert ys
-        for y in ys:
-            for P in (E, opposite(E)):
-                P._squares.clear()
-            got = run_clause(preabelian._leg_clause(E, {}, split, limit, [e1], [y], prop, CAPPED))
-            assert got.checked == 1 and len(E._squares) + len(opposite(E)._squares) == 1
-            ok = {"epi": is_epi, "mono": is_mono}[prop]
-            legs = (_pullback_legs if limit == "pullback" else _pushout_legs)(E, [e1], [y], plain, CAPPED)
+        assert ys and not any(f in inv or plain(f, limit) or _factors(E, e1, f, limit) for f in ys)
+        # an invertible y that meets e1 still answers by x, and builds nothing
+        isos = [f for f in inv if f.source == f.target == e1.source]
+        assert isos
+        for y in ys + isos:
+            _clear_squares(E)
+            got = _scan_clause(E, limit, [e1], [y], prop)
+            assert got.checked == 1 and _kept_squares(E) == (y not in inv)
+            legs = _plain_legs(E, limit, [e1], [y], plain, CAPPED)
             assert got == run_clause(_plain_leg_clause(legs, ok, CAPPED))
+
+
+def test_factoring_rule_needs_no_one_dimensional_ends():
+    # e1 = e1 e1 factors through e1 on either side, with no gate.  e1 has
+    # neither a kernel nor a cokernel, so the square of (e1, e1) is missing
+    # as well, and the clause fails as building it would.  Through 1_X,
+    # which is mono and epi, every y factors, and its leg is regular
+    E = _two_idempotents()
+    e1 = E.hom_basis(E.single(0), E.single(0))[0]
+    one = E.identity(E.single(0))
+    for limit, build in (("pullback", pullback), ("pushout", pushout)):
+        assert _factors(E, e1, e1, limit) and _factors(E, one, e1, limit)
+        _clear_squares(E)
+        got = _scan_clause(E, limit, [e1], [e1], "mono")
+        assert _kept_squares(E) == 0
+        with pytest.raises((NoKernel, NoCokernel)) as missing:
+            build(E, e1, e1, CAPPED)
+        assert (got.status, got.checked, got.detail) == ("fail", 0, f"no limit square: {missing.value}")
+        for prop in ("epi", "mono", "regular"):
+            got = _scan_clause(E, limit, [one], [e1], prop)
+            assert (got.status, got.checked) == ("pass", 1) and _kept_squares(E) == 0
 
 
 def test_leg_pairs_keep_the_filtered_order(A4):
