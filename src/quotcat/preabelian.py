@@ -685,10 +685,10 @@ def _leg_answers(Q: CategoryPresentation, budget: Budget):
     component is in the image on Hom(Z, source f) (Hom(target f, Z)), Z the
     copy's indecomposable.  That image is the same for f and its nonzero
     multiples, so it is built once per (unit representative of f, Z, limit)
-    and kept as full, zero or a RowSpace: most questions cost one rank.  A
-    pushout's images of f come from one precompose_matrices pass.  Whether
-    y is split, and whether the limit exists when y factors through x, are
-    kept per map and side.  Every other leg is read off the square of x's
+    and kept as True when full, else as a RowSpace: most questions cost one
+    rank.  A pushout's images of f come from one precompose_matrices pass.
+    Whether y is split, and whether the limit exists when y factors through
+    x, are kept per map and side.  Every other leg is read off the square of x's
     and y's unit representatives, in _unit's order.
     """
     gate = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
@@ -704,14 +704,8 @@ def _leg_answers(Q: CategoryPresentation, budget: Budget):
                 if blocks is None:
                     blocks = pre[f] = precompose_matrices(Q, f)
                 m = blocks[z]
-            rank = m.rank()
-            if rank == m.nrows:
-                im = True
-            elif rank == 0:
-                im = False
-            else:
-                im = RowSpace.from_rows(Q.field, m.nrows, zip(*m.data))
-            images[(f, z, limit)] = im
+            full = m.rank() == m.nrows
+            im = images[(f, z, limit)] = full or RowSpace.from_rows(Q.field, m.nrows, zip(*m.data))
         return im
 
     def in_image(f, g, limit):
@@ -723,10 +717,7 @@ def _leg_answers(Q: CategoryPresentation, budget: Budget):
             parts = zip(g.target.copies(), g.blocks)
         for z, part in parts:
             im = image(f, z, limit)
-            if im is True:
-                continue
-            vec = [c for block in part for c in block]
-            if any(vec) if im is False else not im.contains(vec):
+            if im is not True and not im.contains([c for block in part for c in block]):
                 return False
         return True
 
