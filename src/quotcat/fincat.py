@@ -57,7 +57,7 @@ class CategoryPresentation:
         self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' Objs
         self._layouts = {}  # X.mult -> hom_layout(X)
         # one verdict long (clear_verdict_tables): they hold maps of self
-        self._epis = {}  # f -> preabelian.is_epi's answer
+        self._epis = {}  # f, or (X, Y) with dim Hom(X, Y) = 1 -> preabelian.is_epi's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
         self._squares = {}  # (c, d, budget fields read) -> preabelian.pullback's LimitSquare
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
@@ -212,10 +212,19 @@ class Obj:
 
     Equality tries identity first: maps and tables mostly share one Obj, so
     most comparisons are of an object with itself.  The hash is the
-    dataclass's, hash((mult,)), so set and dict order are unchanged.
+    dataclass's, hash((mult,)), so set and dict order are unchanged; it and
+    the copies are computed once, at construction, as Obj is frozen.
     """
 
     mult: tuple
+
+    def __post_init__(self):
+        copies = ()
+        for i, m in enumerate(self.mult):
+            if m:
+                copies += (i,) * m
+        object.__setattr__(self, "_hash", hash((self.mult,)))
+        object.__setattr__(self, "_copies", copies)
 
     def __eq__(self, other):
         if self is other:
@@ -225,22 +234,11 @@ class Obj:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.mult,))
+        return self._hash
 
     def copies(self) -> tuple:
-        """Indecomposable index of each copy, in block order.
-
-        Computed once per object, which is safe because Obj is frozen.
-        """
+        """Indecomposable index of each copy, in block order."""
         return self._copies
-
-    @cached_property
-    def _copies(self) -> tuple:
-        out = []
-        for i, m in enumerate(self.mult):
-            if m:
-                out += [i] * m
-        return tuple(out)
 
     @property
     def total(self) -> int:

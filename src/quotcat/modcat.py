@@ -240,8 +240,11 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
     h is searched in space(A), a list of morphisms out of A, so that each
     legs[k](h): A -> targets[k] is regular; every leg must be linear in h.
     The search for A is seeded by f"{salt}:{A.mult}", so a skipped source
-    changes no other witness.
+    changes no other witness.  A witness's legs meet exactly is_epi's rank
+    conditions in Q and in Q^op, so each is kept as epi in Q and as mono,
+    epi in Q^op, where is_regular reads them.
     """
+    op = opposite(Q)
     for A in _leg_sources(Q, targets):
         subspace = space(A)
         if not subspace:
@@ -250,6 +253,9 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
         vecs = [b.to_vector() for b in subspace]
         res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{A.mult}")
         if res.status == SearchResult.FOUND:
+            for leg in legs:
+                r = leg(res.witness)
+                Q._epis[r] = op._epis[op_morphism(op, r)] = True
             yield A, res.witness
 
 

@@ -90,13 +90,25 @@ def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
     Injectivity into Hom(X, k) needs dim Hom(Y, k) <= dim Hom(X, k), which
     decides many non-epis before any matrix is built.  Answers are kept on
     Q for one verdict: run_verification empties the table when it returns.
+
+    Where Hom(X, Y) is one-dimensional, its nonzero maps are nonzero
+    multiples of one another, and g o (s f) = s (g o f) with s invertible,
+    so they are all epi or all not.  Their answer is kept once, under
+    (X, Y), beside each map's own.
     """
     answer = Q._epis.get(f)
     if answer is None:
-        dX, dY = Q.hom_layout(f.source)[1], Q.hom_layout(f.target)[1]
-        answer = Q._epis[f] = all(map(operator.le, dY, dX)) and all(
-            not m.ncols or m.rank() == m.ncols for m in precompose_matrices(Q, f)
-        )
+        X, Y = f.source, f.target
+        dX, dY = Q.hom_layout(X)[1], Q.hom_layout(Y)[1]
+        line = sum(map(operator.mul, dX, Y.mult)) == 1 and not f.is_zero()
+        answer = Q._epis.get((X, Y)) if line else None
+        if answer is None:
+            answer = all(map(operator.le, dY, dX)) and all(
+                not m.ncols or m.rank() == m.ncols for m in precompose_matrices(Q, f)
+            )
+            if line:
+                Q._epis[(X, Y)] = answer
+        Q._epis[f] = answer
     return answer
 
 
@@ -378,10 +390,29 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     or None.  run_verification empties the table when it returns.
     BoundsExceeded propagates and is not kept, so a search that ran out of
     budget runs again.
+
+    Two answers need no search:
+    - f epi, as is_epi's table may already hold: the search would return
+      (0, Y -> 0).  Every target is 0, so the one candidate is M = 0, its
+      conditions are empty, and the search returns the zero map at once.
+      The pass decides whether f is epi, as f is epi exactly when every
+      target is 0, and keeps that answer.
+    - f = 0: (Y, 1_Y), a cokernel of 0.  The search would return some
+      automorphism of Y instead; no report reads which one.
+    A FOUND witness c meets exactly is_epi's rank conditions on Hom(M, -),
+    so it is kept as epi.
     """
     Y = f.target
+    if Q._epis.get(f):
+        return _zero_cokernel(Q, Y)
+    if f.is_zero():
+        return (Y, Q.identity(Y))
     blocks = precompose_matrices(Q, f)  # - o f on each Hom(Y, Z_k)
     targets = [m.ncols - m.rank() if m.ncols else 0 for m in blocks]
+    if f not in Q._epis:
+        Q._epis[f] = not any(targets)
+    if not any(targets):
+        return _zero_cokernel(Q, Y)
     key = tuple(targets)
     candidates = Q._multiplicities.get(key)
     if candidates is None:
@@ -397,9 +428,17 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
             salt = hash(M.mult) & 0xFFFF
             conditions = epi_conditions(Q, lambda c: c, M)
             res = Q._searches[search] = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt)
+            if res.status == SearchResult.FOUND:
+                Q._epis[res.witness] = True
         if res.status == SearchResult.FOUND:
             return (M, res.witness)
     return None
+
+
+def _zero_cokernel(Q: CategoryPresentation, Y: Obj):
+    """(0, Y -> 0): the cokernel of an epi into Y."""
+    Z = Obj((0,) * Q.n)
+    return (Z, Q.zero_morphism(Y, Z))
 
 
 def kernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
@@ -443,19 +482,34 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     run_verification empties the table when it returns.  No earlier call
     changes it, and a square that cannot be built is not kept.  pushout
     keeps its squares here too, in Q^op.
+
+    Three squares are built without a kernel, in any category:
+    - d = 1_D: (B, 1_B, c).  A cone (u, v) has v = d v = c u, so it
+      factors through u, and only through u, as a = 1_B.
+    - c = 1_D: (C, d, 1_C), the same with the maps exchanged.
+    - c = d with c mono: (B, 1_B, 1_B).  A cone (u, v) has c u = c v, so
+      u = v, and it factors through u alone.
     """
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
     fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
     sq = Q._squares.get((c, d, *fixed))
     if sq is None:
-        res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
-        if res is None:
-            raise _no_square("pullback")
-        A, j = res
-        # the legs are the projections composed with j
-        a, b = split_rows(Q, j, [c.source, d.source])
-        sq = LimitSquare(A, c.source, d.source, c.target, a, b, c, d)
+        B, C, D = c.source, d.source, c.target
+        one = Q.identity(D) if D in (B, C) else None
+        if d == one:
+            a, b = Q.identity(B), c
+        elif c == one:
+            a, b = d, Q.identity(C)
+        elif c == d and is_mono(Q, c):
+            a = b = Q.identity(B)
+        else:
+            res = kernel(Q, stack_cols(Q, [c, d.scale(-1)]), budget)
+            if res is None:
+                raise _no_square("pullback")
+            # the legs are the projections composed with the kernel map
+            a, b = split_rows(Q, res[1], [B, C])
+        sq = LimitSquare(a.source, B, C, D, a, b, c, d)
         if not sq.check_commutes(Q):
             raise InternalInconsistency("pullback square does not commute")
         Q._squares[(c, d, *fixed)] = sq
@@ -463,7 +517,11 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
 
 
 def pushout(Q: CategoryPresentation, a: Morphism, b: Morphism, budget: Budget = DEFAULT_BUDGET) -> LimitSquare:
-    """Cokernel-based pushout of a: A -> B and b: A -> C: the pullback in Q^op."""
+    """Cokernel-based pushout of a: A -> B and b: A -> C: the pullback in Q^op.
+
+    So pullback's squares without a kernel come dual: b = 1_A gives
+    (B, 1_B, a), a = 1_A gives (C, b, 1_C), and a = b epi gives (B, 1_B, 1_B).
+    """
     if a.source != b.source:
         raise ShapeError("pushout needs a common source")
     op = opposite(Q)
@@ -690,9 +748,13 @@ def _leg_answers(Q: CategoryPresentation, budget: Budget):
     Whether y is split, and whether the limit exists when y factors through
     x, are kept per map and side.  Every other leg is read off the square of x's
     and y's unit representatives, in _unit's order.
+
+    Each rule and each square reads x and y only up to nonzero scalars, so
+    an answer is kept per (unit of x, unit of y, limit, has).  An exception
+    is not kept: a missing square or a search out of budget raises again.
     """
     gate = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
-    units, images, pre, split, exists = {}, {}, {}, {}, {}
+    units, images, pre, split, exists, answers = {}, {}, {}, {}, {}, {}
 
     def image(f, z, limit):
         im = images.get((f, z, limit))
@@ -731,6 +793,13 @@ def _leg_answers(Q: CategoryPresentation, budget: Budget):
 
     def answer(x, y, limit, has):
         (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
+        key = (ux, uy, limit, has)
+        holds = answers.get(key)
+        if holds is None:
+            holds = answers[key] = decide(x, ux, kx, y, uy, ky, limit, has)
+        return holds
+
+    def decide(x, ux, kx, y, uy, ky, limit, has):
         if is_split(y, uy, limit):
             return has(Q, x)
         if in_image(ux, y, limit):

@@ -322,8 +322,10 @@ def test_fraction_not_regular_denominator(a3_path, capsys):
     assert "regular" in err
 
 
-# over the cap with no random tries: the kernel's certification grid raises
-OUT_OF_BUDGET = ["--retries", "0", "--grid-cap", "1", "kernel [id, P2:P3:0]"]
+# over the cap with no random tries: the kernel's certification grid raises.
+# P3 -> I2 is neither mono nor zero, and its left form is read off a pushout
+# along an identity, so the expression reaches its kernel's search.
+OUT_OF_BUDGET = ["--retries", "0", "--grid-cap", "1", "kernel [id, P3:I2:0]"]
 
 
 def test_fraction_out_of_budget_goes_on_with_the_next_expression(a3_path, capsys):
@@ -339,10 +341,10 @@ def test_fraction_out_of_budget_goes_on_with_the_next_expression(a3_path, capsys
     [
         (["[id, P1:P9:0]", "invert P3:I2:0"], 2),
         (["invert P3:I2:0", "[id, P1:P9:0]"], 2),
-        (["invert P3:I2:0", "kernel [id, P2:P3:0]"], 1),
-        (["kernel [id, P2:P3:0]", "invert P3:I2:0"], 1),
-        (["kernel [id, P2:P3:0]", "[id, P1:P2:0]"], 3),
-        (["[id, P1:P2:0]", "kernel [id, P2:P3:0]"], 3),
+        (["invert P3:I2:0", "kernel [id, P3:I2:0]"], 1),
+        (["kernel [id, P3:I2:0]", "invert P3:I2:0"], 1),
+        (["kernel [id, P3:I2:0]", "[id, P1:P2:0]"], 3),
+        (["[id, P1:P2:0]", "kernel [id, P3:I2:0]"], 3),
     ],
 )
 def test_fraction_exits_with_the_worst_status_in_any_order(a3_path, capsys, exprs, want):
@@ -404,17 +406,19 @@ def test_fraction_kernel_and_cokernel_expressions(a3_path, capsys):
 # shared by the expressions.  P1 -> P2 and I2 -> I3 are regular there.  With
 # r = P1 -> P2 and i2 the identity of P2, the second expression builds the
 # square of (r, i2) and the fourth reads it; the third builds the square of
-# the exchanged pair (i2, r) and the fifth reads it.
+# the exchanged pair (i2, r) and the fifth reads it.  Both squares are along
+# an identity, so pullback builds them without a kernel: (P1, 1, r) and
+# (P1, r, 1), and the compositions print the roof with identity legs.
 FRACTION_OUTPUT = [
     ("equal? [P1:P2:0, id:P1] [P1:P2:0, id:P1]", "true"),
-    ("compose [id, P2:P3:0] [id, P1:P2:0]", "[P1 <= P1 => P3; denom (P1 -> P1: [-1]), num (P1 -> P3: [-1])]"),
-    ("compose [P1:P2:0, P1:P3:0] [id, id:P2]", "[P2 <= P1 => P3; denom (P1 -> P2: [-1]), num (P1 -> P3: [-1])]"),
+    ("compose [id, P2:P3:0] [id, P1:P2:0]", "[P1 <= P1 => P3; denom (P1 -> P1: [1]), num (P1 -> P3: [1])]"),
+    ("compose [P1:P2:0, P1:P3:0] [id, id:P2]", "[P2 <= P1 => P3; denom (P1 -> P2: [1]), num (P1 -> P3: [1])]"),
     ("equal? [P1:P2:0, P1:P3:0] [id, P2:P3:0]", "true"),
     ("equal? [id, P2:P3:0] [P1:P2:0, P1:P3:0]", "true"),
     ("invert P1:P2:0", "[P2 <= P1 => P1; denom (P1 -> P2: [1]), num (P1 -> P1: [1])]"),
     ("invert I2:I3:0", "[I3 <= I2 => I2; denom (I2 -> I3: [1]), num (I2 -> I2: [1])]"),
-    ("compose [P1:P2:0, id:P1] [id, P1:P2:0]", "[P1 <= P1 => P1; denom (P1 -> P1: [-1]), num (P1 -> P1: [-1])]"),
-    ("compose [id, P1:P2:0] [P1:P2:0, id:P1]", "[P2 <= P1 => P2; denom (P1 -> P2: [-1]), num (P1 -> P2: [-1])]"),
+    ("compose [P1:P2:0, id:P1] [id, P1:P2:0]", "[P1 <= P1 => P1; denom (P1 -> P1: [1]), num (P1 -> P1: [1])]"),
+    ("compose [id, P1:P2:0] [P1:P2:0, id:P1]", "[P2 <= P1 => P2; denom (P1 -> P2: [1]), num (P1 -> P2: [1])]"),
     ("kernel [id, P2:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
     ("cokernel [id, P2:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
     ("kernel [P1:P2:0, P1:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
@@ -458,6 +462,10 @@ def test_fraction_output_is_pinned(a3_path, capsys, monkeypatch):
     # each ordered pair's square is built at most once, under the pair asked
     assert len(misses) == len(set(misses))
     assert misses.count((r, i2)) == misses.count((i2, r)) == 1
+    i1 = Q.identity(r.source)
+    squares = {key[:2]: sq for key, sq in Q._squares.items()}
+    assert (squares[(r, i2)].a, squares[(r, i2)].b) == (i1, r)
+    assert (squares[(i2, r)].a, squares[(i2, r)].b) == (r, i1)
 
 
 def _corrupt(entry, **changes):

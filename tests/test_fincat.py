@@ -416,6 +416,16 @@ def test_obj_equality_and_hash():
     assert len({X, same, Y}) == 2 and {X: 1}[same] == 1
 
 
+@given(st.lists(st.integers(0, 3), max_size=6))
+def test_obj_hash_and_copies_are_kept_from_construction(m):
+    # the dataclass's hash, hash((mult,)), and the copies are computed once
+    m = tuple(m)
+    X = Obj(m)
+    assert hash(X) == hash((m,)) == X._hash
+    assert X.copies() is X._copies and X.copies() == tuple(i for i, k in enumerate(m) for _ in range(k))
+    assert hash(X + X) == hash((tuple(2 * k for k in m),))
+
+
 def test_precompose_postcompose_matrices(arrow):
     f = arrow.basis_morphism(0, 1, 0)  # x -> y
     x, y = arrow.single("x"), arrow.single("y")
