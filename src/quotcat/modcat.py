@@ -112,13 +112,23 @@ class GammaModule:
 
 
 class HFunctor:
-    """Hom(T, -) from the parent presentation to Gamma-modules."""
+    """Hom(T, -) from the parent presentation to Gamma-modules.
+
+    An HFunctor lives for one verdict, and so do its tables: H of each
+    parent map, the H-images of each parent Hom space, the dimension of each
+    module Hom space, and FULL's tables for each quotient (realize_module_map
+    says what those hold).  None of them goes on a presentation.
+    """
 
     def __init__(self, P: CategoryPresentation, T: Obj):
         self.P = P
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
         self._matrices: dict[Morphism, Matrix] = {}
+        self._images: dict[tuple, list] = {}  # (A, Y) -> images(A, Y)
+        self._hom_dims: dict[tuple, int] = {}  # (X, Y) -> dim of module_maps(X, Y)
+        self._lifted: dict[tuple, list] = {}  # (Q, A, x) -> lifted_images
+        self._roofs: dict[tuple, tuple] = {}  # (Q, x, budget fields read) -> realize_module_map's (A_x, r_x)
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -140,8 +150,42 @@ class HFunctor:
         return m
 
     def images(self, A: Obj, Y: Obj) -> list[list]:
-        """The flattened H-images of the basis of Hom(A, Y)."""
-        return [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
+        """The flattened H-images of the basis of Hom(A, Y), kept per (A, Y)."""
+        vecs = self._images.get((A, Y))
+        if vecs is None:
+            vecs = self._images[(A, Y)] = [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
+        return vecs
+
+    def module_maps(self, X: Obj, Y: Obj) -> list[Matrix]:
+        """module_hom_space(H X, H Y); its dimension is kept per (X, Y)."""
+        maps = module_hom_space(self.module(X), self.module(Y))
+        self._hom_dims[(X, Y)] = len(maps)
+        return maps
+
+    def module_hom_dim(self, X: Obj, Y: Obj) -> int:
+        """dim Hom(H X, H Y), read from module_maps' table when it is there."""
+        d = self._hom_dims.get((X, Y))
+        return len(self.module_maps(X, Y)) if d is None else d
+
+    def lifted_images(self, qc: QuotientCategory, A: Obj, x: int) -> list[Matrix]:
+        """H(lift r) for the basis r of Hom_Q(A, x), kept per (A, x)."""
+        Q = qc.presentation
+        key = (Q, A, x)
+        mats = self._lifted.get(key)
+        if mats is None:
+            mats = self._lifted[key] = [self.mor_matrix(qc.lift(r)) for r in Q.hom_basis(A, Q.single(x))]
+        return mats
+
+    def preimage(self, qc: QuotientCategory, x: int, y: int, phi: Matrix) -> Morphism | None:
+        """Some f in Hom_Q(x, y) with H(lift f) = phi, or None when phi is
+        not in H's image: a solve over the columns H(lift b), b running over
+        the unit basis of Hom_Q(x, y)."""
+        Q = qc.presentation
+        X, Y = Q.single(x), Q.single(y)
+        cols = [_flat(self.mor_matrix(qc.lift(b))) for b in Q.hom_basis(X, Y)]
+        want = _flat(phi)
+        m = Matrix(Q.field, len(want), len(cols), [[v[i] for v in cols] for i in range(len(want))])
+        return solve_on_basis(Q, X, Y, m, want)
 
 
 def in_s(H: HFunctor, f: Morphism) -> bool:
@@ -156,10 +200,10 @@ def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
     Lift independence: maps factoring through X_T have zero H-image, so any
     parent representatives give the same matrix.
     """
-    hr = H.mor_matrix(qc.lift(F.denom))
-    if hr.nrows != hr.ncols or hr.rank() != hr.nrows:
+    inv = H.mor_matrix(qc.lift(F.denom)).inverse()
+    if inv is None:
         raise NotInS("fraction denominator is not inverted by Hom(T, -)")
-    return H.mor_matrix(qc.lift(F.num)) * hr.inverse()
+    return H.mor_matrix(qc.lift(F.num)) * inv
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
@@ -269,37 +313,86 @@ def realize_module_map(
 ):
     """A fraction F: x => y with h_fraction(F) = phi, or None (certified).
 
-    Searches regular denominators r: A -> x over the leg sources of x; the
-    numerator condition is the linear constraint phi o H(r) in image(H on
-    Hom(A, y)).
+    A denominator is a regular r: A -> x, A running over the leg sources of
+    x in order, such that phi o H(lift r) is in the image of H on Hom_C(A,
+    y); the numerator solves H(lift f) = phi o H(lift r).  Two rules spare
+    the walk, each reading tables kept on H for the verdict.
+
+    The image rule.  When phi = H(lift f) for some f in Hom_Q(x, y)
+    (H.preimage decides it), phi o H(lift r) = H(lift f o lift r) is in
+    that image for every A and every r: A -> x.  So the denominator space
+    is all of Hom_Q(A, x), whose echelon basis is the unit basis
+    Q.hom_basis(A, x): every such phi walks the same spaces in the same
+    order, and stops at the same source A_x, the first leg source with a
+    regular map into x (x itself has one, its identity).  The searches
+    before it certify empty, and with no map to find every draw misses, so
+    A_x does not depend on the salt.  The first such phi of x runs that walk
+    with its own salt, and its roof (A_x, r_x) is kept per (x, budget
+    fields read); every later one returns [r_x, f o r_x] where its own salt
+    would search A_x again, and could only find a roof there or run out of
+    budget.  The H-image of [r_x, f o r_x] is H(lift f) o H(lift r_x) o
+    H(lift r_x)^-1 = phi, since lift(f o r_x) and lift f o lift r_x differ
+    by a map through X_T, which H kills; the check below still computes it,
+    and a kept roof whose fraction misses phi means H's data is
+    inconsistent, so it raises NotInS.
+
+    Maps outside the image.  A source before A_x has no regular map into x
+    at all, so once A_x is kept the walk skips them (their denominator space
+    is empty): the search over a subspace of a space certified empty finds
+    nothing either.  Such a map
+    never stops at A = x when dim End_Q(x) = 1, as in every C(A_n)
+    quotient: a regular endomorphism of x is then a nonzero scalar c, and
+    c phi in H's image would put phi there.  Its denominator space reads
+    H(lift r) for the basis of Hom_Q(A, x) (H.lifted_images, per (A, x)),
+    and it and the numerator read the H-images of Hom_C(A, y) (H.images,
+    per (A, y)).
     """
     Q = qc.presentation
     P = qc.parent
     X, Y_par = Q.single(x), qc.lift_obj(Q.single(y))
     field = Q.field
+    key = (Q, x, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    roof = H._roofs.get(key)
+    salt = f"full:{x}:{y}"
 
-    def image(A):
-        """The H-images of Hom_C(A, y): the denominator space and the
-        numerator both read them."""
-        return H.images(qc.lift_obj(A), Y_par)
+    f = H.preimage(qc, x, y, phi)
+    if f is not None:
+        if roof is None:
+            roof = next(_regular_roofs(Q, [X], lambda A: Q.hom_basis(A, X), [lambda r: r], budget, salt), None)
+            if roof is None:
+                return None
+            H._roofs[key] = roof
+        r = roof[1]
+        F = Fraction(Q, r, compose(Q, f, r))
+        if h_fraction(H, qc, F) != phi:
+            raise NotInS("the kept roof's fraction is not mapped to the module map by Hom(T, -)")
+        return F
+
+    before = set()
+    if roof is not None:
+        sources = _leg_sources(Q, [X])
+        before = set(sources[: sources.index(roof[0])])
 
     def denominators(A):
-        """Basis of the r in Hom(A, x) with phi o H(lift r) in image(A).
+        """Basis of the r in Hom(A, x) with phi o H(lift r) in H.images(A, y),
+        or none for a source before the kept A_x.
 
         Hom(A, x) is nonzero: the floor of a leg source forces it.
         """
-        cols = [_flat(phi * H.mor_matrix(qc.lift(r))) for r in Q.hom_basis(A, X)]
-        unknowns = cols + [[field.neg(a) for a in v] for v in image(A)]
+        if A in before:
+            return []
+        cols = [_flat(phi * m) for m in H.lifted_images(qc, A, x)]
+        unknowns = cols + [[field.neg(a) for a in v] for v in H.images(qc.lift_obj(A), Y_par)]
         mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
         proj = RowSpace(field, len(cols))
         for v in mat.kernel_basis():
             proj.add(v[: len(cols)])
         return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
-    for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
+    for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, salt):
         # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
         want = _flat(phi * H.mor_matrix(qc.lift(r)))
-        img = image(A)
+        img = H.images(qc.lift_obj(A), Y_par)
         img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])
         f_par = solve_on_basis(P, qc.lift_obj(A), Y_par, img_mat, want)
         if f_par is None:
@@ -344,9 +437,7 @@ def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: l
     """
     Q = qc.presentation
     for x, y in itertools.product(range(Q.n), repeat=2):
-        Mx = H.module(qc.lift_obj(Q.single(x)))
-        My = H.module(qc.lift_obj(Q.single(y)))
-        for phi in module_hom_space(Mx, My):
+        for phi in H.module_maps(qc.lift_obj(Q.single(x)), qc.lift_obj(Q.single(y))):
             if phi.is_zero():
                 continue
             yield
@@ -361,7 +452,18 @@ def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: l
 
 def _projectives_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H: HFunctor, budget: Budget):
     """Clause body: the localised projectives are exactly add T up to
-    isomorphism, and End dimensions agree."""
+    isomorphism, and End dimensions agree.
+
+    End dimensions are compared pair by pair over T's summands: dim
+    Hom_P(T_s, T_t) against dim Hom(H T_s, H T_t).  Both sides are additive
+    in each argument and H T is the sum of the H T_s with T's multiplicities,
+    so dim End(T) and dim End(H T) are the same weighted sums of these.
+    Every pair agrees by Yoneda: H T_s is the projective e_s End(T), and
+    Hom(e_s End(T), H T_t) = Hom(T_s, T_t); so a pair that differs names
+    where the module data is wrong.  The summands are kept objects of the
+    quotient, so FULL has filled these pairs in H's module Hom table; only a
+    pair FULL did not reach is computed here.
+    """
     tsupp = set(T.support())
     for x, parent_idx in enumerate(qc.keep):
         appr = approximation(P, sorted(tsupp), P.single(parent_idx))
@@ -370,10 +472,11 @@ def _projectives_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H
         yield
         if split != in_add_t:
             return f"localised projectivity mismatch at {P.objects[parent_idx]}"
-    dT = P.hom_space_dim(T, T)
-    dMod = len(module_hom_space(H.module(T), H.module(T)))
-    if dT != dMod:
-        return f"End dimension mismatch: {dT} vs {dMod}"
+    for s, t in itertools.product(sorted(tsupp), repeat=2):
+        dT = P.hom_dim(s, t)
+        dMod = H.module_hom_dim(P.single(s), P.single(t))
+        if dT != dMod:
+            return f"End dimension mismatch on ({P.objects[s]}, {P.objects[t]}): {dT} vs {dMod}"
 
 
 def verify_equivalence(
