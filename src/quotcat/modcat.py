@@ -1,8 +1,9 @@
 """The module side: End(T)-opposite algebra, the T-hom functor, equivalence.
 
 H = Hom(T, -) sends the ambient category to right End(T)-modules, realised
-as left modules over the opposite algebra via pre-composition action.  The
-bridge identities (a map is inverted by H iff its image in the quotient is
+as left modules over the opposite algebra via pre-composition action; a
+verdict computes it on the quotient C/X_T (HFunctor says why).  The bridge
+identities (a map is inverted by H iff its image in the quotient is
 regular) and the clauses of the module-category equivalence are all
 checked here with exact linear algebra.
 """
@@ -112,12 +113,24 @@ class GammaModule:
 
 
 class HFunctor:
-    """Hom(T, -) from the parent presentation to Gamma-modules.
+    """Hom(T, -) from a presentation to Gamma-modules.
 
-    An HFunctor lives for one verdict, and so do its tables: H of each
-    parent map, the H-images of each parent Hom space, the dimension of each
-    module Hom space, and FULL's tables for each quotient (realize_module_map
-    says what those hold).  None of them goes on a presentation.
+    A verdict builds it on the quotient Q = C/X_T with T_Q =
+    qc.project_obj(T), which is the functor Hom_C(T, -) induces on Q:
+
+    - For each summand t of T and each kept x, factoring_subspace(C, t, x,
+      X_T) is 0, as Hom(T, X_T) = 0.  So rep_coords[(t, x)] is every
+      coordinate, and Hom_Q(t, x) is Hom_C(t, x) with the same basis.
+    - A composite through T's summands, t -> t' -> x or t -> x -> y, lands
+      in such a space, so the quotient's structure constants there are C's
+      own: projecting a vector with no factoring part leaves it as it is.
+    - So postcompose_matrix(Q, f, T_Q) equals postcompose_matrix(C,
+      qc.lift(f), T) entry for entry, and module(X) has the dimension,
+      positions and copy_actions of module(qc.lift_obj(X)) built on C.
+
+    An HFunctor lives for one verdict, and so do its tables: H of each map,
+    the dimension of each module Hom space, and FULL's kept roofs
+    (realize_module_map says what those hold).  None goes on a presentation.
     """
 
     def __init__(self, P: CategoryPresentation, T: Obj):
@@ -125,10 +138,8 @@ class HFunctor:
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
         self._matrices: dict[Morphism, Matrix] = {}
-        self._images: dict[tuple, list] = {}  # (A, Y) -> images(A, Y)
         self._hom_dims: dict[tuple, int] = {}  # (X, Y) -> dim of module_maps(X, Y)
-        self._lifted: dict[tuple, list] = {}  # (Q, A, x) -> lifted_images
-        self._roofs: dict[tuple, tuple] = {}  # (Q, x, budget fields read) -> realize_module_map's (A_x, r_x)
+        self._roofs: dict[tuple, tuple] = {}  # (x, budget fields read) -> realize_module_map's (A_x, r_x)
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -140,21 +151,16 @@ class HFunctor:
         return self._modules[X.mult]
 
     def mor_matrix(self, f: Morphism) -> Matrix:
-        """Matrix of Hom(T, source f) -> Hom(T, target f), built once per
-        parent map f: FAITHFUL, images and the lifts of realised fractions
-        all read it.  f's presentation is part of its equality, so a key
-        never mixes two presentations."""
+        """Matrix of Hom(T, source f) -> Hom(T, target f), built once per map
+        f for FAITHFUL's quotient half, FULL's solves and h_fraction."""
         m = self._matrices.get(f)
         if m is None:
             m = self._matrices[f] = postcompose_matrix(self.P, f, self.T)
         return m
 
     def images(self, A: Obj, Y: Obj) -> list[list]:
-        """The flattened H-images of the basis of Hom(A, Y), kept per (A, Y)."""
-        vecs = self._images.get((A, Y))
-        if vecs is None:
-            vecs = self._images[(A, Y)] = [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
-        return vecs
+        """The flattened H-images of the basis of Hom(A, Y)."""
+        return [_flat(self.mor_matrix(g)) for g in self.P.hom_basis(A, Y)]
 
     def module_maps(self, X: Obj, Y: Obj) -> list[Matrix]:
         """module_hom_space(H X, H Y); its dimension is kept per (X, Y)."""
@@ -167,25 +173,14 @@ class HFunctor:
         d = self._hom_dims.get((X, Y))
         return len(self.module_maps(X, Y)) if d is None else d
 
-    def lifted_images(self, qc: QuotientCategory, A: Obj, x: int) -> list[Matrix]:
-        """H(lift r) for the basis r of Hom_Q(A, x), kept per (A, x)."""
-        Q = qc.presentation
-        key = (Q, A, x)
-        mats = self._lifted.get(key)
-        if mats is None:
-            mats = self._lifted[key] = [self.mor_matrix(qc.lift(r)) for r in Q.hom_basis(A, Q.single(x))]
-        return mats
-
-    def preimage(self, qc: QuotientCategory, x: int, y: int, phi: Matrix) -> Morphism | None:
-        """Some f in Hom_Q(x, y) with H(lift f) = phi, or None when phi is
-        not in H's image: a solve over the columns H(lift b), b running over
-        the unit basis of Hom_Q(x, y)."""
-        Q = qc.presentation
-        X, Y = Q.single(x), Q.single(y)
-        cols = [_flat(self.mor_matrix(qc.lift(b))) for b in Q.hom_basis(X, Y)]
+    def preimage(self, X: Obj, Y: Obj, phi: Matrix) -> Morphism | None:
+        """Some f in Hom(X, Y) with H(f) = phi, or None when phi is not in
+        H's image: a solve over the columns H(b), b running over the unit
+        basis of Hom(X, Y)."""
+        cols = self.images(X, Y)
         want = _flat(phi)
-        m = Matrix(Q.field, len(want), len(cols), [[v[i] for v in cols] for i in range(len(want))])
-        return solve_on_basis(Q, X, Y, m, want)
+        m = Matrix(self.P.field, len(want), len(cols), [[v[i] for v in cols] for i in range(len(want))])
+        return solve_on_basis(self.P, X, Y, m, want)
 
 
 def in_s(H: HFunctor, f: Morphism) -> bool:
@@ -194,16 +189,12 @@ def in_s(H: HFunctor, f: Morphism) -> bool:
     return m.nrows == m.ncols and m.rank() == m.nrows
 
 
-def h_fraction(H: HFunctor, qc: QuotientCategory, F) -> Matrix:
-    """H(numerator) o H(denominator)^{-1}, through arbitrary lifts.
-
-    Lift independence: maps factoring through X_T have zero H-image, so any
-    parent representatives give the same matrix.
-    """
-    inv = H.mor_matrix(qc.lift(F.denom)).inverse()
+def h_fraction(H: HFunctor, F) -> Matrix:
+    """H(numerator) o H(denominator)^{-1}."""
+    inv = H.mor_matrix(F.denom).inverse()
     if inv is None:
         raise NotInS("fraction denominator is not inverted by Hom(T, -)")
-    return H.mor_matrix(qc.lift(F.num)) * inv
+    return H.mor_matrix(F.num) * inv
 
 
 def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
@@ -303,59 +294,45 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
             yield A, res.witness
 
 
-def realize_module_map(
-    H: HFunctor,
-    qc: QuotientCategory,
-    x: int,
-    y: int,
-    phi: Matrix,
-    budget: Budget = DEFAULT_BUDGET,
-):
+def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget = DEFAULT_BUDGET):
     """A fraction F: x => y with h_fraction(F) = phi, or None (certified).
 
-    A denominator is a regular r: A -> x, A running over the leg sources of
-    x in order, such that phi o H(lift r) is in the image of H on Hom_C(A,
-    y); the numerator solves H(lift f) = phi o H(lift r).  Two rules spare
-    the walk, each reading tables kept on H for the verdict.
+    H lives on the quotient Q.  A denominator is a regular r: A -> x, A
+    running over the leg sources of x in order, such that phi o H(r) is in
+    the image of H on Hom_Q(A, y); the numerator f solves H(f) = phi o H(r),
+    by the one solve H.preimage, which also decides the image rule below.
+    Two rules spare the walk, each reading tables kept on H for the verdict.
 
-    The image rule.  When phi = H(lift f) for some f in Hom_Q(x, y)
-    (H.preimage decides it), phi o H(lift r) = H(lift f o lift r) is in
-    that image for every A and every r: A -> x.  So the denominator space
-    is all of Hom_Q(A, x), whose echelon basis is the unit basis
-    Q.hom_basis(A, x): every such phi walks the same spaces in the same
-    order, and stops at the same source A_x, the first leg source with a
-    regular map into x (x itself has one, its identity).  The searches
+    The image rule.  When phi = H(f) for some f in Hom_Q(x, y), phi o H(r)
+    = H(f o r) is in that image for every A and every r: A -> x.  So the
+    denominator space is all of Hom_Q(A, x), whose echelon basis is the unit
+    basis Q.hom_basis(A, x): every such phi walks the same spaces in the
+    same order, and stops at the same source A_x, the first leg source with
+    a regular map into x (x itself has one, its identity).  The searches
     before it certify empty, and with no map to find every draw misses, so
     A_x does not depend on the salt.  The first such phi of x runs that walk
-    with its own salt, and its roof (A_x, r_x) is kept per (x, budget
-    fields read); every later one returns [r_x, f o r_x] where its own salt
-    would search A_x again, and could only find a roof there or run out of
-    budget.  The H-image of [r_x, f o r_x] is H(lift f) o H(lift r_x) o
-    H(lift r_x)^-1 = phi, since lift(f o r_x) and lift f o lift r_x differ
-    by a map through X_T, which H kills; the check below still computes it,
-    and a kept roof whose fraction misses phi means H's data is
-    inconsistent, so it raises NotInS.
+    with its own salt, and its roof (A_x, r_x) is kept per (x, budget fields
+    read); every later one returns [r_x, f o r_x] where its own salt would
+    search A_x again, and could only find a roof there or run out of
+    budget.  The H-image of [r_x, f o r_x] is H(f) o H(r_x) o H(r_x)^-1 =
+    phi; the check below still computes it, and a kept roof whose fraction
+    misses phi means H's data is inconsistent, so it raises NotInS.
 
     Maps outside the image.  A source before A_x has no regular map into x
     at all, so once A_x is kept the walk skips them (their denominator space
     is empty): the search over a subspace of a space certified empty finds
-    nothing either.  Such a map
-    never stops at A = x when dim End_Q(x) = 1, as in every C(A_n)
-    quotient: a regular endomorphism of x is then a nonzero scalar c, and
-    c phi in H's image would put phi there.  Its denominator space reads
-    H(lift r) for the basis of Hom_Q(A, x) (H.lifted_images, per (A, x)),
-    and it and the numerator read the H-images of Hom_C(A, y) (H.images,
-    per (A, y)).
+    nothing either.  Such a map never stops at A = x when dim End_Q(x) = 1,
+    as in every C(A_n) quotient: a regular endomorphism of x is then a
+    nonzero scalar c, and c phi in H's image would put phi there.
     """
-    Q = qc.presentation
-    P = qc.parent
-    X, Y_par = Q.single(x), qc.lift_obj(Q.single(y))
+    Q = H.P
+    X, Y = Q.single(x), Q.single(y)
     field = Q.field
-    key = (Q, x, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    key = (x, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
     roof = H._roofs.get(key)
     salt = f"full:{x}:{y}"
 
-    f = H.preimage(qc, x, y, phi)
+    f = H.preimage(X, Y, phi)
     if f is not None:
         if roof is None:
             roof = next(_regular_roofs(Q, [X], lambda A: Q.hom_basis(A, X), [lambda r: r], budget, salt), None)
@@ -364,7 +341,7 @@ def realize_module_map(
             H._roofs[key] = roof
         r = roof[1]
         F = Fraction(Q, r, compose(Q, f, r))
-        if h_fraction(H, qc, F) != phi:
+        if h_fraction(H, F) != phi:
             raise NotInS("the kept roof's fraction is not mapped to the module map by Hom(T, -)")
         return F
 
@@ -374,15 +351,15 @@ def realize_module_map(
         before = set(sources[: sources.index(roof[0])])
 
     def denominators(A):
-        """Basis of the r in Hom(A, x) with phi o H(lift r) in H.images(A, y),
-        or none for a source before the kept A_x.
+        """Basis of the r in Hom(A, x) with phi o H(r) in H's image on
+        Hom(A, y), or none for a source before the kept A_x.
 
         Hom(A, x) is nonzero: the floor of a leg source forces it.
         """
         if A in before:
             return []
-        cols = [_flat(phi * m) for m in H.lifted_images(qc, A, x)]
-        unknowns = cols + [[field.neg(a) for a in v] for v in H.images(qc.lift_obj(A), Y_par)]
+        cols = [_flat(phi * H.mor_matrix(r)) for r in Q.hom_basis(A, X)]
+        unknowns = cols + [[field.neg(a) for a in v] for v in H.images(A, Y)]
         mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
         proj = RowSpace(field, len(cols))
         for v in mat.kernel_basis():
@@ -390,59 +367,57 @@ def realize_module_map(
         return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
     for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, salt):
-        # solve the numerator: H(f_lift) = phi o H(r_lift), unique mod ker H
-        want = _flat(phi * H.mor_matrix(qc.lift(r)))
-        img = H.images(qc.lift_obj(A), Y_par)
-        img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])
-        f_par = solve_on_basis(P, qc.lift_obj(A), Y_par, img_mat, want)
-        if f_par is None:
+        f = H.preimage(A, Y, phi * H.mor_matrix(r))
+        if f is None:
             continue
-        F = Fraction(Q, r, qc.project(f_par))
-        if h_fraction(H, qc, F) == phi:
+        F = Fraction(Q, r, f)
+        if h_fraction(H, F) == phi:
             return F
     return None
 
 
-def _faithful_clause(P: CategoryPresentation, qc: QuotientCategory, H: HFunctor):
-    """Clause body: the kernel of H on each Hom space is exactly the maps
-    factoring through X_T, per basis morphism and then as a dimension per
-    pair of kept objects.
+def _faithful_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H: HFunctor):
+    """Clause body: the kernel of Hom_C(T, -) is exactly the maps factoring
+    through X_T, per basis morphism of C, and H is faithful on each Hom
+    space of the quotient.
 
-    The maps factoring through X_T are qc.f_spaces on kept pairs; every
-    other pair's space is computed once, on its first basis morphism.  Both
-    loops read H of each basis morphism off H's one table, where FULL finds
-    it too.
+    The first loop reads C's own data: postcompose_matrix(P, f, T) of every
+    basis morphism f against the maps factoring through X_T, which are
+    qc.f_spaces on kept pairs; every other pair's space is computed once, on
+    its first basis morphism.  The second asks that the H-images of the
+    basis of each Hom_Q(x, y) be independent.
     """
     spaces = dict(qc.f_spaces)
     for i, j, a, f in basis_morphisms(P):
         rs = spaces.get((i, j))
         if rs is None:
             rs = spaces[(i, j)] = factoring_subspace(P, i, j, qc.xt)
-        hz, ft = H.mor_matrix(f).is_zero(), rs.contains(f.to_vector())
+        hz, ft = postcompose_matrix(P, f, T).is_zero(), rs.contains(f.to_vector())
         yield
         if hz != ft:
             return f"kernel mismatch at basis ({P.objects[i]} -> {P.objects[j]}, {a})"
-    for i, j in itertools.product(qc.keep, repeat=2):
-        vecs = H.images(P.single(i), P.single(j))
-        if vecs and RowSpace.from_rows(P.field, len(vecs[0]), vecs).dim != len(qc.rep_coords[(i, j)]):
-            return f"H-image dimension mismatch on ({P.objects[i]}, {P.objects[j]})"
+    Q = H.P
+    for x, y in itertools.product(range(Q.n), repeat=2):
+        vecs = H.images(Q.single(x), Q.single(y))
+        if vecs and RowSpace.from_rows(Q.field, len(vecs[0]), vecs).dim != len(vecs):
+            return f"H-image dimension mismatch on ({Q.objects[x]}, {Q.objects[y]})"
 
 
-def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: list):
+def _full_clause(H: HFunctor, budget: Budget, witnesses: list):
     """Clause body: every nonzero module map between images of
     indecomposables is realised by a fraction.
 
     Each realisation appends (source, target, whether its denominator is not
     an identity) to witnesses.
     """
-    Q = qc.presentation
+    Q = H.P
     for x, y in itertools.product(range(Q.n), repeat=2):
-        for phi in H.module_maps(qc.lift_obj(Q.single(x)), qc.lift_obj(Q.single(y))):
+        for phi in H.module_maps(Q.single(x), Q.single(y)):
             if phi.is_zero():
                 continue
             yield
             try:
-                F = realize_module_map(H, qc, x, y, phi, budget)
+                F = realize_module_map(H, x, y, phi, budget)
             except NotInS as e:
                 return f"inconsistent functor data: {e}"
             if F is None:
@@ -450,33 +425,35 @@ def _full_clause(H: HFunctor, qc: QuotientCategory, budget: Budget, witnesses: l
             witnesses.append((Q.objects[x], Q.objects[y], F.denom.source != F.denom.target))
 
 
-def _projectives_clause(P: CategoryPresentation, T: Obj, qc: QuotientCategory, H: HFunctor, budget: Budget):
+def _projectives_clause(H: HFunctor, budget: Budget):
     """Clause body: the localised projectives are exactly add T up to
     isomorphism, and End dimensions agree.
 
-    End dimensions are compared pair by pair over T's summands: dim
-    Hom_P(T_s, T_t) against dim Hom(H T_s, H T_t).  Both sides are additive
-    in each argument and H T is the sum of the H T_s with T's multiplicities,
-    so dim End(T) and dim End(H T) are the same weighted sums of these.
-    Every pair agrees by Yoneda: H T_s is the projective e_s End(T), and
-    Hom(e_s End(T), H T_t) = Hom(T_s, T_t); so a pair that differs names
-    where the module data is wrong.  The summands are kept objects of the
-    quotient, so FULL has filled these pairs in H's module Hom table; only a
-    pair FULL did not reach is computed here.
+    It runs in the quotient Q, where H lives.  The approximation of x by T's
+    summands in Q is the projection of the one in C: the Hom spaces and
+    composites it reads are C's own (see HFunctor).  End dimensions are
+    compared pair by pair over T's summands: dim Hom_Q(T_s, T_t) = dim
+    Hom_C(T_s, T_t) against dim Hom(H T_s, H T_t).  Both sides are additive
+    in each argument, so dim End(T) and dim End(H T) are the same weighted
+    sums of these.  Every pair agrees by Yoneda: H T_s is the projective e_s
+    End(T), and Hom(e_s End(T), H T_t) = Hom(T_s, T_t); so a pair that
+    differs names where the module data is wrong.  FULL has filled these
+    pairs in H's module Hom table; only a pair it did not reach is computed
+    here.
     """
-    tsupp = set(T.support())
-    for x, parent_idx in enumerate(qc.keep):
-        appr = approximation(P, sorted(tsupp), P.single(parent_idx))
-        split = _fraction_split_epi(qc, qc.project(appr), budget)
-        in_add_t = parent_idx in tsupp or _iso_to_add_t(qc, x, tsupp, budget)
+    Q = H.P
+    tsupp = sorted(H.T.support())
+    for x in range(Q.n):
+        split = _fraction_split_epi(Q, approximation(Q, tsupp, Q.single(x)), budget)
+        in_add_t = x in tsupp or _iso_to_add_t(Q, x, tsupp, budget)
         yield
         if split != in_add_t:
-            return f"localised projectivity mismatch at {P.objects[parent_idx]}"
-    for s, t in itertools.product(sorted(tsupp), repeat=2):
-        dT = P.hom_dim(s, t)
-        dMod = H.module_hom_dim(P.single(s), P.single(t))
+            return f"localised projectivity mismatch at {Q.objects[x]}"
+    for s, t in itertools.product(tsupp, repeat=2):
+        dT = Q.hom_dim(s, t)
+        dMod = H.module_hom_dim(Q.single(s), Q.single(t))
         if dT != dMod:
-            return f"End dimension mismatch on ({P.objects[s]}, {P.objects[t]}): {dT} vs {dMod}"
+            return f"End dimension mismatch on ({Q.objects[s]}, {Q.objects[t]}): {dT} vs {dMod}"
 
 
 def verify_equivalence(
@@ -488,28 +465,29 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Certified clauses of the equivalence with mod End(T)^op.
 
-    FAITHFUL: the kernel of H on each Hom space is exactly the maps
-    factoring through X_T.  FULL: every module homomorphism between images
-    of indecomposables is realised by a fraction.  PROJECTIVES: the
-    localised projectives are exactly add T, and End dimensions agree.
-    Each runs through run_clause: one out of budget does not stop the rest.
+    H is Hom(T, -) on the quotient (see HFunctor).  FAITHFUL: the kernel of
+    Hom_C(T, -) on each Hom space is exactly the maps factoring through X_T,
+    and H is faithful on the quotient.  FULL: every module homomorphism
+    between images of indecomposables is realised by a fraction.
+    PROJECTIVES: the localised projectives are exactly add T, and End
+    dimensions agree.  Each runs through run_clause: one out of budget does
+    not stop the rest.
     """
     qc = qc or build_quotient(P, T)
-    H = H or HFunctor(P, T)
+    H = H or HFunctor(qc.presentation, qc.project_obj(T))
     report = EquivalenceReport(witnesses={"full": []})
-    report.clauses["faithful"] = run_clause(_faithful_clause(P, qc, H))
-    report.clauses["full"] = run_clause(_full_clause(H, qc, budget, report.witnesses["full"]))
-    report.clauses["projectives"] = run_clause(_projectives_clause(P, T, qc, H, budget))
+    report.clauses["faithful"] = run_clause(_faithful_clause(P, T, qc, H))
+    report.clauses["full"] = run_clause(_full_clause(H, budget, report.witnesses["full"]))
+    report.clauses["projectives"] = run_clause(_projectives_clause(H, budget))
     return report
 
 
-def _fraction_split_epi(qc: QuotientCategory, qa: Morphism, budget: Budget) -> bool:
+def _fraction_split_epi(Q: CategoryPresentation, qa: Morphism, budget: Budget) -> bool:
     """Split-epi test for the localised image of qa: T0 -> X.
 
     The identity of X factors through [qa] iff some g: B -> T0 with
     regular composite qa o g exists, B running over the leg sources of X.
     """
-    Q = qc.presentation
     X = qa.target
     roofs = _regular_roofs(
         Q, [X], lambda B: Q.hom_basis(B, qa.source), [lambda g: compose(Q, qa, g)], budget, f"split:{X.mult}"
@@ -517,29 +495,26 @@ def _fraction_split_epi(qc: QuotientCategory, qa: Morphism, budget: Budget) -> b
     return next(roofs, None) is not None
 
 
-def _iso_to_add_t(qc: QuotientCategory, x: int, tsupp, budget: Budget) -> bool:
-    """Whether x is localised-isomorphic to some object of add T.
+def _iso_to_add_t(Q: CategoryPresentation, x: int, tsupp, budget: Budget) -> bool:
+    """Whether x is localised-isomorphic to some object of add T in Q.
 
     The partner may be decomposable (semisimple degenerations), so every
-    nonzero multiplicity vector over the T-summands with m_i <= dim Hom(i, x)
-    is tried.
+    nonzero multiplicity vector over T's summands tsupp with m_i <= dim
+    Hom(i, x) is tried.
     """
-    Q = qc.presentation
-    t_q = {qc._q_index[t] for t in tsupp}
-    bounds = [Q.hom_dim(i, x) if i in t_q else 0 for i in range(Q.n)]
+    bounds = [Q.hom_dim(i, x) if i in tsupp else 0 for i in range(Q.n)]
     unit = [[int(i == z) for z in range(Q.n)] for i in range(Q.n)]
     partners = multiplicities([[1]] * Q.n, [1], unit, bounds)
-    return any(iso_fraction_exists(qc, x, Obj(mult), budget) for mult in partners)
+    return any(iso_fraction_exists(Q, x, Obj(mult), budget) for mult in partners)
 
 
-def iso_fraction_exists(qc: QuotientCategory, x: int, w, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Whether a roof with two regular legs connects x and w in the quotient.
+def iso_fraction_exists(Q: CategoryPresentation, x: int, w, budget: Budget = DEFAULT_BUDGET) -> bool:
+    """Whether a roof with two regular legs connects x and w in the quotient Q.
 
     Such a roof is precisely an isomorphism of the localised category.  The
     search runs over maps into the direct sum, so both legs are linear in one
     searched element.
     """
-    Q = qc.presentation
     X = Q.single(x)
     W = Q.single(w) if isinstance(w, int) else w
     XW = X + W

@@ -59,9 +59,6 @@ class QuotientCategory:
         self.parent = parent
         self.xt = set(xt)
         self.keep = keep = [i for i in range(parent.n) if i not in self.xt]
-        self._q_index = {p: q for q, p in enumerate(keep)}
-        self._projected: dict[tuple, Obj] = {}  # parent multiplicities -> project_obj's Obj
-        self._lifted: dict[tuple, Obj] = {}  # quotient multiplicities -> lift_obj's Obj
         field = parent.field
         # ideal subspaces F(i, j) on surviving single-object pairs
         self.f_spaces: dict[tuple[int, int], RowSpace] = {}
@@ -118,21 +115,13 @@ class QuotientCategory:
     # -- object transfer ---------------------------------------------------
 
     def project_obj(self, X: Obj) -> Obj:
-        """X's image in the quotient, one Obj per multiplicity vector."""
-        Xq = self._projected.get(X.mult)
-        if Xq is None:
-            Xq = self._projected[X.mult] = Obj(tuple(X.mult[i] for i in self.keep))
-        return Xq
+        return Obj(tuple(X.mult[i] for i in self.keep))
 
     def lift_obj(self, Xq: Obj) -> Obj:
-        """Xq in the parent, one Obj per multiplicity vector."""
-        X = self._lifted.get(Xq.mult)
-        if X is None:
-            mult = [0] * self.parent.n
-            for q, p in enumerate(self.keep):
-                mult[p] = Xq.mult[q]
-            X = self._lifted[Xq.mult] = Obj(tuple(mult))
-        return X
+        mult = [0] * self.parent.n
+        for q, p in enumerate(self.keep):
+            mult[p] = Xq.mult[q]
+        return Obj(tuple(mult))
 
     # -- morphism transfer ---------------------------------------------------
 

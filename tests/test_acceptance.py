@@ -320,7 +320,7 @@ def test_criterion_10_decider_agreement(A2, A3):
     for T in rigid_objects(A2, 2):
         qc = build_quotient(A2, T)
         Q = qc.presentation
-        H = HFunctor(A2, T)
+        H = HFunctor(Q, qc.project_obj(T))
         regs = [Q.identity(Q.single(i)) for i in range(Q.n)]
         for f in quotient_basis_morphisms(Q):
             if is_regular(Q, f):
@@ -334,7 +334,7 @@ def test_criterion_10_decider_agreement(A2, A3):
             if F.source != G.source or F.target != G.target:
                 continue
             eq = fractions_equal(Q, F, G)
-            heq = h_fraction(H, qc, F) == h_fraction(H, qc, G)
+            heq = h_fraction(H, F) == h_fraction(H, G)
             assert eq == heq, "decider disagreement"
             pairs_checked += 1
     # bridge identity over every rigid T in C(A_3)

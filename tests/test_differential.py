@@ -5,6 +5,10 @@ of integer structure constants that reduce well mod 101, so its status and
 its count of checked cases must agree between Q and GF(101).  Witness
 coordinates may differ and are not compared.
 
+Hom(T, -) is computed twice: on the quotient, as a verdict computes it,
+and on the parent C through the lifts of quotient maps.  Since Hom(T, X_T)
+= 0 they must agree entry for entry.
+
 Equality of right fractions is decided twice: by `fractions_equal`, on a
 pullback of the two denominators in the quotient, and through the
 equivalence with mod End(T)^op, by comparing the module maps
@@ -17,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.fincat import Morphism, all_rigid_supports, compose
+from quotcat.fincat import Morphism, all_rigid_supports, approximation, basis_morphisms, compose
 from quotcat.linalg import GF, QQ
 from quotcat.localization import Fraction, fractions_equal
 from quotcat.modcat import HFunctor, h_fraction
@@ -47,6 +51,39 @@ def test_every_clause_agrees_over_q_and_f101(A3_pair, data):
     assert _clauses(F, supp) == _clauses(P, supp)
 
 
+# -- Hom(T, -) on the quotient against Hom_C(T, -) of the lifts ---------------------
+
+
+def _identity_cases():
+    a3 = build_cluster_category(3)
+    for supp in all_rigid_supports(a3, 3):
+        yield a3, supp
+    a4 = build_cluster_category(4, "><>", GF(101))
+    for supp in all_rigid_supports(a4, 4)[::7]:
+        yield a4, supp
+
+
+def test_h_on_the_quotient_is_hom_c_of_the_lifts():
+    # every basis map of Q has the matrix of its lift, every x the module
+    # data of its lift, and T's approximation of x in Q is the projection
+    # of C's
+    cases = 0
+    for P, supp in _identity_cases():
+        T = P.obj({P.objects[i]: 1 for i in supp})
+        qc = build_quotient(P, T)
+        Q, T_Q = qc.presentation, qc.project_obj(T)
+        HQ, HC = HFunctor(Q, T_Q), HFunctor(P, T)
+        for i, j, a, f in basis_morphisms(Q):
+            assert HQ.mor_matrix(f) == HC.mor_matrix(qc.lift(f)), (P.field, supp, i, j, a)
+        for x, p in enumerate(qc.keep):
+            MQ, MC = HQ.module(Q.single(x)), HC.module(P.single(p))
+            assert (MQ.dim, MQ.positions, MQ.copy_actions) == (MC.dim, MC.positions, MC.copy_actions), (supp, x)
+            appr = approximation(Q, sorted(T_Q.support()), Q.single(x))
+            assert appr == qc.project(approximation(P, sorted(supp), P.single(p))), (P.field, supp, x)
+        cases += 1
+    assert cases == 44 + 28
+
+
 # -- fraction equality against the module side --------------------------------------
 
 # name -> (n, orientation, field, T)
@@ -58,12 +95,12 @@ ROOF_CATEGORIES = {
 
 @lru_cache(maxsize=None)
 def _roof_setting(name):
-    """The quotient by X_T, the functor H and the regular maps of the scan family."""
+    """The quotient by X_T, the functor H on it and the regular maps of the scan family."""
     n, orientation, field, spec = ROOF_CATEGORIES[name]
     P = build_cluster_category(n, orientation, field)
     T = P.obj({s: 1 for s in spec.split("+")})
     qc = build_quotient(P, T)
-    return qc, HFunctor(P, T), build_morphism_family(qc.presentation).regulars
+    return qc, HFunctor(qc.presentation, qc.project_obj(T)), build_morphism_family(qc.presentation).regulars
 
 
 def _random_map(data, Q, X, Y):
@@ -93,6 +130,6 @@ def test_fraction_equality_agrees_with_the_module_maps(name, data):
             num = num + _random_map(data, Q, s.source, Y)
         G = Fraction(Q, compose(Q, r, s), num)
     equal = fractions_equal(Q, F, G)
-    assert equal == (h_fraction(H, qc, F) == h_fraction(H, qc, G))
+    assert equal == (h_fraction(H, F) == h_fraction(H, G))
     if how == "amplified":
         assert equal

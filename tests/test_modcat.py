@@ -191,22 +191,29 @@ def test_ker_h_equals_factoring_subspace(A3, TCT, H_CT):
             assert ker_dim == qc.f_spaces[(i, j)].dim
 
 
+def _quotient_h(P, T):
+    """The quotient by X_T and Hom(T, -) on it, as a verdict builds them."""
+    qc = build_quotient(P, T)
+    return qc, HFunctor(qc.presentation, qc.project_obj(T))
+
+
 def test_h_fraction_identity_and_plain(A3, TCT, H_CT):
-    qc = build_quotient(A3, TCT)
+    # H on the quotient is Hom_C(T, -) of the lifts, entry for entry
+    qc, H = _quotient_h(A3, TCT)
     Q = qc.presentation
     X = Q.single("S2")
     F = identity_fraction(Q, X)
-    m = h_fraction(H_CT, qc, F)
+    m = h_fraction(H, F)
     assert m == Matrix.identity(A3.field, H_CT.module(qc.lift_obj(X)).dim)
     for i in range(Q.n):
         for j in range(Q.n):
             for a in range(Q.hom_dim(i, j)):
                 qf = Q.basis_morphism(i, j, a)
-                assert h_fraction(H_CT, qc, from_morphism(Q, qf)) == H_CT.mor_matrix(qc.lift(qf))
+                assert h_fraction(H, from_morphism(Q, qf)) == H_CT.mor_matrix(qc.lift(qf))
 
 
-def test_h_fraction_denominator_must_be_inverted(A3, TCT, H_CT):
-    qc = build_quotient(A3, TCT)
+def test_h_fraction_denominator_must_be_inverted(A3, TCT):
+    qc, H = _quotient_h(A3, TCT)
     Q = qc.presentation
     # hand-build a fraction object with a non-regular denominator, bypassing
     # the constructor, which refuses it, to confirm the guard fires
@@ -216,15 +223,14 @@ def test_h_fraction_denominator_must_be_inverted(A3, TCT, H_CT):
     F = Fraction.__new__(Fraction)
     F.denom = F.num = z
     with pytest.raises(NotInS):
-        h_fraction(H_CT, qc, F)
+        h_fraction(H, F)
 
 
 def test_equal_fractions_have_equal_h_images(A2):
     # cross-decider agreement, exhaustive over basis-regular roofs in C(A_2)
     T = A2.obj({"P1": 1, "P2": 1})
-    qc = build_quotient(A2, T)
+    qc, H = _quotient_h(A2, T)
     Q = qc.presentation
-    H = HFunctor(A2, T)
     fam = build_morphism_family(Q)
     fracs = []
     for r in fam.regulars:
@@ -239,15 +245,14 @@ def test_equal_fractions_have_equal_h_images(A2):
             if F.source != G.source or F.target != G.target:
                 continue
             eq = fractions_equal(Q, F, G)
-            heq = h_fraction(H, qc, F) == h_fraction(H, qc, G)
+            heq = h_fraction(H, F) == h_fraction(H, G)
             assert eq == heq
 
 
 def test_h_fraction_respects_composition(A2):
     T = A2.obj({"P1": 1, "P2": 1})
-    qc = build_quotient(A2, T)
+    qc, H = _quotient_h(A2, T)
     Q = qc.presentation
-    H = HFunctor(A2, T)
     bs = [
         Q.basis_morphism(i, j, a)
         for i in range(Q.n)
@@ -260,7 +265,7 @@ def test_h_fraction_respects_composition(A2):
                 continue
             F, G = from_morphism(Q, f), from_morphism(Q, g)
             GF = compose_fractions(Q, G, F)
-            assert h_fraction(H, qc, GF) == h_fraction(H, qc, G) * h_fraction(H, qc, F)
+            assert h_fraction(H, GF) == h_fraction(H, G) * h_fraction(H, F)
 
 
 def test_module_hom_space_trivia(A3, TCT, H_CT):
@@ -350,11 +355,12 @@ def test_verify_equivalence_a3_selected(A3, TCT):
 
 
 def test_a_verdict_builds_h_once_per_parent_map(A3, monkeypatch):
-    # FAITHFUL, the H-images and the lifts of realised fractions read one
-    # table: a lift equal to a parent basis map is not built again.  FULL
-    # keeps one roof per object for the maps in H's image, so their
-    # fractions share its denominator, where a search per map drew a
-    # scalar of the identity per target (47 maps then)
+    # FAITHFUL's C half builds Hom_C(T, f) once per basis map f of C (30);
+    # H lives on the quotient, and its half of FAITHFUL, FULL's solves and
+    # h_fraction read one table of it (26 quotient maps).  FULL keeps one
+    # roof per object for the maps in H's image, so their fractions share
+    # its denominator, where a search per map drew a scalar of the identity
+    # per target
     built = []
 
     def counted(P, f, Z):
@@ -365,39 +371,62 @@ def test_a_verdict_builds_h_once_per_parent_map(A3, monkeypatch):
     monkeypatch.setattr(modcat, "postcompose_matrix", counted)
     rep = run_verification(A3, A3.obj({"P1": 1, "P3": 1}), budget=Budget(scan_pairs_cap=120))
     assert rep["clauses"]["equivalence"]["status"] == "pass"
-    assert len(built) == len(set(built)) == 45
+    assert len(built) == len(set(built)) == 56
+    assert sum(f.P is A3 for f in built) == sum(A3.hom_dim(i, j) for i in range(A3.n) for j in range(A3.n)) == 30
+
+
+class _Zeroed(HFunctor):
+    """H with every map sent to zero."""
+
+    def mor_matrix(self, f):
+        m = super().mor_matrix(f)
+        return Matrix.zeros(m.field, m.nrows, m.ncols)
 
 
 def test_faithful_clause_negative_control(A3, TCT):
-    # corrupting the functor data must break the FAITHFUL clause
-    class Corrupted(HFunctor):
-        def mor_matrix(self, f):
-            m = super().mor_matrix(f)
-            return Matrix.zeros(m.field, m.nrows, m.ncols)
-
-    rep = verify_equivalence(A3, TCT, H=Corrupted(A3, TCT))
+    # corrupting the functor data must break the FAITHFUL clause; C's own
+    # kernel check does not read H, so the failure is H's faithfulness on
+    # the quotient, at its first nonzero Hom space
+    qc = build_quotient(A3, TCT)
+    Q = qc.presentation
+    rep = verify_equivalence(A3, TCT, qc, H=_Zeroed(Q, qc.project_obj(TCT)))
     assert rep.clauses["faithful"].status == "fail"
+    assert rep.clauses["faithful"].checked == sum(A3.hom_dim(i, j) for i in range(A3.n) for j in range(A3.n))
+    assert rep.clauses["faithful"].detail == f"H-image dimension mismatch on ({Q.objects[0]}, {Q.objects[0]})"
+
+
+def test_faithful_clause_names_a_parent_image_outside_the_factoring_maps(A3, TCT, monkeypatch):
+    # one basis map of C whose Hom_C(T, -) image is corrupted to zero, though
+    # it does not factor through X_T, fails C's kernel check at that map
+    f0 = A3.basis_morphism(A3.index("P1"), A3.index("P2"), 0)
+    real = modcat.postcompose_matrix
+
+    def corrupted(P, f, Z):
+        m = real(P, f, Z)
+        return Matrix.zeros(m.field, m.nrows, m.ncols) if f == f0 else m
+
+    monkeypatch.setattr(modcat, "postcompose_matrix", corrupted)
+    rep = verify_equivalence(A3, TCT)
+    assert rep.clauses["faithful"].status == "fail"
+    assert rep.clauses["faithful"].detail == "kernel mismatch at basis (P1 -> P2, 0)"
+    assert rep.clauses["full"].status == rep.clauses["projectives"].status == "pass"
 
 
 def test_equivalence_out_of_budget_keeps_the_faithful_failure(A3, TCT):
     # FULL runs out of budget, yet the report stands and keeps FAITHFUL's failure
-    class Corrupted(HFunctor):
-        def mor_matrix(self, f):
-            m = super().mor_matrix(f)
-            return Matrix.zeros(m.field, m.nrows, m.ncols)
-
-    rep = verify_equivalence(A3, TCT, budget=Budget(retries=0, grid_cap=1), H=Corrupted(A3, TCT))
+    qc = build_quotient(A3, TCT)
+    H = _Zeroed(qc.presentation, qc.project_obj(TCT))
+    rep = verify_equivalence(A3, TCT, qc, budget=Budget(retries=0, grid_cap=1), H=H)
     assert rep.clauses["faithful"].status == "fail"
     assert rep.clauses["full"].status == "bounds-exceeded"
     assert not rep.ok
 
 
 def test_iso_fraction_reflexive(A3, TCT):
-    qc = build_quotient(A3, TCT)
-    Q = qc.presentation
-    assert iso_fraction_exists(qc, 0, 0)
+    Q = build_quotient(A3, TCT).presentation
+    assert iso_fraction_exists(Q, 0, 0)
     # P1 and S2 are not isomorphic in the localisation of the CT quotient
-    assert not iso_fraction_exists(qc, Q.index("P1"), Q.index("S2"))
+    assert not iso_fraction_exists(Q, Q.index("P1"), Q.index("S2"))
 
 
 def _full_product(bounds):
@@ -456,13 +485,14 @@ from quotcat.quotient import build_quotient
 A3 = build_cluster_category(3)
 T = A3.obj({"P1": 1, "P3": 1})
 qc = build_quotient(A3, T)
-Q, H = qc.presentation, HFunctor(A3, T)
+Q = qc.presentation
+H = HFunctor(Q, qc.project_obj(T))
 for x in range(Q.n):
     for y in range(Q.n):
-        Mx, My = (H.module(qc.lift_obj(Q.single(i))) for i in (x, y))
+        Mx, My = (H.module(Q.single(i)) for i in (x, y))
         for phi in module_hom_space(Mx, My):
             if not phi.is_zero():
-                F = realize_module_map(H, qc, x, y, phi)
+                F = realize_module_map(H, x, y, phi)
                 print(x, y, F.aux.mult, [str(c) for c in F.denom.to_vector() + F.num.to_vector()])
 """
 
