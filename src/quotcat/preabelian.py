@@ -692,11 +692,11 @@ def _unit(units: dict, f: Morphism):
     every other pair, one square answers that for a whole class of pairs.
     For nonzero scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed
     with ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
-    multiples of those of (x, y); pushouts are dual, and any other kernel
-    differs by an isomorphism of A.  Exchanging x and y exchanges the legs.
-    Epi and mono are unchanged by all three, so the scan, not pullback,
-    orders each class: it asks for the square of the unit representatives
-    with the smaller key (not hash()) first.
+    multiples of those of (x, y), and any other kernel differs by an
+    isomorphism of A.  Exchanging x and y exchanges the legs.  Epi and mono
+    are unchanged by all three, so the scan, not pullback, orders each
+    class: it asks for the square of the unit representatives with the
+    smaller key (not hash()) first.
     """
     entry = units.get(f)
     if entry is None:
@@ -707,134 +707,111 @@ def _unit(units: dict, f: Morphism):
     return entry
 
 
-def _leg_pairs(limit: str, given, others):
-    """The pairs (x, y), x in given and y in others, that meet: y into x's
-    target for a pullback, y out of x's source for a pushout.
+def _leg_pairs(given, others):
+    """The pairs (x, y), x in given and y in others, with y into x's target.
 
     In the order of given, then of others; each x looks up its partners in
-    an index of others by that end instead of testing every y.
+    an index of others by target instead of testing every y.
     """
-    end = operator.attrgetter("target" if limit == "pullback" else "source")
     partners = {}
     for y in others:
-        partners.setdefault(end(y), []).append(y)
-    return ((x, y) for x in given for y in partners.get(end(x), ()))
+        partners.setdefault(y.target, []).append(y)
+    return ((x, y) for x in given for y in partners.get(x.target, ()))
 
 
 def _no_square(limit: str):
     """The error of a pullback (pushout) whose difference map has no kernel
     (cokernel)."""
-    if limit == "pullback":
-        return NoKernel("difference map has no kernel: presentation is not preabelian here")
-    return NoCokernel("difference map has no cokernel: presentation is not preabelian here")
+    what, error = ("kernel", NoKernel) if limit == "pullback" else ("cokernel", NoCokernel)
+    return error(f"difference map has no {what}: presentation is not preabelian here")
 
 
-def _leg_answers(Q: CategoryPresentation, budget: Budget):
-    """answer(x, y, limit, has): whether the leg opposite x of the pair
-    (x, y) passes has (is_epi, is_mono or is_regular), with the tables of
-    one scan.
+def _leg_answers(P: CategoryPresentation, budget: Budget):
+    """answer(x, y, has): whether the leg opposite x of the pullback of
+    (x, y) in P passes has (is_epi, is_mono or is_regular), with the tables
+    of one scan.
 
     Two rules answer without a limit square (proofs in _leg_clause): y is
-    split, or y factors through x.  Both ask whether a map g is in the
-    image of f o - (for a pushout, - o f): y factors through x when y is in
-    x's image, and f is split epi (split mono) when the identity is in its
-    own.  f o - acts on the component of g at each copy of its source (- o f
-    at each copy of its target) alone, so g is in the image when each
-    component is in the image on Hom(Z, source f) (Hom(target f, Z)), Z the
-    copy's indecomposable.  That image is the same for f and its nonzero
-    multiples, so it is built once per (unit representative of f, Z, limit)
-    and kept as True when full, else as a RowSpace: most questions cost one
-    rank.  A pushout's images of f come from one precompose_matrices pass.
-    Whether y is split, and whether the limit exists when y factors through
-    x, are kept per map and side.  Every other leg is read off the square of x's
-    and y's unit representatives, in _unit's order.
+    split epi, or y factors through x.  Both ask whether a map g is in the
+    image of f o -: y factors through x when y is in x's image, and f is
+    split epi when the identity is in its own.  f o - acts on the component
+    of g at each copy of its source alone, so g is in the image when each
+    component is in the image on Hom(Z, source f), Z the copy's
+    indecomposable.  That image is the same for f and its nonzero multiples,
+    so it is built once per (unit representative of f, Z) and kept as True
+    when full, else as a RowSpace: most questions cost one rank.  Whether y
+    is split, and whether the square exists when y factors through x, are
+    kept per map.  Every other leg is read off the square of x's and y's
+    unit representatives, in _unit's order.
 
     Each rule and each square reads x and y only up to nonzero scalars, so
-    an answer is kept per (unit of x, unit of y, limit, has).  An exception
-    is not kept: a missing square or a search out of budget raises again.
+    an answer is kept per (unit of x, unit of y, has).  An exception is not
+    kept: a missing square or a search out of budget raises again.
     """
-    gate = all(Q.hom_dim(i, i) == 1 for i in range(Q.n))
-    units, images, pre, split, exists, answers = {}, {}, {}, {}, {}, {}
+    gate = all(P.hom_dim(i, i) == 1 for i in range(P.n))
+    units, images, split, exists, answers = {}, {}, {}, {}, {}
 
-    def image(f, z, limit):
-        im = images.get((f, z, limit))
+    def image(f, z):
+        im = images.get((f, z))
         if im is None:
-            if limit == "pullback":
-                m = postcompose_matrix(Q, f, Q.single(z))
-            else:
-                blocks = pre.get(f)
-                if blocks is None:
-                    blocks = pre[f] = precompose_matrices(Q, f)
-                m = blocks[z]
+            m = postcompose_matrix(P, f, P.single(z))
             full = m.rank() == m.nrows
-            im = images[(f, z, limit)] = full or RowSpace.from_rows(Q.field, m.nrows, zip(*m.data))
+            im = images[(f, z)] = full or RowSpace.from_rows(P.field, m.nrows, zip(*m.data))
         return im
 
-    def in_image(f, g, limit):
-        # g's component at source copy s is column s of its blocks (at
-        # target copy t, row t), in to_vector order
-        if limit == "pullback":
-            parts = zip(g.source.copies(), zip(*g.blocks))
-        else:
-            parts = zip(g.target.copies(), g.blocks)
-        for z, part in parts:
-            im = image(f, z, limit)
+    def in_image(f, g):
+        # g's component at source copy s is column s of its blocks
+        for z, part in zip(g.source.copies(), zip(*g.blocks)):
+            im = image(f, z)
             if im is not True and not im.contains([c for block in part for c in block]):
                 return False
         return True
 
-    def is_split(y, uy, limit):
-        answer = split.get((y, limit))
+    def is_split(y, uy):
+        answer = split.get(y)
         if answer is None:
-            side, other, end = (is_epi, is_mono, y.target) if limit == "pullback" else (is_mono, is_epi, y.source)
-            answer = side(Q, y) and (gate or other(Q, y)) and in_image(uy, Q.identity(end), limit)
-            split[(y, limit)] = answer
+            answer = split[y] = is_epi(P, y) and (gate or is_mono(P, y)) and in_image(uy, P.identity(y.target))
         return answer
 
-    def answer(x, y, limit, has):
+    def answer(x, y, has):
         (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
-        key = (ux, uy, limit, has)
-        holds = answers.get(key)
+        holds = answers.get((ux, uy, has))
         if holds is None:
-            holds = answers[key] = decide(x, ux, kx, y, uy, ky, limit, has)
+            holds = answers[(ux, uy, has)] = decide(x, ux, kx, y, uy, ky, has)
         return holds
 
-    def decide(x, ux, kx, y, uy, ky, limit, has):
-        if is_split(y, uy, limit):
-            return has(Q, x)
-        if in_image(ux, y, limit):
-            # the leg is split epi (split mono), and has the other property exactly when x does
-            always, like_x, search = (is_epi, is_mono, kernel) if limit == "pullback" else (is_mono, is_epi, cokernel)
-            found = exists.get((ux, limit))
+    def decide(x, ux, kx, y, uy, ky, has):
+        if is_split(y, uy):
+            return has(P, x)
+        if in_image(ux, y):
+            # the leg is split epi, and has the other property exactly when x does
+            found = exists.get(ux)
             if found is None:
-                found = exists[(ux, limit)] = like_x(Q, x) or search(Q, ux, budget) is not None
+                found = exists[ux] = is_mono(P, x) or kernel(P, ux, budget) is not None
             if not found:
-                raise _no_square(limit)
-            return has is always or like_x(Q, x)
-        if limit == "pullback":
-            leg = pullback(Q, uy, ux, budget).a if ky <= kx else pullback(Q, ux, uy, budget).b
-        else:
-            leg = pushout(Q, ux, uy, budget).d if kx <= ky else pushout(Q, uy, ux, budget).c
-        return has(Q, leg)
+                raise _no_square("pullback")
+            return has is is_epi or is_mono(P, x)
+        leg = pullback(P, uy, ux, budget).a if ky <= kx else pullback(P, ux, uy, budget).b
+        return has(P, leg)
 
     return answer
 
 
-def _leg_clause(Q: CategoryPresentation, answer, limit: str, given, others, prop: str, budget: Budget):
+def _leg_clause(Q: CategoryPresentation, P: CategoryPresentation, answer, given, others, prop: str, budget: Budget):
     """Clause body: the leg opposite x is prop for the first scan_pairs_cap
-    pairs (x, y) of _leg_pairs(limit, given, others).
+    pairs (x, y) of _leg_pairs(given, others), pullbacks in P.
 
-    limit is "pullback" or "pushout"; prop is "epi", "mono" or "regular".
-    A failure names the property and the pair of maps.  A missing limit
-    square fails the clause.
+    P is Q or opposite(Q), answer is _leg_answers(P, budget), and prop is
+    "epi", "mono" or "regular" as Q sees it.  A failure names the property
+    and the pair of maps in Q.  A missing limit square fails the clause.
 
-    answer (_leg_answers) decides a pair without a square when y factors
-    through x, or when y is split.  Take x: B -> D and y: C -> D, and a
-    pullback (A, a, b) with y a = x b, a: A -> C the leg opposite x.  In an
-    additive category a is mono exactly when x is: if x is mono and a u = 0,
-    then x b u = y a u = 0, so b u = 0, and u = 0 as the only map into A
-    over the cone (0, 0); if a is mono and x h = 0, the cone (0, h) gives u
-    with a u = 0 and b u = h, so u = 0 and h = 0.
+    answer decides a pair without a square when y factors through x, or
+    when y is split epi.  Take x: B -> D and y: C -> D, and a pullback
+    (A, a, b) with y a = x b, a: A -> C the leg opposite x.  In an additive
+    category a is mono exactly when x is: if x is mono and a u = 0, then
+    x b u = y a u = 0, so b u = 0, and u = 0 as the only map into A over
+    the cone (0, 0); if a is mono and x h = 0, the cone (0, h) gives u with
+    a u = 0 and b u = h, so u = 0 and h = 0.
     - y = x s for some s: C -> B.  The cone (1_C, s) gives v with a v = 1_C,
       so a is split epi: it is always epi, and mono (or regular) exactly
       when x is mono.  With phi = [[1, s], [0, 1]], an automorphism of
@@ -851,8 +828,8 @@ def _leg_clause(Q: CategoryPresentation, answer, limit: str, given, others, prop
       e = 1_C - s y as i p with p i = 1_K; then (B + K, a = s x pr_B +
       i pr_K, b = pr_B) is a pullback, since y e = 0 gives y a = x b, and a
       cone (c, u) factors through (u, p c) and, as p s = p e s = 0, through
-      no other map.  Idempotents split when every indecomposable of Q has a
-      one-dimensional End: that End is the field, a local ring, so Q, whose
+      no other map.  Idempotents split when every indecomposable of P has a
+      one-dimensional End: that End is the field, a local ring, so P, whose
       objects are finite sums of indecomposables, is Krull-Schmidt (Krause,
       "Krull-Schmidt categories and projective covers", 2015, Cor. 4.4).
       Every C(A_n) quotient passes, as Hom spaces between indecomposables
@@ -860,26 +837,29 @@ def _leg_clause(Q: CategoryPresentation, answer, limit: str, given, others, prop
       mono, so invertible (s y = 1_C follows from y s y = y); then K = 0
       and no splitting is needed.
 
-    Dually, for x: A -> B and y: A -> C and a pushout (D, c, d) with
-    c x = d y, d: C -> D the leg opposite x: when y = s x, d is split mono,
-    so always mono, and epi (or regular) exactly when x is epi, and the
-    square exists exactly when coker x does; when y is split mono (and,
-    without one-dimensional Ends, epi), d is prop exactly when x is.  This
-    is the pullback statement in Q^op, which is Krull-Schmidt when Q is;
-    epi and mono exchange, as do split epi and split mono.
+    On P = opposite(Q), given and others are twins of Q's maps, and this is
+    Q's pushout clause: a pullback of the twins of x: D -> B and y: D -> C
+    in Q^op is a pushout of x and y in Q with the same leg opposite x, and
+    a map is epi in Q^op exactly when it is mono in Q.  So prop is asked as
+    its dual, regular as regular; the rules read y = s x and y split mono
+    in Q, and Q^op is Krull-Schmidt when Q is.  A missing square is a
+    missing cokernel of Q's difference map, reported as a missing pushout.
     """
-    has = {"epi": is_epi, "mono": is_mono, "regular": is_regular}[prop]
+    epi, mono = (is_epi, is_mono) if P is Q else (is_mono, is_epi)  # exchanged in Q^op
+    has = {"epi": epi, "mono": mono, "regular": is_regular}[prop]
     try:
-        for x, y in itertools.islice(_leg_pairs(limit, given, others), budget.scan_pairs_cap):
-            holds = answer(x, y, limit, has)
+        for x, y in itertools.islice(_leg_pairs(given, others), budget.scan_pairs_cap):
+            holds = answer(x, y, has)
             yield
             if not holds:
+                if P is not Q:
+                    x, y = op_morphism(Q, x), op_morphism(Q, y)
                 return (
                     f"leg not {prop} for {Q.obj_name(x.source)} -> {Q.obj_name(x.target)}"
                     f" with {Q.obj_name(y.source)} -> {Q.obj_name(y.target)}"
                 )
-    except (NoKernel, NoCokernel) as e:
-        return f"no limit square: {e}"
+    except NoKernel as e:
+        return f"no limit square: {e if P is Q else _no_square('pushout')}"
 
 
 def _preabelian_clause(Q: CategoryPresentation, fam: MorphismFamily, budget: Budget):
@@ -911,18 +891,26 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    answer = _leg_answers(Q, budget)
-    for name, limit, given, prop in (
-        ("pullback_cokernel_leg", "pullback", fam.cokernel_maps, "epi"),
-        ("pullback_epi_leg", "pullback", fam.epis, "epi"),
-        ("pullback_mono_leg", "pullback", fam.monos, "mono"),
-        ("pullback_regular_leg", "pullback", fam.regulars, "regular"),
-        ("pushout_kernel_leg", "pushout", fam.kernel_maps, "mono"),
-        ("pushout_mono_leg", "pushout", fam.monos, "mono"),
-        ("pushout_epi_leg", "pushout", fam.epis, "epi"),
-        ("pushout_regular_leg", "pushout", fam.regulars, "regular"),
+    op = opposite(Q)
+    pull, push = _leg_answers(Q, budget), _leg_answers(op, budget)
+    twins = [op_morphism(op, f) for f in fam.all]
+    for name, given, prop in (
+        ("pullback_cokernel_leg", fam.cokernel_maps, "epi"),
+        ("pullback_epi_leg", fam.epis, "epi"),
+        ("pullback_mono_leg", fam.monos, "mono"),
+        ("pullback_regular_leg", fam.regulars, "regular"),
+        ("pushout_kernel_leg", fam.kernel_maps, "mono"),
+        ("pushout_mono_leg", fam.monos, "mono"),
+        ("pushout_epi_leg", fam.epis, "epi"),
+        ("pushout_regular_leg", fam.regulars, "regular"),
     ):
-        report.clauses[name] = run_clause(_leg_clause(Q, answer, limit, given, fam.all, prop, budget))
+        if name.startswith("pullback"):
+            body = _leg_clause(Q, Q, pull, given, fam.all, prop, budget)
+        else:
+            # a pushout in Q is a pullback in Q^op, where the twins of kernel
+            # maps, monos and epis are cokernel maps, epis and monos
+            body = _leg_clause(Q, op, push, [op_morphism(op, f) for f in given], twins, prop, budget)
+        report.clauses[name] = run_clause(body)
     return report
 
 

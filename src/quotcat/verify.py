@@ -105,9 +105,8 @@ def run_verification(
     try:
         _quotient_clauses(P, t_spec, xt, qc, budget, report, timed)
     finally:
-        # the verdict tables (clear_verdict_tables) last one verdict
+        # the verdict tables (clear_verdict_tables) last one verdict; only Q's are filled
         qc.presentation.clear_verdict_tables()
-        P.clear_verdict_tables()
     return report
 
 

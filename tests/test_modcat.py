@@ -20,7 +20,7 @@ from quotcat.modcat import (
     verify_equivalence,
 )
 from quotcat.preabelian import Budget, SearchResult, build_morphism_family, is_regular, search_open_conditions
-from quotcat.quotient import build_quotient
+from quotcat.quotient import build_quotient, x_t_objects
 from quotcat.verify import run_verification
 
 
@@ -355,12 +355,13 @@ def test_verify_equivalence_a3_selected(A3, TCT):
 
 
 def test_a_verdict_builds_h_once_per_parent_map(A3, monkeypatch):
-    # FAITHFUL's C half builds Hom_C(T, f) once per basis map f of C (30);
-    # H lives on the quotient, and its half of FAITHFUL, FULL's solves and
-    # h_fraction read one table of it (26 quotient maps).  FULL keeps one
-    # roof per object for the maps in H's image, so their fractions share
-    # its denominator, where a search per map drew a scalar of the identity
-    # per target
+    # FAITHFUL's C half builds Hom_C(T, f) once per basis map f of C whose
+    # ends are both kept (13 of 30: a map with an end in X_T passes by
+    # definition); H lives on the quotient, and its half of FAITHFUL, FULL's
+    # solves and h_fraction read one table of it (26 quotient maps).  FULL
+    # keeps one roof per object for the maps in H's image, so their
+    # fractions share its denominator, where a search per map drew a scalar
+    # of the identity per target
     built = []
 
     def counted(P, f, Z):
@@ -371,8 +372,10 @@ def test_a_verdict_builds_h_once_per_parent_map(A3, monkeypatch):
     monkeypatch.setattr(modcat, "postcompose_matrix", counted)
     rep = run_verification(A3, A3.obj({"P1": 1, "P3": 1}), budget=Budget(scan_pairs_cap=120))
     assert rep["clauses"]["equivalence"]["status"] == "pass"
-    assert len(built) == len(set(built)) == 56
-    assert sum(f.P is A3 for f in built) == sum(A3.hom_dim(i, j) for i in range(A3.n) for j in range(A3.n)) == 30
+    assert len(built) == len(set(built)) == 39
+    xt = x_t_objects(A3, A3.obj({"P1": 1, "P3": 1}))
+    kept = sum(A3.hom_dim(i, j) for i in range(A3.n) for j in range(A3.n) if i not in xt and j not in xt)
+    assert sum(f.P is A3 for f in built) == kept == 13
 
 
 class _Zeroed(HFunctor):
@@ -480,7 +483,7 @@ def test_leg_sources_are_the_shapes_a_search_does_not_rule_out():
 _WITNESS_SCRIPT = """
 from quotcat.clustergen import build_cluster_category
 from quotcat.modcat import HFunctor, module_hom_space, realize_module_map
-from quotcat.quotient import build_quotient
+from quotcat.quotient import build_quotient, x_t_objects
 
 A3 = build_cluster_category(3)
 T = A3.obj({"P1": 1, "P3": 1})

@@ -2,9 +2,12 @@
 each leg once.
 
 The eight leg clauses of `scan_properties` share (given, other) pairs.
-`pullback` keeps each square it builds in `Q._squares` for one verdict,
-under the ordered pair asked, and `pushout` keeps its squares there in Q^op;
-the fraction calculus reads the same table.  `is_epi` keeps each answer, in
+The scan answers pullback pairs only: it runs each pushout clause as the
+pullback clause of Q^op on the twins of its maps, and asks `pushout` for
+no square.  `pullback` keeps each square it builds in the presentation's
+`_squares` for one verdict, under the ordered pair asked, so a pushout's
+square is kept in Q^op, as `pushout` keeps it; the fraction calculus reads
+the same table.  `is_epi` keeps each answer, in
 Q and in Q^op (where `is_mono` asks), for one verdict.  A square's answers
 also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
@@ -25,7 +28,7 @@ that the split rule is off on a presentation with a two-dimensional End
 while the factoring rule is not, and that the tables are transparent: every
 clause result equals the one computed by the plain per-clause loop below,
 which decides each rule by its own solves and builds a square for every
-other pair it meets.
+other pair it meets, pushouts in Q by `pushout`.
 """
 
 import collections
@@ -91,6 +94,20 @@ def _square_legs(Q, limit, x, y, budget):
         return sq.a, sq.b
     sq = pushout(Q, x, y, budget)
     return sq.d, sq.c
+
+
+def _twin(Q, limit):
+    """(P, twin): the presentation a leg clause of limit runs in, Q for a
+    pullback and Q^op for a pushout, and the map carrying Q's maps there."""
+    if limit == "pullback":
+        return Q, lambda f: f
+    op = opposite(Q)
+    return op, functools.partial(op_morphism, op)
+
+
+def _asked(Q, P, has):
+    """has as the leg clause asks it in P: epi and mono exchange in Q^op."""
+    return has if P is Q else {is_epi: is_mono, is_mono: is_epi}.get(has, has)
 
 
 def _clear_squares(P):
@@ -249,8 +266,9 @@ class _Squares(dict):
 
 @pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
 def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
-    # a pushout is a pullback in Q^op, so counting the misses of both tables
-    # counts both; a class is the unordered pair of unit-normalised maps
+    # a pushout clause builds its squares as pullbacks in Q^op, so counting
+    # the misses of both tables counts both; a class is the unordered pair
+    # of unit-normalised maps
     Q = build_quotient(A3, A3.obj({s: 1 for s in t})).presentation
     squares = collections.Counter()
     decided = collections.Counter()
@@ -265,9 +283,9 @@ def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
         family_built.append(True)
         return fam
 
-    def leg_pairs(limit, given, others):
-        for x, y in build_leg_pairs(limit, given, others):
-            asked.add((limit, x, y))
+    def leg_pairs(given, others):
+        for x, y in build_leg_pairs(given, others):
+            asked.add((x, y))  # a map of Q^op never equals one of Q
             yield x, y
 
     build_family, build_leg_pairs = preabelian.build_morphism_family, preabelian._leg_pairs
@@ -391,10 +409,11 @@ def test_pairs_where_y_factors_through_x_answer_by_the_rule(case, data, s, t):
     pairs = _factor_pairs(case)
     assert {p[0] for p in pairs} == {"pullback", "pushout"}
     limit, x, y = data.draw(st.sampled_from(pairs))
+    P, twin = _twin(Q, limit)
     for x, y in ((x, y), (x.scale(s), y.scale(t))):
         _clear_squares(Q)
-        answer = preabelian._leg_answers(Q, CAPPED)
-        got = [answer(x, y, limit, has) for has in (is_epi, is_mono, is_regular)]
+        answer = preabelian._leg_answers(P, CAPPED)
+        got = [answer(twin(x), twin(y), _asked(Q, P, has)) for has in (is_epi, is_mono, is_regular)]
         assert _kept_squares(Q) == 0  # the rule answered, not a square
         leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
         assert got == [has(Q, leg) for has in (is_epi, is_mono, is_regular)]
@@ -408,15 +427,18 @@ def test_rules_answer_exactly_the_pairs_the_solves_find(case):
     # table decides a pair without a square exactly when y is split or
     # factors through x by the plain loop's own rank test and solve; a pair
     # whose class (units of x and y, limit) was answered before reads that
-    # answer and builds no square either
+    # answer and builds no square either.  A pushout pair is asked of the
+    # answers of Q^op, on the twins of its maps
     Q, pairs, _ = _eligible_pairs(case)
     split = _split_test(Q, scan_properties(Q, CAPPED).family)
-    answer = preabelian._leg_answers(Q, CAPPED)
+    sides = {limit: _twin(Q, limit) for limit in ("pullback", "pushout")}
+    answers = {limit: preabelian._leg_answers(P, CAPPED) for limit, (P, _) in sides.items()}
     ruled = repeats = 0
     classes = set()
     for limit, x, y in pairs:
         _clear_squares(Q)
-        answer(x, y, limit, is_epi)
+        P, twin = sides[limit]
+        answers[limit](twin(x), twin(y), _asked(Q, P, is_epi))
         rule = split(y, limit) or _factors(Q, x, y, limit)
         cls = (limit, _unit(x), _unit(y))
         repeat = cls in classes
@@ -427,22 +449,23 @@ def test_rules_answer_exactly_the_pairs_the_solves_find(case):
     assert 0 < ruled < len(pairs) and repeats
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        "A3/Q T=P1+P3",
-        "A3/Q T=P2",
-        "A3/Q T=S2+I2",
-        "A3/Q subcat=P1+P2+I2",
-        "A3/Q T=P2 retries=1 grid_cap=1",
-        "A4(><>)/F101 T=I1+P1",
-        "A4(><>)/F101 T=I1+P1+I2+M[1,4]",
-        "A4/Q T=P1+P2+P3+P4",
-    ],
-)
-def test_scan_tables_are_transparent(A3, A4, A4Q, case):
+_TRANSPARENT_CASES = [
+    "A3/Q T=P1+P3",
+    "A3/Q T=P2",
+    "A3/Q T=S2+I2",
+    "A3/Q subcat=P1+P2+I2",
+    "A3/Q T=P2 retries=1 grid_cap=1",
+    "A4(><>)/F101 T=I1+P1",
+    "A4(><>)/F101 T=I1+P1+I2+M[1,4]",
+    "A4/Q T=P1+P2+P3+P4",
+]
+
+
+def _case_quotient(categories, case):
+    """(Q, budget, kind) of a case: a quotient by T or by an explicit
+    subcategory, at CAPPED or at the budget the case names."""
     cat, spec = case.split(" ", 1)
-    P = {"A3/Q": A3, "A4/Q": A4Q, "A4(><>)/F101": A4}[cat]
+    P = categories[cat]
     budget = CAPPED
     if spec.endswith("retries=1 grid_cap=1"):
         spec, budget = spec.split(" ")[0], Budget(retries=1, grid_cap=1)
@@ -453,7 +476,12 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
         assert validate_category(qc.presentation).ok
     else:
         qc = build_quotient(P, P.obj({s: 1 for s in names}))
-    Q = qc.presentation
+    return qc.presentation, budget, kind
+
+
+@pytest.mark.parametrize("case", _TRANSPARENT_CASES)
+def test_scan_tables_are_transparent(A3, A4, A4Q, case):
+    Q, budget, kind = _case_quotient({"A3/Q": A3, "A4/Q": A4Q, "A4(><>)/F101": A4}, case)
     rep = scan_properties(Q, budget)
     assert rep.clauses["preabelian"].status == "pass"
     legs = {k: v for k, v in rep.clauses.items() if k != "preabelian"}
@@ -464,6 +492,29 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
         assert statuses["bounds-exceeded"] >= 2
     if kind == "subcat":
         assert statuses["fail"] >= 2
+
+
+@pytest.mark.parametrize("case", _TRANSPARENT_CASES)
+def test_pushout_clauses_are_pullback_clauses_in_the_opposite(A3, A4, A4Q, case):
+    # each pushout clause, run by itself as the pullback clause of Q^op on
+    # the twins of its maps, with the dual property and fresh tables, is the
+    # plain loop's clause, which builds its squares with pushout in Q
+    Q, budget, _ = _case_quotient({"A3/Q": A3, "A4/Q": A4Q, "A4(><>)/F101": A4}, case)
+    fam = scan_properties(Q, budget).family
+    plain = _plain_leg_clauses(Q, fam, budget)
+    op, twin = _twin(Q, "pushout")
+    got = {}
+    for name, given, prop in (
+        ("pushout_kernel_leg", fam.kernel_maps, "mono"),
+        ("pushout_mono_leg", fam.monos, "mono"),
+        ("pushout_epi_leg", fam.epis, "epi"),
+        ("pushout_regular_leg", fam.regulars, "regular"),
+    ):
+        Q.clear_verdict_tables()
+        answer = preabelian._leg_answers(op, budget)
+        body = preabelian._leg_clause(Q, op, answer, list(map(twin, given)), list(map(twin, fam.all)), prop, budget)
+        got[name] = run_clause(body)
+    assert got == {name: plain[name] for name in got}
 
 
 def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
@@ -497,41 +548,46 @@ def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case):
 
 @pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
 def test_scan_builds_no_square_for_a_pair_the_rule_answers(case, monkeypatch):
-    # every pair that reaches pullback or pushout from a leg clause is one
-    # that neither rule answers, by the plain loop's own solves; and the
-    # factoring rule answers some pair that the split rule does not
+    # every pair that reaches pullback from a leg clause is one that neither
+    # rule answers, by the plain loop's own solves; and the factoring rule
+    # answers some pair that the split rule does not.  A pushout clause
+    # meets the twins of Q's maps in Q^op, and no leg clause asks pushout
     Q, _, _ = _eligible_pairs(case)
     Q.clear_verdict_tables()  # Q is shared with the tests that build squares afresh
-    asked, squared, current = set(), set(), []
+    asked, squared, current, pushouts = set(), set(), [], []
 
-    def leg_pairs(limit, given, others):
-        for x, y in build_leg_pairs(limit, given, others):
-            current[:] = [(limit, x, y)]
+    def leg_pairs(given, others):
+        for x, y in build_leg_pairs(given, others):
+            if x.P is Q:
+                current[:] = [("pullback", x, y)]
+            else:
+                current[:] = [("pushout", op_morphism(Q, x), op_morphism(Q, y))]
             asked.update(current)
             yield x, y
 
-    def recorded(build):
-        def call(*args):
-            squared.update(current)
-            return build(*args)
+    def recorded(*args):
+        squared.update(current)
+        return build_pullback(*args)
 
-        return call
-
-    build_leg_pairs = preabelian._leg_pairs
+    build_leg_pairs, build_pullback = preabelian._leg_pairs, preabelian.pullback
     monkeypatch.setattr(preabelian, "_leg_pairs", leg_pairs)
-    monkeypatch.setattr(preabelian, "pullback", recorded(preabelian.pullback))
-    monkeypatch.setattr(preabelian, "pushout", recorded(preabelian.pushout))
+    monkeypatch.setattr(preabelian, "pullback", recorded)
+    monkeypatch.setattr(preabelian, "pushout", lambda *args: pushouts.append(args))
     split = _split_test(Q, scan_properties(Q, CAPPED).family)
-    assert squared and Q._squares and opposite(Q)._squares
+    assert squared and Q._squares and opposite(Q)._squares and not pushouts
+    assert {limit for limit, _, _ in squared} == {"pullback", "pushout"}
     for limit, x, y in squared:
         assert not split(y, limit) and not _factors(Q, x, y, limit)
     assert any(not split(y, limit) and _factors(Q, x, y, limit) for limit, x, y in asked - squared)
 
 
-def _scan_clause(P, limit, given, others, prop):
-    """The leg clause's result over given and others, with fresh scan tables."""
+def _scan_clause(Q, limit, given, others, prop):
+    """The leg clause's result over given and others, with fresh scan
+    tables; a pushout clause runs as the pullback clause of Q^op."""
+    P, twin = _twin(Q, limit)
     answer = preabelian._leg_answers(P, CAPPED)
-    return run_clause(preabelian._leg_clause(P, answer, limit, given, others, prop, CAPPED))
+    body = preabelian._leg_clause(Q, P, answer, list(map(twin, given)), list(map(twin, others)), prop, CAPPED)
+    return run_clause(body)
 
 
 def _two_idempotents():
@@ -585,14 +641,17 @@ def test_factoring_rule_needs_no_one_dimensional_ends():
         with pytest.raises((NoKernel, NoCokernel)) as missing:
             build(E, e1, e1, CAPPED)
         assert (got.status, got.checked, got.detail) == ("fail", 0, f"no limit square: {missing.value}")
+        what = "kernel" if limit == "pullback" else "cokernel"
+        assert got.detail.startswith(f"no limit square: difference map has no {what}: ")
         for prop in ("epi", "mono", "regular"):
             got = _scan_clause(E, limit, [one], [e1], prop)
             assert (got.status, got.checked) == ("pass", 1) and _kept_squares(E) == 0
 
 
 def test_leg_pairs_keep_the_filtered_order(A4):
-    # the pairs a leg clause meets, from an index of others by the meeting
-    # end, are those of the filter over every (x, y), in the same order
+    # the pairs a leg clause meets, from an index of others by target, are
+    # those of the filter over every (x, y), in the same order; a pushout
+    # clause meets the twins in Q^op, which op_morphism keeps on each map
     Q = build_quotient(A4, A4.obj({"I1": 1, "P1": 1})).presentation
     fam = scan_properties(Q, CAPPED).family
     givens = [fam.all, fam.epis, fam.monos, fam.regulars, fam.cokernel_maps, fam.kernel_maps]
@@ -600,7 +659,8 @@ def test_leg_pairs_keep_the_filtered_order(A4):
     for limit, meet in (("pullback", "target"), ("pushout", "source")):
         for given in givens:
             filtered = [(x, y) for x in given for y in fam.all if getattr(y, meet) == getattr(x, meet)]
-            indexed = list(preabelian._leg_pairs(limit, given, fam.all))
+            _, twin = _twin(Q, limit)
+            indexed = list(preabelian._leg_pairs(list(map(twin, given)), list(map(twin, fam.all))))
             assert len(indexed) == len(filtered) and all(
-                a[0] is b[0] and a[1] is b[1] for a, b in zip(indexed, filtered)
+                a[0] is twin(b[0]) and a[1] is twin(b[1]) for a, b in zip(indexed, filtered)
             )

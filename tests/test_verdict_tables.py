@@ -5,11 +5,12 @@
 codomain, subspace and the budget fields it reads.  `pullback`'s limit
 squares are kept there too.  `kernel`, `pushout`, `is_mono` and
 `is_regular` reach them through Q or Q^op.  `run_verification` empties the
-tables of Q, Q^op, P and P^op when it returns.  These tests pin that a
-repeated call reads the kept searches, that a hit is the cold answer, that
-running out of budget is never kept, that a verdict searches each key once,
-that no table outlives its verdict, and that a report does not depend on the
-verdicts run before it in the same process.
+tables of Q and Q^op when it returns; a verdict fills no table of its input
+P and builds no P^op.  These tests pin that a repeated call reads the kept
+searches, that a hit is the cold answer, that running out of budget is
+never kept, that a verdict searches each key once, that no table outlives
+its verdict, and that a report does not depend on the verdicts run before
+it in the same process.
 """
 
 import collections
@@ -232,17 +233,32 @@ def test_tables_are_empty_when_a_clause_raises(A3, monkeypatch):
 
 def test_tables_are_empty_after_a_sweep(A3, monkeypatch):
     # the verdict path fills only the quotients' tables; a search asked of
-    # the long-lived category itself is emptied by the next verdict too
+    # the long-lived category itself is its caller's, and no verdict
+    # empties it
     built, sizes = _watch(monkeypatch)
     # a mono's kernel is 0 without a search; [1 | 1]: P1 + P1 -> P1 is not
     # mono, and its kernel is searched
     one = A3.identity(A3.single("P1"))
     assert kernel(A3, stack_cols(A3, [one, one])) is not None and opposite(A3)._searches
+    callers = [dict(t) for pair in _tables(A3) for t in pair]
     for support in all_rigid_supports(A3, 3)[:14]:
         T = A3.obj([int(i in support) for i in range(A3.n)])
         assert run_verification(A3, T, budget=CAPPED)["overall"] == "pass"
     assert len(built) == 14 and min(sizes) > 0
-    assert all(not t for C in (A3, *built) for pair in _tables(C) for t in pair)
+    assert all(not t for C in built for pair in _tables(C) for t in pair)
+    assert [dict(t) for pair in _tables(A3) for t in pair] == callers
+    A3.clear_verdict_tables()
+
+
+@pytest.mark.parametrize("name", sorted(CATEGORIES))
+def test_a_verdict_fills_no_table_of_its_input(name):
+    # a verdict works in the quotient Q and Q^op alone: it leaves the
+    # parent's epi, search and square tables empty and builds no parent
+    # opposite, so run_verification has only Q's tables to empty
+    n, orientation, p, specs = CATEGORIES[name]
+    P = _category(n, orientation, p)
+    assert run_verification(P, P.obj({s: 1 for s in specs[0].split("+")}), budget=CAPPED)["overall"] == "pass"
+    assert not (P._epis or P._searches or P._squares) and P._opposite is None
 
 
 # -- a report does not depend on the verdicts before it ---------------------------------
