@@ -66,7 +66,7 @@ from .preabelian import (
     pushout,
     scan_properties,
 )
-from .quotient import QuotientCategory, build_quotient, factors_through, x_t_objects
+from .quotient import QuotientCategory, build_quotient, x_t_objects
 from .verify import run_cotorsion, run_verification
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationError
 from .fincat import CategoryPresentation, structure_constants, validate_category
-from .linalg import QQ, Field, Matrix, RowSpace, intertwiners
+from .linalg import QQ, Field, Matrix, RowSpace, intertwiners, unit_vector
 
 # ---------------------------------------------------------------------------
 # quivers and representations
@@ -218,11 +218,6 @@ def hom_rep(M: Rep, N: Rep) -> list[RepHom]:
     return [hom_from_flat(M, N, v) for v in intertwiners(M.field, M.dims, N.dims, relations)]
 
 
-def _column_matrix(field: Field, cols, nrows: int) -> Matrix:
-    """The nrows-row matrix whose columns are cols."""
-    return Matrix(field, nrows, len(cols), [[c[i] for c in cols] for i in range(nrows)])
-
-
 def _block_matrix(field: Field, nrows: int, ncols: int, blocks) -> Matrix:
     """The zero matrix with each (row offset, column offset, block) copied in."""
     m = Matrix.zeros(field, nrows, ncols)
@@ -257,12 +252,7 @@ def kernel_rep(f: RepHom) -> tuple[Rep, RepHom]:
     for v in range(1, n + 1):
         kbases.append(f.mat(v).kernel_basis())
     dims = [len(kb) for kb in kbases]
-    incl_mats = []
-    for v in range(n):
-        cols = kbases[v]
-        incl_mats.append(
-            Matrix(field, M.dims[v], dims[v], [[cols[j][i] for j in range(dims[v])] for i in range(M.dims[v])])
-        )
+    incl_mats = [Matrix.from_columns(field, M.dims[v], kbases[v]) for v in range(n)]
     kmats = []
     for k, (s, t) in enumerate(M.quiver.arrows()):
         image = M.mats[k] * incl_mats[s - 1]
@@ -292,17 +282,10 @@ def cokernel_rep(f: RepHom) -> tuple[Rep, RepHom, list[Matrix]]:
         # projection: reduce mod image, then read complement coordinates
         cols = []
         for j in range(N.dims[v]):
-            e = [field.zero] * N.dims[v]
-            e[j] = field.one
-            red = rs.reduce(e)
+            red = rs.reduce(unit_vector(field, N.dims[v], j))
             cols.append([red[c] for c in comp])
-        proj_mats.append(
-            Matrix(field, len(comp), N.dims[v], [[cols[j][i] for j in range(N.dims[v])] for i in range(len(comp))])
-        )
-        sect = Matrix.zeros(field, N.dims[v], len(comp))
-        for i, c in enumerate(comp):
-            sect.data[c][i] = field.one
-        sect_mats.append(sect)
+        proj_mats.append(Matrix.from_columns(field, len(comp), cols))
+        sect_mats.append(Matrix.from_columns(field, N.dims[v], [unit_vector(field, N.dims[v], c) for c in comp]))
     cmats = []
     for k, (s, t) in enumerate(N.quiver.arrows()):
         cmats.append(proj_mats[t - 1] * N.mats[k] * sect_mats[s - 1])
@@ -322,7 +305,7 @@ def socle_vertex_basis(M: Rep, v: int):
         if s == v:
             rows.extend(M.mats[k].data)
     if not rows:
-        return [list(col) for col in Matrix.identity(field, M.dims[v - 1]).data]
+        return [unit_vector(field, M.dims[v - 1], a) for a in range(M.dims[v - 1])]
     m = Matrix(field, len(rows), M.dims[v - 1], rows)
     return m.kernel_basis()
 
@@ -335,12 +318,7 @@ def top_vertex_basis(M: Rep, v: int):
         if t == v:
             img.extend(M.mats[k].col(j) for j in range(M.mats[k].ncols))
     rs = RowSpace.from_rows(field, M.dims[v - 1], img)
-    out = []
-    for c in rs.complement_indices():
-        e = [field.zero] * M.dims[v - 1]
-        e[c] = field.one
-        out.append(e)
-    return out
+    return [unit_vector(field, M.dims[v - 1], c) for c in rs.complement_indices()]
 
 
 def hom_to_injective(M: Rep, v: int, functional, I_v: Rep) -> RepHom:
@@ -373,8 +351,7 @@ def hom_from_projective(M: Rep, v: int, value, P_v: Rep) -> RepHom:
         pm = path_matrix(M, v, w)
         if pm is None:
             raise GenerationError("projective support vertex without path (impossible)")
-        col = pm.apply(value)
-        mats.append(Matrix(field, M.dims[w - 1], 1, [[x] for x in col]))
+        mats.append(Matrix.from_columns(field, M.dims[w - 1], [pm.apply(value)]))
     return RepHom(P_v, M, mats)
 
 
@@ -443,8 +420,7 @@ def _inj_envelope(quiver: QuiverAn, field: Field, M: Rep):
             continue
         soc_m = Matrix(field, len(soc), M.dims[v - 1], soc)
         for b in range(len(soc)):
-            target = [field.one if i == b else field.zero for i in range(len(soc))]
-            xi = soc_m.solve(target)  # functional with xi | socle = dual basis
+            xi = soc_m.solve(unit_vector(field, len(soc), b))  # functional with xi | socle = dual basis
             if xi is None:
                 raise GenerationError("cannot extend socle functional")
             parts.append(v)
@@ -671,7 +647,7 @@ def _solve_factor(target: RepHom, src: Rep, dst: Rep, image) -> RepHom:
     field = src.field
     basis = hom_rep(src, dst)
     want = target.flatten()
-    x = _column_matrix(field, [image(b).flatten() for b in basis], len(want)).solve(want)
+    x = Matrix.from_columns(field, len(want), [image(b).flatten() for b in basis]).solve(want)
     if x is None:
         raise GenerationError("lift through a presentation does not exist (impossible)")
     out = zero_hom(src, dst)
@@ -805,7 +781,7 @@ class _PairData:
     def coords_h0(self, h: RepHom):
         want = h.flatten()
         if self.h0_cols is None:  # h0 is final once composites are read
-            self.h0_cols = _column_matrix(self.field, [b.flatten() for b in self.h0], len(want))
+            self.h0_cols = Matrix.from_columns(self.field, len(want), [b.flatten() for b in self.h0])
         c = self.h0_cols.solve(want)
         if c is None:
             raise GenerationError("hom does not lie in the computed basis span")
@@ -836,7 +812,7 @@ class _ExtReducer:
         for h in homs_k:
             if probe.add(h.flatten()):
                 self.basis.append(h)
-        self.reduced_cols = _column_matrix(field, [img.reduce(h.flatten()) for h in self.basis], width)
+        self.reduced_cols = Matrix.from_columns(field, width, [img.reduce(h.flatten()) for h in self.basis])
 
     @property
     def dim(self):

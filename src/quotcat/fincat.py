@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import MissingSuspension, ShapeError
-from .linalg import Field, Matrix, RowSpace, vec_add, vec_is_zero, vec_scale
+from .linalg import Field, Matrix, RowSpace, unit_vector, vec_add, vec_is_zero, vec_scale
 
 
 class CategoryPresentation:
@@ -59,7 +59,7 @@ class CategoryPresentation:
         # one verdict long (clear_verdict_tables): they hold maps of self
         self._epis = {}  # f, or (X, Y) with dim Hom(X, Y) = 1 -> preabelian.is_epi's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
-        self._squares = {}  # (c, d, budget fields read) -> preabelian.pullback's LimitSquare
+        self._squares = {}  # (c, d, *budget.search_fields) -> preabelian.pullback's LimitSquare
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
@@ -171,12 +171,12 @@ class CategoryPresentation:
 
     def basis_morphism(self, i: int, j: int, a: int) -> "Morphism":
         """Basis element a of Hom(i, j) as a morphism of single objects."""
-        return Morphism(self, self.single(i), self.single(j), [[_unit(self.field, self._dim[i][j], a)]])
+        return Morphism(self, self.single(i), self.single(j), [[unit_vector(self.field, self._dim[i][j], a)]])
 
     def hom_basis(self, X: "Obj", Y: "Obj"):
         """All coordinate basis morphisms of Hom(X, Y), in flat order."""
         d = self.hom_space_dim(X, Y)
-        return [Morphism.from_coords(self, X, Y, _unit(self.field, d, k)) for k in range(d)]
+        return [Morphism.from_coords(self, X, Y, unit_vector(self.field, d, k)) for k in range(d)]
 
     # -- suspension ----------------------------------------------------
 
@@ -532,13 +532,6 @@ def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v, out: list)
     return out
 
 
-def _unit(field, d: int, a: int) -> list:
-    """Basis vector a of a d-dimensional space."""
-    vec = [field.zero] * d
-    vec[a] = field.one
-    return vec
-
-
 def validate_category(P: CategoryPresentation) -> ValidationReport:
     """Exhaustive unit and associativity checks on the structure constants.
 
@@ -563,7 +556,7 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
     # unit laws: id o a = a and a o id = a for every basis element a
     for i, j in itertools.product(range(n), repeat=2):
         for a in range(dim[i][j]):
-            ea = _unit(f, dim[i][j], a)
+            ea = unit_vector(f, dim[i][j], a)
             if _composite(P, i, j, j, ea, P.identities[j], [zero] * dim[i][j]) != ea:
                 rep.add("left-unit", (i, j, a))
             if _composite(P, i, i, j, P.identities[i], ea, [zero] * dim[i][j]) != ea:
@@ -590,12 +583,12 @@ def _associativity_failures(P: CategoryPresentation, i: int, j: int, k: int, l: 
         return
     zero = f.zero
     for a in range(dim[i][j]):
-        ea = _unit(f, dim[i][j], a)
+        ea = unit_vector(f, dim[i][j], a)
         for b in range(dim[j][k]):
             gf = gf_table[a][b] if gf_table else ()  # () reads as zero
             for c in cs:
                 hg = hg_table[b][c] if hg_table else ()
-                lhs = _composite(P, i, k, l, gf, _unit(f, dim[k][l], c), [zero] * dim[i][l])
+                lhs = _composite(P, i, k, l, gf, unit_vector(f, dim[k][l], c), [zero] * dim[i][l])
                 if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
                     yield a, b, c
 
@@ -638,7 +631,7 @@ def _word_generators(P: CategoryPresentation) -> dict:
         rs = spans.get((i, j)) or RowSpace(f, d)
         if i == j:
             rs.add(P.identities[i])
-        g = [a for a in range(d) if rs.add(_unit(f, d, a))]
+        g = [a for a in range(d) if rs.add(unit_vector(f, d, a))]
         if g:
             gens[(i, j)] = g
     return gens
@@ -666,7 +659,7 @@ def _words_span(P: CategoryPresentation, gens: dict) -> bool:
                 rs = spans.get(j) or spans.setdefault(j, RowSpace(f, d))
                 if rs.dim == d:
                     continue
-                sw = _composite(P, i, m, j, w, _unit(f, dim[m][j], a), [f.zero] * d)
+                sw = _composite(P, i, m, j, w, unit_vector(f, dim[m][j], a), [f.zero] * d)
                 if rs.add(sw):
                     frontier.append((j, sw))
         if any(dim[i][j] and (j not in spans or spans[j].dim < dim[i][j]) for j in range(P.n)):

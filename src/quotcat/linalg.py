@@ -241,6 +241,12 @@ class Matrix:
         return cls(field, len(rows), ncols, rows)
 
     @classmethod
+    def from_columns(cls, field: Field, nrows: int, cols) -> "Matrix":
+        """The nrows-row matrix whose columns are the vectors in the list cols."""
+        data = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(nrows)]
+        return cls(field, nrows, len(cols), data)
+
+    @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, nrows, ncols, [[z] * ncols for _ in range(nrows)])
@@ -261,10 +267,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return cls(field, n, n, [unit_vector(field, n, i) for i in range(n)])
 
     @classmethod
     def block_diagonal(cls, field: Field, blocks) -> "Matrix":
@@ -450,8 +453,7 @@ class Matrix:
         free = [c for c in range(self.ncols) if c not in pivset]
         basis = []
         for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
+            v = unit_vector(f, self.ncols, fc)
             for r, pc in enumerate(pivots):
                 v[pc] = f.neg(reduced.data[r][fc])
             basis.append(v)
@@ -461,7 +463,7 @@ class Matrix:
         """Some x with m x = b, or None when the system is inconsistent."""
         if len(b) != self.nrows:
             raise ShapeError(f"rhs length {len(b)} != {self.nrows} rows")
-        X = self.solve_matrix(Matrix(self.field, self.nrows, 1, [[x] for x in b]))
+        X = self.solve_matrix(Matrix.from_columns(self.field, self.nrows, [b]))
         return None if X is None else [row[0] for row in X.data]
 
     def solve_matrix(self, B: "Matrix"):
@@ -602,6 +604,13 @@ def block_diagonal_kernel_basis(field: Field, blocks):
             out.append(vec)
         left += b.ncols
     return out
+
+
+def unit_vector(field: Field, d: int, a: int) -> list:
+    """Basis vector a of field^d."""
+    vec = [field.zero] * d
+    vec[a] = field.one
+    return vec
 
 
 def vec_add(field: Field, u, v):

@@ -38,6 +38,7 @@ from .preabelian import (
     RankCondition,
     SearchResult,
     epi_conditions,
+    keep_regular,
     last_one,
     multiplicities,
     run_clause,
@@ -67,19 +68,15 @@ def end_basis_actions(P: CategoryPresentation, T: Obj) -> list[tuple]:
 
     e lies in the block from copy s of T to copy t, so - o e sends
     Hom(T_t, -) to Hom(T_s, -); acts[k] is its matrix on Hom(T_t, k) for
-    every indecomposable k.  Copies of one indecomposable share their
-    matrices.
+    every indecomposable k.
     """
-    memo = {}
-    out = []
     copies = T.copies()
-    for t, j in enumerate(copies):
-        for s, i in enumerate(copies):
-            for a in range(P.hom_dim(i, j)):
-                if (i, j, a) not in memo:
-                    memo[(i, j, a)] = precompose_matrices(P, P.basis_morphism(i, j, a))
-                out.append((t, s, memo[(i, j, a)]))
-    return out
+    return [
+        (t, s, precompose_matrices(P, P.basis_morphism(i, j, a)))
+        for t, j in enumerate(copies)
+        for s, i in enumerate(copies)
+        for a in range(P.hom_dim(i, j))
+    ]
 
 
 class GammaModule:
@@ -139,7 +136,7 @@ class HFunctor:
         self._modules: dict[tuple, GammaModule] = {}
         self._matrices: dict[Morphism, Matrix] = {}
         self._hom_dims: dict[tuple, int] = {}  # (X, Y) -> dim of module_maps(X, Y)
-        self._roofs: dict[tuple, tuple] = {}  # (x, budget fields read) -> realize_module_map's (A_x, r_x)
+        self._roofs: dict[tuple, tuple] = {}  # (x, *budget.search_fields) -> realize_module_map's (A_x, r_x)
 
     @cached_property
     def end_actions(self) -> list[tuple]:
@@ -177,9 +174,8 @@ class HFunctor:
         """Some f in Hom(X, Y) with H(f) = phi, or None when phi is not in
         H's image: a solve over the columns H(b), b running over the unit
         basis of Hom(X, Y)."""
-        cols = self.images(X, Y)
         want = _flat(phi)
-        m = Matrix(self.P.field, len(want), len(cols), [[v[i] for v in cols] for i in range(len(want))])
+        m = Matrix.from_columns(self.P.field, len(want), self.images(X, Y))
         return solve_on_basis(self.P, X, Y, m, want)
 
 
@@ -276,10 +272,8 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
     legs[k](h): A -> targets[k] is regular; every leg must be linear in h.
     The search for A is seeded by f"{salt}:{A.mult}", so a skipped source
     changes no other witness.  A witness's legs meet exactly is_epi's rank
-    conditions in Q and in Q^op, so each is kept as epi in Q and as mono,
-    epi in Q^op, where is_regular reads them.
+    conditions in Q and in Q^op, so keep_regular keeps each.
     """
-    op = opposite(Q)
     for A in _leg_sources(Q, targets):
         subspace = space(A)
         if not subspace:
@@ -289,8 +283,7 @@ def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget
         res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{A.mult}")
         if res.status == SearchResult.FOUND:
             for leg in legs:
-                r = leg(res.witness)
-                Q._epis[r] = op._epis[op_morphism(op, r)] = True
+                keep_regular(Q, leg(res.witness))
             yield A, res.witness
 
 
@@ -311,10 +304,10 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
     a regular map into x (x itself has one, its identity).  The searches
     before it certify empty, and with no map to find every draw misses, so
     A_x does not depend on the salt.  The first such phi of x runs that walk
-    with its own salt, and its roof (A_x, r_x) is kept per (x, budget fields
-    read); every later one returns [r_x, f o r_x] where its own salt would
-    search A_x again, and could only find a roof there or run out of
-    budget.  The H-image of [r_x, f o r_x] is H(f) o H(r_x) o H(r_x)^-1 =
+    with its own salt, and its roof (A_x, r_x) is kept per (x,
+    *budget.search_fields); every later one returns [r_x, f o r_x] where
+    its own salt would search A_x again, and could only find a roof there
+    or run out of budget.  The H-image of [r_x, f o r_x] is H(f) o H(r_x) o H(r_x)^-1 =
     phi; the check below still computes it, and a kept roof whose fraction
     misses phi means H's data is inconsistent, so it raises NotInS.
 
@@ -328,7 +321,7 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
     Q = H.P
     X, Y = Q.single(x), Q.single(y)
     field = Q.field
-    key = (x, budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
+    key = (x, *budget.search_fields)
     roof = H._roofs.get(key)
     salt = f"full:{x}:{y}"
 
@@ -360,7 +353,7 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
             return []
         cols = [_flat(phi * H.mor_matrix(r)) for r in Q.hom_basis(A, X)]
         unknowns = cols + [[field.neg(a) for a in v] for v in H.images(A, Y)]
-        mat = Matrix(field, len(cols[0]), len(unknowns), [list(row) for row in zip(*unknowns)])
+        mat = Matrix.from_columns(field, len(cols[0]), unknowns)
         proj = RowSpace(field, len(cols))
         for v in mat.kernel_basis():
             proj.add(v[: len(cols)])
@@ -506,15 +499,14 @@ def _iso_to_add_t(Q: CategoryPresentation, x: int, tsupp, budget: Budget) -> boo
     return any(iso_fraction_exists(Q, x, Obj(mult), budget) for mult in partners)
 
 
-def iso_fraction_exists(Q: CategoryPresentation, x: int, w, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Whether a roof with two regular legs connects x and w in the quotient Q.
+def iso_fraction_exists(Q: CategoryPresentation, x: int, W: Obj, budget: Budget = DEFAULT_BUDGET) -> bool:
+    """Whether a roof with two regular legs connects x and W in the quotient Q.
 
     Such a roof is precisely an isomorphism of the localised category.  The
     search runs over maps into the direct sum, so both legs are linear in one
     searched element.
     """
     X = Q.single(x)
-    W = Q.single(w) if isinstance(w, int) else w
     XW = X + W
     legs = [lambda h, p=p: split_rows(Q, h, [X, W])[p] for p in range(2)]
     roofs = _regular_roofs(Q, [X, W], lambda A: Q.hom_basis(A, XW), legs, budget, f"iso:{x}:{W.mult}")

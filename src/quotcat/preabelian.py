@@ -51,6 +51,12 @@ class Budget:
     scan_pairs_cap: int = 400
     scan_double_objects: int = 4
 
+    @property
+    def search_fields(self) -> tuple:
+        """(seed, retries, coeff_base, grid_cap): every field a certified
+        search reads, so the budget part of each kept search's key."""
+        return (self.seed, self.retries, self.coeff_base, self.grid_cap)
+
     @classmethod
     def from_dict(cls, d: dict) -> "Budget":
         """A budget from config values; ValueError names a key it rejects.
@@ -120,6 +126,14 @@ def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
 
 def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
     return is_epi(Q, f) and is_mono(Q, f)
+
+
+def keep_regular(Q: CategoryPresentation, r: Morphism):
+    """Keep r as epi in Q and its twin as epi in Q^op, where is_regular
+    reads them: for a search witness r whose conditions are exactly
+    is_epi's rank conditions in Q and in Q^op."""
+    op = opposite(Q)
+    Q._epis[r] = op._epis[op_morphism(op, r)] = True
 
 
 def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
@@ -376,20 +390,20 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     pass over f.
 
     Each candidate's search is kept in Q._searches for one verdict, keyed by
-    (Y.mult, M.mult, the subspace vectors, seed, retries, coeff_base,
-    grid_cap).  That key covers everything the search reads: its domain Y
-    and codomain M, its subspace, the budget fields, its conditions and its
-    salt.  The condition on Z_z asks rank(- o c on Hom(M, Z_z)) >=
-    targets[z], and every candidate M meets the targets exactly (floor =
-    ceiling), so targets[z] = dim Hom(M, Z_z) is fixed by M; the salt is a
-    function of M.mult.  So two cokernel searches that reach one key run the
-    same search, and the second reads the first's result.  They may then
-    share one witness object, which is safe because maps are immutable.
-    A repeated call with the same f and budget fields makes the same pass,
-    so it reaches the same keys and returns the same M and witness object,
-    or None.  run_verification empties the table when it returns.
-    BoundsExceeded propagates and is not kept, so a search that ran out of
-    budget runs again.
+    (Y.mult, M.mult, the subspace vectors, *budget.search_fields).  That key
+    covers everything the search reads: its domain Y and codomain M, its
+    subspace, the budget fields, its conditions and its salt.  The condition
+    on Z_z asks rank(- o c on Hom(M, Z_z)) >= targets[z], and every
+    candidate M meets the targets exactly (floor = ceiling), so targets[z] =
+    dim Hom(M, Z_z) is fixed by M; the salt is a function of M.mult.  So
+    two cokernel searches that reach one key run the same search, and the
+    second reads the first's result.  They may then share one witness
+    object, which is safe because maps are immutable.  A repeated call with
+    the same f and budget fields makes the same pass, so it reaches the
+    same keys and returns the same M and witness object, or None.
+    run_verification empties the table when it returns.  BoundsExceeded
+    propagates and is not kept, so a search that ran out of budget runs
+    again.
 
     Two answers need no search:
     - f epi, as is_epi's table may already hold: the search would return
@@ -418,11 +432,10 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     if candidates is None:
         mults = multiplicities(Q._dim, targets, Q._dim, targets)
         candidates = Q._multiplicities[key] = [Obj(mult) for mult in mults]
-    fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
     for M in candidates:
         # subspace {c : c o f = 0}: the kernel of precompose_matrix(Q, f, M)
         kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
-        search = (Y.mult, M.mult, tuple(map(tuple, kills_f)), *fixed)
+        search = (Y.mult, M.mult, tuple(map(tuple, kills_f)), *budget.search_fields)
         res = Q._searches.get(search)
         if res is None:
             salt = hash(M.mult) & 0xFFFF
@@ -478,7 +491,7 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     """Kernel-based pullback of c: B -> D and d: C -> D.
 
     The square of (c, d) comes from kernel(Q, [c | -d], budget) and is kept
-    on Q for one verdict under (c, d, seed, retries, coeff_base, grid_cap):
+    on Q for one verdict under (c, d, *budget.search_fields):
     run_verification empties the table when it returns.  No earlier call
     changes it, and a square that cannot be built is not kept.  pushout
     keeps its squares here too, in Q^op.
@@ -492,8 +505,8 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
     """
     if c.target != d.target:
         raise ShapeError("pullback needs a common target")
-    fixed = (budget.seed, budget.retries, budget.coeff_base, budget.grid_cap)
-    sq = Q._squares.get((c, d, *fixed))
+    key = (c, d, *budget.search_fields)
+    sq = Q._squares.get(key)
     if sq is None:
         B, C, D = c.source, d.source, c.target
         one = Q.identity(D) if D in (B, C) else None
@@ -512,7 +525,7 @@ def pullback(Q: CategoryPresentation, c: Morphism, d: Morphism, budget: Budget =
         sq = LimitSquare(a.source, B, C, D, a, b, c, d)
         if not sq.check_commutes(Q):
             raise InternalInconsistency("pullback square does not commute")
-        Q._squares[(c, d, *fixed)] = sq
+        Q._squares[key] = sq
     return sq
 
 

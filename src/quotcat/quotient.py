@@ -38,20 +38,6 @@ def factoring_subspace(P: CategoryPresentation, i: int, j: int, S) -> RowSpace:
     return rs
 
 
-def factors_through(P: CategoryPresentation, f: Morphism, S) -> bool:
-    """True iff f factors through add S.
-
-    The maps that do form an ideal, so f factors through add S iff each of
-    its blocks does.
-    """
-    S = {s if isinstance(s, int) else P.index(s) for s in S}
-    return all(
-        factoring_subspace(P, i, j, S).contains(block)
-        for j, row in zip(f.target.copies(), f.blocks)
-        for i, block in zip(f.source.copies(), row)
-    )
-
-
 class QuotientCategory:
     """C/X_T packaged with its induced presentation and transfer maps."""
 

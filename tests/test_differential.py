@@ -9,6 +9,10 @@ Hom(T, -) is computed twice: on the quotient, as a verdict computes it,
 and on the parent C through the lifts of quotient maps.  Since Hom(T, X_T)
 = 0 they must agree entry for entry.
 
+Epi and mono in the quotient are decided twice: by Yoneda ranks over
+every indecomposable, as the scan decides them, and by whether Hom_Q(T, f)
+is onto or one to one.  They must agree on every map of the scan family.
+
 Equality of right fractions is decided twice: by `fractions_equal`, on a
 pullback of the two denominators in the quotient, and through the
 equivalence with mod End(T)^op, by comparing the module maps
@@ -21,11 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.fincat import Morphism, all_rigid_supports, approximation, basis_morphisms, compose
+from quotcat.fincat import Morphism, all_rigid_supports, approximation, basis_morphisms, compose, postcompose_matrix
 from quotcat.linalg import GF, QQ
 from quotcat.localization import Fraction, fractions_equal
 from quotcat.modcat import HFunctor, h_fraction
-from quotcat.preabelian import Budget, build_morphism_family
+from quotcat.preabelian import Budget, build_morphism_family, is_epi, is_mono
 from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
 
@@ -54,13 +58,15 @@ def test_every_clause_agrees_over_q_and_f101(A3_pair, data):
 # -- Hom(T, -) on the quotient against Hom_C(T, -) of the lifts ---------------------
 
 
-def _identity_cases():
+def _rigid_cases(step):
+    """(P, T) for every rigid T of C(A_3) over Q, then every step-th rigid T
+    of C(A_4, "><>") over GF(101), with T's quotient."""
     a3 = build_cluster_category(3)
-    for supp in all_rigid_supports(a3, 3):
-        yield a3, supp
     a4 = build_cluster_category(4, "><>", GF(101))
-    for supp in all_rigid_supports(a4, 4)[::7]:
-        yield a4, supp
+    for P, supports in ((a3, all_rigid_supports(a3, 3)), (a4, all_rigid_supports(a4, 4)[::step])):
+        for supp in supports:
+            T = P.obj({P.objects[i]: 1 for i in supp})
+            yield P, T, build_quotient(P, T)
 
 
 def test_h_on_the_quotient_is_hom_c_of_the_lifts():
@@ -68,9 +74,8 @@ def test_h_on_the_quotient_is_hom_c_of_the_lifts():
     # data of its lift, and T's approximation of x in Q is the projection
     # of C's
     cases = 0
-    for P, supp in _identity_cases():
-        T = P.obj({P.objects[i]: 1 for i in supp})
-        qc = build_quotient(P, T)
+    for P, T, qc in _rigid_cases(7):
+        supp = sorted(T.support())
         Q, T_Q = qc.presentation, qc.project_obj(T)
         HQ, HC = HFunctor(Q, T_Q), HFunctor(P, T)
         for i, j, a, f in basis_morphisms(Q):
@@ -82,6 +87,20 @@ def test_h_on_the_quotient_is_hom_c_of_the_lifts():
             assert appr == qc.project(approximation(P, sorted(supp), P.single(p))), (P.field, supp, x)
         cases += 1
     assert cases == 44 + 28
+
+
+def test_hom_t_detects_epis_and_monos():
+    # the bridge of ROADMAP item 17: a map f of the scan family is epi in Q
+    # exactly when Hom_Q(T, f) is onto, and mono exactly when it is one to one
+    maps = 0
+    for P, T, qc in _rigid_cases(4):
+        Q, T_Q = qc.presentation, qc.project_obj(T)
+        for f in build_morphism_family(Q).all:
+            m = postcompose_matrix(Q, f, T_Q)
+            rank = m.rank()
+            assert (rank == m.nrows, rank == m.ncols) == (is_epi(Q, f), is_mono(Q, f)), (P.field, T.mult, f)
+            maps += 1
+    assert maps == 4725 + 8602
 
 
 # -- fraction equality against the module side --------------------------------------

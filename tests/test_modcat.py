@@ -427,9 +427,9 @@ def test_equivalence_out_of_budget_keeps_the_faithful_failure(A3, TCT):
 
 def test_iso_fraction_reflexive(A3, TCT):
     Q = build_quotient(A3, TCT).presentation
-    assert iso_fraction_exists(Q, 0, 0)
+    assert iso_fraction_exists(Q, 0, Q.single(0))
     # P1 and S2 are not isomorphic in the localisation of the CT quotient
-    assert not iso_fraction_exists(Q, Q.index("P1"), Q.index("S2"))
+    assert not iso_fraction_exists(Q, Q.index("P1"), Q.single("S2"))
 
 
 def _full_product(bounds):

@@ -21,11 +21,14 @@ from quotcat.fincat import (
     precompose_matrix,
     stack_cols,
     validate_category,
+    _word_generators,
 )
 from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
+    DEFAULT_BUDGET,
     Budget,
     ClauseResult,
+    MorphismFamily,
     RankCondition,
     SearchResult,
     build_morphism_family,
@@ -48,6 +51,7 @@ from quotcat.preabelian import (
     search_open_conditions,
     solve_on_basis,
     solve_two_sided_inverse,
+    _preabelian_clause,
 )
 from quotcat.quotient import build_quotient
 
@@ -594,6 +598,36 @@ def test_scan_reports_an_exhausted_preabelian_clause(A3):
     assert list(rep.clauses) == ["preabelian"]
     assert rep.clauses["preabelian"].status == "bounds-exceeded"
     assert rep.family.all
+
+
+def _sink_maps(Q):
+    """g_z for each z with an irreducible map into it: the stack_cols of the
+    basis maps w -> z, w != z, that _word_generators lists."""
+    gens = _word_generators(Q)
+    for z in range(Q.n):
+        maps = [Q.basis_morphism(w, z, a) for w in range(Q.n) if w != z for a in gens.get((w, z), ())]
+        if maps:
+            yield stack_cols(Q, maps)
+
+
+def _every_sink_map_has_a_kernel(Q):
+    return all(is_mono(Q, g) or kernel(Q, g) is not None for g in _sink_maps(Q))
+
+
+def test_sink_map_criterion_agrees_with_the_preabelian_clause(A3):
+    # Q is preabelian iff every sink map is mono or has a kernel, and the
+    # same holds in Q^op (Auslander's criterion, ROADMAP item 18): against
+    # the basis-morphism clause on every proper subcategory quotient of C(A_3)
+    verdicts = Counter()
+    for k in range(A3.n):
+        for S in itertools.combinations(range(A3.n), k):
+            Q = build_quotient(A3, subcat=set(S)).presentation
+            criterion = _every_sink_map_has_a_kernel(Q)
+            assert _every_sink_map_has_a_kernel(opposite(Q)) == criterion, S
+            clause = run_clause(_preabelian_clause(Q, MorphismFamily(), DEFAULT_BUDGET))
+            assert (clause.status == "pass") == criterion, (S, clause)
+            verdicts[criterion] += 1
+    assert verdicts == {True: 372, False: 139}
 
 
 def test_run_clause_counts_a_case_where_the_body_yields():

@@ -3,7 +3,7 @@ import pytest
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NotRigid
 from quotcat.fincat import Morphism, compose, validate_category
-from quotcat.quotient import build_quotient, factors_through, x_t_objects
+from quotcat.quotient import build_quotient, x_t_objects
 
 
 @pytest.fixture(scope="module")
@@ -130,18 +130,6 @@ def test_project_kills_factoring_maps(A3, QCT):
                 for j in QCT.keep:
                     for v in P.hom_basis(Zx, P.single(j)):
                         assert QCT.project(compose(P, v, u)).is_zero()
-
-
-def test_factors_through(A3):
-    # zero map always factors
-    z = A3.zero_morphism(A3.single("P3"), A3.single("I2"))
-    assert factors_through(A3, z, {"P1"})
-    # identity of P1 does not factor through S2 (no nonzero composites exist)
-    idp = A3.identity(A3.single("P1"))
-    assert not factors_through(A3, idp, {"S2"})
-    # the section-6 witness: the nonzero map P3 -> I2 survives the quotient
-    f = A3.basis_morphism(A3.index("P3"), A3.index("I2"), 0)
-    assert not factors_through(A3, f, {"P1", "P2", "S2"})
 
 
 def test_section6_quotient(A3):
