@@ -304,10 +304,7 @@ def socle_vertex_basis(M: Rep, v: int):
     for k, (s, t) in enumerate(M.quiver.arrows()):
         if s == v:
             rows.extend(M.mats[k].data)
-    if not rows:
-        return [unit_vector(field, M.dims[v - 1], a) for a in range(M.dims[v - 1])]
-    m = Matrix(field, len(rows), M.dims[v - 1], rows)
-    return m.kernel_basis()
+    return Matrix(field, len(rows), M.dims[v - 1], rows).kernel_basis()
 
 
 def top_vertex_basis(M: Rep, v: int):
@@ -801,14 +798,10 @@ class _ExtReducer:
         self.W = W
         width = hom_flat_dim(pres.K, W)
         homs_k = hom_rep(pres.K, W)
-        img = RowSpace(field, width)
-        for g in hom_rep(pres.P0, W):
-            img.add(g.compose(pres.iota).flatten())
+        img = RowSpace.from_rows(field, width, (g.compose(pres.iota).flatten() for g in hom_rep(pres.P0, W)))
         self.img = img
         self.basis = []
-        probe = RowSpace(field, width)
-        for row in img.rows:
-            probe.add(row)
+        probe = RowSpace.from_rows(field, width, img.rows)
         for h in homs_k:
             if probe.add(h.flatten()):
                 self.basis.append(h)

@@ -10,6 +10,7 @@ solvability, membership) are exact.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 
 from .errors import FieldMismatch, ShapeError
@@ -371,41 +372,14 @@ class Matrix:
         return out
 
     def rref(self):
-        """Reduced row echelon form; returns (rref matrix, pivot column tuple).
-
-        First-nonzero pivoting, fully deterministic.
+        """Reduced row echelon form: (rows, pivots) of
+        RowSpace.from_rows(field, ncols, data), its nonzero rows in pivot
+        order and their pivot columns.  Computed once per matrix; the lists
+        are shared, so callers do not change them.
         """
-        if self._rref is not None:
-            return self._rref
-        f = self.field
-        zero = f.zero
-        rows = list(self.data)  # each row is replaced, never changed in place
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c] != zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != zero:
-                    factor = rows[i][c]
-                    rows[i] = [
-                        f.sub(rows[i][j], f.mul(factor, rows[r][j])) for j in range(self.ncols)
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        result = (Matrix(f, self.nrows, self.ncols, rows), tuple(pivots))
-        self._rref = result
-        return result
+        if self._rref is None:
+            self._rref = RowSpace.from_rows(self.field, self.ncols, self.data)
+        return self._rref.rows, self._rref.pivots
 
     def rank(self) -> int:
         """Rank.
@@ -446,16 +420,15 @@ class Matrix:
         return rank
 
     def kernel_basis(self):
-        """Basis of the right kernel {v : m v = 0}, as column vectors (lists)."""
+        """Basis of the right kernel {v : m v = 0}, as column vectors (lists):
+        one per free column of the rref, which the pivot rows solve for."""
         f = self.field
-        reduced, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivset]
+        rows, pivots = self.rref()
         basis = []
-        for fc in free:
+        for fc in self._rref.complement_indices():
             v = unit_vector(f, self.ncols, fc)
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(reduced.data[r][fc])
+            for row, pc in zip(rows, pivots):
+                v[pc] = f.neg(row[fc])
             basis.append(v)
         return basis
 
@@ -479,12 +452,12 @@ class Matrix:
             raise ShapeError("solve_matrix shape mismatch")
         n = self.ncols
         aug = Matrix(self.field, self.nrows, n + B.ncols, [a + b for a, b in zip(self.data, B.data)])
-        reduced, pivots = aug.rref()
+        rows, pivots = aug.rref()
         if pivots and pivots[-1] >= n:
             return None
         data = [[self.field.zero] * B.ncols for _ in range(n)]
-        for r, pc in enumerate(pivots):
-            data[pc] = reduced.data[r][n:]
+        for row, pc in zip(rows, pivots):
+            data[pc] = row[n:]
         return Matrix(self.field, n, B.ncols, data)
 
     def inverse(self):
@@ -498,7 +471,8 @@ class RowSpace:
     """A row space kept in reduced echelon form for fast reduction queries.
 
     Used wherever a subspace must be quotiented out deterministically: the
-    reduce() of a vector is its canonical coset representative.
+    reduce() of a vector is its canonical coset representative.  It is the
+    one echelon form of the package; Matrix.rref reads it.
     """
 
     def __init__(self, field: Field, width: int):
@@ -522,36 +496,42 @@ class RowSpace:
         """Canonical representative of vec modulo the row space."""
         if len(vec) != self.width:
             raise ShapeError("vector width mismatch")
-        f = self.field
+        sub, mul = self.field.sub, self.field.mul
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if c != f.zero:
-                v = [f.sub(v[j], f.mul(c, row[j])) for j in range(self.width)]
+            if c:  # zero is the int 0 in QQ and in GF(p)
+                v = [sub(x, mul(c, y)) if y else x for x, y in zip(v, row)]
         return v
 
     def contains(self, vec) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
-        """Insert vec; returns True if it enlarged the space."""
-        f = self.field
+        """Insert vec; returns True if it enlarged the space.
+
+        The rows stay in pivot order, each with 1 at its pivot and 0 at every
+        other row's pivot: the reduced row echelon form, which is unique.
+        """
         v = self.reduce(vec)
-        p = next((j for j, x in enumerate(v) if x != f.zero), None)
-        if p is None:
+        for p, a in enumerate(v):
+            if a:
+                break
+        else:
             return False
-        inv = f.inv(v[p])
-        v = [f.mul(inv, x) for x in v]
-        for i in range(len(self.rows)):
-            c = self.rows[i][p]
-            if c != f.zero:
-                self.rows[i] = [
-                    f.sub(self.rows[i][j], f.mul(c, v[j])) for j in range(self.width)
-                ]
-        idx = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, p)
+        f = self.field
+        sub, mul = f.sub, f.mul
+        if a != f.one:
+            inv = f.inv(a)
+            v = [mul(inv, x) for x in v]
+        rows = self.rows
+        for i, row in enumerate(rows):
+            c = row[p]
+            if c:
+                rows[i] = [sub(x, mul(c, y)) if y else x for x, y in zip(row, v)]
+        i = bisect(self.pivots, p)
+        rows.insert(i, v)
+        self.pivots.insert(i, p)
         return True
 
     def complement_indices(self):

@@ -294,7 +294,7 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
     running over the leg sources of x in order, such that phi o H(r) is in
     the image of H on Hom_Q(A, y); the numerator f solves H(f) = phi o H(r),
     by the one solve H.preimage, which also decides the image rule below.
-    Two rules spare the walk, each reading tables kept on H for the verdict.
+    One rule spares the walk, reading a table kept on H for the verdict.
 
     The image rule.  When phi = H(f) for some f in Hom_Q(x, y), phi o H(r)
     = H(f o r) is in that image for every A and every r: A -> x.  So the
@@ -311,22 +311,20 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
     phi; the check below still computes it, and a kept roof whose fraction
     misses phi means H's data is inconsistent, so it raises NotInS.
 
-    Maps outside the image.  A source before A_x has no regular map into x
-    at all, so once A_x is kept the walk skips them (their denominator space
-    is empty): the search over a subspace of a space certified empty finds
-    nothing either.  Such a map never stops at A = x when dim End_Q(x) = 1,
-    as in every C(A_n) quotient: a regular endomorphism of x is then a
-    nonzero scalar c, and c phi in H's image would put phi there.
+    Maps outside the image walk the leg sources with their own denominator
+    spaces.  Such a map never stops at A = x when dim End_Q(x) = 1, as in
+    every C(A_n) quotient: a regular endomorphism of x is then a nonzero
+    scalar c, and c phi in H's image would put phi there.
     """
     Q = H.P
     X, Y = Q.single(x), Q.single(y)
     field = Q.field
-    key = (x, *budget.search_fields)
-    roof = H._roofs.get(key)
     salt = f"full:{x}:{y}"
 
     f = H.preimage(X, Y, phi)
     if f is not None:
+        key = (x, *budget.search_fields)
+        roof = H._roofs.get(key)
         if roof is None:
             roof = next(_regular_roofs(Q, [X], lambda A: Q.hom_basis(A, X), [lambda r: r], budget, salt), None)
             if roof is None:
@@ -338,25 +336,16 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
             raise NotInS("the kept roof's fraction is not mapped to the module map by Hom(T, -)")
         return F
 
-    before = set()
-    if roof is not None:
-        sources = _leg_sources(Q, [X])
-        before = set(sources[: sources.index(roof[0])])
-
     def denominators(A):
         """Basis of the r in Hom(A, x) with phi o H(r) in H's image on
-        Hom(A, y), or none for a source before the kept A_x.
+        Hom(A, y).
 
         Hom(A, x) is nonzero: the floor of a leg source forces it.
         """
-        if A in before:
-            return []
         cols = [_flat(phi * H.mor_matrix(r)) for r in Q.hom_basis(A, X)]
         unknowns = cols + [[field.neg(a) for a in v] for v in H.images(A, Y)]
         mat = Matrix.from_columns(field, len(cols[0]), unknowns)
-        proj = RowSpace(field, len(cols))
-        for v in mat.kernel_basis():
-            proj.add(v[: len(cols)])
+        proj = RowSpace.from_rows(field, len(cols), [v[: len(cols)] for v in mat.kernel_basis()])
         return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
     for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, salt):

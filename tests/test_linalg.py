@@ -239,7 +239,7 @@ def _solve_by_columns(A, B):
             return None
         x = [f.zero] * n
         for r, pc in enumerate(pivots):
-            x[pc] = reduced.data[r][n]
+            x[pc] = reduced[r][n]
         cols.append(x)
     return Matrix(f, n, B.ncols, [[c[i] for c in cols] for i in range(n)])
 
@@ -280,6 +280,109 @@ def test_solve_matrix_is_the_column_by_column_solve(system):
         inv = A.inverse()
         assert (inv is None) == (A.rank() < A.nrows)
         assert inv is None or A * inv == Matrix.identity(A.field, A.nrows) == inv * A
+
+
+# -- rref, kernel_basis and solve_matrix against a Gauss-Jordan oracle --
+
+
+def _gauss_jordan(m):
+    """(rows, pivots) of m's reduced row echelon form by column-wise
+    Gauss-Jordan elimination with first-nonzero pivoting, an elimination
+    independent of RowSpace's.  All nrows rows are returned, the zero rows
+    last."""
+    f = m.field
+    zero = f.zero
+    rows = list(m.data)  # each row is replaced, never changed in place
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = None
+        for i in range(r, m.nrows):
+            if rows[i][c] != zero:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c] != zero:
+                factor = rows[i][c]
+                rows[i] = [f.sub(rows[i][j], f.mul(factor, rows[r][j])) for j in range(m.ncols)]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return rows, pivots
+
+
+def _oracle_kernel_basis(m):
+    f = m.field
+    rows, pivots = _gauss_jordan(m)
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [f.zero] * m.ncols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(rows[r][fc])
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve_matrix(A, B):
+    n = A.ncols
+    aug = Matrix(A.field, A.nrows, n + B.ncols, [a + b for a, b in zip(A.data, B.data)])
+    rows, pivots = _gauss_jordan(aug)
+    if pivots and pivots[-1] >= n:
+        return None
+    data = [[A.field.zero] * B.ncols for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        data[pc] = rows[r][n:]
+    return Matrix(A.field, n, B.ncols, data)
+
+
+_ENTRIES = {QQ: [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)], GF(5): [0, 0, 1, 2, 3, 4, -7]}
+
+
+@st.composite
+def echelon_cases(draw):
+    """(A, B) over QQ (some entries Fractions) or GF(5), A up to 6x6 with 0
+    rows or columns allowed and some rows zero, B with A's row count and up
+    to 3 columns.  The entries are read off one drawn byte string, which is
+    much faster to draw than one entry at a time."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    nrows, ncols, bcols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    width = ncols + bcols
+    table = _ENTRIES[field]
+    data = draw(st.binary(min_size=nrows * width, max_size=nrows * width))
+    rows = [[table[b % len(table)] for b in data[i * width : (i + 1) * width]] for i in range(nrows)]
+    for i in draw(st.lists(st.integers(0, 5), max_size=2)):
+        if i < nrows:
+            rows[i][:ncols] = [0] * ncols
+    A = Matrix.from_rows(field, [row[:ncols] for row in rows], ncols=ncols)
+    return A, Matrix.from_rows(field, [row[ncols:] for row in rows], ncols=bcols)
+
+
+@settings(max_examples=250)
+@given(echelon_cases())
+def test_rref_kernel_and_solve_match_the_gauss_jordan_oracle(case):
+    A, B = case
+    rows, pivots = _gauss_jordan(A)
+    assert A.rref() == (rows[: len(pivots)], pivots)
+    assert A.kernel_basis() == _oracle_kernel_basis(A)
+    assert A.solve_matrix(B) == _oracle_solve_matrix(A, B)
+
+
+@settings(max_examples=150)
+@given(echelon_cases(), st.randoms(use_true_random=False))
+def test_row_space_does_not_depend_on_insertion_order(case, rng):
+    A, _ = case
+    shuffled = list(A.data)
+    rng.shuffle(shuffled)
+    rs = RowSpace.from_rows(A.field, A.ncols, shuffled)
+    assert (rs.rows, rs.pivots) == A.rref()
+    assert rs.pivots == sorted(rs.pivots)
 
 
 def test_integral_rationals_are_ints():
