@@ -17,11 +17,15 @@ the default budget, whose FULL clause realises 90 fractions with a
 non-identity denominator) before the pullback stopped keeping exchanged
 squares; any change to a verdict, a count or a failure detail shows up here.  Only `timing_s` is dropped, because it is the
 one non-deterministic section.  golden/categories.json holds the sha256 of
-the saved form of 18 generated categories (C(A_1)..C(A_6), every orientation
+the saved form of 22 generated categories (C(A_1)..C(A_7), every orientation
 of C(A_4), C(A_3, "><") over Q, C(A_4, "><>") over GF(101), C(A_3) over GF(2)
-and GF(3)), recorded before the generator wrote each dual construction once;
-any change to a generated Hom basis, composition table, name or labelling
-shows up there.  Regenerate the files on purpose with
+and GF(3)), recorded before the generator wrote each dual construction once,
+and of C(A_5, "<><>") over GF(5), C(A_4, "<><") over GF(2) and C(A_5, "><><")
+over GF(3), recorded with C(A_7) before the generator's map arithmetic went
+through linalg: small characteristic and non-linear orientations, where the
+normalising inverses and the coefficient divisions matter.  Any change to a
+generated Hom basis, composition table, name or labelling shows up there.
+Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
 """
@@ -164,6 +168,7 @@ GENERATED = (  # (n, orientation, field) of each category in categories.json
     [(n, None, QQ) for n in range(1, 7)]
     + [(4, "".join(o), QQ) for o in itertools.product("<>", repeat=3)]
     + [(3, "><", QQ), (4, "><>", GF(101)), (3, None, GF(2)), (3, None, GF(3))]
+    + [(7, None, QQ), (5, "<><>", GF(5)), (4, "<><", GF(2)), (5, "><><", GF(3))]
 )
 
 
