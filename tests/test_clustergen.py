@@ -12,6 +12,7 @@ from quotcat.clustergen import (
     diagonal_dimension_oracle,
     direct_sum,
     hom_flat_dim,
+    hom_from_flat,
     hom_rep,
     inj_interval,
     interval_rep,
@@ -21,7 +22,9 @@ from quotcat.clustergen import (
     TauContext,
     _block_coefficient,
     _block_matrix,
+    _canonical_hom,
     _ClusterBuilder,
+    _hom_coefficient,
     _identify_interval,
     _labelling,
 )
@@ -87,6 +90,43 @@ def nakayama_p_to_i(ctx, h, src_parts, tgt_parts):
                 for v in range(quiver.n):
                     blocks[v].append((offs_t[bi][v], offs_s[ai][v], image.mats[v]))
     return RepHom(S, T, [_block_matrix(field, T.dims[v], S.dims[v], blocks[v]) for v in range(quiver.n)])
+
+
+# -- coefficients against a canonical hom ------------------------------------
+
+
+def _p3_hom(field, vec):
+    """The family of vertex maps P3 -> P3 of C(A_3)'s linear quiver with
+    flattened coordinates vec, a module map or not."""
+    P3 = interval_rep(linear_quiver(3), field, 1, 3)
+    return hom_from_flat(P3, P3, [field.of(x) for x in vec])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_hom_coefficient_of_a_multiple_is_its_scalar(field):
+    P3 = interval_rep(linear_quiver(3), field, 1, 3)
+    assert _canonical_hom(P3, P3).flatten() == [field.one] * 3
+    # a canon whose first entry is zero is read at its first nonzero entry
+    for canon in (_canonical_hom(P3, P3), _p3_hom(field, [0, 2, 3])):
+        for c in (0, 1, 3, -2):
+            assert _hom_coefficient(canon.scale(c), canon) == field.of(c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_hom_coefficient_refuses_a_non_multiple(field):
+    canon = _p3_hom(field, [0, 2, 3])
+    for vec in ([0, 2, 4], [1, 2, 3], [0, 0, 3], [0, 2, 0]):
+        with pytest.raises(GenerationError, match="hom is not a multiple of the canonical basis"):
+            _hom_coefficient(_p3_hom(field, vec), canon)
+
+
+def test_hom_coefficient_in_a_zero_space():
+    q = linear_quiver(3)
+    A, B = interval_rep(q, QQ, 2, 3), interval_rep(q, QQ, 1, 2)  # Hom(I2, P2) = 0
+    assert _canonical_hom(A, B) is None and hom_flat_dim(A, B) == 1
+    assert _hom_coefficient(hom_from_flat(A, B, [QQ.zero]), None) == QQ.zero
+    with pytest.raises(GenerationError, match="nonzero hom in zero space"):
+        _hom_coefficient(hom_from_flat(A, B, [QQ.one]), None)
 
 
 def tau_interval(ctx, iv):

@@ -766,3 +766,27 @@ def test_two_sided_inverse_is_the_stacked_solve(n, orientation, field):
         for f in build_morphism_family(Q).all:
             got, want = solve_two_sided_inverse(Q, f), _stacked_two_sided_inverse(Q, f)
             assert (got and got.to_vector()) == (want and want.to_vector()), (supp, f)
+
+
+def _postcomposed_lift(Q, f, c):
+    """Some g with c o g = f, or None, from the post-composition solve."""
+    return solve_on_basis(Q, f.source, c.source, postcompose_matrix(Q, c, f.source), f.to_vector())
+
+
+@pytest.mark.parametrize(
+    "n,orientation,field,supports",
+    [(3, None, QQ, [("P1",), ("P1", "P3"), ("S2", "I2")]), (4, "><>", GF(101), [("I1", "P1"), ("P1", "P3")])],
+    ids=["A3-QQ", "A4-GF101"],
+)
+def test_lift_through_the_image_map_is_the_postcomposed_solve(n, orientation, field, supports):
+    # v: Im -> Y is a kernel map, so mono, and the lift of the coimage map
+    # through it is unique: the solve in Q^op finds the post-composition one
+    P = build_cluster_category(n, orientation, field)
+    for names in supports:
+        Q = build_quotient(P, P.obj({name: 1 for name in names})).presentation
+        for f in all_basis_morphisms(Q):
+            fac = coim_im_factorise(Q, f)
+            w = factors_through_map(Q, f, fac.u)
+            want = _postcomposed_lift(Q, w, fac.v)
+            assert want is not None and lifts_through_epi(Q, w, fac.v) == want == fac.ftilde, (names, f)
+
