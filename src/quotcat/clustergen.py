@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GenerationError
 from .fincat import CategoryPresentation, structure_constants, validate_category
-from .linalg import QQ, Field, Matrix, RowSpace, intertwiners, unit_vector
+from .linalg import QQ, Field, Matrix, RowSpace, intertwiners, unit_vector, vec_is_zero, vec_scale
 
 # ---------------------------------------------------------------------------
 # quivers and representations
@@ -159,9 +159,6 @@ class RepHom:
             [a * b for a, b in zip(self.mats, other.mats)],
         )
 
-    def __add__(self, other):
-        return RepHom(self.source, self.target, [a + b for a, b in zip(self.mats, other.mats)])
-
     def scale(self, c):
         return RepHom(self.source, self.target, [m.scale(c) for m in self.mats])
 
@@ -172,9 +169,6 @@ class RepHom:
             and self.target == other.target
             and self.mats == other.mats
         )
-
-    def is_zero(self):
-        return all(m.is_zero() for m in self.mats)
 
     def is_iso(self):
         return all(
@@ -187,10 +181,6 @@ class RepHom:
             for row in m.data:
                 out.extend(row)
         return out
-
-
-def zero_hom(M: Rep, N: Rep) -> RepHom:
-    return RepHom(M, N, [Matrix.zeros(M.field, N.dims[v], M.dims[v]) for v in range(M.quiver.n)])
 
 
 def identity_hom(M: Rep) -> RepHom:
@@ -236,10 +226,9 @@ def direct_sum(reps: list[Rep], quiver: QuiverAn, field: Field) -> tuple[Rep, li
         offsets.append([dims[v] for v in range(n)])
         for v in range(n):
             dims[v] += r.dims[v]
-    mats = []
-    for k, (s, t) in enumerate(quiver.arrows()):
-        blocks = [(off[t - 1], off[s - 1], r.mats[k]) for r, off in zip(reps, offsets)]
-        mats.append(_block_matrix(field, dims[t - 1], dims[s - 1], blocks))
+    # the offsets grow per vertex in summand order, so each arrow's blocks
+    # sit on the diagonal
+    mats = [Matrix.block_diagonal(field, [r.mats[k] for r in reps]) for k in range(n - 1)]
     return Rep(quiver, field, dims, mats), offsets
 
 
@@ -321,6 +310,7 @@ def top_vertex_basis(M: Rep, v: int):
 def hom_to_injective(M: Rep, v: int, functional, I_v: Rep) -> RepHom:
     """The hom M -> I_v matching a linear functional on M_v."""
     field = M.field
+    row = Matrix(field, 1, len(functional), [functional])
     mats = []
     for w in range(1, M.quiver.n + 1):
         if I_v.dim_at(w) == 0:
@@ -329,11 +319,7 @@ def hom_to_injective(M: Rep, v: int, functional, I_v: Rep) -> RepHom:
         pm = path_matrix(M, w, v)
         if pm is None:
             raise GenerationError("injective support vertex without path (impossible)")
-        row = [
-            _dot(field, functional, pm.col(j))
-            for j in range(M.dims[w - 1])
-        ]
-        mats.append(Matrix(field, 1, M.dims[w - 1], [row]))
+        mats.append(row * pm)
     return RepHom(M, I_v, mats)
 
 
@@ -350,14 +336,6 @@ def hom_from_projective(M: Rep, v: int, value, P_v: Rep) -> RepHom:
             raise GenerationError("projective support vertex without path (impossible)")
         mats.append(Matrix.from_columns(field, M.dims[w - 1], [pm.apply(value)]))
     return RepHom(P_v, M, mats)
-
-
-def _dot(field: Field, u, v):
-    s = field.zero
-    for a, b in zip(u, v):
-        if a != field.zero and b != field.zero:
-            s = field.add(s, field.mul(a, b))
-    return s
 
 
 class Presentation:
@@ -499,49 +477,39 @@ def _canonical_hom(A: Rep, B: Rep):
         return None
     if len(basis) != 1:
         raise GenerationError("interval hom space of dimension > 1")
+    # normalise: the first nonzero entry (in vertex order) becomes 1
     h = basis[0]
-    # normalise: first nonzero entry (in vertex order) becomes 1
-    field = A.field
-    for m in h.mats:
-        for row in m.data:
-            for x in row:
-                if x != field.zero:
-                    return h.scale(field.inv(x))
-    return None
+    return h.scale(A.field.inv(next(x for x in h.flatten() if x != A.field.zero)))
+
+
+def _coefficient(field: Field, vec, canon):
+    """Scalar c with vec = c * canon, both flattened homs; canon None means
+    the space is zero."""
+    if canon is None:
+        if not vec_is_zero(field, vec):
+            raise GenerationError("nonzero hom in zero space")
+        return field.zero
+    i = next((i for i, x in enumerate(canon) if x != field.zero), None)
+    c = field.zero if i is None else field.div(vec[i], canon[i])
+    if vec != vec_scale(field, c, canon):
+        raise GenerationError("hom is not a multiple of the canonical basis")
+    return c
 
 
 def _hom_coefficient(h: RepHom, canon):
     """Scalar c with h = c * canon (canon None means the space is zero)."""
-    field = h.source.field
-    if canon is None:
-        if not h.is_zero():
-            raise GenerationError("nonzero hom in zero space")
-        return field.zero
-    for m, cm in zip(h.mats, canon.mats):
-        for row, crow in zip(m.data, cm.data):
-            for x, cx in zip(row, crow):
-                if cx != field.zero:
-                    c = field.div(x, cx)
-                    if not _hom_equal_scaled(h, canon, c):
-                        raise GenerationError("hom is not a multiple of the canonical basis")
-                    return c
-    if h.is_zero():
-        return field.zero
-    raise GenerationError("hom is not a multiple of the canonical basis")
-
-
-def _hom_equal_scaled(h: RepHom, canon: RepHom, c) -> bool:
-    return all(m == cm.scale(c) for m, cm in zip(h.mats, canon.mats))
+    return _coefficient(h.source.field, h.flatten(), None if canon is None else canon.flatten())
 
 
 def _block_coefficient(h: RepHom, src_off, tgt_off, A: Rep, B: Rep, canon):
     """Coefficient of the (A -> B) block of h against the canonical hom."""
-    block_mats = []
-    for v, m in enumerate(h.mats):
-        rows = m.data[tgt_off[v] : tgt_off[v] + B.dims[v]]
-        data = [r[src_off[v] : src_off[v] + A.dims[v]] for r in rows]
-        block_mats.append(Matrix(h.source.field, B.dims[v], A.dims[v], data))
-    return _hom_coefficient(RepHom(A, B, block_mats), canon)
+    vec = [
+        x
+        for v, m in enumerate(h.mats)
+        for row in m.data[tgt_off[v] : tgt_off[v] + B.dims[v]]
+        for x in row[src_off[v] : src_off[v] + A.dims[v]]
+    ]
+    return _coefficient(h.source.field, vec, None if canon is None else canon.flatten())
 
 
 def _identify_interval(R: Rep) -> tuple[int, int] | None:
@@ -647,11 +615,8 @@ def _solve_factor(target: RepHom, src: Rep, dst: Rep, image) -> RepHom:
     x = Matrix.from_columns(field, len(want), [image(b).flatten() for b in basis]).solve(want)
     if x is None:
         raise GenerationError("lift through a presentation does not exist (impossible)")
-    out = zero_hom(src, dst)
-    for c, b in zip(x, basis):
-        if c != field.zero:
-            out = out + b.scale(c)
-    return out
+    flat = Matrix.from_columns(field, hom_flat_dim(src, dst), [b.flatten() for b in basis])
+    return hom_from_flat(src, dst, flat.apply(x))
 
 
 # ---------------------------------------------------------------------------

@@ -761,14 +761,16 @@ def all_rigid_supports(P: CategoryPresentation, max_size: int) -> list[tuple[int
 # -- approximations ------------------------------------------------------
 
 
+def covers(P: CategoryPresentation, c: Morphism, Z: Obj) -> bool:
+    """c o - is onto Hom(Z, target c): every map Z -> target c factors
+    through c, the one rank condition rank(c o -) = dim Hom(Z, target c)."""
+    d = P.hom_space_dim(Z, c.target)
+    return not d or postcompose_matrix(P, c, Z).rank() == d
+
+
 def _approx_is_covering(P: CategoryPresentation, S, a: Morphism) -> bool:
     """Hom(x, X0) -> Hom(x, C) surjective for every x in S."""
-    for x in S:
-        Zx = P.single(x)
-        m = postcompose_matrix(P, a, Zx)
-        if m.rank() != P.hom_space_dim(Zx, a.target):
-            return False
-    return True
+    return all(covers(P, a, P.single(x)) for x in S)
 
 
 def _delete_copy(P: CategoryPresentation, a: Morphism, pos: int) -> Morphism:

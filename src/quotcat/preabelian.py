@@ -28,6 +28,7 @@ from .fincat import (
     Obj,
     basis_morphisms,
     compose,
+    covers,
     op_morphism,
     opposite,
     postcompose_matrix,
@@ -552,8 +553,11 @@ def factors_through_map(Q: CategoryPresentation, f: Morphism, c: Morphism):
 
 
 def lifts_through_epi(Q: CategoryPresentation, f: Morphism, c: Morphism):
-    """Some g with c o g = f (c and f sharing their target), or None."""
-    return solve_on_basis(Q, f.source, c.source, postcompose_matrix(Q, c, f.source), f.to_vector())
+    """Some g with c o g = f (c and f sharing their target), or None: the
+    twin of a factorisation of f^op through c^op in Q^op."""
+    op = opposite(Q)
+    g = factors_through_map(op, op_morphism(op, f), op_morphism(op, c))
+    return None if g is None else op_morphism(Q, g)
 
 
 # -- coimage / image factorisation -------------------------------------------------
@@ -931,18 +935,8 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
 
 
 def is_projective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
-    """Lifting property of X against every epi of family.
-
-    Factoring every f: X -> C through c: B -> C is the single rank condition
-    rank(c o -) = dim Hom(X, C).
-    """
-    for c in family.epis:
-        dXC = Q.hom_space_dim(X, c.target)
-        if dXC == 0:
-            continue
-        if postcompose_matrix(Q, c, X).rank() != dXC:
-            return False
-    return True
+    """Lifting property of X against every epi of family: each epi covers X."""
+    return all(covers(Q, c, X) for c in family.epis)
 
 
 def is_injective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
