@@ -439,7 +439,7 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
         search = (Y.mult, M.mult, tuple(map(tuple, kills_f)), *budget.search_fields)
         res = Q._searches.get(search)
         if res is None:
-            salt = hash(M.mult) & 0xFFFF
+            salt = f"cokernel:{M.mult}"
             conditions = epi_conditions(Q, lambda c: c, M)
             res = Q._searches[search] = search_open_conditions(Q, Y, M, kills_f, conditions, budget, salt)
             if res.status == SearchResult.FOUND:

@@ -420,11 +420,11 @@ FRACTION_OUTPUT = [
     ("compose [P1:P2:0, id:P1] [id, P1:P2:0]", "[P1 <= P1 => P1; denom (P1 -> P1: [1]), num (P1 -> P1: [1])]"),
     ("compose [id, P1:P2:0] [P1:P2:0, id:P1]", "[P2 <= P1 => P2; denom (P1 -> P2: [1]), num (P1 -> P2: [1])]"),
     ("kernel [id, P2:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
-    ("cokernel [id, P2:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+    ("cokernel [id, P2:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [3])]"),
     ("kernel [P1:P2:0, P1:P3:0]", "[0 <= 0 => P2; denom (0 -> 0: []), num (0 -> P2: [])]"),
-    ("cokernel [P1:P2:0, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
-    ("kernel [id, P3:I2:0]", "[P2 <= P2 => P3; denom (P2 -> P2: [1]), num (P2 -> P3: [-4])]"),
-    ("cokernel [id, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [1])]"),
+    ("cokernel [P1:P2:0, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [3])]"),
+    ("kernel [id, P3:I2:0]", "[P2 <= P2 => P3; denom (P2 -> P2: [1]), num (P2 -> P3: [2])]"),
+    ("cokernel [id, P1:P3:0]", "[P3 <= P3 => I2; denom (P3 -> P3: [1]), num (P3 -> I2: [3])]"),
     ("[P1:P2:0, P1:P3:0]", "[P2 <= P1 => P3; denom (P1 -> P2: [1]), num (P1 -> P3: [1])]"),
 ]
 

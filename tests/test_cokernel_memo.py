@@ -113,8 +113,12 @@ def test_one_pass_per_cokernel_and_per_tried_map(A3, monkeypatch, t):
     run = fincat.precompose_matrices
     monkeypatch.setattr(preabelian, "precompose_matrices", counted)
     monkeypatch.setattr(preabelian, "precompose_matrix", assembled)
+    basis = [f for _, _, _, f in fincat.basis_morphisms(Q)]
+    # is_epi keeps its answer, so the first epi basis map's cokernel is read
+    # off the epi table
+    next(f for f in basis if is_epi(Q, f))
     held = 0
-    for _, _, _, f in fincat.basis_morphisms(Q):
+    for f in basis:
         passes.clear()
         known = Q._epis.get(f)
         res = cokernel(Q, f)
@@ -132,8 +136,7 @@ def test_one_pass_per_cokernel_and_per_tried_map(A3, monkeypatch, t):
         # the pass decides whether f is epi; a searched witness is kept as epi
         assert Q._epis[f] == res[0].is_zero()
         assert res[0].is_zero() or Q._epis[res[1]] is True
-    if t == ("P1", "P3"):
-        assert held
+    assert held
 
 
 # -- the shape test runs after the random phase ---------------------------------

@@ -115,7 +115,7 @@ def _searched_cokernel(Q, f, budget=DEFAULT_BUDGET):
         M = Obj(mult)
         kills_f = block_diagonal_kernel_basis(Q.field, [blocks[k] for k in M.copies()])
         conditions = epi_conditions(Q, lambda c: c, M)
-        res = search_open_conditions(Q, f.target, M, kills_f, conditions, budget, hash(M.mult) & 0xFFFF)
+        res = search_open_conditions(Q, f.target, M, kills_f, conditions, budget, f"cokernel:{M.mult}")
         if res.status == SearchResult.FOUND:
             return M, res.witness
     return None
