@@ -713,7 +713,7 @@ def _unit(units: dict, f: Morphism):
     isomorphism of A.  Exchanging x and y exchanges the legs.  Epi and mono
     are unchanged by all three, so the scan, not pullback, orders each
     class: it asks for the square of the unit representatives with the
-    smaller key (not hash()) first.
+    smaller key (not the smaller hash value) first.
     """
     entry = units.get(f)
     if entry is None:
