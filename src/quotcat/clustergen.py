@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenerationError
-from .fincat import CategoryPresentation, structure_constants, validate_category
+from .fincat import CategoryPresentation, structure_constants, validate_category, word_product
 from .linalg import QQ, Field, Matrix, RowSpace, intertwiners, unit_vector, vec_is_zero, vec_scale
 
 # ---------------------------------------------------------------------------
@@ -906,9 +906,6 @@ class _ClusterBuilder:
             for ky in keys:
                 self.pairs[(kx, ky)] = self.build_pair(kx, ky)
         dims = [[self.pairs[(kx, ky)].dim for ky in keys] for kx in keys]
-        hom, comp = structure_constants(
-            self.field, dims, lambda i, j, k, a, b: self.compose_basis(keys[i], keys[j], keys[k], a, b)
-        )
         identities = []
         for kx in keys:
             pd = self.pairs[(kx, kx)]
@@ -920,6 +917,14 @@ class _ClusterBuilder:
         names = [self.names[k] for k in keys]
         sigma = self.sigma_perm()
         labelling = _labelling(self.n, sigma, dims)
+        self.gens = _irreducible_maps(self.n, labelling, dims)
+        product = word_product(
+            self.field, dims, identities, self.gens,
+            lambda i, j, k, a, b: self.compose_basis(keys[i], keys[j], keys[k], a, b),
+        )
+        if product is None:
+            raise GenerationError("the words of the irreducible maps do not span every Hom space")
+        hom, comp = structure_constants(self.field, dims, product)
         metadata = {
             "name": f"C(A{self.n})",
             "n": self.n,
@@ -949,13 +954,35 @@ def _labelling(n: int, sigma: list[int], dims) -> list:
     return lab
 
 
+def _irreducible_maps(n: int, labelling: list, dims) -> dict:
+    """(i, j) -> every basis element of Hom(i, j), for the irreducible i -> j.
+
+    In the polygon model (Caldero-Chapoton-Schiffler 2006) an irreducible
+    map rotates one endpoint of a diagonal one step: i -> j when j's
+    diagonal is i's with one endpoint moved +1 and Hom(i, j) != 0.
+    """
+    N = n + 3
+    at = {d: j for j, d in enumerate(labelling)}
+    gens = {}
+    for i, (a, b) in enumerate(labelling):
+        for d in ((a + 1, b), (a, b + 1)):
+            j = at.get(tuple(sorted(x % N for x in d)))  # None for a side of the polygon
+            if j is not None and dims[i][j]:
+                gens[(i, j)] = list(range(dims[i][j]))
+    return gens
+
+
 def build_cluster_category(n: int, orientation: str | None = None, field: Field = QQ) -> CategoryPresentation:
     """Generate the cluster category of A_n as a validated presentation.
 
     The output carries the suspension permutation, object names (P_i, I_i,
-    S_i, M[a,b], SP_i) and the diagonal labelling in its metadata.  The
-    construction aborts with GenerationError if any internal consistency
-    check (oracle table, validation with its Serre symmetry) fails.
+    S_i, M[a,b], SP_i) and the diagonal labelling in its metadata.  Only the
+    products s o y with s an irreducible map, read off the labelling, are
+    computed from module maps and cocycles; fincat.word_product derives the
+    other structure constants from them.  The construction aborts with
+    GenerationError if any internal consistency check (oracle table, words
+    of the irreducible maps spanning every Hom space, validation with its
+    Serre symmetry) fails.
     """
     builder = _ClusterBuilder(n, orientation, field)
     P = builder.build()

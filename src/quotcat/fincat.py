@@ -189,8 +189,11 @@ def structure_constants(field: Field, dims, product) -> tuple[dict, dict]:
     """The hom and comp arguments of CategoryPresentation from a basis product.
 
     dims[i][j] is dim Hom(i, j), and product(i, j, k, a, b) is the coefficient
-    vector of (basis b of Hom(j, k)) o (basis a of Hom(i, j)).  The product is
-    called in (i, j, k, a, b) order; a table of zero composites is left out.
+    vector of (basis b of Hom(j, k)) o (basis a of Hom(i, j)).  The table is
+    filled in (i, j, k, a, b) order, one product call per entry where Hom(j,
+    k) and Hom(i, k) are not zero; a table of zero composites is left out.
+    A generated category passes word_product, which asks its own product
+    only for the products with a generator.
     """
     m = len(dims)
     hom = {(i, j): dims[i][j] for i in range(m) for j in range(m) if dims[i][j]}
@@ -204,6 +207,62 @@ def structure_constants(field: Field, dims, product) -> tuple[dict, dict]:
             if not all(vec_is_zero(field, vec) for row in table for vec in row):
                 comp[(i, j, k)] = table
     return hom, comp
+
+
+def word_product(field: Field, dims, identities, gens: dict, product):
+    """A basis product for structure_constants that asks product(i, j, k, a,
+    b) only for b in gens[(j, k)], or None if the words of gens do not span.
+
+    Each product s o y with a generator s, y basis element a of Hom(i, j),
+    is asked once, up front, where Hom(i, k) != 0.  The rest follows: a
+    basis element x of Hom(j, k) is a combination of the words from j that
+    _grow_words keeps (one solve per Hom space), and a word x = s o x' gives
+    x o y = s o (x' o y), with x' o y known by recursion.  So for an
+    associative product, as in any category, every constant is product's.
+    """
+    m, zero = len(dims), field.zero
+    asked = {}  # (i, j, k) -> comp[(i, j, k)] as far as it holds products s o y
+    for (j, k), g in gens.items():
+        for i in range(m):
+            if dims[i][j] and dims[i][k]:
+                asked[(i, j, k)] = [
+                    [product(i, j, k, a, b) if b in g else None for b in range(dims[j][k])] for a in range(dims[i][j])
+                ]
+    words = _grow_words(field, dims, identities, gens, asked)
+    if words is None:
+        return None
+    solves = []  # solves[j][k][b]: [(w, c)], basis element b of Hom(j, k) as the sum of c * word w
+    for ws in words:
+        into = {}
+        for w, word in enumerate(ws):
+            into.setdefault(word[0], []).append(w)
+        solves.append({
+            k: [
+                [(w, c) for w, c in zip(idx, col) if c]
+                for col in zip(*Matrix.from_columns(field, len(idx), [ws[w][1] for w in idx]).inverse().data)
+            ]
+            for k, idx in into.items()
+        })
+
+    @functools.lru_cache(maxsize=1)  # structure_constants reads one (i, j) for every k, a and b in a row
+    def ends(i, j):  # [[w o y for w in the words from j] for y a basis element of Hom(i, j)]
+        out = []
+        for a in range(dims[i][j]):
+            row = [unit_vector(field, dims[i][j], a)]  # id o y
+            for k, _, parent, mid, s in words[j][1:]:
+                row.append(_composite(field, asked.get((i, mid, k)), row[parent], s, [zero] * dims[i][k]))
+            out.append(row)
+        return out
+
+    def basis_product(i, j, k, a, b):
+        row = ends(i, j)[a]
+        (w, c), *rest = solves[j][k][b]
+        out = vec_scale(field, c, row[w])
+        for w, c in rest:
+            out = vec_add(field, out, vec_scale(field, c, row[w]))
+        return out
+
+    return basis_product
 
 
 @dataclass(frozen=True)
@@ -369,7 +428,8 @@ def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
         raise ShapeError(
             f"cannot compose: target {P.obj_name(f.target)} != source {P.obj_name(g.source)}"
         )
-    zero, dim = P.field.zero, P._dim
+    fld, dim, comp = P.field, P._dim, P.comp
+    zero = fld.zero
     srcs = f.source.copies()
     mids = f.target.copies()
     out = []
@@ -380,7 +440,7 @@ def compose(P: CategoryPresentation, g: Morphism, f: Morphism) -> Morphism:
             if acc:
                 for j, fcol, gblock in zip(mids, f.blocks, grow):
                     if fcol[s] and gblock:  # no call for a zero-dimensional Hom
-                        _composite(P, i, j, k, fcol[s], gblock, acc)
+                        _composite(fld, comp.get((i, j, k)), fcol[s], gblock, acc)
             row.append(acc)
         out.append(row)
     return Morphism(P, f.source, g.target, out)
@@ -506,19 +566,18 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _composite(P: CategoryPresentation, i: int, j: int, k: int, u, v, out: list) -> list:
-    """Add the coordinates of v o u in Hom(i, k) to out and return out, for u
-    in Hom(i, j) and v in Hom(j, k).
+def _composite(field: Field, table, u, v, out: list) -> list:
+    """Add the coordinates of v o u to out and return out, for u in Hom(i, j),
+    v in Hom(j, k) and table = comp[(i, j, k)].
 
-    Read from comp[(i, j, k)] alone: sum_{a,b} u[a] * v[b] * comp[(i, j, k)][a][b].
-    A missing table makes every composite zero.  This is the one bilinear
-    product on the structure constants: compose and validate_category both
+    That is sum_{a,b} u[a] * v[b] * table[a][b]; a missing table (None)
+    makes every composite zero.  This is the one bilinear product on the
+    structure constants: compose, validate_category and the word builders
     call it.
     """
-    table = P.comp.get((i, j, k))
     if table is None:
         return out
-    add, mul = P.field.add, P.field.mul
+    add, mul = field.add, field.mul
     for ua, row in zip(u, table):
         if not ua:
             continue
@@ -557,9 +616,9 @@ def validate_category(P: CategoryPresentation) -> ValidationReport:
     for i, j in itertools.product(range(n), repeat=2):
         for a in range(dim[i][j]):
             ea = unit_vector(f, dim[i][j], a)
-            if _composite(P, i, j, j, ea, P.identities[j], [zero] * dim[i][j]) != ea:
+            if _composite(f, P.comp.get((i, j, j)), ea, P.identities[j], [zero] * dim[i][j]) != ea:
                 rep.add("left-unit", (i, j, a))
-            if _composite(P, i, i, j, P.identities[i], ea, [zero] * dim[i][j]) != ea:
+            if _composite(f, P.comp.get((i, i, j)), P.identities[i], ea, [zero] * dim[i][j]) != ea:
                 rep.add("right-unit", (i, j, a))
     if rep.violations or not _associative_on_words(P):
         _associativity_on_basis(P, rep)
@@ -588,8 +647,8 @@ def _associativity_failures(P: CategoryPresentation, i: int, j: int, k: int, l: 
             gf = gf_table[a][b] if gf_table else ()  # () reads as zero
             for c in cs:
                 hg = hg_table[b][c] if hg_table else ()
-                lhs = _composite(P, i, k, l, gf, unit_vector(f, dim[k][l], c), [zero] * dim[i][l])
-                if lhs != _composite(P, i, j, l, ea, hg, [zero] * dim[i][l]):
+                lhs = _composite(f, comp.get((i, k, l)), gf, unit_vector(f, dim[k][l], c), [zero] * dim[i][l])
+                if lhs != _composite(f, comp.get((i, j, l)), ea, hg, [zero] * dim[i][l]):
                     yield a, b, c
 
 
@@ -637,34 +696,49 @@ def _word_generators(P: CategoryPresentation) -> dict:
     return gens
 
 
-def _words_span(P: CategoryPresentation, gens: dict) -> bool:
-    """Whether the right-bracketed words s1 o (s2 o (... o (sk o id))), each
-    s a basis element gens lists, span every Hom space.
+def _grow_words(field: Field, dim, identities, gens: dict, tables: dict):
+    """The right-bracketed words from each object that enlarge the span, or
+    None if they do not span every Hom space.
 
-    The words from i are grown one generator at a time, s o w for each new
-    element w of their span, with the presentation's own product, until no
-    Hom(i, j) grows.
+    words[i][0] is (i, identities[i], None, None, None), and each later word
+    is (j, vec, parent, m, s): vec in Hom(i, j) is s o words[i][parent], s
+    the coordinates of a basis element of Hom(m, j) that gens lists, with
+    tables[(i, m, j)] as the structure constants.  The words are grown one
+    generator at a time from each kept word until no Hom(i, j) grows, so the
+    words kept into each j are a basis of Hom(i, j).
     """
-    f, dim = P.field, P._dim
-    leaving = {}  # m -> [(j, a)]: the generators out of m
+    n = len(dim)
+    leaving = {}  # m -> [(j, s)]: the generators out of m
     for (m, j), g in gens.items():
-        leaving.setdefault(m, []).extend((j, a) for a in g)
-    for i in range(P.n):
-        spans = {i: RowSpace.from_rows(f, dim[i][i], [P.identities[i]])}
-        frontier = [(i, P.identities[i])]
+        leaving.setdefault(m, []).extend((j, unit_vector(field, dim[m][j], a)) for a in g)
+    out = []
+    for i in range(n):
+        spans = {i: RowSpace.from_rows(field, dim[i][i], [identities[i]])}
+        words = [(i, identities[i], None, None, None)]
+        frontier = [0]
         while frontier:
-            m, w = frontier.pop()
-            for j, a in leaving.get(m, ()):
+            p = frontier.pop()
+            m, w = words[p][:2]
+            for j, s in leaving.get(m, ()):
                 d = dim[i][j]
-                rs = spans.get(j) or spans.setdefault(j, RowSpace(f, d))
+                rs = spans.get(j) or spans.setdefault(j, RowSpace(field, d))
                 if rs.dim == d:
                     continue
-                sw = _composite(P, i, m, j, w, unit_vector(f, dim[m][j], a), [f.zero] * d)
+                sw = _composite(field, tables.get((i, m, j)), w, s, [field.zero] * d)
                 if rs.add(sw):
-                    frontier.append((j, sw))
-        if any(dim[i][j] and (j not in spans or spans[j].dim < dim[i][j]) for j in range(P.n)):
-            return False
-    return True
+                    frontier.append(len(words))
+                    words.append((j, sw, p, m, s))
+        if any(dim[i][j] and (j not in spans or spans[j].dim < dim[i][j]) for j in range(n)):
+            return None
+        out.append(words)
+    return out
+
+
+def _words_span(P: CategoryPresentation, gens: dict) -> bool:
+    """Whether the right-bracketed words s1 o (s2 o (... o (sk o id))), each
+    s a basis element gens lists, span every Hom space (_grow_words, with
+    the presentation's own product)."""
+    return _grow_words(P.field, P._dim, P.identities, gens, P.comp) is not None
 
 
 def _associative_on_words(P: CategoryPresentation) -> bool:

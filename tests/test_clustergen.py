@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quotcat import clustergen
 from quotcat.catfile import resolve_object_name
 from quotcat.clustergen import (
     DiagonalModel,
@@ -36,6 +37,7 @@ from quotcat.fincat import (
     check_serre_symmetry,
     is_cluster_tilting,
     is_rigid,
+    _word_generators,
     op_morphism,
     opposite,
     perp,
@@ -43,6 +45,10 @@ from quotcat.fincat import (
     validate_category,
 )
 from quotcat.linalg import GF, QQ, RowSpace
+
+from test_golden_reports import GENERATED
+
+GENERATED_IDS = [f"A{n}{'' if o is None else o}/{f!r}" for n, o, f in GENERATED]
 
 
 @pytest.fixture(scope="module")
@@ -513,3 +519,63 @@ def test_small_prime_fields_generate_and_quotient():
         f6 = q6.project(P.basis_morphism(P.index("P3"), P.index("I2"), 0))
         assert not f6.is_zero()
         assert cokernel(q6.presentation, f6) is None
+
+
+# -- structure constants from the irreducible maps -------------------------
+
+
+def built(n, orientation=None, field=QQ):
+    """The builder after build(), and the presentation it built."""
+    builder = _ClusterBuilder(n, orientation, field)
+    return builder, builder.build()
+
+
+@pytest.mark.parametrize("n, orientation, field", GENERATED, ids=GENERATED_IDS)
+def test_every_constant_is_the_basis_product(n, orientation, field):
+    # the table is filled from the products s o y with s irreducible, and
+    # validation's generator triples read those same products, so every other
+    # constant is compared here with the module-level product it replaces
+    builder, P = built(n, orientation, field)
+    keys, zero = builder.keys, field.zero
+    for i, j, k in itertools.product(range(P.n), repeat=3):
+        dij, djk, dik = P.hom_dim(i, j), P.hom_dim(j, k), P.hom_dim(i, k)
+        if not (dij and djk and dik):
+            continue
+        table = P.comp.get((i, j, k))
+        for a, b in itertools.product(range(dij), range(djk)):
+            got = table[a][b] if table is not None else [zero] * dik
+            assert got == builder.compose_basis(keys[i], keys[j], keys[k], a, b), (i, j, k, a, b)
+
+
+@pytest.mark.parametrize("n, orientation, field", GENERATED, ids=GENERATED_IDS)
+def test_the_labelling_gives_the_irreducible_maps(n, orientation, field):
+    builder, P = built(n, orientation, field)
+    assert builder.gens == _word_generators(P)
+
+
+def test_one_missing_irreducible_map_stops_generation(monkeypatch):
+    gens = built(3)[0].gens
+    tables = []
+    monkeypatch.setattr(clustergen, "structure_constants", lambda *args: tables.append(args))
+    for drop in gens:
+        monkeypatch.setattr(
+            clustergen, "_irreducible_maps", lambda *args: {ij: g for ij, g in gens.items() if ij != drop}
+        )
+        with pytest.raises(GenerationError, match="do not span"):
+            build_cluster_category(3)
+    assert tables == []
+
+
+def test_generation_asks_only_the_products_with_an_irreducible_map(monkeypatch):
+    asked = []
+    compose_basis = _ClusterBuilder.compose_basis
+    monkeypatch.setattr(
+        _ClusterBuilder, "compose_basis", lambda self, *args: (asked.append(args), compose_basis(self, *args))[1]
+    )
+    builder, P = built(5)
+    dim = P.hom_dim
+    expected = sum(
+        dim(i, j) * len(g) for (j, k), g in builder.gens.items() for i in range(P.n) if dim(i, k)
+    )
+    # every basis product of the full table was 508 calls
+    assert len(asked) == expected == 160

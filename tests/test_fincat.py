@@ -177,6 +177,39 @@ def test_valid_presentations_are_checked_on_generating_words(monkeypatch):
     assert full == [broken, unspanned]
 
 
+def table_product(P):
+    """P's own basis product, read from its structure constants, and the
+    (i, j, k, a, b) it is asked for."""
+    asked = []
+
+    def product(i, j, k, a, b):
+        asked.append((i, j, k, a, b))
+        table = P.comp.get((i, j, k))
+        return list(table[a][b]) if table is not None else [P.field.zero] * P.hom_dim(i, k)
+
+    return product, asked
+
+
+def test_word_product_rebuilds_the_table_from_generator_products():
+    # End(T)^op has one 10-dimensional Hom space, so a basis element is a
+    # combination of several words; the quotient by T = P2 has six objects
+    a4 = build_cluster_category(4)
+    end = endomorphism_algebra(a4, a4.obj({f"P{i}": 1 for i in range(1, 5)}))
+    assert end.hom_dim(0, 0) == 10
+    for P in (end, build_quotient(a4, a4.obj({"P2": 1})).presentation, chain4_category()):
+        dims = [[P.hom_dim(i, j) for j in range(P.n)] for i in range(P.n)]
+        gens = fincat._word_generators(P)
+        product, asked = table_product(P)
+        hom, comp = fincat.structure_constants(P.field, dims, fincat.word_product(P.field, dims, P.identities, gens, product))
+        assert comp == P.comp
+        assert all(b in gens[(j, k)] for _, j, k, _, b in asked)
+        assert len(asked) == len(set(asked))
+    # words that do not span give no product
+    P = unspanned_chain4()
+    dims = [[P.hom_dim(i, j) for j in range(P.n)] for i in range(P.n)]
+    assert fincat.word_product(P.field, dims, P.identities, fincat._word_generators(P), table_product(P)[0]) is None
+
+
 def test_validation_composes_no_morphism(monkeypatch):
     P = build_cluster_category(4)
 
