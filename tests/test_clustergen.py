@@ -533,8 +533,9 @@ def built(n, orientation=None, field=QQ):
 @pytest.mark.parametrize("n, orientation, field", GENERATED, ids=GENERATED_IDS)
 def test_every_constant_is_the_basis_product(n, orientation, field):
     # the table is filled from the products s o y with s irreducible, and
-    # validation's generator triples read those same products, so every other
-    # constant is compared here with the module-level product it replaces
+    # validation's generator triples read those same products, so every
+    # constant is compared here with compose_basis, the product of module
+    # maps and cocycles
     builder, P = built(n, orientation, field)
     keys, zero = builder.keys, field.zero
     for i, j, k in itertools.product(range(P.n), repeat=3):
