@@ -917,9 +917,8 @@ class _ClusterBuilder:
         names = [self.names[k] for k in keys]
         sigma = self.sigma_perm()
         labelling = _labelling(self.n, sigma, dims)
-        self.gens = _irreducible_maps(self.n, labelling, dims)
         product = word_product(
-            self.field, dims, identities, self.gens,
+            self.field, dims, identities, _irreducible_maps(self.n, labelling, dims),
             lambda i, j, k, a, b: self.compose_basis(keys[i], keys[j], keys[k], a, b),
         )
         if product is None:

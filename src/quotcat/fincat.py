@@ -192,8 +192,10 @@ def structure_constants(field: Field, dims, product) -> tuple[dict, dict]:
     vector of (basis b of Hom(j, k)) o (basis a of Hom(i, j)).  The table is
     filled in (i, j, k, a, b) order, one product call per entry where Hom(j,
     k) and Hom(i, k) are not zero; a table of zero composites is left out.
-    A generated category passes word_product, which asks its own product
-    only for the products with a generator.
+    A product may rely on that order: all calls for one (i, j) come in a
+    row, and word_product keeps only the last (i, j)'s words.  A generated
+    category passes word_product, which asks its own product only for the
+    products with a generator.
     """
     m = len(dims)
     hom = {(i, j): dims[i][j] for i in range(m) for j in range(m) if dims[i][j]}
@@ -219,6 +221,9 @@ def word_product(field: Field, dims, identities, gens: dict, product):
     _grow_words keeps (one solve per Hom space), and a word x = s o x' gives
     x o y = s o (x' o y), with x' o y known by recursion.  So for an
     associative product, as in any category, every constant is product's.
+    The composites with the y of one (i, j) are kept until the next (i, j)
+    is asked: structure_constants' order computes each once, and another
+    order gives the same constants but computes them again.
     """
     m, zero = len(dims), field.zero
     asked = {}  # (i, j, k) -> comp[(i, j, k)] as far as it holds products s o y
@@ -244,7 +249,7 @@ def word_product(field: Field, dims, identities, gens: dict, product):
             for k, idx in into.items()
         })
 
-    @functools.lru_cache(maxsize=1)  # structure_constants reads one (i, j) for every k, a and b in a row
+    @functools.lru_cache(maxsize=1)  # structure_constants asks every k, a and b of one (i, j) in a row
     def ends(i, j):  # [[w o y for w in the words from j] for y a basis element of Hom(i, j)]
         out = []
         for a in range(dims[i][j]):
@@ -734,18 +739,11 @@ def _grow_words(field: Field, dim, identities, gens: dict, tables: dict):
     return out
 
 
-def _words_span(P: CategoryPresentation, gens: dict) -> bool:
-    """Whether the right-bracketed words s1 o (s2 o (... o (sk o id))), each
-    s a basis element gens lists, span every Hom space (_grow_words, with
-    the presentation's own product)."""
-    return _grow_words(P.field, P._dim, P.identities, gens, P.comp) is not None
-
-
 def _associative_on_words(P: CategoryPresentation) -> bool:
     """Whether associativity follows from the generator triples alone.
 
     With G = _word_generators(P), it checks that the words of G span every
-    Hom space (_words_span) and that (s o y) o z = s o (y o z) for every s in
+    Hom space (_grow_words) and that (s o y) o z = s o (y o z) for every s in
     G and all basis y, z.  If the unit laws hold, the product is then
     associative.  By trilinearity it is enough to show (x o y) o z =
     x o (y o z) for x a word, by induction on its length.  For x = id it is
@@ -759,7 +757,7 @@ def _associative_on_words(P: CategoryPresentation) -> bool:
     violation.
     """
     gens = _word_generators(P)
-    if not _words_span(P, gens):
+    if _grow_words(P.field, P._dim, P.identities, gens, P.comp) is None:
         return False
     dim = P._dim
     into = [[j for j in range(P.n) if dim[j][k]] for k in range(P.n)]  # k -> the j with Hom(j, k) != 0

@@ -464,9 +464,6 @@ class Matrix:
         """Two-sided inverse, or None if not square/invertible."""
         if self.nrows != self.ncols:
             return None
-        if self.nrows == 1:  # one field inversion, without the echelon form
-            a = self.data[0][0]
-            return Matrix(self.field, 1, 1, [[self.field.inv(a)]]) if a else None
         return self.solve_matrix(Matrix.identity(self.field, self.nrows))
 
 

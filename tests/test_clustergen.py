@@ -27,6 +27,7 @@ from quotcat.clustergen import (
     _ClusterBuilder,
     _hom_coefficient,
     _identify_interval,
+    _irreducible_maps,
     _labelling,
 )
 from quotcat.errors import GenerationError
@@ -530,14 +531,25 @@ def built(n, orientation=None, field=QQ):
     return builder, builder.build()
 
 
-@pytest.mark.parametrize("n, orientation, field", GENERATED, ids=GENERATED_IDS)
-def test_every_constant_is_the_basis_product(n, orientation, field):
+def irreducible_maps(P):
+    """The builder's G, read off the labelling P's metadata records."""
+    labelling = [tuple(P.metadata["labelling"][name]) for name in P.objects]
+    dims = [[P.hom_dim(i, j) for j in range(P.n)] for i in range(P.n)]
+    return _irreducible_maps(P.metadata["n"], labelling, dims)
+
+
+@pytest.fixture(scope="module", params=GENERATED, ids=GENERATED_IDS)
+def generated(request):
+    return built(*request.param)
+
+
+def test_every_constant_is_the_basis_product(generated):
     # the table is filled from the products s o y with s irreducible, and
     # validation's generator triples read those same products, so every
     # constant is compared here with compose_basis, the product of module
     # maps and cocycles
-    builder, P = built(n, orientation, field)
-    keys, zero = builder.keys, field.zero
+    builder, P = generated
+    keys, zero = builder.keys, P.field.zero
     for i, j, k in itertools.product(range(P.n), repeat=3):
         dij, djk, dik = P.hom_dim(i, j), P.hom_dim(j, k), P.hom_dim(i, k)
         if not (dij and djk and dik):
@@ -548,14 +560,13 @@ def test_every_constant_is_the_basis_product(n, orientation, field):
             assert got == builder.compose_basis(keys[i], keys[j], keys[k], a, b), (i, j, k, a, b)
 
 
-@pytest.mark.parametrize("n, orientation, field", GENERATED, ids=GENERATED_IDS)
-def test_the_labelling_gives_the_irreducible_maps(n, orientation, field):
-    builder, P = built(n, orientation, field)
-    assert builder.gens == _word_generators(P)
+def test_the_labelling_gives_the_irreducible_maps(generated):
+    P = generated[1]
+    assert irreducible_maps(P) == _word_generators(P)
 
 
-def test_one_missing_irreducible_map_stops_generation(monkeypatch):
-    gens = built(3)[0].gens
+def test_one_missing_irreducible_map_stops_generation(A3, monkeypatch):
+    gens = irreducible_maps(A3)
     tables = []
     monkeypatch.setattr(clustergen, "structure_constants", lambda *args: tables.append(args))
     for drop in gens:
@@ -573,10 +584,10 @@ def test_generation_asks_only_the_products_with_an_irreducible_map(monkeypatch):
     monkeypatch.setattr(
         _ClusterBuilder, "compose_basis", lambda self, *args: (asked.append(args), compose_basis(self, *args))[1]
     )
-    builder, P = built(5)
+    P = built(5)[1]
     dim = P.hom_dim
     expected = sum(
-        dim(i, j) * len(g) for (j, k), g in builder.gens.items() for i in range(P.n) if dim(i, k)
+        dim(i, j) * len(g) for (j, k), g in irreducible_maps(P).items() for i in range(P.n) if dim(i, k)
     )
     # every basis product of the full table was 508 calls
     assert len(asked) == expected == 160

@@ -172,7 +172,9 @@ def test_valid_presentations_are_checked_on_generating_words(monkeypatch):
     assert not validate_category(broken).ok and full == [broken]
     # and the fallback words that do not span take
     unspanned = unspanned_chain4()
-    assert not fincat._words_span(unspanned, fincat._word_generators(unspanned))
+    assert fincat._grow_words(
+        unspanned.field, unspanned._dim, unspanned.identities, fincat._word_generators(unspanned), unspanned.comp
+    ) is None
     assert validate_category(unspanned).violations == [("associativity", (0, 1, 2, 3, 0, 0, 0))]
     assert full == [broken, unspanned]
 
