@@ -16,6 +16,7 @@ about the instance, not a timeout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -36,6 +37,7 @@ from .fincat import (
     precompose_matrix,
     split_rows,
     stack_cols,
+    _word_generators,
 )
 from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis
 
@@ -743,13 +745,80 @@ def _no_square(limit: str):
     return error(f"difference map has no {what}: presentation is not preabelian here")
 
 
+def _sink_maps(P: CategoryPresentation):
+    """g_z for each z with an irreducible map into it: the stack_cols of the
+    basis maps w -> z, w != z, that _word_generators lists."""
+    gens = _word_generators(P)
+    for z in range(P.n):
+        maps = [P.basis_morphism(w, z, a) for w in range(P.n) if w != z for a in gens.get((w, z), ())]
+        if maps:
+            yield stack_cols(P, maps)
+
+
+def _every_sink_map_has_a_kernel(P: CategoryPresentation, budget: Budget) -> bool:
+    return all(is_mono(P, g) or kernel(P, g, budget) is not None for g in _sink_maps(P))
+
+
+def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
+    """Whether every map of P is known to have a kernel.
+
+    True exactly when every indecomposable has a one-dimensional End, no
+    two indecomposables are isomorphic, and every sink map is mono or has a
+    kernel.  A sink-map kernel search out of budget leaves the answer
+    unknown, so False.
+
+    Let Z_1, ..., Z_n be the indecomposables, each with End = k.  Z_w and
+    Z_z are isomorphic exactly when some composite Z_w -> Z_z -> Z_w is not
+    0: it is then a nonzero scalar, so Z_w is a summand of Z_z, which is
+    indecomposable.  So with the gate, P is Krull-Schmidt (Krause,
+    "Krull-Schmidt categories and projective covers", 2015, Cor. 4.4) with
+    Z_1 + ... + Z_n basic, and Yoneda, X -> Hom(-, X), makes P equivalent
+    to proj Gamma, Gamma = End(Z_1 + ... + Z_n) a finite-dimensional
+    algebra with simples S_1, ..., S_n.
+    - f: X -> Y has a kernel exactly when the functor ker Hom(-, f) is
+      representable, which in proj Gamma means projective.  Every finitely
+      presented module is coker Hom(-, f) for some f, with ker Hom(-, f)
+      its second syzygy.  So P has every kernel exactly when every module
+      has projective dimension at most 2, that is gl.dim Gamma <= 2, which
+      is the largest pd S_z (Auslander, "Representation dimension of Artin
+      algebras", 1971).
+    - The sink map g_z: E_z -> Z_z (the minimal right almost split map;
+      Auslander-Reiten-Smalo, "Representation theory of Artin algebras",
+      1995) presents S_z: the image U of Hom(-, g_z) is the radical
+      rad(-, Z_z).  With the gate, rad(Z_w, Z_z) is Hom(Z_w, Z_z) for
+      w != z and 0 for w = z, and rad^2(Z_w, Z_z) is spanned by the
+      composites through a third indecomposable, whose complement
+      _word_generators lists.  So rad(-, Z_z) = U + rad^2(-, Z_z), and as
+      U is closed under precomposition, rad = U + rad^m for every m; the
+      radical of Gamma is nilpotent, so U = rad.
+    - pd S_z <= 2 exactly when the second syzygy ker Hom(-, g_z) of this
+      presentation is projective (Schanuel's lemma: any presentation
+      will do), that is when g_z has a kernel.  A mono g_z has kernel 0,
+      and a z with no irreducible map into it has S_z = Hom(-, Z_z).
+    So P has every kernel exactly when every g_z is mono or has a kernel.
+    Without the gate the maps _word_generators lists need not be sink
+    maps: an isomorphism Z_w -> Z_z is not radical, and a two-dimensional
+    End can have a nonzero radical or no split idempotents.
+    """
+    gate = all(P.hom_dim(i, i) == 1 for i in range(P.n)) and not any(
+        c for (w, z, v), table in P.comp.items() if v == w != z for row in table for vec in row for c in vec
+    )
+    try:
+        return gate and _every_sink_map_has_a_kernel(P, budget)
+    except BoundsExceeded:
+        return False
+
+
 def _leg_answers(P: CategoryPresentation, budget: Budget):
     """answer(x, y, has): whether the leg opposite x of the pullback of
     (x, y) in P passes has (is_epi, is_mono or is_regular), with the tables
     of one scan.
 
-    Two rules answer without a limit square (proofs in _leg_clause): y is
-    split epi, or y factors through x.  Both ask whether a map g is in the
+    Three rules answer without a limit square (proofs in _leg_clause).
+    The first, asked first: has is is_mono and P has every kernel
+    (_has_every_kernel, decided on first use, so once per call of
+    _leg_answers); the answer is then x's.  The other two: y is split epi,
+    or y factors through x.  Both ask whether a map g is in the
     image of f o -: y factors through x when y is in x's image, and f is
     split epi when the identity is in its own.  f o - acts on the component
     of g at each copy of its source alone, so g is in the image when each
@@ -767,6 +836,10 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
     """
     gate = all(P.hom_dim(i, i) == 1 for i in range(P.n))
     units, images, split, exists, answers = {}, {}, {}, {}, {}
+
+    @functools.cache
+    def every_kernel():
+        return _has_every_kernel(P, budget)
 
     def image(f, z):
         im = images.get((f, z))
@@ -798,6 +871,8 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
         return holds
 
     def decide(x, ux, kx, y, uy, ky, has):
+        if has is is_mono and every_kernel():
+            return is_mono(P, x)
         if is_split(y, uy):
             return has(P, x)
         if in_image(ux, y):
@@ -822,13 +897,17 @@ def _leg_clause(Q: CategoryPresentation, P: CategoryPresentation, answer, given,
     "epi", "mono" or "regular" as Q sees it.  A failure names the property
     and the pair of maps in Q.  A missing limit square fails the clause.
 
-    answer decides a pair without a square when y factors through x, or
-    when y is split epi.  Take x: B -> D and y: C -> D, and a pullback
-    (A, a, b) with y a = x b, a: A -> C the leg opposite x.  In an additive
-    category a is mono exactly when x is: if x is mono and a u = 0, then
-    x b u = y a u = 0, so b u = 0, and u = 0 as the only map into A over
-    the cone (0, 0); if a is mono and x h = 0, the cone (0, h) gives u with
-    a u = 0 and b u = h, so u = 0 and h = 0.
+    answer decides a pair without a square when the property is mono and
+    P has every kernel, when y factors through x, or when y is split epi.
+    Take x: B -> D and y: C -> D, and a pullback (A, a, b) with y a = x b,
+    a: A -> C the leg opposite x.  In an additive category a is mono
+    exactly when x is: if x is mono and a u = 0, then x b u = y a u = 0,
+    so b u = 0, and u = 0 as the only map into A over the cone (0, 0); if
+    a is mono and x h = 0, the cone (0, h) gives u with a u = 0 and
+    b u = h, so u = 0 and h = 0.
+    - Mono, with every kernel in P (_has_every_kernel proves it from the
+      sink maps): ker [x | -y] exists, so the square does, and its leg is
+      mono exactly when x is.  x's answer is the square's, with no square.
     - y = x s for some s: C -> B.  The cone (1_C, s) gives v with a v = 1_C,
       so a is split epi: it is always epi, and mono (or regular) exactly
       when x is mono.  With phi = [[1, s], [0, 1]], an automorphism of
@@ -858,8 +937,8 @@ def _leg_clause(Q: CategoryPresentation, P: CategoryPresentation, answer, given,
     Q's pushout clause: a pullback of the twins of x: D -> B and y: D -> C
     in Q^op is a pushout of x and y in Q with the same leg opposite x, and
     a map is epi in Q^op exactly when it is mono in Q.  So prop is asked as
-    its dual, regular as regular; the rules read y = s x and y split mono
-    in Q, and Q^op is Krull-Schmidt when Q is.  A missing square is a
+    its dual, regular as regular; the rules read every cokernel, y = s x
+    and y split mono in Q, and Q^op is Krull-Schmidt when Q is.  A missing square is a
     missing cokernel of Q's difference map, reported as a missing pushout.
     """
     epi, mono = (is_epi, is_mono) if P is Q else (is_mono, is_epi)  # exchanged in Q^op

@@ -21,7 +21,6 @@ from quotcat.fincat import (
     precompose_matrix,
     stack_cols,
     validate_category,
-    _word_generators,
 )
 from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
@@ -51,6 +50,8 @@ from quotcat.preabelian import (
     search_open_conditions,
     solve_on_basis,
     solve_two_sided_inverse,
+    _every_sink_map_has_a_kernel,
+    _has_every_kernel,
     _preabelian_clause,
 )
 from quotcat.quotient import build_quotient
@@ -600,20 +601,6 @@ def test_scan_reports_an_exhausted_preabelian_clause(A3):
     assert rep.family.all
 
 
-def _sink_maps(Q):
-    """g_z for each z with an irreducible map into it: the stack_cols of the
-    basis maps w -> z, w != z, that _word_generators lists."""
-    gens = _word_generators(Q)
-    for z in range(Q.n):
-        maps = [Q.basis_morphism(w, z, a) for w in range(Q.n) if w != z for a in gens.get((w, z), ())]
-        if maps:
-            yield stack_cols(Q, maps)
-
-
-def _every_sink_map_has_a_kernel(Q):
-    return all(is_mono(Q, g) or kernel(Q, g) is not None for g in _sink_maps(Q))
-
-
 def test_sink_map_criterion_agrees_with_the_preabelian_clause(A3):
     # Q is preabelian iff every sink map is mono or has a kernel, and the
     # same holds in Q^op (Auslander's criterion, ROADMAP item 18): against
@@ -622,12 +609,36 @@ def test_sink_map_criterion_agrees_with_the_preabelian_clause(A3):
     for k in range(A3.n):
         for S in itertools.combinations(range(A3.n), k):
             Q = build_quotient(A3, subcat=set(S)).presentation
-            criterion = _every_sink_map_has_a_kernel(Q)
-            assert _every_sink_map_has_a_kernel(opposite(Q)) == criterion, S
+            criterion = _every_sink_map_has_a_kernel(Q, DEFAULT_BUDGET)
+            assert _every_sink_map_has_a_kernel(opposite(Q), DEFAULT_BUDGET) == criterion, S
             clause = run_clause(_preabelian_clause(Q, MorphismFamily(), DEFAULT_BUDGET))
             assert (clause.status == "pass") == criterion, (S, clause)
             verdicts[criterion] += 1
     assert verdicts == {True: 372, False: 139}
+
+
+def test_sink_map_criterion_is_false_on_the_section6_quotient(A3):
+    # C(A_3)/add{P1, P2, S2} has a map with no cokernel, so by the two-sided
+    # lemma a map with no kernel too.  Its ends are one-dimensional and its
+    # indecomposables pairwise non-isomorphic, so the gate holds and the
+    # False is the sink maps' own answer, on either side
+    Q6 = build_quotient(A3, subcat={"P1", "P2", "S2"}).presentation
+    for P in (Q6, opposite(Q6)):
+        assert all(P.hom_dim(i, i) == 1 for i in range(P.n))
+        assert not _every_sink_map_has_a_kernel(P, DEFAULT_BUDGET)
+        assert not _has_every_kernel(P, DEFAULT_BUDGET)
+
+
+def test_a_sink_map_kernel_out_of_budget_leaves_the_criterion_unknown(A3):
+    # at T = P2 a sink-map kernel search runs out of budget on either side:
+    # whether every kernel exists is then unknown, so not known to hold
+    Q = build_quotient(A3, A3.obj({"P2": 1})).presentation
+    tight = Budget(retries=0, grid_cap=1)
+    for P in (Q, opposite(Q)):
+        with pytest.raises(BoundsExceeded):
+            _every_sink_map_has_a_kernel(P, tight)
+        assert not _has_every_kernel(P, tight)
+        assert _has_every_kernel(P, DEFAULT_BUDGET)
 
 
 def test_run_clause_counts_a_case_where_the_body_yields():

@@ -12,8 +12,12 @@ Q and in Q^op (where `is_mono` asks), for one verdict.  A square's answers
 also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
 unit representatives, the one with the smaller key first, and builds one
-square per class: the unordered pair of unit-normalised maps.  Two rules
-answer a pair (x, y) without any square.  When y factors through x (y = x s
+square per class: the unordered pair of unit-normalised maps.  Three rules
+answer a pair (x, y) without any square.  When the clause asks mono in the
+presentation it runs in (Q for a pullback, Q^op for a pushout) and the sink
+maps prove that every kernel exists there, the leg is mono exactly when x
+is; that needs every indecomposable to have a one-dimensional End and no
+two to be isomorphic.  When y factors through x (y = x s
 for a pullback, y = s x for a pushout), the leg opposite x is split, and has
 the other property exactly when x does; the square exists exactly when the
 kernel (cokernel) of x does.  When y is split (split epi for a pullback,
@@ -22,13 +26,16 @@ is; that needs idempotents to split, so it applies only where every
 indecomposable has a one-dimensional End, and elsewhere only to an
 invertible y.  These tests pin that each class is built once (one miss of
 the square table) and that the sharing pays on C(A_3)/Q, that the
-invariance the sharing rests on holds on random pairs, that both rules
-agree with a freshly built square and leave no such square in the tables,
-that the split rule is off on a presentation with a two-dimensional End
-while the factoring rule is not, and that the tables are transparent: every
+invariance the sharing rests on holds on random pairs, that the rules agree
+with a freshly built square and leave no such square in the tables, that
+the split rule is off on a presentation with a two-dimensional End while
+the factoring rule is not, that the mono rule is off there and where two
+indecomposables are isomorphic, and that the tables are transparent: every
 clause result equals the one computed by the plain per-clause loop below,
-which decides each rule by its own solves and builds a square for every
-other pair it meets, pushouts in Q by `pushout`.
+which decides the split and factoring rules by its own solves and builds a
+square for every other pair it meets, pushouts in Q by `pushout`.  Only
+where that loop's square search runs out of budget may a mono-leg clause,
+answered by the mono rule, read otherwise: it passes.
 """
 
 import collections
@@ -127,7 +134,9 @@ def _fresh_legs(Q, limit, x, y, budget):
 
 # -- the per-clause loop, one square per pair met ---------------------------------
 #
-# A pair that either rule answers builds no square, as in the scan.  Building
+# A pair that the split or the factoring rule answers builds no square, as in
+# the scan; a mono-leg pair builds its square, so the mono rule meets its
+# oracle.  Building
 # its square instead would spend budget the scan does not spend, so a clause
 # that runs out of budget would stop at another pair.  Here split is decided
 # by rank, a split mono as a map with a section in Q^op, and factoring by one
@@ -213,6 +222,25 @@ def _plain_leg_clause(legs, ok, budget):
                 )
     except (NoKernel, NoCokernel) as e:
         return f"no limit square: {e}"
+
+
+_MONO_LEGS = ("pullback_mono_leg", "pushout_epi_leg")  # the clauses that ask mono in Q or in Q^op
+
+
+def _assert_as_plain(got, plain, exhausted):
+    """got, clause name -> result, equals the plain loop's clauses; where
+    the budget runs out (exhausted), each mono-leg clause passes instead,
+    answered by x with no search, where the plain loop's square search says
+    bounds-exceeded, and never reads anything else."""
+    if not exhausted:
+        assert got == plain
+        return
+    for name, result in plain.items():
+        if name in _MONO_LEGS:
+            assert got[name].status == "pass" and (got[name] == result or result.status == "bounds-exceeded"), name
+        else:
+            assert got[name] == result, name
+    assert any(plain[name].status == "bounds-exceeded" for name in _MONO_LEGS if name in plain)
 
 
 def _plain_leg_clauses(Q, fam, budget) -> dict:
@@ -363,6 +391,24 @@ def test_pairs_meeting_an_isomorphism_answer_as_x(case, data, s, t):
         assert not x_iso or solve_two_sided_inverse(Q, leg) is not None
 
 
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_mono_rule_answers_as_a_fresh_square(case, data):
+    # where P has every kernel, the scan answers mono in P (mono for a
+    # pullback, epi for a pushout, as Q sees them) by x, whatever x is; the
+    # leg opposite x of a freshly built square must answer the same
+    Q, pairs, _ = _eligible_pairs(case)
+    limit, x, y = data.draw(st.sampled_from(pairs))
+    P, twin = _twin(Q, limit)
+    has = is_mono if limit == "pullback" else is_epi
+    _clear_squares(Q)
+    got = preabelian._leg_answers(P, CAPPED)(twin(x), twin(y), _asked(Q, P, has))
+    assert _kept_squares(Q) == 0
+    leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
+    assert got == has(Q, leg) == has(Q, x)
+
+
 @functools.cache
 def _split_pairs(case, which):
     """The eligible pairs whose x (which = 1) or y (which = 2) is split and
@@ -423,29 +469,35 @@ def test_pairs_where_y_factors_through_x_answer_by_the_rule(case, data, s, t):
 
 @pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
 def test_rules_answer_exactly_the_pairs_the_solves_find(case):
-    # over every eligible pair, sums of indecomposables included, the image
-    # table decides a pair without a square exactly when y is split or
-    # factors through x by the plain loop's own rank test and solve; a pair
-    # whose class (units of x and y, limit) was answered before reads that
-    # answer and builds no square either.  A pushout pair is asked of the
-    # answers of Q^op, on the twins of its maps
+    # over every eligible pair, sums of indecomposables included, asked for
+    # epi and for mono as Q sees them, the scan decides a pair without a
+    # square exactly when the asked property is mono in P and P has every
+    # kernel, or when y is split or factors through x by the plain loop's
+    # own rank test and solve; a pair whose class (units of x and y, limit,
+    # property) was answered before reads that answer and builds no square
+    # either.  A pushout pair is asked of the answers of Q^op, on the twins
+    # of its maps.  Both sides have every kernel here
     Q, pairs, _ = _eligible_pairs(case)
     split = _split_test(Q, scan_properties(Q, CAPPED).family)
     sides = {limit: _twin(Q, limit) for limit in ("pullback", "pushout")}
     answers = {limit: preabelian._leg_answers(P, CAPPED) for limit, (P, _) in sides.items()}
+    assert all(preabelian._has_every_kernel(P, CAPPED) for P, _ in sides.values())
     ruled = repeats = 0
     classes = set()
     for limit, x, y in pairs:
-        _clear_squares(Q)
         P, twin = sides[limit]
-        answers[limit](twin(x), twin(y), _asked(Q, P, is_epi))
-        rule = split(y, limit) or _factors(Q, x, y, limit)
-        cls = (limit, _unit(x), _unit(y))
-        repeat = cls in classes
-        classes.add(cls)
-        assert (_kept_squares(Q) == 0) == (rule or repeat), (limit, x, y)
-        ruled += rule
-        repeats += repeat and not rule
+        for has in (is_epi, is_mono):
+            _clear_squares(Q)
+            asked = _asked(Q, P, has)
+            answers[limit](twin(x), twin(y), asked)
+            solved = split(y, limit) or _factors(Q, x, y, limit)
+            rule = asked is is_mono or solved
+            cls = (limit, _unit(x), _unit(y), has)
+            repeat = cls in classes
+            classes.add(cls)
+            assert (_kept_squares(Q) == 0) == (rule or repeat), (limit, x, y, has)
+            ruled += solved and asked is is_epi  # each pair is asked epi in P once
+            repeats += repeat and not rule
     assert 0 < ruled < len(pairs) and repeats
 
 
@@ -485,11 +537,14 @@ def test_scan_tables_are_transparent(A3, A4, A4Q, case):
     rep = scan_properties(Q, budget)
     assert rep.clauses["preabelian"].status == "pass"
     legs = {k: v for k, v in rep.clauses.items() if k != "preabelian"}
-    assert legs == _plain_leg_clauses(Q, rep.family, budget)
-    statuses = collections.Counter(c.status for c in legs.values())
+    plain = _plain_leg_clauses(Q, rep.family, budget)
+    _assert_as_plain(legs, plain, "grid_cap" in case)
+    statuses = collections.Counter(c.status for c in plain.values())
     if "grid_cap" in case:
-        # squares shared by clauses run out of budget: each clause says so
+        # squares shared by clauses run out of budget: each plain clause says
+        # so, and each scan clause but the mono legs
         assert statuses["bounds-exceeded"] >= 2
+        assert any(c.status == "bounds-exceeded" for c in legs.values())
     if kind == "subcat":
         assert statuses["fail"] >= 2
 
@@ -514,7 +569,7 @@ def test_pushout_clauses_are_pullback_clauses_in_the_opposite(A3, A4, A4Q, case)
         answer = preabelian._leg_answers(op, budget)
         body = preabelian._leg_clause(Q, op, answer, list(map(twin, given)), list(map(twin, fam.all)), prop, budget)
         got[name] = run_clause(body)
-    assert got == {name: plain[name] for name in got}
+    _assert_as_plain(got, {name: plain[name] for name in got}, "grid_cap" in case)
 
 
 def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
@@ -646,6 +701,74 @@ def test_factoring_rule_needs_no_one_dimensional_ends():
         for prop in ("epi", "mono", "regular"):
             got = _scan_clause(E, limit, [one], [e1], prop)
             assert (got.status, got.checked) == ("pass", 1) and _kept_squares(E) == 0
+
+
+def _with_a_copy(P, name):
+    """P with one more indecomposable, name', a copy of name: the same Hom
+    spaces and structure constants, so name' is isomorphic to name."""
+    c = list(range(P.n)) + [P.index(name)]
+    n = len(c)
+    dims = {(i, j): P.hom_dim(c[i], c[j]) for i, j in itertools.product(range(n), repeat=2) if P.hom_dim(c[i], c[j])}
+    comp = {
+        (i, j, k): P.comp[(c[i], c[j], c[k])]
+        for i, j, k in itertools.product(range(n), repeat=3)
+        if (c[i], c[j], c[k]) in P.comp
+    }
+    return CategoryPresentation(P.field, P.objects + [name + "'"], dims, comp, [P.identities[i] for i in c])
+
+
+def _mono_leg_clauses(Q, fam):
+    """(limit, given, ok, prop) of pullback_mono_leg and pushout_epi_leg."""
+    return (("pullback", fam.monos, is_mono, "mono"), ("pushout", fam.epis, is_epi, "epi"))
+
+
+@pytest.mark.parametrize("which", ["two-dimensional End", "isomorphic indecomposables"])
+def test_mono_rule_is_off_without_the_gate(A3, which):
+    # the sink maps alone would say that Q has every kernel: E has no map
+    # between two indecomposables, and a copy of SP2 hides the irreducible
+    # maps out of SP2 (each factors through the copy), so the sink maps of
+    # C(A_3)/add{P1, P2, S2}, which has a map with no kernel, then all have
+    # kernels.  The gate turns the mono rule off, and the mono-leg clauses
+    # build squares, as the plain loop does
+    if which == "two-dimensional End":
+        P = _two_idempotents()
+    else:
+        Q6 = build_quotient(A3, subcat={"P1", "P2", "S2"}).presentation
+        assert not preabelian._every_sink_map_has_a_kernel(Q6, CAPPED)
+        P = _with_a_copy(Q6, "SP2")
+    assert validate_category(P).ok
+    assert preabelian._every_sink_map_has_a_kernel(P, CAPPED)
+    assert not any(preabelian._has_every_kernel(R, CAPPED) for R in (P, opposite(P)))
+    fam = build_morphism_family(P, CAPPED)
+    split = _split_test(P, fam)
+    for limit, given, ok, prop in _mono_leg_clauses(P, fam):
+        _clear_squares(P)
+        got = _scan_clause(P, limit, given, fam.all, prop)
+        assert _kept_squares(P), limit
+        assert got == run_clause(_plain_leg_clause(_plain_legs(P, limit, given, fam.all, split, CAPPED), ok, CAPPED))
+
+
+@pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
+def test_mono_leg_clauses_build_no_square(case, monkeypatch):
+    # Q and Q^op have every kernel, so pullback_mono_leg and pushout_epi_leg,
+    # which ask mono in Q and in Q^op, pass without a square, where the
+    # plain loop builds squares for the same pairs.  A scan decides whether
+    # P has every kernel once per side
+    Q, _, _ = _eligible_pairs(case)
+    fam = build_morphism_family(Q, CAPPED)
+    split = _split_test(Q, fam)
+    for limit, given, ok, prop in _mono_leg_clauses(Q, fam):
+        Q.clear_verdict_tables()  # Q is shared with the tests that build squares afresh
+        got = _scan_clause(Q, limit, given, fam.all, prop)
+        assert (got.status, _kept_squares(Q)) == ("pass", 0), limit
+        assert got == run_clause(_plain_leg_clause(_plain_legs(Q, limit, given, fam.all, split, CAPPED), ok, CAPPED))
+        assert _kept_squares(Q), limit
+    decided = []
+    has_every_kernel = preabelian._has_every_kernel
+    monkeypatch.setattr(preabelian, "_has_every_kernel", lambda P, budget: decided.append(P) or has_every_kernel(P, budget))
+    Q.clear_verdict_tables()
+    assert scan_properties(Q, CAPPED).ok
+    assert decided == [Q, opposite(Q)]
 
 
 def test_leg_pairs_keep_the_filtered_order(A4):
