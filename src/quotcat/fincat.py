@@ -5,6 +5,12 @@ the dimension of every Hom space between them, bilinear composition as
 structure constants, identity coordinates, and optionally an object-level
 suspension permutation.  Objects of the additive closure are multiplicity
 vectors, morphisms are block arrays of coefficient vectors.
+
+A presentation keeps one Morphism object per value: building a map whose
+source, target and coordinates are those of a kept one returns the kept
+object.  So two maps of one presentation are equal exactly when they are
+the same object, every table keyed by maps hits by identity, and no block
+is ever written once a map is built.
 """
 
 from __future__ import annotations
@@ -60,19 +66,28 @@ class CategoryPresentation:
         self._epis = {}  # f, or (X, Y) with dim Hom(X, Y) = 1 -> preabelian.is_epi's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
         self._squares = {}  # (c, d, *budget.search_fields) -> preabelian.pullback's LimitSquare
+        self._maps = {}  # (source.mult, target.mult, coordinates) -> the one Morphism of that value
+        self._identities = {}  # X.mult -> identity(X)
+        self._bases = {}  # (X.mult, Y.mult) -> hom_basis(X, Y)
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the epi, search and square tables, here and in the opposite
-        if built.
+        """Empty the epi, search and square tables, the kept maps and the
+        identity and basis caches, here and in the opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
         collection.
+
+        The lifetime rule: a map built before a clear is not the object an
+        equal map built after it is, and maps compare by identity, so
+        nothing may compare the two or look one up in a table of the other.
+        Clear only a presentation whose maps nobody keeps: run_verification
+        clears the quotient it built itself, never its input.
         """
         for P in (self, self._opposite):
             if P is not None:
-                for table in (P._epis, P._searches, P._squares):
+                for table in (P._epis, P._searches, P._squares, P._maps, P._identities, P._bases):
                     table.clear()
 
     # -- basic queries ------------------------------------------------
@@ -161,22 +176,31 @@ class CategoryPresentation:
         return Morphism(self, X, Y, blocks)
 
     def identity(self, X: "Obj") -> "Morphism":
-        z = self.field.zero
-        copies = X.copies()
-        blocks = [
-            [list(self.identities[i]) if s == t else [z] * self._dim[i][j] for s, i in enumerate(copies)]
-            for t, j in enumerate(copies)
-        ]
-        return Morphism(self, X, X, blocks)
+        """1_X, built once per multiplicity vector."""
+        f = self._identities.get(X.mult)
+        if f is None:
+            z = self.field.zero
+            copies = X.copies()
+            blocks = [
+                [list(self.identities[i]) if s == t else [z] * self._dim[i][j] for s, i in enumerate(copies)]
+                for t, j in enumerate(copies)
+            ]
+            f = self._identities[X.mult] = Morphism(self, X, X, blocks)
+        return f
 
     def basis_morphism(self, i: int, j: int, a: int) -> "Morphism":
         """Basis element a of Hom(i, j) as a morphism of single objects."""
-        return Morphism(self, self.single(i), self.single(j), [[unit_vector(self.field, self._dim[i][j], a)]])
+        return self.hom_basis(self._singles[i], self._singles[j])[a]
 
-    def hom_basis(self, X: "Obj", Y: "Obj"):
-        """All coordinate basis morphisms of Hom(X, Y), in flat order."""
-        d = self.hom_space_dim(X, Y)
-        return [Morphism.from_coords(self, X, Y, unit_vector(self.field, d, k)) for k in range(d)]
+    def hom_basis(self, X: "Obj", Y: "Obj") -> tuple:
+        """All coordinate basis morphisms of Hom(X, Y), in flat order; the
+        tuple is built once per pair of multiplicity vectors."""
+        basis = self._bases.get((X.mult, Y.mult))
+        if basis is None:
+            d = self.hom_space_dim(X, Y)
+            basis = tuple(Morphism.from_coords(self, X, Y, unit_vector(self.field, d, k)) for k in range(d))
+            self._bases[(X.mult, Y.mult)] = basis
+        return basis
 
     # -- suspension ----------------------------------------------------
 
@@ -322,21 +346,34 @@ class Morphism:
     """A map between formal sums, stored as blocks of Hom coefficients.
 
     blocks[t][s] is the coefficient vector of the component from source
-    copy s to target copy t.  A morphism is immutable once built: its blocks
-    are complete when it is constructed, and its hash is computed once.
-    _op is its twin in the opposite presentation once op_morphism has built
-    it.
+    copy s to target copy t.  There is one object per value per
+    presentation: Morphism(P, source, target, blocks) returns the map that
+    P._maps keeps under (source.mult, target.mult, the to_vector
+    coordinates), and builds and keeps one only if there is none.  So
+    equality and hashing are Python's identity, and every holder of a value
+    shares its blocks, which are never written once the map is built.  The
+    table lasts as long as P's other verdict tables (clear_verdict_tables
+    states the lifetime rule).  _op is its twin in the opposite
+    presentation once op_morphism has built it.
     """
 
-    __slots__ = ("P", "source", "target", "blocks", "_hash", "_op")
+    __slots__ = ("P", "source", "target", "blocks", "_op")
 
-    def __init__(self, P: CategoryPresentation, source: Obj, target: Obj, blocks):
-        self.P = P
-        self.source = source
-        self.target = target
-        self.blocks = blocks
-        self._hash = None
-        self._op = None
+    def __new__(cls, P: CategoryPresentation, source: Obj, target: Obj, blocks):
+        key = (source.mult, target.mult, tuple(itertools.chain.from_iterable(itertools.chain.from_iterable(blocks))))
+        f = P._maps.get(key)
+        return cls._keep(P, source, target, blocks, key) if f is None else f
+
+    @classmethod
+    def _keep(cls, P: CategoryPresentation, source: Obj, target: Obj, blocks, key: tuple) -> "Morphism":
+        """A new map, kept in P._maps under key, which P does not hold yet."""
+        f = P._maps[key] = object.__new__(cls)
+        f.P = P
+        f.source = source
+        f.target = target
+        f.blocks = blocks
+        f._op = None
+        return f
 
     # -- construction / coordinates ------------------------------------
 
@@ -349,7 +386,12 @@ class Morphism:
 
     @classmethod
     def from_coords(cls, P: CategoryPresentation, X: Obj, Y: Obj, vec) -> "Morphism":
-        """The morphism with coordinates vec, which are field elements already."""
+        """The morphism with coordinates vec, which are field elements
+        already; its blocks are cut from vec only when P keeps no such map."""
+        key = (X.mult, Y.mult, tuple(vec))
+        f = P._maps.get(key)
+        if f is not None:
+            return f
         srcs, tgts = X.copies(), Y.copies()
         blocks = []
         pos = 0
@@ -362,7 +404,7 @@ class Morphism:
             blocks.append(row)
         if pos != len(vec):
             raise ShapeError("coordinate vector has wrong length")
-        return cls(P, X, Y, blocks)
+        return cls._keep(P, X, Y, blocks, key)
 
     def to_vector(self):
         out = []
@@ -387,22 +429,6 @@ class Morphism:
         c = f.of(c)
         blocks = [[vec_scale(f, c, b) for b in row] for row in self.blocks]
         return Morphism(self.P, self.source, self.target, blocks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Morphism)
-            and self.P is other.P
-            and self.source == other.source
-            and self.target == other.target
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            blocks = tuple(tuple(tuple(b) for b in row) for row in self.blocks)
-            h = self._hash = hash((self.source, self.target, blocks))
-        return h
 
     def is_zero(self) -> bool:
         f = self.P.field
@@ -934,10 +960,12 @@ def opposite(P: CategoryPresentation) -> CategoryPresentation:
 def op_morphism(Q: CategoryPresentation, f: Morphism) -> Morphism:
     """Reinterpret a morphism of the opposite presentation in Q (or back).
 
-    The twin shares f's coefficient vectors, which no morphism changes, and
-    is kept on f, so asking again returns the same map with its hash
-    computed.  The twin does not point back at f: carrying f there and back
-    gives a map equal to f, not f itself, and makes no reference cycle.
+    The twin is Q's one map of that value; a twin built here shares f's
+    coefficient vectors, which no map changes.  It is kept on f, so asking
+    again returns it without a lookup.  Carrying f there and back returns f
+    itself, read from f.P's table.  A new twin does not point back at f, so
+    building one makes no reference cycle; only asking for the way back
+    keeps f on the twin.
     """
     twin = f._op
     if twin is None or twin.P is not Q:

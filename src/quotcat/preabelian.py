@@ -400,8 +400,9 @@ def cokernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDG
     candidate M meets the targets exactly (floor = ceiling), so targets[z] =
     dim Hom(M, Z_z) is fixed by M; the salt is a function of M.mult.  So
     two cokernel searches that reach one key run the same search, and the
-    second reads the first's result.  They may then share one witness
-    object, which is safe because maps are immutable.  A repeated call with
+    second reads the first's result, its witness object included; an
+    equal witness would be that object anyway, as a presentation keeps one
+    object per map.  A repeated call with
     the same f and budget fields makes the same pass, so it reaches the
     same keys and returns the same M and witness object, or None.
     run_verification empties the table when it returns.  BoundsExceeded
@@ -715,7 +716,8 @@ def _unit(units: dict, f: Morphism):
     isomorphism of A.  Exchanging x and y exchanges the legs.  Epi and mono
     are unchanged by all three, so the scan, not pullback, orders each
     class: it asks for the square of the unit representatives with the
-    smaller key (not the smaller hash value) first.
+    smaller key first.  Not by hash: a map hashes by identity, which
+    differs from run to run.
     """
     entry = units.get(f)
     if entry is None:

@@ -105,7 +105,8 @@ def run_verification(
     try:
         _quotient_clauses(P, t_spec, xt, qc, budget, report, timed)
     finally:
-        # the verdict tables (clear_verdict_tables) last one verdict; only Q's are filled
+        # the verdict tables and kept maps (clear_verdict_tables) of the
+        # quotient built here last one verdict; P's maps are its caller's
         qc.presentation.clear_verdict_tables()
     return report
 

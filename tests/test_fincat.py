@@ -294,9 +294,8 @@ def test_compose_direct_sums(arrow):
     # (x+y) -> y via [f, id]; postcompose with id_y keeps it fixed
     X = arrow.obj({"x": 1, "y": 1})
     y = arrow.single("y")
-    m = arrow.zero_morphism(X, y)
-    m.blocks[0][0] = [QQ.one]
-    m.blocks[0][1] = [QQ.one]
+    m = Morphism.from_vector(arrow, X, y, [1, 1])
+    assert m.blocks == [[[QQ.one], [QQ.one]]]
     assert compose(arrow, arrow.identity(y), m) == m
     assert arrow.hom_space_dim(X, y) == 2
     assert len(m.to_vector()) == 2
@@ -471,7 +470,7 @@ def test_precompose_postcompose_matrices(arrow):
     assert post.data[0][0] == QQ.one
 
 
-def test_morphism_hash_is_cached_and_equal_for_equal_morphisms():
+def test_equal_morphisms_are_one_object():
     from quotcat.clustergen import build_cluster_category
     from quotcat.quotient import build_quotient
 
@@ -492,7 +491,4 @@ def test_morphism_hash_is_cached_and_equal_for_equal_morphisms():
         qf = Q.basis_morphism(i, j, a)
         pairs.append((qc.lift(qf), qc.lift(qc.project(qc.lift(qf)))))
     for f, g in pairs:
-        assert f == g and hash(f) == hash(g)
-        for m in (f, g):
-            blocks = tuple(tuple(tuple(b) for b in row) for row in m.blocks)
-            assert m._hash == hash((m.source, m.target, blocks)) == hash(m)
+        assert f is g

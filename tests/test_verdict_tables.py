@@ -5,8 +5,8 @@
 codomain, subspace and the budget fields it reads.  `pullback`'s limit
 squares are kept there too.  `kernel`, `pushout`, `is_mono` and
 `is_regular` reach them through Q or Q^op.  `run_verification` empties the
-tables of Q and Q^op when it returns; a verdict fills no table of its input
-P and builds no P^op.  These tests pin that a repeated call reads the kept
+tables of Q and Q^op when it returns; a verdict fills no epi, search or
+square table of its input P and builds no P^op.  These tests pin that a repeated call reads the kept
 searches, that a hit is the cold answer, that running out of budget is
 never kept, that a verdict searches each key once, that no table outlives
 its verdict, and that a report does not depend on the verdicts run before
