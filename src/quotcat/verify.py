@@ -145,7 +145,8 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
     preabelian_ok = clauses["preabelian"]["status"] == PASS
     integral_ok = clauses.get("integral", {}).get("status") == BOUNDED
 
-    # calculus of fractions, on the scan's family and square clauses
+    # calculus of fractions: RF2/LF2 are the scan's regular-leg clauses, and
+    # RF1 and RF3/LF3 are proofs counted over the scan's regulars
     if preabelian_ok:
         clauses["rf_axioms"] = _bounded(timed("rf_axioms", lambda: verify_rf_axioms(Q, prop, budget)).clauses)
     else:
@@ -156,8 +157,9 @@ def _quotient_clauses(P, t_spec, xt, qc, budget, report, timed):
     noninvertible = None if t_spec is None else _noninvertible_witness(Q, prop.family.regulars)
     del prop
 
-    # abelian localisation; running out of budget here and below is a clause
-    # status, never a lost report
+    # abelian localisation: each middle map regular, so invertible once
+    # localised; running out of budget here and below is a clause status,
+    # never a lost report
     if preabelian_ok and integral_ok:
         cl = timed("abelian", lambda: check_abelian(Q, budget)).clauses["abelian_middle_maps"]
         clauses["abelian_localisation"] = _single(cl)

@@ -167,7 +167,7 @@ def test_criterion_04_calculus_of_fractions(A3, A3_scans):
     report(
         4,
         True,
-        f"RF1-RF3 and LF1-LF3 pass (completion legs regular) for all {checked} rigid T in C(A_3)",
+        f"RF1, RF2, RF3, LF2 and LF3 pass (completion legs regular) for all {checked} rigid T in C(A_3)",
     )
 
 
@@ -184,7 +184,7 @@ def test_criterion_05_abelian_localisation(A2, A3):
     report(
         5,
         True,
-        "coim-im middle maps regular and fraction-invertible for every basis "
+        "coim-im middle maps regular, hence invertible in the localisation, for every basis "
         f"morphism: {counts['A_2']} in C(A_2), {counts['A_3']} in C(A_3), all rigid T",
     )
 

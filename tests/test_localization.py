@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from quotcat.clustergen import build_cluster_category
-from quotcat.errors import BoundsExceeded, NotRegular, ShapeError
-from quotcat.fincat import compose
+from quotcat.errors import BoundsExceeded, NoCokernel, NoKernel, NotRegular, ShapeError
+from quotcat.fincat import all_rigid_supports, compose
+from quotcat.fincat import basis_morphisms as indexed_basis_morphisms
+from quotcat.linalg import GF
 from quotcat.localization import (
     check_abelian,
     compose_fractions,
@@ -20,11 +22,15 @@ from quotcat.localization import (
 )
 from quotcat.preabelian import (
     Budget,
+    DEFAULT_BUDGET,
     build_morphism_family,
+    coim_im_factorise,
     cokernel,
     is_epi,
+    is_mono,
     is_regular,
     pullback,
+    run_clause,
     scan_properties,
     solve_two_sided_inverse,
 )
@@ -376,3 +382,133 @@ def test_fraction_scalar_action(A2Q):
         F = from_morphism(Q, f)
         rhs = Fraction(Q, F.denom, F.num.scale(5))
         assert fractions_equal(Q, lhs, rhs)
+
+
+# -- the proved clauses against the loops they replace ------------------------------
+
+
+def is_identity_fraction(Q, F, budget=DEFAULT_BUDGET):
+    if F.source != F.target:
+        return False
+    return fractions_equal(Q, F, identity_fraction(Q, F.source), budget)
+
+
+def fraction_two_sided_inverse(Q, F, G, budget=DEFAULT_BUDGET):
+    """True when G o F and F o G are both identity fractions."""
+    return is_identity_fraction(Q, compose_fractions(Q, G, F, budget), budget) and is_identity_fraction(
+        Q, compose_fractions(Q, F, G, budget), budget
+    )
+
+
+def _rf1_clause(Q, regulars, budget):
+    """Clause body: identities are regular and the class is composition closed."""
+    for i in range(Q.n):
+        if not is_regular(Q, Q.identity(Q.single(i))):
+            return f"identity of {Q.objects[i]} is not regular"
+    pairs = ((r, s) for r in regulars for s in regulars if r.target == s.source)
+    for r, s in itertools.islice(pairs, budget.scan_pairs_cap):
+        yield
+        if not is_regular(Q, compose(Q, s, r)):
+            return "regulars are not closed under composition"
+
+
+def _cancellation_clause(Q, regulars, cancels, kind):
+    """Clause body: every regular morphism is mono (epi)."""
+    for r in regulars:
+        yield
+        if not cancels(Q, r):
+            return f"a regular morphism is not {kind}"
+
+
+def _plain_rf_axioms(Q, scan, budget):
+    regulars = scan.family.regulars
+    return {
+        "RF1_identities_and_closure": run_clause(_rf1_clause(Q, regulars, budget)),
+        "RF2_square_completion": scan.clauses["pullback_regular_leg"],
+        "RF3_left_cancellation": run_clause(_cancellation_clause(Q, regulars, is_mono, "mono")),
+        "LF2_square_completion": scan.clauses["pushout_regular_leg"],
+        "LF3_right_cancellation": run_clause(_cancellation_clause(Q, regulars, is_epi, "epi")),
+    }
+
+
+def _plain_abelian_clause(Q, budget):
+    """Clause body: every basis morphism's middle map is regular, and its
+    fraction is two-sided invertible by the equality decider."""
+    for i, j, a, f in indexed_basis_morphisms(Q):
+        try:
+            fac = coim_im_factorise(Q, f, budget)
+        except (NoKernel, NoCokernel) as e:
+            return f"factorisation failed at ({i},{j},{a}): {e}"
+        yield
+        if not is_regular(Q, fac.ftilde):
+            return f"middle map not regular at ({i},{j},{a})"
+        if not fraction_two_sided_inverse(Q, from_morphism(Q, fac.ftilde), invert_regular(Q, fac.ftilde), budget):
+            return f"middle map not invertible at ({i},{j},{a})"
+
+
+def _rigid_quotients(P, step, budget):
+    for s in all_rigid_supports(P, P.n)[::step]:
+        T = P.obj({P.objects[i]: 1 for i in s})
+        yield P.obj_name(T), build_quotient(P, T).presentation, budget
+
+
+def _a3_every_rigid_t():
+    return _rigid_quotients(build_cluster_category(3), 1, Budget(scan_pairs_cap=120))
+
+
+def _a4_f101_every_7th_rigid_t():
+    return _rigid_quotients(build_cluster_category(4, "><>", GF(101)), 7, Budget(scan_pairs_cap=120))
+
+
+def _a3_not_integral():
+    A3 = build_cluster_category(3)
+    yield "subcat=P1+P2+I2", build_quotient(A3, subcat={"P1", "P2", "I2"}).presentation, DEFAULT_BUDGET
+
+
+def _a3_out_of_budget():
+    A3 = build_cluster_category(3)
+    yield "T=P2", build_quotient(A3, A3.obj({"P2": 1})).presentation, Budget(retries=1, grid_cap=1)
+
+
+PROOF_FAMILIES = {
+    "A3/Q every rigid T": (_a3_every_rigid_t, 44),
+    "A4><>/F101 every 7th rigid T": (_a4_f101_every_7th_rigid_t, 28),
+    "A3/Q subcat=P1+P2+I2": (_a3_not_integral, 1),
+    "A3/Q T=P2 retries=1 grid_cap=1": (_a3_out_of_budget, 1),
+}
+
+
+def _results(clauses):
+    return [(name, cl.status, cl.checked, cl.detail) for name, cl in clauses.items()]
+
+
+@pytest.mark.parametrize("family", list(PROOF_FAMILIES))
+def test_proved_clauses_equal_the_plain_loops(family):
+    # RF1, RF3/LF3 and the middle map's inverse are proofs in localization;
+    # the loops they replace must give the same status, checked and detail,
+    # and every regular r must have [r, 1] as the two-sided inverse of [1, r]
+    cases, expected = PROOF_FAMILIES[family]
+    statuses = set()
+    rf1_counts = []
+    for label, Q, budget in cases():
+        scan = scan_properties(Q, budget)
+        proved = verify_rf_axioms(Q, scan, budget).clauses
+        abelian = check_abelian(Q, budget).clauses
+        assert _results(proved) == _results(_plain_rf_axioms(Q, scan, budget)), label
+        plain_abelian = {"abelian_middle_maps": run_clause(_plain_abelian_clause(Q, budget))}
+        assert _results(abelian) == _results(plain_abelian), label
+        for r in scan.family.regulars:
+            F, R = from_morphism(Q, r), invert_regular(Q, r)
+            assert is_identity_fraction(Q, compose_fractions(Q, R, F, budget), budget), (label, r)
+            assert is_identity_fraction(Q, compose_fractions(Q, F, R, budget), budget), (label, r)
+        statuses |= {(name, cl.status) for name, cl in proved.items()}
+        rf1_counts.append(proved["RF1_identities_and_closure"].checked)
+    assert len(rf1_counts) == expected
+    # each family shows the case it was chosen for: at cap 120, RF1's pairs
+    # exceed the cap for some T of C(A_3) and not for others
+    if family == "A3/Q every rigid T":
+        assert 120 in rf1_counts and min(rf1_counts) < 120
+    if family == "A3/Q subcat=P1+P2+I2":
+        assert ("RF2_square_completion", "fail") in statuses
+    if family == "A3/Q T=P2 retries=1 grid_cap=1":
+        assert ("LF2_square_completion", "bounds-exceeded") in statuses
