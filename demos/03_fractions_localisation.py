@@ -17,7 +17,7 @@ from quotcat.localization import (
     invert_regular,
     verify_rf_axioms,
 )
-from quotcat.preabelian import coim_im_factorise, is_regular, scan_properties, solve_two_sided_inverse
+from quotcat.preabelian import coim_im_factorise, is_regular, scan_properties
 
 P = build_cluster_category(3)
 T = P.obj({"P1": 1, "P3": 1})
@@ -34,7 +34,8 @@ for name, clause in rep.clauses.items():
     print(f"  {name}: {clause.status} ({clause.checked} instances)")
 
 fam = scan.family
-r = next(m for m in fam.regulars if m.source != m.target and solve_two_sided_inverse(Q, m) is None)
+# a regular map is invertible exactly when its ends have the same Hom dimensions
+r = next(m for m in fam.regulars if Q.hom_layout(m.source)[1] != Q.hom_layout(m.target)[1])
 print(
     f"\na regular but non-invertible morphism: {Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
 )

@@ -149,10 +149,11 @@ class PrimeField(Field):
     """Integers mod p for a prime p <= 2^31; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
+        # the bound first: trial division up to sqrt(p) takes too long beyond it
+        if p > 2**31:
+            raise ValueError(f"{p} is larger than 2^31")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > 2**31:
-            raise ValueError("prime too large")
         self.p = p
         self.zero = 0
         self.one = 1 % p

@@ -149,16 +149,6 @@ def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
     return None if sol is None else Morphism.from_vector(P, X, Y, sol)
 
 
-def solve_two_sided_inverse(Q: CategoryPresentation, f: Morphism):
-    """Some g with g o f = id and f o g = id, or None.
-
-    An invertible f has exactly one left inverse, so g is the left inverse
-    the solve finds, kept only when it is a right inverse too.
-    """
-    g = factors_through_map(Q, Q.identity(f.source), f)
-    return g if g is not None and compose(Q, f, g) == Q.identity(f.target) else None
-
-
 # -- the open-condition search engine -----------------------------------------
 
 
@@ -707,9 +697,9 @@ def _unit(units: dict, f: Morphism):
     zero map is its own), key is (source.mult, target.mult, u's coordinates);
     both kept in units, one dict per scan.
 
-    A leg clause asks only whether a leg is epi or mono.  A pair that a
-    rule of _leg_answers decides needs no square (see _leg_clause); for
-    every other pair, one square answers that for a whole class of pairs.
+    A leg clause asks only whether a square exists and its leg is epi.  A
+    pair that a rule of _leg_answers decides needs no square (see
+    _leg_clause); for every other pair, one square answers that for a class.
     For nonzero scalars s, t, ker [s x, -t y] is diag(1/s, 1/t) composed
     with ker [x, -y], so the legs of the pullback of (s x, t y) are nonzero
     multiples of those of (x, y), and any other kernel differs by an
@@ -812,28 +802,28 @@ def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
 
 
 def _leg_answers(P: CategoryPresentation, budget: Budget):
-    """answer(x, y, has): whether the leg opposite x of the pullback of
-    (x, y) in P passes has (is_epi, is_mono or is_regular), with the tables
-    of one scan.
+    """answer(x, y, epi): whether the pair (x, y) holds for a leg clause in
+    P, with the tables of one scan.  With epi, the question is whether the
+    leg opposite x of the pullback of (x, y) is epi; without, whether that
+    pullback exists.  A clause asks the first only of an epi x, the second
+    only of a mono x (_leg_clause proves these are its questions).
 
-    Three rules answer without a limit square (proofs in _leg_clause).
-    The first, asked first: has is is_mono and P has every kernel
-    (_has_every_kernel, decided on first use, so once per call of
-    _leg_answers); the answer is then x's.  The other two: y is split epi,
-    or y factors through x.  Both ask whether a map g is in the
-    image of f o -: y factors through x when y is in x's image, and f is
-    split epi when the identity is in its own.  f o - acts on the component
-    of g at each copy of its source alone, so g is in the image when each
-    component is in the image on Hom(Z, source f), Z the copy's
-    indecomposable.  That image is the same for f and its nonzero multiples,
-    so it is built once per (unit representative of f, Z) and kept as True
-    when full, else as a RowSpace: most questions cost one rank.  Whether y
-    is split, and whether the square exists when y factors through x, are
-    kept per map.  Every other leg is read off the square of x's and y's
-    unit representatives, in _unit's order.
+    Existence holds at once where P has every kernel (_has_every_kernel,
+    decided on first use, so once per call of _leg_answers).  Two rules
+    prove a pair holds without a limit square (proofs in _leg_clause): y
+    is split epi, or y factors through x and ker x exists.  Both ask whether a map g is in the image of f o -: y
+    factors through x when y is in x's image, and f is split epi when the
+    identity is in its own.  f o - acts on the component of g at each copy
+    of its source alone, so g is in the image when each component is in
+    the image on Hom(Z, source f), Z the copy's indecomposable.  That image
+    is the same for f and its nonzero multiples, so it is built once per
+    (unit representative of f, Z) and kept as True when full, else as a
+    RowSpace: most questions cost one rank.  Whether y is split, and
+    whether ker x exists, are kept per map.  Every other pair builds the
+    square of x's and y's unit representatives, in _unit's order.
 
     Each rule and each square reads x and y only up to nonzero scalars, so
-    an answer is kept per (unit of x, unit of y, has).  An exception is not
+    an answer is kept per (unit of x, unit of y, epi).  An exception is not
     kept: a missing square or a search out of budget raises again.
     """
     gate = all(P.hom_dim(i, i) == 1 for i in range(P.n))
@@ -865,28 +855,28 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
             answer = split[y] = is_epi(P, y) and (gate or is_mono(P, y)) and in_image(uy, P.identity(y.target))
         return answer
 
-    def answer(x, y, has):
+    def answer(x, y, epi):
+        if not epi and every_kernel():
+            return True
         (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
-        holds = answers.get((ux, uy, has))
+        holds = answers.get((ux, uy, epi))
         if holds is None:
-            holds = answers[(ux, uy, has)] = decide(x, ux, kx, y, uy, ky, has)
+            holds = answers[(ux, uy, epi)] = decide(x, ux, kx, y, uy, ky, epi)
         return holds
 
-    def decide(x, ux, kx, y, uy, ky, has):
-        if has is is_mono and every_kernel():
-            return is_mono(P, x)
+    def decide(x, ux, kx, y, uy, ky, epi):
         if is_split(y, uy):
-            return has(P, x)
+            return True
         if in_image(ux, y):
-            # the leg is split epi, and has the other property exactly when x does
+            # the leg is split epi; the square exists exactly when ker x does
             found = exists.get(ux)
             if found is None:
                 found = exists[ux] = is_mono(P, x) or kernel(P, ux, budget) is not None
             if not found:
                 raise _no_square("pullback")
-            return has is is_epi or is_mono(P, x)
+            return True
         leg = pullback(P, uy, ux, budget).a if ky <= kx else pullback(P, ux, uy, budget).b
-        return has(P, leg)
+        return not epi or is_epi(P, leg)
 
     return answer
 
@@ -899,34 +889,37 @@ def _leg_clause(Q: CategoryPresentation, P: CategoryPresentation, answer, given,
     "epi", "mono" or "regular" as Q sees it.  A failure names the property
     and the pair of maps in Q.  A missing limit square fails the clause.
 
-    answer decides a pair without a square when the property is mono and
-    P has every kernel, when y factors through x, or when y is split epi.
-    Take x: B -> D and y: C -> D, and a pullback (A, a, b) with y a = x b,
-    a: A -> C the leg opposite x.  In an additive category a is mono
-    exactly when x is: if x is mono and a u = 0, then x b u = y a u = 0,
-    so b u = 0, and u = 0 as the only map into A over the cone (0, 0); if
-    a is mono and x h = 0, the cone (0, h) gives u with a u = 0 and
-    b u = h, so u = 0 and h = 0.
-    - Mono, with every kernel in P (_has_every_kernel proves it from the
-      sink maps): ker [x | -y] exists, so the square does, and its leg is
-      mono exactly when x is.  x's answer is the square's, with no square.
+    Every x in given has prop in P: the family's lists come from the
+    exact is_epi and is_mono, cokernel maps are epi, and kernel maps are
+    mono.  Take x: B -> D and y: C -> D, and a pullback (A, a, b) with
+    y a = x b, a: A -> C the leg opposite x.  In an additive category a is
+    mono exactly when x is: if x is mono and a u = 0, then x b u = y a u =
+    0, so b u = 0, and u = 0 as the only map into A over the cone (0, 0);
+    if a is mono and x h = 0, the cone (0, h) gives u with a u = 0 and
+    b u = h, so u = 0 and h = 0.  So for a mono x the mono question is
+    whether the square exists, and for a regular x the regular question is
+    the epi question: answer(x, y, epi) asks epi unless prop is mono in P.
+    Each rule below shows the leg has the property exactly when x does, so
+    the pair holds:
+    - Existence, with every kernel in P (_has_every_kernel proves it from
+      the sink maps): ker [x | -y] exists, so the square does.
     - y = x s for some s: C -> B.  The cone (1_C, s) gives v with a v = 1_C,
-      so a is split epi: it is always epi, and mono (or regular) exactly
-      when x is mono.  With phi = [[1, s], [0, 1]], an automorphism of
-      B + C, [x | -y] phi = [x | 0], so ker [x | -y] = phi (ker x + 1_C):
-      the square exists exactly when ker x does, and is (C, s, 1_C) when x
-      is mono.  No splitting is needed.  An x that is split epi, x t = 1_D,
-      is such a case, as y = x (t y); so is an invertible x.
+      so a is split epi: it is always epi, and mono exactly when x is.
+      With phi = [[1, s], [0, 1]], an automorphism of B + C, [x | -y] phi
+      = [x | 0], so ker [x | -y] = phi (ker x + 1_C): the square exists
+      exactly when ker x does, as it does for a mono x.  No splitting is
+      needed.  An x that is split epi, x t = 1_D, is such a case, as
+      y = x (t y); so is an invertible x.
     - y split epi, y s = 1_D.  If a is epi and h x = 0, then h y a =
       h x b = 0, so h y = 0 and h = h y s = 0.  If x is epi and g a = 0,
       the cones (s x, 1_B) and (1_C - s y, 0) give u and v with a u = s x
       and a v = 1_C - s y; then g s x = 0, so g s = 0, and g = g s y +
-      g a v = 0.  So a is epi, mono and regular exactly when x is.  The
-      square exists when idempotents split: write the idempotent
-      e = 1_C - s y as i p with p i = 1_K; then (B + K, a = s x pr_B +
-      i pr_K, b = pr_B) is a pullback, since y e = 0 gives y a = x b, and a
-      cone (c, u) factors through (u, p c) and, as p s = p e s = 0, through
-      no other map.  Idempotents split when every indecomposable of P has a
+      g a v = 0.  So a is epi exactly when x is.  The square exists when
+      idempotents split: write the idempotent e = 1_C - s y as i p with
+      p i = 1_K; then (B + K, a = s x pr_B + i pr_K, b = pr_B) is a
+      pullback, since y e = 0 gives y a = x b, and a cone (c, u) factors
+      through (u, p c) and, as p s = p e s = 0, through no other map.
+      Idempotents split when every indecomposable of P has a
       one-dimensional End: that End is the field, a local ring, so P, whose
       objects are finite sums of indecomposables, is Krull-Schmidt (Krause,
       "Krull-Schmidt categories and projective covers", 2015, Cor. 4.4).
@@ -940,14 +933,14 @@ def _leg_clause(Q: CategoryPresentation, P: CategoryPresentation, answer, given,
     in Q^op is a pushout of x and y in Q with the same leg opposite x, and
     a map is epi in Q^op exactly when it is mono in Q.  So prop is asked as
     its dual, regular as regular; the rules read every cokernel, y = s x
-    and y split mono in Q, and Q^op is Krull-Schmidt when Q is.  A missing square is a
-    missing cokernel of Q's difference map, reported as a missing pushout.
+    and y split mono in Q, and Q^op is Krull-Schmidt when Q is.  A missing
+    square is a missing cokernel of Q's difference map, reported as a
+    missing pushout.
     """
-    epi, mono = (is_epi, is_mono) if P is Q else (is_mono, is_epi)  # exchanged in Q^op
-    has = {"epi": epi, "mono": mono, "regular": is_regular}[prop]
+    epi = prop != ("mono" if P is Q else "epi")  # exchanged in Q^op
     try:
         for x, y in itertools.islice(_leg_pairs(given, others), budget.scan_pairs_cap):
-            holds = answer(x, y, has)
+            holds = answer(x, y, epi)
             yield
             if not holds:
                 if P is not Q:

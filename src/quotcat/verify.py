@@ -21,7 +21,6 @@ from .preabelian import (
     Budget,
     DEFAULT_BUDGET,
     scan_properties,
-    solve_two_sided_inverse,
 )
 from .quotient import build_quotient, x_t_objects
 
@@ -112,9 +111,13 @@ def run_verification(
 
 
 def _noninvertible_witness(Q: CategoryPresentation, regulars) -> str | None:
-    """The first of regulars without a two-sided inverse, named "source ->
-    target", or None; the walk stops there."""
-    r = next((r for r in regulars if solve_two_sided_inverse(Q, r) is None), None)
+    """The first of regulars that is not invertible, named "source ->
+    target", or None; the walk stops there.  An r: X -> Y of regulars is
+    epi, so - o r is injective on each Hom(Y, Z_z), Z_z indecomposable, and
+    bijective on all of them, so by Yoneda r is invertible, exactly when
+    dim Hom(Y, Z_z) = dim Hom(X, Z_z) for every z, as hom_layout gives them.
+    """
+    r = next((r for r in regulars if Q.hom_layout(r.source)[1] != Q.hom_layout(r.target)[1]), None)
     return None if r is None else f"{Q.obj_name(r.source)} -> {Q.obj_name(r.target)}"
 
 

@@ -1,13 +1,25 @@
 import pytest
 from hypothesis import settings
 
-from quotcat.fincat import CategoryPresentation
+from quotcat.fincat import CategoryPresentation, compose
 from quotcat.linalg import QQ
+from quotcat.preabelian import factors_through_map
 
 # One profile for every property test: examples may be slow (a quotient or a
 # search), and a failure prints the blob that replays it with @reproduce_failure.
 settings.register_profile("quotcat", deadline=None, print_blob=True)
 settings.load_profile("quotcat")
+
+
+def solve_two_sided_inverse(Q, f):
+    """Some g with g o f = id and f o g = id, or None: the tests' oracle for
+    invertibility, by solving rather than by Hom dimensions.
+
+    An invertible f has exactly one left inverse, so g is the left inverse
+    the solve finds, kept only when it is a right inverse too.
+    """
+    g = factors_through_map(Q, Q.identity(f.source), f)
+    return g if g is not None and compose(Q, f, g) == Q.identity(f.target) else None
 
 
 def point_category(field=QQ):

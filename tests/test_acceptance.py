@@ -35,10 +35,11 @@ from quotcat.preabelian import (
     kernel,
     precompose_matrix,
     scan_properties,
-    solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient, x_t_objects
 from quotcat.verify import _noninvertible_witness, run_cotorsion
+
+from conftest import solve_two_sided_inverse
 
 SCAN_BUDGET = Budget(scan_pairs_cap=120)
 
@@ -267,6 +268,35 @@ def test_noninvertible_witness_is_the_first_regular_outside_the_invertible_set(c
         assert _noninvertible_witness(Q, regulars) == want, P.obj_name(T)
         named += want is not None
     assert named  # some T has a regular map that is not invertible
+
+
+def _dimension_quotients(case):
+    """The quotients the dimension criterion is checked on: every rigid T of
+    C(A_3)/Q, every 7th rigid T of C(A_4, "><>")/F101, or C(A_3)/add{P1,
+    P2, I2}, which is not preabelian."""
+    if case == "A3/Q subcat=P1+P2+I2":
+        yield build_quotient(build_cluster_category(3), subcat={"P1", "P2", "I2"}).presentation
+        return
+    P = build_cluster_category(4, "><>", GF(101)) if case.startswith("A4") else build_cluster_category(3)
+    for support in all_rigid_supports(P, P.n)[:: 7 if case.startswith("A4") else 1]:
+        yield build_quotient(P, P.obj({P.objects[i]: 1 for i in support})).presentation
+
+
+@pytest.mark.parametrize("case", ["A3/Q", "A4(><>)/F101", "A3/Q subcat=P1+P2+I2"])
+def test_an_epi_is_invertible_exactly_when_its_ends_have_equal_hom_dimensions(case):
+    # the cluster-tilting witness decides invertibility by the hom_layout
+    # rows of a regular map's ends, a criterion proven for every epi; over
+    # every epi of the family it must agree with the solve for a two-sided
+    # inverse, and the witness must read it
+    checked = invertible = 0
+    for Q in _dimension_quotients(case):
+        for f in build_morphism_family(Q, SCAN_BUDGET).epis:
+            rows = Q.hom_layout(f.source)[1] == Q.hom_layout(f.target)[1]
+            assert rows == (solve_two_sided_inverse(Q, f) is not None), (Q.obj_name(f.source), Q.obj_name(f.target))
+            assert rows == (_noninvertible_witness(Q, [f]) is None)
+            checked += 1
+            invertible += rows
+    assert 0 < invertible < checked
 
 
 def test_criterion_08_regular_noninvertible_witness(A3):

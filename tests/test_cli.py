@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -608,3 +612,27 @@ def test_unknown_name_in_object_set_exits_2(a3_path, argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "'nope'" in err
+
+
+@pytest.mark.parametrize("where", ["--field", "field tag"])
+def test_a_modulus_past_the_bound_exits_2_at_once(a3_path, tmp_path, where):
+    # the bound p <= 2^31 is checked before trial division, which would run
+    # for minutes on a modulus near 10^17; in a subprocess, so a hang fails
+    # on the timeout instead of stalling the suite
+    p = 100000000000000003
+    if where == "--field":
+        argv = ["generate", "3", str(tmp_path / "x.json"), "--field", f"F{p}"]
+    else:
+        doc = json.loads(open(a3_path).read())
+        doc["field"] = {"Fp": p}
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        argv = ["verify", str(big), "--T", "P1"]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "quotcat.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    assert run.returncode == 2 and not run.stdout
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+    assert f"{p} is larger than 2^31" in run.stderr

@@ -32,9 +32,10 @@ from quotcat.preabelian import (
     pullback,
     run_clause,
     scan_properties,
-    solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient
+
+from conftest import solve_two_sided_inverse
 
 
 @pytest.fixture(scope="module")

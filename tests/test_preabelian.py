@@ -49,12 +49,13 @@ from quotcat.preabelian import (
     scan_properties,
     search_open_conditions,
     solve_on_basis,
-    solve_two_sided_inverse,
     _every_sink_map_has_a_kernel,
     _has_every_kernel,
     _preabelian_clause,
 )
 from quotcat.quotient import build_quotient
+
+from conftest import solve_two_sided_inverse
 
 
 @pytest.fixture(scope="module")

@@ -12,20 +12,21 @@ Q and in Q^op (where `is_mono` asks), for one verdict.  A square's answers
 also serve every pair that differs from its own by nonzero rescaling of the
 two maps or by their exchange, so the scan asks for the square of the pair's
 unit representatives, the one with the smaller key first, and builds one
-square per class: the unordered pair of unit-normalised maps.  Three rules
-answer a pair (x, y) without any square.  When the clause asks mono in the
-presentation it runs in (Q for a pullback, Q^op for a pushout) and the sink
-maps prove that every kernel exists there, the leg is mono exactly when x
-is; that needs every indecomposable to have a one-dimensional End and no
-two to be isomorphic.  When y factors through x (y = x s
-for a pullback, y = s x for a pushout), the leg opposite x is split, and has
-the other property exactly when x does; the square exists exactly when the
-kernel (cokernel) of x does.  When y is split (split epi for a pullback,
-split mono for a pushout), the leg is epi, mono or regular exactly when x
-is; that needs idempotents to split, so it applies only where every
-indecomposable has a one-dimensional End, and elsewhere only to an
-invertible y.  These tests pin that each class is built once (one miss of
-the square table) and that the sharing pays on C(A_3)/Q, that the
+square per class: the unordered pair of unit-normalised maps.  A clause
+asks a pair one of two questions in the presentation it runs in (Q for a
+pullback, Q^op for a pushout): is the leg opposite x epi, asked of an epi
+x, or does the square exist, asked of a mono x, whose leg is then mono.
+Three rules prove a pair holds without any square.  Existence holds where
+the sink maps prove that every kernel exists there; that needs every
+indecomposable to have a one-dimensional End and no two to be isomorphic.
+When y factors through x (y = x s for a pullback, y = s x for a pushout),
+the leg opposite x is split; the square exists exactly when the kernel
+(cokernel) of x does.  When y is split (split epi for a pullback, split
+mono for a pushout), the leg is epi exactly when x is; that needs
+idempotents to split, so it applies only where every indecomposable has a
+one-dimensional End, and elsewhere only to an invertible y.  These tests
+pin that each class is built once (one miss of the square table) and
+that the sharing pays on C(A_3)/Q, that the
 invariance the sharing rests on holds on random pairs, that the rules agree
 with a freshly built square and leave no such square in the tables, that
 the split rule is off on a presentation with a two-dimensional End while
@@ -49,7 +50,7 @@ from hypothesis import given, settings, strategies as st
 from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import NoCokernel, NoKernel
-from quotcat.fincat import CategoryPresentation, op_morphism, opposite, postcompose_matrix, validate_category
+from quotcat.fincat import CategoryPresentation, Morphism, op_morphism, opposite, postcompose_matrix, validate_category
 from quotcat.linalg import GF, QQ, Matrix
 from quotcat.preabelian import (
     Budget,
@@ -65,9 +66,10 @@ from quotcat.preabelian import (
     pushout,
     run_clause,
     scan_properties,
-    solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient
+
+from conftest import solve_two_sided_inverse
 
 CAPPED = Budget(scan_pairs_cap=120)
 
@@ -115,6 +117,23 @@ def _twin(Q, limit):
 def _asked(Q, P, has):
     """has as the leg clause asks it in P: epi and mono exchange in Q^op."""
     return has if P is Q else {is_epi: is_mono, is_mono: is_epi}.get(has, has)
+
+
+def _questions(Q, P, x):
+    """The questions a leg clause in P asks of Q's map x: epi (True) when x
+    is epi in P, existence (False) when x is mono in P; a map of neither
+    class is in no clause's given list."""
+    return [epi for epi, has in ((True, is_epi), (False, is_mono)) if _asked(Q, P, has)(Q, x)]
+
+
+def _fresh_answer(Q, P, limit, x, y, epi):
+    """The answer to a question read off a freshly built square: whether its
+    leg opposite x is epi in P, or whether the square exists."""
+    try:
+        leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
+    except (NoKernel, NoCokernel):
+        return False
+    return not epi or _asked(Q, P, is_epi)(Q, leg)
 
 
 def _clear_squares(P):
@@ -395,18 +414,17 @@ def test_pairs_meeting_an_isomorphism_answer_as_x(case, data, s, t):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_mono_rule_answers_as_a_fresh_square(case, data):
-    # where P has every kernel, the scan answers mono in P (mono for a
-    # pullback, epi for a pushout, as Q sees them) by x, whatever x is; the
-    # leg opposite x of a freshly built square must answer the same
+    # where P has every kernel, the scan answers the existence question in P,
+    # which a clause asks of a mono x in P (mono for a pullback, epi for a
+    # pushout, as Q sees them), with no square; a freshly built square must
+    # exist
     Q, pairs, _ = _eligible_pairs(case)
-    limit, x, y = data.draw(st.sampled_from(pairs))
+    limit, x, y = data.draw(st.sampled_from([p for p in pairs if False in _questions(Q, _twin(Q, p[0])[0], p[1])]))
     P, twin = _twin(Q, limit)
-    has = is_mono if limit == "pullback" else is_epi
     _clear_squares(Q)
-    got = preabelian._leg_answers(P, CAPPED)(twin(x), twin(y), _asked(Q, P, has))
+    got = preabelian._leg_answers(P, CAPPED)(twin(x), twin(y), False)
     assert _kept_squares(Q) == 0
-    leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
-    assert got == has(Q, leg) == has(Q, x)
+    assert got is True and _fresh_answer(Q, P, limit, x, y, False)
 
 
 @functools.cache
@@ -448,57 +466,57 @@ def _factor_pairs(case):
 @settings(max_examples=30)
 @given(data=st.data(), s=_NONZERO, t=_NONZERO)
 def test_pairs_where_y_factors_through_x_answer_by_the_rule(case, data, s, t):
-    # the scan's rule answers such a pair without a square; the leg opposite
-    # x of a freshly built square must answer the same for each property,
-    # before and after rescaling
+    # the scan's rule answers such a pair without a square, for each question
+    # a clause asks of x; a freshly built square must answer the same, before
+    # and after rescaling
     Q, _, _ = _eligible_pairs(case)
-    pairs = _factor_pairs(case)
+    pairs = [p for p in _factor_pairs(case) if _questions(Q, _twin(Q, p[0])[0], p[1])]
     assert {p[0] for p in pairs} == {"pullback", "pushout"}
     limit, x, y = data.draw(st.sampled_from(pairs))
     P, twin = _twin(Q, limit)
     for x, y in ((x, y), (x.scale(s), y.scale(t))):
         _clear_squares(Q)
         answer = preabelian._leg_answers(P, CAPPED)
-        got = [answer(twin(x), twin(y), _asked(Q, P, has)) for has in (is_epi, is_mono, is_regular)]
+        asked = _questions(Q, P, x)
+        got = [answer(twin(x), twin(y), epi) for epi in asked]
         assert _kept_squares(Q) == 0  # the rule answered, not a square
-        leg = _fresh_legs(Q, limit, x, y, CAPPED)[0]
-        assert got == [has(Q, leg) for has in (is_epi, is_mono, is_regular)]
+        assert got == [_fresh_answer(Q, P, limit, x, y, epi) for epi in asked] and all(got)
         # opposite such an x the leg is split epi (split mono for a pushout)
-        assert _is_split(Q, leg, limit)
+        assert _is_split(Q, _fresh_legs(Q, limit, x, y, CAPPED)[0], limit)
 
 
 @pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
 def test_rules_answer_exactly_the_pairs_the_solves_find(case):
-    # over every eligible pair, sums of indecomposables included, asked for
-    # epi and for mono as Q sees them, the scan decides a pair without a
-    # square exactly when the asked property is mono in P and P has every
-    # kernel, or when y is split or factors through x by the plain loop's
-    # own rank test and solve; a pair whose class (units of x and y, limit,
-    # property) was answered before reads that answer and builds no square
-    # either.  A pushout pair is asked of the answers of Q^op, on the twins
-    # of its maps.  Both sides have every kernel here
+    # over every eligible pair whose x some clause takes, sums of
+    # indecomposables included, asked each question a clause asks of x, the
+    # scan decides a pair without a square exactly when it asks existence
+    # and P has every kernel, or when y is split or factors through x by the
+    # plain loop's own rank test and solve; a pair whose class (units of x
+    # and y, limit, question) was answered before reads that answer and
+    # builds no square either.  A pushout pair is asked of the answers of
+    # Q^op, on the twins of its maps.  Both sides have every kernel here
     Q, pairs, _ = _eligible_pairs(case)
     split = _split_test(Q, scan_properties(Q, CAPPED).family)
     sides = {limit: _twin(Q, limit) for limit in ("pullback", "pushout")}
     answers = {limit: preabelian._leg_answers(P, CAPPED) for limit, (P, _) in sides.items()}
     assert all(preabelian._has_every_kernel(P, CAPPED) for P, _ in sides.values())
-    ruled = repeats = 0
+    asked_epi = ruled = repeats = 0
     classes = set()
     for limit, x, y in pairs:
         P, twin = sides[limit]
-        for has in (is_epi, is_mono):
+        for epi in _questions(Q, P, x):
             _clear_squares(Q)
-            asked = _asked(Q, P, has)
-            answers[limit](twin(x), twin(y), asked)
+            answers[limit](twin(x), twin(y), epi)
             solved = split(y, limit) or _factors(Q, x, y, limit)
-            rule = asked is is_mono or solved
-            cls = (limit, _unit(x), _unit(y), has)
+            rule = not epi or solved
+            cls = (limit, _unit(x), _unit(y), epi)
             repeat = cls in classes
             classes.add(cls)
-            assert (_kept_squares(Q) == 0) == (rule or repeat), (limit, x, y, has)
-            ruled += solved and asked is is_epi  # each pair is asked epi in P once
+            assert (_kept_squares(Q) == 0) == (rule or repeat), (limit, x, y, epi)
+            asked_epi += epi
+            ruled += solved and epi
             repeats += repeat and not rule
-    assert 0 < ruled < len(pairs) and repeats
+    assert 0 < ruled < asked_epi and repeats
 
 
 _TRANSPARENT_CASES = [
@@ -653,30 +671,40 @@ def _two_idempotents():
     return CategoryPresentation(QQ, ["X"], {(0, 0): 2}, comp, [[1, 1]])
 
 
+def _e_map(E, m, n, rows):
+    """The map X^m -> X^n of E whose component from copy s to copy t is
+    rows[t][s] times the identity."""
+    return Morphism(E, E.obj([m]), E.obj([n]), [[[c, c] for c in row] for row in rows])
+
+
 def test_split_rule_is_off_without_one_dimensional_ends():
     # End(X) is two-dimensional, so a split y answers a pair only when it is
-    # invertible.  A pair that meets a split y that is not, and whose y does
-    # not factor through x, builds its square, as the plain loop does
+    # invertible.  Every epi and every mono of E splits, so each y meeting
+    # an epi x factors through it: only the existence question, asked of a
+    # mono x, meets a split y that neither is invertible nor factors
+    # through x.  Such a pair builds its square, as the plain loop does
     E = _two_idempotents()
     assert validate_category(E).ok
     fam = build_morphism_family(E, CAPPED)
-    inv = _invertible(E, fam.regulars)
+    assert all(_is_split(E, f, "pullback") for f in fam.epis) and all(_is_split(E, f, "pushout") for f in fam.monos)
     plain = _split_test(E, fam)
-    e1 = E.hom_basis(E.single(0), E.single(0))[0]
-    # e1 against each split map that meets it: X^2 -> X for a pullback,
-    # X -> X^2 for a pushout; one square each, and the plain loop's answer
-    for limit, prop in (("pullback", "epi"), ("pushout", "mono")):
+    # x mono (epi for a pushout) against a split epi X^3 -> X^2 (split mono
+    # X^2 -> X^3 for a pushout) and against the identity of X^2
+    cases = (
+        ("pullback", "mono", _e_map(E, 1, 2, [[1], [0]]), _e_map(E, 3, 2, [[1, 0, 0], [0, 1, 0]])),
+        ("pushout", "epi", _e_map(E, 2, 1, [[1, 0]]), _e_map(E, 2, 3, [[1, 0], [0, 1], [0, 0]])),
+    )
+    for limit, prop, x, y in cases:
         ok = {"epi": is_epi, "mono": is_mono}[prop]
-        ys = [f for f in fam.all if f.source != f.target and _is_split(E, f, limit)]
-        assert ys and not any(f in inv or plain(f, limit) or _factors(E, e1, f, limit) for f in ys)
-        # an invertible y that meets e1 still answers by x, and builds nothing
-        isos = [f for f in inv if f.source == f.target == e1.source]
-        assert isos
-        for y in ys + isos:
+        assert ok(E, x) and _is_split(E, y, limit) and solve_two_sided_inverse(E, y) is None
+        assert not plain(y, limit) and not _factors(E, x, y, limit)
+        # an invertible y that meets x still answers, and builds nothing
+        one = E.identity(y.target if limit == "pullback" else y.source)
+        for y in (y, one):
             _clear_squares(E)
-            got = _scan_clause(E, limit, [e1], [y], prop)
-            assert got.checked == 1 and _kept_squares(E) == (y not in inv)
-            legs = _plain_legs(E, limit, [e1], [y], plain, CAPPED)
+            got = _scan_clause(E, limit, [x], [y], prop)
+            assert got.checked == 1 and _kept_squares(E) == (y is not one)
+            legs = _plain_legs(E, limit, [x], [y], plain, CAPPED)
             assert got == run_clause(_plain_leg_clause(legs, ok, CAPPED))
 
 

@@ -46,9 +46,10 @@ from quotcat.preabelian import (
     pullback,
     scan_properties,
     search_open_conditions,
-    solve_two_sided_inverse,
 )
 from quotcat.quotient import build_quotient
+
+from conftest import solve_two_sided_inverse
 
 CAPPED = Budget(scan_pairs_cap=120)
 
