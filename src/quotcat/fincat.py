@@ -110,6 +110,13 @@ class CategoryPresentation:
             out.setdefault((i, j), []).append((k, table))
         return out
 
+    @cached_property
+    def word_generators(self) -> dict:
+        """_word_generators(self), built on first use and kept, so validation,
+        the sink maps and the integrality decision read one set.  Nothing
+        changes comp once a presentation is built."""
+        return _word_generators(self)
+
     # -- objects of the additive closure ------------------------------
 
     def obj(self, mult) -> "Obj":
@@ -782,7 +789,7 @@ def _associative_on_words(P: CategoryPresentation) -> bool:
     generator triples again.  So if it returns True the full check finds no
     violation.
     """
-    gens = _word_generators(P)
+    gens = P.word_generators
     if _grow_words(P.field, P._dim, P.identities, gens, P.comp) is None:
         return False
     dim = P._dim

@@ -16,6 +16,7 @@ about the instance, not a timeout.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -37,9 +38,8 @@ from .fincat import (
     precompose_matrix,
     split_rows,
     stack_cols,
-    _word_generators,
 )
-from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis
+from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis, intertwiners, unit_vector
 
 
 @dataclass
@@ -730,6 +730,14 @@ def _leg_pairs(given, others):
     return ((x, y) for x in given for y in partners.get(x.target, ()))
 
 
+def _leg_pair_count(given, others, meet: str, cap: int) -> int:
+    """How many pairs itertools.islice(_leg_pairs(given, others), cap)
+    yields, meet "target"; with meet "source", how many it yields on the
+    twins of given and others in Q^op."""
+    per_end = collections.Counter(getattr(y, meet) for y in others)
+    return min(cap, sum(per_end[getattr(x, meet)] for x in given))
+
+
 def _no_square(limit: str):
     """The error of a pullback (pushout) whose difference map has no kernel
     (cokernel)."""
@@ -738,17 +746,17 @@ def _no_square(limit: str):
 
 
 def _sink_maps(P: CategoryPresentation):
-    """g_z for each z with an irreducible map into it: the stack_cols of the
-    basis maps w -> z, w != z, that _word_generators lists."""
-    gens = _word_generators(P)
+    """(z, g_z) for each z with an irreducible map into it: g_z is the
+    stack_cols of the basis maps w -> z, w != z, that _word_generators lists."""
+    gens = P.word_generators
     for z in range(P.n):
         maps = [P.basis_morphism(w, z, a) for w in range(P.n) if w != z for a in gens.get((w, z), ())]
         if maps:
-            yield stack_cols(P, maps)
+            yield z, stack_cols(P, maps)
 
 
 def _every_sink_map_has_a_kernel(P: CategoryPresentation, budget: Budget) -> bool:
-    return all(is_mono(P, g) or kernel(P, g, budget) is not None for g in _sink_maps(P))
+    return all(is_mono(P, g) or kernel(P, g, budget) is not None for _, g in _sink_maps(P))
 
 
 def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
@@ -799,6 +807,160 @@ def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
         return gate and _every_sink_map_has_a_kernel(P, budget)
     except BoundsExceeded:
         return False
+
+
+def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
+    """Whether every pullback of an epi in P is proven epi, every pair at
+    once.  False leaves it undecided: the gate of _has_every_kernel is off,
+    a sink-map search ran out of budget, or some t(I_z) below is not 0.
+
+    Where _has_every_kernel(P) holds, P is proj Gamma, Gamma = End(Z_1 +
+    ... + Z_n), and gl.dim Gamma <= 2 (its docstring proves both).  A module
+    M is a space M(w) per indecomposable and a map M(g): M(v) -> M(w) per
+    map g: Z_w -> Z_v; Gamma is the sum of the projectives P_x = Hom(-, Z_x).
+    - Epis.  g: D -> E has g d = 0 exactly when Hom(-, g) vanishes on the
+      image of Hom(-, d), so those g are the maps M_d = coker Hom(-, d) ->
+      Hom(-, E) (Yoneda), and d is epi exactly when Hom(M_d, Gamma) = 0,
+      that is when M_d lies in the class T = {M : Hom(M, Gamma) = 0}.
+    - Legs.  Take d: B -> D epi, c: C -> D and the pullback (A, a, b), with
+      a: A -> C opposite d; it exists, as ker [c | -d] does.  Hom(-, A) is
+      the kernel of Hom(-, [c | -d]), so the image of Hom(-, a) is the u
+      with c u in the image of Hom(-, d), and M_a is the image of Hom(-, C)
+      in M_d, a submodule.  So where T is closed under submodules, a is epi.
+    - Closure (Dickson, "A torsion theory for abelian categories", 1966).
+      T is closed under quotients and extensions, and the torsion part t(M)
+      is the largest submodule of M in T.  The injective envelope E of
+      Gamma is a sum of the I_z = D Hom(Z_z, -), the envelopes of the
+      simples S_z in soc Gamma.  If t(I_z) = 0 for each such z, then
+      Hom(T, E) = 0, as a map M -> I_z has its image, a quotient of M, in
+      t(I_z).  So for N a submodule of M in T, a map N -> Gamma extends to
+      M -> E, which is 0, and N lies in T.
+    - soc Gamma.  S_z lies in soc Gamma exactly when Hom(S_z, P_x) != 0
+      for some x.  A map S_z -> P_x is an h: Z_z -> Z_x with h r = 0 for
+      every radical map r into Z_z, and those r are the maps that factor
+      through the generators into z (_has_every_kernel's docstring), so it
+      is an h with h g = 0 for each such generator g.  So S_z is in soc
+      Gamma exactly when the sink map g_z is not epi, or no generator goes
+      into z.
+    - Relations.  A family (phi_w) is natural once it is natural at each
+      generator g: w -> v that _word_generators lists: naturality passes to
+      composites and sums, End(Z_w) = k, and words in the generators span
+      the radical (_has_every_kernel's docstring).  So one equation per
+      generator gives Hom(U, P_x) (linalg.intertwiners); where U(w) = 0 and
+      U(v) != 0 it still says P_x(g) phi_v = 0.
+    - t(I_z) by rejects.  rej(U), the common kernel of all maps U -> Gamma,
+      is a submodule of U containing every submodule of U in T, as each
+      such map kills it.  From U = I_z the chain U, rej(U), ... falls until
+      rej(U) = U; then every map U -> Gamma is 0, U lies in T, and U =
+      t(I_z).  A nonzero submodule of I_z contains the socle S_z, which is
+      all of I_z(z), one-dimensional as End(Z_z) = k.  So t(I_z) = 0
+      exactly when t(I_z)(z) = 0: z passes once U(z) = 0, which one map U
+      -> P_x that is not 0 on U(z) shows, and the side is undecided when U
+      stops falling with U(z) != 0.
+    True thus proves that every question a leg clause asks on P holds: the
+    epi question, asked of an epi x (_leg_clause), by the legs above, and
+    existence, asked of a mono x, as every kernel exists.
+
+    I_z(w) is Hom(Z_z, Z_w)*, on which g: w -> v acts as the transpose of
+    h -> g h, and P_x(g) is h -> h g; comp gives both.  U(w) is kept in
+    reduced echelon form, so a vector of U(w) has its coordinates in U(w)'s
+    basis at the pivots.
+    """
+    if not _has_every_kernel(P, budget):
+        return False
+    into = {}  # v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)
+    for (w, v), bs in P.word_generators.items():
+        into.setdefault(v, []).extend((w, b) for b in bs)
+    acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
+    sinks = dict(_sink_maps(P))
+    return all(
+        _injective_is_torsion_free(P, into, acts, z) for z in range(P.n) if z not in sinks or not is_epi(P, sinks[z])
+    )
+
+
+def _injective_is_torsion_free(P: CategoryPresentation, into: dict, acts: dict, z: int) -> bool:
+    """Whether t(I_z) = 0, by rejects from U = I_z, for S_z in soc Gamma
+    (proof and the tables into and acts in _pullbacks_of_epis_are_epi).
+
+    A map U -> P_x that is not 0 on U(z) is not 0 on soc U = S_z, so it is
+    mono, as every nonzero submodule of U meets S_z.  So only an x with S_z
+    in soc P_x and dim U(w) <= dim P_x(w) for every w can take U(z) out of
+    rej(U); those x are asked first, and the rest only when none does.
+    """
+    fld, dim, comp = P.field, P._dim, P.comp
+    zero, add, mul = fld.zero, fld.add, fld.mul
+    U = {}  # w -> the RowSpace U(w) in I_z(w), for U(w) != 0
+    for w in range(P.n):
+        if dim[z][w]:
+            U[w] = RowSpace.from_rows(fld, dim[z][w], (unit_vector(fld, dim[z][w], a) for a in range(dim[z][w])))
+
+    def act(w, v, b, x):
+        # P_x(g) for g basis b of Hom(w, v): column c is h_c o g in Hom(w, x)
+        m = acts.get((w, v, b, x))
+        if m is None:
+            table, r, c = comp.get((w, v, x)), dim[w][x], dim[v][x]
+            rows = [[table[b][k][i] for k in range(c)] if table else [zero] * c for i in range(r)]
+            m = acts[(w, v, b, x)] = Matrix(fld, r, c, rows)
+        return m
+
+    def socle_to(x):
+        # Hom(S_z, P_x) != 0: some h: Z_z -> Z_x with h g = 0 for each g into z
+        rows = [row for w, b in into.get(z, ()) for row in act(w, z, b, x).data]
+        return len(Matrix(fld, len(rows), dim[z][x], rows).kernel_basis()) > 0
+
+    def reject_rows(x, moves, kills):
+        # add to kills[v] the rows phi_v of a basis of Hom(U, P_x)
+        play = [v for v in U if dim[v][x]]
+        if not play:
+            return  # Hom(U, P_x) = 0
+        rels = [(w, v, b) for v in U for w, b in into.get(v, ()) if dim[w][x] and (dim[v][x] or w in U)]
+        verts = list(dict.fromkeys(play + [u for w, v, _ in rels for u in (w, v)]))
+        pos = {u: i for i, u in enumerate(verts)}
+        src = [U[u].dim if u in U else 0 for u in verts]
+        tgt = [dim[u][x] for u in verts]
+        relations = [(pos[v], pos[w], moves[(w, v, b)], act(w, v, b, x)) for w, v, b in rels]
+        offsets = list(itertools.accumulate((s * t for s, t in zip(src, tgt)), initial=0))
+        for phi in intertwiners(fld, src, tgt, relations):
+            for v in play:
+                i, c = pos[v], U[v].dim
+                kills[v].extend(phi[k : k + c] for k in range(offsets[i], offsets[i + 1], c))
+
+    socle = [x for x in range(P.n) if dim[z][x] and socle_to(x)]
+    while True:
+        # U(g): U(v) -> U(w) in their bases, read at U(w)'s pivots
+        moves = {}
+        for v, space in U.items():
+            for w, b in into.get(v, ()):
+                table, target = comp.get((z, w, v)), U.get(w)
+                pivots = target.pivots if target else ()
+                rows = [
+                    [functools.reduce(add, map(mul, table[p][b], u), zero) if table else zero for u in space.rows]
+                    for p in pivots
+                ]
+                moves[(w, v, b)] = Matrix(fld, len(rows), space.dim, rows)
+        kills = collections.defaultdict(list)  # v -> rows whose common kernel in U(v) is rej(U)(v)
+        fits = [x for x in socle if all(space.dim <= dim[w][x] for w, space in U.items())]
+        for x in fits:
+            reject_rows(x, moves, kills)
+            if any(map(any, kills[z])):
+                return True
+        for x in range(P.n):
+            if x not in fits:
+                reject_rows(x, moves, kills)
+        shrunk = False
+        for v, rows in kills.items():
+            space = U[v]
+            keep = Matrix(fld, len(rows), space.dim, rows).kernel_basis()
+            if len(keep) == space.dim:
+                continue
+            shrunk = True
+            if keep:
+                basis = Matrix(fld, space.dim, space.width, space.rows)
+                U[v] = RowSpace.from_rows(fld, space.width, (Matrix(fld, len(keep), space.dim, keep) * basis).data)
+            else:
+                del U[v]
+        if not shrunk:
+            return False
 
 
 def _leg_answers(P: CategoryPresentation, budget: Budget):
@@ -973,7 +1135,12 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
     """Bounded exhaustive check of preabelian / semi-abelian / integral clauses.
 
     The report carries the morphism family the clauses ran over, including
-    the cokernel and kernel maps the preabelian clause found.
+    the cokernel and kernel maps the preabelian clause found.  Each side, Q
+    for the pullback clauses and Q^op for the pushout clauses, is first
+    asked _pullbacks_of_epis_are_epi.  Where that proves every pair holds,
+    each of the side's clauses passes with checked the number of pairs it
+    would ask, up to scan_pairs_cap: the result of _leg_clause whenever its
+    searches stay in budget.  Elsewhere _leg_clause asks the pairs.
     """
     fam = build_morphism_family(Q, budget)
     report = PropertyReport(family=fam)
@@ -983,8 +1150,9 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         return report
 
     op = opposite(Q)
-    pull, push = _leg_answers(Q, budget), _leg_answers(op, budget)
-    twins = [op_morphism(op, f) for f in fam.all]
+    # a side where every pullback of an epi is proven epi needs no pair asked
+    answers = {P: None if _pullbacks_of_epis_are_epi(P, budget) else _leg_answers(P, budget) for P in (Q, op)}
+    twins = None
     for name, given, prop in (
         ("pullback_cokernel_leg", fam.cokernel_maps, "epi"),
         ("pullback_epi_leg", fam.epis, "epi"),
@@ -995,12 +1163,18 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         ("pushout_epi_leg", fam.epis, "epi"),
         ("pushout_regular_leg", fam.regulars, "regular"),
     ):
-        if name.startswith("pullback"):
-            body = _leg_clause(Q, Q, pull, given, fam.all, prop, budget)
+        P, meet = (Q, "target") if name.startswith("pullback") else (op, "source")
+        if answers[P] is None:
+            # every pair holds; count those _leg_clause would ask
+            report.clauses[name] = ClauseResult("pass", _leg_pair_count(given, fam.all, meet, budget.scan_pairs_cap))
+            continue
+        if P is Q:
+            body = _leg_clause(Q, Q, answers[Q], given, fam.all, prop, budget)
         else:
             # a pushout in Q is a pullback in Q^op, where the twins of kernel
             # maps, monos and epis are cokernel maps, epis and monos
-            body = _leg_clause(Q, op, push, [op_morphism(op, f) for f in given], twins, prop, budget)
+            twins = twins or [op_morphism(op, f) for f in fam.all]
+            body = _leg_clause(Q, op, answers[op], [op_morphism(op, f) for f in given], twins, prop, budget)
         report.clauses[name] = run_clause(body)
     return report
 

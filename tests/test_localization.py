@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from quotcat import preabelian
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded, NoCokernel, NoKernel, NotRegular, ShapeError
 from quotcat.fincat import all_rigid_supports, compose
@@ -484,11 +485,15 @@ def _results(clauses):
 
 
 @pytest.mark.parametrize("family", list(PROOF_FAMILIES))
-def test_proved_clauses_equal_the_plain_loops(family):
+def test_proved_clauses_equal_the_plain_loops(family, monkeypatch):
     # RF1, RF3/LF3 and the middle map's inverse are proofs in localization;
     # the loops they replace must give the same status, checked and detail,
     # and every regular r must have [r, 1] as the two-sided inverse of [1, r]
     cases, expected = PROOF_FAMILIES[family]
+    if "grid_cap" in family:
+        # decided, RF2/LF2 pass; undecided, the scan's square searches run
+        # out of budget, the case this family pins
+        monkeypatch.setattr(preabelian, "_pullbacks_of_epis_are_epi", lambda P, budget: False)
     statuses = set()
     rf1_counts = []
     for label, Q, budget in cases():

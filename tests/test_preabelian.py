@@ -750,8 +750,10 @@ def test_pushout_squares_are_pushouts(QCT, Q2):
 
 
 def test_scan_budget_exhaustion_is_not_failure(A3):
+    # at this budget a sink-map kernel search runs out on either side, so
+    # neither side is decided and the leg clauses search for their squares
     qc = build_quotient(A3, A3.obj({"P2": 1}))
-    rep = scan_properties(qc.presentation, Budget(retries=1, grid_cap=1))
+    rep = scan_properties(qc.presentation, Budget(retries=0, grid_cap=1))
     assert rep.clauses["preabelian"].status == "pass"
     statuses = {name: c.status for name, c in rep.clauses.items()}
     assert "fail" not in statuses.values(), statuses

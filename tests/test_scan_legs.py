@@ -37,6 +37,13 @@ which decides the split and factoring rules by its own solves and builds a
 square for every other pair it meets, pushouts in Q by `pushout`.  Only
 where that loop's square search runs out of budget may a mono-leg clause,
 answered by the mono rule, read otherwise: it passes.
+
+All of this is the path a side takes where `_pullbacks_of_epis_are_epi`
+does not decide it, so the tests that count squares or rules run the scan
+with both sides undecided.  Where a side is decided, its clauses ask no
+pair: each passes with the plain loop's count, and where that loop ran out
+of budget it still passes (tests/test_integral_decision.py checks the
+decision itself).
 """
 
 import collections
@@ -87,6 +94,15 @@ def A4():
 @pytest.fixture(scope="module")
 def A4Q():
     return build_cluster_category(4)
+
+
+@pytest.fixture
+def undecided(monkeypatch):
+    """Both sides undecided, so scan_properties asks every leg clause's
+    pairs: the path it takes on a side where _pullbacks_of_epis_are_epi
+    proves nothing (the gate off, a sink-map search out of budget, or a
+    torsion part that is not 0)."""
+    monkeypatch.setattr(preabelian, "_pullbacks_of_epis_are_epi", lambda P, budget: False)
 
 
 def _unit(f):
@@ -312,7 +328,7 @@ class _Squares(dict):
 
 
 @pytest.mark.parametrize("t", [("P1", "P3"), ("P2",)])
-def test_scan_builds_each_limit_square_once(A3, monkeypatch, t):
+def test_scan_builds_each_limit_square_once(A3, monkeypatch, undecided, t):
     # a pushout clause builds its squares as pullbacks in Q^op, so counting
     # the misses of both tables counts both; a class is the unordered pair
     # of unit-normalised maps
@@ -549,14 +565,36 @@ def _case_quotient(categories, case):
     return qc.presentation, budget, kind
 
 
+def _assert_decided_as_plain(Q, budget, got, plain):
+    """got, clause name -> result of the scan, equals the plain loop's
+    clauses on each undecided side; on each side that
+    _pullbacks_of_epis_are_epi decides, every clause passes, and its checked
+    count is the plain loop's wherever that loop stayed in budget."""
+    decided = {limit: preabelian._pullbacks_of_epis_are_epi(_twin(Q, limit)[0], budget) for limit in ("pullback", "pushout")}
+    for name, result in plain.items():
+        if decided[name.split("_")[0]] and result.status == "bounds-exceeded":
+            assert got[name].status == "pass" and got[name].checked >= result.checked, name
+        else:
+            assert got[name] == result, name
+    return decided
+
+
 @pytest.mark.parametrize("case", _TRANSPARENT_CASES)
-def test_scan_tables_are_transparent(A3, A4, A4Q, case):
+def test_scan_tables_are_transparent(A3, A4, A4Q, case, monkeypatch):
+    # the scan's leg clauses, asked pair by pair on both sides, and then
+    # with each side decided where _pullbacks_of_epis_are_epi proves it
     Q, budget, kind = _case_quotient({"A3/Q": A3, "A4/Q": A4Q, "A4(><>)/F101": A4}, case)
-    rep = scan_properties(Q, budget)
+    with monkeypatch.context() as m:
+        m.setattr(preabelian, "_pullbacks_of_epis_are_epi", lambda P, budget: False)
+        rep = scan_properties(Q, budget)
     assert rep.clauses["preabelian"].status == "pass"
     legs = {k: v for k, v in rep.clauses.items() if k != "preabelian"}
     plain = _plain_leg_clauses(Q, rep.family, budget)
     _assert_as_plain(legs, plain, "grid_cap" in case)
+    decided = _assert_decided_as_plain(Q, budget, scan_properties(Q, budget).clauses, plain)
+    # every rigid T here is decided on both sides; the subcategory quotient
+    # has a failing pair on each side, so neither is decided
+    assert decided == {"pullback": kind == "T", "pushout": kind == "T"}
     statuses = collections.Counter(c.status for c in plain.values())
     if "grid_cap" in case:
         # squares shared by clauses run out of budget: each plain clause says
@@ -590,7 +628,7 @@ def test_pushout_clauses_are_pullback_clauses_in_the_opposite(A3, A4, A4Q, case)
     _assert_as_plain(got, {name: plain[name] for name in got}, "grid_cap" in case)
 
 
-def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
+def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3, undecided):
     # T = I3+SP2 has a regular map that is not invertible, SP2 -> P1
     Q = build_quotient(A3, A3.obj({"I3": 1, "SP2": 1})).presentation
     fam = scan_properties(Q, CAPPED).family
@@ -606,7 +644,7 @@ def test_scan_builds_no_square_for_a_pair_meeting_an_isomorphism(A3):
 
 
 @pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
-def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case):
+def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case, undecided):
     Q, _, _ = _eligible_pairs(case)
     # the scan meets split maps that are not invertible, so the rule is tried
     assert _split_pairs(case, 1) and _split_pairs(case, 2)
@@ -620,7 +658,7 @@ def test_scan_builds_no_square_for_a_pair_meeting_a_split_map(case):
 
 
 @pytest.mark.parametrize("case", ["A3/Q T=P1+P3", "A4(><>)/F101 T=I1+P1"])
-def test_scan_builds_no_square_for_a_pair_the_rule_answers(case, monkeypatch):
+def test_scan_builds_no_square_for_a_pair_the_rule_answers(case, monkeypatch, undecided):
     # every pair that reaches pullback from a leg clause is one that neither
     # rule answers, by the plain loop's own solves; and the factoring rule
     # answers some pair that the split rule does not.  A pushout clause
