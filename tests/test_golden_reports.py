@@ -7,7 +7,8 @@ before the compiled Hom layout, golden/reports_a4_q.json (C(A_4) over Q at
 the default budget, scan_pairs_cap=400) before integral rationals became
 ints, golden/reports_fail.json (failing and budget-exhausted verdicts of
 C(A_3) over Q, each at its own budget) before the scan became the one place
-that computes the bounded clauses, and golden/reports_a5_q.json (C(A_5) over
+that computes the bounded clauses, except the out-of-budget T = P2 report,
+re-recorded when integrality became a decision that needs no leg search, and golden/reports_a5_q.json (C(A_5) over
 Q, T = P1+...+P5, at the default budget) before the equivalence verifier's
 regular-leg searches were pruned by shape, and golden/reports_a7_q.json (C(A_7)
 over Q, T = P1+...+P7, at the default budget, whose quotient is the largest
