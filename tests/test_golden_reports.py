@@ -26,6 +26,11 @@ over GF(3), recorded with C(A_7) before the generator's map arithmetic went
 through linalg: small characteristic and non-linear orientations, where the
 normalising inverses and the coefficient divisions matter.  Any change to a
 generated Hom basis, composition table, name or labelling shows up there.
+golden/subcategories.json holds one sha256 per field over the reports of the
+510 proper subcategory quotients of C(A_3), over Q and over GF(2), at
+scan_pairs_cap=120, recorded before the scan decided its sides ahead of the
+morphism family: most of these quotients are undecided on some side or fail
+a clause, so they pin the paths the rigid-T corpora never take.
 Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
@@ -184,6 +189,35 @@ def category_digests() -> dict:
     return out
 
 
+SUBCATEGORY_FIELDS = {"A3/Q": QQ, "A3/GF(2)": GF(2)}
+
+
+def subcategory_digests() -> dict:
+    """One sha256 per field of SUBCATEGORY_FIELDS, over the reports of every
+    proper subcategory quotient of C(A_3) at CAPPED.
+
+    The quotients come in itertools.combinations order, by size; each
+    report, without timing_s, is one line of canonical JSON (sorted keys,
+    no spaces), and the digest is of those lines in that order.
+    """
+    out = {}
+    for name, field in SUBCATEGORY_FIELDS.items():
+        A3 = build_cluster_category(3, None, field)
+        digest = hashlib.sha256()
+        for k in range(1, A3.n):
+            for S in itertools.combinations(range(A3.n), k):
+                rep = run_verification(A3, subcat=set(S), budget=CAPPED)
+                rep.pop("timing_s")
+                digest.update(json.dumps(rep, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+        out[name] = digest.hexdigest()
+    return out
+
+
+def test_subcategory_quotients_match_golden():
+    golden = json.loads((GOLDEN_DIR / "subcategories.json").read_text(encoding="utf-8"))
+    assert subcategory_digests() == golden
+
+
 def test_generated_categories_match_golden():
     golden = json.loads((GOLDEN_DIR / "categories.json").read_text(encoding="utf-8"))
     assert category_digests() == golden
@@ -195,3 +229,5 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
         (GOLDEN_DIR / filename).write_text(text, encoding="utf-8")
     text = json.dumps(category_digests(), indent=1, sort_keys=True) + "\n"
     (GOLDEN_DIR / "categories.json").write_text(text, encoding="utf-8")
+    text = json.dumps(subcategory_digests(), indent=1, sort_keys=True) + "\n"
+    (GOLDEN_DIR / "subcategories.json").write_text(text, encoding="utf-8")
