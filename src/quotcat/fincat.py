@@ -64,6 +64,9 @@ class CategoryPresentation:
         self._layouts = {}  # X.mult -> hom_layout(X)
         # one verdict long (clear_verdict_tables): they hold maps of self
         self._epis = {}  # f, or (X, Y) with dim Hom(X, Y) = 1 -> preabelian.is_epi's answer
+        self._monos = {}  # the same keys -> preabelian.is_mono's answer, on a decided side
+        self._socle = None  # on a side scan_properties decided, the sum of the Z_z with S_z in soc Gamma
+        self._every_kernel = {}  # budget.search_fields -> preabelian._has_every_kernel's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
         self._squares = {}  # (c, d, *budget.search_fields) -> preabelian.pullback's LimitSquare
         self._maps = {}  # (source.mult, target.mult, coordinates) -> the one Morphism of that value
@@ -72,8 +75,9 @@ class CategoryPresentation:
         self._singles = tuple(Obj(tuple(int(k == i) for k in range(self.n))) for i in range(self.n))
 
     def clear_verdict_tables(self):
-        """Empty the epi, search and square tables, the kept maps and the
-        identity and basis caches, here and in the opposite if built.
+        """Empty the epi, mono, kernel-decision, search and square tables,
+        the kept maps and the identity and basis caches, and forget the
+        decided socle, here and in the opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
@@ -87,8 +91,10 @@ class CategoryPresentation:
         """
         for P in (self, self._opposite):
             if P is not None:
-                for table in (P._epis, P._searches, P._squares, P._maps, P._identities, P._bases):
+                tables = (P._epis, P._monos, P._every_kernel, P._searches, P._squares, P._maps, P._identities, P._bases)
+                for table in tables:
                     table.clear()
+                P._socle = None
 
     # -- basic queries ------------------------------------------------
 

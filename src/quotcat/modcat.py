@@ -411,21 +411,46 @@ def _projectives_clause(H: HFunctor, budget: Budget):
 
     It runs in the quotient Q, where H lives.  The approximation of x by T's
     summands in Q is the projection of the one in C: the Hom spaces and
-    composites it reads are C's own (see HFunctor).  End dimensions are
-    compared pair by pair over T's summands: dim Hom_Q(T_s, T_t) = dim
-    Hom_C(T_s, T_t) against dim Hom(H T_s, H T_t).  Both sides are additive
-    in each argument, so dim End(T) and dim End(H T) are the same weighted
-    sums of these.  Every pair agrees by Yoneda: H T_s is the projective e_s
-    End(T), and Hom(e_s End(T), H T_t) = Hom(T_s, T_t); so a pair that
-    differs names where the module data is wrong.  FULL has filled these
-    pairs in H's module Hom table; only a pair it did not reach is computed
-    here.
+    composites it reads are C's own (see HFunctor).  For each x, whether the
+    localised image of the approximation p: T_0 -> x is split epi
+    (_fraction_split_epi, a search) is compared with whether x is
+    localised-isomorphic to an object of add T.
+
+    That second answer is one rank where scan_properties decided Q's side
+    and soc Gamma is T's summands, Q._socle having T's support: x is then
+    isomorphic to an object of add T exactly when H(p) is bijective
+    (in_s).  There H(f) is bijective exactly when Hom(Z, f) is, Z the sum
+    of T's summands, which by preabelian._socle_answers' lemma is exactly
+    when f is regular.
+    - (<=) A bijective H(p) makes p regular, so [p] is an isomorphism x ~
+      T_0 of the localisation, and T_0 is in add T.
+    - (=>) H inverts every regular map, so it is defined on the
+      localisation, where [r, f] goes to H(f) H(r)^-1, as h_fraction
+      computes it.  So x ~ W with W in add T gives H(x) ~ H(W), a
+      projective module.  H(p) is onto, as p is an add T-approximation.
+      It is right-minimal: by Yoneda every endomorphism of H(T_0) is H(e)
+      for an e in End(T_0), and H(p) H(e) = H(p) gives p e = p, as H is
+      one to one on Hom(T_0, x) by Yoneda, so e is invertible, p being
+      right-minimal.  So H(p) is a projective cover of the projective
+      H(x), which is bijective.
+    Elsewhere, _iso_to_add_t searches for a roof to some partner in add T.
+
+    End dimensions are compared pair by pair over T's summands: dim
+    Hom_Q(T_s, T_t) = dim Hom_C(T_s, T_t) against dim Hom(H T_s, H T_t).
+    Both sides are additive in each argument, so dim End(T) and dim End(H
+    T) are the same weighted sums of these.  Every pair agrees by Yoneda: H
+    T_s is the projective e_s End(T), and Hom(e_s End(T), H T_t) = Hom(T_s,
+    T_t); so a pair that differs names where the module data is wrong.
+    FULL has filled these pairs in H's module Hom table; only a pair it did
+    not reach is computed here.
     """
     Q = H.P
     tsupp = sorted(H.T.support())
+    by_rank = Q._socle is not None and Q._socle.support() == H.T.support()
     for x in range(Q.n):
-        split = _fraction_split_epi(Q, approximation(Q, tsupp, Q.single(x)), budget)
-        in_add_t = x in tsupp or _iso_to_add_t(Q, x, tsupp, budget)
+        p = approximation(Q, tsupp, Q.single(x))
+        split = _fraction_split_epi(Q, p, budget)
+        in_add_t = x in tsupp or (in_s(H, p) if by_rank else _iso_to_add_t(Q, x, tsupp, budget))
         yield
         if split != in_add_t:
             return f"localised projectivity mismatch at {Q.objects[x]}"

@@ -104,12 +104,17 @@ def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
     multiples of one another, and g o (s f) = s (g o f) with s invertible,
     so they are all epi or all not.  Their answer is kept once, under
     (X, Y), beside each map's own.
+
+    On a side that scan_properties decided, one rank answers epi and mono
+    together (_socle_answers) instead.
     """
     answer = Q._epis.get(f)
     if answer is None:
+        if Q._socle is not None:
+            return _socle_answers(Q, f)[0]
         X, Y = f.source, f.target
         dX, dY = Q.hom_layout(X)[1], Q.hom_layout(Y)[1]
-        line = sum(map(operator.mul, dX, Y.mult)) == 1 and not f.is_zero()
+        line = _on_a_line(Q, f)
         answer = Q._epis.get((X, Y)) if line else None
         if answer is None:
             answer = all(map(operator.le, dY, dX)) and all(
@@ -122,9 +127,65 @@ def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
 
 
 def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
-    """Mono iff epi in the opposite presentation."""
+    """Mono iff epi in the opposite presentation; on a side that
+    scan_properties decided, from the rank that answers epi."""
+    if Q._socle is not None:
+        answer = Q._monos.get(f)
+        return _socle_answers(Q, f)[1] if answer is None else answer
     op = opposite(Q)
     return is_epi(op, op_morphism(op, f))
+
+
+def _on_a_line(P: CategoryPresentation, f: Morphism) -> bool:
+    """Whether f is a nonzero map in a one-dimensional Hom(X, Y), whose
+    nonzero maps are all epi or all not, and all mono or all not (is_epi)."""
+    return sum(map(operator.mul, P.hom_layout(f.source)[1], f.target.mult)) == 1 and not f.is_zero()
+
+
+def _socle_answers(P: CategoryPresentation, f: Morphism) -> tuple:
+    """(epi, mono) of f: X -> Y on a side P that scan_properties decided,
+    from the rank r of Hom(Z, f): Hom(Z, X) -> Hom(Z, Y), Z = P._socle the
+    sum of the Z_z with S_z in soc Gamma: f is epi exactly when r = dim
+    Hom(Z, Y), and mono exactly when r = dim Hom(Z, X).  Both answers are
+    kept, in P._epis and P._monos, per map and per line as is_epi keeps
+    them.
+
+    P is decided when _pullbacks_of_epis_are_epi(P) holds.  Its docstring
+    proves that P is then proj Gamma, Gamma = End(Z_1 + ... + Z_n) with
+    every End(Z_z) = k, that every map of P has a kernel, that the z with
+    S_z in soc Gamma are those it reads off the sink maps, and that the
+    class T = {M : Hom(M, Gamma) = 0} is closed under submodules, so
+    hereditary, as it is always closed under quotients and extensions.
+    Modules are functors on P's indecomposables, and M(z) is Hom(Z_z, -)
+    applied to M.
+    - Mono.  ker Hom(-, f) is Hom(-, K) for K = ker f, a projective
+      module, which is 0 exactly when f is mono.  A nonzero projective is
+      a sum of P_x = Hom(-, Z_x), and its socle holds some S_z, which lies
+      in soc Gamma; then Hom(Z_z, K) = Hom(-, K)(z) contains S_z(z) != 0.
+      So f is mono exactly when Hom(Z, K) = 0, that is when Hom(Z, f) is
+      one to one.
+    - Epi.  f is epi exactly when M = coker Hom(-, f) lies in T (Epis,
+      in that docstring).  S_z lies in T exactly when it is not in soc
+      Gamma, and a hereditary T holds a module exactly when it holds each
+      of its composition factors: T holds every subquotient of a module it
+      holds, and a module is an iterated extension of its composition
+      factors.  As End(Z_z) = k, S_z(z) is one-dimensional and S_w(z) = 0
+      for w != z, so dim M(z) is the multiplicity of S_z in M.  So f is
+      epi exactly when M(z) = 0 for each z in soc Gamma, that is when
+      Hom(Z, f) is onto, M(z) being the cokernel of Hom(Z_z, f).
+    """
+    X, Y = f.source, f.target
+    line = _on_a_line(P, f)
+    if line and (X, Y) in P._monos:
+        epi, mono = P._epis[(X, Y)], P._monos[(X, Y)]
+    else:
+        m = postcompose_matrix(P, f, P._socle)
+        r = m.rank()
+        epi, mono = r == m.nrows, r == m.ncols
+        if line:
+            P._epis[(X, Y)], P._monos[(X, Y)] = epi, mono
+    P._epis[f], P._monos[f] = epi, mono
+    return epi, mono
 
 
 def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
@@ -132,11 +193,11 @@ def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
 
 
 def keep_regular(Q: CategoryPresentation, r: Morphism):
-    """Keep r as epi in Q and its twin as epi in Q^op, where is_regular
-    reads them: for a search witness r whose conditions are exactly
-    is_epi's rank conditions in Q and in Q^op."""
+    """Keep r as epi and mono in Q and its twin as epi in Q^op, where
+    is_regular reads them: for a search witness r whose conditions are
+    exactly is_epi's rank conditions in Q and in Q^op."""
     op = opposite(Q)
-    Q._epis[r] = op._epis[op_morphism(op, r)] = True
+    Q._epis[r] = Q._monos[r] = op._epis[op_morphism(op, r)] = True
 
 
 def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
@@ -449,9 +510,17 @@ def _zero_cokernel(Q: CategoryPresentation, Y: Obj):
 
 
 def kernel(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET):
-    """Kernel of f: the cokernel search in the opposite presentation."""
+    """Kernel of f: the cokernel search in the opposite presentation.
+
+    A mono answer that is_mono keeps on a decided side of Q is handed to
+    the twin's entry in Q^op's epi table, where the cokernel reads it.
+    """
     op = opposite(Q)
-    res = cokernel(op, op_morphism(op, f), budget)
+    twin = op_morphism(op, f)
+    mono = Q._monos.get(f)
+    if mono is not None:
+        op._epis.setdefault(twin, mono)
+    res = cokernel(op, twin, budget)
     if res is None:
         return None
     K, c_op = res
@@ -809,6 +878,25 @@ def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
         return False
 
 
+def _every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
+    """_has_every_kernel(P, budget), asked once per verdict and budget
+    fields: the integrality decision asks it first, and the existence
+    questions of an undecided side's leg clauses read its answer."""
+    key = budget.search_fields
+    answer = P._every_kernel.get(key)
+    if answer is None:
+        answer = P._every_kernel[key] = _has_every_kernel(P, budget)
+    return answer
+
+
+def _socle(P: CategoryPresentation) -> Obj:
+    """The sum of the Z_z with S_z in soc Gamma, for P past the gate of
+    _has_every_kernel: the z with no generator into z, or whose sink map
+    g_z is not epi (_pullbacks_of_epis_are_epi's docstring proves it)."""
+    sinks = dict(_sink_maps(P))
+    return Obj(tuple(int(z not in sinks or not is_epi(P, sinks[z])) for z in range(P.n)))
+
+
 def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
     """Whether every pullback of an epi in P is proven epi, every pair at
     once.  False leaves it undecided: the gate of _has_every_kernel is off,
@@ -866,16 +954,13 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
     reduced echelon form, so a vector of U(w) has its coordinates in U(w)'s
     basis at the pivots.
     """
-    if not _has_every_kernel(P, budget):
+    if not _every_kernel(P, budget):
         return False
     into = {}  # v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)
     for (w, v), bs in P.word_generators.items():
         into.setdefault(v, []).extend((w, b) for b in bs)
     acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
-    sinks = dict(_sink_maps(P))
-    return all(
-        _injective_is_torsion_free(P, into, acts, z) for z in range(P.n) if z not in sinks or not is_epi(P, sinks[z])
-    )
+    return all(_injective_is_torsion_free(P, into, acts, z) for z in _socle(P).copies())
 
 
 def _injective_is_torsion_free(P: CategoryPresentation, into: dict, acts: dict, z: int) -> bool:
@@ -971,9 +1056,10 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
     only of a mono x (_leg_clause proves these are its questions).
 
     Existence holds at once where P has every kernel (_has_every_kernel,
-    decided on first use, so once per call of _leg_answers).  Two rules
-    prove a pair holds without a limit square (proofs in _leg_clause): y
-    is split epi, or y factors through x and ker x exists.  Both ask whether a map g is in the image of f o -: y
+    asked once per verdict through _every_kernel: on a side of a scan, the
+    answer the integrality decision read).  Two rules prove a pair holds
+    without a limit square (proofs in _leg_clause): y is split epi, or y
+    factors through x and ker x exists.  Both ask whether a map g is in the image of f o -: y
     factors through x when y is in x's image, and f is split epi when the
     identity is in its own.  f o - acts on the component of g at each copy
     of its source alone, so g is in the image when each component is in
@@ -990,10 +1076,6 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
     """
     gate = all(P.hom_dim(i, i) == 1 for i in range(P.n))
     units, images, split, exists, answers = {}, {}, {}, {}, {}
-
-    @functools.cache
-    def every_kernel():
-        return _has_every_kernel(P, budget)
 
     def image(f, z):
         im = images.get((f, z))
@@ -1018,7 +1100,7 @@ def _leg_answers(P: CategoryPresentation, budget: Budget):
         return answer
 
     def answer(x, y, epi):
-        if not epi and every_kernel():
+        if not epi and _every_kernel(P, budget):
             return True
         (ux, kx), (uy, ky) = _unit(units, x), _unit(units, y)
         holds = answers.get((ux, uy, epi))
@@ -1137,11 +1219,19 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
     The report carries the morphism family the clauses ran over, including
     the cokernel and kernel maps the preabelian clause found.  Each side, Q
     for the pullback clauses and Q^op for the pushout clauses, is first
-    asked _pullbacks_of_epis_are_epi.  Where that proves every pair holds,
-    each of the side's clauses passes with checked the number of pairs it
-    would ask, up to scan_pairs_cap: the result of _leg_clause whenever its
-    searches stay in budget.  Elsewhere _leg_clause asks the pairs.
+    asked _pullbacks_of_epis_are_epi, before the family is built.  A side
+    it decides keeps _socle(P) in P._socle, so that is_epi and is_mono
+    answer there from one rank (_socle_answers), for the family and for
+    the rest of the verdict.  Where it proves every pair holds, each of the
+    side's clauses passes with checked the number of pairs it would ask, up
+    to scan_pairs_cap: the result of _leg_clause whenever its searches stay
+    in budget.  Elsewhere _leg_clause asks the pairs.
     """
+    op = opposite(Q)
+    for P in (Q, op):
+        P._socle = None  # decided afresh: the sink maps' epis take the Yoneda path
+        if _pullbacks_of_epis_are_epi(P, budget):
+            P._socle = _socle(P)
     fam = build_morphism_family(Q, budget)
     report = PropertyReport(family=fam)
     report.clauses["preabelian"] = run_clause(_preabelian_clause(Q, fam, budget))
@@ -1149,9 +1239,8 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         # the leg clauses need every kernel and cokernel of a basis morphism
         return report
 
-    op = opposite(Q)
     # a side where every pullback of an epi is proven epi needs no pair asked
-    answers = {P: None if _pullbacks_of_epis_are_epi(P, budget) else _leg_answers(P, budget) for P in (Q, op)}
+    answers = {P: None if P._socle is not None else _leg_answers(P, budget) for P in (Q, op)}
     twins = None
     for name, given, prop in (
         ("pullback_cokernel_leg", fam.cokernel_maps, "epi"),

@@ -100,6 +100,42 @@ def test_every_rigid_t_is_decided_on_both_sides(category, step, count):
         assert all(preabelian._pullbacks_of_epis_are_epi(P, DEFAULT_BUDGET) for P in (Q, opposite(Q))), s
 
 
+@pytest.mark.parametrize(
+    "category,step,count",
+    [((3, None, QQ), 1, 44), ((4, "><>", GF(101)), 7, 28)],
+    ids=["A3/Q every rigid T", "A4(><>)/F101 every 7th rigid T"],
+)
+def test_the_socle_is_t_on_q_and_sigma_squared_t_on_q_op(category, step, count):
+    # the z with S_z in soc Gamma, as the decision finds them, are T's
+    # summands on Q's side and those of sigma^2 T on the side of Q^op,
+    # which Hom_C(T, -) = D Hom_C(-, sigma^2 T) in a 2-CY category predicts
+    P = build_cluster_category(*category)
+    supports = all_rigid_supports(P, P.n)[::step]
+    assert len(supports) == count
+    for s in supports:
+        qc = build_quotient(P, P.obj({P.objects[i]: 1 for i in s}))
+        Q = qc.presentation
+        where = {p: q for q, p in enumerate(qc.keep)}
+        sides = {Q: {where[t] for t in s}, opposite(Q): {where[P.sigma[P.sigma[t]]] for t in s}}
+        for R, summands in sides.items():
+            assert preabelian._pullbacks_of_epis_are_epi(R, DEFAULT_BUDGET), s
+            assert preabelian._socle(R).support() == summands, (s, R.metadata)
+
+
+def test_an_undecided_scan_asks_for_every_kernel_once_per_side(monkeypatch):
+    # C(A_3)/add{P1, P2, I2} has every kernel on each side and is decided
+    # on neither, so its leg clauses ask existence questions; they read the
+    # answer the decision asked for, and no side asks twice
+    A3 = build_cluster_category(3)
+    Q = build_quotient(A3, subcat={"P1", "P2", "I2"}).presentation
+    asked = []
+    has_every_kernel = preabelian._has_every_kernel
+    monkeypatch.setattr(preabelian, "_has_every_kernel", lambda P, budget: asked.append(P) or has_every_kernel(P, budget))
+    rep = scan_properties(Q, DEFAULT_BUDGET)
+    assert [c.status for c in rep.clauses.values()].count("fail") > 0
+    assert asked == [Q, opposite(Q)]
+
+
 def test_a_decided_scan_asks_no_pair_and_counts_every_pair_the_loop_asks(monkeypatch):
     # T = P1+P3 of C(A_3) is decided on both sides: no pair is asked and no
     # square is built, and each clause passes with the plain loop's count,
