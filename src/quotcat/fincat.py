@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .errors import MissingSuspension, ShapeError
+from .errors import InternalInconsistency, MissingSuspension, ShapeError
 from .linalg import Field, Matrix, RowSpace, unit_vector, vec_add, vec_is_zero, vec_scale
 
 
@@ -899,7 +899,9 @@ def approximation(P: CategoryPresentation, S, C: Obj) -> Morphism:
     Starts from the tautologically covering map out of the full basis sum
     and walks its copies once, in block order: a copy is deleted when the
     covering rank condition survives without it, and the walk then stays
-    put, since the next copy has moved into its place.
+    put, since the next copy has moved into its place.  A starting map that
+    does not cover means the structure constants are inconsistent, and
+    raises InternalInconsistency, under python -O too.
 
     This is the map of the greedy loop that restarts from copy 0 after each
     deletion.  Covering is monotone: for x in S the image of a o - on
@@ -919,7 +921,8 @@ def approximation(P: CategoryPresentation, S, C: Obj) -> Morphism:
             for t in range(len(C.copies())):
                 blocks[t].append(b.blocks[t][0])
     a = Morphism(P, X0, C, blocks)
-    assert _approx_is_covering(P, S, a)
+    if not _approx_is_covering(P, S, a):
+        raise InternalInconsistency("the map from the Hom bases does not cover its target")
     pos = 0
     while pos < len(a.source.copies()):
         trial = _delete_copy(P, a, pos)

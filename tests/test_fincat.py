@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quotcat import fincat
 from quotcat.clustergen import build_cluster_category
-from quotcat.errors import MissingSuspension, ShapeError
+from quotcat.errors import InternalInconsistency, MissingSuspension, ShapeError
 from quotcat.fincat import (
     CategoryPresentation,
     Morphism,
@@ -348,6 +348,15 @@ def test_approximation_covering(arrow):
     x = arrow.single("x")
     m = postcompose_matrix(arrow, a, x)
     assert m.rank() == arrow.hom_space_dim(x, y)
+
+
+def test_approximation_refuses_a_start_that_does_not_cover(arrow, monkeypatch):
+    # the starting map covers by construction; one that does not means the
+    # data is inconsistent, and approximation raises, under python -O too,
+    # where an assert would be dropped
+    monkeypatch.setattr(fincat, "_approx_is_covering", lambda P, S, a: False)
+    with pytest.raises(InternalInconsistency, match="does not cover"):
+        approximation(arrow, {"x"}, arrow.single("y"))
 
 
 def _restarting_approximation(P, S, C):
