@@ -11,6 +11,7 @@ checked here with exact linear algebra.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -43,7 +44,7 @@ from .preabelian import (
     multiplicities,
     run_clause,
     search_open_conditions,
-    solve_on_basis,
+    socle_condition,
 )
 from .quotient import QuotientCategory, build_quotient
 
@@ -126,8 +127,10 @@ class HFunctor:
       positions and copy_actions of module(qc.lift_obj(X)) built on C.
 
     An HFunctor lives for one verdict, and so do its tables: H of each map,
-    the dimension of each module Hom space, and FULL's kept roofs
-    (realize_module_map says what those hold).  None goes on a presentation.
+    the inverse of H of each denominator, the row space preimage reduces in
+    per Hom pair, the dimension of each module Hom space, and FULL's kept
+    roofs (realize_module_map says what those hold).  None goes on a
+    presentation.
     """
 
     def __init__(self, P: CategoryPresentation, T: Obj):
@@ -135,6 +138,8 @@ class HFunctor:
         self.T = T
         self._modules: dict[tuple, GammaModule] = {}
         self._matrices: dict[Morphism, Matrix] = {}
+        self._inverses: dict[Morphism, Matrix | None] = {}  # r -> H(r)^-1, None where H(r) is not invertible
+        self._preimages: dict[tuple, RowSpace] = {}  # (X.mult, Y.mult) -> the rows [H(b_a) | e_a]
         self._hom_dims: dict[tuple, int] = {}  # (X, Y) -> dim of module_maps(X, Y)
         self._roofs: dict[tuple, tuple] = {}  # (x, *budget.search_fields) -> realize_module_map's (A_x, r_x)
 
@@ -172,11 +177,34 @@ class HFunctor:
 
     def preimage(self, X: Obj, Y: Obj, phi: Matrix) -> Morphism | None:
         """Some f in Hom(X, Y) with H(f) = phi, or None when phi is not in
-        H's image: a solve over the columns H(b), b running over the unit
-        basis of Hom(X, Y)."""
-        want = _flat(phi)
-        m = Matrix.from_columns(self.P.field, len(want), self.images(X, Y))
-        return solve_on_basis(self.P, X, Y, m, want)
+        H's image, from one reduction.
+
+        The rows [H(b_a) | e_a], b_a running over the unit basis of Hom(X,
+        Y), are kept in echelon form per pair.  Reducing [phi | 0] leaves
+        [phi - sum c_a H(b_a) | -c] with zeros at every pivot.  The pivots
+        in the first part are those of the span of the H(b_a), so that
+        part is phi's canonical representative modulo H's image, 0 exactly
+        when phi is in it, and then f = sum c_a b_a.  Where FAITHFUL holds
+        the H(b_a) are independent, so f is the one preimage.
+        """
+        P, want = self.P, _flat(phi)
+        space = self._preimages.get((X.mult, Y.mult))
+        if space is None:
+            images = self.images(X, Y)
+            units = Matrix.identity(P.field, len(images)).data
+            space = RowSpace.from_rows(P.field, len(want) + len(images), map(operator.add, images, units))
+            self._preimages[(X.mult, Y.mult)] = space
+        rest = space.reduce(want + [P.field.zero] * (space.width - len(want)))
+        if any(rest[: len(want)]):
+            return None
+        return Morphism.from_coords(P, X, Y, [P.field.neg(c) for c in rest[len(want) :]])
+
+    def inverse(self, r: Morphism) -> Matrix | None:
+        """H(r)^-1, or None where H(r) is not invertible; computed once per
+        map r for h_fraction."""
+        if r not in self._inverses:
+            self._inverses[r] = self.mor_matrix(r).inverse()
+        return self._inverses[r]
 
 
 def in_s(H: HFunctor, f: Morphism) -> bool:
@@ -187,7 +215,7 @@ def in_s(H: HFunctor, f: Morphism) -> bool:
 
 def h_fraction(H: HFunctor, F) -> Matrix:
     """H(numerator) o H(denominator)^{-1}."""
-    inv = H.mor_matrix(F.denom).inverse()
+    inv = H.inverse(F.denom)
     if inv is None:
         raise NotInS("fraction denominator is not inverted by Hom(T, -)")
     return H.mor_matrix(F.num) * inv
@@ -202,12 +230,16 @@ def module_hom_space(M: GammaModule, N: GammaModule) -> list[Matrix]:
     the blocks solve one intertwiner system whose vertices are T's copies,
     and the basis is the one intertwiners gives for it.  For indecomposable
     X and Y the unknowns of the blocks are the row-major entries of Phi, so
-    that basis is the one kernel_basis gives for the flat system.
+    that basis is the one kernel_basis gives for the flat system.  Where no
+    copy of T meets both modules, every block is empty and the basis is
+    empty, so no system is built.
     """
     f = M.P.field
-    relations = [(t, s, a, b) for (t, s, a), (_, _, b) in zip(M.copy_actions, N.copy_actions)]
     src = [len(cols) for cols in M.positions]
     tgt = [len(rows) for rows in N.positions]
+    if not any(map(operator.mul, src, tgt)):
+        return []
+    relations = [(t, s, a, b) for (t, s, a), (_, _, b) in zip(M.copy_actions, N.copy_actions)]
     # entries[u] is the (row, column) of Phi that unknown u of the block system is
     entries = [(r, c) for rows, cols in zip(N.positions, M.positions) for r in rows for c in cols]
     out = []
@@ -258,8 +290,13 @@ def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[Ra
     """Rank conditions under which leg(m): A -> X is regular (epi and mono).
 
     leg must be linear in the searched morphism m; it is built once per
-    tried m.  Mono is epi in the opposite presentation.
+    tried m.  On Q's side decided by scan_properties, one rank answers
+    both (socle_condition).  Elsewhere they are is_epi's Yoneda conditions
+    in Q and in Q^op, where mono is epi.  Either way a tried m meets them
+    exactly when leg(m) is regular.
     """
+    if Q._socle is not None:
+        return [socle_condition(Q, leg, A, X)]
     op = opposite(Q)
     g = last_one(leg)
     return epi_conditions(Q, g, X) + epi_conditions(op, lambda m: op_morphism(op, g(m)), A)

@@ -150,12 +150,13 @@ def _socle_answers(P: CategoryPresentation, f: Morphism) -> tuple:
     kept, in P._epis and P._monos, per map and per line as is_epi keeps
     them.
 
-    P is decided when _pullbacks_of_epis_are_epi(P) holds.  Its docstring
-    proves that P is then proj Gamma, Gamma = End(Z_1 + ... + Z_n) with
-    every End(Z_z) = k, that every map of P has a kernel, that the z with
-    S_z in soc Gamma are those it reads off the sink maps, and that the
-    class T = {M : Hom(M, Gamma) = 0} is closed under submodules, so
-    hereditary, as it is always closed under quotients and extensions.
+    P is decided when _pullbacks_of_epis_are_epi(P) hands back the socle
+    that P._socle keeps.  Its docstring proves that P is then proj Gamma,
+    Gamma = End(Z_1 + ... + Z_n) with every End(Z_z) = k, that every map
+    of P has a kernel, that the z with S_z in soc Gamma are those it reads
+    off the sink maps, and that the class T = {M : Hom(M, Gamma) = 0} is
+    closed under submodules, so hereditary, as it is always closed under
+    quotients and extensions.
     Modules are functors on P's indecomposables, and M(z) is Hom(Z_z, -)
     applied to M.
     - Mono.  ker Hom(-, f) is Hom(-, K) for K = ker f, a projective
@@ -278,6 +279,26 @@ def epi_conditions(Q: CategoryPresentation, leg, X: Obj) -> list[RankCondition]:
     """
     pre = last_one(lambda m: precompose_matrices(Q, leg(m)))
     return [RankCondition(lambda m, z=z: pre(m)[z], d) for z, d in enumerate(Q.hom_layout(X)[1]) if d]
+
+
+def socle_condition(P: CategoryPresentation, leg, A: Obj, X: Obj) -> RankCondition:
+    """The one rank condition under which leg(m): A -> X is regular, on a
+    side P that scan_properties decided: rank Hom(Z, leg(m)) >= max(dim
+    Hom(Z, A), dim Hom(Z, X)), Z = P._socle.  The rank is at most the
+    smaller dimension, so the condition asks that Hom(Z, leg(m)) be
+    bijective, which _socle_answers proves is epi and mono.  leg must be
+    linear in the searched m.
+
+    It holds on exactly the maps where is_epi's Yoneda conditions on leg(m)
+    in P and in P^op all hold, so a search's random phase returns the same
+    try.  Its grids are smaller: over F_p the first witness in
+    lexicographic order is the same, as the joint grid argument of
+    search_open_conditions shows for both, and the shape test certifies
+    every source with dim Hom(Z, A) != dim Hom(Z, X).
+    """
+    Z = P._socle
+    required = max(P.hom_space_dim(Z, A), P.hom_space_dim(Z, X))
+    return RankCondition(lambda m: postcompose_matrix(P, leg(m), Z), required)
 
 
 def search_open_conditions(
@@ -637,6 +658,15 @@ class Factorisation:
 
 
 def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEFAULT_BUDGET) -> Factorisation:
+    """f = v o ftilde o u: w with w o u = f, then ftilde with v o ftilde = w.
+
+    u is epi and v mono, so w and ftilde are unique.  Where u is 1_X, which
+    cokernel gives for the zero kernel inclusion of a mono f, w is f; where
+    v is 1_Y, which kernel gives for the zero cokernel map of an epi f,
+    ftilde is w.  Each is then the answer the solve would give, with no
+    solve.  The recomposition is checked either way.
+    """
+
     def found(res, error, message):
         if res is None:
             raise error(message)
@@ -646,10 +676,10 @@ def coim_im_factorise(Q: CategoryPresentation, f: Morphism, budget: Budget = DEF
     ck = found(cokernel(Q, f, budget), NoCokernel, "morphism has no cokernel")[1]
     Coim, u = found(cokernel(Q, kj, budget), NoCokernel, "kernel inclusion has no cokernel")
     Im, v = found(kernel(Q, ck, budget), NoKernel, "cokernel map has no kernel")
-    w = factors_through_map(Q, f, u)
+    w = f if u is Q.identity(f.source) else factors_through_map(Q, f, u)
     if w is None:
         raise InternalInconsistency("f does not factor through its coimage")
-    ftilde = lifts_through_epi(Q, w, v)
+    ftilde = w if v is Q.identity(f.target) else lifts_through_epi(Q, w, v)
     if ftilde is None:
         raise InternalInconsistency("coimage map does not factor through the image")
     if compose(Q, v, compose(Q, ftilde, u)) != f:
@@ -696,11 +726,9 @@ def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDG
                 items.extend(Q.hom_basis(X, Y))
             for _ in range(budget.scan_random_per_pair):
                 vec = [Q.field.of(rng.randint(-2, 2)) for _ in range(d)]
-                items.append(Morphism.from_vector(Q, X, Y, vec))
-            for m in items:
-                if m.is_zero():
-                    continue
-                fam.all.append(m)
+                if any(vec):  # a zero draw is no map of the family
+                    items.append(Morphism.from_coords(Q, X, Y, vec))
+            fam.all.extend(items)
     for i in range(Q.n):
         fam.all.append(Q.identity(Q.single(i)))
     for m in fam.all:
@@ -799,11 +827,11 @@ def _leg_pairs(given, others):
     return ((x, y) for x in given for y in partners.get(x.target, ()))
 
 
-def _leg_pair_count(given, others, meet: str, cap: int) -> int:
+def _leg_pair_count(given, per_end: collections.Counter, meet: str, cap: int) -> int:
     """How many pairs itertools.islice(_leg_pairs(given, others), cap)
     yields, meet "target"; with meet "source", how many it yields on the
-    twins of given and others in Q^op."""
-    per_end = collections.Counter(getattr(y, meet) for y in others)
+    twins of given and others in Q^op.  per_end counts others by their
+    meet end, so one count serves every clause that meets the same way."""
     return min(cap, sum(per_end[getattr(x, meet)] for x in given))
 
 
@@ -881,11 +909,25 @@ def _has_every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
 def _every_kernel(P: CategoryPresentation, budget: Budget) -> bool:
     """_has_every_kernel(P, budget), asked once per verdict and budget
     fields: the integrality decision asks it first, and the existence
-    questions of an undecided side's leg clauses read its answer."""
+    questions of an undecided side's leg clauses read its answer.
+
+    Where the opposite side already holds True, so does P, with no sink
+    map searched.  True there passed the gate, which reads only End
+    dimensions and composites w -> z -> w, so it holds on both sides, and
+    proved gl.dim Gamma <= 2 for the opposite's Gamma (_has_every_kernel's
+    docstring).  P is then proj Gamma^op: Hom_Gamma(-, Gamma) turns proj
+    Gamma into proj Gamma^op, contravariantly.  A finite-dimensional
+    algebra has the same global dimension on the left and on the right
+    (Auslander, "On the dimension of modules and algebras III", 1955), so
+    gl.dim Gamma^op <= 2, and _has_every_kernel(P) would pass the gate and
+    find every sink-map kernel.  False is not handed over: it may be a
+    search out of budget.
+    """
     key = budget.search_fields
     answer = P._every_kernel.get(key)
     if answer is None:
-        answer = P._every_kernel[key] = _has_every_kernel(P, budget)
+        held = None if P._opposite is None else P._opposite._every_kernel.get(key)
+        answer = P._every_kernel[key] = held or _has_every_kernel(P, budget)
     return answer
 
 
@@ -897,10 +939,12 @@ def _socle(P: CategoryPresentation) -> Obj:
     return Obj(tuple(int(z not in sinks or not is_epi(P, sinks[z])) for z in range(P.n)))
 
 
-def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
-    """Whether every pullback of an epi in P is proven epi, every pair at
-    once.  False leaves it undecided: the gate of _has_every_kernel is off,
-    a sink-map search ran out of budget, or some t(I_z) below is not 0.
+def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj | None:
+    """_socle(P) where every pullback of an epi in P is proven epi, every
+    pair at once, else None.  None leaves it undecided: the gate of
+    _has_every_kernel is off, a sink-map search ran out of budget, or some
+    t(I_z) below is not 0.  The socle found is handed back, so a caller
+    that keeps it does not compute it again.
 
     Where _has_every_kernel(P) holds, P is proj Gamma, Gamma = End(Z_1 +
     ... + Z_n), and gl.dim Gamma <= 2 (its docstring proves both).  A module
@@ -945,9 +989,9 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
       exactly when t(I_z)(z) = 0: z passes once U(z) = 0, which one map U
       -> P_x that is not 0 on U(z) shows, and the side is undecided when U
       stops falling with U(z) != 0.
-    True thus proves that every question a leg clause asks on P holds: the
-    epi question, asked of an epi x (_leg_clause), by the legs above, and
-    existence, asked of a mono x, as every kernel exists.
+    A socle handed back thus proves that every question a leg clause asks
+    on P holds: the epi question, asked of an epi x (_leg_clause), by the
+    legs above, and existence, asked of a mono x, as every kernel exists.
 
     I_z(w) is Hom(Z_z, Z_w)*, on which g: w -> v acts as the transpose of
     h -> g h, and P_x(g) is h -> h g; comp gives both.  U(w) is kept in
@@ -955,12 +999,13 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> bool:
     basis at the pivots.
     """
     if not _every_kernel(P, budget):
-        return False
+        return None
     into = {}  # v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)
     for (w, v), bs in P.word_generators.items():
         into.setdefault(v, []).extend((w, b) for b in bs)
     acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
-    return all(_injective_is_torsion_free(P, into, acts, z) for z in _socle(P).copies())
+    socle = _socle(P)
+    return socle if all(_injective_is_torsion_free(P, into, acts, z) for z in socle.copies()) else None
 
 
 def _injective_is_torsion_free(P: CategoryPresentation, into: dict, acts: dict, z: int) -> bool:
@@ -1220,18 +1265,18 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
     the cokernel and kernel maps the preabelian clause found.  Each side, Q
     for the pullback clauses and Q^op for the pushout clauses, is first
     asked _pullbacks_of_epis_are_epi, before the family is built.  A side
-    it decides keeps _socle(P) in P._socle, so that is_epi and is_mono
-    answer there from one rank (_socle_answers), for the family and for
-    the rest of the verdict.  Where it proves every pair holds, each of the
-    side's clauses passes with checked the number of pairs it would ask, up
-    to scan_pairs_cap: the result of _leg_clause whenever its searches stay
-    in budget.  Elsewhere _leg_clause asks the pairs.
+    it decides keeps the socle it hands back in P._socle, so that is_epi
+    and is_mono answer there from one rank (_socle_answers), for the
+    family and for the rest of the verdict.  Where it proves every pair
+    holds, each of the side's clauses passes with checked the number of
+    pairs it would ask, up to scan_pairs_cap: the result of _leg_clause
+    whenever its searches stay in budget.  Elsewhere _leg_clause asks the
+    pairs.
     """
     op = opposite(Q)
     for P in (Q, op):
         P._socle = None  # decided afresh: the sink maps' epis take the Yoneda path
-        if _pullbacks_of_epis_are_epi(P, budget):
-            P._socle = _socle(P)
+        P._socle = _pullbacks_of_epis_are_epi(P, budget)
     fam = build_morphism_family(Q, budget)
     report = PropertyReport(family=fam)
     report.clauses["preabelian"] = run_clause(_preabelian_clause(Q, fam, budget))
@@ -1241,6 +1286,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
 
     # a side where every pullback of an epi is proven epi needs no pair asked
     answers = {P: None if P._socle is not None else _leg_answers(P, budget) for P in (Q, op)}
+    per_end = {meet: collections.Counter(getattr(y, meet) for y in fam.all) for meet in ("target", "source")}
     twins = None
     for name, given, prop in (
         ("pullback_cokernel_leg", fam.cokernel_maps, "epi"),
@@ -1255,7 +1301,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
         P, meet = (Q, "target") if name.startswith("pullback") else (op, "source")
         if answers[P] is None:
             # every pair holds; count those _leg_clause would ask
-            report.clauses[name] = ClauseResult("pass", _leg_pair_count(given, fam.all, meet, budget.scan_pairs_cap))
+            report.clauses[name] = ClauseResult("pass", _leg_pair_count(given, per_end[meet], meet, budget.scan_pairs_cap))
             continue
         if P is Q:
             body = _leg_clause(Q, Q, answers[Q], given, fam.all, prop, budget)

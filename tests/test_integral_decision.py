@@ -125,7 +125,9 @@ def test_the_socle_is_t_on_q_and_sigma_squared_t_on_q_op(category, step, count):
 def test_an_undecided_scan_asks_for_every_kernel_once_per_side(monkeypatch):
     # C(A_3)/add{P1, P2, I2} has every kernel on each side and is decided
     # on neither, so its leg clauses ask existence questions; they read the
-    # answer the decision asked for, and no side asks twice
+    # answer the decision asked for, and no side asks twice.  Q's True is
+    # Q^op's too (gl.dim Gamma = gl.dim Gamma^op), so only Q is asked, and
+    # the answer Q^op reads is the one a direct decision gives
     A3 = build_cluster_category(3)
     Q = build_quotient(A3, subcat={"P1", "P2", "I2"}).presentation
     asked = []
@@ -133,7 +135,25 @@ def test_an_undecided_scan_asks_for_every_kernel_once_per_side(monkeypatch):
     monkeypatch.setattr(preabelian, "_has_every_kernel", lambda P, budget: asked.append(P) or has_every_kernel(P, budget))
     rep = scan_properties(Q, DEFAULT_BUDGET)
     assert [c.status for c in rep.clauses.values()].count("fail") > 0
-    assert asked == [Q, opposite(Q)]
+    assert asked == [Q]
+    op = opposite(Q)
+    assert op._every_kernel[DEFAULT_BUDGET.search_fields] is True
+    assert has_every_kernel(op, DEFAULT_BUDGET)
+
+
+def test_a_decided_scan_finds_each_socle_once(monkeypatch):
+    # T = P1+P3 of C(A_3) is decided on both sides; the decision hands back
+    # the socle it found, and the scan keeps that one, so each side makes
+    # one _socle pass
+    A3 = build_cluster_category(3)
+    Q = build_quotient(A3, A3.obj({"P1": 1, "P3": 1})).presentation
+    found = []
+    socle = preabelian._socle
+    monkeypatch.setattr(preabelian, "_socle", lambda P: found.append(P) or socle(P))
+    scan_properties(Q, DEFAULT_BUDGET)
+    op = opposite(Q)
+    assert found == [Q, op]
+    assert Q._socle is not None and op._socle is not None
 
 
 def test_a_decided_scan_asks_no_pair_and_counts_every_pair_the_loop_asks(monkeypatch):
