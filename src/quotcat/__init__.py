@@ -58,8 +58,6 @@ from .preabelian import (
     cokernel,
     is_epi,
     is_mono,
-    is_projective_object,
-    is_injective_object,
     is_regular,
     kernel,
     pullback,

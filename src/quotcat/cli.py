@@ -2,8 +2,8 @@
 
 Subcommands: generate, verify, cotorsion, fraction.  Exit codes: 0 when all
 clauses pass, 1 on a theorem-clause failure, 2 on usage or data errors
-(including malformed category files and budgets), 3 when no clause failed
-but some ran out of budget.
+(including malformed category files and budgets, and inputs too large to
+build in memory), 3 when no clause failed but some ran out of budget.
 Budgets come from an optional JSON config file (QUOTCAT_CONFIG or --config)
 overridden by flags.
 
@@ -252,7 +252,7 @@ def cmd_fraction(args) -> int:
     for expr in args.expressions:
         try:
             print(evaluate_fraction_expression(Q, expr, budget))
-        except (BoundsExceeded, ShapeError, NotRegular, NoKernel, NoCokernel) as e:
+        except (BoundsExceeded, ShapeError, NotRegular, NoKernel, NoCokernel, MemoryError) as e:
             status = max(status, _failure(e), key=_SEVERITY.index)
     return status
 
@@ -310,10 +310,14 @@ def _budget_flags(p):
 
 def _failure(e: Exception) -> int:
     """Print e as one stderr line and return its exit code: 3 when out of
-    budget, 2 for usage and data errors, 1 for any other library error."""
+    budget, 2 for usage and data errors and for an input too large to build
+    in memory, 1 for any other library error."""
     if isinstance(e, BoundsExceeded):
         print(f"bounds exceeded: {e}", file=sys.stderr)
         return EXIT_BOUNDS
+    if isinstance(e, MemoryError):
+        print("error: out of memory: the input is too large to build", file=sys.stderr)
+        return EXIT_USAGE
     print(f"error: {e}", file=sys.stderr)
     usage = (GenerationError, ShapeError, MissingSuspension, OSError, ValueError)
     return EXIT_USAGE if isinstance(e, usage) else EXIT_CLAUSE_FAIL
@@ -324,7 +328,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (QuotcatError, OSError, ValueError) as e:
+    except (QuotcatError, OSError, ValueError, MemoryError) as e:
         return _failure(e)
 
 

@@ -60,11 +60,11 @@ class CategoryPresentation:
         self.metadata = dict(metadata or {})
         self._opposite = None
         self._multiplicities = {}  # cokernel targets -> the candidate Objs of preabelian.cokernel
-        self._leg_sources = {}  # leg targets' multiplicities -> modcat._leg_sources' Objs
+        self._leg_sources = {}  # X.mult -> modcat._leg_sources' Objs
         self._layouts = {}  # X.mult -> hom_layout(X)
         # one verdict long (clear_verdict_tables): they hold maps of self
-        self._epis = {}  # f, or (X, Y) with dim Hom(X, Y) = 1 -> preabelian.is_epi's answer
-        self._monos = {}  # the same keys -> preabelian.is_mono's answer, on a decided side
+        self._epis = {}  # f -> preabelian.is_epi's answer
+        self._monos = {}  # f -> preabelian.is_mono's answer, on a decided side
         self._socle = None  # on a side scan_properties decided, the sum of the Z_z with S_z in soc Gamma
         self._every_kernel = {}  # budget.search_fields -> preabelian._has_every_kernel's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult

@@ -27,7 +27,6 @@ from .fincat import (
     opposite,
     postcompose_matrix,
     precompose_matrices,
-    split_rows,
     structure_constants,
 )
 from .linalg import Matrix, RowSpace, intertwiners
@@ -39,7 +38,6 @@ from .preabelian import (
     RankCondition,
     SearchResult,
     epi_conditions,
-    keep_regular,
     last_one,
     multiplicities,
     run_clause,
@@ -127,10 +125,9 @@ class HFunctor:
       positions and copy_actions of module(qc.lift_obj(X)) built on C.
 
     An HFunctor lives for one verdict, and so do its tables: H of each map,
-    the inverse of H of each denominator, the row space preimage reduces in
-    per Hom pair, the dimension of each module Hom space, and FULL's kept
-    roofs (realize_module_map says what those hold).  None goes on a
-    presentation.
+    the inverse of H of each denominator, the dimension of each module Hom
+    space, and FULL's kept roofs (realize_module_map says what those
+    hold).  None goes on a presentation.
     """
 
     def __init__(self, P: CategoryPresentation, T: Obj):
@@ -139,7 +136,6 @@ class HFunctor:
         self._modules: dict[tuple, GammaModule] = {}
         self._matrices: dict[Morphism, Matrix] = {}
         self._inverses: dict[Morphism, Matrix | None] = {}  # r -> H(r)^-1, None where H(r) is not invertible
-        self._preimages: dict[tuple, RowSpace] = {}  # (X.mult, Y.mult) -> the rows [H(b_a) | e_a]
         self._hom_dims: dict[tuple, int] = {}  # (X, Y) -> dim of module_maps(X, Y)
         self._roofs: dict[tuple, tuple] = {}  # (x, *budget.search_fields) -> realize_module_map's (A_x, r_x)
 
@@ -180,7 +176,7 @@ class HFunctor:
         H's image, from one reduction.
 
         The rows [H(b_a) | e_a], b_a running over the unit basis of Hom(X,
-        Y), are kept in echelon form per pair.  Reducing [phi | 0] leaves
+        Y), are put in echelon form.  Reducing [phi | 0] leaves
         [phi - sum c_a H(b_a) | -c] with zeros at every pivot.  The pivots
         in the first part are those of the span of the H(b_a), so that
         part is phi's canonical representative modulo H's image, 0 exactly
@@ -188,12 +184,9 @@ class HFunctor:
         the H(b_a) are independent, so f is the one preimage.
         """
         P, want = self.P, _flat(phi)
-        space = self._preimages.get((X.mult, Y.mult))
-        if space is None:
-            images = self.images(X, Y)
-            units = Matrix.identity(P.field, len(images)).data
-            space = RowSpace.from_rows(P.field, len(want) + len(images), map(operator.add, images, units))
-            self._preimages[(X.mult, Y.mult)] = space
+        images = self.images(X, Y)
+        units = Matrix.identity(P.field, len(images)).data
+        space = RowSpace.from_rows(P.field, len(want) + len(images), map(operator.add, images, units))
         rest = space.reduce(want + [P.field.zero] * (space.width - len(want)))
         if any(rest[: len(want)]):
             return None
@@ -263,26 +256,22 @@ def _flat(m: Matrix) -> list:
     return [a for row in m.data for a in row]
 
 
-def _leg_sources(Q: CategoryPresentation, targets: list[Obj]) -> list[Obj]:
-    """Each A from which a map into every X in targets can be regular as far
-    as dimensions go.
+def _leg_sources(Q: CategoryPresentation, X: Obj) -> list[Obj]:
+    """Each A from which a map into X can be regular as far as dimensions
+    go.
 
     Epi needs dim Hom(A, Z) >= dim Hom(X, Z) and mono needs dim Hom(Z, A) <=
     dim Hom(Z, X) for every Z: exactly the sources that the shape test of
     search_open_conditions does not certify empty.  dim Hom(X, -) is X's
-    hom_layout row in Q and dim Hom(-, X) its row in Q^op, so the floor and
-    the ceiling are their entrywise max and min over the targets.  The list
-    depends on Q and the targets only, so it is enumerated once per target
-    list and kept on Q.
+    hom_layout row in Q, the floor, and dim Hom(-, X) its row in Q^op, the
+    ceiling.  The list depends on Q and X only, so it is enumerated once
+    per X and kept on Q.
     """
-    key = tuple(X.mult for X in targets)
-    sources = Q._leg_sources.get(key)
+    sources = Q._leg_sources.get(X.mult)
     if sources is None:
         op = opposite(Q)
-        floor = [max(col) for col in zip(*(Q.hom_layout(X)[1] for X in targets))]
-        ceiling = [min(col) for col in zip(*(op.hom_layout(X)[1] for X in targets))]
-        mults = multiplicities(Q._dim, floor, op._dim, ceiling)
-        sources = Q._leg_sources[key] = [Obj(mult) for mult in mults]
+        mults = multiplicities(Q._dim, Q.hom_layout(X)[1], op._dim, op.hom_layout(X)[1])
+        sources = Q._leg_sources[X.mult] = [Obj(mult) for mult in mults]
     return sources
 
 
@@ -302,25 +291,21 @@ def _regular_conditions(Q: CategoryPresentation, leg, A: Obj, X: Obj) -> list[Ra
     return epi_conditions(Q, g, X) + epi_conditions(op, lambda m: op_morphism(op, g(m)), A)
 
 
-def _regular_roofs(Q: CategoryPresentation, targets, space, legs, budget: Budget, salt: str):
-    """(A, h) for each leg source A of targets whose search finds h.
+def _regular_roofs(Q: CategoryPresentation, X: Obj, space, leg, budget: Budget, salt: str):
+    """(A, h) for each leg source A of X whose search finds h.
 
-    h is searched in space(A), a list of morphisms out of A, so that each
-    legs[k](h): A -> targets[k] is regular; every leg must be linear in h.
-    The search for A is seeded by f"{salt}:{A.mult}", so a skipped source
-    changes no other witness.  A witness's legs meet exactly is_epi's rank
-    conditions in Q and in Q^op, so keep_regular keeps each.
+    h is searched in space(A), a list of morphisms out of A, so that leg(h):
+    A -> X is regular; leg must be linear in h.  The search for A is seeded
+    by f"{salt}:{A.mult}", so a skipped source changes no other witness.
     """
-    for A in _leg_sources(Q, targets):
+    for A in _leg_sources(Q, X):
         subspace = space(A)
         if not subspace:
             continue
-        conditions = [c for leg, X in zip(legs, targets) for c in _regular_conditions(Q, leg, A, X)]
+        conditions = _regular_conditions(Q, leg, A, X)
         vecs = [b.to_vector() for b in subspace]
         res = search_open_conditions(Q, A, subspace[0].target, vecs, conditions, budget, salt=f"{salt}:{A.mult}")
         if res.status == SearchResult.FOUND:
-            for leg in legs:
-                keep_regular(Q, leg(res.witness))
             yield A, res.witness
 
 
@@ -363,7 +348,7 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
         key = (x, *budget.search_fields)
         roof = H._roofs.get(key)
         if roof is None:
-            roof = next(_regular_roofs(Q, [X], lambda A: Q.hom_basis(A, X), [lambda r: r], budget, salt), None)
+            roof = next(_regular_roofs(Q, X, lambda A: Q.hom_basis(A, X), lambda r: r, budget, salt), None)
             if roof is None:
                 return None
             H._roofs[key] = roof
@@ -385,7 +370,7 @@ def realize_module_map(H: HFunctor, x: int, y: int, phi: Matrix, budget: Budget 
         proj = RowSpace.from_rows(field, len(cols), [v[: len(cols)] for v in mat.kernel_basis()])
         return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
-    for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, salt):
+    for A, r in _regular_roofs(Q, X, denominators, lambda r: r, budget, salt):
         f = H.preimage(A, Y, phi * H.mor_matrix(r))
         if f is None:
             continue
@@ -453,24 +438,25 @@ def _projectives_clause(H: HFunctor, budget: Budget):
     (_fraction_split_epi, a search) is compared with whether x is
     localised-isomorphic to an object of add T.
 
-    That second answer is one rank where scan_properties decided Q's side
-    and soc Gamma is T's summands, Q._socle having T's support: x is then
-    isomorphic to an object of add T exactly when H(p) is bijective
-    (in_s).  There H(f) is bijective exactly when Hom(Z, f) is, Z the sum
-    of T's summands, which by preabelian._socle_answers' lemma is exactly
-    when f is regular.
-    - (<=) A bijective H(p) makes p regular, so [p] is an isomorphism x ~
-      T_0 of the localisation, and T_0 is in add T.
-    - (=>) H inverts every regular map, so it is defined on the
-      localisation, where [r, f] goes to H(f) H(r)^-1, as h_fraction
-      computes it.  So x ~ W with W in add T gives H(x) ~ H(W), a
-      projective module.  H(p) is onto, as p is an add T-approximation.
-      It is right-minimal: by Yoneda every endomorphism of H(T_0) is H(e)
-      for an e in End(T_0), and H(p) H(e) = H(p) gives p e = p, as H is
-      one to one on Hom(T_0, x) by Yoneda, so e is invertible, p being
-      right-minimal.  So H(p) is a projective cover of the projective
-      H(x), which is bijective.
-    Elsewhere, _iso_to_add_t searches for a roof to some partner in add T.
+    That second answer is one rank: x is isomorphic to an object of add T
+    exactly when H(p) is bijective (in_s).
+    - (<=) Where FAITHFUL holds, a bijective H(p) makes p epi and mono:
+      g p = 0 gives H(g) H(p) = 0, so H(g) = 0 and g = 0, and likewise on
+      the other side.  So p is regular, [p] is an isomorphism x ~ T_0 of
+      the localisation, and T_0 is in add T.
+    - (=>) Let H be defined on the localisation, [r, f] going to H(f)
+      H(r)^-1 as h_fraction computes it, which needs H to invert every
+      regular map.  Where scan_properties decided Q's side and soc Gamma
+      is T's summands, Q._socle having T's support, this holds: H(f) is
+      bijective exactly when Hom(Z, f) is, Z the sum of T's summands,
+      which by preabelian._socle_answers' lemma is exactly when f is
+      regular.  Elsewhere it is the premise FULL's h_fraction reads too.
+      Then x ~ W with W in add T gives H(x) ~ H(W), a projective module.
+      H(p) is onto, as p is an add T-approximation.  It is right-minimal:
+      by Yoneda every endomorphism of H(T_0) is H(e) for an e in End(T_0),
+      and H(p) H(e) = H(p) gives p e = p, as H is one to one on Hom(T_0,
+      x) by Yoneda, so e is invertible, p being right-minimal.  So H(p) is
+      a projective cover of the projective H(x), which is bijective.
 
     End dimensions are compared pair by pair over T's summands: dim
     Hom_Q(T_s, T_t) = dim Hom_C(T_s, T_t) against dim Hom(H T_s, H T_t).
@@ -483,11 +469,10 @@ def _projectives_clause(H: HFunctor, budget: Budget):
     """
     Q = H.P
     tsupp = sorted(H.T.support())
-    by_rank = Q._socle is not None and Q._socle.support() == H.T.support()
     for x in range(Q.n):
         p = approximation(Q, tsupp, Q.single(x))
         split = _fraction_split_epi(Q, p, budget)
-        in_add_t = x in tsupp or (in_s(H, p) if by_rank else _iso_to_add_t(Q, x, tsupp, budget))
+        in_add_t = x in tsupp or in_s(H, p)
         yield
         if split != in_add_t:
             return f"localised projectivity mismatch at {Q.objects[x]}"
@@ -532,33 +517,6 @@ def _fraction_split_epi(Q: CategoryPresentation, qa: Morphism, budget: Budget) -
     """
     X = qa.target
     roofs = _regular_roofs(
-        Q, [X], lambda B: Q.hom_basis(B, qa.source), [lambda g: compose(Q, qa, g)], budget, f"split:{X.mult}"
+        Q, X, lambda B: Q.hom_basis(B, qa.source), lambda g: compose(Q, qa, g), budget, f"split:{X.mult}"
     )
-    return next(roofs, None) is not None
-
-
-def _iso_to_add_t(Q: CategoryPresentation, x: int, tsupp, budget: Budget) -> bool:
-    """Whether x is localised-isomorphic to some object of add T in Q.
-
-    The partner may be decomposable (semisimple degenerations), so every
-    nonzero multiplicity vector over T's summands tsupp with m_i <= dim
-    Hom(i, x) is tried.
-    """
-    bounds = [Q.hom_dim(i, x) if i in tsupp else 0 for i in range(Q.n)]
-    unit = [[int(i == z) for z in range(Q.n)] for i in range(Q.n)]
-    partners = multiplicities([[1]] * Q.n, [1], unit, bounds)
-    return any(iso_fraction_exists(Q, x, Obj(mult), budget) for mult in partners)
-
-
-def iso_fraction_exists(Q: CategoryPresentation, x: int, W: Obj, budget: Budget = DEFAULT_BUDGET) -> bool:
-    """Whether a roof with two regular legs connects x and W in the quotient Q.
-
-    Such a roof is precisely an isomorphism of the localised category.  The
-    search runs over maps into the direct sum, so both legs are linear in one
-    searched element.
-    """
-    X = Q.single(x)
-    XW = X + W
-    legs = [lambda h, p=p: split_rows(Q, h, [X, W])[p] for p in range(2)]
-    roofs = _regular_roofs(Q, [X, W], lambda A: Q.hom_basis(A, XW), legs, budget, f"iso:{x}:{W.mult}")
     return next(roofs, None) is not None

@@ -30,7 +30,6 @@ from .fincat import (
     Obj,
     basis_morphisms,
     compose,
-    covers,
     op_morphism,
     opposite,
     postcompose_matrix,
@@ -96,33 +95,15 @@ DEFAULT_BUDGET = Budget()
 def is_epi(Q: CategoryPresentation, f: Morphism) -> bool:
     """Epi iff precomposition with f is injective into every Hom(-, Z).
 
-    Injectivity into Hom(X, k) needs dim Hom(Y, k) <= dim Hom(X, k), which
-    decides many non-epis before any matrix is built.  Answers are kept on
-    Q for one verdict: run_verification empties the table when it returns.
-
-    Where Hom(X, Y) is one-dimensional, its nonzero maps are nonzero
-    multiples of one another, and g o (s f) = s (g o f) with s invertible,
-    so they are all epi or all not.  Their answer is kept once, under
-    (X, Y), beside each map's own.
-
-    On a side that scan_properties decided, one rank answers epi and mono
-    together (_socle_answers) instead.
+    Answers are kept on Q for one verdict: run_verification empties the
+    table when it returns.  On a side that scan_properties decided, one
+    rank answers epi and mono together (_socle_answers) instead.
     """
     answer = Q._epis.get(f)
     if answer is None:
         if Q._socle is not None:
             return _socle_answers(Q, f)[0]
-        X, Y = f.source, f.target
-        dX, dY = Q.hom_layout(X)[1], Q.hom_layout(Y)[1]
-        line = _on_a_line(Q, f)
-        answer = Q._epis.get((X, Y)) if line else None
-        if answer is None:
-            answer = all(map(operator.le, dY, dX)) and all(
-                not m.ncols or m.rank() == m.ncols for m in precompose_matrices(Q, f)
-            )
-            if line:
-                Q._epis[(X, Y)] = answer
-        Q._epis[f] = answer
+        answer = Q._epis[f] = all(not m.ncols or m.rank() == m.ncols for m in precompose_matrices(Q, f))
     return answer
 
 
@@ -136,19 +117,12 @@ def is_mono(Q: CategoryPresentation, f: Morphism) -> bool:
     return is_epi(op, op_morphism(op, f))
 
 
-def _on_a_line(P: CategoryPresentation, f: Morphism) -> bool:
-    """Whether f is a nonzero map in a one-dimensional Hom(X, Y), whose
-    nonzero maps are all epi or all not, and all mono or all not (is_epi)."""
-    return sum(map(operator.mul, P.hom_layout(f.source)[1], f.target.mult)) == 1 and not f.is_zero()
-
-
 def _socle_answers(P: CategoryPresentation, f: Morphism) -> tuple:
     """(epi, mono) of f: X -> Y on a side P that scan_properties decided,
     from the rank r of Hom(Z, f): Hom(Z, X) -> Hom(Z, Y), Z = P._socle the
     sum of the Z_z with S_z in soc Gamma: f is epi exactly when r = dim
     Hom(Z, Y), and mono exactly when r = dim Hom(Z, X).  Both answers are
-    kept, in P._epis and P._monos, per map and per line as is_epi keeps
-    them.
+    kept, in P._epis and P._monos.
 
     P is decided when _pullbacks_of_epis_are_epi(P) hands back the socle
     that P._socle keeps.  Its docstring proves that P is then proj Gamma,
@@ -175,30 +149,15 @@ def _socle_answers(P: CategoryPresentation, f: Morphism) -> tuple:
       epi exactly when M(z) = 0 for each z in soc Gamma, that is when
       Hom(Z, f) is onto, M(z) being the cokernel of Hom(Z_z, f).
     """
-    X, Y = f.source, f.target
-    line = _on_a_line(P, f)
-    if line and (X, Y) in P._monos:
-        epi, mono = P._epis[(X, Y)], P._monos[(X, Y)]
-    else:
-        m = postcompose_matrix(P, f, P._socle)
-        r = m.rank()
-        epi, mono = r == m.nrows, r == m.ncols
-        if line:
-            P._epis[(X, Y)], P._monos[(X, Y)] = epi, mono
+    m = postcompose_matrix(P, f, P._socle)
+    r = m.rank()
+    epi, mono = r == m.nrows, r == m.ncols
     P._epis[f], P._monos[f] = epi, mono
     return epi, mono
 
 
 def is_regular(Q: CategoryPresentation, f: Morphism) -> bool:
     return is_epi(Q, f) and is_mono(Q, f)
-
-
-def keep_regular(Q: CategoryPresentation, r: Morphism):
-    """Keep r as epi and mono in Q and its twin as epi in Q^op, where
-    is_regular reads them: for a search witness r whose conditions are
-    exactly is_epi's rank conditions in Q and in Q^op."""
-    op = opposite(Q)
-    Q._epis[r] = Q._monos[r] = op._epis[op_morphism(op, r)] = True
 
 
 def solve_on_basis(P: CategoryPresentation, X: Obj, Y: Obj, m: Matrix, want):
@@ -1312,17 +1271,3 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
             body = _leg_clause(Q, op, answers[op], [op_morphism(op, f) for f in given], twins, prop, budget)
         report.clauses[name] = run_clause(body)
     return report
-
-
-# -- projective / injective objects ---------------------------------------------------
-
-
-def is_projective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
-    """Lifting property of X against every epi of family: each epi covers X."""
-    return all(covers(Q, c, X) for c in family.epis)
-
-
-def is_injective_object(Q: CategoryPresentation, X: Obj, family: MorphismFamily) -> bool:
-    """Extension property of X along every mono of family: projectivity in Q^op."""
-    op = opposite(Q)
-    return is_projective_object(op, X, MorphismFamily(epis=[op_morphism(op, j) for j in family.monos]))

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import settings
 
-from quotcat.fincat import CategoryPresentation, compose
+from quotcat.fincat import CategoryPresentation, Obj, compose, opposite, split_rows
 from quotcat.linalg import QQ
-from quotcat.preabelian import factors_through_map
+from quotcat.modcat import _regular_conditions
+from quotcat.preabelian import DEFAULT_BUDGET, SearchResult, factors_through_map, multiplicities, search_open_conditions
 
 # One profile for every property test: examples may be slow (a quotient or a
 # search), and a failure prints the blob that replays it with @reproduce_failure.
@@ -20,6 +21,52 @@ def solve_two_sided_inverse(Q, f):
     """
     g = factors_through_map(Q, Q.identity(f.source), f)
     return g if g is not None and compose(Q, f, g) == Q.identity(f.target) else None
+
+
+def iso_fraction_exists(Q, x, W, budget=DEFAULT_BUDGET):
+    """Whether a roof with two regular legs connects x and W in the quotient
+    Q: the tests' oracle for an isomorphism of the localised category, by a
+    certified search rather than by H.
+
+    The search runs over maps h: A -> x + W, so both legs are linear in one
+    searched element.  A runs over the sources from which a map into x and
+    a map into W can both be regular as far as dimensions go: the floor and
+    ceiling of modcat._leg_sources, entrywise max and min over the two.
+    """
+    X = Q.single(x)
+    XW, targets = X + W, [X, W]
+    op = opposite(Q)
+    floor = [max(col) for col in zip(*(Q.hom_layout(Y)[1] for Y in targets))]
+    ceiling = [min(col) for col in zip(*(op.hom_layout(Y)[1] for Y in targets))]
+    for mult in multiplicities(Q._dim, floor, op._dim, ceiling):
+        A = Obj(mult)
+        basis = Q.hom_basis(A, XW)
+        if not basis:
+            continue
+        conditions = [
+            c
+            for k, Y in enumerate(targets)
+            for c in _regular_conditions(Q, lambda h, k=k: split_rows(Q, h, targets)[k], A, Y)
+        ]
+        vecs = [b.to_vector() for b in basis]
+        res = search_open_conditions(Q, A, XW, vecs, conditions, budget, f"iso:{x}:{W.mult}:{A.mult}")
+        if res.status == SearchResult.FOUND:
+            return True
+    return False
+
+
+def iso_to_add_t(Q, x, tsupp, budget=DEFAULT_BUDGET):
+    """Whether x is localised-isomorphic to some object of add T in Q, by
+    iso_fraction_exists: the tests' oracle for PROJECTIVES' one rank.
+
+    The partner may be decomposable (semisimple degenerations), so every
+    nonzero multiplicity vector over T's summands tsupp with m_i <= dim
+    Hom(i, x) is tried.
+    """
+    bounds = [Q.hom_dim(i, x) if i in tsupp else 0 for i in range(Q.n)]
+    unit = [[int(i == z) for z in range(Q.n)] for i in range(Q.n)]
+    partners = multiplicities([[1]] * Q.n, [1], unit, bounds)
+    return any(iso_fraction_exists(Q, x, Obj(mult), budget) for mult in partners)
 
 
 def point_category(field=QQ):

@@ -179,19 +179,22 @@ def test_run_verification_needs_exactly_one_of_t_spec_and_subcat():
             run_verification(P, **kw)
 
 
-# exception class -> the stderr prefix and exit code of the CLI's failure map
+# exception class -> the stderr line and exit code of the CLI's failure map
+# for the exception raised with the message "boom"; a MemoryError's line is
+# fixed, as its message says nothing worth printing
 FAILURES = {
-    BoundsExceeded: ("bounds exceeded: ", 3),
-    GenerationError: ("error: ", 2),
-    ShapeError: ("error: ", 2),
-    MissingSuspension: ("error: ", 2),
-    OSError: ("error: ", 2),
-    ValueError: ("error: ", 2),
-    NotRigid: ("error: ", 1),
-    NotRegular: ("error: ", 1),
-    NoKernel: ("error: ", 1),
-    NoCokernel: ("error: ", 1),
-    InternalInconsistency: ("error: ", 1),
+    BoundsExceeded: ("bounds exceeded: boom", 3),
+    GenerationError: ("error: boom", 2),
+    ShapeError: ("error: boom", 2),
+    MissingSuspension: ("error: boom", 2),
+    OSError: ("error: boom", 2),
+    ValueError: ("error: boom", 2),
+    MemoryError: ("error: out of memory: the input is too large to build", 2),
+    NotRigid: ("error: boom", 1),
+    NotRegular: ("error: boom", 1),
+    NoKernel: ("error: boom", 1),
+    NoCokernel: ("error: boom", 1),
+    InternalInconsistency: ("error: boom", 1),
 }
 
 
@@ -209,10 +212,10 @@ def test_one_failure_map(a3_path, monkeypatch, capsys, caller, exc):
     else:
         monkeypatch.setattr(cli, "evaluate_fraction_expression", fail)
         argv = ["fraction", a3_path, "P1+P3", "[id, P1:P2:0]"]
-    prefix, code = FAILURES[exc]
+    line, code = FAILURES[exc]
     assert main(argv) == code
     out, err = capsys.readouterr()
-    assert not out and err.splitlines() == [prefix + "boom"]
+    assert not out and err.splitlines() == [line]
 
 
 def test_report_deterministic(a3_path, tmp_path, capsys):
@@ -636,3 +639,31 @@ def test_a_modulus_past_the_bound_exits_2_at_once(a3_path, tmp_path, where):
     assert run.returncode == 2 and not run.stdout
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
     assert f"{p} is larger than 2^31" in run.stderr
+
+
+@pytest.mark.parametrize("where", ["power in --T", "hom dim in the file"])
+def test_an_input_too_large_for_memory_exits_2_with_one_line(a3_path, tmp_path, where):
+    # a power of 10^9 copies, or a Hom space of dimension 10^9, cannot be
+    # built in 1 GiB of address space; the subprocess runs under that limit,
+    # so the MemoryError comes at once and the machine's memory is not used
+    resource = pytest.importorskip("resource")
+    if where == "power in --T":
+        path, spec = a3_path, "P1^1000000000"
+    else:
+        doc = json.loads(open(a3_path).read())
+        next(e for e in doc["hom"] if (e["src"], e["dst"]) == ("P1", "P2"))["dim"] = 10**9
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        path, spec = str(huge), "P1+P2+P3"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "quotcat.cli", "verify", path, "--T", spec],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit,
+    )
+    assert run.returncode == 2 and not run.stdout
+    assert run.stderr == "error: out of memory: the input is too large to build\n", run.stderr

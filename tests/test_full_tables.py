@@ -56,7 +56,7 @@ def _oracle_realize(H, qc, x, y, phi, budget=DEFAULT_BUDGET):
             proj.add(v[: len(cols)])
         return [Morphism.from_vector(Q, A, X, v) for v in proj.rows]
 
-    for A, r in _regular_roofs(Q, [X], denominators, [lambda r: r], budget, f"full:{x}:{y}"):
+    for A, r in _regular_roofs(Q, X, denominators, lambda r: r, budget, f"full:{x}:{y}"):
         want = _flat(phi * H.mor_matrix(qc.lift(r)))
         img = image(A)
         img_mat = Matrix(field, len(want), len(img), [[v[i] for v in img] for i in range(len(want))])

@@ -8,8 +8,8 @@ longer computed the long way:
   directly of the opposite of a fresh copy of Q.
 - `coim_im_factorise` takes w = f where u is 1_X and ftilde = w where v is
   1_Y.  The oracle solves w o u = f and v o ftilde = w.
-- `HFunctor.preimage` reduces [phi | 0] against the kept rows [H(b_a) |
-  e_a].  The oracle solves over the columns H(b_a).
+- `HFunctor.preimage` reduces [phi | 0] against the echelon rows [H(b_a)
+  | e_a].  The oracle solves over the columns H(b_a).
 - On Q's decided side a regular-roof try meets one rank condition
   (`preabelian.socle_condition`).  The oracle is is_epi's Yoneda
   conditions in Q and in Q^op.

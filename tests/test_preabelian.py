@@ -15,6 +15,7 @@ from quotcat.fincat import (
     approximation,
     basis_morphisms,
     compose,
+    covers,
     op_morphism,
     opposite,
     postcompose_matrix,
@@ -36,9 +37,7 @@ from quotcat.preabelian import (
     epi_conditions,
     factors_through_map,
     is_epi,
-    is_injective_object,
     is_mono,
-    is_projective_object,
     is_regular,
     kernel,
     lifts_through_epi,
@@ -664,6 +663,19 @@ def test_run_clause_bounds_exceeded_keeps_the_count():
         raise BoundsExceeded("grid 3^3 exceeds the cap")
 
     assert run_clause(body()) == ClauseResult("bounds-exceeded", 2, "grid 3^3 exceeds the cap")
+
+
+def is_projective_object(Q, X, family):
+    """Lifting property of X against every epi of family: each epi covers X.
+    A test of the sampled family only; PROJECTIVES is the verdict's
+    projectivity check."""
+    return all(covers(Q, c, X) for c in family.epis)
+
+
+def is_injective_object(Q, X, family):
+    """Extension property of X along every mono of family: projectivity in Q^op."""
+    op = opposite(Q)
+    return is_projective_object(op, X, MorphismFamily(epis=[op_morphism(op, j) for j in family.monos]))
 
 
 def test_zero_object_projective(QCT):

@@ -9,10 +9,10 @@ must agree on every map a verdict asks, over the rigid-T corpora and over
 every proper subcategory quotient of C(A_3), where many sides are left
 undecided and keep the Yoneda path.
 
-Where Q's side is decided and soc Gamma is T's summands, PROJECTIVES asks
-whether H(p) is bijective for the approximation p: T_0 -> x, instead of
-searching for a roof from x to some partner in add T
-(`modcat._iso_to_add_t`).  The two must agree on every x.
+PROJECTIVES asks whether H(p) is bijective for the approximation p: T_0 ->
+x, instead of searching for a roof from x to some partner in add T
+(`conftest.iso_to_add_t`).  The two must agree on every x, where Q's side
+is decided and where no scan decided it.
 """
 
 import collections
@@ -28,6 +28,8 @@ from quotcat.modcat import HFunctor, in_s
 from quotcat.preabelian import Budget, scan_properties
 from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
+
+from conftest import iso_to_add_t
 
 CAPPED = Budget(scan_pairs_cap=120)
 
@@ -60,8 +62,8 @@ def _subcategory_verdicts(field):
 # statuses).  Q^op reads Q's True on every kernel, so no verdict asks mono
 # of its sink maps, whose twins Q's rank used to answer
 CORPORA = {
-    "A3/Q every rigid T": (lambda: _rigid_verdicts(3, None, QQ, 1), 4290, 44, {"pass": 44}),
-    "A4(><>)/F101 every 7th rigid T": (lambda: _rigid_verdicts(4, "><>", GF(101), 7), 4445, 28, {"pass": 28}),
+    "A3/Q every rigid T": (lambda: _rigid_verdicts(3, None, QQ, 1), 4554, 44, {"pass": 44}),
+    "A4(><>)/F101 every 7th rigid T": (lambda: _rigid_verdicts(4, "><>", GF(101), 7), 4747, 28, {"pass": 28}),
     "A3/Q subcategories": (lambda: _subcategory_verdicts(QQ), 18304, 279, {"pass": 279, "fail": 231}),
     "A3/GF(2) subcategories": (lambda: _subcategory_verdicts(GF(2)), 9985, 279, {"pass": 279, "fail": 231}),
 }
@@ -69,8 +71,8 @@ CORPORA = {
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
 def test_socle_answers_are_the_yoneda_answers(corpus, monkeypatch):
-    # every (epi, mono) a decided side answers in a verdict, from a line's
-    # kept answer or from its own rank, is the Yoneda pair of that map
+    # every (epi, mono) a decided side answers in a verdict from a map's own
+    # rank is the Yoneda pair of that map
     verdicts, maps, decided, statuses = CORPORA[corpus]
     real = preabelian._socle_answers
     checked = []
@@ -137,7 +139,7 @@ def test_projectives_rank_is_the_roof_search(verdicts, count):
         for x in range(Q.n):
             p = approximation(Q, tsupp, Q.single(x))
             rank = in_s(H, p)
-            assert rank == modcat._iso_to_add_t(Q, x, tsupp, CAPPED), (T.mult, x)
+            assert rank == iso_to_add_t(Q, x, tsupp, CAPPED), (T.mult, x)
             objects += 1
             in_add_t += rank
         cases += 1
@@ -145,18 +147,27 @@ def test_projectives_rank_is_the_roof_search(verdicts, count):
     assert 0 < in_add_t < objects
 
 
-def test_projectives_asks_the_roof_search_only_off_a_decided_side(monkeypatch):
-    # a verdict decides Q's side first, so PROJECTIVES asks no roof search
-    # for add T; H on a quotient no scan has decided asks one per x not in
-    # T's support
-    A3 = build_cluster_category(3)
-    T = A3.obj({"P1": 1, "P3": 1})
-    searched = []
-    real = modcat._iso_to_add_t
-    monkeypatch.setattr(modcat, "_iso_to_add_t", lambda Q, x, *args: searched.append(x) or real(Q, x, *args))
-    assert run_verification(A3, T, budget=CAPPED)["overall"] == "pass"
-    assert searched == []
-    qc = build_quotient(A3, T)
-    H = HFunctor(qc.presentation, qc.project_obj(T))
-    assert preabelian.run_clause(modcat._projectives_clause(H, CAPPED)).status == "pass"
-    assert searched == [x for x in range(qc.presentation.n) if x not in H.T.support()]
+def test_projectives_rank_is_the_roof_search_off_a_decided_side(monkeypatch):
+    # with no side decided, every verdict passes, and for every x PROJECTIVES'
+    # answer, x in T or H(p) bijective, is whether a roof connects x with an
+    # object of add T; the rank reads H on the localisation, as FULL does
+    monkeypatch.setattr(preabelian, "_pullbacks_of_epis_are_epi", lambda P, budget: None)
+    real = modcat._projectives_clause
+    answers = []
+
+    def compared(H, budget):
+        Q = H.P
+        assert Q._socle is None and opposite(Q)._socle is None
+        tsupp = sorted(H.T.support())
+        for x in range(Q.n):
+            p = approximation(Q, tsupp, Q.single(x))
+            rank = x in tsupp or in_s(H, p)
+            assert rank == iso_to_add_t(Q, x, tsupp, budget), (H.T.mult, x)
+            answers.append(rank)
+        return real(H, budget)
+
+    monkeypatch.setattr(modcat, "_projectives_clause", compared)
+    verdicts = itertools.chain(_rigid_verdicts(3, None, QQ, 1), _rigid_verdicts(4, "><>", GF(101), 7))
+    overall = collections.Counter(run_verification(P, budget=CAPPED, **kw)["overall"] for P, kw in verdicts)
+    assert overall == {"pass": 72}
+    assert len(answers) == 460 and 0 < sum(answers) < len(answers)
