@@ -83,7 +83,7 @@ def _field_from_arg(name: str):
 
 def _object_set(P, spec: str) -> set[int]:
     """The indecomposables named in 'P1+P2' (or comma-separated), aliases accepted."""
-    return {resolve_object_name(P, s.strip()) for s in spec.replace(",", "+").split("+") if s.strip()}
+    return parse_object_spec(P, spec).support()
 
 
 def cmd_generate(args) -> int:
@@ -115,7 +115,8 @@ def cmd_verify(args) -> int:
 
 def cmd_cotorsion(args) -> int:
     P = load_category(args.category)
-    V = _object_set(P, args.V) if args.V is not None else None
+    # --V "" is V = 0, as in the cotorsion pair (C, 0)
+    V = None if args.V is None else set() if args.V == "" else _object_set(P, args.V)
     report = run_cotorsion(P, _object_set(P, args.U), V)
     print(json.dumps(report, indent=1, sort_keys=True))
     return EXIT_OK if report["overall"] == "pass" else EXIT_CLAUSE_FAIL
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("cotorsion", help="check cotorsion clauses (a) and (b)")
     c.add_argument("category")
     c.add_argument("U", help="object spec for U, e.g. P2+P3+SP3")
-    c.add_argument("--V", default=None, help="explicit V (default: the perp of U)")
+    c.add_argument("--V", default=None, help='explicit V, "" for V = 0 (default: the perp of U)')
     c.set_defaults(fn=cmd_cotorsion)
 
     f = sub.add_parser("fraction", help="evaluate fraction expressions over C/X_T")

@@ -46,6 +46,10 @@ class QuiverAn:
             out.append((hi, lo) if c == "<" else (lo, hi))
         return out
 
+    def opposite(self) -> "QuiverAn":
+        """The same path with every arrow reversed."""
+        return QuiverAn(self.n, self.orientation.translate(str.maketrans("<>", "><")))
+
 
 class Rep:
     """A representation of a QuiverAn: one space per vertex, one map per edge.
@@ -253,47 +257,40 @@ def kernel_rep(f: RepHom) -> tuple[Rep, RepHom]:
     return K, RepHom(K, M, incl_mats)
 
 
-def cokernel_rep(f: RepHom) -> tuple[Rep, RepHom, list[Matrix]]:
-    """Cokernel with projection and a per-vertex section of the projection."""
-    N = f.target
-    field = N.field
-    n = N.quiver.n
-    proj_mats = []
-    sect_mats = []
-    dims = []
-    spaces = []
-    for v in range(n):
-        img_cols = [f.mats[v].col(j) for j in range(f.mats[v].ncols)]
-        rs = RowSpace.from_rows(field, N.dims[v], img_cols)
-        comp = rs.complement_indices()
-        dims.append(len(comp))
-        spaces.append((rs, comp))
-        # projection: reduce mod image, then read complement coordinates
-        cols = []
-        for j in range(N.dims[v]):
-            red = rs.reduce(unit_vector(field, N.dims[v], j))
-            cols.append([red[c] for c in comp])
-        proj_mats.append(Matrix.from_columns(field, len(comp), cols))
-        sect_mats.append(Matrix.from_columns(field, N.dims[v], [unit_vector(field, N.dims[v], c) for c in comp]))
-    cmats = []
-    for k, (s, t) in enumerate(N.quiver.arrows()):
-        cmats.append(proj_mats[t - 1] * N.mats[k] * sect_mats[s - 1])
-    C = Rep(N.quiver, field, dims, cmats)
-    return C, RepHom(N, C, proj_mats), sect_mats
-
-
 # ---------------------------------------------------------------------------
-# socle / top, projective presentations, injective copresentations
+# duality, projective presentations, injective copresentations
 
 
-def socle_vertex_basis(M: Rep, v: int):
-    """Basis of the socle component at v: joint kernel of outgoing arrows."""
-    field = M.field
-    rows = []
-    for k, (s, t) in enumerate(M.quiver.arrows()):
-        if s == v:
-            rows.extend(M.mats[k].data)
-    return Matrix(field, len(rows), M.dims[v - 1], rows).kernel_basis()
+def _transpose(m: Matrix) -> Matrix:
+    return Matrix.from_columns(m.field, m.ncols, m.data)
+
+
+def dual_rep(M: Rep) -> Rep:
+    """D M = Hom_k(M, k), a representation of the opposite quiver.
+
+    D transposes every arrow matrix, and D D M = M.  The facts the injective
+    side is built from:
+    - D is exact and contravariant (dual_hom), so it turns kernels into
+      cokernels and a projective presentation of D N into an injective
+      copresentation of N;
+    - D of the projective at v of the opposite quiver is the injective I_v:
+      both are the interval of the vertices reaching v, with identity arrows;
+    - the arrows into v of D M are the transposes of the arrows out of v of
+      M, so the top of D M at v is dual to the socle of M at v, and a
+      projective cover of D N is dual to an injective envelope of N.
+    """
+    return Rep(M.quiver.opposite(), M.field, M.dims, [_transpose(m) for m in M.mats])
+
+
+def dual_hom(f: RepHom) -> RepHom:
+    """D f : D N -> D M for f : M -> N."""
+    return RepHom(dual_rep(f.target), dual_rep(f.source), [_transpose(m) for m in f.mats])
+
+
+def cokernel_rep(f: RepHom) -> tuple[Rep, RepHom]:
+    """Cokernel with its projection: D of the kernel of D f."""
+    proj = dual_hom(kernel_rep(dual_hom(f))[1])
+    return proj.target, proj
 
 
 def top_vertex_basis(M: Rep, v: int):
@@ -305,22 +302,6 @@ def top_vertex_basis(M: Rep, v: int):
             img.extend(M.mats[k].col(j) for j in range(M.mats[k].ncols))
     rs = RowSpace.from_rows(field, M.dims[v - 1], img)
     return [unit_vector(field, M.dims[v - 1], c) for c in rs.complement_indices()]
-
-
-def hom_to_injective(M: Rep, v: int, functional, I_v: Rep) -> RepHom:
-    """The hom M -> I_v matching a linear functional on M_v."""
-    field = M.field
-    row = Matrix(field, 1, len(functional), [functional])
-    mats = []
-    for w in range(1, M.quiver.n + 1):
-        if I_v.dim_at(w) == 0:
-            mats.append(Matrix.zeros(field, 0, M.dims[w - 1]))
-            continue
-        pm = path_matrix(M, w, v)
-        if pm is None:
-            raise GenerationError("injective support vertex without path (impossible)")
-        mats.append(row * pm)
-    return RepHom(M, I_v, mats)
 
 
 def hom_from_projective(M: Rep, v: int, value, P_v: Rep) -> RepHom:
@@ -338,76 +319,51 @@ def hom_from_projective(M: Rep, v: int, value, P_v: Rep) -> RepHom:
     return RepHom(P_v, M, mats)
 
 
+def projective_cover(quiver: QuiverAn, field: Field, M: Rep) -> tuple[list[int], Rep, RepHom]:
+    """Projective cover pi: P0 -> M: the summand vertices, P0 and pi."""
+    gens = [(v, x) for v in range(1, quiver.n + 1) for x in top_vertex_basis(M, v)]
+    parts = [v for v, _ in gens]
+    preps = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in parts]
+    P0, offsets = direct_sum(preps, quiver, field)
+    # assemble pi: P0 -> M columnwise from the generator maps
+    homs = [hom_from_projective(M, v, x, prep) for (v, x), prep in zip(gens, preps)]
+    mats = []
+    for w in range(quiver.n):
+        blocks = [(0, off[w], h.mats[w]) for h, off in zip(homs, offsets)]
+        mats.append(_block_matrix(field, M.dims[w], P0.dims[w], blocks))
+    pi = RepHom(P0, M, mats)
+    for v in range(quiver.n):
+        if pi.mats[v].rank() != M.dims[v]:
+            raise GenerationError("projective cover is not surjective")
+    return parts, P0, pi
+
+
 class Presentation:
     """Short exact sequence 0 -> K -> P0 -> M -> 0 with P0 a projective sum."""
 
     def __init__(self, quiver: QuiverAn, field: Field, M: Rep):
-        parts = []
-        gens = []
-        for v in range(1, quiver.n + 1):
-            for x in top_vertex_basis(M, v):
-                parts.append(v)
-                gens.append((v, x))
-        preps = [interval_rep(quiver, field, *proj_interval(quiver, v)) for v in parts]
-        P0, offsets = direct_sum(preps, quiver, field)
-        self.parts = parts
-        self.P0 = P0
-        # assemble pi: P0 -> M columnwise from the generator maps
-        homs = [hom_from_projective(M, v, x, prep) for (v, x), prep in zip(gens, preps)]
-        mats = []
-        for w in range(quiver.n):
-            blocks = [(0, off[w], h.mats[w]) for h, off in zip(homs, offsets)]
-            mats.append(_block_matrix(field, M.dims[w], P0.dims[w], blocks))
-        self.pi = RepHom(P0, M, mats)
-        for v in range(quiver.n):
-            if self.pi.mats[v].rank() != M.dims[v]:
-                raise GenerationError("projective cover is not surjective")
+        self.parts, self.P0, self.pi = projective_cover(quiver, field, M)
         self.K, self.iota = kernel_rep(self.pi)
 
 
 class Copresentation:
     """Short exact sequence 0 -> N -> I0 -> I1 -> 0 with injective sums.
 
-    Keeps the summand vertex lists so the Nakayama transport to projectives
-    can be applied blockwise.
+    D of a projective presentation 0 -> K -> P0 -> D N -> 0 over the
+    opposite quiver, followed by D of a projective cover of K (see
+    dual_rep).  Since D P_v = I_v, the summand vertex lists are those of
+    the two covers, which the Nakayama transport to projectives applies
+    blockwise.
     """
 
     def __init__(self, quiver: QuiverAn, field: Field, N: Rep):
-        self.i0_parts, self.iota, I0 = _inj_envelope(quiver, field, N)
-        self.I0 = I0
-        C, proj, _ = cokernel_rep(self.iota)
-        if any(self.iota.mats[v].rank() != N.dims[v] for v in range(quiver.n)):
-            raise GenerationError("socle embedding not injective")
-        self.i1_parts, eps, I1 = _inj_envelope(quiver, field, C)
-        if any(eps.mats[v].rank() != C.dims[v] for v in range(quiver.n)):
-            raise GenerationError("cosyzygy embedding not injective")
-        self.I1 = I1
-        self.d = eps.compose(proj)
-
-
-def _inj_envelope(quiver: QuiverAn, field: Field, M: Rep):
-    """Injective envelope of M: summand vertices, embedding, sum rep."""
-    parts = []
-    funcs = []
-    for v in range(1, quiver.n + 1):
-        soc = socle_vertex_basis(M, v)
-        if not soc:
-            continue
-        soc_m = Matrix(field, len(soc), M.dims[v - 1], soc)
-        for b in range(len(soc)):
-            xi = soc_m.solve(unit_vector(field, len(soc), b))  # functional with xi | socle = dual basis
-            if xi is None:
-                raise GenerationError("cannot extend socle functional")
-            parts.append(v)
-            funcs.append(xi)
-    ireps = [interval_rep(quiver, field, *inj_interval(quiver, v)) for v in parts]
-    Isum, offsets = direct_sum(ireps, quiver, field)
-    homs = [hom_to_injective(M, v, xi, irep) for v, xi, irep in zip(parts, funcs, ireps)]
-    mats = []
-    for w in range(quiver.n):
-        blocks = [(off[w], 0, h.mats[w]) for h, off in zip(homs, offsets)]
-        mats.append(_block_matrix(field, Isum.dims[w], M.dims[w], blocks))
-    return parts, RepHom(M, Isum, mats), Isum
+        op = quiver.opposite()
+        pres = Presentation(op, field, dual_rep(N))
+        self.i0_parts, self.iota = pres.parts, dual_hom(pres.pi)
+        self.I0 = self.iota.target
+        self.i1_parts, _, cover = projective_cover(op, field, pres.K)
+        self.d = dual_hom(pres.iota.compose(cover))
+        self.I1 = self.d.target
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +502,7 @@ class TauContext:
         N = interval_rep(quiver, field, *iv)
         cop = Copresentation(quiver, field, N)
         D = self.nak.transport(cop.d, cop.i0_parts, cop.i1_parts)
-        R, proj, sect = cokernel_rep(D)
+        R, proj = cokernel_rep(D)
         iv2 = _identify_interval(R)
         if iv2 is None:
             raise GenerationError("tau^{-1} did not produce an interval")
@@ -565,7 +521,6 @@ class TauContext:
             "cop": cop,
             "R": R,
             "proj": proj,
-            "sect": sect,
             "iso": iso,
             "iso_inv": RepHom(std, R, [m.inverse() if m.nrows else Matrix.zeros(self.field, m.ncols, m.nrows) for m in iso.mats]),
         }
@@ -595,12 +550,14 @@ class TauContext:
         u0 = _solve_factor(copL.iota.compose(u), copN.I0, copL.I0, lambda h: h.compose(copN.iota))
         u1 = _solve_factor(copL.d.compose(u0), copN.I1, copL.I1, lambda h: h.compose(copN.d))
         V = self.nak.transport(u1, copN.i1_parts, copL.i1_parts)
-        # induced map on cokernels, then conjugate into the interval models
+        # the induced map on cokernels is the one w with w proj_N = proj_L V,
+        # which exists as proj_N is onto; then conjugate into the interval models
         mats = []
-        for v in range(self.quiver.n):
-            sectN = dN["sect"][v]
-            w = dL["proj"].mats[v] * V.mats[v] * sectN
-            mats.append(w)
+        for projN, projL, Vv in zip(dN["proj"].mats, dL["proj"].mats, V.mats):
+            wt = _transpose(projN).solve_matrix(_transpose(projL * Vv))
+            if wt is None:
+                raise GenerationError("map on cokernels is not induced (impossible)")
+            mats.append(_transpose(wt))
         induced = RepHom(dN["R"], dL["R"], mats)
         out = dL["iso"].compose(induced).compose(dN["iso_inv"])
         self._tinv_mor_cache[cache_key] = out
@@ -807,7 +764,6 @@ class _ClusterBuilder:
             self.names[("sp", i)] = f"SP{i}"
         self.pj = {i: interval_rep(self.quiver, field, *proj_interval(self.quiver, i)) for i in range(1, n + 1)}
         self.pairs = {}
-        self._lift_cache = {}
 
     # -- basis construction ------------------------------------------------
 
@@ -837,16 +793,11 @@ class _ClusterBuilder:
 
     # -- composition ---------------------------------------------------------
 
-    def _lift_syzygy(self, kx, ky, a, f: RepHom) -> RepHom:
+    def _lift_syzygy(self, kx, ky, f: RepHom) -> RepHom:
         """f1 : K_X -> K_Y covering f : X -> Y through the presentations."""
-        ck = (kx, ky, a)
-        if ck in self._lift_cache:
-            return self._lift_cache[ck]
         px, py = self.pres[kx], self.pres[ky]
         f0 = _solve_factor(f.compose(px.pi), px.P0, py.P0, py.pi.compose)
-        f1 = _solve_factor(f0.compose(px.iota), px.K, py.K, py.iota.compose)
-        self._lift_cache[ck] = f1
-        return f1
+        return _solve_factor(f0.compose(px.iota), px.K, py.K, py.iota.compose)
 
     def _tinv_mor(self, ky, kz, b, g: RepHom) -> RepHom:
         return self.ctx.tau_inv_mor((ky[1], ky[2]), (kz[1], kz[2]), g, cache_key=(ky, kz, b))
@@ -873,7 +824,7 @@ class _ClusterBuilder:
             if f_in_F:
                 return zero
             # pull the class of g back along f
-            f1 = self._lift_syzygy(kx, ky, a, f)
+            f1 = self._lift_syzygy(kx, ky, f)
             return pz.coords_e1(g.compose(f1))
         if f_in_F:
             # g is a module map: push f forward along tau^{-1} g

@@ -589,12 +589,24 @@ def test_bad_power_in_object_spec_exits_2(a3_path, spec, capsys):
     assert repr(spec) in err and "positive integer" in err
 
 
-@pytest.mark.parametrize("spec", ["", "+", " , "])
-@pytest.mark.parametrize("command", ["verify", "fraction"])
+EMPTY_SPEC_ARGV = {
+    "verify": ["verify", "{path}", "--T", "{spec}"],
+    "fraction": ["fraction", "{path}", "{spec}", "P1"],
+    "verify --subcat": ["verify", "{path}", "--subcat", "{spec}"],
+    "cotorsion U": ["cotorsion", "{path}", "{spec}"],
+    "cotorsion --V": ["cotorsion", "{path}", "P2+P3+SP3", "--V", "{spec}"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,spec",
+    # --V "" is V = 0, as test_cotorsion_explicit_empty_v checks
+    [(c, s) for c in EMPTY_SPEC_ARGV for s in ("", "+", " , ") if (c, s) != ("cotorsion --V", "")],
+)
 def test_empty_object_spec_exits_2(a3_path, command, spec, capsys):
-    # a spec naming no summand is not T = 0, which would verify vacuously
-    argv = ["verify", a3_path, "--T", spec] if command == "verify" else ["fraction", a3_path, spec, "P1"]
-    assert main(argv) == 2
+    # a spec naming no summand is not T = 0 or the empty subcategory, either
+    # of which would verify vacuously
+    assert main([a.format(path=a3_path, spec=spec) for a in EMPTY_SPEC_ARGV[command]]) == 2
     out, err = capsys.readouterr()
     assert not out
     assert err.startswith("error: ") and err.count("\n") == 1, err

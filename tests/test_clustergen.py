@@ -1,23 +1,30 @@
 import itertools
+import random
 
 import pytest
 
 from quotcat import clustergen
 from quotcat.catfile import resolve_object_name
 from quotcat.clustergen import (
+    Copresentation,
     DiagonalModel,
     Presentation,
     QuiverAn,
+    Rep,
     RepHom,
     build_cluster_category,
+    cokernel_rep,
     diagonal_dimension_oracle,
     direct_sum,
+    dual_hom,
+    dual_rep,
     hom_flat_dim,
     hom_from_flat,
     hom_rep,
     inj_interval,
     interval_rep,
     kernel_rep,
+    path_matrix,
     proj_interval,
     search_labelling,
     TauContext,
@@ -45,7 +52,7 @@ from quotcat.fincat import (
     postcompose_matrix,
     validate_category,
 )
-from quotcat.linalg import GF, QQ, RowSpace
+from quotcat.linalg import GF, QQ, Matrix, RowSpace, unit_vector
 
 from test_golden_reports import GENERATED
 
@@ -258,6 +265,125 @@ def test_sigma_is_tau_on_non_projective_modules(n):
             if not is_projective(builder.quiver, iv):
                 want = index[("mod",) + tau_interval(builder.ctx, iv)]
                 assert sigma[index[("mod",) + iv]] == want, (orientation, iv)
+
+
+# -- the injective side against a direct construction ----------------------
+#
+# The generator reaches injective envelopes and cokernels through the duality
+# D = Hom_k(-, k): an injective copresentation of N is D of a projective
+# presentation of D N over the opposite quiver, and a cokernel is D of a
+# kernel.  The reference below builds the same things on the injective side
+# itself: socle bases and functionals on them, maps into injectives, and a
+# cokernel read off the complement indices of the image.
+
+
+def socle_vertex_basis(M, v):
+    """Basis of the socle component at v: joint kernel of outgoing arrows."""
+    rows = []
+    for k, (s, t) in enumerate(M.quiver.arrows()):
+        if s == v:
+            rows.extend(M.mats[k].data)
+    return Matrix(M.field, len(rows), M.dims[v - 1], rows).kernel_basis()
+
+
+def hom_to_injective(M, v, functional, I_v):
+    """The hom M -> I_v matching a linear functional on M_v."""
+    row = Matrix(M.field, 1, len(functional), [functional])
+    mats = []
+    for w in range(1, M.quiver.n + 1):
+        if I_v.dim_at(w) == 0:
+            mats.append(Matrix.zeros(M.field, 0, M.dims[w - 1]))
+        else:
+            mats.append(row * path_matrix(M, w, v))
+    return RepHom(M, I_v, mats)
+
+
+def inj_envelope(quiver, field, M):
+    """Injective envelope of M: summand vertices, embedding, sum rep."""
+    parts = []
+    funcs = []
+    for v in range(1, quiver.n + 1):
+        soc = socle_vertex_basis(M, v)
+        soc_m = Matrix(field, len(soc), M.dims[v - 1], soc)
+        for b in range(len(soc)):
+            parts.append(v)
+            funcs.append(soc_m.solve(unit_vector(field, len(soc), b)))  # dual basis on the socle
+    ireps = [interval_rep(quiver, field, *inj_interval(quiver, v)) for v in parts]
+    Isum, offsets = direct_sum(ireps, quiver, field)
+    homs = [hom_to_injective(M, v, xi, irep) for v, xi, irep in zip(parts, funcs, ireps)]
+    mats = []
+    for w in range(quiver.n):
+        blocks = [(off[w], 0, h.mats[w]) for h, off in zip(homs, offsets)]
+        mats.append(_block_matrix(field, Isum.dims[w], M.dims[w], blocks))
+    return parts, RepHom(M, Isum, mats), Isum
+
+
+def cokernel_by_complement(f):
+    """Cokernel with projection: reduce mod the image at each vertex, then
+    read the coordinates at the image's complement indices."""
+    N, field = f.target, f.target.field
+    proj_mats, sect_mats = [], []
+    for v in range(N.quiver.n):
+        m = f.mats[v]
+        rs = RowSpace.from_rows(field, N.dims[v], [m.col(j) for j in range(m.ncols)])
+        comp = rs.complement_indices()
+        cols = [rs.reduce(unit_vector(field, N.dims[v], j)) for j in range(N.dims[v])]
+        proj_mats.append(Matrix.from_columns(field, len(comp), [[c[i] for i in comp] for c in cols]))
+        sect_mats.append(Matrix.from_columns(field, N.dims[v], [unit_vector(field, N.dims[v], i) for i in comp]))
+    cmats = [proj_mats[t - 1] * a * sect_mats[s - 1] for (s, t), a in zip(N.quiver.arrows(), N.mats)]
+    C = Rep(N.quiver, field, [m.nrows for m in proj_mats], cmats)
+    return C, RepHom(N, C, proj_mats)
+
+
+def copresentation_by_envelopes(quiver, field, N):
+    """The fields of Copresentation, from two injective envelopes."""
+    i0_parts, iota, I0 = inj_envelope(quiver, field, N)
+    C, proj = cokernel_by_complement(iota)
+    i1_parts, eps, I1 = inj_envelope(quiver, field, C)
+    return {"i0_parts": i0_parts, "iota": iota, "I0": I0, "i1_parts": i1_parts, "I1": I1, "d": eps.compose(proj)}
+
+
+FIELDS = (QQ, GF(2), GF(3))
+
+
+def all_quivers(top):
+    return [QuiverAn(n, "".join(o)) for n in range(1, top + 1) for o in itertools.product("<>", repeat=n - 1)]
+
+
+def test_copresentation_is_the_injective_envelope_construction():
+    # every interval module of every orientation of A_1..A_5, over Q, F2, F3
+    count = 0
+    for field in FIELDS:
+        for q in all_quivers(5):
+            for N in indecomposable_reps(q, field):
+                cop = Copresentation(q, field, N)
+                got = {key: getattr(cop, key) for key in ("i0_parts", "iota", "I0", "i1_parts", "I1", "d")}
+                assert got == copresentation_by_envelopes(q, field, N), (q, field, N)
+                assert dual_rep(dual_rep(N)) == N
+                count += 1
+    assert count == 1053
+
+
+def random_interval_sum(rng, q, field):
+    ivs = [tuple(sorted(rng.choices(range(1, q.n + 1), k=2))) for _ in range(rng.randint(1, 3))]
+    return direct_sum([interval_rep(q, field, *iv) for iv in ivs], q, field)[0]
+
+
+def test_cokernel_is_the_complement_index_cokernel():
+    # seeded random maps between sums of one to three intervals
+    rng = random.Random(20111)
+    quivers = all_quivers(5)
+    for _ in range(400):
+        field, q = rng.choice(FIELDS), rng.choice(quivers)
+        M, N = random_interval_sum(rng, q, field), random_interval_sum(rng, q, field)
+        f = hom_from_flat(M, N, [field.zero] * hom_flat_dim(M, N))
+        for b in hom_rep(M, N):
+            f = RepHom(M, N, [x + y for x, y in zip(f.mats, b.scale(field.of(rng.randint(-2, 2))).mats)])
+        C, proj = cokernel_rep(f)
+        assert (C, proj) == cokernel_by_complement(f), (q, field, M, N)
+        assert proj.compose(f) == hom_from_flat(M, C, [field.zero] * hom_flat_dim(M, C))
+        assert dual_rep(dual_rep(M)) == M and dual_rep(dual_rep(N)) == N
+        assert dual_hom(dual_hom(f)) == f
 
 
 # -- generated categories ----------------------------------------------------
