@@ -939,6 +939,13 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj |
       the radical (_has_every_kernel's docstring).  So one equation per
       generator gives Hom(U, P_x) (linalg.intertwiners); where U(w) = 0 and
       U(v) != 0 it still says P_x(g) phi_v = 0.
+    - Representable I_z.  Where _representing_object(P, z) finds a w, I_z
+      is Hom(-, Z_w), a summand of Gamma, and a projective module is
+      torsion-free: a nonzero submodule N of Gamma has the inclusion N ->
+      Gamma, which is not 0, so N is not in T.  So t(I_z) = 0 with no
+      reject asked, and the rejects below are the fallback for a z that
+      fails the check.  P._socle_injectives keeps z -> w (None where it
+      fails) for each z in soc Gamma.
     - t(I_z) by rejects.  rej(U), the common kernel of all maps U -> Gamma,
       is a submodule of U containing every submodule of U in T, as each
       such map kills it.  From U = I_z the chain U, rej(U), ... falls until
@@ -959,12 +966,103 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj |
     """
     if not _every_kernel(P, budget):
         return None
-    into = {}  # v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)
+    socle = _socle(P)
+    held = P._socle_injectives = {z: _representing_object(P, z) for z in socle.copies()}
+    rest = [z for z, w in held.items() if w is None]
+    if rest:
+        into = _generators_into(P)
+        acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
+        if not all(_injective_is_torsion_free(P, into, acts, z) for z in rest):
+            return None
+    return socle
+
+
+def _generators_into(P: CategoryPresentation) -> dict:
+    """v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)."""
+    into = {}
     for (w, v), bs in P.word_generators.items():
         into.setdefault(v, []).extend((w, b) for b in bs)
-    acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
-    socle = _socle(P)
-    return socle if all(_injective_is_torsion_free(P, into, acts, z) for z in socle.copies()) else None
+    return into
+
+
+def _representing_object(P: CategoryPresentation, z: int) -> int | None:
+    """The w with I_z = D Hom(Z_z, -) isomorphic to Hom(-, Z_w), or None
+    where no w passes the check below; for P past the gate of
+    _has_every_kernel and S_z in soc Gamma.
+
+    w passes when Hom(Z_z, Z_w) is one-dimensional, spanned by psi, dim
+    Hom(Z_x, Z_w) = dim Hom(Z_z, Z_x) for every x, and for every x the
+    pairing Hom(Z_x, Z_w) x Hom(Z_z, Z_x) -> k, (phi, a) -> the coordinate
+    of phi a on psi, has full rank.  Then phi -> (a -> phi a) is a
+    bijection Hom(Z_x, Z_w) -> Hom(Z_z, Z_x)* = I_z(x) for every x, and it
+    is natural by associativity: for g: Z_x -> Z_y and phi: Z_y -> Z_w,
+    the image of phi g is a -> (phi g) a = phi (g a), which is I_z(g), the
+    transpose of a -> g a, applied to the image of phi.  So Hom(-, Z_w) is
+    isomorphic to I_z.
+    The pairing's matrix at x is comp[(z, x, w)][a][b][0], a over Hom(z, x)
+    and b over Hom(x, w); a missing table is 0.
+
+    Every w is scanned, and sigma is not read, so a subcategory quotient or
+    a hand-built category is asked as a generated one is.  On a rigid T of
+    a 2-CY category the w found is sigma^2 z, as Serre duality predicts
+    (Keller, "On triangulated orbit categories", 2005; Reiten-Van den
+    Bergh, "Noetherian hereditary abelian categories satisfying Serre
+    duality", 2002): Hom_C(-, Sigma^2 t) = D Hom_C(t, -), and no map into
+    Sigma^2 t factors through X_T.  The code relies on the check alone.
+    """
+    fld, dim, comp = P.field, P._dim, P.comp
+    for w in range(P.n):
+        if dim[z][w] != 1 or any(dim[x][w] != dim[z][x] for x in range(P.n)):
+            continue
+        for x in range(P.n):
+            d, table = dim[z][x], comp.get((z, x, w))
+            if d and (table is None or Matrix(fld, d, d, [[c[0] for c in row] for row in table]).rank() < d):
+                break
+        else:
+            return w
+    return None
+
+
+def socle_is_right_exact(P: CategoryPresentation) -> bool:
+    """Whether Hom(Z, -), Z = P._socle, is proven exact on P: P is a side
+    that scan_properties decided, and every I_z with S_z in soc Gamma is
+    representable (_representing_object).  Exact means: for every g: X ->
+    Y of P with a cokernel c: Y -> C, Hom(Z, X) -> Hom(Z, Y) -> Hom(Z, C)
+    -> 0 is exact, and for every f with a kernel k, Hom(Z, k) is a kernel
+    of Hom(Z, f).
+
+    Notation and the decided side's facts are _pullbacks_of_epis_are_epi's:
+    P is proj Gamma, T = {M : Hom(M, Gamma) = 0} is a hereditary torsion
+    class with torsion part t, and each I_z is Hom(-, Z_w) for some w
+    (Dickson, 1966, and Stenstrom, "Rings of quotients", 1975, for the
+    torsion theory).
+    - Kernels.  A kernel k: K -> X of f has Hom(W, K) = ker Hom(W, f) for
+      every W, Z included.
+    - Torsion-free modules are torsionless.  Let t(F) = 0.  A simple
+      submodule S of F is not in T, as it would lie in t(F), so some map S
+      -> Gamma is not 0, hence one to one: S is an S_z in soc Gamma.  F
+      embeds in the injective envelope of its socle, as every nonzero
+      submodule of F meets soc F, and that envelope is a sum of the I_z,
+      projective here, so F embeds in some Gamma^m.
+    - rej = t.  The common kernel rej(M) of all maps M -> Gamma contains
+      t(M).  M/t(M) is torsion-free, as T is closed under extensions, so
+      it embeds in some Gamma^m, and the map M -> Gamma^m this gives has
+      kernel t(M).  So rej(M) = t(M).
+    - Cokernels.  Let M = coker Hom(-, g) and u: M -> Hom(-, C) the map
+      that Hom(-, c) induces, as c g = 0.  By Yoneda Hom(Hom(-, C), P_x)
+      is Hom(C, Z_x), Hom(M, P_x) is {h: Y -> Z_x : h g = 0}, and Hom(u,
+      P_x) is h' -> h' c, a bijection by the universal property of c.  So
+      Hom(u, Gamma) is bijective.  Hom(-, Gamma) is left exact, so
+      Hom(coker u, Gamma) = 0 and coker u lies in T.  Every map M ->
+      Gamma factors through u, so ker u lies in rej(M); M/ker u embeds in
+      the projective Hom(-, C), so in some Gamma^m, and rej(M) lies in ker
+      u.  So ker u = t(M) lies in T too.  A module N of the hereditary T
+      has no composition factor S_z in soc Gamma, as S_z is not in T, so
+      N(z) = 0 for those z: dim N(z) counts the factors S_z, as End(Z_z)
+      = k.  So u(z): M(z) -> Hom(Z_z, C) is bijective for
+      each z in soc Gamma, and M(z) is the cokernel of Hom(Z_z, g).
+    """
+    return P._socle is not None and None not in P._socle_injectives.values()
 
 
 def _injective_is_torsion_free(P: CategoryPresentation, into: dict, acts: dict, z: int) -> bool:
@@ -1234,7 +1332,8 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
     """
     op = opposite(Q)
     for P in (Q, op):
-        P._socle = None  # decided afresh: the sink maps' epis take the Yoneda path
+        # decided afresh: the sink maps' epis take the Yoneda path
+        P._socle, P._socle_injectives = None, {}
         P._socle = _pullbacks_of_epis_are_epi(P, budget)
     fam = build_morphism_family(Q, budget)
     report = PropertyReport(family=fam)

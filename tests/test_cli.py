@@ -23,6 +23,8 @@ from quotcat.errors import (
 )
 from quotcat.verify import run_verification
 
+from test_integral_decision import _two_reject_category
+
 
 @pytest.fixture(scope="module")
 def a3_path(tmp_path_factory):
@@ -134,7 +136,7 @@ def test_verify_budget_exhaustion_still_reports(a3_path, capsys):
     assert "fail" not in statuses.values(), statuses
 
 
-def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, capsys, monkeypatch):
+def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, tmp_path, capsys, monkeypatch):
     import quotcat.localization
     import quotcat.modcat
     from quotcat.errors import BoundsExceeded
@@ -147,8 +149,18 @@ def test_verify_reports_budget_exhaustion_of_later_clauses(a3_path, capsys, monk
     monkeypatch.setattr(quotcat.modcat, "realize_module_map", exhausted)
     assert main(["verify", a3_path, "--T", "P1+P2+P3", "--scan-pairs-cap", "40"]) == 3
     clauses = json.loads(capsys.readouterr().out)["clauses"]
-    assert clauses["abelian_localisation"] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
+    # every socle injective of this quotient is representable, so the
+    # abelian clause passes by proof, one case per basis morphism of the
+    # quotient, and factorises nothing
+    assert clauses["abelian_localisation"] == {"status": "pass", "checked": 15}
     assert clauses["equivalence"] == {"status": "bounds-exceeded", "detail": "{'full': 'grid exceeds the cap'}"}
+    # killing z of the two-reject category leaves a socle injective of Q
+    # that is not representable, so the clause factorises, and runs out
+    path = str(tmp_path / "two_reject.json")
+    save_category(_two_reject_category(), path)
+    assert main(["verify", path, "--subcat", "z", "--scan-pairs-cap", "40"]) == 3
+    clauses = json.loads(capsys.readouterr().out)["clauses"]
+    assert clauses["abelian_localisation"] == {"status": "bounds-exceeded", "detail": "grid exceeds the cap"}
 
 
 def test_verify_section6_subcat_fails_preabelian(a3_path, tmp_path, capsys):

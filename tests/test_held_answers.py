@@ -7,7 +7,10 @@ longer computed the long way:
   (`preabelian._every_kernel`).  The oracle is `_has_every_kernel` asked
   directly of the opposite of a fresh copy of Q.
 - `coim_im_factorise` takes w = f where u is 1_X and ftilde = w where v is
-  1_Y.  The oracle solves w o u = f and v o ftilde = w.
+  1_Y.  The oracle solves w o u = f and v o ftilde = w.  The abelian clause
+  factorises nothing where every socle injective of Q is representable, as
+  on every verdict here, so the test runs the middle-map loop beside it and
+  asks the loop for the clause's result.
 - `HFunctor.preimage` reduces [phi | 0] against the echelon rows [H(b_a)
   | e_a].  The oracle solves over the columns H(b_a).
 - On Q's decided side a regular-roof try meets one rank condition
@@ -34,6 +37,7 @@ from quotcat.preabelian import (
     factors_through_map,
     last_one,
     lifts_through_epi,
+    run_clause,
     scan_properties,
     solve_on_basis,
 )
@@ -79,8 +83,8 @@ class _Agreeing(RankCondition):
 
 
 # name -> (verdicts, (True/True, False/False) every-kernel pairs on Q^op,
-# factorisations (all, by an identity), preimages (found, none), roof
-# tries (regular, not))
+# factorisations of the loop run beside the abelian clause (all, by an
+# identity), preimages (found, none), roof tries (regular, not))
 CORPORA = {
     "A3/Q every rigid T": (lambda: _rigid_verdicts(3, None, QQ, 1), (44, 0), (516, 504), (624, 111), (477, 4)),
     "A4(><>)/F101 every 7th rigid T": (
@@ -113,6 +117,16 @@ def test_held_answers_are_the_recomputed_answers(corpus, monkeypatch):
         every_kernel[got] += 1
         return rep
 
+    abelian = verify.check_abelian
+
+    def abelian_beside_the_loop(Q, budget):
+        before = sum(factored.values())
+        rep = abelian(Q, budget)
+        assert preabelian.socle_is_right_exact(Q) and sum(factored.values()) == before, Q.objects
+        loop = run_clause(localization._middle_map_loop(Q, budget))
+        assert loop == rep.clauses["abelian_middle_maps"], Q.objects
+        return rep
+
     factorise = localization.coim_im_factorise
 
     def factorised(Q, f, budget):
@@ -140,6 +154,7 @@ def test_held_answers_are_the_recomputed_answers(corpus, monkeypatch):
         return [_Agreeing(condition, _yoneda_regular_conditions(Q, leg, A, X), tried)]
 
     monkeypatch.setattr(verify, "scan_properties", scanned)
+    monkeypatch.setattr(verify, "check_abelian", abelian_beside_the_loop)
     monkeypatch.setattr(localization, "coim_im_factorise", factorised)
     monkeypatch.setattr(HFunctor, "preimage", reduced)
     monkeypatch.setattr(modcat, "_regular_conditions", agreeing)

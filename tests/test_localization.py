@@ -33,10 +33,12 @@ from quotcat.preabelian import (
     pullback,
     run_clause,
     scan_properties,
+    socle_is_right_exact,
 )
 from quotcat.quotient import build_quotient
 
 from conftest import solve_two_sided_inverse
+from test_integral_decision import _two_reject_category
 
 
 @pytest.fixture(scope="module")
@@ -290,14 +292,20 @@ def test_check_abelian(A2Q, Q13):
         assert rep.ok, rep.clauses
 
 
-def test_check_abelian_out_of_budget_is_a_status(Q13, monkeypatch):
+def test_check_abelian_out_of_budget_is_a_status(monkeypatch):
+    # the two-reject category's side is decided, but two of its socle
+    # injectives are not representable, so the clause factorises each basis
+    # morphism, and the first factorisation runs out of budget
     import quotcat.localization
 
     def exhausted(*args, **kwargs):
         raise BoundsExceeded("grid exceeds the cap")
 
+    E = _two_reject_category()
+    scan_properties(E)
+    assert E._socle is not None and not socle_is_right_exact(E)
     monkeypatch.setattr(quotcat.localization, "coim_im_factorise", exhausted)
-    cl = check_abelian(Q13).clauses["abelian_middle_maps"]
+    cl = check_abelian(E).clauses["abelian_middle_maps"]
     assert (cl.status, cl.checked, cl.detail) == ("bounds-exceeded", 0, "grid exceeds the cap")
 
 
