@@ -1,26 +1,16 @@
-"""Each demo script runs to the end and prints something."""
-
-import os
-import pathlib
-import subprocess
-import sys
+"""Each demo script runs to the end and prints exactly its recorded
+output, golden/demos/<name>.txt (test_golden_reports.py --record)."""
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from test_golden_reports import DEMOS, demo_golden, demo_stdout
 
 
 def test_there_are_demos():
     assert DEMOS
+    assert sorted(p.name for p in demo_golden(DEMOS[0]).parent.iterdir()) == sorted(f"{p.stem}.txt" for p in DEMOS)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run(
-        [sys.executable, str(demo)], env=env, cwd=ROOT, capture_output=True, text=True, timeout=300
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip()
+    assert demo_stdout(demo) == demo_golden(demo).read_text(encoding="utf-8")

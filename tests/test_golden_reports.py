@@ -31,6 +31,8 @@ golden/subcategories.json holds one sha256 per field over the reports of the
 scan_pairs_cap=120, recorded before the scan decided its sides ahead of the
 morphism family: most of these quotients are undecided on some side or fail
 a clause, so they pin the paths the rigid-T corpora never take.
+golden/demos/ holds the stdout of each script in demos/, which
+tests/test_demos.py compares byte for byte.
 Regenerate the files on purpose with
 
     PYTHONPATH=src python tests/test_golden_reports.py --record
@@ -39,7 +41,9 @@ Regenerate the files on purpose with
 import hashlib
 import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 from quotcat.catfile import presentation_to_dict
@@ -49,6 +53,8 @@ from quotcat.preabelian import Budget
 from quotcat.verify import run_verification
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+ROOT = GOLDEN_DIR.parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _cases_a3() -> dict:
@@ -223,6 +229,27 @@ def test_generated_categories_match_golden():
     assert category_digests() == golden
 
 
+def demo_stdout(demo) -> str:
+    """The stdout of one demo script, run with src/ first on the path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(demo)],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=300,
+    )
+    if run.returncode:
+        raise RuntimeError(f"{demo.name} exited {run.returncode}: {run.stderr}")
+    return run.stdout
+
+
+def demo_golden(demo) -> pathlib.Path:
+    return GOLDEN_DIR / "demos" / f"{demo.stem}.txt"
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     for filename in CORPORA:
         text = json.dumps(corpus_reports(filename), indent=1, sort_keys=True) + "\n"
@@ -231,3 +258,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
     (GOLDEN_DIR / "categories.json").write_text(text, encoding="utf-8")
     text = json.dumps(subcategory_digests(), indent=1, sort_keys=True) + "\n"
     (GOLDEN_DIR / "subcategories.json").write_text(text, encoding="utf-8")
+    for demo in DEMOS:
+        demo_golden(demo).parent.mkdir(exist_ok=True)
+        demo_golden(demo).write_text(demo_stdout(demo), encoding="utf-8", newline="\n")

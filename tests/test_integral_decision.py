@@ -13,7 +13,9 @@ sides.
 
 import collections
 import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -29,6 +31,7 @@ from quotcat.preabelian import (
     scan_properties,
 )
 from quotcat.quotient import build_quotient
+from quotcat.verify import run_verification
 
 UNCAPPED = Budget(scan_pairs_cap=10**9)
 
@@ -239,3 +242,21 @@ def test_a_torsion_part_can_take_two_rejects():
     assert run_clause(preabelian._preabelian_clause(P, fam, UNCAPPED)).status == "pass"
     P_side = _sides(P, fam)[0]
     assert all(r.status == "pass" for r in _plain_side(P, *P_side, fam, UNCAPPED))
+
+
+@pytest.mark.parametrize(
+    "budget,digest",
+    [
+        (DEFAULT_BUDGET, "9cde2e065ac843b4eebbf77011fffb8d3117fc938dd3fca28e2a1f7fb66d558f"),
+        (Budget(scan_pairs_cap=120), "28a88f50f8d9aebd90461b07609d3ffa37221d73e540d726feb917cfb1192b07"),
+        (UNCAPPED, "77d90b6e6b7a1b27cf75dbf5933dc491a9e1945908dcaa957b635cc559ba1603"),
+    ],
+    ids=["default", "cap120", "uncapped"],
+)
+def test_the_two_reject_verdict_is_pinned(budget, digest):
+    # the one input whose side only the reject chain decides: its report,
+    # without timing_s, is the same whether the chain or the sampled leg
+    # clauses answer there
+    rep = run_verification(_two_reject_category(), subcat=set(), budget=budget)
+    rep.pop("timing_s")
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
