@@ -13,7 +13,6 @@ from quotcat.localization import (
     compose_fractions,
     fractions_equal,
     from_morphism,
-    identity_fraction,
     invert_regular,
     verify_rf_axioms,
 )
@@ -42,8 +41,8 @@ print(
 F = from_morphism(Q, r)
 R = invert_regular(Q, r)
 print("its formal inverse is a genuine two-sided inverse in the localisation:")
-print("  r^-1 o r = id:", fractions_equal(Q, compose_fractions(Q, R, F), identity_fraction(Q, r.source)))
-print("  r o r^-1 = id:", fractions_equal(Q, compose_fractions(Q, F, R), identity_fraction(Q, r.target)))
+print("  r^-1 o r = id:", fractions_equal(Q, compose_fractions(Q, R, F), from_morphism(Q, Q.identity(r.source))))
+print("  r o r^-1 = id:", fractions_equal(Q, compose_fractions(Q, F, R), from_morphism(Q, Q.identity(r.target))))
 
 print("\namplification invariance [r, f o r] = [id, f]:")
 f = next(m for m in fam.all if m.source == r.target and not m.is_zero())

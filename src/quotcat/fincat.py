@@ -66,7 +66,6 @@ class CategoryPresentation:
         self._epis = {}  # f -> preabelian.is_epi's answer
         self._monos = {}  # f -> preabelian.is_mono's answer, on a decided side
         self._socle = None  # on a side scan_properties decided, the sum of the Z_z with S_z in soc Gamma
-        self._socle_injectives = {}  # z in soc Gamma -> w with I_z = Hom(-, Z_w), or None (preabelian._representing_object)
         self._every_kernel = {}  # budget.search_fields -> preabelian._has_every_kernel's answer
         self._searches = {}  # candidate search key -> preabelian.cokernel's SearchResult
         self._squares = {}  # (c, d, *budget.search_fields) -> preabelian.pullback's LimitSquare
@@ -78,8 +77,7 @@ class CategoryPresentation:
     def clear_verdict_tables(self):
         """Empty the epi, mono, kernel-decision, search and square tables,
         the kept maps and the identity and basis caches, and forget the
-        decided socle and its representing objects, here and in the
-        opposite if built.
+        decided socle, here and in the opposite if built.
 
         Their maps point back at the presentation, so tables kept past a
         verdict hold finished quotients in reference cycles until a full
@@ -96,7 +94,7 @@ class CategoryPresentation:
                 tables = (P._epis, P._monos, P._every_kernel, P._searches, P._squares, P._maps, P._identities, P._bases)
                 for table in tables:
                     table.clear()
-                P._socle, P._socle_injectives = None, {}
+                P._socle = None
 
     # -- basic queries ------------------------------------------------
 

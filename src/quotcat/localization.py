@@ -9,8 +9,8 @@ for the ordered pair asked, kept in a table the property scan fills too.
 
 The verdict computes only what needs computing: RF2/LF2 are the property
 scan's regular-leg clauses.  The abelian clause asks that each middle map
-be regular: by proof where the property scan found every socle injective
-of Q representable, and by factorising each basis morphism elsewhere.
+be regular: by proof where the property scan decided Q's side, and by
+factorising each basis morphism elsewhere.
 RF1, RF3/LF3 and the middle map's inverse hold by proof (verify_rf_axioms,
 _abelian_clause), so no fraction is composed for them.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import collections
 
 from .errors import NoCokernel, NoKernel, NotRegular, ShapeError
-from .fincat import CategoryPresentation, Morphism, Obj, basis_morphisms, compose
+from .fincat import CategoryPresentation, Morphism, basis_morphisms, compose
 from .preabelian import (
     Budget,
     ClauseReport,
@@ -34,7 +34,6 @@ from .preabelian import (
     pullback,
     pushout,
     run_clause,
-    socle_is_right_exact,
 )
 
 
@@ -66,10 +65,6 @@ class Fraction:
 def from_morphism(Q: CategoryPresentation, f: Morphism) -> Fraction:
     """The image [id, f] of f under the localisation functor."""
     return Fraction(Q, Q.identity(f.source), f)
-
-
-def identity_fraction(Q: CategoryPresentation, X: Obj) -> Fraction:
-    return from_morphism(Q, Q.identity(X))
 
 
 def invert_regular(Q: CategoryPresentation, r: Morphism) -> Fraction:
@@ -182,7 +177,8 @@ def _abelian_clause(Q: CategoryPresentation, budget: Budget):
     """Clause body: for every basis morphism, the middle map of its coim-im
     factorisation is regular.
 
-    Where Hom(Z, -) is proven exact on Q (preabelian.socle_is_right_exact),
+    Where the property scan decided Q's side (Q._socle), Hom(Z, -) is
+    right exact on Q (preabelian._pullbacks_of_epis_are_epi proves it), and
     every middle map of Q is regular by proof, so the body yields once per
     basis morphism and factorises none; elsewhere _middle_map_loop
     factorises each.  The proof: let f: X -> Y have kernel k, cokernel c,
@@ -205,7 +201,7 @@ def _abelian_clause(Q: CategoryPresentation, budget: Budget):
     mono, then d = 1), so compose_fractions and fractions_equal on these
     fractions re-derive this proof and cannot fail for a regular s.
     """
-    if socle_is_right_exact(Q):
+    if Q._socle is not None:
         for _ in range(sum(Q.hom_dim(i, j) for i in range(Q.n) for j in range(Q.n))):
             yield
         return None

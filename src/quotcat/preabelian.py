@@ -17,7 +17,6 @@ about the instance, not a timeout.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import operator
 import random
@@ -38,7 +37,7 @@ from .fincat import (
     split_rows,
     stack_cols,
 )
-from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis, intertwiners, unit_vector
+from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis
 
 
 @dataclass
@@ -902,8 +901,8 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj |
     """_socle(P) where every pullback of an epi in P is proven epi, every
     pair at once, else None.  None leaves it undecided: the gate of
     _has_every_kernel is off, a sink-map search ran out of budget, or some
-    t(I_z) below is not 0.  The socle found is handed back, so a caller
-    that keeps it does not compute it again.
+    I_z below is not representable.  The socle found is handed back, so a
+    caller that keeps it does not compute it again.
 
     Where _has_every_kernel(P) holds, P is proj Gamma, Gamma = End(Z_1 +
     ... + Z_n), and gl.dim Gamma <= 2 (its docstring proves both).  A module
@@ -933,56 +932,53 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj |
       is an h with h g = 0 for each such generator g.  So S_z is in soc
       Gamma exactly when the sink map g_z is not epi, or no generator goes
       into z.
-    - Relations.  A family (phi_w) is natural once it is natural at each
-      generator g: w -> v that _word_generators lists: naturality passes to
-      composites and sums, End(Z_w) = k, and words in the generators span
-      the radical (_has_every_kernel's docstring).  So one equation per
-      generator gives Hom(U, P_x) (linalg.intertwiners); where U(w) = 0 and
-      U(v) != 0 it still says P_x(g) phi_v = 0.
     - Representable I_z.  Where _representing_object(P, z) finds a w, I_z
       is Hom(-, Z_w), a summand of Gamma, and a projective module is
       torsion-free: a nonzero submodule N of Gamma has the inclusion N ->
-      Gamma, which is not 0, so N is not in T.  So t(I_z) = 0 with no
-      reject asked, and the rejects below are the fallback for a z that
-      fails the check.  P._socle_injectives keeps z -> w (None where it
-      fails) for each z in soc Gamma.
-    - t(I_z) by rejects.  rej(U), the common kernel of all maps U -> Gamma,
-      is a submodule of U containing every submodule of U in T, as each
-      such map kills it.  From U = I_z the chain U, rej(U), ... falls until
-      rej(U) = U; then every map U -> Gamma is 0, U lies in T, and U =
-      t(I_z).  A nonzero submodule of I_z contains the socle S_z, which is
-      all of I_z(z), one-dimensional as End(Z_z) = k.  So t(I_z) = 0
-      exactly when t(I_z)(z) = 0: z passes once U(z) = 0, which one map U
-      -> P_x that is not 0 on U(z) shows, and the side is undecided when U
-      stops falling with U(z) != 0.
+      Gamma, which is not 0, so N is not in T.  So t(I_z) = 0.  The side is
+      decided exactly when the check finds a w for each z in soc Gamma.
     A socle handed back thus proves that every question a leg clause asks
     on P holds: the epi question, asked of an epi x (_leg_clause), by the
     legs above, and existence, asked of a mono x, as every kernel exists.
 
-    I_z(w) is Hom(Z_z, Z_w)*, on which g: w -> v acts as the transpose of
-    h -> g h, and P_x(g) is h -> h g; comp gives both.  U(w) is kept in
-    reduced echelon form, so a vector of U(w) has its coordinates in U(w)'s
-    basis at the pivots.
+    It also proves Hom(Z, -), Z the socle, right exact on P, which
+    localization._abelian_clause reads: for every g: X -> Y of P with a
+    cokernel c: Y -> C, Hom(Z, X) -> Hom(Z, Y) -> Hom(Z, C) -> 0 is exact,
+    and for every f with a kernel k, Hom(Z, k) is a kernel of Hom(Z, f).
+    T is a hereditary torsion class with torsion part t (Stenstrom, "Rings
+    of quotients", 1975, for the torsion theory).
+    - Kernels.  A kernel k: K -> X of f has Hom(W, K) = ker Hom(W, f) for
+      every W, Z included.
+    - Torsion-free modules are torsionless.  Let t(F) = 0.  A simple
+      submodule S of F is not in T, as it would lie in t(F), so some map S
+      -> Gamma is not 0, hence one to one: S is an S_z in soc Gamma.  F
+      embeds in the injective envelope of its socle, as every nonzero
+      submodule of F meets soc F, and that envelope is a sum of the I_z,
+      projective here, so F embeds in some Gamma^m.
+    - rej = t.  The common kernel rej(M) of all maps M -> Gamma contains
+      t(M).  M/t(M) is torsion-free, as T is closed under extensions, so
+      it embeds in some Gamma^m, and the map M -> Gamma^m this gives has
+      kernel t(M).  So rej(M) = t(M).
+    - Cokernels.  Let M = coker Hom(-, g) and u: M -> Hom(-, C) the map
+      that Hom(-, c) induces, as c g = 0.  By Yoneda Hom(Hom(-, C), P_x)
+      is Hom(C, Z_x), Hom(M, P_x) is {h: Y -> Z_x : h g = 0}, and Hom(u,
+      P_x) is h' -> h' c, a bijection by the universal property of c.  So
+      Hom(u, Gamma) is bijective.  Hom(-, Gamma) is left exact, so
+      Hom(coker u, Gamma) = 0 and coker u lies in T.  Every map M ->
+      Gamma factors through u, so ker u lies in rej(M); M/ker u embeds in
+      the projective Hom(-, C), so in some Gamma^m, and rej(M) lies in ker
+      u.  So ker u = t(M) lies in T too.  A module N of the hereditary T
+      has no composition factor S_z in soc Gamma, as S_z is not in T, so
+      N(z) = 0 for those z: dim N(z) counts the factors S_z, as End(Z_z)
+      = k.  So u(z): M(z) -> Hom(Z_z, C) is bijective for
+      each z in soc Gamma, and M(z) is the cokernel of Hom(Z_z, g).
     """
     if not _every_kernel(P, budget):
         return None
     socle = _socle(P)
-    held = P._socle_injectives = {z: _representing_object(P, z) for z in socle.copies()}
-    rest = [z for z, w in held.items() if w is None]
-    if rest:
-        into = _generators_into(P)
-        acts = {}  # (w, v, b, x) -> P_x(g), shared by the z of this side
-        if not all(_injective_is_torsion_free(P, into, acts, z) for z in rest):
-            return None
+    if any(_representing_object(P, z) is None for z in socle.copies()):
+        return None
     return socle
-
-
-def _generators_into(P: CategoryPresentation) -> dict:
-    """v -> [(w, b)]: the generators w -> v, b the basis index in Hom(w, v)."""
-    into = {}
-    for (w, v), bs in P.word_generators.items():
-        into.setdefault(v, []).extend((w, b) for b in bs)
-    return into
 
 
 def _representing_object(P: CategoryPresentation, z: int) -> int | None:
@@ -1021,133 +1017,6 @@ def _representing_object(P: CategoryPresentation, z: int) -> int | None:
         else:
             return w
     return None
-
-
-def socle_is_right_exact(P: CategoryPresentation) -> bool:
-    """Whether Hom(Z, -), Z = P._socle, is proven exact on P: P is a side
-    that scan_properties decided, and every I_z with S_z in soc Gamma is
-    representable (_representing_object).  Exact means: for every g: X ->
-    Y of P with a cokernel c: Y -> C, Hom(Z, X) -> Hom(Z, Y) -> Hom(Z, C)
-    -> 0 is exact, and for every f with a kernel k, Hom(Z, k) is a kernel
-    of Hom(Z, f).
-
-    Notation and the decided side's facts are _pullbacks_of_epis_are_epi's:
-    P is proj Gamma, T = {M : Hom(M, Gamma) = 0} is a hereditary torsion
-    class with torsion part t, and each I_z is Hom(-, Z_w) for some w
-    (Dickson, 1966, and Stenstrom, "Rings of quotients", 1975, for the
-    torsion theory).
-    - Kernels.  A kernel k: K -> X of f has Hom(W, K) = ker Hom(W, f) for
-      every W, Z included.
-    - Torsion-free modules are torsionless.  Let t(F) = 0.  A simple
-      submodule S of F is not in T, as it would lie in t(F), so some map S
-      -> Gamma is not 0, hence one to one: S is an S_z in soc Gamma.  F
-      embeds in the injective envelope of its socle, as every nonzero
-      submodule of F meets soc F, and that envelope is a sum of the I_z,
-      projective here, so F embeds in some Gamma^m.
-    - rej = t.  The common kernel rej(M) of all maps M -> Gamma contains
-      t(M).  M/t(M) is torsion-free, as T is closed under extensions, so
-      it embeds in some Gamma^m, and the map M -> Gamma^m this gives has
-      kernel t(M).  So rej(M) = t(M).
-    - Cokernels.  Let M = coker Hom(-, g) and u: M -> Hom(-, C) the map
-      that Hom(-, c) induces, as c g = 0.  By Yoneda Hom(Hom(-, C), P_x)
-      is Hom(C, Z_x), Hom(M, P_x) is {h: Y -> Z_x : h g = 0}, and Hom(u,
-      P_x) is h' -> h' c, a bijection by the universal property of c.  So
-      Hom(u, Gamma) is bijective.  Hom(-, Gamma) is left exact, so
-      Hom(coker u, Gamma) = 0 and coker u lies in T.  Every map M ->
-      Gamma factors through u, so ker u lies in rej(M); M/ker u embeds in
-      the projective Hom(-, C), so in some Gamma^m, and rej(M) lies in ker
-      u.  So ker u = t(M) lies in T too.  A module N of the hereditary T
-      has no composition factor S_z in soc Gamma, as S_z is not in T, so
-      N(z) = 0 for those z: dim N(z) counts the factors S_z, as End(Z_z)
-      = k.  So u(z): M(z) -> Hom(Z_z, C) is bijective for
-      each z in soc Gamma, and M(z) is the cokernel of Hom(Z_z, g).
-    """
-    return P._socle is not None and None not in P._socle_injectives.values()
-
-
-def _injective_is_torsion_free(P: CategoryPresentation, into: dict, acts: dict, z: int) -> bool:
-    """Whether t(I_z) = 0, by rejects from U = I_z, for S_z in soc Gamma
-    (proof and the tables into and acts in _pullbacks_of_epis_are_epi).
-
-    A map U -> P_x that is not 0 on U(z) is not 0 on soc U = S_z, so it is
-    mono, as every nonzero submodule of U meets S_z.  So only an x with S_z
-    in soc P_x and dim U(w) <= dim P_x(w) for every w can take U(z) out of
-    rej(U); those x are asked first, and the rest only when none does.
-    """
-    fld, dim, comp = P.field, P._dim, P.comp
-    zero, add, mul = fld.zero, fld.add, fld.mul
-    U = {}  # w -> the RowSpace U(w) in I_z(w), for U(w) != 0
-    for w in range(P.n):
-        if dim[z][w]:
-            U[w] = RowSpace.from_rows(fld, dim[z][w], (unit_vector(fld, dim[z][w], a) for a in range(dim[z][w])))
-
-    def act(w, v, b, x):
-        # P_x(g) for g basis b of Hom(w, v): column c is h_c o g in Hom(w, x)
-        m = acts.get((w, v, b, x))
-        if m is None:
-            table, r, c = comp.get((w, v, x)), dim[w][x], dim[v][x]
-            rows = [[table[b][k][i] for k in range(c)] if table else [zero] * c for i in range(r)]
-            m = acts[(w, v, b, x)] = Matrix(fld, r, c, rows)
-        return m
-
-    def socle_to(x):
-        # Hom(S_z, P_x) != 0: some h: Z_z -> Z_x with h g = 0 for each g into z
-        rows = [row for w, b in into.get(z, ()) for row in act(w, z, b, x).data]
-        return len(Matrix(fld, len(rows), dim[z][x], rows).kernel_basis()) > 0
-
-    def reject_rows(x, moves, kills):
-        # add to kills[v] the rows phi_v of a basis of Hom(U, P_x)
-        play = [v for v in U if dim[v][x]]
-        if not play:
-            return  # Hom(U, P_x) = 0
-        rels = [(w, v, b) for v in U for w, b in into.get(v, ()) if dim[w][x] and (dim[v][x] or w in U)]
-        verts = list(dict.fromkeys(play + [u for w, v, _ in rels for u in (w, v)]))
-        pos = {u: i for i, u in enumerate(verts)}
-        src = [U[u].dim if u in U else 0 for u in verts]
-        tgt = [dim[u][x] for u in verts]
-        relations = [(pos[v], pos[w], moves[(w, v, b)], act(w, v, b, x)) for w, v, b in rels]
-        offsets = list(itertools.accumulate((s * t for s, t in zip(src, tgt)), initial=0))
-        for phi in intertwiners(fld, src, tgt, relations):
-            for v in play:
-                i, c = pos[v], U[v].dim
-                kills[v].extend(phi[k : k + c] for k in range(offsets[i], offsets[i + 1], c))
-
-    socle = [x for x in range(P.n) if dim[z][x] and socle_to(x)]
-    while True:
-        # U(g): U(v) -> U(w) in their bases, read at U(w)'s pivots
-        moves = {}
-        for v, space in U.items():
-            for w, b in into.get(v, ()):
-                table, target = comp.get((z, w, v)), U.get(w)
-                pivots = target.pivots if target else ()
-                rows = [
-                    [functools.reduce(add, map(mul, table[p][b], u), zero) if table else zero for u in space.rows]
-                    for p in pivots
-                ]
-                moves[(w, v, b)] = Matrix(fld, len(rows), space.dim, rows)
-        kills = collections.defaultdict(list)  # v -> rows whose common kernel in U(v) is rej(U)(v)
-        fits = [x for x in socle if all(space.dim <= dim[w][x] for w, space in U.items())]
-        for x in fits:
-            reject_rows(x, moves, kills)
-            if any(map(any, kills[z])):
-                return True
-        for x in range(P.n):
-            if x not in fits:
-                reject_rows(x, moves, kills)
-        shrunk = False
-        for v, rows in kills.items():
-            space = U[v]
-            keep = Matrix(fld, len(rows), space.dim, rows).kernel_basis()
-            if len(keep) == space.dim:
-                continue
-            shrunk = True
-            if keep:
-                basis = Matrix(fld, space.dim, space.width, space.rows)
-                U[v] = RowSpace.from_rows(fld, space.width, (Matrix(fld, len(keep), space.dim, keep) * basis).data)
-            else:
-                del U[v]
-        if not shrunk:
-            return False
 
 
 def _leg_answers(P: CategoryPresentation, budget: Budget):
@@ -1333,7 +1202,7 @@ def scan_properties(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) ->
     op = opposite(Q)
     for P in (Q, op):
         # decided afresh: the sink maps' epis take the Yoneda path
-        P._socle, P._socle_injectives = None, {}
+        P._socle = None
         P._socle = _pullbacks_of_epis_are_epi(P, budget)
     fam = build_morphism_family(Q, budget)
     report = PropertyReport(family=fam)

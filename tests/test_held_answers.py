@@ -8,9 +8,9 @@ longer computed the long way:
   directly of the opposite of a fresh copy of Q.
 - `coim_im_factorise` takes w = f where u is 1_X and ftilde = w where v is
   1_Y.  The oracle solves w o u = f and v o ftilde = w.  The abelian clause
-  factorises nothing where every socle injective of Q is representable, as
-  on every verdict here, so the test runs the middle-map loop beside it and
-  asks the loop for the clause's result.
+  factorises nothing where the scan decided Q's side, as on every verdict
+  here, so the test runs the middle-map loop beside it and asks the loop
+  for the clause's result.
 - `HFunctor.preimage` reduces [phi | 0] against the echelon rows [H(b_a)
   | e_a].  The oracle solves over the columns H(b_a).
 - On Q's decided side a regular-roof try meets one rank condition
@@ -122,7 +122,7 @@ def test_held_answers_are_the_recomputed_answers(corpus, monkeypatch):
     def abelian_beside_the_loop(Q, budget):
         before = sum(factored.values())
         rep = abelian(Q, budget)
-        assert preabelian.socle_is_right_exact(Q) and sum(factored.values()) == before, Q.objects
+        assert Q._socle is not None and sum(factored.values()) == before, Q.objects
         loop = run_clause(localization._middle_map_loop(Q, budget))
         assert loop == rep.clauses["abelian_middle_maps"], Q.objects
         return rep

@@ -2,11 +2,11 @@
 
 `preabelian._pullbacks_of_epis_are_epi(P, budget)` proves, for P = Q or
 Q^op, that every pullback of an epi in P is epi: where `_has_every_kernel`
-holds, it asks whether the torsion part t(I_z) of each injective envelope
-of a simple in soc Gamma is 0.  Where it proves that, `scan_properties`
-passes the side's four leg clauses without asking a pair.  So wherever it
-decides a side, the plain per-pair leg loop on that side, uncapped, must
-pass.  The counts pin how often it decides: on the proper subcategory
+holds, it asks whether the injective envelope I_z of each simple in soc
+Gamma is representable, which makes its torsion part t(I_z) 0.  Where it
+proves that, `scan_properties` passes the side's four leg clauses without
+asking a pair.  So wherever it decides a side, the plain per-pair leg loop
+on that side, uncapped, must pass.  The counts pin how often it decides: on the proper subcategory
 quotients of C(A_3), and on every rigid T measured, where it decides both
 sides.
 """
@@ -32,6 +32,8 @@ from quotcat.preabelian import (
 )
 from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
+
+from conftest import generators_into, injective_is_torsion_free
 
 UNCAPPED = Budget(scan_pairs_cap=10**9)
 
@@ -193,10 +195,10 @@ def test_the_decision_needs_the_gate(monkeypatch):
         assert preabelian._pullbacks_of_epis_are_epi(P, DEFAULT_BUDGET)
     # End(X) = Q x Q, spanned by two orthogonal idempotents
     E = CategoryPresentation(QQ, ["X"], {(0, 0): 2}, {(0, 0, 0): [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}, [[1, 1]])
-    torsion = []
-    monkeypatch.setattr(preabelian, "_injective_is_torsion_free", lambda *args: torsion.append(args))
+    checked = []
+    monkeypatch.setattr(preabelian, "_representing_object", lambda *args: checked.append(args))
     assert not any(preabelian._pullbacks_of_epis_are_epi(P, DEFAULT_BUDGET) for P in (E, opposite(E)))
-    assert not torsion
+    assert not checked
 
 
 def test_a_torsion_injective_leaves_the_side_undecided():
@@ -222,8 +224,9 @@ def _two_reject_category():
     soc Gamma = S_z + S_u + S_w.  I_z is uniserial w -> y -> z.  Its one
     quotient that embeds in Gamma is S_w (in P_t = (t -> w)), so rej(I_z)
     is y -> z, which is the projective P_y: the second reject is 0.  So is
-    I_u's, from rej(I_u) = S_u = P_u.  A decision that stopped after one
-    reject would leave this side undecided."""
+    I_u's, from rej(I_u) = S_u = P_u.  So t(I_z) = 0 for each z in soc
+    Gamma, but only I_w is representable (by Hom(-, Z_t)), and the
+    decision leaves this side undecided."""
     one = QQ.one
     t, w, y, z, u = range(5)
     maps = [(z, y), (y, w), (u, w), (w, t), (z, w)]
@@ -235,9 +238,14 @@ def _two_reject_category():
 
 
 def test_a_torsion_part_can_take_two_rejects():
+    # the reject chain passes every z of soc Gamma, the check does not, and
+    # the side the chain alone would decide passes the uncapped plain loop
     P = _two_reject_category()
     assert validate_category(P).ok
-    assert preabelian._pullbacks_of_epis_are_epi(P, UNCAPPED)
+    assert preabelian._every_kernel(P, UNCAPPED)
+    socle, into = preabelian._socle(P), generators_into(P)
+    assert all(injective_is_torsion_free(P, into, {}, z) for z in socle.copies())
+    assert not preabelian._pullbacks_of_epis_are_epi(P, UNCAPPED)
     fam = build_morphism_family(P, UNCAPPED)
     assert run_clause(preabelian._preabelian_clause(P, fam, UNCAPPED)).status == "pass"
     P_side = _sides(P, fam)[0]
@@ -254,9 +262,9 @@ def test_a_torsion_part_can_take_two_rejects():
     ids=["default", "cap120", "uncapped"],
 )
 def test_the_two_reject_verdict_is_pinned(budget, digest):
-    # the one input whose side only the reject chain decides: its report,
-    # without timing_s, is the same whether the chain or the sampled leg
-    # clauses answer there
+    # the one input whose side the reject chain decides and the check does
+    # not: its report, without timing_s, is the one it gave when the chain
+    # decided the side, now that the sampled leg clauses answer there
     rep = run_verification(_two_reject_category(), subcat=set(), budget=budget)
     rep.pop("timing_s")
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest

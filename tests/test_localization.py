@@ -13,7 +13,6 @@ from quotcat.localization import (
     compose_fractions,
     fractions_equal,
     from_morphism,
-    identity_fraction,
     invert_regular,
     localised_cokernel,
     localised_kernel,
@@ -33,11 +32,10 @@ from quotcat.preabelian import (
     pullback,
     run_clause,
     scan_properties,
-    socle_is_right_exact,
 )
 from quotcat.quotient import build_quotient
 
-from conftest import solve_two_sided_inverse
+from conftest import identity_fraction, solve_two_sided_inverse
 from test_integral_decision import _two_reject_category
 
 
@@ -293,9 +291,9 @@ def test_check_abelian(A2Q, Q13):
 
 
 def test_check_abelian_out_of_budget_is_a_status(monkeypatch):
-    # the two-reject category's side is decided, but two of its socle
-    # injectives are not representable, so the clause factorises each basis
-    # morphism, and the first factorisation runs out of budget
+    # two of the two-reject category's socle injectives are not
+    # representable, so its side is undecided and the clause factorises
+    # each basis morphism, and the first factorisation runs out of budget
     import quotcat.localization
 
     def exhausted(*args, **kwargs):
@@ -303,7 +301,7 @@ def test_check_abelian_out_of_budget_is_a_status(monkeypatch):
 
     E = _two_reject_category()
     scan_properties(E)
-    assert E._socle is not None and not socle_is_right_exact(E)
+    assert E._socle is None
     monkeypatch.setattr(quotcat.localization, "coim_im_factorise", exhausted)
     cl = check_abelian(E).clauses["abelian_middle_maps"]
     assert (cl.status, cl.checked, cl.detail) == ("bounds-exceeded", 0, "grid exceeds the cap")

@@ -6,7 +6,7 @@ from quotcat import modcat
 from quotcat.clustergen import build_cluster_category
 from quotcat.errors import BoundsExceeded, NotInS, NotRegular
 from quotcat.fincat import Obj, all_rigid_supports, compose, opposite, precompose_matrix, validate_category
-from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism, identity_fraction
+from quotcat.localization import Fraction, compose_fractions, fractions_equal, from_morphism
 from quotcat.linalg import GF, QQ, Matrix, RowSpace, intertwiners
 from quotcat.modcat import (
     HFunctor,
@@ -22,7 +22,7 @@ from quotcat.preabelian import Budget, SearchResult, build_morphism_family, is_r
 from quotcat.quotient import build_quotient, x_t_objects
 from quotcat.verify import run_verification
 
-from conftest import iso_fraction_exists
+from conftest import identity_fraction, iso_fraction_exists
 
 
 @pytest.fixture(scope="module")

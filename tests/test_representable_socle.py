@@ -3,14 +3,17 @@ computations it stands in for.
 
 On a side P past `_has_every_kernel`'s gate, `preabelian._representing_object`
 asks, for each z with S_z in soc Gamma, whether I_z = D Hom(Z_z, -) is
-Hom(-, Z_w) for some w.  Where it finds w, `_pullbacks_of_epis_are_epi`
-asks no reject chain for z: a projective module is torsion-free.  Where it
-finds a w for every z of Q's side, `localization._abelian_clause` yields
-once per basis morphism and factorises none: Hom(Z, -) is then right exact
-(`preabelian.socle_is_right_exact`), so every middle map is regular.
+Hom(-, Z_w) for some w.  `_pullbacks_of_epis_are_epi` decides the side
+exactly when it finds a w for every z: a projective module is
+torsion-free, so t(I_z) = 0.  On Q's decided side
+`localization._abelian_clause` yields once per basis morphism and
+factorises none: Hom(Z, -) is then right exact, so every middle map is
+regular.
 
-So wherever the check passes, the reject chain must pass, and the plain
-middle-map loop, run directly, must pass with the count the clause reports.
+So wherever the check passes, the reject chain (conftest's
+injective_is_torsion_free, which computes t(I_z) from its definition) must
+pass, and the plain middle-map loop, run directly, must pass with the count
+the clause reports.
 On rigid T, Serre duality predicts w = sigma^2 z on Q's side, and on the
 side of Q^op, z = sigma^2 w.
 """
@@ -25,10 +28,11 @@ from quotcat.clustergen import build_cluster_category
 from quotcat.fincat import CategoryPresentation, all_rigid_supports, opposite, validate_category
 from quotcat.linalg import GF, QQ
 from quotcat.localization import check_abelian
-from quotcat.preabelian import DEFAULT_BUDGET, ClauseResult, run_clause, scan_properties, socle_is_right_exact
+from quotcat.preabelian import DEFAULT_BUDGET, ClauseResult, run_clause, scan_properties
 from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
 
+from conftest import generators_into, injective_is_torsion_free
 from test_integral_decision import _two_reject_category
 
 
@@ -44,8 +48,10 @@ def _loop(Q):
 @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["QQ", "GF2"])
 def test_the_check_passes_only_where_the_reject_chain_passes(field):
     # over the 510 proper subcategory quotients of C(A_3): every z of a side
-    # past the gate that the check passes has t(I_z) = 0 by rejects too, and
-    # every quotient whose abelian clause the check decides passes the loop
+    # past the gate that the check passes has t(I_z) = 0 by rejects too, a
+    # side is decided exactly when the check passes every z of its socle,
+    # and every quotient whose abelian clause the check decides passes the
+    # loop
     A3 = build_cluster_category(3, None, field)
     asked = collections.Counter()
     proven = 0
@@ -55,14 +61,17 @@ def test_the_check_passes_only_where_the_reject_chain_passes(field):
             for P in (Q, opposite(Q)):
                 if not preabelian._has_every_kernel(P, DEFAULT_BUDGET):
                     continue
-                into, acts = preabelian._generators_into(P), {}
+                into, acts, checks = generators_into(P), {}, []
                 for z in preabelian._socle(P).copies():
                     check = preabelian._representing_object(P, z) is not None
-                    chain = preabelian._injective_is_torsion_free(P, into, acts, z)
+                    chain = injective_is_torsion_free(P, into, acts, z)
                     assert chain or not check, (S, P is Q, z)
                     asked[check, chain] += 1
+                    checks.append(check)
+                decided = preabelian._pullbacks_of_epis_are_epi(P, DEFAULT_BUDGET) is not None
+                assert decided == all(checks), (S, P is Q)
             scan = scan_properties(Q, DEFAULT_BUDGET)
-            if scan.clauses["preabelian"].status == "pass" and socle_is_right_exact(Q):
+            if scan.clauses["preabelian"].status == "pass" and Q._socle is not None:
                 assert _loop(Q) == ClauseResult("pass", _basis_count(Q)), S
                 proven += 1
     assert proven == 279
@@ -96,22 +105,26 @@ def test_rigid_t_represents_each_socle_injective_by_sigma_squared(category, step
         assert loop == ClauseResult("pass", _basis_count(Q)), s
         scan_properties(Q, DEFAULT_BUDGET)
         op = opposite(Q)
-        assert socle_is_right_exact(Q) and socle_is_right_exact(op), s
-        assert all(w == sigma2[z] for z, w in Q._socle_injectives.items()), s
-        assert all(sigma2[w] == z for z, w in op._socle_injectives.items()), s
+        assert Q._socle is not None and op._socle is not None, s
+        assert all(preabelian._representing_object(Q, z) == sigma2[z] for z in Q._socle.copies()), s
+        assert all(sigma2[preabelian._representing_object(op, z)] == z for z in op._socle.copies()), s
         assert check_abelian(Q).clauses["abelian_middle_maps"] == loop, s
         cases += 1
     assert cases == count
 
 
 def test_the_two_reject_category_fails_the_check_and_takes_the_loop(monkeypatch):
-    # its side is decided by the reject chain alone: of soc Gamma = S_z + S_u
-    # + S_w only I_w is representable (by Hom(-, Z_t)), and its verdict
-    # factorises each basis morphism, finding a middle map that is not
-    # regular
+    # the reject chain passes every z of soc Gamma = S_z + S_u + S_w, but
+    # only I_w is representable (by Hom(-, Z_t)), so the side is undecided,
+    # and its verdict factorises each basis morphism, finding a middle map
+    # that is not regular
     E = _two_reject_category()
-    assert preabelian._pullbacks_of_epis_are_epi(E, DEFAULT_BUDGET)
-    names = {E.objects[z]: None if w is None else E.objects[w] for z, w in E._socle_injectives.items()}
+    assert preabelian._every_kernel(E, DEFAULT_BUDGET)
+    assert not preabelian._pullbacks_of_epis_are_epi(E, DEFAULT_BUDGET)
+    socle = preabelian._socle(E).copies()
+    assert all(injective_is_torsion_free(E, generators_into(E), {}, z) for z in socle)
+    found = {z: preabelian._representing_object(E, z) for z in socle}
+    names = {E.objects[z]: None if w is None else E.objects[w] for z, w in found.items()}
     assert names == {"w": "t", "z": None, "u": None}
     factorised = []
     factorise = localization.coim_im_factorise
@@ -126,18 +139,16 @@ def test_the_two_reject_category_fails_the_check_and_takes_the_loop(monkeypatch)
 
 
 def test_clear_verdict_tables_forgets_the_check(monkeypatch):
-    # a cleared quotient keeps no socle and no representing objects, on
-    # either side, so a verdict asked of it afresh without a scan takes the
-    # loop; and a fresh quotient that fails the check takes the loop too
+    # a cleared quotient keeps no socle, on either side, so a verdict asked
+    # of it afresh without a scan takes the loop; and a fresh quotient that
+    # fails the check takes the loop too
     A3 = build_cluster_category(3)
     Q = build_quotient(A3, A3.obj({"P1": 1, "P3": 1})).presentation
     op = opposite(Q)
     scan_properties(Q, DEFAULT_BUDGET)
-    assert socle_is_right_exact(Q) and Q._socle_injectives and op._socle_injectives
+    assert Q._socle is not None and op._socle is not None
     Q.clear_verdict_tables()
-    for P in (Q, op):
-        assert P._socle is None and P._socle_injectives == {}
-        assert not socle_is_right_exact(P)
+    assert Q._socle is None and op._socle is None
     factorised = []
     factorise = localization.coim_im_factorise
     monkeypatch.setattr(localization, "coim_im_factorise", lambda Q, f, budget: factorised.append(f) or factorise(Q, f, budget))
@@ -146,7 +157,7 @@ def test_clear_verdict_tables_forgets_the_check(monkeypatch):
     factorised.clear()
     E = build_quotient(_two_reject_category(), subcat=set()).presentation
     scan_properties(E, DEFAULT_BUDGET)
-    assert E._socle is not None and not socle_is_right_exact(E)
+    assert E._socle is None
     assert check_abelian(E).clauses["abelian_middle_maps"].status == "fail"
     assert len(factorised) == 4
 

@@ -101,7 +101,7 @@ def undecided(monkeypatch):
     """Both sides undecided, so scan_properties asks every leg clause's
     pairs: the path it takes on a side where _pullbacks_of_epis_are_epi
     proves nothing (the gate off, a sink-map search out of budget, or a
-    torsion part that is not 0)."""
+    socle injective that is not representable)."""
     monkeypatch.setattr(preabelian, "_pullbacks_of_epis_are_epi", lambda P, budget: None)
 
 
