@@ -118,9 +118,9 @@ class CategoryPresentation:
 
     @cached_property
     def word_generators(self) -> dict:
-        """_word_generators(self), built on first use and kept, so validation,
-        the sink maps and the integrality decision read one set.  Nothing
-        changes comp once a presentation is built."""
+        """_word_generators(self), built on first use and kept, so validation
+        and the sink maps read one set.  Nothing changes comp once a
+        presentation is built."""
         return _word_generators(self)
 
     # -- objects of the additive closure ------------------------------

@@ -6,9 +6,9 @@ holds, it asks whether the injective envelope I_z of each simple in soc
 Gamma is representable, which makes its torsion part t(I_z) 0.  Where it
 proves that, `scan_properties` passes the side's four leg clauses without
 asking a pair.  So wherever it decides a side, the plain per-pair leg loop
-on that side, uncapped, must pass.  The counts pin how often it decides: on the proper subcategory
-quotients of C(A_3), and on every rigid T measured, where it decides both
-sides.
+on that side, uncapped, must pass.  The counts pin how often it decides:
+on the proper subcategory quotients of C(A_3), and on every rigid T
+measured, where it decides both sides.
 """
 
 import collections
@@ -262,9 +262,9 @@ def test_a_torsion_part_can_take_two_rejects():
     ids=["default", "cap120", "uncapped"],
 )
 def test_the_two_reject_verdict_is_pinned(budget, digest):
-    # the one input whose side the reject chain decides and the check does
-    # not: its report, without timing_s, is the one it gave when the chain
-    # decided the side, now that the sampled leg clauses answer there
+    # the one input whose side the reject chain passes and the check does
+    # not, so the sampled leg clauses answer there: its report, without
+    # timing_s, at three budgets
     rep = run_verification(_two_reject_category(), subcat=set(), budget=budget)
     rep.pop("timing_s")
     assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
