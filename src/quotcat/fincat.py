@@ -77,11 +77,18 @@ class CategoryPresentation:
     def clear_verdict_tables(self):
         """Empty the epi, mono, kernel-decision, search and square tables,
         the kept maps and the identity and basis caches, and forget the
-        decided socle, here and in the opposite if built.
+        decided socle, here and in the opposite if built.  Each kept map
+        first drops its twin in the opposite; a cleared map is never looked
+        up again, so that is safe at any point.
 
-        Their maps point back at the presentation, so tables kept past a
-        verdict hold finished quotients in reference cycles until a full
-        collection.
+        The cycle rule: when run_verification returns, nothing it built is
+        in a reference cycle.  Kept maps point back at their presentation
+        and their twins at the opposite, so the tables and twins would hold
+        a finished quotient in cycles until a full collection.  Once they
+        are cleared, only the link between the presentation and its
+        opposite is left; it stays here, as a caller may clear and go on
+        with the same presentation and its opposite, and run_verification
+        drops it when its verdict ends.
 
         The lifetime rule: a map built before a clear is not the object an
         equal map built after it is, and maps compare by identity, so
@@ -91,6 +98,8 @@ class CategoryPresentation:
         """
         for P in (self, self._opposite):
             if P is not None:
+                for f in P._maps.values():
+                    f._op = None
                 tables = (P._epis, P._monos, P._every_kernel, P._searches, P._squares, P._maps, P._identities, P._bases)
                 for table in tables:
                     table.clear()
@@ -979,9 +988,9 @@ def op_morphism(Q: CategoryPresentation, f: Morphism) -> Morphism:
     The twin is Q's one map of that value; a twin built here shares f's
     coefficient vectors, which no map changes.  It is kept on f, so asking
     again returns it without a lookup.  Carrying f there and back returns f
-    itself, read from f.P's table.  A new twin does not point back at f, so
-    building one makes no reference cycle; only asking for the way back
-    keeps f on the twin.
+    itself, read from f.P's table.  A new twin does not point back at f;
+    only asking for the way back keeps f on the twin.  Either link lasts
+    until clear_verdict_tables drops it.
     """
     twin = f._op
     if twin is None or twin.P is not Q:

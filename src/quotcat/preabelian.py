@@ -665,18 +665,21 @@ class MorphismFamily:
 
 
 def build_morphism_family(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> MorphismFamily:
-    """Basis morphisms, identities, and seeded random maps, classified."""
+    """Basis morphisms, identities, and seeded random maps, classified.
+
+    The objects are the indecomposables Z_i, then the first
+    scan_double_objects sums Z_i + Z_j, i <= j, in (i, j) order; only
+    those sums are built.
+    """
     fam = MorphismFamily()
     rng = random.Random(f"{budget.seed}:family")
     singles = [Q.single(i) for i in range(Q.n)]
-    pairs = []
-    for i in range(Q.n):
-        for j in range(i, Q.n):
-            pairs.append(Q.single(i) + Q.single(j))
-    objects = singles + pairs[: budget.scan_double_objects]
+    pairs = itertools.combinations_with_replacement(singles, 2)
+    objects = singles + [A + B for A, B in itertools.islice(pairs, budget.scan_double_objects)]
     for X in objects:
+        dims = Q.hom_layout(X)[1]  # dims[k] = dim Hom(X, Z_k)
         for Y in objects:
-            d = Q.hom_space_dim(X, Y)
+            d = sum(dims[k] for k in Y.copies())
             if d == 0:
                 continue
             items = []

@@ -105,8 +105,14 @@ def run_verification(
         _quotient_clauses(P, t_spec, xt, qc, budget, report, timed)
     finally:
         # the verdict tables and kept maps (clear_verdict_tables) of the
-        # quotient built here last one verdict; P's maps are its caller's
-        qc.presentation.clear_verdict_tables()
+        # quotient built here last one verdict; P's maps are its caller's.
+        # Unlinking Q and Q^op then breaks the last cycle, so reference
+        # counting frees both when this returns
+        Q = qc.presentation
+        Q.clear_verdict_tables()
+        op, Q._opposite = Q._opposite, None
+        if op is not None:
+            op._opposite = None
     return report
 
 

@@ -4,16 +4,20 @@
 `cokernel` keeps each candidate search there, keyed by the search's domain,
 codomain, subspace and the budget fields it reads.  `pullback`'s limit
 squares are kept there too.  `kernel`, `pushout`, `is_mono` and
-`is_regular` reach them through Q or Q^op.  `run_verification` empties the
-tables of Q and Q^op when it returns; a verdict fills no epi, search or
-square table of its input P and builds no P^op.  These tests pin that a repeated call reads the kept
-searches, that a hit is the cold answer, that running out of budget is
-never kept, that a verdict searches each key once, that no table outlives
-its verdict, and that a report does not depend on the verdicts run before
-it in the same process.
+`is_regular` reach them through Q or Q^op.  The rule: when
+`run_verification` returns, nothing it built is in a reference cycle.  It
+empties the tables of Q and Q^op, each kept map dropping its twin in the
+other, and unlinks Q and Q^op; a verdict fills no epi, search or square
+table of its input P and builds no P^op.  These tests pin that a repeated
+call reads the kept searches, that a hit is the cold answer, that running
+out of budget is never kept, that a verdict searches each key once, that no
+table outlives its verdict, that a verdict leaves no reference cycle, and
+that a report does not depend on the verdicts run before it in the same
+process.
 """
 
 import collections
+import gc
 import json
 import os
 import pathlib
@@ -30,6 +34,7 @@ from quotcat.linalg import GF, QQ
 from quotcat.preabelian import Budget, cokernel, kernel
 from quotcat.quotient import build_quotient
 from quotcat.verify import run_verification
+from test_integral_decision import _two_reject_category
 
 CAPPED = Budget(scan_pairs_cap=120)
 TIGHT = Budget(retries=0, grid_cap=1)  # any certification grid is over the cap
@@ -191,9 +196,9 @@ def test_a_verdict_searches_each_key_once(A3, monkeypatch, spec):
 
 
 def _watch(monkeypatch):
-    """The quotients run_verification builds, and the table sizes at the
-    start of the abelian clause."""
-    built, sizes = [], []
+    """The quotients run_verification builds, the table sizes at the start
+    of the abelian clause, and each quotient's opposite as it is then."""
+    built, sizes, opposites = [], [], []
 
     def quotient(*args, **kwargs):
         qc = build(*args, **kwargs)
@@ -202,40 +207,53 @@ def _watch(monkeypatch):
 
     def abelian(Q, budget):
         sizes.append(sum(len(t) for pair in _tables(Q) for t in pair))
+        opposites.append(Q._opposite)
         return check(Q, budget)
 
     build, check = verify.build_quotient, verify.check_abelian
     monkeypatch.setattr(verify, "build_quotient", quotient)
     monkeypatch.setattr(verify, "check_abelian", abelian)
-    return built, sizes
+    return built, sizes, opposites
+
+
+def _all_empty(presentations):
+    return all(not t for C in presentations for pair in _tables(C) for t in pair)
 
 
 def test_tables_are_empty_after_the_verdict(A3, monkeypatch):
-    built, sizes = _watch(monkeypatch)
+    # the verdict built Q^op; when it returns, the tables of both are empty
+    # and neither points at the other
+    built, sizes, opposites = _watch(monkeypatch)
     assert run_verification(A3, A3.obj({"P1": 1, "P3": 1}), budget=CAPPED)["overall"] == "pass"
-    (Q,) = built
-    assert Q._opposite is not None and sizes[0] > 0
-    assert all(not t for C in (Q, A3) for pair in _tables(C) for t in pair)
+    (Q,), (op,) = built, opposites
+    assert op is not None and sizes[0] > 0
+    assert Q._opposite is None and op._opposite is None
+    assert not (Q._maps or op._maps)
+    assert _all_empty((Q, op, A3))
 
 
-def test_tables_are_empty_when_a_clause_raises(A3, monkeypatch):
-    built, _ = _watch(monkeypatch)
-
+def _break_the_equivalence_clause(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("equivalence clause broke")
 
     monkeypatch.setattr(verify, "verify_equivalence", broken)
+
+
+def test_tables_are_empty_when_a_clause_raises(A3, monkeypatch):
+    built, _, opposites = _watch(monkeypatch)
+    _break_the_equivalence_clause(monkeypatch)
     with pytest.raises(RuntimeError):
         run_verification(A3, A3.obj({"P2": 1}), budget=CAPPED)
-    (Q,) = built
-    assert all(not t for C in (Q, A3) for pair in _tables(C) for t in pair)
+    (Q,), (op,) = built, opposites
+    assert Q._opposite is None and op._opposite is None
+    assert _all_empty((Q, op, A3))
 
 
 def test_tables_are_empty_after_a_sweep(A3, monkeypatch):
     # the verdict path fills only the quotients' tables; a search asked of
     # the long-lived category itself is its caller's, and no verdict
     # empties it
-    built, sizes = _watch(monkeypatch)
+    built, sizes, opposites = _watch(monkeypatch)
     # a mono's kernel is 0 without a search; [1 | 1]: P1 + P1 -> P1 is not
     # mono, and its kernel is searched
     one = A3.identity(A3.single("P1"))
@@ -244,10 +262,72 @@ def test_tables_are_empty_after_a_sweep(A3, monkeypatch):
     for support in all_rigid_supports(A3, 3)[:14]:
         T = A3.obj([int(i in support) for i in range(A3.n)])
         assert run_verification(A3, T, budget=CAPPED)["overall"] == "pass"
-    assert len(built) == 14 and min(sizes) > 0
-    assert all(not t for C in built for pair in _tables(C) for t in pair)
+    assert len(built) == 14 and min(sizes) > 0 and None not in opposites
+    assert _all_empty(built + opposites)
     assert [dict(t) for pair in _tables(A3) for t in pair] == callers
     A3.clear_verdict_tables()
+
+
+def _t(spec, budget=CAPPED):
+    return lambda P: [{"t_spec": P.obj({s: 1 for s in spec.split("+")}), "budget": budget}]
+
+
+def _subcat(spec):
+    return lambda P: [{"subcat": {P.index(s) for s in spec.split("+") if s}, "budget": CAPPED}]
+
+
+def _every_7th_rigid_t(P):
+    return [
+        {"t_spec": P.obj([int(i in support) for i in range(P.n)]), "budget": CAPPED}
+        for support in all_rigid_supports(P, P.n)[::7]
+    ]
+
+
+def _a3():
+    return _category(3, None, None)
+
+
+# name -> (the category, the run_verification arguments of its verdicts)
+VERDICT_KINDS = {
+    "A3/Q T=P1+P3": (_a3, _t("P1+P3")),
+    "A3/Q subcat=P1+P2+I2": (_a3, _subcat("P1+P2+I2")),
+    "A3/Q subcat=P1+P2+S2": (_a3, _subcat("P1+P2+S2")),
+    "A3/Q T=P2 retries=1 grid_cap=1": (_a3, _t("P2", Budget(retries=1, grid_cap=1))),
+    "A3/Q T=P1+P2 retries=0 grid_cap=1": (_a3, _t("P1+P2", TIGHT)),
+    "two-reject subcat={}": (_two_reject_category, _subcat("")),
+    "A3/Q T=P2 equivalence raises": (_a3, _t("P2")),
+    "A4(><>)/F101 every 7th rigid T": (lambda: _category(4, "><>", 101), _every_7th_rigid_t),
+}
+
+
+@pytest.mark.parametrize("kind", list(VERDICT_KINDS))
+def test_a_verdict_leaves_no_reference_cycle(kind, monkeypatch):
+    # once the tables are empty, the twins dropped and Q and Q^op unlinked,
+    # reference counting frees everything the verdict built: with the
+    # collector paused, a collection after each verdict finds nothing
+    build, verdicts = VERDICT_KINDS[kind]
+    P = build()
+    raises = kind.endswith("raises")
+    if raises:
+        _break_the_equivalence_clause(monkeypatch)
+
+    def run(kwargs):
+        if raises:
+            with pytest.raises(RuntimeError):
+                run_verification(P, **kwargs)
+        else:
+            run_verification(P, **kwargs)
+
+    calls = verdicts(P)
+    run(calls[0])  # warm the category
+    for kwargs in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            run(kwargs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
