@@ -3,9 +3,10 @@
 Everything downstream (category presentations, quotients, searches) runs on
 this module.  There is no floating point anywhere: rationals are ints when
 integral and reduced `fractions.Fraction`s otherwise, prime-field elements
-are ints reduced mod p.  Rank is fraction-free (Bareiss elimination), so an
-integer matrix never creates a `Fraction`.  All decisions (rank,
-solvability, membership) are exact.
+are ints reduced mod p.  RowSpace, a reduced row echelon form, is the one
+elimination: kernels, solutions and ranks read it, but a rank with at most
+two rows or columns is read off the entries and their 2x2 minors.  All
+decisions (rank, solvability, membership) are exact.
 """
 
 from __future__ import annotations
@@ -39,14 +40,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def bareiss_row(self, nums, prev):
-        """Finish one fraction-free elimination step: nums / prev in the field.
-
-        nums is p*x - a*y, computed with the number operators on a row x, the
-        pivot row y, its pivot p and a = x[c]; prev is the previous pivot.
-        """
-        raise NotImplementedError
 
     def fmt(self, a) -> str:
         raise NotImplementedError
@@ -112,13 +105,6 @@ class RationalField(Field):
             q, r = divmod(a, b)
             return Fraction(a, b) if r else q
         return _rational(Fraction(a) / b)
-
-    def bareiss_row(self, nums, prev):
-        # Exact: the entries are minors of the matrix, divisible by prev.
-        if prev == 1:
-            return nums
-        div = self.div
-        return [div(n, prev) for n in nums]
 
     def fmt(self, a) -> str:
         return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
@@ -186,12 +172,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def bareiss_row(self, nums, prev):
-        # The division by prev is left out: it only scales the row by a unit,
-        # and entries reduced mod p cannot grow.
-        p = self.p
-        return [n % p for n in nums]
 
     def fmt(self, a) -> str:
         return str(a)
@@ -386,39 +366,27 @@ class Matrix:
         """Rank.
 
         A matrix with one row or one column, most of the search's condition
-        matrices, has rank 1 if an entry is nonzero and 0 otherwise; any
-        other is eliminated by _bareiss_rank.
+        matrices, has rank 1 if an entry is nonzero and 0 otherwise.  With
+        two rows (columns), let (x, y) be the first nonzero column (row):
+        another (u, v) is a multiple of it exactly when the minor x*v - y*u
+        is 0, so the rank is 2 if some minor is nonzero, else 1, and 0
+        without a nonzero (x, y).  Any other matrix is the dimension of a
+        RowSpace that is not kept (rref keeps its own).
         """
+        data = self.data
         if self.nrows <= 1 or self.ncols <= 1:
-            return int(any(map(any, self.data)))
-        return self._bareiss_rank()
-
-    def _bareiss_rank(self) -> int:
-        """Rank by fraction-free elimination (Bareiss, 1968).
-
-        At each pivot y with pivot entry p in column c, every other remaining
-        row x becomes (p*x - x[c]*y) / prev, where prev is the pivot of the
-        step before; no pivot is inverted.  Over Q the division is exact and
-        the entries stay minors of the matrix; Field.bareiss_row does it.
-        Only the columns right of c are kept.
-        """
-        step = self.field.bareiss_row
-        rows = list(self.data)
-        rank, prev, start = 0, 1, 0
-        for c in range(self.ncols):
-            k = c - start  # the rows hold columns start.. only
-            i = next((i for i, x in enumerate(rows) if x[k]), None)
-            if i is None:
-                continue
-            y = rows.pop(i)
-            p = y[k]
-            rank += 1
-            if not rows:
-                break
-            tail = y[k + 1 :]
-            rows = [step([p * u - x[k] * v for u, v in zip(x[k + 1 :], tail)], prev) for x in rows]
-            prev, start = p, c + 1
-        return rank
+            return int(any(map(any, data)))
+        if self.nrows == 2:
+            pairs = zip(*data)
+        elif self.ncols == 2:
+            pairs = iter(data)
+        else:
+            return RowSpace.from_rows(self.field, self.ncols, data).dim
+        for x, y in pairs:
+            if x or y:
+                mul = self.field.mul
+                return 2 if any(mul(x, v) != mul(y, u) for u, v in pairs) else 1
+        return 0
 
     def kernel_basis(self):
         """Basis of the right kernel {v : m v = 0}, as column vectors (lists):

@@ -12,7 +12,7 @@ scan's regular-leg clauses.  The abelian clause asks that each middle map
 be regular: by proof where the property scan decided Q's side, and by
 factorising each basis morphism elsewhere.
 RF1, RF3/LF3 and the middle map's inverse hold by proof (verify_rf_axioms,
-_abelian_clause), so no fraction is composed for them.
+check_abelian), so no fraction is composed for them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .preabelian import (
     ClauseResult,
     DEFAULT_BUDGET,
     PropertyReport,
+    _leg_pair_count,
     coim_im_factorise,
     cokernel,
     is_regular,
@@ -160,52 +161,16 @@ def verify_rf_axioms(Q: CategoryPresentation, scan: PropertyReport, budget: Budg
       is_mono is is_epi in Q^op.  Its cases are the regulars.
     """
     regulars = scan.family.regulars
-    sources = collections.Counter(r.source for r in regulars)
-    pairs = sum(sources[r.target] for r in regulars)
+    pairs = _leg_pair_count(regulars, collections.Counter(r.source for r in regulars), "target", budget.scan_pairs_cap)
     return ClauseReport(
         {
-            "RF1_identities_and_closure": ClauseResult("pass", min(pairs, budget.scan_pairs_cap)),
+            "RF1_identities_and_closure": ClauseResult("pass", pairs),
             "RF2_square_completion": scan.clauses["pullback_regular_leg"],
             "RF3_left_cancellation": ClauseResult("pass", len(regulars)),
             "LF2_square_completion": scan.clauses["pushout_regular_leg"],
             "LF3_right_cancellation": ClauseResult("pass", len(regulars)),
         }
     )
-
-
-def _abelian_clause(Q: CategoryPresentation, budget: Budget):
-    """Clause body: for every basis morphism, the middle map of its coim-im
-    factorisation is regular.
-
-    Where the property scan decided Q's side (Q._socle), Hom(Z, -) is
-    right exact on Q (preabelian._pullbacks_of_epis_are_epi proves it), and
-    every middle map of Q is regular by proof, so the body yields once per
-    basis morphism and factorises none; elsewhere _middle_map_loop
-    factorises each.  The proof: let f: X -> Y have kernel k, cokernel c,
-    coimage u: X -> Coim (a cokernel of k) and image v: Im -> Y (a kernel
-    of c), so f = v o ftilde o u.  They exist: Q has every kernel, as Q's
-    side is decided, and so does Q^op (preabelian._every_kernel), so Q has
-    every cokernel.  Write F = Hom(Z, -).  F(k) is a kernel of F(f) and
-    F(c) a cokernel, F(u) a cokernel of F(k) and F(v) a kernel of F(c).
-    So F(u) is onto with kernel ker F(f), F(v) is one to one with image im
-    F(f), and F(f) = F(v) F(ftilde) F(u) makes F(ftilde) the bijection coim
-    F(f) -> im F(f).  By preabelian._socle_answers' lemma ftilde is then
-    epi and mono.  checked is what the loop counts where every case holds.
-
-    Invertibility in the localisation follows (Gabriel-Zisman, "Calculus of
-    fractions and homotopy theory", 1967, I.2): for a regular s, [s, 1] is
-    a two-sided inverse of [1, s].  [s, 1] o [1, s] completes the pair
-    (s, s) to the square (1, 1) and gives [1, 1]; [1, s] o [s, 1] completes
-    (1, 1) and gives [s, s], equal to [1, 1] on the square (1, s) of (s, 1).
-    pullback builds exactly these squares without a kernel (c = d with c
-    mono, then d = 1), so compose_fractions and fractions_equal on these
-    fractions re-derive this proof and cannot fail for a regular s.
-    """
-    if Q._socle is not None:
-        for _ in range(sum(Q.hom_dim(i, j) for i in range(Q.n) for j in range(Q.n))):
-            yield
-        return None
-    return (yield from _middle_map_loop(Q, budget))
 
 
 def _middle_map_loop(Q: CategoryPresentation, budget: Budget):
@@ -221,7 +186,37 @@ def _middle_map_loop(Q: CategoryPresentation, budget: Budget):
 
 
 def check_abelian(Q: CategoryPresentation, budget: Budget = DEFAULT_BUDGET) -> ClauseReport:
-    """Abelianness of the localisation via the coim-im middle map: each basis
-    morphism's middle map is regular, hence invertible in the localisation
-    (proof in _abelian_clause)."""
-    return ClauseReport({"abelian_middle_maps": run_clause(_abelian_clause(Q, budget))})
+    """Abelianness of the localisation: for every basis morphism, the
+    middle map of its coim-im factorisation is regular, hence invertible in
+    the localisation.
+
+    Where the property scan decided Q's side (Q._socle), Hom(Z, -) is
+    right exact on Q (preabelian._pullbacks_of_epis_are_epi proves it), and
+    every middle map of Q is regular by proof, so the clause passes with
+    one case per basis morphism and factorises none; elsewhere
+    _middle_map_loop factorises each.  The proof: let f: X -> Y have
+    kernel k, cokernel c, coimage u: X -> Coim (a cokernel of k) and image
+    v: Im -> Y (a kernel of c), so f = v o ftilde o u.  They exist: Q has
+    every kernel, as Q's side is decided, and so does Q^op
+    (preabelian._every_kernel), so Q has every cokernel.  Write F =
+    Hom(Z, -).  F(k) is a kernel of F(f) and F(c) a cokernel, F(u) a
+    cokernel of F(k) and F(v) a kernel of F(c).  So F(u) is onto with
+    kernel ker F(f), F(v) is one to one with image im F(f), and F(f) =
+    F(v) F(ftilde) F(u) makes F(ftilde) the bijection coim F(f) -> im
+    F(f).  By preabelian._socle_answers' lemma ftilde is then epi and
+    mono.  The count is what the loop counts where every case holds.
+
+    Invertibility in the localisation follows (Gabriel-Zisman, "Calculus of
+    fractions and homotopy theory", 1967, I.2): for a regular s, [s, 1] is
+    a two-sided inverse of [1, s].  [s, 1] o [1, s] completes the pair
+    (s, s) to the square (1, 1) and gives [1, 1]; [1, s] o [s, 1] completes
+    (1, 1) and gives [s, s], equal to [1, 1] on the square (1, s) of (s, 1).
+    pullback builds exactly these squares without a kernel (c = d with c
+    mono, then d = 1), so compose_fractions and fractions_equal on these
+    fractions re-derive this proof and cannot fail for a regular s.
+    """
+    if Q._socle is not None:
+        result = ClauseResult("pass", sum(Q.hom_dim(i, j) for i in range(Q.n) for j in range(Q.n)))
+    else:
+        result = run_clause(_middle_map_loop(Q, budget))
+    return ClauseReport({"abelian_middle_maps": result})

@@ -42,7 +42,12 @@ from .linalg import Matrix, PrimeField, RowSpace, block_diagonal_kernel_basis
 
 @dataclass
 class Budget:
-    """Search and scan limits; the multiplicity bounds themselves are proven."""
+    """Search and scan limits; the multiplicity bounds themselves are proven.
+
+    Every limit is an int (a bool is refused), every limit but the seed is
+    non-negative, and grid_cap, scan_pairs_cap and coeff_base are
+    positive; ValueError names a field that is not.
+    """
 
     seed: int = 1797
     retries: int = 10
@@ -51,6 +56,14 @@ class Budget:
     scan_random_per_pair: int = 2
     scan_pairs_cap: int = 400
     scan_double_objects: int = 4
+
+    def __post_init__(self):
+        for k, v in vars(self).items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"budget {k} must be an integer, got {v!r}")
+            least = 1 if k in ("grid_cap", "scan_pairs_cap", "coeff_base") else 0
+            if k != "seed" and v < least:
+                raise ValueError(f"budget {k} must be at least {least}, got {v}")
 
     @property
     def search_fields(self) -> tuple:
@@ -62,27 +75,24 @@ class Budget:
     def from_dict(cls, d: dict) -> "Budget":
         """A budget from config values; ValueError names a key it rejects.
 
-        Values are ints, integral floats or ASCII decimal strings; a bool or
-        a fraction is rejected, not truncated.  Every limit but the seed must
-        be non-negative, and grid_cap, scan_pairs_cap and coeff_base must be
-        positive.
+        Values are ints, integral floats or ASCII decimal strings, converted
+        here; the constructor checks the rest, so a bool or a fraction is
+        rejected, not truncated.
         """
-        b = cls()
         keys = {f.name for f in fields(cls)}
+        values = {}
         for k, v in d.items():
             if k not in keys:
                 raise ValueError(f"unknown budget key {k!r}")
-            try:
-                if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-                    raise TypeError
-                v = int(v.encode("ascii") if isinstance(v, str) else v)  # int() reads any script's digits
-            except (TypeError, ValueError):
-                raise ValueError(f"budget {k} must be an integer, got {v!r}") from None
-            least = 1 if k in ("grid_cap", "scan_pairs_cap", "coeff_base") else 0
-            if k != "seed" and v < least:
-                raise ValueError(f"budget {k} must be at least {least}, got {v}")
-            setattr(b, k, v)
-        return b
+            if isinstance(v, str):
+                try:
+                    v = int(v.encode("ascii"))  # int() reads any script's digits
+                except ValueError:
+                    raise ValueError(f"budget {k} must be an integer, got {v!r}") from None
+            elif isinstance(v, float) and v.is_integer():
+                v = int(v)
+            values[k] = v
+        return cls(**values)
 
 
 DEFAULT_BUDGET = Budget()
@@ -945,7 +955,7 @@ def _pullbacks_of_epis_are_epi(P: CategoryPresentation, budget: Budget) -> Obj |
     legs above, and existence, asked of a mono x, as every kernel exists.
 
     It also proves Hom(Z, -), Z the socle, right exact on P, which
-    localization._abelian_clause reads: for every g: X -> Y of P with a
+    localization.check_abelian reads: for every g: X -> Y of P with a
     cokernel c: Y -> C, Hom(Z, X) -> Hom(Z, Y) -> Hom(Z, C) -> 0 is exact,
     and for every f with a kernel k, Hom(Z, k) is a kernel of Hom(Z, f).
     T is a hereditary torsion class with torsion part t (Stenstrom, "Rings

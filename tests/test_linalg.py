@@ -163,12 +163,13 @@ def test_rowspace_coords():
     assert _coords_in_basis(rs, [QQ.of(1), QQ.of(1), QQ.of(0)]) is None
 
 
-# -- fraction-free rank against rref, and the int/Fraction contract of QQ --
+# -- rank against the Gauss-Jordan oracle, and the int/Fraction contract of QQ --
 
 
-def _rref_rank(m):
-    """Rank from the rref of a copy, so m keeps no cached rref."""
-    return len(Matrix(m.field, m.nrows, m.ncols, m.data).rref()[1])
+def _oracle_rank(m):
+    """Rank from _gauss_jordan's pivots, an elimination independent of the
+    RowSpace that rank and rref read."""
+    return len(_gauss_jordan(m)[1])
 
 
 @st.composite
@@ -192,7 +193,7 @@ def matrices(draw):
 @settings(max_examples=300)
 @given(matrices())
 def test_rank_matches_rref(m):
-    assert m.rank() == _rref_rank(m)
+    assert m.rank() == _oracle_rank(m) == len(m.rref()[1])
 
 
 @st.composite
@@ -212,18 +213,51 @@ def thin_matrices(draw):
 
 @settings(max_examples=300)
 @given(thin_matrices())
-def test_thin_rank_is_the_bareiss_rank(m):
+def test_thin_rank_is_the_oracle_rank(m):
     # the closed form reads the entries only; the elimination it skips agrees
-    assert m.rank() == m._bareiss_rank() == _rref_rank(m)
+    assert m.rank() == _oracle_rank(m)
     assert m.rank() == int(not m.is_zero())
 
 
+@st.composite
+def two_line_matrices(draw):
+    """A 2 x k or k x 2 matrix, k up to 12, over QQ, GF(2) or GF(101).
+
+    The second line is often zero or a multiple of the first (by a Fraction
+    over QQ), and zero entries are drawn often, so zero lines, zero pairs
+    before the first nonzero one and rank 1 all come up.
+    """
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    k = draw(st.integers(0, 12))
+    ints = st.one_of(st.just(0), st.integers(-6, 6))
+    entry = st.one_of(ints, st.fractions(-3, 3, max_denominator=4)) if field is QQ else ints
+    first = [field.of(x) for x in draw(st.lists(entry, min_size=k, max_size=k))]
+    second = draw(st.sampled_from(["drawn", "zero", "multiple"]))
+    if second == "drawn":
+        other = [field.of(x) for x in draw(st.lists(entry, min_size=k, max_size=k))]
+    else:
+        c = field.of(draw(entry)) if second == "multiple" else field.zero
+        other = [field.mul(c, x) for x in first]
+    lines = [first, other] if draw(st.booleans()) else [other, first]
+    if draw(st.booleans()):
+        return Matrix(field, 2, k, lines)
+    return Matrix.from_columns(field, k, lines)
+
+
+@settings(max_examples=400)
+@given(two_line_matrices())
+def test_two_line_rank_is_the_oracle_rank(m):
+    # the 2x2 minors against the first nonzero pair decide rank 0, 1 or 2
+    assert m.rank() == _oracle_rank(m)
+
+
 def test_rank_of_dense_integer_matrix_stays_fast():
-    # Without the exact division by the previous pivot, entry sizes double
-    # at every step and this does not finish.
+    # Over Q a 30x30 rank runs RowSpace.  Each of its rows is reduced (1 at
+    # its pivot, 0 at the others), so every entry is a ratio of two minors
+    # of the rows added so far and stays the size of a minor.
     rng = random.Random(30)
     m = Matrix.from_rows(QQ, [[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)])
-    assert m.rank() == _rref_rank(m)
+    assert m.rank() == _oracle_rank(m)
 
 
 def _solve_by_columns(A, B):

@@ -437,7 +437,7 @@ def test_bounds_exceeded_is_distinct(QCT):
         if f.source != f.target:
             break
     with pytest.raises(BoundsExceeded):
-        cokernel(Q, f, Budget(retries=0, grid_cap=0))
+        cokernel(Q, f, Budget(retries=0, grid_cap=1))
 
 
 def test_budget_from_dict_rejects_nonsense():
@@ -457,6 +457,38 @@ def test_budget_from_dict_rejects_nonsense():
         key = next(iter(d))
         with pytest.raises(ValueError, match=key):
             Budget.from_dict(d)
+
+
+def test_budget_checks_itself_where_it_is_built():
+    # a budget built in code is refused as a config would be, naming the
+    # field, not deep inside a scan nor passed through to a report
+    bad = [
+        {"retries": -3},
+        {"scan_random_per_pair": -1},
+        {"scan_double_objects": -1},
+        {"grid_cap": 0},
+        {"scan_pairs_cap": 0},
+        {"coeff_base": 0},
+        {"retries": True},
+        {"seed": 1.0},
+        {"grid_cap": "10"},
+        {"scan_pairs_cap": None},
+    ]
+    for kw in bad:
+        key = next(iter(kw))
+        with pytest.raises(ValueError, match=key):
+            Budget(**kw)
+    least = Budget(seed=-3, retries=0, coeff_base=1, grid_cap=1, scan_random_per_pair=0, scan_pairs_cap=1, scan_double_objects=0)
+    assert vars(least) == {
+        "seed": -3,
+        "retries": 0,
+        "coeff_base": 1,
+        "grid_cap": 1,
+        "scan_random_per_pair": 0,
+        "scan_pairs_cap": 1,
+        "scan_double_objects": 0,
+    }
+    assert Budget.from_dict({"retries": "3", "grid_cap": 7.0}) == Budget(retries=3, grid_cap=7)
 
 
 def test_pullback_along_identity(QCT):

@@ -6,7 +6,7 @@ asks, for each z with S_z in soc Gamma, whether I_z = D Hom(Z_z, -) is
 Hom(-, Z_w) for some w.  `_pullbacks_of_epis_are_epi` decides the side
 exactly when it finds a w for every z: a projective module is
 torsion-free, so t(I_z) = 0.  On Q's decided side
-`localization._abelian_clause` yields once per basis morphism and
+`localization.check_abelian` counts one case per basis morphism and
 factorises none: Hom(Z, -) is then right exact, so every middle map is
 regular.
 
